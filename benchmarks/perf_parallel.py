@@ -255,6 +255,9 @@ def bench_slice_decompositions(
         "spec": asdict(spec),
         "stream_bytes": len(data),
         "workers": workers,
+        # Recorded per section: sections can be re-measured on their
+        # own, on a machine unlike the one the rest of the file saw.
+        "cpu_affinity": _cores(),
         "sequential_seconds": sequential_s,
         "variants": variants,
         "improved_barrier_below_simple": (

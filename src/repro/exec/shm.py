@@ -115,6 +115,11 @@ class FramePoolBase:
         cr[:, :] = frame.cr
         del y, cb, cr  # release exported buffers before any close()
 
+    def clear_frame(self, slot: int) -> None:
+        """Zero ``slot`` (a reused slot must read as a blank frame)."""
+        for plane in self.layout.slot_views(self._pool_buf, slot):
+            plane[:, :] = 0
+
     def read_frame(self, slot: int, temporal_reference: int) -> Frame:
         """Rebuild the :class:`Frame` stored in ``slot`` (display side)."""
         y, cb, cr = self.layout.slot_views(self._pool_buf, slot)

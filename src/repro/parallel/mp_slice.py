@@ -21,26 +21,51 @@ The paper's three roles map onto real primitives:
   StreamIndex` into coding-order :class:`PicturePlan` records (byte
   ranges, reference links, display indices) without decoding
   (:func:`scan_slice_tasks`), and drives the pure-logic
-  :class:`PictureSliceQueue` that embodies the availability rule.
+  :class:`PictureSliceQueue` that embodies the availability rule, the
+  dispatch credit and the frame window.
 * **workers** — persistent ``multiprocessing`` processes pulling
-  ``(picture, slice-batch)`` tasks from a queue.  The coded stream is
+  :class:`SliceBatch` tasks from a queue.  The coded stream is
   published once into shared memory
   (:class:`repro.parallel.mp.StreamArena`); workers attach by name and
-  slice payload byte ranges straight out of the segment.  Each slice
+  slice payload byte ranges straight out of the segment.  One function,
+  :func:`decode_batch_into_pool`, is the whole task body — for the
+  worker loop, the ``workers=0`` path and the serve layer's
+  :func:`decode_picture_into_pool` alike: every slice of the batch
   gets the phase-1 bit-only parse
-  (:func:`repro.mpeg2.batched.parse_slice`) and then — for the
-  statically-final slice of each row — in-place reconstruction on the
-  shared-memory frame pool
-  (:class:`repro.parallel.mp.SharedFramePool`), reading reference
-  pictures through zero-copy views.  Dispatch is *batched*: each
-  picture's claimable slices are split into at most ``workers``
-  sub-batches, so a 15-slice picture on 4 workers costs 4 queue
-  messages each way instead of 30, while intra-picture parallelism is
-  fully preserved.  Only per-slice work counters and tiny status
-  tuples cross the process boundary — pixels and bitstream never do.
+  (:func:`repro.mpeg2.batched.parse_slice`), then **one**
+  :func:`~repro.mpeg2.batched.reconstruct_slices` call reconstructs
+  the batch's statically-final rows in place on the shared-memory
+  frame pool (:class:`repro.parallel.mp.SharedFramePool`), reading
+  reference pictures through zero-copy views.  Only the batch's summed
+  work counters and its corrupt row numbers cross the process boundary
+  — pixels and bitstream never do.
 * **display** — the parent completes pictures (concealment for corrupt
   rows, publish for dependents), then merges them into display order
   through :class:`DisplayMerger`.
+
+Dispatch: earliest picture first, on credit, inside a frame window
+-------------------------------------------------------------------
+The parent keeps at most ``2 x workers`` batches in flight (one running
+and one queued per worker) and refills one credit per result from
+:meth:`PictureSliceQueue.claim_batch`, which always serves the
+**earliest-coded available** picture — the paper's in-order 2-D queue —
+in at most ``workers`` batches of ``ceil(slices / workers)`` consecutive
+slices, so every worker can take a share of the same picture.  The rule
+is work-conserving (while GOP 0 waits for a reference, the next GOP's
+I-picture runs) but GOP 0 always has priority, so display order
+completes front to back and the first pictures are ready after one
+picture time, not after every GOP's I-picture.
+
+Decoded pictures live in a pool of ``max(longest GOP, 2 x workers) + 1``
+slots handed out from a free list (:func:`frame_window`); slot numbers
+ride in the task.  A picture may start only while it lies within that
+many pictures of the first one still holding or needing a slot, and a
+slot is freed once its picture **and every picture that references
+it** have been emitted.  Pool size thus depends on GOP structure and
+worker count, never on stream length (the paper's Fig. 8).  It cannot
+deadlock: every picture the oldest slot holder waits for —
+display-earlier pictures and dependents — belongs to its own closed
+GOP, which fits inside the window.
 
 Bit-exactness
 -------------
@@ -48,18 +73,24 @@ A slice resets all predictors, so its parse depends on nothing but its
 own payload; its reconstruction depends only on the published reference
 frames, which the availability rule guarantees are final before any of
 the picture's slices start.  Within a picture, slices cover disjoint
-macroblock rows, so concurrent in-place writes never overlap.
+macroblock rows, so concurrent in-place writes never overlap — whether
+the rows of one batch are reconstructed one call each or all in one.
 Duplicate slices (same row twice) are resolved *statically*: the
 parser runs for every slice (work counters are exact), but only the
 bitstream-last slice of each row carries ``reconstruct=True`` — the
 sequential decoder's last-write-wins outcome without a write race.
-The result is bit-identical to ``SequenceDecoder.decode_all()``,
-frames and counters, pinned by ``tests/parallel/test_mp_slice_parity``.
+Every slot is zeroed when it is handed out, so rows no slice covers
+read as the sequential decoder's blank frame.  The result is
+bit-identical to ``SequenceDecoder.decode_all()``, frames and
+counters, pinned by ``tests/parallel/test_mp_slice_parity``.
 
 Stall attribution (paper Table 3 / Fig. 12)
 -------------------------------------------
-The scheduler timestamps every picture that sits *gated* in the queue
-and splits the wait on release:
+A gate clock starts only when a **free credit** finds nothing it may
+dispatch because a picture is unavailable, and stops when that picture
+is found available again; at most one clock runs at a time, so the
+scheduler's gated seconds never exceed wall seconds.  The wait splits
+on release:
 
 * time the picture spent waiting for its references to be published is
   :data:`~repro.obs.stalls.REASON_REF_PUBLISH` — a true data
@@ -82,8 +113,9 @@ import multiprocessing
 import os
 import tempfile
 import time
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.bitstream.emulation import unescape_payload
 from repro.mpeg2.batched import parse_slice, reconstruct_slices
@@ -117,7 +149,12 @@ from repro.exec.backend import (
     collect_trace_shards,
     release_segments,
 )
-from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
+from repro.exec.shm import (
+    FrameLayout,
+    LocalFramePool,
+    SharedFramePool,
+    StreamArena,
+)
 from repro.parallel.slice_level import SliceMode
 
 
@@ -146,7 +183,7 @@ class PicturePlan:
     """Scan product for one picture: everything a worker or the
     scheduler needs, no pixels, fully picklable."""
 
-    #: Global coding-order number (also this picture's pool slot).
+    #: Global coding-order number.
     order: int
     #: GOP number and coding position within it (diagnostics).
     gop: int
@@ -240,16 +277,44 @@ def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
     return plans
 
 
+def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
+    """Pool slots for a slice-grain decode of ``plans``.
+
+    ``lookahead + 1``, where lookahead is the longest GOP (so all of
+    the GOP the oldest slot holder belongs to can be decoded, which is
+    what frees it) or ``2 x workers`` pictures if that is more (so the
+    dispatch credit is never starved by the window).  Independent of
+    how many GOPs the stream has.
+    """
+    longest = max(Counter(p.gop for p in plans).values(), default=1)
+    return max(longest, 2 * workers) + 1
+
+
 # ======================================================================
 # the 2-D picture/slice queue (pure logic — shared by the mp parent,
 # the workers=0 fallback, and the hypothesis property tests)
 # ======================================================================
+class SliceBatch(NamedTuple):
+    """One dispatched task: consecutive slices of one picture, plus the
+    pool slots the picture and its references live in."""
+
+    order: int
+    sidxs: Sequence[int]
+    slot: int
+    #: Slots of ``PicturePlan.dependencies``, in that order (forward
+    #: first, then backward).
+    ref_slots: tuple[int, ...]
+
+
 class PictureSliceQueue:
-    """The 2-D task queue's availability logic, on real time.
+    """The 2-D task queue: availability, dispatch credit, frame window.
 
     The real-silicon twin of the simulated
     :class:`repro.parallel.queues.SliceTaskQueue`: same availability
     rules, same earliest-available-first service order, no simulator.
+    It also holds what is in flight and which pool slot each picture
+    occupies, so credit, window and never-before-references can be
+    property-tested without a process.
 
     Parameters
     ----------
@@ -262,11 +327,22 @@ class PictureSliceQueue:
     mode:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
+    workers:
+        Sets both bounds on dispatch: a picture is split into at most
+        ``workers`` batches, and at most ``2 x workers`` batches (one
+        when ``workers`` is 0) are in flight.
+    window:
+        Pool slots (:func:`frame_window`; ``None``: one per picture).
+        A picture may start only within ``window`` pictures of the
+        first one that still holds or needs a slot.
     on_gated / on_released:
-        Optional callbacks the scheduler uses for stall attribution:
-        ``on_gated(order)`` fires when a claim scan first finds a
-        picture unavailable; ``on_released(order)`` when a previously
-        gated picture is found available again.
+        Stall attribution: ``on_gated(order)`` fires when a free credit
+        finds nothing to dispatch and ``order`` is the earliest picture
+        in the way; ``on_released(order)`` when a later claim finds
+        that picture available.  At most one picture is gated at a time.
+    on_slot:
+        ``on_slot(slot)`` fires when a picture is given ``slot``, before
+        any of its slices is handed out (the owner blanks the slot).
     """
 
     def __init__(
@@ -274,8 +350,11 @@ class PictureSliceQueue:
         slice_counts: Sequence[int],
         dependencies: Sequence[Sequence[int]],
         mode: str | SliceMode,
+        workers: int = 1,
+        window: int | None = None,
         on_gated: Callable[[int], None] | None = None,
         on_released: Callable[[int], None] | None = None,
+        on_slot: Callable[[int], None] | None = None,
     ) -> None:
         mode = SliceMode(mode).value
         if len(slice_counts) != len(dependencies):
@@ -288,19 +367,36 @@ class PictureSliceQueue:
                         "be earlier in coding order"
                     )
         self.mode = mode
-        self._deps = [tuple(d) for d in dependencies]
-        self._next_slice = [0] * len(slice_counts)
+        self.credit = max(1, 2 * workers)
+        self.in_flight = 0
+        self._deps = [tuple(dict.fromkeys(d)) for d in dependencies]
         self._counts = list(slice_counts)
+        #: Slices per batch: ceil(slices / workers).
+        self._per = [-(-c // max(workers, 1)) for c in slice_counts]
+        self._next_slice = [0] * len(slice_counts)
         self._remaining = list(slice_counts)
         self._complete = [False] * len(slice_counts)
         self._complete_count = 0
+        self._newly_complete: list[int] = []
+        #: Zero-slice pictures not yet settled (nothing to hand out).
+        self._empty = [o for o, c in enumerate(slice_counts) if c == 0]
         self._head = 0
-        self._gated: set[int] = set()
+        self._gate: int | None = None
         self._on_gated = on_gated
         self._on_released = on_released
-        # Zero-slice pictures that are available from the start settle
-        # immediately (nothing to decode, nothing to wait for).
-        self._settle_zero_slice(0)
+        self._on_slot = on_slot
+        # -- frame window ------------------------------------------------
+        self.window = max(len(slice_counts), 1) if window is None else window
+        self._free = list(range(self.window - 1, -1, -1))
+        self._slot: list[int | None] = [None] * len(slice_counts)
+        #: Emissions a picture's slot still waits for: its own and one
+        #: per picture that references it.
+        self._holds = [1] * len(slice_counts)
+        for deps in self._deps:
+            for d in deps:
+                self._holds[d] += 1
+        #: First picture whose slot is not yet back on the free list.
+        self._base = 0
 
     # -- availability --------------------------------------------------
     def _available(self, order: int) -> bool:
@@ -310,74 +406,107 @@ class PictureSliceQueue:
         # improved: only the references must be complete.
         return all(self._complete[d] for d in self._deps[order])
 
-    def _settle_zero_slice(self, start: int) -> None:
-        """Auto-complete available pictures that have no slices."""
-        for order in range(start, len(self._counts)):
-            if (
-                self._counts[order] == 0
-                and not self._complete[order]
-                and self._available(order)
-            ):
-                self._complete[order] = True
-                self._complete_count += 1
+    def _set_complete(self, order: int) -> None:
+        self._complete[order] = True
+        self._complete_count += 1
+        self._newly_complete.append(order)
 
-    # -- worker side ---------------------------------------------------
-    def claim(self) -> tuple[int, int] | None:
-        """Claim the next available ``(picture, slice)``; ``None`` if
-        nothing is claimable right now.
+    def _limit(self) -> int:
+        """One past the last picture the frame window lets start."""
+        return min(len(self._counts), self._base + self.window)
 
-        Serves slices from the earliest available picture — the
-        paper's in-order queue, which keeps the frame-memory window
-        small.  In simple mode nothing after the first unavailable
-        picture can be available, so the scan stops there.
+    def _acquire(self, order: int) -> int:
+        slot = self._slot[order]
+        if slot is None:
+            slot = self._slot[order] = self._free.pop()
+            if self._on_slot is not None:
+                self._on_slot(slot)
+        return slot
+
+    # -- scheduler side --------------------------------------------------
+    def claim_batch(self) -> SliceBatch | None:
+        """Claim the next batch; ``None`` if the credit is spent or
+        nothing may start right now.
+
+        Serves the earliest-coded available picture inside the frame
+        window — the paper's in-order queue: a later picture is served
+        only while every earlier one is fully handed out or waiting for
+        a reference.  In simple mode nothing after the first
+        unavailable picture can be available, so the scan stops there.
         """
-        while (
-            self._head < len(self._counts)
-            and self._next_slice[self._head] >= self._counts[self._head]
-        ):
-            self._head += 1
-        for order in range(self._head, len(self._counts)):
-            if self._next_slice[order] >= self._counts[order]:
+        if self.in_flight >= self.credit:
+            return None
+        blocked: int | None = None
+        for order in range(self._head, self._limit()):
+            count = self._counts[order]
+            if self._next_slice[order] >= count:
+                if order == self._head:
+                    self._head += 1
                 continue
             if not self._available(order):
-                if order not in self._gated:
-                    self._gated.add(order)
-                    if self._on_gated is not None:
-                        self._on_gated(order)
+                if blocked is None:
+                    blocked = order
                 if self.mode == "simple":
-                    # In-order rule: nothing later can be available.
-                    return None
+                    break
                 continue
-            if order in self._gated:
-                self._gated.discard(order)
+            if order == self._gate:
+                self._gate = None
                 if self._on_released is not None:
                     self._on_released(order)
-            sidx = self._next_slice[order]
-            self._next_slice[order] += 1
-            return order, sidx
+            start = self._next_slice[order]
+            stop = self._next_slice[order] = min(count, start + self._per[order])
+            self.in_flight += 1
+            return SliceBatch(
+                order,
+                range(start, stop),
+                self._acquire(order),
+                tuple(self._slot[d] for d in self._deps[order]),
+            )
+        if blocked is not None and self._gate is None:
+            self._gate = blocked
+            if self._on_gated is not None:
+                self._on_gated(blocked)
         return None
 
-    def claim_all(self) -> list[tuple[int, int]]:
-        """Drain every currently claimable task (eager scheduler)."""
-        out: list[tuple[int, int]] = []
-        while True:
-            c = self.claim()
-            if c is None:
-                return out
-            out.append(c)
-
-    def complete_slice(self, order: int) -> bool:
-        """Report one finished slice of ``order``; ``True`` if that
-        completed the picture (caller should then publish it)."""
-        if self._remaining[order] <= 0:
+    def complete_batch(self, order: int, slices: int) -> bool:
+        """Report one finished batch of ``slices`` slices of ``order``
+        (returns its credit); ``True`` if that completed the picture."""
+        done = self._counts[order] - self._remaining[order]
+        if not 0 < slices <= self._next_slice[order] - done:
             raise ValueError(f"picture {order} has no outstanding slices")
-        self._remaining[order] -= 1
+        self.in_flight -= 1
+        self._remaining[order] -= slices
         if self._remaining[order] == 0:
-            self._complete[order] = True
-            self._complete_count += 1
-            self._settle_zero_slice(order + 1)
+            self._set_complete(order)
             return True
         return False
+
+    def take_completed(self) -> list[int]:
+        """Pictures completed since the last call, for the caller to
+        publish **before** it claims again: finished by a batch, or
+        zero-slice pictures that settle here because they are available
+        and inside the window (they take a slot — dependents and the
+        display read it blank — but there is nothing to hand out)."""
+        limit = self._limit()
+        for order in [o for o in self._empty if o < limit]:
+            if self._available(order):
+                self._empty.remove(order)
+                self._acquire(order)
+                self._set_complete(order)
+        out, self._newly_complete = self._newly_complete, []
+        return out
+
+    def mark_emitted(self, order: int) -> None:
+        """``order`` has left the display merger: drop its hold on its
+        own slot and on its references' slots, freeing those no later
+        emission waits for."""
+        for d in (order, *self._deps[order]):
+            self._holds[d] -= 1
+            if self._holds[d] == 0:
+                self._free.append(self._slot[d])
+                self._slot[d] = None
+        while self._base < len(self._holds) and not self._holds[self._base]:
+            self._base += 1
 
     # -- diagnostics -----------------------------------------------------
     @property
@@ -390,6 +519,10 @@ class PictureSliceQueue:
 
     def is_complete(self, order: int) -> bool:
         return self._complete[order]
+
+    def slot_of(self, order: int) -> int | None:
+        """Pool slot ``order`` occupies (``None`` when it has none)."""
+        return self._slot[order]
 
 
 class DisplayMerger:
@@ -439,8 +572,106 @@ class DisplayMerger:
 
 
 # ======================================================================
-# picture-level decode (shared with the multi-stream serve layer)
+# the task body (worker loop, workers=0 path and the serve layer)
 # ======================================================================
+def decode_batch_into_pool(
+    data: bytes | memoryview,
+    plan: PicturePlan,
+    batch: SliceBatch,
+    seq: SequenceHeader,
+    mb_width: int,
+    mb_height: int,
+    pool,
+    resilient: bool,
+) -> tuple[WorkCounters, list[int]]:
+    """Decode one batch of one picture of ``data`` in place on ``pool``.
+
+    Parses **every** slice of ``batch`` (duplicates included, so work
+    counters match the sequential oracle exactly), then reconstructs
+    the statically-final slices among them with one
+    :func:`reconstruct_slices` call into slot ``batch.slot``
+    (references read through zero-copy views of ``batch.ref_slots`` —
+    the availability rule must already hold).  ``pool`` is any
+    :class:`repro.parallel.mp.FramePoolBase`.
+
+    Returns the batch's summed work counters and the macroblock rows
+    whose final slice was corrupt: a corrupt slice is skipped and
+    counted in ``concealed_slices`` when ``resilient`` (the caller's
+    end-of-picture :func:`conceal_in_pool` sweep repairs the rows) and
+    raises otherwise — exactly the sequential decoder's contract.
+    """
+    counters = WorkCounters()
+    corrupt_rows: list[int] = []
+    parses = []
+    for sidx in batch.sidxs:
+        sl = plan.slices[sidx]
+        # bytes() materialises shared-memory views (workers read the
+        # stream from an arena); for a bytes slice it is a no-op.
+        payload = unescape_payload(bytes(data[sl.payload_start : sl.payload_end]))
+        try:
+            with trace_span(
+                "mp.slice.parse", cat="mp",
+                order=plan.order, row=sl.vertical_position,
+            ):
+                sp = parse_slice(
+                    payload, sl.vertical_position, plan.header,
+                    mb_width, mb_height, plan.fwd is not None,
+                )
+        except SLICE_CORRUPTION_ERRORS:
+            if not resilient:
+                raise
+            counters.concealed_slices += 1
+            if sl.reconstruct:
+                corrupt_rows.append(sl.vertical_position - 1)
+            continue
+        counters.add(sp.counters)
+        if sl.reconstruct:
+            parses.append(sp)
+    if parses:
+        out = pool.view_frame(batch.slot, plan.header.temporal_reference)
+        fwd, bwd = (*map(pool.view_frame, batch.ref_slots), None, None)[:2]
+        try:
+            with trace_span(
+                "mp.slice.reconstruct", cat="mp",
+                order=plan.order, slices=len(parses),
+            ):
+                reconstruct_slices(parses, seq, plan.header, out, fwd, bwd)
+        finally:
+            del out, fwd, bwd
+    return counters, corrupt_rows
+
+
+def conceal_in_pool(
+    plan: PicturePlan,
+    corrupt_rows,
+    slot: int,
+    fwd_slot: int | None,
+    mb_height: int,
+    pool,
+    resilient: bool,
+) -> tuple[int, int, int]:
+    """End-of-picture concealment sweep on a frame pool.
+
+    Rows whose *final* slice was corrupt, plus — when ``resilient`` —
+    rows no slice covered at all (lost on the wire), get the
+    sequential decoder's :func:`conceal_rows` sweep.  Returns
+    ``(lost rows, temporal, spatial)`` counts.
+    """
+    lost: list[int] = []
+    if resilient:
+        covered = (sl.vertical_position - 1 for sl in plan.slices)
+        lost = missing_rows(mb_height, covered)
+    rows = set(corrupt_rows).union(lost)
+    if not rows:
+        return 0, 0, 0
+    out = pool.view_frame(slot, plan.header.temporal_reference)
+    fwd = pool.view_frame(fwd_slot) if fwd_slot is not None else None
+    try:
+        return (len(lost), *conceal_rows(out, fwd, rows))
+    finally:
+        del out, fwd
+
+
 def decode_picture_into_pool(
     data: bytes | memoryview,
     plan: PicturePlan,
@@ -451,76 +682,29 @@ def decode_picture_into_pool(
     resilient: bool,
     counters: WorkCounters | None = None,
 ) -> int:
-    """Decode one picture of ``data`` in place on a frame pool.
+    """Decode one whole picture into ``pool`` slot ``plan.order``.
 
-    The picture-granularity composition of the slice machinery: parse
-    **every** slice of ``plan`` (duplicates included, so work counters
-    match the sequential oracle exactly), reconstruct the
-    statically-final slice of each row into ``pool`` slot
-    ``plan.order`` (references read through zero-copy views — the
-    availability rule must already hold), then run one concealment
-    sweep over rows whose final slice was corrupt **or** that no slice
-    covered at all (lost on the wire).  ``pool`` is any
-    :class:`repro.parallel.mp.FramePoolBase` (shared memory in serve
-    workers, process-local in the ``workers=0`` path).
+    The picture-granularity composition the serve layer runs (its pools
+    have one slot per picture, so slots are coding-order numbers): one
+    :func:`decode_batch_into_pool` over every slice, then the
+    :func:`conceal_in_pool` sweep.
 
     Returns the number of concealed slices (0 unless ``resilient``);
-    raises the slice-corruption error when ``resilient`` is off —
-    exactly the sequential decoder's contract.
+    raises the slice-corruption error when ``resilient`` is off.
     """
-    parses = []
-    corrupt_rows: list[int] = []
-    concealed = 0
-    for sl in plan.slices:
-        # bytes() materialises shared-memory views (serve workers read
-        # the stream from an arena); for a bytes slice it is a no-op.
-        payload = unescape_payload(bytes(data[sl.payload_start : sl.payload_end]))
-        try:
-            with trace_span(
-                "mp.slice.parse", cat="mp",
-                order=plan.order, row=sl.vertical_position,
-            ):
-                sp = parse_slice(
-                    payload,
-                    sl.vertical_position,
-                    plan.header,
-                    mb_width,
-                    mb_height,
-                    plan.fwd is not None,
-                )
-        except SLICE_CORRUPTION_ERRORS:
-            if not resilient:
-                raise
-            concealed += 1
-            if sl.reconstruct:
-                corrupt_rows.append(sl.vertical_position - 1)
-            continue
-        if counters is not None:
-            counters.add(sp.counters)
-        if sl.reconstruct:
-            parses.append(sp)
-    out = pool.view_frame(plan.order, plan.header.temporal_reference)
-    fwd = pool.view_frame(plan.fwd) if plan.fwd is not None else None
-    bwd = pool.view_frame(plan.bwd) if plan.bwd is not None else None
-    try:
-        if parses:
-            with trace_span(
-                "mp.picture.reconstruct", cat="mp",
-                order=plan.order, slices=len(parses),
-            ):
-                reconstruct_slices(parses, seq, plan.header, out, fwd, bwd)
-        if resilient:
-            lost = missing_rows(
-                mb_height,
-                (sl.vertical_position - 1 for sl in plan.slices),
-            )
-            concealed += len(lost)
-            conceal_rows(out, fwd, set(corrupt_rows).union(lost))
-    finally:
-        del out, fwd, bwd
+    batch = SliceBatch(
+        plan.order, range(len(plan.slices)), plan.order, plan.dependencies
+    )
+    done, corrupt_rows = decode_batch_into_pool(
+        data, plan, batch, seq, mb_width, mb_height, pool, resilient
+    )
+    lost, _, _ = conceal_in_pool(
+        plan, corrupt_rows, plan.order, plan.fwd, mb_height, pool, resilient
+    )
+    done.concealed_slices += lost
     if counters is not None:
-        counters.concealed_slices += concealed
-    return concealed
+        counters.add(done)
+    return done.concealed_slices
 
 
 # ======================================================================
@@ -542,18 +726,18 @@ def _slice_worker_main(
     trace_dir: str | None,
     crash_task: tuple[int, int] | None,
 ) -> None:
-    """Worker body: loop ``(picture, slice-batch)`` tasks to sentinel.
+    """Worker body: loop :class:`SliceBatch` tasks to sentinel.
 
     The coded stream is read in place from the shared
     :class:`~repro.parallel.mp.StreamArena` — only each slice's few-KB
-    payload is ever materialised as ``bytes``.  Per slice: phase-1
-    parse (bit work only, exact counters), then — for the
-    statically-final slice of each row — phase-2 reconstruction
-    written *in place* on the shared frame pool, with reference
-    pictures read through zero-copy views.  One
-    ``("batch", order, ((slice, kind, payload), ...))`` message
-    publishes the whole batch's results; a final ``("obs", ...)``
-    message ships the worker's metrics and stall snapshots.
+    payload is ever materialised as ``bytes`` — and each task is one
+    :func:`decode_batch_into_pool` on the shared frame pool.  One
+    ``("batch", order, slices, counters, corrupt_rows)`` message
+    publishes the batch's result; anything the task raises (a corrupt
+    slice when not resilient, a failure inside the fused reconstruct)
+    comes back as ``("error", order, slices, exc)`` for the parent to
+    re-raise, never as a dead worker.  A final ``("obs", ...)`` message
+    ships the worker's metrics and stall snapshots.
     """
     name = f"slice-worker-{wid}"
     pid = os.getpid()
@@ -573,13 +757,13 @@ def _slice_worker_main(
     pool = SharedFramePool(layout, slots=0, name=pool_name)
     arena = StreamArena(name=arena_name, size=arena_size)
     data = arena.view
+    crash_order, crash_sidx = crash_task or (None, None)
     last_end = time.monotonic_ns()
     try:
         while True:
-            task = task_q.get()
-            if task is None:
+            batch = task_q.get()
+            if batch is None:
                 break
-            order, sidxs = task
             now = time.monotonic_ns()
             idle_ns = now - last_end
             if idle_ns > 0:
@@ -589,65 +773,19 @@ def _slice_worker_main(
                 )
                 metrics().histogram("mp.worker.idle_ms").observe(idle_ns / 1e6)
                 stalls.record(name, REASON_QUEUE_GET, idle_ns / 1e9)
-            plan = plans[order]
-            entries: list[tuple[int, str, object]] = []
-            for sidx in sidxs:
-                if crash_task == (order, sidx):
-                    # Fault-injection hook (tests only): die mid-picture
-                    # exactly the way an OOM kill / segfault would.
-                    os._exit(23)
-                sl = plan.slices[sidx]
-                try:
-                    payload = unescape_payload(
-                        bytes(data[sl.payload_start : sl.payload_end])
-                    )
-                    try:
-                        with trace_span(
-                            "mp.slice.parse", cat="mp",
-                            order=order, row=sl.vertical_position,
-                        ):
-                            sp = parse_slice(
-                                payload,
-                                sl.vertical_position,
-                                plan.header,
-                                mb_width,
-                                mb_height,
-                                plan.fwd is not None,
-                            )
-                    except SLICE_CORRUPTION_ERRORS as exc:
-                        if resilient:
-                            entries.append((sidx, "corrupt", None))
-                        else:
-                            entries.append((sidx, "error", exc))
-                        continue
-                    if sl.reconstruct:
-                        out = pool.view_frame(
-                            plan.order, plan.header.temporal_reference
-                        )
-                        fwd = (
-                            pool.view_frame(plan.fwd)
-                            if plan.fwd is not None
-                            else None
-                        )
-                        bwd = (
-                            pool.view_frame(plan.bwd)
-                            if plan.bwd is not None
-                            else None
-                        )
-                        try:
-                            with trace_span(
-                                "mp.slice.reconstruct", cat="mp",
-                                order=order, row=sl.vertical_position,
-                            ):
-                                reconstruct_slices(
-                                    [sp], seq, plan.header, out, fwd, bwd
-                                )
-                        finally:
-                            del out, fwd, bwd
-                    entries.append((sidx, "ok", sp.counters))
-                except Exception as exc:  # pragma: no cover - defensive
-                    entries.append((sidx, "error", exc))
-            result_q.put(("batch", order, tuple(entries)))
+            order, sidxs = batch.order, batch.sidxs
+            if order == crash_order and crash_sidx in sidxs:
+                # Fault-injection hook (tests only): die mid-picture
+                # exactly the way an OOM kill / segfault would.
+                os._exit(23)
+            try:
+                result = ("batch", order, len(sidxs)) + decode_batch_into_pool(
+                    data, plans[order], batch, seq,
+                    mb_width, mb_height, pool, resilient,
+                )
+            except Exception as exc:
+                result = ("error", order, len(sidxs), exc)
+            result_q.put(result)
             tracer = get_tracer()
             if tracer is not None and shard is not None:
                 tracer.write_shard(shard)
@@ -768,19 +906,6 @@ class MPSliceDecoder:
             c.bits += plan.header_bits
         return c
 
-    def _queue(
-        self,
-        on_gated: Callable[[int], None] | None = None,
-        on_released: Callable[[int], None] | None = None,
-    ) -> PictureSliceQueue:
-        return PictureSliceQueue(
-            [len(p.slices) for p in self.plans],
-            [p.dependencies for p in self.plans],
-            self.mode,
-            on_gated=on_gated,
-            on_released=on_released,
-        )
-
     # ------------------------------------------------------------------
     def decode_all(self, counters: WorkCounters | None = None) -> list[Frame]:
         """Decode the whole stream to display-ordered frames.
@@ -796,131 +921,178 @@ class MPSliceDecoder:
         """Yield decoded frames in display order."""
         if counters is not None:
             counters.add(self._base_counters())
-        if self.workers == 0:
-            yield from self._iter_frames_inprocess(counters)
-        else:
-            yield from self._iter_frames_mp(counters)
+        self.last_stalls = StallTable()
+        t_run = time.perf_counter()
+        try:
+            if self.workers == 0:
+                yield from self._iter_frames_inprocess(counters)
+            else:
+                yield from self._iter_frames_mp(counters)
+        finally:
+            self.last_wall_seconds = time.perf_counter() - t_run
 
     # ------------------------------------------------------------------
-    # workers=0: same queue discipline, no processes
+    # the scheduler: one loop for both transports
+    # ------------------------------------------------------------------
+    def _schedule(
+        self,
+        counters: WorkCounters | None,
+        pool,
+        submit: Callable[[SliceBatch], None],
+        fetch: Callable[[], tuple],
+    ) -> Iterator[Frame]:
+        """Claim on credit, publish, merge, emit — to the last picture.
+
+        ``submit`` hands a batch to whatever executes it and ``fetch``
+        returns the next ``("batch" | "error", order, slices, ...)``
+        result; the rest is the same for worker processes and for the
+        in-process path.
+        """
+        plans = self.plans
+        stalls = self.last_stalls
+        mb_height = self.index.mb_height
+        gated_since: dict[int, int] = {}
+        publish_ns: dict[int, int] = {}
+
+        def on_gated(order: int) -> None:
+            gated_since[order] = time.monotonic_ns()
+
+        def on_released(order: int) -> None:
+            t0 = gated_since.pop(order)
+            now = time.monotonic_ns()
+            total_s = (now - t0) / 1e9
+            if self.mode is SliceMode.IMPROVED:
+                # The improved rule gates only on unpublished
+                # references: the whole wait is a true data dependency.
+                ref_s, barrier_s = total_s, 0.0
+            else:
+                # Simple rule: split the wait into the part covered by
+                # reference publication (true dependency) and the
+                # remainder — the policy-imposed per-picture barrier
+                # the improved variant removes.
+                dep_ns = max(
+                    (publish_ns.get(d, t0) for d in plans[order].dependencies),
+                    default=t0,
+                )
+                ref_s = max(0.0, (min(dep_ns, now) - t0) / 1e9)
+                barrier_s = max(0.0, total_s - ref_s)
+            if ref_s > 0.0:
+                stalls.record("scheduler", REASON_REF_PUBLISH, ref_s)
+            if barrier_s > 0.0:
+                stalls.record("scheduler", REASON_BARRIER, barrier_s)
+            reason = REASON_BARRIER if barrier_s > 0.0 else REASON_REF_PUBLISH
+            trace_complete(
+                "mp.slice.gate", "stall", t0, now - t0,
+                order=order, reason=reason,
+            )
+
+        q = PictureSliceQueue(
+            [len(p.slices) for p in plans],
+            [p.dependencies for p in plans],
+            self.mode,
+            workers=self.workers,
+            window=pool.slots,
+            on_gated=on_gated,
+            on_released=on_released,
+            on_slot=pool.clear_frame,
+        )
+        merger = DisplayMerger(len(plans))
+        held_since: dict[int, int] = {}
+        corrupt_rows: dict[int, list[int]] = {}
+
+        def publish(completed: list[int]) -> list[int]:
+            """Publish newly complete pictures (conceal + record
+            publish time + bank in the display merger); return the
+            display-ready run.  Runs *before* the next claim so the
+            stall split sees fresh publish times; the caller emits the
+            returned frames after dispatching, keeping workers fed."""
+            ready: list[int] = []
+            for order in completed:
+                plan = plans[order]
+                fwd_slot = q.slot_of(plan.fwd) if plan.fwd is not None else None
+                t0 = time.perf_counter()
+                lost, n_t, n_s = conceal_in_pool(
+                    plan, corrupt_rows.pop(order, ()), q.slot_of(order),
+                    fwd_slot, mb_height, pool, self.resilient,
+                )
+                record_concealment(
+                    stalls, "scheduler", n_t, n_s, time.perf_counter() - t0
+                )
+                if counters is not None:
+                    counters.concealed_slices += lost
+                publish_ns[order] = time.monotonic_ns()
+                emitted = merger.push(plan.display_index, order)
+                if not emitted and self.workers:
+                    held_since[order] = publish_ns[order]
+                ready.extend(emitted)
+            return ready
+
+        def emit(ready: list[int]) -> Iterator[Frame]:
+            for done in ready:
+                t0 = held_since.pop(done, None)
+                if t0 is not None:
+                    hold = time.monotonic_ns() - t0
+                    stalls.record("merge", REASON_MERGE, hold / 1e9)
+                    trace_complete(
+                        "mp.merge.hold", "stall", t0, hold,
+                        order=done, reason=REASON_MERGE,
+                    )
+                with trace_span("mp.shm.read", cat="mp", order=done):
+                    frame = pool.read_frame(
+                        q.slot_of(done), plans[done].header.temporal_reference
+                    )
+                q.mark_emitted(done)
+                yield frame
+
+        def pump() -> Iterator[Frame]:
+            # Emitting frees slots, which may let more pictures start or
+            # settle: go round until a round completes nothing.
+            completed = True
+            while completed:
+                completed = q.take_completed()
+                ready = publish(completed)
+                while (batch := q.claim_batch()) is not None:
+                    submit(batch)
+                yield from emit(ready)
+
+        yield from pump()
+        while q.in_flight:
+            kind, order, slices, *payload = fetch()
+            if kind == "error":
+                raise payload[0]
+            done, rows = payload
+            if counters is not None:
+                counters.add(done)
+            if rows:
+                corrupt_rows.setdefault(order, []).extend(rows)
+            q.complete_batch(order, slices)
+            yield from pump()
+        if not q.done:  # pragma: no cover - defensive
+            raise RuntimeError(
+                "picture/slice queue stuck with incomplete pictures"
+            )
+
+    # ------------------------------------------------------------------
+    # workers=0: same scheduler, tasks run where they are submitted
     # ------------------------------------------------------------------
     def _iter_frames_inprocess(
         self, counters: WorkCounters | None
     ) -> Iterator[Frame]:
         self.last_pool_bytes = 0
-        self.last_stalls = StallTable()
-        t_run = time.perf_counter()
-        q = self._queue()
-        merger = DisplayMerger(len(self.plans))
-        frames: dict[int, Frame] = {}
-        corrupt_final: dict[int, list[int]] = {}
-        published = [False] * len(self.plans)
-        mbw, mbh = self.index.mb_width, self.index.mb_height
+        pool = LocalFramePool(self.layout, frame_window(self.plans, 0))
+        results: deque = deque()
 
-        def frame_of(order: int) -> Frame:
-            if order not in frames:
-                f = Frame.blank(self.seq.width, self.seq.height)
-                f.temporal_reference = self.plans[
-                    order
-                ].header.temporal_reference
-                frames[order] = f
-            return frames[order]
-
-        def sweep() -> Iterator[Frame]:
-            """Publish every newly complete picture; emit display runs.
-
-            Driven after each slice completion *and* upfront, so
-            pictures the queue auto-settles (zero slices) are emitted
-            too.
-            """
-            for order, plan in enumerate(self.plans):
-                if published[order] or not q.is_complete(order):
-                    continue
-                published[order] = True
-                fwd = frames.get(plan.fwd) if plan.fwd is not None else None
-                rows = set(corrupt_final.pop(order, []))
-                if self.resilient:
-                    lost = missing_rows(
-                        mbh,
-                        (sl.vertical_position - 1 for sl in plan.slices),
-                    )
-                    if counters is not None:
-                        counters.concealed_slices += len(lost)
-                    rows.update(lost)
-                if rows:
-                    t0 = time.perf_counter()
-                    n_t, n_s = conceal_rows(frame_of(order), fwd, rows)
-                    record_concealment(
-                        self.last_stalls, "scheduler", n_t, n_s,
-                        time.perf_counter() - t0,
-                    )
-                for done in merger.push(plan.display_index, order):
-                    # frame_of(): a zero-slice picture (possible in a
-                    # truncated-but-indexable stream) auto-settles
-                    # complete without any slice ever materialising
-                    # its frame — emit it blank, like the scalar path.
-                    f = frame_of(done)
-                    if not self.plans[done].is_reference:
-                        frames.pop(done)
-                    yield f
-
-        try:
-            yield from sweep()
-            while not q.done:
-                claim = q.claim()
-                if claim is None:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        "picture/slice queue stuck with incomplete pictures"
-                    )
-                order, sidx = claim
-                plan = self.plans[order]
-                sl = plan.slices[sidx]
-                frame_of(order)
-                payload = unescape_payload(
-                    self.data[sl.payload_start : sl.payload_end]
+        def submit(batch: SliceBatch) -> None:
+            results.append(
+                ("batch", batch.order, len(batch.sidxs))
+                + decode_batch_into_pool(
+                    self.data, self.plans[batch.order], batch, self.seq,
+                    self.index.mb_width, self.index.mb_height,
+                    pool, self.resilient,
                 )
-                try:
-                    with trace_span(
-                        "mp.slice.parse", cat="mp",
-                        order=order, row=sl.vertical_position,
-                    ):
-                        sp = parse_slice(
-                            payload, sl.vertical_position, plan.header,
-                            mbw, mbh, plan.fwd is not None,
-                        )
-                except SLICE_CORRUPTION_ERRORS:
-                    if not self.resilient:
-                        raise
-                    if counters is not None:
-                        counters.concealed_slices += 1
-                    if sl.reconstruct:
-                        corrupt_final.setdefault(order, []).append(
-                            sl.vertical_position - 1
-                        )
-                else:
-                    if counters is not None:
-                        counters.add(sp.counters)
-                    if sl.reconstruct:
-                        with trace_span(
-                            "mp.slice.reconstruct", cat="mp",
-                            order=order, row=sl.vertical_position,
-                        ):
-                            reconstruct_slices(
-                                [sp],
-                                self.seq,
-                                plan.header,
-                                frames[order],
-                                frames[plan.fwd]
-                                if plan.fwd is not None
-                                else None,
-                                frames[plan.bwd]
-                                if plan.bwd is not None
-                                else None,
-                            )
-                if q.complete_slice(order):
-                    yield from sweep()
-        finally:
-            self.last_wall_seconds = time.perf_counter() - t_run
+            )
+
+        yield from self._schedule(counters, pool, submit, results.popleft)
 
     # ------------------------------------------------------------------
     # workers>=1: persistent process pool on shared memory
@@ -929,10 +1101,11 @@ class MPSliceDecoder:
         self, counters: WorkCounters | None
     ) -> Iterator[Frame]:
         ctx = multiprocessing.get_context(self.start_method)
-        pool = SharedFramePool(self.layout, slots=len(self.plans))
+        pool = SharedFramePool(
+            self.layout, slots=frame_window(self.plans, self.workers)
+        )
         arena = StreamArena(self.data)
         self.last_pool_bytes = pool.nbytes
-        self.last_stalls = StallTable()
         stalls = self.last_stalls
         reg = metrics()
         depth_gauge = reg.gauge("queue.depth")
@@ -946,196 +1119,27 @@ class MPSliceDecoder:
         # backend's WorkerTeam; this planner keeps only the slice
         # scheduling itself (claim/complete queue, publish, merge).
         team = WorkerTeam(ctx, role="slice", unit="picture", loss="slice")
-        task_q = team.task_q
 
-        # -- scheduler-side stall attribution --------------------------
-        gated_since: dict[int, int] = {}
-        publish_ns: dict[int, int] = {}
+        def submit(batch: SliceBatch) -> None:
+            team.task_q.put(batch)
+            depth_gauge.inc()
+            dispatch_msgs.inc()
 
-        def on_gated(order: int) -> None:
-            gated_since[order] = time.monotonic_ns()
-
-        def on_released(order: int) -> None:
-            t0 = gated_since.pop(order, None)
-            if t0 is None:  # pragma: no cover - defensive
-                return
-            now = time.monotonic_ns()
-            total_s = (now - t0) / 1e9
-            plan = self.plans[order]
-            if self.mode is SliceMode.IMPROVED:
-                # The improved rule gates only on unpublished
-                # references: the whole wait is a true data dependency.
-                ref_s, barrier_s = total_s, 0.0
-            else:
-                # Simple rule: split the wait into the part covered by
-                # reference publication (true dependency) and the
-                # remainder — the policy-imposed per-picture barrier
-                # the improved variant removes.
-                dep_ns = max(
-                    (publish_ns.get(d, t0) for d in plan.dependencies),
-                    default=t0,
-                )
-                ref_s = max(0.0, (min(dep_ns, now) - t0) / 1e9)
-                barrier_s = max(0.0, total_s - ref_s)
-            if ref_s > 0.0:
-                stalls.record("scheduler", REASON_REF_PUBLISH, ref_s)
-            if barrier_s > 0.0:
-                stalls.record("scheduler", REASON_BARRIER, barrier_s)
-            trace_complete(
-                "mp.slice.gate", "stall", t0, now - t0,
-                order=order,
-                reason=REASON_BARRIER
-                if barrier_s > 0.0
-                else REASON_REF_PUBLISH,
-            )
-
-        q = self._queue(on_gated=on_gated, on_released=on_released)
-        merger = DisplayMerger(len(self.plans))
-        held_since: dict[int, int] = {}
-        status: dict[int, dict[int, str]] = {}
-        t_run = time.perf_counter()
-
-        def dispatch() -> None:
-            # Batched dispatch: group the claimable slices by picture,
-            # then split each picture's run into at most ``workers``
-            # sub-batches — every worker can still grab a share of the
-            # same picture (full intra-picture parallelism), but a
-            # 15-slice picture on 4 workers costs 4 messages, not 15.
-            claims = q.claim_all()
-            if not claims:
-                return
-            by_order: dict[int, list[int]] = {}
-            for order, sidx in claims:
-                by_order.setdefault(order, []).append(sidx)
-            for order, sidxs in by_order.items():
-                batches = min(len(sidxs), max(self.workers, 1))
-                per = -(-len(sidxs) // batches)  # ceil
-                for i in range(0, len(sidxs), per):
-                    task_q.put((order, tuple(sidxs[i : i + per])))
-                    depth_gauge.inc()
-                    dispatch_msgs.inc()
-
-        def conceal_picture(order: int) -> None:
-            """Parent-side concealment sweep: rows whose *final* slice
-            was corrupt, plus — in resilient mode — rows no slice
-            covered at all, get the sequential decoder's end-of-picture
-            :func:`conceal_rows` sweep."""
-            plan = self.plans[order]
-            rows = {
-                sl.vertical_position - 1
-                for sidx, sl in enumerate(plan.slices)
-                if sl.reconstruct
-                and status.get(order, {}).get(sidx) == "corrupt"
-            }
-            if self.resilient:
-                lost = missing_rows(
-                    self.index.mb_height,
-                    (sl.vertical_position - 1 for sl in plan.slices),
-                )
-                if counters is not None:
-                    counters.concealed_slices += len(lost)
-                rows.update(lost)
-            if not rows:
-                return
-            out = pool.view_frame(order, plan.header.temporal_reference)
-            fwd = (
-                pool.view_frame(plan.fwd) if plan.fwd is not None else None
-            )
-            try:
-                t0 = time.perf_counter()
-                n_t, n_s = conceal_rows(out, fwd, rows)
-                record_concealment(
-                    stalls, "scheduler", n_t, n_s,
-                    time.perf_counter() - t0,
-                )
-            finally:
-                del out, fwd
-
-        published = [False] * len(self.plans)
-
-        def publish_new() -> list[int]:
-            """Publish every newly complete picture (conceal + record
-            publish time + bank in the display merger); return the
-            display-ready run.  Runs *before* :func:`dispatch` so the
-            stall split sees fresh publish times; the caller emits the
-            returned frames after dispatching, keeping workers fed.
-            Covers both worker-completed pictures and pictures the
-            queue auto-settled (zero slices)."""
-            ready: list[int] = []
-            for order, plan in enumerate(self.plans):
-                if published[order] or not q.is_complete(order):
-                    continue
-                published[order] = True
-                conceal_picture(order)
-                publish_ns[order] = time.monotonic_ns()
-                emitted = merger.push(plan.display_index, order)
-                if not emitted:
-                    held_since[plan.display_index] = time.monotonic_ns()
-                ready.extend(emitted)
-            return ready
-
-        def emit(ready: list[int]) -> Iterator[Frame]:
-            for done in ready:
-                t0 = held_since.pop(self.plans[done].display_index, None)
-                if t0 is not None:
-                    hold = time.monotonic_ns() - t0
-                    stalls.record("merge", REASON_MERGE, hold / 1e9)
-                    trace_complete(
-                        "mp.merge.hold", "stall", t0, hold,
-                        order=done, reason=REASON_MERGE,
-                    )
-                with trace_span("mp.shm.read", cat="mp", order=done):
-                    frame = pool.read_frame(
-                        done, self.plans[done].header.temporal_reference
-                    )
-                yield frame
+        def fetch() -> tuple:
+            msg = team.get_result(stalls)
+            depth_gauge.dec()
+            return msg
 
         try:
+            shared = (
+                arena.name, arena.size, self.plans, self.seq, self.layout,
+                pool.name, self.index.mb_width, self.index.mb_height,
+                self.resilient, team.task_q, team.result_q, trace_dir,
+                self._crash_task,
+            )
             for wid in range(self.workers):
-                team.spawn(
-                    _slice_worker_main,
-                    (
-                        wid,
-                        arena.name,
-                        arena.size,
-                        self.plans,
-                        self.seq,
-                        self.layout,
-                        pool.name,
-                        self.index.mb_width,
-                        self.index.mb_height,
-                        self.resilient,
-                        team.task_q,
-                        team.result_q,
-                        trace_dir,
-                        self._crash_task,
-                    ),
-                )
-
-            ready = publish_new()
-            dispatch()
-            yield from emit(ready)
-            outstanding = sum(len(p.slices) for p in self.plans)
-            while outstanding > 0:
-                msg = team.get_result(stalls)
-                if msg[0] == "obs":  # pragma: no cover - defensive
-                    continue
-                _, order, entries = msg
-                depth_gauge.dec()
-                for sidx, kind, payload in entries:
-                    if kind == "error":
-                        raise payload
-                    outstanding -= 1
-                    status.setdefault(order, {})[sidx] = kind
-                    if kind == "corrupt":
-                        if counters is not None:
-                            counters.concealed_slices += 1
-                    elif counters is not None:
-                        counters.add(payload)
-                    if q.complete_slice(order):
-                        ready = publish_new()
-                        dispatch()
-                        yield from emit(ready)
+                team.spawn(_slice_worker_main, (wid, *shared))
+            yield from self._schedule(counters, pool, submit, fetch)
 
             # Graceful shutdown: sentinel per worker, then collect the
             # final observability message from each.
@@ -1145,15 +1149,11 @@ class MPSliceDecoder:
                 msg = team.get_result(stalls)
                 if msg[0] != "obs":  # pragma: no cover - defensive
                     continue
-                _, wid, metrics_snap, stalls_snap = msg
-                if metrics_snap is not None:
-                    reg.merge_snapshot(metrics_snap)
-                if stalls_snap is not None:
-                    stalls.merge(stalls_snap)
+                reg.merge_snapshot(msg[2])
+                stalls.merge(msg[3])
                 obs_left -= 1
             team.join_all(10.0)
         finally:
-            self.last_wall_seconds = time.perf_counter() - t_run
             team.teardown(5.0)
             release_segments(pool, arena)
             if trace_dir is not None:

@@ -11,6 +11,9 @@ as a :class:`~repro.mpeg2.decoder.DecodeError` within a poll.
 These tests use the decoders' fault-injection hooks (``_crash_gop`` /
 ``_crash_task``), which ``os._exit`` the worker mid-task — the same
 observable as a SIGKILL: no result, no cleanup, a nonzero exitcode.
+An exception *inside* a slice batch (its one fused reconstruct call) is
+the opposite case: it must come back as an error result and leave the
+worker alive.
 
 Every test also asserts the shared-memory segment is unlinked: a
 crashed decode must not leak ``/dev/shm`` blocks (the classic
@@ -150,6 +153,43 @@ class TestSliceWorkerCrash:
         assert len(frames) == len(
             MPSliceDecoder(small_stream, workers=0).decode_all()
         )
+
+
+class TestSliceReconstructError:
+    """A failure *inside* the batch's fused ``reconstruct_slices`` call
+    is an error result the parent re-raises — the worker survives it."""
+
+    @pytest.fixture
+    def failing_reconstruct(self, monkeypatch):
+        # Forked workers inherit the patched module: every P-picture
+        # batch fails after its slices have parsed cleanly.
+        from repro.parallel import mp_slice
+
+        real = mp_slice.reconstruct_slices
+
+        def reconstruct(parses, seq, header, out, fwd, bwd):
+            if header.picture_type.letter == "P":
+                raise RuntimeError("injected reconstruct failure")
+            real(parses, seq, header, out, fwd, bwd)
+
+        monkeypatch.setattr(mp_slice, "reconstruct_slices", reconstruct)
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_error_reaches_the_caller_not_a_dead_worker(
+        self, medium_stream, failing_reconstruct, no_shm_leak, deadline,
+        workers, resilient,
+    ):
+        # Not a slice-corruption error, so ``resilient`` does not hide
+        # it either; and not "worker process died": the worker reported
+        # it and kept serving until the parent tore the team down.
+        dec = MPSliceDecoder(
+            medium_stream, workers=workers, resilient=resilient,
+            start_method="fork" if workers else None,
+        )
+        with pytest.raises(RuntimeError, match="injected reconstruct"):
+            dec.decode_all()
+        assert_no_stray_children()
 
 
 class TestGopWorkerCrash:

@@ -208,6 +208,85 @@ class TestResilientParity:
         assert not isinstance(info.value, AssertionError)
 
 
+def tile_gops(data: bytes, reps: int) -> bytes:
+    """``data`` with its run of (closed) GOPs repeated ``reps`` times."""
+    gops = build_index(data).gops
+    start, end = gops[0].start_offset, gops[-1].end_offset
+    return data[:start] + data[start:end] * reps + data[end:]
+
+
+class TestDispatchOrder:
+    """Earliest-picture-first dispatch and the bounded frame window,
+    observed on the decoder's own queue calls — no clock involved."""
+
+    @pytest.fixture
+    def queues(self, monkeypatch):
+        """Every queue the decoder builds, each logging its dispatches
+        and emissions in the order the parent made them."""
+        from repro.parallel import mp_slice
+
+        made = []
+
+        class RecordingQueue(mp_slice.PictureSliceQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.log = []
+                made.append(self)
+
+            def claim_batch(self):
+                batch = super().claim_batch()
+                if batch is not None:
+                    self.log.append(("dispatch", batch.order, batch.slot))
+                return batch
+
+            def mark_emitted(self, order):
+                self.log.append(("emit", order, None))
+                super().mark_emitted(order)
+
+        monkeypatch.setattr(mp_slice, "PictureSliceQueue", RecordingQueue)
+        return made
+
+    @pytest.mark.parametrize("workers", (0, 2))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "name,reps", [("two_gop_48x32", (2, 8)), ("ipb_64x48_gop13", (4, 16))]
+    )
+    def test_front_to_back_inside_a_fixed_window(
+        self, queues, name, reps, mode, workers
+    ):
+        data = load_vector(name)
+        pool_bytes = []
+        for n in reps:
+            dec = MPSliceDecoder(tile_gops(data, n), workers=workers, mode=mode)
+            frames = dec.decode_all()
+            assert [f.digest() for f in frames] == (
+                CORPUS[name]["frame_digests"] * n
+            )
+            pool_bytes.append(dec.last_pool_bytes)
+            gop_of = [p.gop for p in dec.plans]
+            left = [gop_of.count(g) for g in range(gop_of[-1] + 1)]
+            assert len(left) >= 4
+            queue = queues.pop()
+            for event, order, slot in queue.log:
+                if event == "emit":
+                    left[gop_of[order]] -= 1
+                    continue
+                assert not any(left[: max(gop_of[order] - 1, 0)]), (
+                    f"picture {order} (GOP {gop_of[order]}) dispatched with "
+                    f"pictures of GOP <= {gop_of[order] - 2} not yet emitted"
+                )
+                assert 0 <= slot < queue.window
+            assert not any(left)
+            longest = max(gop_of.count(g) for g in set(gop_of))
+            assert queue.window <= max(longest, 2 * workers) + 2
+            assert dec.last_pool_bytes == (
+                dec.layout.slot_bytes * queue.window if workers else 0
+            )
+        # Memory is a function of GOP structure and worker count only
+        # (paper Fig. 8), not of how long the stream is.
+        assert pool_bytes[0] == pool_bytes[1]
+
+
 class TestObservability:
     def test_pool_bytes_and_wall_recorded(self, two_gop_stream):
         dec = MPSliceDecoder(two_gop_stream, workers=2, mode="simple")
@@ -225,6 +304,24 @@ class TestObservability:
         dec = MPSliceDecoder(medium_stream, workers=2, mode="improved")
         dec.decode_all()
         assert dec.last_stalls.by_reason().get(REASON_BARRIER, 0.0) == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scheduler_gated_seconds_fit_in_wall_seconds(
+        self, medium_stream, mode
+    ):
+        # One gate clock at a time, started only when a free credit
+        # found a picture in the way: the scheduler lane cannot be
+        # gated for longer than the decode ran.
+        from repro.obs.stalls import REASON_BARRIER, REASON_REF_PUBLISH
+
+        dec = MPSliceDecoder(medium_stream, workers=2, mode=mode)
+        dec.decode_all()
+        lane = dec.last_stalls.snapshot().get("scheduler", {})
+        gated = sum(
+            lane.get(reason, {}).get("total", 0.0)
+            for reason in (REASON_REF_PUBLISH, REASON_BARRIER)
+        )
+        assert 0.0 <= gated <= dec.last_wall_seconds
 
     def test_inprocess_allocates_no_pool(self, small_stream):
         dec = MPSliceDecoder(small_stream, workers=0)

@@ -2,26 +2,43 @@
 
 The scheduler logic of :mod:`repro.parallel.mp_slice` is pure
 (:class:`PictureSliceQueue`, :class:`DisplayMerger`), so hypothesis
-can drive it through random GOP structures and random slice-completion
-orders and check the safety properties the real pipeline relies on:
+can drive it through random GOP structures, random display orders and
+random batch-completion orders — replaying exactly the
+publish / claim / emit round the decoder's parent runs — and check the
+safety properties the real pipeline relies on:
 
-* no deadlock — every generated schedule drains the queue;
+* no deadlock — every generated schedule drains the queue, zero-slice
+  pictures and 1-picture GOPs included, with a pool of only
+  ``frame_window`` slots;
 * a picture never completes before its dependencies (never emitted
   early by the merger either);
 * **improved mode never schedules a B-slice before both its reference
   pictures are complete** (the paper's correctness argument for
   rolling into B-runs);
 * simple mode never schedules a slice before every earlier picture is
-  complete (the stronger barrier the improved variant relaxes).
+  complete (the stronger barrier the improved variant relaxes);
+* claims come **earliest picture first**: a later picture is served
+  only while no earlier one has an available, unclaimed slice;
+* batches in flight never exceed the credit, slots in use never exceed
+  the pool, no two live pictures share a slot, and the first
+  incomplete picture is never kept waiting for a slot.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.mp_slice import DisplayMerger, PictureSliceQueue
+from repro.parallel.mp_slice import (
+    DisplayMerger,
+    PictureSliceQueue,
+    frame_window,
+)
+
+MODES = ("simple", "improved")
 
 
 # ----------------------------------------------------------------------
@@ -31,68 +48,124 @@ from repro.parallel.mp_slice import DisplayMerger, PictureSliceQueue
 def gop_structures(draw):
     """A coding-order picture list with MPEG-2 reference structure.
 
-    Returns ``(slice_counts, dependencies, types)``: picture types are
-    drawn I/P/B with a leading I, dependencies follow the two-slot
-    rule (P -> newest reference; B -> the two newest references), and
-    slice counts include zero (a legal degenerate the queue must
-    auto-settle).
+    Returns ``(slice_counts, dependencies, types, gops, display)``:
+    1-4 closed GOPs of 1-6 pictures, types drawn I/P/B with a leading
+    I, dependencies following the two-slot rule inside the GOP (P ->
+    newest reference; B -> the two newest references), slice counts
+    including zero (a legal degenerate the queue must auto-settle), and
+    display indices an **arbitrary** permutation inside each GOP — what
+    a corrupted ``temporal_reference`` can produce, and the worst case
+    for the frame window.
     """
-    n = draw(st.integers(min_value=1, max_value=12))
-    types: list[str] = []
-    for i in range(n):
-        if i == 0:
-            types.append("I")
-            continue
-        refs_so_far = sum(t in "IP" for t in types)
-        allowed = "IPB" if refs_so_far >= 2 else "IP"
-        types.append(draw(st.sampled_from(allowed)))
+    counts: list[int] = []
     deps: list[list[int]] = []
-    ref_old: int | None = None
-    ref_new: int | None = None
-    for i, t in enumerate(types):
-        if t == "I":
-            deps.append([])
-        elif t == "P":
-            assert ref_new is not None
-            deps.append([ref_new])
-        else:
-            assert ref_old is not None and ref_new is not None
-            deps.append([ref_old, ref_new])
-        if t in "IP":
-            ref_old, ref_new = ref_new, i
-    counts = [
-        draw(st.integers(min_value=0, max_value=4)) for _ in range(n)
-    ]
-    return counts, deps, types
+    types: list[str] = []
+    gops: list[int] = []
+    display: list[int] = []
+    for gop in range(draw(st.integers(min_value=1, max_value=4))):
+        base = len(types)
+        size = draw(st.integers(min_value=1, max_value=6))
+        ref_old: int | None = None
+        ref_new: int | None = None
+        for pos in range(size):
+            if pos == 0:
+                t = "I"
+            else:
+                t = draw(st.sampled_from("IPB" if ref_old is not None else "IP"))
+            types.append(t)
+            gops.append(gop)
+            if t == "I":
+                deps.append([])
+            elif t == "P":
+                deps.append([ref_new])
+            else:
+                deps.append([ref_old, ref_new])
+            if t in "IP":
+                ref_old, ref_new = ref_new, base + pos
+            counts.append(draw(st.integers(min_value=0, max_value=4)))
+        display.extend(base + r for r in draw(st.permutations(range(size))))
+    return counts, deps, types, gops, display
 
 
-def drive_queue(queue, counts, data, max_steps=10_000):
-    """Drive claims/completions in a hypothesis-chosen order.
+class Schedule:
+    """The decoder parent's publish / claim / emit round, on the pure
+    queue, with hypothesis choosing which batch finishes next."""
 
-    Returns the order in which pictures completed.  Raises if the
-    schedule wedges (nothing claimable, nothing in flight, queue not
-    done) — the deadlock property.
-    """
-    in_flight: list[tuple[int, int]] = []
-    completion_order: list[int] = []
-    for _ in range(max_steps):
-        if queue.done and not in_flight:
-            return completion_order
-        claimed = queue.claim_all()
-        in_flight.extend(claimed)
-        if not in_flight:
-            raise AssertionError(
-                f"deadlock: queue not done, nothing claimable "
-                f"(counts={counts})"
-            )
-        idx = data.draw(
-            st.integers(min_value=0, max_value=len(in_flight) - 1),
-            label="completion pick",
+    def __init__(self, structure, mode, workers, on_claim=None):
+        self.counts, self.deps, self.types, gops, self.display = structure
+        self.window = frame_window(
+            [SimpleNamespace(gop=g) for g in gops], workers
         )
-        order, _sidx = in_flight.pop(idx)
-        if queue.complete_slice(order):
-            completion_order.append(order)
-    raise AssertionError("schedule did not terminate")
+        self.queue = PictureSliceQueue(
+            self.counts, self.deps, mode, workers=workers, window=self.window
+        )
+        self.merger = DisplayMerger(len(self.counts))
+        self.on_claim = on_claim
+        self.in_flight: list = []
+        self.claimed = [0] * len(self.counts)
+        self.complete: set[int] = set()
+        self.completion_order: list[int] = []
+        self.emitted: list[int] = []
+
+    def pump(self):
+        q = self.queue
+        completed = True
+        while completed:
+            completed = q.take_completed()
+            ready: list[int] = []
+            for order in completed:
+                self.complete.add(order)
+                self.completion_order.append(order)
+                ready.extend(self.merger.push(self.display[order], order))
+            while (batch := q.claim_batch()) is not None:
+                if self.on_claim is not None:
+                    self.on_claim(self, batch)
+                self.claimed[batch.order] += len(batch.sidxs)
+                self.in_flight.append(batch)
+                self.check_bounds()
+            for done in ready:
+                q.mark_emitted(done)
+                self.emitted.append(done)
+            self.check_bounds()
+
+    def live_slots(self):
+        slots = map(self.queue.slot_of, range(len(self.counts)))
+        return [s for s in slots if s is not None]
+
+    def check_bounds(self):
+        q = self.queue
+        assert q.in_flight == len(self.in_flight) <= q.credit
+        live = self.live_slots()
+        assert len(live) == len(set(live)) <= self.window
+
+    def run(self, data, max_steps=10_000):
+        """Drain the queue; raises if the schedule wedges (nothing in
+        flight, queue not done) — the deadlock property."""
+        q = self.queue
+        self.pump()
+        for _ in range(max_steps):
+            if not self.in_flight:
+                assert q.done and self.merger.done, (
+                    f"deadlock: counts={self.counts} window={self.window}"
+                )
+                assert not self.live_slots()
+                return self
+            if q.in_flight < q.credit:
+                # A free credit went unused.  The first incomplete
+                # picture is always available, so the only excuse is
+                # that all its slices are already out — never that it
+                # waits for a slot.
+                head = min(set(range(len(self.counts))) - self.complete)
+                assert self.counts[head] > 0
+                assert self.claimed[head] == self.counts[head]
+            idx = data.draw(
+                st.integers(min_value=0, max_value=len(self.in_flight) - 1),
+                label="completion pick",
+            )
+            batch = self.in_flight.pop(idx)
+            q.complete_batch(batch.order, len(batch.sidxs))
+            self.pump()
+        raise AssertionError("schedule did not terminate")
 
 
 # ----------------------------------------------------------------------
@@ -100,82 +173,105 @@ def drive_queue(queue, counts, data, max_steps=10_000):
 # ----------------------------------------------------------------------
 class TestQueueProperties:
     @settings(max_examples=200, deadline=None)
-    @given(structure=gop_structures(), data=st.data())
-    @pytest.mark.parametrize("mode", ["simple", "improved"])
+    @given(
+        structure=gop_structures(),
+        workers=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    @pytest.mark.parametrize("mode", MODES)
     def test_never_deadlocks_and_completes_every_picture(
-        self, structure, data, mode
+        self, structure, workers, data, mode
     ):
-        counts, deps, _types = structure
-        queue = PictureSliceQueue(counts, deps, mode)
-        drive_queue(queue, counts, data)
-        assert queue.done
-        assert queue.pictures_complete == len(counts)
+        # Includes the credit / window / distinct-slot bounds, checked
+        # by the driver after every claim and every emission.
+        sched = Schedule(structure, mode, workers).run(data)
+        assert sched.queue.pictures_complete == len(sched.counts)
+        assert sorted(sched.emitted) == list(range(len(sched.counts)))
+        assert [sched.display[o] for o in sched.emitted] == sorted(
+            sched.display
+        )
 
     @settings(max_examples=200, deadline=None)
-    @given(structure=gop_structures(), data=st.data())
+    @given(
+        structure=gop_structures(),
+        workers=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
     def test_improved_never_schedules_before_references_published(
-        self, structure, data
+        self, structure, workers, data
     ):
-        counts, deps, types = structure
-        queue = PictureSliceQueue(counts, deps, "improved")
-        in_flight: list[tuple[int, int]] = []
-        for _ in range(10_000):
-            if queue.done and not in_flight:
-                break
-            for order, _sidx in queue.claim_all():
-                # THE property: at claim time every reference of the
-                # claimed picture — both of them for a B — is complete.
-                for dep in deps[order]:
-                    assert queue.is_complete(dep), (
-                        f"{types[order]}-picture {order} scheduled "
-                        f"before reference {dep} was published"
-                    )
-                in_flight.append((order, _sidx))
-            if not in_flight:
-                raise AssertionError("deadlock")
-            idx = data.draw(
-                st.integers(min_value=0, max_value=len(in_flight) - 1)
-            )
-            order, _sidx = in_flight.pop(idx)
-            queue.complete_slice(order)
-        assert queue.done
+        def on_claim(sched, batch):
+            # THE property: at claim time every reference of the
+            # claimed picture — both of them for a B — is complete,
+            # and the batch names the slots they live in.
+            for dep, slot in zip(sched.deps[batch.order], batch.ref_slots):
+                assert sched.queue.is_complete(dep), (
+                    f"{sched.types[batch.order]}-picture {batch.order} "
+                    f"scheduled before reference {dep} was published"
+                )
+                assert slot is not None
+                assert slot == sched.queue.slot_of(dep)
+            assert batch.slot == sched.queue.slot_of(batch.order)
+
+        Schedule(structure, "improved", workers, on_claim).run(data)
 
     @settings(max_examples=150, deadline=None)
-    @given(structure=gop_structures(), data=st.data())
+    @given(
+        structure=gop_structures(),
+        workers=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
     def test_simple_never_schedules_past_an_incomplete_picture(
-        self, structure, data
+        self, structure, workers, data
     ):
-        counts, deps, _types = structure
-        queue = PictureSliceQueue(counts, deps, "simple")
-        in_flight: list[tuple[int, int]] = []
-        for _ in range(10_000):
-            if queue.done and not in_flight:
-                break
-            for order, _sidx in queue.claim_all():
-                for earlier in range(order):
-                    assert queue.is_complete(earlier), (
-                        f"simple mode scheduled picture {order} before "
-                        f"picture {earlier} completed"
-                    )
-                in_flight.append((order, _sidx))
-            if not in_flight:
-                raise AssertionError("deadlock")
-            idx = data.draw(
-                st.integers(min_value=0, max_value=len(in_flight) - 1)
+        def on_claim(sched, batch):
+            for earlier in range(batch.order):
+                assert sched.queue.is_complete(earlier), (
+                    f"simple mode scheduled picture {batch.order} before "
+                    f"picture {earlier} completed"
+                )
+
+        Schedule(structure, "simple", workers, on_claim).run(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        structure=gop_structures(),
+        workers=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    @pytest.mark.parametrize("mode", MODES)
+    def test_claims_earliest_available_picture_first(
+        self, structure, workers, data, mode
+    ):
+        def on_claim(sched, batch):
+            # Every earlier picture with slices still to hand out must
+            # be unavailable (waiting for a reference).
+            sidxs = list(batch.sidxs)
+            assert sidxs == list(
+                range(sched.claimed[batch.order], sidxs[-1] + 1)
             )
-            order, _sidx = in_flight.pop(idx)
-            queue.complete_slice(order)
-        assert queue.done
+            assert len(sidxs) <= -(
+                -sched.counts[batch.order] // max(workers, 1)
+            )
+            for earlier in range(batch.order):
+                if sched.claimed[earlier] < sched.counts[earlier]:
+                    assert mode == "improved"
+                    assert not all(
+                        d in sched.complete for d in sched.deps[earlier]
+                    ), (
+                        f"picture {batch.order} served while available "
+                        f"picture {earlier} had unclaimed slices"
+                    )
+
+        Schedule(structure, mode, workers, on_claim).run(data)
 
     @settings(max_examples=100, deadline=None)
     @given(structure=gop_structures(), data=st.data())
     def test_completion_respects_dependencies(self, structure, data):
-        counts, deps, _types = structure
-        queue = PictureSliceQueue(counts, deps, "improved")
-        completion_order = drive_queue(queue, counts, data)
+        sched = Schedule(structure, "improved", 2).run(data)
         seen: set[int] = set()
-        for order in completion_order:
-            assert all(d in seen or counts[d] == 0 for d in deps[order])
+        for order in sched.completion_order:
+            assert all(d in seen for d in sched.deps[order])
             seen.add(order)
 
     def test_rejects_forward_dependencies(self):
@@ -190,10 +286,10 @@ class TestQueueProperties:
 
     def test_overcompletion_raises(self):
         queue = PictureSliceQueue([1], [[]], "simple")
-        assert queue.claim() == (0, 0)
-        assert queue.complete_slice(0) is True
+        assert queue.claim_batch()[:2] == (0, range(0, 1))
+        assert queue.complete_batch(0, 1) is True
         with pytest.raises(ValueError, match="no outstanding"):
-            queue.complete_slice(0)
+            queue.complete_batch(0, 1)
 
     def test_gating_callbacks_fire_in_pairs(self):
         gated: list[int] = []
@@ -205,16 +301,50 @@ class TestQueueProperties:
             on_gated=gated.append,
             on_released=released.append,
         )
-        assert queue.claim_all() == [(0, 0)]
-        assert gated == [1]  # frontier picture waiting on picture 0
-        queue.complete_slice(0)
-        assert queue.claim_all() == [(1, 0)]
+        assert queue.claim_batch().order == 0
+        # A second credit is free and finds picture 1 in the way.
+        assert queue.claim_batch() is None
+        assert gated == [1]
+        queue.complete_batch(0, 1)
+        assert queue.claim_batch().order == 1
         assert released == [1]
-        queue.complete_slice(1)
-        queue.claim_all()
-        queue.complete_slice(2)
+        assert queue.claim_batch() is None
+        queue.complete_batch(1, 1)
+        assert queue.claim_batch().order == 2
+        queue.complete_batch(2, 1)
+        assert queue.take_completed() == [0, 1, 2]
         assert queue.done
-        assert set(gated) == set(released)
+        assert gated == released == [1, 2]
+
+    def test_spent_credit_starts_no_gate_clock(self):
+        # workers=0 -> one credit: while it is out, a claim finds no
+        # free credit, so nothing is "gated" (no stall is booked for
+        # time in which the scheduler had nothing to place).
+        gated: list[int] = []
+        queue = PictureSliceQueue(
+            [2, 2], [[], [0]], "improved", workers=0, on_gated=gated.append
+        )
+        assert list(queue.claim_batch().sidxs) == [0, 1]
+        assert queue.claim_batch() is None
+        assert gated == []
+
+    def test_work_conserving_but_earliest_first(self):
+        # Two GOPs of I,P; two workers.  While GOP 0's P waits for its
+        # I, the spare credits go to GOP 1's I — and GOP 0's P takes
+        # precedence again the moment it becomes available.
+        queue = PictureSliceQueue(
+            [2, 2, 2, 2], [[], [0], [], [2]], "improved", workers=2, window=5
+        )
+        first = [queue.claim_batch() for _ in range(4)]
+        assert [b.order for b in first] == [0, 0, 2, 2]
+        assert queue.claim_batch() is None  # credit (2 x workers) spent
+        queue.complete_batch(0, 1)
+        assert queue.claim_batch() is None  # P0 gated, GOP 1's P gated
+        queue.complete_batch(0, 1)
+        queue.complete_batch(2, 1)
+        queue.complete_batch(2, 1)
+        assert queue.take_completed() == [0, 2]
+        assert [queue.claim_batch().order for _ in range(4)] == [1, 1, 3, 3]
 
 
 # ----------------------------------------------------------------------
