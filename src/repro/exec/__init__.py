@@ -1,20 +1,19 @@
-"""``repro.exec``: the unified task-graph executor.
+"""``repro.exec``: one execution substrate for every parallel decode.
 
-One execution substrate for every parallel decode path in the repo.
-Historically ``repro.parallel.mp`` (GOP grain), ``repro.parallel.
-mp_slice`` (slice grain) and ``repro.serve`` (multi-stream) each
-carried a private copy of the same machinery: shared-memory frame
-pools and bitstream arenas, a liveness-polled result wait, worker
-teardown ordering, trace-shard collection.  This package hoists that
-machinery into one place and layers a planner/executor split on top:
+``repro.parallel.mp`` (GOP grain), ``repro.parallel.mp_slice`` (slice
+grain) and ``repro.serve`` (multi-stream) are the same
+scan/worker/display structure over different task queues.  They run on
+one process runtime and differ only in the partition they hand it:
 
 * :mod:`repro.exec.shm` — the shared-memory substrate
   (:class:`FrameLayout`, :class:`SharedFramePool`,
   :class:`LocalFramePool`, :class:`StreamArena`).
-* :mod:`repro.exec.backend` — the persistent worker-pool backend:
-  pool registry, liveness polling (:data:`LIVENESS_POLL_S`), dead
-  worker detection, canonical teardown, trace-shard collection, and
-  the GOP-chunk worker body every GOP-grain decode dispatches through.
+* :mod:`repro.exec.backend` — the runtime: one worker main speaking
+  one attach/task/detach protocol, :class:`WorkerTeam` (the only
+  spawner, poller and reaper; owns each session's segments) and its
+  in-process twin, the warm-team registry (:func:`get_team`), the
+  liveness-polled result wait (:data:`LIVENESS_POLL_S`), canonical
+  teardown and trace-shard collection.
 * :mod:`repro.exec.graph` — typed task nodes
   (parse / reconstruct / publish) with explicit ref-dependency edges
   and conservation accounting.
@@ -27,17 +26,14 @@ machinery into one place and layers a planner/executor split on top:
 * :mod:`repro.exec.executor` — :class:`TaskGraphExecutor`, the
   unified front end behind ``--grain auto|gop|slice`` and
   ``--engine auto|scalar|batched``.
-
-The legacy modules remain as *planners* over this substrate and
-re-export the moved names, so existing imports keep working.
 """
 
 from repro.exec.auto import AutoGranularity, CostModel, Decision, ObsSnapshot
 from repro.exec.backend import (
     LIVENESS_POLL_S,
+    WorkerTeam,
     collect_trace_shards,
-    get_persistent_pool,
-    invalidate_persistent_pool,
+    get_team,
     persistent_worker_pids,
     shutdown_persistent_pools,
 )
@@ -58,9 +54,9 @@ __all__ = [
     "Decision",
     "ObsSnapshot",
     "LIVENESS_POLL_S",
+    "WorkerTeam",
     "collect_trace_shards",
-    "get_persistent_pool",
-    "invalidate_persistent_pool",
+    "get_team",
     "persistent_worker_pids",
     "shutdown_persistent_pools",
     "TaskGraphExecutor",

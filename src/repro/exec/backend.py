@@ -1,123 +1,113 @@
-"""The persistent worker-pool backend every parallel decode runs on.
+"""The one process runtime every parallel decode runs on.
 
-This module is the single home of the machinery that used to be
-duplicated across the three schedulers (``repro.parallel.mp``,
-``repro.parallel.mp_slice``, ``repro.serve.service``):
+GOP-grain decode (:mod:`repro.parallel.mp`), slice-grain decode
+(:mod:`repro.parallel.mp_slice`) and the multi-stream service
+(:mod:`repro.serve.service`) are the paper's one scan/worker/display
+structure with three different task queues.  The *partition* is data —
+a session context plus a task body — handed to the single runtime
+here (protocol tables and the design argument: DESIGN §2.10):
 
-* the liveness-poll constant (:data:`LIVENESS_POLL_S`) and the
-  chunked, liveness-checked result wait (:func:`timed_queue_get`);
-* dead-worker detection and the canonical ``DecodeError`` it raises
-  (:func:`worker_death_error`);
-* the process-wide **persistent pool registry**
-  (:func:`get_persistent_pool` and friends) — pre-forked once per
-  ``(workers, start_method)``, shared by every GOP-grain decode in
-  the process;
-* the GOP-chunk worker body (:func:`_decode_gop_chunk`) and its
-  stream-agnostic attachment caches — the execution engine behind
-  both ``MPGopDecoder`` and the executor's GOP grain;
-* canonical teardown ordering (:func:`reap_processes`,
-  :func:`close_queues`, :func:`release_segments`) and trace-shard
-  collection (:func:`collect_trace_shards`);
-* :class:`WorkerTeam` — the spawn / liveness-wait / sentinel / reap
-  lifecycle for explicitly-managed worker process sets (the slice
-  decoder's shape).
+* :func:`worker_main` — the only process target in ``src/``::
 
-The planners above stay thin: they decide *what* to decode (byte
-ranges, dependency edges, availability rules) and this backend decides
-*how* it runs and dies.
+      ("attach", sid, body, arena, pool, layout, state, trace_dir)
+      ("task",   sid, key, args, fault)       # runs body(ctx, key, args)
+      ("detach", sid)
+      None                                    # sentinel
+
+      -> ("ok" | "err", wid, sid, key, payload, metrics, stalls)
+      -> ("obs", wid, None, None, None, metrics, stalls)   # at sentinel
+
+  It alone owns ``reset_metrics``, trace-shard flushing, ``queue.get``
+  idle attribution, the crash/hang test hooks, exception containment
+  and segment close.  Metrics and stalls ride every result message, so
+  whatever a worker recorded survives its being killed later.
+* :class:`WorkerTeam` — the only spawner, poller and reaper, and the
+  owner of each session's shared segments.  The parent assigns every
+  task to a named worker; what a dead or timed-out worker *means* is
+  the caller's policy (:func:`fetch_or_raise` for the mp decoders,
+  requeue + :meth:`WorkerTeam.spawn` for the service).
+  :class:`LocalTeam` is the same interface at ``workers=0``.
+* :func:`get_team` — the registry: a team that ends a run whole and
+  idle stays warm for the next one, any other is retired.
+  :func:`shutdown_persistent_pools` and :func:`persistent_worker_pids`
+  front it; :func:`team_run` is one mp decode's lease.
 """
 
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing
 import os
+import pickle
 import queue as queue_mod
 import shutil
+import stat
+import tempfile
+import threading
 import time
-from collections import OrderedDict
+from collections import deque, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from glob import glob
-from typing import Callable, Iterator
+from multiprocessing import resource_tracker
+from typing import Callable
 
-from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
+from repro.exec.shm import (
+    FrameLayout,
+    FramePoolBase,
+    LocalFramePool,
+    SharedFramePool,
+    StreamArena,
+)
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
-from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.index import StreamIndex, build_index
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.stalls import REASON_QUEUE_GET, StallTable
 from repro.obs.trace import (
     Tracer,
+    disable_tracing,
     enable_tracing,
     get_tracer,
     trace_complete,
+    trace_instant,
     trace_span,
+    tracing_enabled,
 )
 
 #: Seconds between liveness polls while a parent blocks on results.
 #: A dead worker (crash, OOM kill, SIGKILL) is detected within one
 #: poll instead of hanging the merge loop forever on a lost task.
-#: One constant for every scheduler — the per-module copies drifted
-#: once and are gone.
 LIVENESS_POLL_S = 0.2
 
+#: How long a graceful shutdown waits for each worker's final
+#: observability message, and a reap for each join.
+SHUTDOWN_GRACE_S = 5.0
 
-def worker_death_error(role: str, unit: str, loss: str, codes) -> DecodeError:
-    """The canonical dead-worker failure, shared by every scheduler.
+#: Exit code of the ``fault="crash"`` test hook.
+CRASH_EXIT = 23
 
-    ``role``/``unit``/``loss`` parameterize the historical messages
-    exactly ("GOP … mid-stream … its task", "slice … mid-picture …
-    its slice"), so tests pinning them keep passing while the raising
-    code lives in one place.
+
+def scan_index(data: bytes, index: StreamIndex | None = None) -> StreamIndex:
+    """The scan step (paper Fig. 4): a start-code walk, no decoding.
+
+    Traced and timed so the timeline starts where the paper's does;
+    a pre-built ``index`` is passed through.
     """
-    return DecodeError(
-        f"{role} worker process died mid-{unit} "
-        f"(exit codes {codes}); its {loss} is lost — "
-        "aborting the parallel decode"
-    )
-
-
-def timed_queue_get(
-    q,
-    on_timeout: Callable[[], bool | None],
-    stalls: StallTable | None = None,
-    who: str = "merge",
-    span: str = "mp.result.wait",
-):
-    """Liveness-polled result wait: the one blocking-get all parents use.
-
-    Blocks on ``q`` in :data:`LIVENESS_POLL_S` chunks.  Every empty
-    poll runs ``on_timeout()``, which may
-
-    * raise (fatal: a dead worker whose task is unrecoverable),
-    * return truthy to abandon the wait (a *handled* loss — the serve
-      layer requeues and respawns; ``None`` is returned), or
-    * return falsy to keep polling.
-
-    A successful get records the elapsed wait as the parent's
-    ``queue.get`` stall under ``span`` — identical attribution across
-    all schedulers.
-    """
-    t0 = time.monotonic_ns()
-    while True:
-        try:
-            result = q.get(timeout=LIVENESS_POLL_S)
-            break
-        except queue_mod.Empty:
-            if on_timeout():
-                return None
-    waited = time.monotonic_ns() - t0
-    trace_complete(span, "stall", t0, waited, reason=REASON_QUEUE_GET)
-    if stalls is not None:
-        stalls.record(who, REASON_QUEUE_GET, waited / 1e9)
-    return result
+    if index is not None:
+        return index
+    t0 = time.perf_counter()
+    with trace_span("mp.scan", cat="mp", bytes=len(data)):
+        index = build_index(data)
+    metrics().counter("mp.scan_ms").inc((time.perf_counter() - t0) * 1e3)
+    return index
 
 
 # ----------------------------------------------------------------------
 # canonical teardown ordering
 # ----------------------------------------------------------------------
-def reap_processes(procs, grace: float = 5.0) -> None:
+def reap_processes(procs, grace: float = SHUTDOWN_GRACE_S) -> None:
     """Terminate-then-join every still-alive worker (escalating)."""
     for p in procs:
         if p.is_alive():
@@ -128,13 +118,6 @@ def reap_processes(procs, grace: float = 5.0) -> None:
                 p.join(timeout=grace)
 
 
-def close_queues(*queues) -> None:
-    """Close mp queues without blocking on their feeder threads."""
-    for q in queues:
-        q.close()
-        q.cancel_join_thread()
-
-
 def release_segments(*segs) -> None:
     """Owner-side shared-memory teardown: close, then unlink."""
     for seg in segs:
@@ -142,82 +125,646 @@ def release_segments(*segs) -> None:
         seg.unlink()
 
 
-class WorkerTeam:
-    """Spawn / liveness-wait / sentinel / reap for explicit worker sets.
+def collect_trace_shards(trace_dir: str) -> None:
+    """Merge worker trace shards into the parent tracer, clean up.
 
-    The lifecycle shape of the slice decoder (and any planner that
-    manages its own ``ctx.Process`` list with shared task/result
-    queues), with the liveness and teardown ordering owned here:
-
-    1. :meth:`spawn` each worker (daemonized, started immediately);
-    2. :meth:`get_result` in the merge loop — liveness-polled, raising
-       the canonical dead-worker :class:`DecodeError` via
-       ``role``/``unit``/``loss``;
-    3. :meth:`send_sentinels` + drain the final observability
-       messages, then :meth:`join_all`;
-    4. :meth:`teardown` in the ``finally``: escalating reap, queue
-       close (the caller releases its own shared segments and trace
-       shards — those belong to the decode, not the team).
+    Each worker appends raw events to ``shard-<pid>.jsonl`` under
+    ``trace_dir`` *before* it reports the task's result; the parent
+    folds every shard into its own tracer so ``--trace`` produces one
+    merged timeline, then removes the directory.
     """
-
-    def __init__(
-        self,
-        ctx,
-        role: str = "slice",
-        unit: str = "picture",
-        loss: str = "slice",
-        span: str = "mp.result.wait",
-        who: str = "merge",
-    ) -> None:
-        self.ctx = ctx
-        self.role = role
-        self.unit = unit
-        self.loss = loss
-        self.span = span
-        self.who = who
-        self.task_q = ctx.Queue()
-        self.result_q = ctx.Queue()
-        self.procs: list = []
-
-    def spawn(self, target, args) -> object:
-        p = self.ctx.Process(target=target, args=args, daemon=True)
-        p.start()
-        self.procs.append(p)
-        return p
-
-    def check_dead(self) -> None:
-        """Raise the canonical DecodeError if any worker died unclean."""
-        dead = [p for p in self.procs if p.exitcode not in (None, 0)]
-        if dead:
-            codes = sorted(
-                p.exitcode for p in dead if p.exitcode is not None
-            )
-            raise worker_death_error(self.role, self.unit, self.loss, codes)
-
-    def get_result(self, stalls: StallTable | None = None):
-        return timed_queue_get(
-            self.result_q,
-            on_timeout=self.check_dead,
-            stalls=stalls,
-            who=self.who,
-            span=self.span,
-        )
-
-    def send_sentinels(self) -> None:
-        for _ in self.procs:
-            self.task_q.put(None)
-
-    def join_all(self, grace: float = 10.0) -> None:
-        for p in self.procs:
-            p.join(timeout=grace)
-
-    def teardown(self, grace: float = 5.0) -> None:
-        reap_processes(self.procs, grace)
-        close_queues(self.task_q, self.result_q)
+    tracer = get_tracer()
+    try:
+        if tracer is not None:
+            for path in sorted(glob(os.path.join(trace_dir, "shard-*.jsonl"))):
+                tracer.extend(Tracer.read_shard(path))
+    finally:
+        shutil.rmtree(trace_dir, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------
-# GOP-grain tasks and the chunked worker body
+# worker side: one context per attached session, one loop
+# ----------------------------------------------------------------------
+@dataclass
+class TaskContext:
+    """What a task body sees of its session.
+
+    ``data`` is the coded stream (``bytes`` in process, a zero-copy
+    view of the shared arena in a worker), ``pool`` the session's frame
+    pool and ``state`` the immutable decode context shipped at attach.
+    """
+
+    sid: str
+    body: Callable
+    data: "bytes | memoryview"
+    pool: FramePoolBase
+    state: dict
+    #: Worker side only: the attached arena, and the attach time that
+    #: idle attribution is clamped to (time a warm worker sat between
+    #: two runs is not a stall of the later one).
+    arena: StreamArena | None = None
+    epoch_ns: int = 0
+
+    def close(self) -> None:
+        for seg in (self.pool, self.arena):
+            try:
+                if seg is not None:
+                    seg.close()
+            except BufferError:  # pragma: no cover - exported views linger
+                pass
+
+
+def run_task(ctx: TaskContext | None, wid: int, sid: str, key, args) -> tuple:
+    """Run one task body; whatever it raises comes back as ``err``.
+
+    Shared by :func:`worker_main` and :class:`LocalTeam`, so a failing
+    task looks the same to the parent loop on both transports — and is
+    never a dead worker.
+    """
+    try:
+        if ctx is None:
+            raise DecodeError(f"session {sid!r} is not attached to this worker")
+        return ("ok", wid, sid, key, ctx.body(ctx, key, args))
+    except Exception as exc:
+        return ("err", wid, sid, key, exc)
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives pickling, else a DecodeError naming it (a
+    result the queue's feeder thread cannot pickle would be dropped and
+    the parent would wait for it forever)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return DecodeError(f"{type(exc).__name__}: {exc}")
+
+
+def _attach(msg: tuple, contexts: dict) -> None:
+    """Map a session's segments into this worker.
+
+    A late attach (the parent already released the session) is
+    contained: the session stays unknown and its tasks come back
+    ``err``.
+    """
+    _, sid, body, arena_name, arena_size, pool_name, layout, state, _ = msg
+    arena = None
+    try:
+        arena = StreamArena(name=arena_name, size=arena_size)
+        pool = SharedFramePool(layout, slots=0, name=pool_name)
+    except OSError:
+        if arena is not None:
+            arena.close()
+        return
+    contexts[sid] = TaskContext(
+        sid, body, arena.view, pool, state,
+        arena=arena, epoch_ns=time.monotonic_ns(),
+    )
+
+
+def _open_channels() -> dict[int, int]:
+    """fd -> inode of every pipe and socket this process has open
+    beyond stdio (empty where there is no procfs)."""
+    found: dict[int, int] = {}
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:  # pragma: no cover - non-Linux
+        return found
+    for fd in map(int, names):
+        try:
+            st = os.fstat(fd)
+        except OSError:
+            continue  # the listing's own descriptor
+        if fd > 2 and (stat.S_ISFIFO(st.st_mode) or stat.S_ISSOCK(st.st_mode)):
+            found[fd] = st.st_ino
+    return found
+
+
+def _drop_channels(foreign: dict[int, int]) -> None:
+    """Let go of the pipes and sockets a worker inherited but does not own.
+
+    A forked worker holds a copy of every descriptor its parent had
+    open — other workers' queues, client connections, a supervisor's
+    control pipe — and for as long as a warm worker lives, the far end
+    of each never sees EOF.  Each is pointed at ``/dev/null`` rather
+    than closed: Python objects copied from the parent still own those
+    numbers and would later close whatever reused them.  The inode
+    check skips numbers that were recycled between the parent's
+    listing and the fork (and everything under ``spawn``).
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd, inode in foreign.items():
+            try:
+                if os.fstat(fd).st_ino == inode:
+                    os.dup2(null, fd)
+            except OSError:
+                pass
+    finally:
+        os.close(null)
+
+
+def worker_main(
+    wid: int, task_q, result_q, foreign: dict[int, int] | None = None
+) -> None:
+    """The worker loop: attach / task / detach messages to sentinel.
+
+    Results are tiny tuples — pixels land in the session's shared frame
+    pool and the bitstream is read in place from its arena, so neither
+    ever crosses the process boundary.  Every result carries the
+    metrics recorded since the previous one (the registry is reset
+    after each snapshot, so nothing is counted twice) and the idle
+    stall that preceded the task.
+    """
+    name = f"worker-{wid}"
+    # Under fork the child inherits the parent's registry, tracer and
+    # descriptors; start from nothing so merges never double-count the
+    # parent and nobody waits on a pipe end parked in this worker.
+    reset_metrics()
+    disable_tracing()
+    _drop_channels(foreign or {})
+    trace_dir: str | None = None
+    contexts: dict[str, TaskContext] = {}
+    last_end = time.monotonic_ns()
+
+    def ship(result: tuple, stalls: StallTable) -> None:
+        snap = metrics().snapshot()
+        reset_metrics()
+        tracer = get_tracer()
+        if tracer is not None:
+            tracer.write_shard(
+                os.path.join(trace_dir, f"shard-{os.getpid()}.jsonl")
+            )
+        result_q.put((*result, snap, stalls.snapshot()))
+
+    try:
+        while (msg := task_q.get()) is not None:
+            if msg[0] == "attach":
+                _attach(msg, contexts)
+                if msg[-1] != trace_dir:
+                    # Warm workers outlive runs: trace exactly while the
+                    # attached run does, into that run's shard.
+                    trace_dir = msg[-1]
+                    if trace_dir is None:
+                        disable_tracing()
+                    else:
+                        enable_tracing(process_name=name)
+                        trace_instant("mp.worker.start", cat="mp")
+                continue
+            if msg[0] == "detach":
+                ctx = contexts.pop(msg[1], None)
+                if ctx is not None:
+                    ctx.close()
+                continue
+            _, sid, key, args, fault = msg
+            ctx = contexts.get(sid)
+            stalls = StallTable()
+            now = time.monotonic_ns()
+            idle_from = max(last_end, ctx.epoch_ns) if ctx else last_end
+            if now > idle_from:
+                idle_ns = now - idle_from
+                trace_complete(
+                    "mp.worker.idle", "stall", idle_from, idle_ns,
+                    reason=REASON_QUEUE_GET,
+                )
+                metrics().histogram("mp.worker.idle_ms").observe(idle_ns / 1e6)
+                stalls.record(name, REASON_QUEUE_GET, idle_ns / 1e9)
+            if fault == "crash":
+                # Fault injection (tests only): die the way an OOM kill
+                # would — no result, no cleanup, nonzero exit code.
+                os._exit(CRASH_EXIT)
+            if fault == "hang":
+                # Fault injection (tests only): wedge forever — the
+                # per-task timeout must reap us.
+                while True:  # pragma: no cover - killed by the parent
+                    time.sleep(60.0)
+            result = run_task(ctx, wid, sid, key, args)
+            if result[0] == "err":
+                result = (*result[:4], _portable(result[4]))
+            ship(result, stalls)
+            last_end = time.monotonic_ns()
+        ship(("obs", wid, None, None, None), StallTable())
+    finally:
+        for ctx in contexts.values():
+            ctx.close()
+
+
+# ----------------------------------------------------------------------
+# parent side: the two transports
+# ----------------------------------------------------------------------
+class LocalTeam:
+    """The ``workers=0`` transport: one pretend worker, no processes.
+
+    Same interface as :class:`WorkerTeam`; a task runs where it is
+    submitted and its result waits in a deque for :meth:`fetch`.
+    Deterministic on constrained CI, never touches ``/dev/shm``, and
+    metrics land directly in the caller's registry.
+    """
+
+    def __init__(self) -> None:
+        self.contexts: dict[str, TaskContext] = {}
+        self.results: deque = deque()
+
+    def attach(self, sid, body, data, layout, slots, state):
+        pool = LocalFramePool(layout, slots)
+        self.contexts[sid] = TaskContext(sid, body, data, pool, state)
+        return pool
+
+    def detach(self, sid: str) -> None:
+        self.contexts.pop(sid, None)
+
+    def free(self, depth: int = 1) -> list[int]:
+        return [] if self.results else [0]
+
+    def in_flight(self, sid: str | None = None) -> int:
+        return sum(1 for r in self.results if sid is None or r[2] == sid)
+
+    def submit(self, wid, sid, key, args, fault=None) -> None:
+        result = run_task(self.contexts.get(sid), wid, sid, key, args)
+        self.results.append((*result, None))
+
+    def fetch(self, stalls=None, on_timeout=None, **_names) -> tuple:
+        return self.results.popleft()
+
+    def retire(self) -> None:
+        self.contexts.clear()
+
+    release = retire
+
+
+#: One worker: its process, its private task queue and the tasks it
+#: holds, ``(sid, key) -> monotonic seconds at assignment``, oldest first.
+_Worker = namedtuple("_Worker", "proc task_q held")
+
+
+class WorkerTeam:
+    """Spawn / attach / assign / poll / reap for one set of workers.
+
+    A run :meth:`attach`-es its sessions (pool and arena are created
+    here and every worker maps them), :meth:`submit`-s tasks to workers
+    named by :meth:`free`, :meth:`fetch`-es results under its own loss
+    policy, :meth:`detach`-es (workers unmap, segments are unlinked) and
+    :meth:`release`-s the team.
+    """
+
+    def __init__(self, workers: int, start_method: str | None = None) -> None:
+        # A child forked before any shared memory exists has no
+        # inherited resource tracker; it would start its *own* on its
+        # first attach, and that tracker "cleans up" the still-live
+        # segment when the worker exits — unlinking it under the
+        # parent.  Starting ours first makes every child inherit it.
+        resource_tracker.ensure_running()
+        self.key = (workers, start_method)
+        self.ctx = multiprocessing.get_context(start_method)
+        self.result_q = self.ctx.Queue()
+        self.workers: dict[int, _Worker] = {}
+        #: sid -> (attach message, pool, arena) of every live session.
+        self.attached: dict[str, tuple] = {}
+        self.leased = False
+        #: Where workers write this lease's trace shards (set by
+        #: :func:`get_team` while the parent is tracing).
+        self.trace_dir: str | None = None
+        #: Workers lost so far (a team that lost one is never kept warm:
+        #: worker ids are not reused, and callers may count on 0..N-1).
+        self.lost = 0
+        self._next_wid = 0
+        self._dead_queues: list = []
+        for _ in range(workers):
+            self.spawn()
+
+    # -- workers ---------------------------------------------------------
+    def spawn(self) -> int:
+        """Start one worker (the only process-creation site in ``src``);
+        it learns every live session before any task."""
+        wid = self._next_wid
+        self._next_wid += 1
+        task_q = self.ctx.Queue()
+        # Everything open right now except the two queue ends the worker
+        # uses (the pipes ``start()`` itself creates come later).
+        foreign = _open_channels()
+        for fd in (task_q._reader.fileno(), self.result_q._writer.fileno()):
+            foreign.pop(fd, None)
+        proc = self.ctx.Process(
+            target=worker_main,
+            args=(wid, task_q, self.result_q, foreign),
+            daemon=True,
+        )
+        proc.start()
+        self.workers[wid] = _Worker(proc, task_q, {})
+        for msg, _pool, _arena in self.attached.values():
+            task_q.put(msg)
+        return wid
+
+    def pid(self, wid: int) -> int:
+        return self.workers[wid].proc.pid
+
+    def live_pids(self) -> set[int]:
+        return {w.proc.pid for w in list(self.workers.values()) if w.proc.is_alive()}
+
+    @property
+    def whole(self) -> bool:
+        """Every original worker alive and idle, nothing attached."""
+        return bool(self.workers) and not self.lost and not self.attached and all(
+            w.proc.exitcode is None and not w.held
+            for w in self.workers.values()
+        )
+
+    def _broadcast(self, msg: tuple) -> None:
+        for w in self.workers.values():
+            try:
+                w.task_q.put(msg)
+            except (OSError, ValueError):  # pragma: no cover - dying worker
+                pass
+
+    # -- sessions --------------------------------------------------------
+    def attach(
+        self, sid: str, body: Callable, data: bytes, layout: FrameLayout,
+        slots: int, state: dict,
+    ) -> SharedFramePool:
+        """Publish a session — frame pool, bitstream arena (once, parsed
+        in place by every worker) and decode context — to the team."""
+        pool = SharedFramePool(layout, slots=slots)
+        try:
+            arena = StreamArena(data)
+        except BaseException:
+            release_segments(pool)
+            raise
+        msg = (
+            "attach", sid, body, arena.name, arena.size, pool.name,
+            layout, state, self.trace_dir,
+        )
+        self.attached[sid] = (msg, pool, arena)
+        self._broadcast(msg)
+        return pool
+
+    def detach(self, sid: str) -> None:
+        """Release a session: workers unmap it, its segments are
+        unlinked.  Results still in flight for it are dropped on
+        arrival; unknown sessions are ignored."""
+        entry = self.attached.pop(sid, None)
+        if entry is not None:
+            self._broadcast(("detach", sid))
+            release_segments(entry[1], entry[2])
+
+    # -- tasks -----------------------------------------------------------
+    def free(self, depth: int = 1) -> list[int]:
+        """Workers holding fewer than ``depth`` tasks, least loaded
+        first (ties by worker id)."""
+        return sorted(
+            (wid for wid, w in self.workers.items() if len(w.held) < depth),
+            key=lambda wid: (len(self.workers[wid].held), wid),
+        )
+
+    def in_flight(self, sid: str | None = None) -> int:
+        return sum(
+            1
+            for w in self.workers.values()
+            for held_sid, _key in w.held
+            if sid is None or held_sid == sid
+        )
+
+    def submit(self, wid: int, sid: str, key, args, fault: str | None = None) -> None:
+        w = self.workers[wid]
+        w.held[(sid, key)] = time.monotonic()
+        w.task_q.put(("task", sid, key, args, fault))
+
+    def fetch(
+        self,
+        stalls: StallTable,
+        on_timeout: Callable[[], bool | None],
+        who: str = "merge",
+        span: str = "mp.result.wait",
+    ) -> tuple | None:
+        """Liveness-polled result wait: the one blocking get of all parents.
+
+        Blocks on the result queue in :data:`LIVENESS_POLL_S` chunks.
+        Every empty poll runs ``on_timeout()``, which may raise (fatal:
+        a dead worker whose task is unrecoverable), return truthy to
+        abandon the wait (a *handled* loss — the serve layer requeues
+        and respawns; ``None`` is returned), or return falsy to keep
+        polling.  Returns the next ``(kind, wid, sid, key, payload,
+        metrics)``: its metrics and stalls are already folded into the
+        parent registry and ``stalls``, and the wait is booked as
+        ``who``'s ``queue.get`` stall under ``span``.  Results of lost
+        workers and of released sessions are dropped.
+        """
+        t0 = time.monotonic_ns()
+        while True:
+            try:
+                msg = self.result_q.get(timeout=LIVENESS_POLL_S)
+            except queue_mod.Empty:
+                if on_timeout():
+                    return None
+                continue
+            kind, wid, sid, key, payload, snap, stall_snap = msg
+            worker = self.workers.get(wid)
+            if (
+                worker is not None
+                and worker.held.pop((sid, key), None) is not None
+                and sid in self.attached
+            ):
+                break
+        waited = time.monotonic_ns() - t0
+        trace_complete(span, "stall", t0, waited, reason=REASON_QUEUE_GET)
+        stalls.record(who, REASON_QUEUE_GET, waited / 1e9)
+        metrics().merge_snapshot(snap)
+        stalls.merge(stall_snap)
+        return kind, wid, sid, key, payload, snap
+
+    # -- losses ----------------------------------------------------------
+    def find_lost(self, task_timeout_s: float | None = None):
+        """``(wid, "died" | "timeout")`` for the first worker that has
+        exited or held a task longer than ``task_timeout_s``."""
+        now = time.monotonic()
+        for wid, w in self.workers.items():
+            if w.proc.exitcode is not None:
+                return wid, "died"
+            if task_timeout_s is not None and w.held:
+                if now - next(iter(w.held.values())) > task_timeout_s:
+                    return wid, "timeout"
+        return None
+
+    def lose(self, wid: int) -> list[tuple]:
+        """Reap worker ``wid``; returns the ``(sid, key)`` tasks it held."""
+        w = self.workers.pop(wid)
+        self.lost += 1
+        reap_processes([w.proc])
+        self._dead_queues.append(w.task_q)
+        return list(w.held)
+
+    # -- end of run / end of life ------------------------------------------
+    def release(self) -> None:
+        """End of a run: a whole, idle, registered team stays warm for
+        the next run; any other is retired.  The lease's worker trace
+        shards (each flushed before the result it belongs to) are
+        merged into the parent's tracer."""
+        with _TEAMS_LOCK:
+            self.leased = False
+            keep = _TEAMS.get(self.key) is self and self.whole
+        if not keep:
+            self.retire()
+        if self.trace_dir is not None:
+            collect_trace_shards(self.trace_dir)
+            self.trace_dir = None
+
+    def retire(self) -> None:
+        with _TEAMS_LOCK:
+            if _TEAMS.get(self.key) is self:
+                del _TEAMS[self.key]
+        self.shutdown()
+
+    def shutdown(self) -> None:
+        """Stop every worker and release everything (idempotent).
+
+        Idle, live workers get the sentinel and their final ``obs``
+        message is collected; then — always — escalating reap, queue
+        close and the unlink of any segment still attached."""
+        live = list(self.workers.values())
+        if live and all(w.proc.exitcode is None and not w.held for w in live):
+            for w in live:
+                w.task_q.put(None)
+            deadline = time.monotonic() + SHUTDOWN_GRACE_S
+            pending = len(live)
+            while pending and time.monotonic() < deadline:
+                try:
+                    msg = self.result_q.get(timeout=LIVENESS_POLL_S)
+                except queue_mod.Empty:
+                    if not any(w.proc.is_alive() for w in live):
+                        break
+                    continue
+                if msg[0] == "obs":
+                    metrics().merge_snapshot(msg[5])
+                    pending -= 1
+            for w in live:
+                w.proc.join(timeout=SHUTDOWN_GRACE_S)
+        reap_processes([w.proc for w in live])
+        if live or self._dead_queues:
+            # Closed without blocking on the feeder threads.
+            for q in (*[w.task_q for w in live], *self._dead_queues, self.result_q):
+                q.close()
+                q.cancel_join_thread()
+        for _msg, pool, arena in self.attached.values():
+            release_segments(pool, arena)
+        self.workers.clear()
+        self._dead_queues.clear()
+        self.attached.clear()
+
+
+# ----------------------------------------------------------------------
+# the registry: teams stay warm between runs
+# ----------------------------------------------------------------------
+_TEAMS: dict[tuple[int, str | None], WorkerTeam] = {}
+_TEAMS_LOCK = threading.Lock()
+_RUN_IDS = itertools.count()
+
+
+def get_team(workers: int, start_method: str | None = None):
+    """Lease the team for ``(workers, start_method)``.
+
+    ``workers == 0`` is a fresh :class:`LocalTeam`.  Otherwise the warm
+    registered team if it is whole and not in use (created on first
+    use, so fork + interpreter warm-up are paid once per process); a
+    second concurrent run gets a private team that is retired on
+    release.  Callers end the lease with ``team.release()``.
+    """
+    if workers == 0:
+        return LocalTeam()
+    key = (workers, start_method)
+    with _TEAMS_LOCK:
+        team = _TEAMS.get(key)
+        if team is not None and team.leased:
+            team = WorkerTeam(workers, start_method)
+        else:
+            if team is not None and not team.whole:
+                del _TEAMS[key]
+                team.shutdown()
+                team = None
+            if team is None:
+                team = _TEAMS[key] = WorkerTeam(workers, start_method)
+        team.leased = True
+        if tracing_enabled():
+            team.trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
+        return team
+
+
+def shutdown_persistent_pools() -> None:
+    """Retire every warm team (atexit + test isolation hook)."""
+    with _TEAMS_LOCK:
+        teams = list(_TEAMS.values())
+        _TEAMS.clear()
+    for team in teams:
+        team.shutdown()
+
+
+def persistent_worker_pids() -> set[int]:
+    """PIDs of live warm-team workers.
+
+    These processes outlive individual decodes *by design*; test
+    helpers that assert "no stray children after a crash" use this to
+    tell an intentional long-lived worker from a leaked one.
+    """
+    with _TEAMS_LOCK:
+        teams = list(_TEAMS.values())
+    return {pid for team in teams for pid in team.live_pids()}
+
+
+atexit.register(shutdown_persistent_pools)
+
+
+@contextmanager
+def team_run(
+    workers: int, start_method: str | None, body: Callable, data: bytes,
+    layout: FrameLayout, slots: int, state: dict,
+):
+    """One mp decode's lease: yields ``(team, sid, pool)``.
+
+    Leases the team, attaches the stream under a fresh run id, and on
+    exit detaches it and releases the team.  A run that aborts — a task
+    error, a dead worker, a consumer that stops iterating — retires its
+    team instead: tasks may still be running on it.
+    """
+    team = get_team(workers, start_method)
+    sid = f"run-{next(_RUN_IDS)}"
+    try:
+        yield team, sid, team.attach(sid, body, data, layout, slots, state)
+    except BaseException:
+        team.retire()
+        raise
+    finally:
+        team.detach(sid)
+        team.release()
+
+
+def fetch_or_raise(team, stalls: StallTable, role: str, unit: str, loss: str):
+    """The mp decoders' policy over ``team.fetch``: every loss is fatal.
+
+    A dead worker's task is unrecoverable, so its death is the
+    canonical :class:`DecodeError` ("GOP … mid-stream … its task",
+    "slice … mid-picture … its slice"); a task error is re-raised.
+    Returns the next result's payload.
+    """
+
+    def on_timeout() -> None:
+        codes = sorted(
+            w.proc.exitcode
+            for w in team.workers.values()
+            if w.proc.exitcode is not None
+        )
+        if codes:
+            raise DecodeError(
+                f"{role} worker process died mid-{unit} "
+                f"(exit codes {codes}); its {loss} is lost — "
+                "aborting the parallel decode"
+            )
+
+    kind, _wid, _sid, _key, payload, _snap = team.fetch(stalls, on_timeout)
+    if kind == "err":
+        raise payload
+    return payload
+
+
+# ----------------------------------------------------------------------
+# GOP-grain tasks and their body
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GopTask:
@@ -238,19 +785,13 @@ class GopResult:
     slot_base: int
     temporal_references: list[int] = field(default_factory=list)
     counters: WorkCounters = field(default_factory=WorkCounters)
-    #: Observability payloads: the worker's per-task metrics snapshot
-    #: (``repro.obs.metrics`` shape, merged into the parent registry)
-    #: and its stall-table snapshot (idle-between-tasks attribution).
-    #: Tiny dicts — pixel data still never crosses the boundary.
-    metrics_snap: dict | None = None
-    stalls_snap: dict | None = None
 
 
 def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
-    """The scan step: split the index into per-GOP tasks.
+    """Split the index into per-GOP tasks.
 
     Slot bases are assigned cumulatively so every decoded picture in
-    the stream has a reserved slot in the shared pool — the mp
+    the stream has a reserved slot in the frame pool — the mp
     equivalent of the paper's decoded-frame memory that Fig. 8 charts.
     """
     tasks: list[GopTask] = []
@@ -269,141 +810,18 @@ def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
     return tasks
 
 
-#: Worker-process attachment caches: shared segments this worker has
-#: already mapped, keyed by segment name.  Persistent workers outlive
-#: any single stream, so attachments are cached across tasks (attach
-#: once per stream per worker, not per task) and evicted LRU so a
-#: long-lived pool serving many streams holds at most
-#: ``_ATTACH_CACHE_SLOTS`` stale mappings.
-_ARENA_CACHE: "OrderedDict[str, StreamArena]" = OrderedDict()
-_POOL_CACHE: "OrderedDict[str, SharedFramePool]" = OrderedDict()
-_ATTACH_CACHE_SLOTS = 4
-
-#: Worker idle-attribution baseline (`queue.get` stall between tasks).
-_LAST_END_NS = 0
-
-#: Whether this worker process has enabled its process-local tracer.
-_TRACING_ON = False
-
-
-def _evict_lru(cache: OrderedDict) -> None:
-    while len(cache) > _ATTACH_CACHE_SLOTS:
-        _name, seg = cache.popitem(last=False)
-        try:
-            seg.close()
-        except BufferError:  # pragma: no cover - exported views linger
-            pass
-
-
-def _attached_arena(name: str, size: int) -> memoryview:
-    arena = _ARENA_CACHE.get(name)
-    if arena is None:
-        arena = StreamArena(name=name, size=size)
-        _ARENA_CACHE[name] = arena
-        _evict_lru(_ARENA_CACHE)
-    else:
-        _ARENA_CACHE.move_to_end(name)
-    return arena.view
-
-
-def _attached_pool(name: str, layout: FrameLayout) -> SharedFramePool:
-    pool = _POOL_CACHE.get(name)
-    if pool is None:
-        pool = SharedFramePool(layout, slots=0, name=name)
-        _POOL_CACHE[name] = pool
-        _evict_lru(_POOL_CACHE)
-    else:
-        _POOL_CACHE.move_to_end(name)
-    return pool
-
-
-def _ensure_worker_tracing(trace_dir: str | None) -> str | None:
-    """Lazily enable this worker's tracer; return its shard path.
-
-    Persistent workers don't know at fork time whether any given run
-    will trace, so tracing is enabled on the first traced task and the
-    shard directory rides in on every task.
-    """
-    global _TRACING_ON
-    if trace_dir is None:
-        return None
-    pid = os.getpid()
-    if not _TRACING_ON:
-        enable_tracing(process_name=f"worker-{pid}")
-        _TRACING_ON = True
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.instant("mp.worker.start", cat="mp")
-    return os.path.join(trace_dir, f"shard-{pid}.jsonl")
-
-
-def _init_persistent_worker() -> None:
-    """Pool initializer: stream-agnostic — per-stream state attaches
-    lazily from the segment names each task carries."""
-    global _LAST_END_NS
-    reset_metrics()
-    _LAST_END_NS = time.monotonic_ns()
-
-
-def _decode_substream(
-    substream: bytes, engine: str, resilient: bool
-) -> tuple[list[Frame], WorkCounters]:
-    """Decode a single-GOP substream to display-ordered frames."""
-    counters = WorkCounters()
-    frames = SequenceDecoder(
-        substream, engine=engine, resilient=resilient
-    ).decode_all(counters)
-    return frames, counters
-
-
-@dataclass(frozen=True)
-class GopChunk:
-    """One dispatch unit: consecutive GOP tasks + the decode context.
-
-    Everything a stream-agnostic persistent worker needs: the shared
-    segment names (bitstream arena + frame pool), the tiny
-    sequence-header prefix, and the member tasks.  One queue message
-    dispatches the whole chunk; one message publishes all its results.
-    """
-
-    arena_name: str
-    arena_size: int
-    prefix: bytes
-    pool_name: str
-    layout: FrameLayout
-    engine: str
-    resilient: bool
-    trace_dir: str | None
-    crash_gop: int | None
-    tasks: tuple[GopTask, ...]
-    #: Parent's dispatch timestamp (``time.monotonic_ns()``).  Persistent
-    #: workers clamp idle attribution to this: time spent between *runs*
-    #: (the pool sat warm while no decode was active) is not a
-    #: ``queue.get`` stall of the run that happens to come next.
-    epoch_ns: int = 0
-
-
-@dataclass
-class ChunkResult:
-    """All of one chunk's GOP results in a single queue message."""
-
-    results: list[GopResult]
-    metrics_snap: dict | None = None
-    stalls_snap: dict | None = None
-
-
 def coalesce_gop_tasks(
     tasks: list[GopTask], workers: int
 ) -> list[tuple[GopTask, ...]]:
     """Group consecutive GOP tasks into coarse dispatch chunks.
 
-    When a stream has many more GOPs than the pool has workers, per-GOP
-    messages are pure overhead: the pool still load-balances with two
-    waves of chunks per worker, so tasks are grouped to at most
-    ``2 * workers`` chunks.  Short streams (or big pools) degenerate to
-    one GOP per chunk — coalescing never *reduces* available
-    parallelism.  Consecutive grouping keeps completions roughly in
-    stream order, which keeps the display reorder buffer shallow.
+    When a stream has many more GOPs than the team has workers, per-GOP
+    messages are pure overhead: two waves of chunks per worker still
+    load-balance, so tasks are grouped to at most ``2 * workers``
+    chunks.  Short streams (or big teams) degenerate to one GOP per
+    chunk — coalescing never *reduces* available parallelism.
+    Consecutive grouping keeps completions roughly in stream order,
+    which keeps the display reorder buffer shallow.
     """
     if workers <= 0 or not tasks:
         return [(t,) for t in tasks]
@@ -411,216 +829,40 @@ def coalesce_gop_tasks(
     return [tuple(tasks[i : i + per]) for i in range(0, len(tasks), per)]
 
 
-def _decode_gop_chunk(chunk: GopChunk) -> ChunkResult:
-    """Worker body: decode a chunk of GOPs, park frames in shared memory.
+def decode_gop_chunk(
+    ctx: TaskContext, key, tasks: tuple[GopTask, ...]
+) -> list[GopResult]:
+    """Task body: decode a chunk of GOPs, park frames in the pool.
 
-    The bitstream is parsed in place from the arena segment — only the
-    chunk's own GOP byte ranges are ever materialised as ``bytes``.
+    Each GOP becomes a stand-alone substream (sequence-header prefix +
+    the GOP's bytes — the only part of the stream materialised as
+    ``bytes``), decoded by :class:`SequenceDecoder` to display-ordered
+    frames.  One message dispatches the chunk; one publishes all its
+    results.
     """
-    global _LAST_END_NS
-    shard = _ensure_worker_tracing(chunk.trace_dir)
-    # Idle attribution: the gap since the previous task ended is time
-    # this worker spent waiting on the task queue (queue.get stall).
-    # Clamped to the chunk's dispatch epoch so a warm persistent worker
-    # does not book the dead time between two unrelated runs as a
-    # stall of the later one.
-    now_ns = time.monotonic_ns()
-    baseline_ns = max(_LAST_END_NS, chunk.epoch_ns)
-    idle_ns = now_ns - baseline_ns if baseline_ns else 0
-    stalls = StallTable()
-    if idle_ns > 0:
-        trace_complete(
-            "mp.worker.idle", "stall", now_ns - idle_ns, idle_ns,
-            reason=REASON_QUEUE_GET,
-        )
-        metrics().histogram("mp.worker.idle_ms").observe(idle_ns / 1e6)
-        stalls.record(f"worker-{os.getpid()}", REASON_QUEUE_GET, idle_ns / 1e9)
-
-    data = _attached_arena(chunk.arena_name, chunk.arena_size)
-    pool = _attached_pool(chunk.pool_name, chunk.layout)
+    state = ctx.state
     results: list[GopResult] = []
-    for task in chunk.tasks:
-        if chunk.crash_gop == task.gop:
-            # Fault-injection hook (tests only): die mid-stream exactly
-            # the way an OOM kill / segfault would — no cleanup, no
-            # result.
-            os._exit(23)
-        substream = chunk.prefix + bytes(
-            data[task.byte_start : task.byte_end]
+    for task in tasks:
+        substream = state["prefix"] + bytes(
+            ctx.data[task.byte_start : task.byte_end]
         )
+        counters = WorkCounters()
         with trace_span(
             "mp.worker.decode_gop", cat="mp",
             gop=task.gop, pictures=task.picture_count,
         ):
-            frames, counters = _decode_substream(
-                substream, chunk.engine, chunk.resilient
-            )
-        refs: list[int] = []
+            frames = SequenceDecoder(
+                substream, engine=state["engine"], resilient=state["resilient"]
+            ).decode_all(counters)
         with trace_span("mp.shm.write", cat="mp", frames=len(frames)):
             for j, frame in enumerate(frames):
-                pool.write_frame(task.slot_base + j, frame)
-                refs.append(frame.temporal_reference)
+                ctx.pool.write_frame(task.slot_base + j, frame)
         results.append(
             GopResult(
                 gop=task.gop,
                 slot_base=task.slot_base,
-                temporal_references=refs,
+                temporal_references=[f.temporal_reference for f in frames],
                 counters=counters,
             )
         )
-    _LAST_END_NS = time.monotonic_ns()
-
-    # Ship the observability payloads once per *chunk*: metrics
-    # accumulated during it (then reset, so chunks never double-count)
-    # and the stall records; flush trace events to this worker's shard.
-    snap = metrics().snapshot()
-    reset_metrics()
-    tracer = get_tracer()
-    if tracer is not None and shard is not None:
-        tracer.write_shard(shard)
-    return ChunkResult(
-        results=results,
-        metrics_snap=snap,
-        stalls_snap=stalls.snapshot() if stalls else None,
-    )
-
-
-# ----------------------------------------------------------------------
-# persistent pools: pre-forked once, shared across every decode
-# ----------------------------------------------------------------------
-_PERSISTENT_POOLS: dict[tuple[int, str | None], object] = {}
-
-
-def get_persistent_pool(workers: int, start_method: str | None = None):
-    """The process-wide pre-forked pool for ``(workers, start_method)``.
-
-    Created on first use and reused by every subsequent parallel
-    decode (and the serve layer's repeated requests), so fork +
-    interpreter warm-up is paid once per process instead of once per
-    run.  Workers are stream-agnostic (:func:`_init_persistent_worker`)
-    — per-stream context rides in on each :class:`GopChunk`.
-    """
-    key = (workers, start_method)
-    pool = _PERSISTENT_POOLS.get(key)
-    if pool is None:
-        ctx = multiprocessing.get_context(start_method)
-        pool = ctx.Pool(
-            processes=workers, initializer=_init_persistent_worker
-        )
-        _PERSISTENT_POOLS[key] = pool
-    return pool
-
-
-def invalidate_persistent_pool(
-    workers: int, start_method: str | None = None
-) -> None:
-    """Tear down one cached pool (after a worker death poisoned it)."""
-    pool = _PERSISTENT_POOLS.pop((workers, start_method), None)
-    if pool is not None:
-        pool.terminate()
-        pool.join()
-
-
-def shutdown_persistent_pools() -> None:
-    """Terminate every cached pool (atexit + test isolation hook)."""
-    for pool in list(_PERSISTENT_POOLS.values()):
-        pool.terminate()
-        pool.join()
-    _PERSISTENT_POOLS.clear()
-
-
-def persistent_worker_pids() -> set[int]:
-    """PIDs of live persistent-pool workers.
-
-    These processes outlive individual decodes *by design*; test
-    helpers that assert "no stray children after a crash" use this to
-    tell an intentional long-lived pool worker from a leaked one.
-    """
-    pids: set[int] = set()
-    for pool in _PERSISTENT_POOLS.values():
-        for proc in getattr(pool, "_pool", []):
-            if proc.pid is not None and proc.is_alive():
-                pids.add(proc.pid)
-    return pids
-
-
-atexit.register(shutdown_persistent_pools)
-
-
-def iter_chunk_results(
-    completions,
-    pool,
-    workers: int,
-    start_method: str | None,
-    stalls: StallTable,
-    reg,
-    occupancy,
-) -> Iterator[GopResult]:
-    """Drain a persistent pool's chunk completions with liveness checks.
-
-    The parent-side wait loop of every GOP-grain decode: times each
-    blocking wait on the completion iterator (the ``queue.get`` stall
-    + its trace span), chunks waits into :data:`LIVENESS_POLL_S` polls
-    so a worker that died mid-chunk (its tasks are lost — the pool
-    never resubmits) surfaces as a clean :class:`DecodeError` instead
-    of an infinite hang, folds each chunk's shipped observability
-    payloads into ``reg``/``stalls``, and yields the member
-    :class:`GopResult` records.  Death is detected both by a non-zero
-    exitcode *and* by the worker pid set drifting from its baseline
-    (the pool auto-respawns replacements); the poisoned pool is then
-    discarded so the next run pre-forks a clean one.
-    """
-    baseline = {p.pid for p in getattr(pool, "_pool", [])}
-    while True:
-        t0 = time.monotonic_ns()
-        while True:
-            try:
-                chunk_result = completions.next(timeout=LIVENESS_POLL_S)
-                break
-            except multiprocessing.TimeoutError:
-                procs = list(getattr(pool, "_pool", []))
-                dead = [p for p in procs if p.exitcode not in (None, 0)]
-                if dead or (
-                    baseline and {p.pid for p in procs} != baseline
-                ):
-                    codes = sorted(
-                        p.exitcode for p in dead if p.exitcode is not None
-                    )
-                    invalidate_persistent_pool(workers, start_method)
-                    raise worker_death_error(
-                        "GOP", "stream", "task", codes or "unknown"
-                    )
-            except StopIteration:
-                return
-        waited = time.monotonic_ns() - t0
-        trace_complete(
-            "mp.result.wait", "stall", t0, waited,
-            reason=REASON_QUEUE_GET,
-        )
-        stalls.record("merge", REASON_QUEUE_GET, waited / 1e9)
-        # Fold the chunk's shipped observability payloads in (one
-        # message per chunk, not per GOP).
-        if chunk_result.metrics_snap is not None:
-            reg.merge_snapshot(chunk_result.metrics_snap)
-        if chunk_result.stalls_snap is not None:
-            stalls.merge(chunk_result.stalls_snap)
-        for result in chunk_result.results:
-            occupancy.inc(len(result.temporal_references))
-            yield result
-
-
-def collect_trace_shards(trace_dir: str) -> None:
-    """Merge worker trace shards into the parent tracer, clean up.
-
-    Shared by every scheduler: each worker process appends raw events
-    to ``shard-<pid>.jsonl`` under ``trace_dir``; the parent folds
-    every shard into its own tracer so ``--trace`` produces one merged
-    timeline, then removes the directory.
-    """
-    tracer = get_tracer()
-    try:
-        if tracer is not None:
-            for path in sorted(glob(os.path.join(trace_dir, "shard-*.jsonl"))):
-                tracer.extend(Tracer.read_shard(path))
-    finally:
-        shutil.rmtree(trace_dir, ignore_errors=True)
+    return results

@@ -4,10 +4,10 @@
 runs: it plans a typed task graph (:mod:`repro.exec.plan`) for
 accounting, asks :class:`~repro.exec.auto.AutoGranularity` for a
 ``(grain, engine)`` decision when either axis is ``auto``, and then
-drives the decode through the existing planners — ``MPGopDecoder``
-for GOP grain, ``MPSliceDecoder`` for slice grain — both of which are
-themselves thin layers over the shared worker-pool backend
-(:mod:`repro.exec.backend`).
+drives the decode through ``MPGopDecoder`` for GOP grain or
+``MPSliceDecoder`` for slice grain — two partitions handed to the one
+process runtime in :mod:`repro.exec.backend` (every window reuses the
+same warm worker team).
 
 Online re-pick: with ``grain="auto"`` the stream is executed in
 windows of ``repick_gops`` closed GOPs.  Each window is decoded as a
@@ -40,20 +40,17 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING
 
 from repro.exec.auto import AutoGranularity, CostModel, Decision, ObsSnapshot
+from repro.exec.backend import scan_index
 from repro.exec.graph import TaskGraph
 from repro.exec.plan import plan_graph
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex, build_index, sequence_prefix
+from repro.mpeg2.index import StreamIndex, sequence_prefix
 from repro.obs.metrics import metrics
 from repro.obs.stalls import StallTable
-from repro.obs.trace import trace_complete, trace_span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.bandwidth import BandwidthProfile
+from repro.obs.trace import trace_complete
 
 GRAIN_CHOICES = ("auto", "gop", "slice")
 ENGINE_CHOICES = ("auto", "scalar", "batched")
@@ -139,15 +136,7 @@ class TaskGraphExecutor:
         if repick_gops < 1:
             raise ValueError(f"repick_gops must be >= 1, got {repick_gops}")
         self.data = data
-        if index is not None:
-            self.index = index
-        else:
-            t0 = time.perf_counter()
-            with trace_span("mp.scan", cat="mp", bytes=len(data)):
-                self.index = build_index(data)
-            metrics().counter("mp.scan_ms").inc(
-                (time.perf_counter() - t0) * 1e3
-            )
+        self.index = scan_index(data, index)
         self.grain = grain
         self.engine = engine
         self.workers = workers
@@ -171,12 +160,14 @@ class TaskGraphExecutor:
         self.last_wall_seconds = 0.0
 
     # ------------------------------------------------------------------
-    def _controller(self) -> AutoGranularity:
+    def _profile(self):
         from repro.analysis.bandwidth import profile_stream
 
-        profile = profile_stream(self.data, index=self.index)
+        return profile_stream(self.data, index=self.index)
+
+    def _controller(self) -> AutoGranularity:
         return AutoGranularity(
-            profile=profile,
+            profile=self._profile(),
             workers=self.workers,
             model=self.model,
             grain_hint=None if self.grain == "auto" else self.grain,
@@ -257,10 +248,7 @@ class TaskGraphExecutor:
             # Nothing to choose: record the pinned configuration so
             # traces and metrics still show what ran (alt == chosen).
             est = self.model.estimate(
-                _cheap_profile(self.index, self.data),
-                self.grain,
-                self.engine,
-                self.workers,
+                self._profile(), self.grain, self.engine, self.workers
             )
             return Decision(
                 grain=self.grain,
@@ -338,19 +326,6 @@ class TaskGraphExecutor:
         (same denominator convention as the planners)."""
         procs = self.workers + 1 if self.workers else 1
         return self.last_stalls.breakdown(self.last_wall_seconds * procs)
-
-
-def _cheap_profile(index: StreamIndex, data: bytes) -> "BandwidthProfile":
-    """Profile for the pinned-configuration cost estimate.
-
-    The full bandwidth profiler walks slices; for a fixed grain +
-    engine the decision is already made and the estimate is purely
-    informational, so the real profiler is still used — this exists
-    only to keep the import local and the call site readable.
-    """
-    from repro.analysis.bandwidth import profile_stream
-
-    return profile_stream(data, index=index)
 
 
 def decode_auto(

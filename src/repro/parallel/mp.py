@@ -6,42 +6,40 @@ cannot show real speedup under the GIL.  This module escapes the GIL
 the same way the paper escaped a single R4400: separate OS processes
 (`multiprocessing`), one per worker, each decoding whole closed GOPs.
 
-This module is now a thin *planner* over :mod:`repro.exec` — the
-shared-memory substrate (:mod:`repro.exec.shm`), the persistent
-worker-pool backend, liveness polling, teardown ordering, and the
-GOP-chunk worker body all live in :mod:`repro.exec.backend` and are
-re-exported here, so historical imports keep working.
+The process machinery is not here: GOP-grain decode is one *partition*
+handed to the single worker runtime in :mod:`repro.exec.backend` — a
+task body (:func:`~repro.exec.backend.decode_gop_chunk`) plus a small
+session context — and this module is the parent loop around it.
 
 The paper's three roles map onto real primitives:
 
 * **scan** — the parent builds a :class:`repro.mpeg2.index.StreamIndex`
   (start-code scan, no decoding) and splits it into per-GOP byte-range
-  tasks (:func:`repro.exec.backend.scan_gop_tasks` /
-  :func:`repro.mpeg2.index.gop_byte_ranges`).
-* **workers** — a *persistent*, pre-forked :class:`multiprocessing.Pool`
-  (:func:`repro.exec.backend.get_persistent_pool`), created once per
-  ``(workers, start_method)`` and reused across every decode in the
-  process, so repeated runs pay fork + interpreter warm-up exactly
-  once.  The coded stream is published **once** into POSIX shared
-  memory (:class:`StreamArena`); workers attach by name and slice
+  tasks (:func:`~repro.exec.backend.scan_gop_tasks`).
+* **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` for
+  ``(workers, start_method)``, forked once per process and shared with
+  the slice decoder and the serve layer.  The coded stream is published
+  **once** into POSIX shared memory; workers attach by name and slice
   their GOP's bytes straight out of the segment — the bitstream never
   crosses the task pipe.  Each worker rebuilds a stand-alone substream
   (sequence-header prefix + GOP bytes), decodes it with the batched
   :class:`~repro.mpeg2.decoder.SequenceDecoder`, and writes the
   decoded planes straight into a shared-memory frame pool.  Tasks are
   *chunks* of consecutive GOPs
-  (:func:`repro.exec.backend.coalesce_gop_tasks`) so streams with many
+  (:func:`~repro.exec.backend.coalesce_gop_tasks`) so streams with many
   more GOPs than workers cost one queue message per chunk — dispatch
   and result publication both — instead of one per GOP; only tiny
   metadata (temporal references + work counters) crosses the process
   boundary through pickling, and pixel arrays never do.
 * **display** — the parent merges completed GOPs back into display
-  order through a reorder buffer (:func:`_merge_in_order`), reading
-  frames out of the shared pool.
+  order through the shared reorder buffer
+  (:class:`~repro.parallel.mp_slice.DisplayMerger`), reading frames
+  out of the pool.
 
-``workers=0`` runs the identical scan/decode/merge pipeline in-process
-(no ``fork``, no shared memory) so functional tests are deterministic
-on constrained CI; ``workers>=1`` is the real-silicon path measured by
+``workers=0`` runs the identical loop on the in-process transport
+(:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory)
+so functional tests are deterministic on constrained CI;
+``workers>=1`` is the real-silicon path measured by
 ``benchmarks/perf_parallel.py``.
 
 Bit-exactness: closed GOPs carry no coded state across their
@@ -56,89 +54,29 @@ by ``tests/parallel/test_mp_parity.py`` and the golden-vector suite.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
-from typing import Callable, Iterator
+from collections import deque
+from typing import Iterator
 
-from repro.exec.backend import (  # noqa: F401  (re-exported legacy names)
-    LIVENESS_POLL_S,
-    ChunkResult,
-    GopChunk,
+from repro.exec.backend import (  # noqa: F401  (names tests import from here)
     GopResult,
-    GopTask,
-    _decode_gop_chunk,
-    _decode_substream,
-    _init_persistent_worker,
     coalesce_gop_tasks,
-    collect_trace_shards,
-    get_persistent_pool,
-    invalidate_persistent_pool,
-    iter_chunk_results,
+    decode_gop_chunk,
+    fetch_or_raise,
     persistent_worker_pids,
     scan_gop_tasks,
-    shutdown_persistent_pools,
+    scan_index,
+    team_run,
 )
-from repro.exec.shm import (  # noqa: F401  (re-exported legacy names)
-    FrameLayout,
-    FramePoolBase,
-    LocalFramePool,
-    SharedFramePool,
-    StreamArena,
-)
+from repro.exec.shm import FrameLayout, SharedFramePool  # noqa: F401
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import (
-    StreamIndex,
-    build_index,
-    sequence_prefix,
-)
+from repro.mpeg2.index import StreamIndex, sequence_prefix
 from repro.obs.metrics import metrics
-from repro.obs.stalls import REASON_MERGE, StallTable
-from repro.obs.trace import trace_complete, trace_span, tracing_enabled
-
-
-# ----------------------------------------------------------------------
-# display side
-# ----------------------------------------------------------------------
-def _merge_in_order(
-    results: Iterator[GopResult],
-    gop_count: int,
-    on_hold: Callable[[int, float], None] | None = None,
-    on_depth: Callable[[int], None] | None = None,
-) -> Iterator[GopResult]:
-    """Display-order merger: reorder GOP completions into stream order.
-
-    Workers finish in load-dependent order; the display process must
-    emit GOP 0's pictures before GOP 1's.  A reorder buffer holds
-    early completions until their turn — the same role the paper's
-    display process plays with its picture reorder queue.
-
-    Observability hooks (both optional): ``on_hold(gop, seconds)``
-    fires when an out-of-order completion is finally released, with
-    the time it sat in the reorder buffer (the ``merge.reorder``
-    stall); ``on_depth(n)`` reports the buffer depth after each
-    arrival (the ``queue.depth`` gauge).
-    """
-    pending: dict[int, GopResult] = {}
-    held_since: dict[int, int] = {}
-    next_gop = 0
-    for result in results:
-        pending[result.gop] = result
-        if result.gop != next_gop:
-            held_since[result.gop] = time.monotonic_ns()
-        if on_depth is not None:
-            on_depth(len(pending))
-        while next_gop in pending:
-            out = pending.pop(next_gop)
-            t0 = held_since.pop(next_gop, None)
-            if t0 is not None and on_hold is not None:
-                on_hold(next_gop, (time.monotonic_ns() - t0) / 1e9)
-            yield out
-            next_gop += 1
-    if next_gop != gop_count:
-        missing = sorted(set(range(next_gop, gop_count)) - pending.keys())
-        raise RuntimeError(f"worker pool lost GOP results: {missing}")
+from repro.obs.stalls import StallTable
+from repro.obs.trace import trace_span
+from repro.parallel.mp_slice import DisplayMerger, record_merge_hold
 
 
 # ----------------------------------------------------------------------
@@ -187,18 +125,7 @@ class MPGopDecoder:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.data = data
-        if index is not None:
-            self.index = index
-        else:
-            # The scan step (paper Fig. 4): a start-code walk, no
-            # decoding.  Traced and timed so the timeline starts where
-            # the paper's does.
-            t0 = time.perf_counter()
-            with trace_span("mp.scan", cat="mp", bytes=len(data)):
-                self.index = build_index(data)
-            metrics().counter("mp.scan_ms").inc(
-                (time.perf_counter() - t0) * 1e3
-            )
+        self.index = scan_index(data, index)
         self.workers = workers
         self.engine = engine
         self.resilient = resilient
@@ -245,134 +172,82 @@ class MPGopDecoder:
     def iter_gops(
         self, counters: WorkCounters | None = None
     ) -> Iterator[tuple[int, list[Frame]]]:
-        """Yield ``(gop_number, display_ordered_frames)`` in stream order."""
-        if self.workers == 0:
-            yield from self._iter_gops_inprocess(counters)
-        else:
-            yield from self._iter_gops_mp(counters)
+        """Yield ``(gop_number, display_ordered_frames)`` in stream order.
 
-    # ------------------------------------------------------------------
-    def _iter_gops_inprocess(
-        self, counters: WorkCounters | None
-    ) -> Iterator[tuple[int, list[Frame]]]:
-        """The workers=0 fallback: same pipeline, no processes."""
-        self.last_pool_bytes = 0
-        self.last_stalls = StallTable()
-        t_run = time.perf_counter()
-        for task in self.tasks:
-            substream = self.prefix + self.data[task.byte_start : task.byte_end]
-            with trace_span(
-                "mp.worker.decode_gop", cat="mp",
-                gop=task.gop, pictures=task.picture_count,
-            ):
-                frames, local = _decode_substream(
-                    substream, self.engine, self.resilient
-                )
-            if counters is not None:
-                counters.add(local)
-            yield task.gop, frames
-        self.last_wall_seconds = time.perf_counter() - t_run
-
-    def _iter_gops_mp(
-        self, counters: WorkCounters | None
-    ) -> Iterator[tuple[int, list[Frame]]]:
-        # The pre-forked persistent pool for exactly the requested
-        # worker count (the paper's P); extra workers idle when the
-        # stream has fewer chunks, but the pool is shared by every
-        # decode in the process, so fork cost is paid once.
+        One loop for both transports: chunks of consecutive GOPs go to
+        whichever worker is free (one chunk per worker at a time — the
+        tasks are coarse, so pulling costs nothing and balances load),
+        results come back through the liveness-polled fetch, and the
+        reorder buffer releases GOPs in stream order.  ``workers=0``
+        runs each chunk where it is submitted.
+        """
         workers = self.workers
-        picture_count = self.index.picture_count
-        frame_pool = SharedFramePool(self.layout, slots=picture_count)
-        arena = StreamArena(self.data)
-        self.last_pool_bytes = frame_pool.nbytes
-        self.last_stalls = StallTable()
-        tasks_by_gop = {t.gop: t for t in self.tasks}
+        self.last_stalls = stalls = StallTable()
         reg = metrics()
         occupancy = reg.gauge("mp.frame_pool.occupancy")
         depth = reg.gauge("queue.depth")
-
-        # When the parent is tracing, workers trace too: each writes a
-        # raw-event shard the parent merges into one timeline below.
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-") if tracing_enabled() else None
-
-        dispatch_epoch_ns = time.monotonic_ns()
-        chunks = [
-            GopChunk(
-                arena_name=arena.name,
-                arena_size=arena.size,
-                prefix=self.prefix,
-                pool_name=frame_pool.name,
-                layout=self.layout,
-                engine=self.engine,
-                resilient=self.resilient,
-                trace_dir=trace_dir,
-                crash_gop=self._crash_gop,
-                tasks=group,
-                epoch_ns=dispatch_epoch_ns,
-            )
-            for group in coalesce_gop_tasks(self.tasks, workers)
-        ]
-        reg.counter("mp.dispatch.messages").inc(len(chunks))
-
-        def on_hold(gop: int, seconds: float) -> None:
-            # An out-of-order completion sat in the reorder buffer:
-            # the display-order merge stall (paper's display process).
-            self.last_stalls.record("merge", REASON_MERGE, seconds)
-            now = time.monotonic_ns()
-            trace_complete(
-                "mp.merge.hold", "stall", now - int(seconds * 1e9),
-                int(seconds * 1e9), gop=gop, reason=REASON_MERGE,
-            )
-
+        chunks = deque(enumerate(coalesce_gop_tasks(self.tasks, workers)))
+        merger = DisplayMerger(
+            len(self.tasks),
+            # An out-of-order completion sat in the reorder buffer: the
+            # display-order merge stall (paper's display process).
+            on_hold=(
+                (lambda r, t0, ns: record_merge_hold(stalls, t0, ns, gop=r.gop))
+                if workers
+                else None
+            ),
+        )
+        state = {
+            "prefix": self.prefix,
+            "engine": self.engine,
+            "resilient": self.resilient,
+        }
         t_run = time.perf_counter()
         try:
-            pool = get_persistent_pool(workers, self.start_method)
-            completions = pool.imap_unordered(
-                _decode_gop_chunk, chunks, chunksize=1
-            )
-            # The liveness-polled drain — timed queue.get stalls, dead
-            # worker detection, per-chunk obs payload folding — is the
-            # backend's iter_chunk_results; this planner only merges
-            # display order and reads frames back out of the pool.
-            for result in _merge_in_order(
-                iter_chunk_results(
-                    completions,
-                    pool,
-                    workers,
-                    self.start_method,
-                    self.last_stalls,
-                    reg,
-                    occupancy,
-                ),
-                len(self.tasks),
-                on_hold=on_hold,
-                on_depth=depth.set,
-            ):
-                if counters is not None:
-                    counters.add(result.counters)
-                task = tasks_by_gop[result.gop]
-                with trace_span(
-                    "mp.shm.read", cat="mp", gop=result.gop,
-                    frames=len(result.temporal_references),
-                ):
-                    frames = [
-                        frame_pool.read_frame(task.slot_base + j, ref)
-                        for j, ref in enumerate(result.temporal_references)
-                    ]
-                occupancy.dec(len(result.temporal_references))
-                yield result.gop, frames
+            with team_run(
+                workers, self.start_method, decode_gop_chunk, self.data,
+                self.layout, self.index.picture_count, state,
+            ) as (team, sid, pool):
+                self.last_pool_bytes = pool.nbytes if workers else 0
+
+                def feed() -> None:
+                    for wid in team.free():
+                        if not chunks:
+                            return
+                        n, group = chunks.popleft()
+                        crash = any(t.gop == self._crash_gop for t in group)
+                        team.submit(
+                            wid, sid, n, group, "crash" if crash else None
+                        )
+                        reg.counter("mp.dispatch.messages").inc()
+
+                feed()
+                while team.in_flight(sid):
+                    results = fetch_or_raise(
+                        team, stalls, "GOP", "stream", "task"
+                    )
+                    feed()
+                    for result in results:
+                        occupancy.inc(len(result.temporal_references))
+                        ready = merger.push(result.gop, result)
+                        depth.set(merger.held)
+                        for done in ready:
+                            if counters is not None:
+                                counters.add(done.counters)
+                            refs = done.temporal_references
+                            with trace_span(
+                                "mp.shm.read", cat="mp",
+                                gop=done.gop, frames=len(refs),
+                            ):
+                                frames = [
+                                    pool.read_frame(done.slot_base + j, ref)
+                                    for j, ref in enumerate(refs)
+                                ]
+                            occupancy.dec(len(refs))
+                            yield done.gop, frames
+                merger.finish("GOP results")
         finally:
             self.last_wall_seconds = time.perf_counter() - t_run
-            frame_pool.close()
-            frame_pool.unlink()
-            arena.close()
-            arena.unlink()
-            if trace_dir is not None:
-                self._collect_shards(trace_dir)
-
-    @staticmethod
-    def _collect_shards(trace_dir: str) -> None:
-        collect_trace_shards(trace_dir)
 
 
 def decode_parallel(

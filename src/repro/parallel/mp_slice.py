@@ -23,22 +23,22 @@ The paper's three roles map onto real primitives:
   (:func:`scan_slice_tasks`), and drives the pure-logic
   :class:`PictureSliceQueue` that embodies the availability rule, the
   dispatch credit and the frame window.
-* **workers** — persistent ``multiprocessing`` processes pulling
-  :class:`SliceBatch` tasks from a queue.  The coded stream is
-  published once into shared memory
-  (:class:`repro.parallel.mp.StreamArena`); workers attach by name and
-  slice payload byte ranges straight out of the segment.  One function,
-  :func:`decode_batch_into_pool`, is the whole task body — for the
-  worker loop, the ``workers=0`` path and the serve layer's
-  :func:`decode_picture_into_pool` alike: every slice of the batch
-  gets the phase-1 bit-only parse
+* **workers** — the warm :class:`repro.exec.backend.WorkerTeam`
+  shared with the GOP decoder and the serve layer; this module only
+  supplies the partition: a session context (:func:`picture_state`)
+  and a task body (:func:`decode_batch`) run per :class:`SliceBatch`.
+  The coded stream is published once into shared memory; workers
+  attach by name and slice payload byte ranges straight out of the
+  segment.  One function, :func:`decode_batch_into_pool`, is the whole
+  decode — for the task body on either transport and the serve
+  layer's :func:`decode_picture_into_pool` alike: every slice of the
+  batch gets the phase-1 bit-only parse
   (:func:`repro.mpeg2.batched.parse_slice`), then **one**
   :func:`~repro.mpeg2.batched.reconstruct_slices` call reconstructs
   the batch's statically-final rows in place on the shared-memory
-  frame pool (:class:`repro.parallel.mp.SharedFramePool`), reading
-  reference pictures through zero-copy views.  Only the batch's summed
-  work counters and its corrupt row numbers cross the process boundary
-  — pixels and bitstream never do.
+  frame pool, reading reference pictures through zero-copy views.
+  Only the batch's summed work counters and its corrupt row numbers
+  cross the process boundary — pixels and bitstream never do.
 * **display** — the parent completes pictures (concealment for corrupt
   rows, publish for dependents), then merges them into display order
   through :class:`DisplayMerger`.
@@ -46,7 +46,8 @@ The paper's three roles map onto real primitives:
 Dispatch: earliest picture first, on credit, inside a frame window
 -------------------------------------------------------------------
 The parent keeps at most ``2 x workers`` batches in flight (one running
-and one queued per worker) and refills one credit per result from
+and one queued on the least-loaded worker) and refills one credit per
+result from
 :meth:`PictureSliceQueue.claim_batch`, which always serves the
 **earliest-coded available** picture — the paper's in-order 2-D queue —
 in at most ``workers`` batches of ``ceil(slices / workers)`` consecutive
@@ -109,11 +110,9 @@ and the SMP simulator, so all three report through one
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import tempfile
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -126,35 +125,24 @@ from repro.mpeg2.decoder import (
 )
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader, SequenceHeader
-from repro.mpeg2.index import StreamIndex, build_index
+from repro.mpeg2.index import StreamIndex
 from repro.mpeg2.reconstruct import conceal_rows, missing_rows
-from repro.obs.metrics import metrics, reset_metrics
+from repro.obs.metrics import metrics
 from repro.obs.stalls import (
     REASON_BARRIER,
     REASON_MERGE,
-    REASON_QUEUE_GET,
     REASON_REF_PUBLISH,
     StallTable,
     record_concealment,
 )
-from repro.obs.trace import (
-    enable_tracing,
-    get_tracer,
-    trace_complete,
-    trace_span,
-    tracing_enabled,
-)
+from repro.obs.trace import trace_complete, trace_span
 from repro.exec.backend import (
-    WorkerTeam,
-    collect_trace_shards,
-    release_segments,
+    TaskContext,
+    fetch_or_raise,
+    scan_index,
+    team_run,
 )
-from repro.exec.shm import (
-    FrameLayout,
-    LocalFramePool,
-    SharedFramePool,
-    StreamArena,
-)
+from repro.exec.shm import FrameLayout
 from repro.parallel.slice_level import SliceMode
 
 
@@ -526,20 +514,31 @@ class PictureSliceQueue:
 
 
 class DisplayMerger:
-    """Reorder completed pictures into display order (pure logic).
+    """Reorder completed items into display order (pure logic).
 
-    The display process's reorder buffer: completed pictures arrive in
+    The display process's reorder buffer, shared by the GOP merge, the
+    slice merge and the serve sessions: completions arrive in
     load-dependent order; :meth:`push` banks one and returns the run of
     items that are now emittable in display order.  The paper's display
     process plays exactly this role with its picture reorder queue.
+
+    ``on_hold(item, since_ns, held_ns)`` (optional) fires when an item
+    that had to wait for an earlier one is released — the
+    ``merge.reorder`` stall.
     """
 
-    def __init__(self, total: int) -> None:
+    def __init__(
+        self,
+        total: int,
+        on_hold: Callable[[object, int, int], None] | None = None,
+    ) -> None:
         if total < 0:
             raise ValueError(f"negative picture count: {total}")
         self.total = total
         self._pending: dict[int, object] = {}
         self._next = 0
+        self._on_hold = on_hold
+        self._held_since: dict[int, int] = {}
         #: High-water mark of the reorder buffer (memory diagnostics).
         self.max_depth = 0
 
@@ -552,11 +551,25 @@ class DisplayMerger:
             raise ValueError(f"display index {display_index} pushed twice")
         self._pending[display_index] = item
         self.max_depth = max(self.max_depth, len(self._pending))
+        if self._on_hold is not None and display_index != self._next:
+            self._held_since[display_index] = time.monotonic_ns()
         out = []
         while self._next in self._pending:
-            out.append(self._pending.pop(self._next))
+            item = self._pending.pop(self._next)
+            since = self._held_since.pop(self._next, None)
+            if since is not None:
+                self._on_hold(item, since, time.monotonic_ns() - since)
+            out.append(item)
             self._next += 1
         return out
+
+    def finish(self, what: str) -> None:
+        """Raise if any index was never pushed (a lost result)."""
+        if not self.done:
+            missing = sorted(
+                set(range(self._next, self.total)) - self._pending.keys()
+            )
+            raise RuntimeError(f"worker pool lost {what}: {missing}")
 
     @property
     def emitted(self) -> int:
@@ -569,6 +582,17 @@ class DisplayMerger:
     @property
     def done(self) -> bool:
         return self._next == self.total
+
+
+def record_merge_hold(
+    stalls: StallTable, since_ns: int, held_ns: int, **ident
+) -> None:
+    """Book one reorder-buffer hold as the ``merge.reorder`` stall."""
+    stalls.record("merge", REASON_MERGE, held_ns / 1e9)
+    trace_complete(
+        "mp.merge.hold", "stall", since_ns, held_ns,
+        reason=REASON_MERGE, **ident,
+    )
 
 
 # ======================================================================
@@ -592,7 +616,7 @@ def decode_batch_into_pool(
     :func:`reconstruct_slices` call into slot ``batch.slot``
     (references read through zero-copy views of ``batch.ref_slots`` —
     the availability rule must already hold).  ``pool`` is any
-    :class:`repro.parallel.mp.FramePoolBase`.
+    :class:`repro.exec.shm.FramePoolBase`.
 
     Returns the batch's summed work counters and the macroblock rows
     whose final slice was corrupt: a corrupt slice is skipped and
@@ -708,102 +732,34 @@ def decode_picture_into_pool(
 
 
 # ======================================================================
-# worker side
+# what a worker is given: the session state and the batch task body
 # ======================================================================
-def _slice_worker_main(
-    wid: int,
-    arena_name: str,
-    arena_size: int,
-    plans: list[PicturePlan],
-    seq: SequenceHeader,
-    layout: FrameLayout,
-    pool_name: str,
-    mb_width: int,
-    mb_height: int,
-    resilient: bool,
-    task_q,
-    result_q,
-    trace_dir: str | None,
-    crash_task: tuple[int, int] | None,
-) -> None:
-    """Worker body: loop :class:`SliceBatch` tasks to sentinel.
+def picture_state(
+    plans: list[PicturePlan], index: StreamIndex, resilient: bool
+) -> dict:
+    """The immutable picture-grain decode context of one stream —
+    shipped to every worker once, at attach (slice decoder and serve
+    sessions alike)."""
+    return {
+        "plans": plans,
+        "seq": index.sequence_header,
+        "mb_width": index.mb_width,
+        "mb_height": index.mb_height,
+        "resilient": resilient,
+    }
 
-    The coded stream is read in place from the shared
-    :class:`~repro.parallel.mp.StreamArena` — only each slice's few-KB
-    payload is ever materialised as ``bytes`` — and each task is one
-    :func:`decode_batch_into_pool` on the shared frame pool.  One
-    ``("batch", order, slices, counters, corrupt_rows)`` message
-    publishes the batch's result; anything the task raises (a corrupt
-    slice when not resilient, a failure inside the fused reconstruct)
-    comes back as ``("error", order, slices, exc)`` for the parent to
-    re-raise, never as a dead worker.  A final ``("obs", ...)`` message
-    ships the worker's metrics and stall snapshots.
-    """
-    name = f"slice-worker-{wid}"
-    pid = os.getpid()
-    shard = (
-        os.path.join(trace_dir, f"shard-{pid}.jsonl")
-        if trace_dir is not None
-        else None
+
+def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
+    """Task body: one :func:`decode_batch_into_pool` on the session's
+    pool.  Returns ``(order, slices, counters, corrupt_rows)``; a
+    corrupt slice when not resilient, or a failure inside the fused
+    reconstruct, is raised — the runtime reports it as an ``err``
+    result for the parent to re-raise, never as a dead worker."""
+    state = ctx.state
+    return (batch.order, len(batch.sidxs)) + decode_batch_into_pool(
+        ctx.data, state["plans"][batch.order], batch, state["seq"],
+        state["mb_width"], state["mb_height"], ctx.pool, state["resilient"],
     )
-    if trace_dir is not None:
-        enable_tracing(process_name=name)
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.instant("mp.slice.worker.start", cat="mp")
-            tracer.write_shard(shard)
-    reset_metrics()
-    stalls = StallTable()
-    pool = SharedFramePool(layout, slots=0, name=pool_name)
-    arena = StreamArena(name=arena_name, size=arena_size)
-    data = arena.view
-    crash_order, crash_sidx = crash_task or (None, None)
-    last_end = time.monotonic_ns()
-    try:
-        while True:
-            batch = task_q.get()
-            if batch is None:
-                break
-            now = time.monotonic_ns()
-            idle_ns = now - last_end
-            if idle_ns > 0:
-                trace_complete(
-                    "mp.worker.idle", "stall", last_end, idle_ns,
-                    reason=REASON_QUEUE_GET,
-                )
-                metrics().histogram("mp.worker.idle_ms").observe(idle_ns / 1e6)
-                stalls.record(name, REASON_QUEUE_GET, idle_ns / 1e9)
-            order, sidxs = batch.order, batch.sidxs
-            if order == crash_order and crash_sidx in sidxs:
-                # Fault-injection hook (tests only): die mid-picture
-                # exactly the way an OOM kill / segfault would.
-                os._exit(23)
-            try:
-                result = ("batch", order, len(sidxs)) + decode_batch_into_pool(
-                    data, plans[order], batch, seq,
-                    mb_width, mb_height, pool, resilient,
-                )
-            except Exception as exc:
-                result = ("error", order, len(sidxs), exc)
-            result_q.put(result)
-            tracer = get_tracer()
-            if tracer is not None and shard is not None:
-                tracer.write_shard(shard)
-            last_end = time.monotonic_ns()
-        result_q.put(("obs", wid, metrics().snapshot(), stalls.snapshot()))
-        tracer = get_tracer()
-        if tracer is not None and shard is not None:
-            tracer.instant("mp.slice.worker.stop", cat="mp")
-            tracer.write_shard(shard)
-    finally:
-        try:
-            pool.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-        try:
-            arena.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
 
 
 # ======================================================================
@@ -851,15 +807,7 @@ class MPSliceDecoder:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.data = data
-        if index is not None:
-            self.index = index
-        else:
-            t0 = time.perf_counter()
-            with trace_span("mp.scan", cat="mp", bytes=len(data)):
-                self.index = build_index(data)
-            metrics().counter("mp.scan_ms").inc(
-                (time.perf_counter() - t0) * 1e3
-            )
+        self.index = scan_index(data, index)
         self.workers = workers
         self.mode = SliceMode(mode)
         self.resilient = resilient
@@ -921,13 +869,44 @@ class MPSliceDecoder:
         """Yield decoded frames in display order."""
         if counters is not None:
             counters.add(self._base_counters())
-        self.last_stalls = StallTable()
+        self.last_stalls = stalls = StallTable()
+        workers = self.workers
+        reg = metrics()
+        depth_gauge = reg.gauge("queue.depth")
+        dispatch_msgs = reg.counter("mp.dispatch.messages")
+        crash_order, crash_sidx = self._crash_task or (None, None)
         t_run = time.perf_counter()
         try:
-            if self.workers == 0:
-                yield from self._iter_frames_inprocess(counters)
-            else:
-                yield from self._iter_frames_mp(counters)
+            with team_run(
+                workers, self.start_method, decode_batch, self.data,
+                self.layout, frame_window(self.plans, workers),
+                picture_state(self.plans, self.index, self.resilient),
+            ) as (team, sid, pool):
+                self.last_pool_bytes = pool.nbytes if workers else 0
+
+                def submit(batch: SliceBatch) -> None:
+                    # One running and one queued batch per worker: the
+                    # credit (2 x workers) always leaves one with room.
+                    crash = (
+                        batch.order == crash_order
+                        and crash_sidx in batch.sidxs
+                    )
+                    team.submit(
+                        team.free(2)[0], sid,
+                        (batch.order, batch.sidxs[0]), batch,
+                        "crash" if crash else None,
+                    )
+                    depth_gauge.inc()
+                    dispatch_msgs.inc()
+
+                def fetch() -> tuple:
+                    result = fetch_or_raise(
+                        team, stalls, "slice", "picture", "slice"
+                    )
+                    depth_gauge.dec()
+                    return result
+
+                yield from self._schedule(counters, pool, submit, fetch)
         finally:
             self.last_wall_seconds = time.perf_counter() - t_run
 
@@ -943,10 +922,10 @@ class MPSliceDecoder:
     ) -> Iterator[Frame]:
         """Claim on credit, publish, merge, emit — to the last picture.
 
-        ``submit`` hands a batch to whatever executes it and ``fetch``
-        returns the next ``("batch" | "error", order, slices, ...)``
-        result; the rest is the same for worker processes and for the
-        in-process path.
+        ``submit`` hands a batch to the team and ``fetch`` returns the
+        next ``(order, slices, counters, corrupt_rows)`` result (or
+        raises what the task raised); worker processes and the
+        in-process transport differ in nothing else.
         """
         plans = self.plans
         stalls = self.last_stalls
@@ -996,8 +975,14 @@ class MPSliceDecoder:
             on_released=on_released,
             on_slot=pool.clear_frame,
         )
-        merger = DisplayMerger(len(plans))
-        held_since: dict[int, int] = {}
+        merger = DisplayMerger(
+            len(plans),
+            on_hold=(
+                (lambda o, t0, ns: record_merge_hold(stalls, t0, ns, order=o))
+                if self.workers
+                else None
+            ),
+        )
         corrupt_rows: dict[int, list[int]] = {}
 
         def publish(completed: list[int]) -> list[int]:
@@ -1021,22 +1006,11 @@ class MPSliceDecoder:
                 if counters is not None:
                     counters.concealed_slices += lost
                 publish_ns[order] = time.monotonic_ns()
-                emitted = merger.push(plan.display_index, order)
-                if not emitted and self.workers:
-                    held_since[order] = publish_ns[order]
-                ready.extend(emitted)
+                ready.extend(merger.push(plan.display_index, order))
             return ready
 
         def emit(ready: list[int]) -> Iterator[Frame]:
             for done in ready:
-                t0 = held_since.pop(done, None)
-                if t0 is not None:
-                    hold = time.monotonic_ns() - t0
-                    stalls.record("merge", REASON_MERGE, hold / 1e9)
-                    trace_complete(
-                        "mp.merge.hold", "stall", t0, hold,
-                        order=done, reason=REASON_MERGE,
-                    )
                 with trace_span("mp.shm.read", cat="mp", order=done):
                     frame = pool.read_frame(
                         q.slot_of(done), plans[done].header.temporal_reference
@@ -1057,10 +1031,7 @@ class MPSliceDecoder:
 
         yield from pump()
         while q.in_flight:
-            kind, order, slices, *payload = fetch()
-            if kind == "error":
-                raise payload[0]
-            done, rows = payload
+            order, slices, done, rows = fetch()
             if counters is not None:
                 counters.add(done)
             if rows:
@@ -1071,93 +1042,6 @@ class MPSliceDecoder:
             raise RuntimeError(
                 "picture/slice queue stuck with incomplete pictures"
             )
-
-    # ------------------------------------------------------------------
-    # workers=0: same scheduler, tasks run where they are submitted
-    # ------------------------------------------------------------------
-    def _iter_frames_inprocess(
-        self, counters: WorkCounters | None
-    ) -> Iterator[Frame]:
-        self.last_pool_bytes = 0
-        pool = LocalFramePool(self.layout, frame_window(self.plans, 0))
-        results: deque = deque()
-
-        def submit(batch: SliceBatch) -> None:
-            results.append(
-                ("batch", batch.order, len(batch.sidxs))
-                + decode_batch_into_pool(
-                    self.data, self.plans[batch.order], batch, self.seq,
-                    self.index.mb_width, self.index.mb_height,
-                    pool, self.resilient,
-                )
-            )
-
-        yield from self._schedule(counters, pool, submit, results.popleft)
-
-    # ------------------------------------------------------------------
-    # workers>=1: persistent process pool on shared memory
-    # ------------------------------------------------------------------
-    def _iter_frames_mp(
-        self, counters: WorkCounters | None
-    ) -> Iterator[Frame]:
-        ctx = multiprocessing.get_context(self.start_method)
-        pool = SharedFramePool(
-            self.layout, slots=frame_window(self.plans, self.workers)
-        )
-        arena = StreamArena(self.data)
-        self.last_pool_bytes = pool.nbytes
-        stalls = self.last_stalls
-        reg = metrics()
-        depth_gauge = reg.gauge("queue.depth")
-        dispatch_msgs = reg.counter("mp.dispatch.messages")
-        trace_dir = (
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if tracing_enabled()
-            else None
-        )
-        # The spawn / liveness-wait / sentinel / reap lifecycle is the
-        # backend's WorkerTeam; this planner keeps only the slice
-        # scheduling itself (claim/complete queue, publish, merge).
-        team = WorkerTeam(ctx, role="slice", unit="picture", loss="slice")
-
-        def submit(batch: SliceBatch) -> None:
-            team.task_q.put(batch)
-            depth_gauge.inc()
-            dispatch_msgs.inc()
-
-        def fetch() -> tuple:
-            msg = team.get_result(stalls)
-            depth_gauge.dec()
-            return msg
-
-        try:
-            shared = (
-                arena.name, arena.size, self.plans, self.seq, self.layout,
-                pool.name, self.index.mb_width, self.index.mb_height,
-                self.resilient, team.task_q, team.result_q, trace_dir,
-                self._crash_task,
-            )
-            for wid in range(self.workers):
-                team.spawn(_slice_worker_main, (wid, *shared))
-            yield from self._schedule(counters, pool, submit, fetch)
-
-            # Graceful shutdown: sentinel per worker, then collect the
-            # final observability message from each.
-            team.send_sentinels()
-            obs_left = len(team.procs)
-            while obs_left > 0:
-                msg = team.get_result(stalls)
-                if msg[0] != "obs":  # pragma: no cover - defensive
-                    continue
-                reg.merge_snapshot(msg[2])
-                stalls.merge(msg[3])
-                obs_left -= 1
-            team.join_all(10.0)
-        finally:
-            team.teardown(5.0)
-            release_segments(pool, arena)
-            if trace_dir is not None:
-                collect_trace_shards(trace_dir)
 
 
 def decode_slice_parallel(

@@ -1,88 +1,64 @@
-"""The multi-stream decode service: N sessions, one worker pool.
+"""The multi-stream decode service: N sessions, one worker team.
 
 :class:`DecodeService` multiplexes every submitted
-:class:`~repro.serve.session.StreamSession` onto one shared pool of
-persistent decode worker processes (the paper's scan/workers/display
-triangle, lifted one level: *many* scans, one worker pool, many
-display reorder buffers).
+:class:`~repro.serve.session.StreamSession` onto one shared team of
+decode workers (the paper's scan/workers/display triangle, lifted one
+level: *many* scans, one worker team, many display reorder buffers).
 
 Execution model
 ---------------
-* Each worker process owns a private task queue; the parent assigns
-  exactly one task at a time per worker, so it always knows which
-  worker holds which task — the basis for dead-worker retry and
-  per-task timeouts.
-* Tasks come from the weighted-fair
-  :class:`~repro.serve.scheduler.Scheduler`; a task is a GOP's
+* The service is one more *partition* on the process runtime of
+  :mod:`repro.exec.backend`: each session is attached to the team
+  (frame pool + bitstream arena + picture plans), its tasks — a GOP's
   reference pictures or a single B picture
-  (:class:`~repro.serve.scheduler.ServeTask`), decoded straight into
-  the session's shared-memory frame pool via
-  :func:`repro.parallel.mp_slice.decode_picture_into_pool`.
-* Robustness: result waits are chunked into
-  :data:`~repro.parallel.mp.LIVENESS_POLL_S` polls (the PR-4 liveness
-  machinery).  A worker that dies (or exceeds ``task_timeout_s``) has
-  its task requeued with the dead worker recorded in the task's
-  ``excluded`` set and a replacement worker spawned; a task that
-  exhausts ``max_task_retries`` fails *its session only*.  A stream
-  whose bytes are poison (scan failure, slice corruption in strict
-  mode, any worker-side exception) likewise fails only its own
+  (:class:`~repro.serve.scheduler.ServeTask`), from the weighted-fair
+  :class:`~repro.serve.scheduler.Scheduler` — run the
+  :func:`decode_pictures` body, and one run loop drives either
+  transport: the warm :class:`~repro.exec.backend.WorkerTeam` or, at
+  ``workers=0``, the in-process :class:`~repro.exec.backend.LocalTeam`
+  (the deterministic CI path the fuzz suite leans on).
+* The parent assigns exactly one task at a time per worker, so it
+  always knows which worker holds which task.  Robustness is a
+  *policy* over the team's liveness poll: a worker that dies (or
+  exceeds ``task_timeout_s``) is reaped and replaced one for one, and
+  its task is requeued until it has lost more than
+  ``max_task_retries`` workers, which fails *its session only*.  A
+  stream whose bytes are poison (scan failure, slice corruption in
+  strict mode, any task exception) likewise fails only its own
   session — the service never crashes and never leaks ``/dev/shm``
   segments.
+* Memory follows the live sessions: once a session is terminal and
+  none of its tasks is in flight, workers detach it and its pool and
+  arena are unlinked — a long-running service holds segments for the
+  sessions it is serving, not for those it has served.
 * Overload degradation: when a paced session misses deadlines, its
   :class:`~repro.serve.degrade.DegradeState` sheds pending B-picture
   tasks first, then whole unstarted GOPs, recorded under the
   ``degrade.*`` stall reasons and counters.
-
-``workers=0`` runs the identical scheduler/merge/degrade pipeline
-in-process on :class:`~repro.parallel.mp.LocalFramePool` buffers (no
-processes, no shared memory) — the deterministic CI path the fuzz
-suite leans on.
 """
 
 from __future__ import annotations
 
-import glob
-import json
-import multiprocessing
 import os
-import queue as queue_mod
-import shutil
-import tempfile
 import threading
 import time
 from typing import Callable
 
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import DecodeError
 from repro.mpeg2.frame import Frame
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.metrics import metrics, reset_metrics
+from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.slo import SLOPolicy
 from repro.obs.stalls import (
     REASON_ADMISSION,
     REASON_DEGRADE_DROP_B,
     REASON_DEGRADE_SKIP_GOP,
     REASON_DEGRADE_SWITCH_RUNG,
-    REASON_QUEUE_GET,
     StallTable,
 )
-from repro.obs.trace import (
-    enable_tracing,
-    get_tracer,
-    trace_complete,
-    trace_span,
-    tracing_enabled,
-)
-from repro.exec.backend import (
-    LIVENESS_POLL_S,
-    close_queues,
-    collect_trace_shards,
-    reap_processes,
-    release_segments,
-    timed_queue_get,
-)
-from repro.exec.shm import LocalFramePool, SharedFramePool, StreamArena
-from repro.parallel.mp_slice import decode_picture_into_pool
+from repro.obs.trace import trace_complete, trace_span
+from repro.exec.backend import TaskContext, get_team
+from repro.parallel.mp_slice import decode_picture_into_pool, picture_state
 from repro.serve.degrade import (
     ACTION_DROP_B,
     ACTION_SKIP_GOP,
@@ -97,168 +73,44 @@ from repro.serve.scheduler import (
 )
 from repro.serve.session import SessionStatus, StreamSession
 
-#: Exit code the fault-injection hook uses (mirrors the mp decoders).
-_CRASH_EXIT = 23
-
-#: How long the shutdown path waits for each worker's final
-#: observability message before giving up and terminating it.
-_SHUTDOWN_GRACE_S = 5.0
+#: How long an idle dynamic service sleeps between control-plane polls.
+_IDLE_POLL_S = 0.002
 
 
-def _exc_payload(exc: BaseException) -> tuple[str, str]:
-    return type(exc).__name__, str(exc)
+def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters:
+    """Task body: decode whole pictures into the session's frame pool.
 
-
-# ======================================================================
-# worker side
-# ======================================================================
-def _write_metrics_shard(path: str) -> None:
-    """Persist this process's metrics snapshot (atomic replace).
-
-    Mirrors the trace-shard protocol: workers overwrite their own
-    ``metrics-<pid>.json`` after every task, so whatever a worker had
-    recorded survives even if it is later killed mid-task; the parent
-    merges all shards at shutdown (``os.replace`` keeps a concurrent
-    kill from ever exposing a torn file).
+    Runs in a worker (or in the parent at ``workers=0``) and records
+    the ``serve.worker.*`` metrics there, so report consumers see one
+    vocabulary regardless of ``workers``.  Returns the pictures' summed
+    work counters; whatever it raises fails the session, not the
+    worker.
     """
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(metrics().snapshot(), fh)
-    os.replace(tmp, path)
-
-
-def _serve_worker_main(
-    wid: int,
-    meta: dict,
-    task_q,
-    result_q,
-    trace_dir: str | None,
-    obs_dir: str | None,
-    crash_task: tuple | None,
-    hang_task: tuple | None,
-) -> None:
-    """Worker body: loop ``(session, task)`` assignments until sentinel.
-
-    ``meta`` maps session id -> the immutable decode context (picture
-    plans, sequence header, frame-pool + bitstream-arena names).  The
-    coded bytes live in per-session
-    :class:`~repro.parallel.mp.StreamArena` segments published once by
-    the parent — workers attach and parse in place, so the bitstream
-    never rides the ``fork``/pickle path per worker.  Results are tiny
-    ``(kind, wid, sid, key, payload...)`` tuples — pixels never cross
-    the process boundary; they land in the session's shared pool.
-    """
-    name = f"serve-worker-{wid}"
-    pid = os.getpid()
-    # Under fork the child inherits the parent's already-populated
-    # registry; counting from zero keeps shard merges from double-
-    # counting the parent's totals.
-    reset_metrics()
-    metrics_shard = (
-        os.path.join(obs_dir, f"metrics-{pid}.json")
-        if obs_dir is not None
-        else None
-    )
-    shard = (
-        os.path.join(trace_dir, f"shard-{pid}.jsonl")
-        if trace_dir is not None
-        else None
-    )
-    if trace_dir is not None:
-        enable_tracing(process_name=name)
-        tracer = get_tracer()
-        if tracer is not None:
-            tracer.instant("serve.worker.start", cat="serve")
-            tracer.write_shard(shard)
-    pools = {
-        sid: SharedFramePool(m["layout"], slots=0, name=m["pool_name"])
-        for sid, m in meta.items()
-    }
-    arenas = {
-        sid: StreamArena(name=m["arena_name"], size=m["arena_size"])
-        for sid, m in meta.items()
-    }
-    stalls = StallTable()
-    last_end = time.monotonic_ns()
+    state = ctx.state
+    counters = WorkCounters()
+    reg = metrics()
+    t0 = time.perf_counter()
     try:
-        while True:
-            msg = task_q.get()
-            if msg is None:
-                break
-            if msg[0] == "__meta__":
-                # Dynamic admission: attach the new session's segments.
-                _, new_sid, m = msg
-                meta[new_sid] = m
-                pools[new_sid] = SharedFramePool(
-                    m["layout"], slots=0, name=m["pool_name"]
+        with trace_span(
+            "serve.task", cat="serve",
+            session=ctx.sid, key=str(key), pictures=len(orders),
+        ):
+            for order in orders:
+                decode_picture_into_pool(
+                    ctx.data, state["plans"][order], state["seq"],
+                    state["mb_width"], state["mb_height"], ctx.pool,
+                    state["resilient"], counters,
                 )
-                arenas[new_sid] = StreamArena(
-                    name=m["arena_name"], size=m["arena_size"]
-                )
-                continue
-            sid, key, orders = msg
-            now = time.monotonic_ns()
-            if now > last_end:
-                stalls.record(name, REASON_QUEUE_GET, (now - last_end) / 1e9)
-            if crash_task is not None and crash_task == (wid, sid, key):
-                # Fault injection (tests only): die the way an OOM kill
-                # would — no result, no cleanup, nonzero exit code.
-                # Keyed on (wid, sid, key) so the replacement worker that
-                # retries the task does NOT crash again.
-                os._exit(_CRASH_EXIT)
-            if hang_task is not None and hang_task == (wid, sid, key):
-                # Fault injection (tests only): wedge forever — the
-                # per-task timeout must reap us.
-                while True:  # pragma: no cover - killed by the parent
-                    time.sleep(60.0)
-            m = meta[sid]
-            counters = WorkCounters()
-            task_t0 = time.perf_counter()
-            try:
-                with trace_span(
-                    "serve.task", cat="serve",
-                    session=sid, key=str(key), pictures=len(orders),
-                ):
-                    for order in orders:
-                        decode_picture_into_pool(
-                            arenas[sid].view,
-                            m["plans"][order],
-                            m["seq"],
-                            m["mb_width"],
-                            m["mb_height"],
-                            pools[sid],
-                            m["resilient"],
-                            counters,
-                        )
-                metrics().counter("serve.worker.pictures").inc(len(orders))
-                result_q.put(("ok", wid, sid, key, counters))
-            except BaseException as exc:  # containment: report, carry on
-                cls, msg_text = _exc_payload(exc)
-                metrics().counter("serve.worker.task_errors").inc()
-                result_q.put(("err", wid, sid, key, cls, msg_text))
-            metrics().counter("serve.worker.tasks").inc()
-            metrics().histogram("serve.worker.task_ms").observe(
-                (time.perf_counter() - task_t0) * 1e3
-            )
-            if metrics_shard is not None:
-                _write_metrics_shard(metrics_shard)
-            tracer = get_tracer()
-            if tracer is not None and shard is not None:
-                tracer.write_shard(shard)
-            last_end = time.monotonic_ns()
-        result_q.put(("obs", wid, None, stalls.snapshot()))
-        if metrics_shard is not None:
-            _write_metrics_shard(metrics_shard)
-        tracer = get_tracer()
-        if tracer is not None and shard is not None:
-            tracer.instant("serve.worker.stop", cat="serve")
-            tracer.write_shard(shard)
+    except Exception:
+        reg.counter("serve.worker.task_errors").inc()
+        raise
     finally:
-        for seg in list(pools.values()) + list(arenas.values()):
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
+        reg.counter("serve.worker.tasks").inc()
+        reg.histogram("serve.worker.task_ms").observe(
+            (time.perf_counter() - t0) * 1e3
+        )
+    reg.counter("serve.worker.pictures").inc(len(orders))
+    return counters
 
 
 # ======================================================================
@@ -368,8 +220,9 @@ class DecodeService:
         self.flight = FlightRecorder()
         self.flight_dir = flight_dir
         self.flight_dumps: list[str] = []
-        #: Per-worker metrics snapshots merged at shutdown
-        #: (``[{"pid": ..., "metrics": ...}]``); empty for workers=0.
+        #: What each worker shipped with its results over the run
+        #: (``[{"pid": ..., "metrics": ...}]``, already folded into the
+        #: parent registry); empty for workers=0.
         self.last_worker_metrics: list[dict] = []
         self._crash_task = _crash_task
         self._hang_task = _hang_task
@@ -382,10 +235,13 @@ class DecodeService:
         self.sessions: dict[str, StreamSession] = {}
         self._sinks: dict[str, Callable[[int, Frame | None], None]] = {}
         self._tasks_by_key: dict[tuple[str, tuple], ServeTask] = {}
-        #: (session, task key) -> worker ids that died/timed out on it.
+        #: (session, task key) -> ids of the workers lost on it (died or
+        #: timed out); its size is the loss count ``max_task_retries``
+        #: bounds.
         self.excluded: dict[tuple[str, tuple], set[int]] = {}
         self.last_stalls = StallTable()
         self.last_wall_seconds = 0.0
+        #: High-water mark of live shared frame-pool bytes.
         self.last_pool_bytes = 0
         self._ran = False
         # -- dynamic-serving control plane (run_forever) ---------------
@@ -398,10 +254,10 @@ class DecodeService:
         self._drain = False
         self._dynamic = False
         self._stopping = False
-        #: Set by the active runner: creates the frame pool (and, for
-        #: the mp path, arena + worker meta broadcast) for a session
-        #: admitted mid-run.
-        self._add_pool: Callable[[str], None] | None = None
+        #: The team of the active run (``None`` outside one) and the
+        #: frame pools of the sessions attached to it.
+        self._team = None
+        self._pools: dict = {}
 
     # ------------------------------------------------------------------
     # submission / admission
@@ -487,7 +343,7 @@ class DecodeService:
         if name in self.sessions:
             raise ValueError(f"duplicate session name {name!r}")
         if name.startswith("__"):
-            # "__meta__"-style names are worker-protocol control tags.
+            # Dunder names are reserved for runtime-internal sessions.
             raise ValueError(f"reserved session name {name!r}")
         resilient = self.resilient if resilient is None else resilient
         try:
@@ -639,7 +495,7 @@ class DecodeService:
                     on_frame=on_frame, start_gop=start_gop, rungs=rungs,
                 )
                 if not sess.terminal:
-                    self._add_pool(sess.name)
+                    self._attach(sess.name)
                 box["session"] = sess
             except BaseException as exc:
                 box["session"] = exc
@@ -677,7 +533,7 @@ class DecodeService:
         return not self._nonterminal()
 
     # ------------------------------------------------------------------
-    # shared result handling (mp and in-process paths)
+    # result handling
     # ------------------------------------------------------------------
     def _emit(self, sess: StreamSession, ready: list[tuple[int, bool]], pool) -> None:
         """Emit a display-ordered run: pace, degrade, sink."""
@@ -794,7 +650,7 @@ class DecodeService:
         no ladder, no clean cut exists, or the service cannot admit
         the continuation.
         """
-        if not sess.rungs or self._add_pool is None:
+        if not sess.rungs or self._team is None:
             return
         cut, dropped = self.scheduler.truncate_from_gop(sess.name)
         if cut is None or not dropped:
@@ -819,7 +675,7 @@ class DecodeService:
             for t in reversed(dropped):
                 self.scheduler._lanes[sess.name].pending.insert(0, t)
             return
-        self._add_pool(cont_name)
+        self._attach(cont_name)
         sess.continuation = cont_name
         orders = tuple(o for t in dropped for o in t.orders)
         sess.switched_orders.update(orders)
@@ -889,12 +745,6 @@ class DecodeService:
         self._emit(sess, ready, self._pools[sid])
         self._session_maybe_done(sid)
 
-    def _handle_err(self, sid: str, key: tuple, cls: str, message: str) -> None:
-        sess = self.sessions[sid]
-        if sess.terminal:
-            return
-        self._fail_session(sid, {"type": cls, "message": message})
-
     def _nonterminal(self) -> list[str]:
         return [
             sid for sid, s in self.sessions.items() if not s.terminal
@@ -927,18 +777,7 @@ class DecodeService:
         aggregates).  Never raises for per-stream failures; only for
         service-level programming errors.
         """
-        if self._ran:
-            raise RuntimeError("DecodeService.run() may only be called once")
-        self._ran = True
-        t_run = time.perf_counter()
-        try:
-            if self.workers == 0:
-                self._run_inprocess()
-            else:
-                self._run_mp()
-        finally:
-            self.last_wall_seconds = time.perf_counter() - t_run
-        return self.report()
+        return self._run(dynamic=False)
 
     def run_forever(self) -> dict:
         """Serve dynamically-submitted sessions until :meth:`shutdown`.
@@ -950,408 +789,158 @@ class DecodeService:
         Sessions submitted with plain :meth:`submit` *before* this call
         are served too.  Returns the service report.
         """
+        return self._run(dynamic=True)
+
+    def _run(self, dynamic: bool) -> dict:
         if self._ran:
             raise RuntimeError("DecodeService may only be run once")
         self._ran = True
-        self._dynamic = True
+        self._dynamic = dynamic
         t_run = time.perf_counter()
         try:
-            if self.workers == 0:
-                self._run_inprocess()
-            else:
-                self._run_mp()
+            # A static run with nothing decodable admitted settles
+            # without a team (a dynamic service starts empty on purpose).
+            if dynamic or self._nonterminal():
+                self._serve()
         finally:
             self.last_wall_seconds = time.perf_counter() - t_run
             self._drain_control()
         return self.report()
 
-    # -- in-process ----------------------------------------------------
-    def _run_inprocess(self) -> None:
-        self._pools = {}
-        for sid in self._nonterminal():
-            sess = self.sessions[sid]
-            if sess.status is SessionStatus.REJECTED:
-                continue
-            self._pools[sid] = LocalFramePool(
-                sess.layout, slots=sess.picture_count
-            )
+    def _attach(self, sid: str) -> None:
+        """Publish a session to the team: frame pool, bitstream arena
+        (once per session) and the immutable decode context."""
+        sess = self.sessions[sid]
+        self._pools[sid] = self._team.attach(
+            sid, decode_pictures, sess.data, sess.layout, sess.picture_count,
+            picture_state(sess.plans, sess.index, sess.resilient),
+        )
+        if self.workers:
+            live = sum(pool.nbytes for pool in self._pools.values())
+            self.last_pool_bytes = max(self.last_pool_bytes, live)
 
-        def add_session(sid: str) -> None:
-            sess = self.sessions[sid]
-            self._pools[sid] = LocalFramePool(
-                sess.layout, slots=sess.picture_count
-            )
+    def _release_settled(self) -> None:
+        """Give finished sessions' memory back: once a session is
+        terminal and none of its tasks is in flight, workers detach it
+        and its segments are unlinked (a result that still arrives for
+        it is dropped by the team)."""
+        for sid in [s for s in self._pools if self.sessions[s].terminal]:
+            if not self._team.in_flight(sid):
+                del self._pools[sid]
+                self._team.detach(sid)
 
-        self._add_pool = add_session
-        self.last_pool_bytes = 0
-        while True:
-            self._apply_control()
-            if self._should_exit():
-                break
+    def _dispatch(self) -> None:
+        """One task to every idle worker, lowest worker id first."""
+        for wid in self._team.free():
             task = self.scheduler.next_task()
             if task is None:
-                before = set(self._nonterminal())
-                self._strand_check()
-                if set(self._nonterminal()) != before:
-                    continue
-                if self._dynamic and not self._stopping:
-                    # Idle dynamic service: wait for intake/cancel.
-                    time.sleep(0.001)
-                    continue
-                break  # only queued-forever/rejected remain
-            sid = task.session
-            sess = self.sessions[sid]
-            counters = WorkCounters()
-            task_t0 = time.perf_counter()
-            try:
-                for order in task.orders:
-                    decode_picture_into_pool(
-                        sess.data,
-                        sess.plans[order],
-                        sess.seq,
-                        sess.index.mb_width,
-                        sess.index.mb_height,
-                        self._pools[sid],
-                        sess.resilient,
-                        counters,
-                    )
-            except Exception as exc:
-                # No scheduler.complete(): _fail_session retires the
-                # whole lane, in-flight task included.
-                metrics().counter("serve.worker.task_errors").inc()
-                self._handle_err(sid, task.key, *(_exc_payload(exc)))
-                continue
-            finally:
-                # Same worker-metric names as the mp path (the parent
-                # stands in for the worker), so report consumers see
-                # one vocabulary regardless of ``workers``.
-                metrics().counter("serve.worker.tasks").inc()
-                metrics().histogram("serve.worker.task_ms").observe(
-                    (time.perf_counter() - task_t0) * 1e3
+                return
+            # Test hooks, keyed on (wid, sid, key) so the replacement
+            # worker that retries the task does NOT fail again.
+            ident = (wid, task.session, task.key)
+            fault = (
+                "crash" if ident == self._crash_task
+                else "hang" if ident == self._hang_task
+                else None
+            )
+            metrics().gauge("serve.inflight").inc()
+            self._team.submit(wid, task.session, task.key, task.orders, fault)
+
+    def _on_timeout(self) -> bool:
+        """Liveness check between result polls: the serve *policy* for
+        a dead or hung worker.  Its task is requeued (or, past the
+        retry budget, fails its session only) and the team gets one
+        replacement per loss; a truthy return abandons the wait so the
+        loop can re-dispatch — also when nothing is in flight."""
+        lost = self._team.find_lost(self.task_timeout_s)
+        if lost is None:
+            return not self._team.in_flight()
+        wid, why = lost
+        held = self._team.lose(wid)
+        metrics().counter(f"serve.worker.{why}").inc()
+        for sid, key in held:
+            metrics().gauge("serve.inflight").dec()
+            self.flight.record(
+                sid, "worker.lost", wid=wid, why=why, key=str(key)
+            )
+            excl = self.excluded.setdefault((sid, key), set())
+            excl.add(wid)
+            if self.sessions[sid].terminal:
+                continue  # moot: session already settled
+            if len(excl) > self.max_task_retries:
+                self._fail_session(
+                    sid,
+                    {
+                        "type": "DecodeError",
+                        "message": (
+                            f"task {key} lost {len(excl)} workers "
+                            f"({why}); retry budget exhausted"
+                        ),
+                    },
                 )
-            metrics().counter("serve.worker.pictures").inc(len(task.orders))
-            self._handle_ok(sid, task.key, counters)
+            else:
+                metrics().counter("serve.task.retries").inc()
+                self.scheduler.requeue(self._tasks_by_key[(sid, key)])
+        self._team.spawn()
+        return True
 
-    # -- real processes ------------------------------------------------
-    def _spawn_worker(
-        self, ctx, wid: int, meta: dict, result_q, trace_dir, obs_dir
-    ):
-        task_q = ctx.Queue()
-        proc = ctx.Process(
-            target=_serve_worker_main,
-            args=(
-                wid, meta, task_q, result_q, trace_dir, obs_dir,
-                self._crash_task, self._hang_task,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        return {"proc": proc, "task_q": task_q, "wid": wid}
-
-    def _collect_metric_shards(self, obs_dir: str) -> None:
-        """Merge per-pid worker metric shards into the parent registry.
-
-        Runs after every worker has been joined, so each shard is that
-        worker's final state.  Shards from workers killed mid-write
-        cannot occur (atomic replace), but unreadable files are skipped
-        rather than failing teardown.  The per-pid snapshots are kept
-        on :attr:`last_worker_metrics` so callers (and the regression
-        test) can check parent totals == sum of worker totals.
-        """
-        for path in sorted(glob.glob(os.path.join(obs_dir, "metrics-*.json"))):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    snap = json.load(fh)
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                continue
-            pid_text = os.path.basename(path)[len("metrics-"):-len(".json")]
-            self.last_worker_metrics.append(
-                {"pid": int(pid_text), "metrics": snap}
-            )
-            metrics().merge_snapshot(snap)
-
-    def _run_mp(self) -> None:
-        ctx = multiprocessing.get_context(self.start_method)
-        # A dynamic service may fork its workers before any shared
-        # memory exists.  A child forked with no inherited resource
-        # tracker lazily starts its *own* on attach, and that tracker
-        # "cleans up" the still-live segment when the worker exits —
-        # unlinking it out from under the parent.  Starting the
-        # parent's tracker first makes every child inherit it, so
-        # segments are unlinked exactly once, by their owner.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        trace_dir = (
-            tempfile.mkdtemp(prefix="repro-trace-")
-            if tracing_enabled()
-            else None
-        )
-        # Worker metric shards (unconditional — unlike tracing, the
-        # metrics registry is always on and recording is cheap).
-        obs_dir = tempfile.mkdtemp(prefix="repro-serve-obs-")
-        # Frame pools, bitstream arenas (published once per session) +
-        # the immutable worker-side decode context for every admitted
-        # (active or queued) session.
-        self._pools = {}
-        self._arenas: dict[str, StreamArena] = {}
-        meta: dict[str, dict] = {}
-        for sid in self._nonterminal():
-            sess = self.sessions[sid]
-            if sess.status is SessionStatus.REJECTED:
-                continue
-            pool = SharedFramePool(sess.layout, slots=sess.picture_count)
-            arena = StreamArena(sess.data)
-            self._pools[sid] = pool
-            self._arenas[sid] = arena
-            meta[sid] = {
-                "arena_name": arena.name,
-                "arena_size": arena.size,
-                "plans": sess.plans,
-                "seq": sess.seq,
-                "layout": sess.layout,
-                "pool_name": pool.name,
-                "mb_width": sess.index.mb_width,
-                "mb_height": sess.index.mb_height,
-                "resilient": sess.resilient,
-            }
-        self.last_pool_bytes = sum(p.nbytes for p in self._pools.values())
-        if not meta and not self._dynamic:
-            # Nothing decodable was admitted; settle and bail.  (A
-            # dynamic service starts empty on purpose and waits.)
-            release_segments(
-                *self._pools.values(), *self._arenas.values()
-            )
-            shutil.rmtree(obs_dir, ignore_errors=True)
-            return
-
-        result_q = ctx.Queue()
-        workers: dict[int, dict] = {}
-        dead_queues: list = []
-        #: wid -> (task, assigned_monotonic)
-        assignment: dict[int, tuple[ServeTask, float]] = {}
-        next_wid = 0
-        for _ in range(self.workers):
-            workers[next_wid] = self._spawn_worker(
-                ctx, next_wid, meta, result_q, trace_dir, obs_dir
-            )
-            next_wid += 1
-
-        def add_session(sid: str) -> None:
-            # Mid-run admission: publish the session's segments, then
-            # broadcast the decode context to every live worker (late
-            # replacements get it via the mutated ``meta`` at spawn).
-            sess = self.sessions[sid]
-            pool = SharedFramePool(sess.layout, slots=sess.picture_count)
-            arena = StreamArena(sess.data)
-            self._pools[sid] = pool
-            self._arenas[sid] = arena
-            m = {
-                "arena_name": arena.name,
-                "arena_size": arena.size,
-                "plans": sess.plans,
-                "seq": sess.seq,
-                "layout": sess.layout,
-                "pool_name": pool.name,
-                "mb_width": sess.index.mb_width,
-                "mb_height": sess.index.mb_height,
-                "resilient": sess.resilient,
-            }
-            meta[sid] = m
-            self.last_pool_bytes += pool.nbytes
-            for entry in workers.values():
-                try:
-                    entry["task_q"].put(("__meta__", sid, m))
-                except (OSError, ValueError):  # pragma: no cover
-                    pass  # dying worker; its replacement gets full meta
-
-        self._add_pool = add_session
-
-        depth_gauge = metrics().gauge("serve.inflight")
-
-        def dispatch() -> None:
-            idle = [w for w in workers if w not in assignment]
-            for wid in idle:
-                task = self.scheduler.next_task()
-                if task is None:
-                    return
-                excluded = self.excluded.get((task.session, task.key), set())
-                target = wid
-                if wid in excluded:
-                    # Prefer a non-excluded idle worker; requeue and
-                    # stop if none (a replacement will pick it up).
-                    others = [
-                        w for w in workers
-                        if w not in assignment and w not in excluded
-                        and w != wid
-                    ]
-                    if not others:
-                        self.scheduler.requeue(task)
-                        return
-                    target = others[0]
-                assignment[target] = (task, time.monotonic())
-                depth_gauge.inc()
-                workers[target]["task_q"].put(
-                    (task.session, task.key, task.orders)
-                )
-
-        def handle_worker_loss(wid: int, why: str) -> None:
-            nonlocal next_wid
-            entry = workers.pop(wid)
-            reap_processes([entry["proc"]], _SHUTDOWN_GRACE_S)
-            dead_queues.append(entry["task_q"])
-            held = assignment.pop(wid, None)
-            metrics().counter(f"serve.worker.{why}").inc()
-            if held is not None:
-                self.flight.record(
-                    held[0].session, "worker.lost", wid=wid, why=why,
-                    key=str(held[0].key),
-                )
-            if held is not None:
-                depth_gauge.dec()
-                task, _t0 = held
-                sess = self.sessions[task.session]
-                excl = self.excluded.setdefault(
-                    (task.session, task.key), set()
-                )
-                excl.add(wid)
-                if sess.terminal:
-                    pass  # moot: session already settled
-                elif len(excl) > self.max_task_retries:
-                    self._fail_session(
-                        task.session,
-                        {
-                            "type": "DecodeError",
-                            "message": (
-                                f"task {task.key} lost {len(excl)} workers "
-                                f"({why}); retry budget exhausted"
-                            ),
-                        },
-                    )
-                else:
-                    metrics().counter("serve.task.retries").inc()
-                    self.scheduler.requeue(task)
-            # Keep the pool at strength: one replacement per loss.
-            workers[next_wid] = self._spawn_worker(
-                ctx, next_wid, meta, result_q, trace_dir, obs_dir
-            )
-            next_wid += 1
-
-        def on_timeout() -> bool:
-            """Liveness check between polls: handle a dead or hung
-            worker (truthy return abandons the wait so the caller can
-            re-dispatch), or bail out when nothing is in flight."""
-            now = time.monotonic()
-            for wid in list(workers):
-                proc = workers[wid]["proc"]
-                if proc.exitcode is not None:
-                    handle_worker_loss(wid, "died")
-                    return True
-                held = assignment.get(wid)
-                if (
-                    held is not None
-                    and now - held[1] > self.task_timeout_s
-                ):
-                    handle_worker_loss(wid, "timeout")
-                    return True
-            return not assignment  # nothing in flight; let caller act
-
-        def wait_result():
-            """Liveness-polled result wait; returns None on a handled
-            death/timeout (caller re-dispatches and loops)."""
-            return timed_queue_get(
-                result_q,
-                on_timeout=on_timeout,
-                stalls=self.last_stalls,
-                who="serve",
-                span="serve.result.wait",
-            )
-
+    def _serve(self) -> None:
+        """The run loop — one for worker processes and ``workers=0``."""
+        team = self._team = get_team(self.workers, self.start_method)
+        shipped: dict[int, MetricsRegistry] = {}
         try:
-            dispatch()
+            # Every admitted (active or queued) session is attached.
+            for sid in self._nonterminal():
+                self._attach(sid)
             while True:
                 self._apply_control()
+                self._release_settled()
                 if self._should_exit():
                     break
-                if not self._nonterminal():
-                    # Dynamic service with no sessions yet: idle-wait.
-                    time.sleep(0.002)
-                    continue
-                if not assignment:
-                    dispatch()
-                    if not assignment:
-                        before = set(self._nonterminal())
-                        self._strand_check()
-                        if set(self._nonterminal()) != before:
-                            continue
-                        if self._dynamic and not self._stopping:
-                            time.sleep(0.002)
-                            continue
-                        break
-                result = wait_result()
+                self._dispatch()
+                if not team.in_flight():
+                    before = set(self._nonterminal())
+                    self._strand_check()
+                    if set(self._nonterminal()) != before:
+                        continue
+                    if self._dynamic and not self._stopping:
+                        # Idle dynamic service: wait for intake/cancel.
+                        time.sleep(_IDLE_POLL_S)
+                        continue
+                    break  # only queued-forever/rejected remain
+                result = team.fetch(
+                    self.last_stalls, self._on_timeout,
+                    who="serve", span="serve.result.wait",
+                )
                 if result is None:
-                    dispatch()
-                    continue
-                kind = result[0]
-                if kind == "obs":  # pragma: no cover - shutdown only
-                    continue
-                _, wid, sid, key = result[:4]
-                if wid in assignment:
-                    held_task, _ = assignment[wid]
-                    if held_task.key == key and held_task.session == sid:
-                        del assignment[wid]
-                        depth_gauge.dec()
+                    continue  # a handled loss: re-dispatch
+                kind, wid, sid, key, payload, snap = result
+                metrics().gauge("serve.inflight").dec()
+                if snap is not None:
+                    pid = team.pid(wid)
+                    if pid not in shipped:
+                        shipped[pid] = MetricsRegistry()
+                    shipped[pid].merge_snapshot(snap)
                 if kind == "ok":
-                    self._handle_ok(sid, key, result[4])
+                    self._handle_ok(sid, key, payload)
                 else:
-                    self._handle_err(sid, key, result[4], result[5])
-                dispatch()
+                    # No scheduler.complete(): _fail_session retires
+                    # the whole lane, in-flight task included.
+                    self._fail_session(sid, payload)
         finally:
-            # Graceful shutdown: sentinel every live worker, collect
-            # their observability snapshots, then reap everything.
-            for wid, entry in list(workers.items()):
-                if entry["proc"].is_alive():
-                    try:
-                        entry["task_q"].put(None)
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-            deadline = time.monotonic() + _SHUTDOWN_GRACE_S
-            obs_expected = sum(
-                1 for e in workers.values() if e["proc"].is_alive()
-            )
-            while obs_expected > 0 and time.monotonic() < deadline:
-                try:
-                    result = result_q.get(timeout=LIVENESS_POLL_S)
-                except queue_mod.Empty:
-                    if not any(
-                        e["proc"].is_alive() for e in workers.values()
-                    ):
-                        break
-                    continue
-                if result[0] == "obs":
-                    if result[3] is not None:
-                        self.last_stalls.merge(result[3])
-                    obs_expected -= 1
-            for entry in workers.values():
-                entry["proc"].join(timeout=_SHUTDOWN_GRACE_S)
-            reap_processes(
-                [e["proc"] for e in workers.values()], _SHUTDOWN_GRACE_S
-            )
-            close_queues(
-                *[e["task_q"] for e in workers.values()],
-                *dead_queues,
-                result_q,
-            )
-            release_segments(
-                *self._pools.values(), *self._arenas.values()
-            )
-            # Workers are joined: merge their final metric shards (the
-            # cross-process gap fix — worker counters now reach the
-            # parent registry), then the shards are gone.
-            self._collect_metric_shards(obs_dir)
-            shutil.rmtree(obs_dir, ignore_errors=True)
-            if trace_dir is not None:
-                collect_trace_shards(trace_dir)
+            # Whatever is still attached goes now; a whole, idle team
+            # stays warm for the next run and any other is shut down
+            # (sentinels, final obs, reap, queue close) by release(),
+            # which also merges the workers' trace shards.
+            for sid in list(self._pools):
+                team.detach(sid)
+            self._pools.clear()
+            team.release()
+            self._team = None
+            self.last_worker_metrics = [
+                {"pid": pid, "metrics": reg.snapshot()}
+                for pid, reg in sorted(shipped.items())
+            ]
 
     # ------------------------------------------------------------------
     def stall_breakdown(self) -> dict[str, float]:

@@ -22,7 +22,7 @@ from typing import Iterator
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.index import build_index, sequence_prefix
 from repro.obs.slo import SLOPolicy, SLOTracker
-from repro.parallel.mp import FrameLayout
+from repro.exec.shm import FrameLayout
 from repro.parallel.mp_slice import DisplayMerger, PicturePlan, scan_slice_tasks
 from repro.parallel.pacing import WallClockPacer
 from repro.serve.degrade import DegradePolicy, DegradeState

@@ -1,0 +1,208 @@
+"""The one worker main, driven in this process on plain ``queue.Queue``s.
+
+No fork: :func:`repro.exec.backend.worker_main` is fed the wire
+protocol by hand — attach, one task of each of the three kinds (GOP
+chunk, slice batch, serve picture list), a task that raises, detach,
+sentinel — and the test reads what it put on the result queue.  Pins the
+``ok`` / ``err`` / ``obs`` message shapes, that an error never ends the
+loop, and that the metrics shipped with the results add up to exactly
+what the task bodies recorded (nothing lost, nothing counted twice).
+
+The structural test at the bottom pins the point of the runtime:
+``src/repro`` creates processes in one place, with one target.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import re
+
+import pytest
+
+from repro.exec.backend import (
+    GopResult,
+    decode_gop_chunk,
+    scan_gop_tasks,
+    worker_main,
+)
+from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
+from repro.mpeg2.counters import WorkCounters
+from repro.mpeg2.decoder import DecodeError
+from repro.mpeg2.index import sequence_prefix
+from repro.obs.metrics import MetricsRegistry, metrics, reset_metrics
+from repro.obs.trace import disable_tracing
+from repro.parallel.mp_slice import (
+    SliceBatch,
+    decode_batch,
+    picture_state,
+    scan_slice_tasks,
+)
+from repro.serve.service import decode_pictures
+
+VECTOR = "two_gop_48x32"
+WID = 7
+
+
+@pytest.fixture(autouse=True)
+def _clean_observability():
+    # worker_main owns the registry and the tracer of "its" process.
+    yield
+    disable_tracing()
+    reset_metrics()
+
+
+@pytest.fixture
+def stream(golden):
+    """Shared segments for one stream + helpers to talk to the worker."""
+    data, index = golden.data(VECTOR), golden.index(VECTOR)
+    seq = index.sequence_header
+    layout = FrameLayout.for_display(seq.width, seq.height)
+    pool = SharedFramePool(layout, slots=index.picture_count)
+    arena = StreamArena(data)
+
+    def attach(sid, body, state):
+        return (
+            "attach", sid, body, arena.name, arena.size, pool.name,
+            layout, state, None,
+        )
+
+    try:
+        yield data, index, pool, attach
+    finally:
+        for seg in (pool, arena):
+            seg.close()
+            seg.unlink()
+
+
+def drive(messages: list) -> list[tuple]:
+    task_q: queue.Queue = queue.Queue()
+    result_q: queue.Queue = queue.Queue()
+    for msg in (*messages, None):
+        task_q.put(msg)
+    worker_main(WID, task_q, result_q)
+    assert task_q.empty(), "the loop stopped before the sentinel"
+    out = []
+    while not result_q.empty():
+        out.append(result_q.get_nowait())
+    return out
+
+
+def test_protocol_end_to_end(golden, stream):
+    data, index, pool, attach = stream
+    frames, _ = golden.scalar(VECTOR)
+    plans = scan_slice_tasks(index)
+    pictures = picture_state(plans, index, False)
+    gop_state = {
+        "prefix": sequence_prefix(data, index),
+        "engine": "batched",
+        "resilient": False,
+    }
+    gop0 = scan_gop_tasks(index)[0]
+    intra = plans[0]  # first coded picture of a closed GOP: no refs
+    batch = SliceBatch(0, range(len(intra.slices)), 0, ())
+
+    results = drive([
+        attach("g", decode_gop_chunk, gop_state),
+        attach("s", decode_batch, pictures),
+        attach("v", decode_pictures, pictures),
+        ("task", "g", 0, (gop0,), None),
+        ("task", "s", (0, 0), batch, None),
+        ("task", "v", ("ref", 0), (0,), None),
+        ("task", "v", ("ref", 9), (len(plans),), None),   # raises
+        ("task", "v", ("ref", 0), (0,), None),            # still served
+        ("task", "nobody", 1, (), None),                  # never attached
+        ("detach", "v"),
+        ("task", "v", ("ref", 0), (0,), None),            # late, after detach
+        ("detach", "v"),                                   # unknown: ignored
+    ])
+
+    # Every message is (kind, wid, sid, key, payload, metrics, stalls).
+    assert all(len(r) == 7 and r[1] == WID for r in results)
+    assert [(r[0], r[2], r[3]) for r in results] == [
+        ("ok", "g", 0),
+        ("ok", "s", (0, 0)),
+        ("ok", "v", ("ref", 0)),
+        ("err", "v", ("ref", 9)),
+        ("ok", "v", ("ref", 0)),
+        ("err", "nobody", 1),
+        ("err", "v", ("ref", 0)),
+        ("obs", None, None),
+    ]
+    payloads = [r[4] for r in results]
+
+    # GOP chunk: metadata only comes back; the pixels are in the pool.
+    (gop_result,) = payloads[0]
+    assert isinstance(gop_result, GopResult) and gop_result.gop == 0
+    for j, ref in enumerate(gop_result.temporal_references):
+        got = pool.read_frame(gop0.slot_base + j, ref)
+        assert got.digest() == frames[j].digest()
+    # Slice batch: (order, slices, counters, corrupt rows).
+    order, slices, counters, rows = payloads[1]
+    assert (order, slices, rows) == (0, len(intra.slices), [])
+    assert isinstance(counters, WorkCounters) and counters.macroblocks > 0
+    # Serve pictures: the summed counters; same picture, same pixels.
+    assert isinstance(payloads[2], WorkCounters)
+    assert payloads[2] == counters
+    shown = pool.read_frame(0, intra.header.temporal_reference)
+    assert shown.digest() == frames[intra.display_index].digest()
+    # Errors are the exception itself, and never end the loop.
+    assert isinstance(payloads[3], IndexError)
+    assert isinstance(payloads[5], DecodeError)
+    assert "not attached" in str(payloads[5])
+    assert "not attached" in str(payloads[6])
+    assert payloads[7] is None
+
+    # Metrics ride every result and are reset after each: merged, they
+    # are exactly what the bodies recorded, and nothing stays behind.
+    total = MetricsRegistry()
+    for r in results:
+        total.merge_snapshot(r[5])
+    snap = total.snapshot()
+    assert snap["counters"]["serve.worker.tasks"] == 3
+    assert snap["counters"]["serve.worker.task_errors"] == 1
+    assert snap["counters"]["serve.worker.pictures"] == 2
+    assert snap["histograms"]["serve.worker.task_ms"]["count"] == 3
+    assert snap["histograms"]["decode.gop_ms"]["count"] == 1
+    assert snap["histograms"]["mp.worker.idle_ms"]["count"] <= 7
+    assert metrics().snapshot() == MetricsRegistry().snapshot()
+    # The idle stall that preceded a task is shipped under the worker's
+    # name with the canonical reason.
+    for r in results[:-1]:
+        assert set(r[6]) <= {f"worker-{WID}"}
+        assert all(set(cell) == {"queue.get"} for cell in r[6].values())
+
+
+def test_late_attach_is_contained(stream):
+    # The parent released the session before the worker got to its
+    # attach: the segments are gone, the worker survives, and the
+    # session's tasks come back as errors.
+    _data, _index, _pool, attach = stream
+    gone = list(attach("late", decode_pictures, {}))
+    gone[3] = gone[5] = "psm_released_long_ago"
+    results = drive([tuple(gone), ("task", "late", 1, (0,), None)])
+    assert [(r[0], r[2]) for r in results] == [("err", "late"), ("obs", None)]
+    assert isinstance(results[0][4], DecodeError)
+
+
+def test_src_has_one_process_creation_site_and_one_target():
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    creation = re.compile(
+        r"\.Process\(|\.Pool\(|os\.fork\(|ProcessPoolExecutor|subprocess\."
+    )
+    sites, targets = [], []
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, root)
+            with open(path) as fh:
+                lines = fh.readlines()
+            for n, line in enumerate(lines):
+                if creation.search(line):
+                    sites.append(rel)
+                    call = "".join(lines[n : n + 4])
+                    targets += re.findall(r"target=(\w+)", call)
+    assert sites == [os.path.join("exec", "backend.py")]
+    assert targets == ["worker_main"]

@@ -5,7 +5,7 @@ native code, operators' stray ``kill -9``.  ``multiprocessing`` loses
 the victim's task silently, so a naive parent blocks forever on a
 result that will never come.  Both mp decoders take the same defence:
 result waits are chunked into liveness polls
-(:data:`repro.parallel.mp.LIVENESS_POLL_S`) and a dead worker surfaces
+(:data:`repro.exec.backend.LIVENESS_POLL_S`) and a dead worker surfaces
 as a :class:`~repro.mpeg2.decoder.DecodeError` within a poll.
 
 These tests use the decoders' fault-injection hooks (``_crash_gop`` /
@@ -81,7 +81,7 @@ def assert_no_stray_children():
     """All worker processes were reaped (terminated + joined).
 
     Healthy persistent GOP-pool workers are exempt: they outlive
-    individual decodes by design (``get_persistent_pool``), so only
+    individual decodes by design (``repro.exec.backend.get_team``), so only
     processes outside that registry count as strays.
     """
     from repro.parallel.mp import persistent_worker_pids

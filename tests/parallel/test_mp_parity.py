@@ -27,10 +27,10 @@ from repro.parallel.mp import (
     GopResult,
     MPGopDecoder,
     SharedFramePool,
-    _merge_in_order,
     decode_parallel,
     scan_gop_tasks,
 )
+from repro.parallel.mp_slice import DisplayMerger
 from repro.video.streams import build_stream, paper_stream_matrix
 from repro.video.synthetic import SyntheticVideo
 
@@ -135,14 +135,22 @@ class TestSharedFramePool:
 
 class TestDisplayMerge:
     def test_out_of_order_completions_are_reordered(self):
-        results = [GopResult(gop=g, slot_base=0) for g in (2, 0, 3, 1)]
-        merged = list(_merge_in_order(iter(results), 4))
+        # The GOP merge runs on the shared reorder buffer.
+        merger = DisplayMerger(4)
+        merged = [
+            r
+            for g in (2, 0, 3, 1)
+            for r in merger.push(g, GopResult(gop=g, slot_base=0))
+        ]
         assert [r.gop for r in merged] == [0, 1, 2, 3]
+        merger.finish("GOP results")
 
     def test_lost_gop_raises(self):
-        results = [GopResult(gop=g, slot_base=0) for g in (0, 2)]
-        with pytest.raises(RuntimeError, match=r"\[1\]"):
-            list(_merge_in_order(iter(results), 3))
+        merger = DisplayMerger(3)
+        for g in (0, 2):
+            merger.push(g, GopResult(gop=g, slot_base=0))
+        with pytest.raises(RuntimeError, match=r"lost GOP results: \[1\]"):
+            merger.finish("GOP results")
 
 
 class TestBasicParity:

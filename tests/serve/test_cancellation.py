@@ -215,3 +215,64 @@ class TestDynamicCancellationMP:
         # No /dev/shm leakage from cancelled sessions' pools/arenas.
         assert set(_shm_segments()) <= before
         assert svc.report()["status_counts"].get("failed", 0) == 0
+
+
+class TestLongRunningServiceMemory:
+    """A service gives a session's segments back when the session ends,
+    not when the service does (the leak: five sequential sessions left
+    2, 4, 6, 8, 10 live ``/dev/shm`` entries until ``shutdown()``)."""
+
+    def test_live_segments_follow_live_sessions(self):
+        data = load("two_gop_48x32")
+        before = set(_shm_segments())
+
+        def live() -> int:
+            return len(set(_shm_segments()) - before)
+
+        def settle(target: int) -> int:
+            # The run loop releases at its next loop-safe point.
+            deadline = time.monotonic() + 10
+            while live() > target and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return live()
+
+        svc = DecodeService(workers=2, capacity=2)
+        thread = threading.Thread(target=svc.run_forever, daemon=True)
+        thread.start()
+        try:
+            one_session = None
+            for i in range(5):
+                sess = svc.submit_dynamic(f"seq{i}", data)
+                deadline = time.monotonic() + 60
+                while not sess.terminal and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert sess.status is SessionStatus.DONE
+                # Pool + arena of the finished session are gone while
+                # the service keeps running: bounded by live sessions
+                # (none), not by sessions served.
+                assert settle(0) == 0, f"after {i + 1} sessions"
+                one_session = one_session or svc.last_pool_bytes
+                assert svc.last_pool_bytes == one_session
+            # A cancelled session is released too, once its in-flight
+            # task has come back (and been discarded).
+            doomed = svc.submit_dynamic("doomed", data)
+            svc.request_cancel("doomed")
+            deadline = time.monotonic() + 60
+            while not doomed.terminal and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert doomed.terminal
+            assert settle(0) == 0
+            # And the team still serves after all that attaching and
+            # detaching.
+            fresh = svc.submit_dynamic("fresh", data)
+            deadline = time.monotonic() + 60
+            while not fresh.terminal and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert fresh.status is SessionStatus.DONE
+            assert fresh.emitted_pictures == 8
+        finally:
+            svc.shutdown()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert live() == 0
+        assert svc.report()["status_counts"].get("failed", 0) == 0

@@ -1,10 +1,12 @@
-"""Cross-process metrics: worker shards must reach the parent registry.
+"""Cross-process metrics: what workers record must reach the parent.
 
 The regression this guards: worker processes inherit the parent's
 metrics registry at fork, record into their own copy, and before PR-8
-those counts silently died with the worker.  Workers now write per-pid
-JSON shards which the parent merges after join — so the parent's
-totals must equal the sum of the workers' totals, exactly.
+those counts silently died with the worker.  Workers ship their
+metrics with every result (the wire shape itself is pinned in
+``tests/exec/test_worker_main.py``) and the service keeps the
+per-worker sums on ``last_worker_metrics`` — so the parent's totals
+must equal the sum of the workers' totals, exactly.
 """
 
 from __future__ import annotations
