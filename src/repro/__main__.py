@@ -149,14 +149,22 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             f"trick-play {mode}: {len(frames)} pictures "
             f"(display indices {lo}..{hi})"
         )
-    elif args.grain is not None or args.engine == "auto":
-        # The unified executor path: typed task graph + auto (or
+    elif (
+        args.grain is not None
+        or args.engine == "auto"
+        or args.workers is not None
+    ):
+        # The unified executor path: a live task graph + auto (or
         # pinned) grain/engine decisions over the shared backend.
+        # ``--workers N --parallel gop|slice`` is the older spelling of
+        # ``--grain gop|slice``.
         from repro.exec import TaskGraphExecutor
 
+        alias = args.grain is None and args.engine != "auto"
+        grain = args.parallel if alias else args.grain or "auto"
         ex = TaskGraphExecutor(
             data,
-            grain=args.grain or "auto",
+            grain=grain,
             engine=args.engine,
             workers=args.workers,
             mode=args.barrier,
@@ -169,43 +177,24 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             if ex.workers
             else "in-process fallback"
         )
-        print(
-            f"executor decode ({mode}, grain {args.grain or 'auto'}, "
-            f"engine {args.engine})"
-        )
-        for i, d in enumerate(ex.last_decisions):
-            print(
-                f"  plan[{i}]: grain={d.grain} engine={d.engine} "
-                f"[{d.reason}] est {d.est_cost:.3f}s "
-                f"(alt {d.alt_grain}/{d.alt_engine} {d.alt_cost:.3f}s)"
-            )
-    elif args.workers is not None:
-        mode = (
-            f"{args.workers} worker processes"
-            if args.workers
-            else "in-process fallback"
-        )
-        if args.parallel == "slice":
-            from repro.parallel.mp_slice import MPSliceDecoder
-
-            mp_decoder = MPSliceDecoder(
-                data, workers=args.workers, mode=args.barrier,
-                resilient=args.resilient,
-            )
-            frames = mp_decoder.decode_all(counters)
+        if alias and grain == "slice":
             print(
                 f"parallel decode ({mode}, slice-level, "
                 f"{args.barrier} barrier)"
             )
-        else:
-            from repro.parallel.mp import MPGopDecoder
-
-            mp_decoder = MPGopDecoder(
-                data, workers=args.workers, engine=args.engine,
-                resilient=args.resilient,
-            )
-            frames = mp_decoder.decode_all(counters)
+        elif alias:
             print(f"parallel decode ({mode}, GOP-level)")
+        else:
+            print(
+                f"executor decode ({mode}, grain {grain}, "
+                f"engine {args.engine})"
+            )
+            for i, d in enumerate(ex.last_decisions):
+                print(
+                    f"  plan[{i}]: grain={d.grain} engine={d.engine} "
+                    f"[{d.reason}] est {d.est_cost:.3f}s "
+                    f"(alt {d.alt_grain}/{d.alt_engine} {d.alt_cost:.3f}s)"
+                )
     else:
         decoder = SequenceDecoder(
             data, resilient=args.resilient, engine=args.engine
@@ -647,12 +636,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="conceal corrupt slices instead of failing")
     dec.add_argument("--workers", type=int, default=None, metavar="N",
                      help="decode on N real worker processes "
-                          "(repro.parallel.mp[_slice]; 0 = in-process "
-                          "fallback)")
+                          "(repro.exec; 0 = in-process fallback)")
     dec.add_argument("--parallel", default="gop", choices=["gop", "slice"],
                      help="parallel decomposition when --workers is "
                           "given: whole closed GOPs (Section 5.1) or "
-                          "individual slices (Section 5.2)")
+                          "individual slices (Section 5.2); an alias of "
+                          "--grain gop|slice")
     dec.add_argument("--barrier", default="improved",
                      choices=["simple", "improved"],
                      help="slice-level synchronisation: barrier after "

@@ -3,7 +3,8 @@
 ``repro.parallel.mp`` (GOP grain), ``repro.parallel.mp_slice`` (slice
 grain) and ``repro.serve`` (multi-stream) are the same
 scan/worker/display structure over different task queues.  They run on
-one process runtime and differ only in the partition they hand it:
+one process runtime under one parent loop and differ only in the plan
+and the policy they hand them:
 
 * :mod:`repro.exec.shm` — the shared-memory substrate
   (:class:`FrameLayout`, :class:`SharedFramePool`,
@@ -14,11 +15,15 @@ one process runtime and differ only in the partition they hand it:
   in-process twin, the warm-team registry (:func:`get_team`), the
   liveness-polled result wait (:data:`LIVENESS_POLL_S`), canonical
   teardown and trace-shard collection.
-* :mod:`repro.exec.graph` — typed task nodes
-  (parse / reconstruct / publish) with explicit ref-dependency edges
-  and conservation accounting.
-* :mod:`repro.exec.plan` — planners that lower a scan index into a
-  :class:`~repro.exec.graph.TaskGraph` at GOP or slice grain.
+* :mod:`repro.exec.graph` — typed task nodes with explicit dependency
+  edges: the live ready set every parent dispatches from, and the
+  conservation law that audits the run afterwards.
+* :mod:`repro.exec.plan` — the three partitions as data: GOP chunks,
+  slice batches (``simple`` / ``improved`` as edges) and the serve
+  ref/B decomposition.
+* :mod:`repro.exec.dispatch` — :class:`ParentLoop`, the one loop that
+  moves work from a graph to a team and back (the callers override its
+  policy hooks), and :class:`StreamDecoder`, one stream's lease.
 * :mod:`repro.exec.auto` — the :class:`AutoGranularity` controller:
   chooses engine + grain per stream from the bandwidth profiler's
   cost estimate and re-picks at GOP boundaries from observed obs

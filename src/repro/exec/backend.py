@@ -24,19 +24,20 @@ here (protocol tables and the design argument: DESIGN §2.10):
 * :class:`WorkerTeam` — the only spawner, poller and reaper, and the
   owner of each session's shared segments.  The parent assigns every
   task to a named worker; what a dead or timed-out worker *means* is
-  the caller's policy (:func:`fetch_or_raise` for the mp decoders,
-  requeue + :meth:`WorkerTeam.spawn` for the service).
+  the caller's policy over the one parent loop
+  (:mod:`repro.exec.dispatch`: fatal for the mp decoders, requeue +
+  :meth:`WorkerTeam.spawn` for the service).
   :class:`LocalTeam` is the same interface at ``workers=0``.
 * :func:`get_team` — the registry: a team that ends a run whole and
   idle stays warm for the next one, any other is retired.
   :func:`shutdown_persistent_pools` and :func:`persistent_worker_pids`
-  front it; :func:`team_run` is one mp decode's lease.
+  front it; one mp decode's lease is
+  :meth:`repro.exec.dispatch.StreamDecoder._run`.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -47,12 +48,12 @@ import tempfile
 import threading
 import time
 from collections import deque, namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from glob import glob
 from multiprocessing import resource_tracker
 from typing import Callable
 
+from repro.exec.plan import GopTask
 from repro.exec.shm import (
     FrameLayout,
     FramePoolBase,
@@ -655,7 +656,6 @@ class WorkerTeam:
 # ----------------------------------------------------------------------
 _TEAMS: dict[tuple[int, str | None], WorkerTeam] = {}
 _TEAMS_LOCK = threading.Lock()
-_RUN_IDS = itertools.count()
 
 
 def get_team(workers: int, start_method: str | None = None):
@@ -711,72 +711,9 @@ def persistent_worker_pids() -> set[int]:
 atexit.register(shutdown_persistent_pools)
 
 
-@contextmanager
-def team_run(
-    workers: int, start_method: str | None, body: Callable, data: bytes,
-    layout: FrameLayout, slots: int, state: dict,
-):
-    """One mp decode's lease: yields ``(team, sid, pool)``.
-
-    Leases the team, attaches the stream under a fresh run id, and on
-    exit detaches it and releases the team.  A run that aborts — a task
-    error, a dead worker, a consumer that stops iterating — retires its
-    team instead: tasks may still be running on it.
-    """
-    team = get_team(workers, start_method)
-    sid = f"run-{next(_RUN_IDS)}"
-    try:
-        yield team, sid, team.attach(sid, body, data, layout, slots, state)
-    except BaseException:
-        team.retire()
-        raise
-    finally:
-        team.detach(sid)
-        team.release()
-
-
-def fetch_or_raise(team, stalls: StallTable, role: str, unit: str, loss: str):
-    """The mp decoders' policy over ``team.fetch``: every loss is fatal.
-
-    A dead worker's task is unrecoverable, so its death is the
-    canonical :class:`DecodeError` ("GOP … mid-stream … its task",
-    "slice … mid-picture … its slice"); a task error is re-raised.
-    Returns the next result's payload.
-    """
-
-    def on_timeout() -> None:
-        codes = sorted(
-            w.proc.exitcode
-            for w in team.workers.values()
-            if w.proc.exitcode is not None
-        )
-        if codes:
-            raise DecodeError(
-                f"{role} worker process died mid-{unit} "
-                f"(exit codes {codes}); its {loss} is lost — "
-                "aborting the parallel decode"
-            )
-
-    kind, _wid, _sid, _key, payload, _snap = team.fetch(stalls, on_timeout)
-    if kind == "err":
-        raise payload
-    return payload
-
-
 # ----------------------------------------------------------------------
-# GOP-grain tasks and their body
+# the GOP-grain task body
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GopTask:
-    """One unit of worker work: a GOP's byte range + its frame slots."""
-
-    gop: int
-    byte_start: int
-    byte_end: int
-    picture_count: int
-    slot_base: int
-
-
 @dataclass
 class GopResult:
     """What a worker sends back: metadata only, never pixels."""
@@ -785,48 +722,6 @@ class GopResult:
     slot_base: int
     temporal_references: list[int] = field(default_factory=list)
     counters: WorkCounters = field(default_factory=WorkCounters)
-
-
-def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
-    """Split the index into per-GOP tasks.
-
-    Slot bases are assigned cumulatively so every decoded picture in
-    the stream has a reserved slot in the frame pool — the mp
-    equivalent of the paper's decoded-frame memory that Fig. 8 charts.
-    """
-    tasks: list[GopTask] = []
-    slot = 0
-    for gi, gop in enumerate(index.gops):
-        tasks.append(
-            GopTask(
-                gop=gi,
-                byte_start=gop.start_offset,
-                byte_end=gop.end_offset,
-                picture_count=len(gop.pictures),
-                slot_base=slot,
-            )
-        )
-        slot += len(gop.pictures)
-    return tasks
-
-
-def coalesce_gop_tasks(
-    tasks: list[GopTask], workers: int
-) -> list[tuple[GopTask, ...]]:
-    """Group consecutive GOP tasks into coarse dispatch chunks.
-
-    When a stream has many more GOPs than the team has workers, per-GOP
-    messages are pure overhead: two waves of chunks per worker still
-    load-balance, so tasks are grouped to at most ``2 * workers``
-    chunks.  Short streams (or big teams) degenerate to one GOP per
-    chunk — coalescing never *reduces* available parallelism.
-    Consecutive grouping keeps completions roughly in stream order,
-    which keeps the display reorder buffer shallow.
-    """
-    if workers <= 0 or not tasks:
-        return [(t,) for t in tasks]
-    per = -(-len(tasks) // (2 * workers))  # ceil
-    return [tuple(tasks[i : i + per]) for i in range(0, len(tasks), per)]
 
 
 def decode_gop_chunk(

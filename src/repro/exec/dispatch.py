@@ -1,0 +1,225 @@
+"""The one parent loop: claim -> submit -> fetch -> complete -> publish.
+
+GOP-grain decode, slice-grain decode and the multi-stream service hand
+the worker team (:mod:`repro.exec.backend`) work from a live
+:class:`~repro.exec.graph.TaskGraph` — the *plan*
+(:mod:`repro.exec.plan`).  :meth:`ParentLoop.drive` is the only loop
+that moves that work, and the only caller of ``team.submit`` and
+``team.fetch`` in ``src``.  What the three callers differ in is
+*policy*, supplied by overriding the hooks: which ready node goes to
+which worker and how many may be in flight (:meth:`ParentLoop._claim`),
+what the parent does for a released ``publish`` node and where the
+display-ready run goes (:meth:`~ParentLoop._publish`,
+:meth:`~ParentLoop._emit`), and what a failed task or a dead worker
+means (:meth:`~ParentLoop._failed`, :meth:`~ParentLoop._on_timeout`).
+The defaults are the mp decoders': a task error is re-raised and every
+loss is fatal.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import time
+from typing import Callable, Iterable, Iterator
+
+from repro.exec.backend import get_team, scan_index
+from repro.exec.graph import TaskGraph
+from repro.exec.shm import FrameLayout
+from repro.mpeg2.decoder import DecodeError
+from repro.mpeg2.index import StreamIndex
+from repro.obs.metrics import metrics
+from repro.obs.stalls import StallTable
+
+_RUN_IDS = itertools.count()
+
+
+def account(graphs: Iterable[TaskGraph]) -> None:
+    """After a run, finished or aborted: every graph it dispatched from
+    must conserve (a violation raises), and their counts are what the
+    ``exec.tasks.*`` counters report."""
+    reg = metrics()
+    for graph in graphs:
+        graph.verify_conservation()
+        for name, value in graph.counts().items():
+            if value:
+                reg.counter(f"exec.tasks.{name}").inc(value)
+
+
+class ParentLoop:
+    """One run of a plan on a team; subclasses are the policies."""
+
+    #: Whose ``queue.get`` stall a result wait is, and its span name.
+    who = "merge"
+    span = "mp.result.wait"
+    #: What dies with a worker, for the fatal-loss diagnostic.
+    role, unit, loss = "GOP", "stream", "task"
+
+    team = None
+    workers: int
+    #: Stall attribution of the (last) run — wall seconds under the
+    #: canonical :mod:`repro.obs.stalls` reasons, workers + parent —
+    #: and how long it ran.
+    last_stalls: StallTable
+    last_wall_seconds: float
+
+    def drive(self) -> Iterator:
+        """Drive the plan to the end, yielding what :meth:`_emit` does.
+
+        Each round runs the parent's own ready steps first (so waiters
+        see fresh publish times), then fills the team, and only then
+        emits — the consumer's time is spent while workers are fed.
+        Emission can free what the next round waits for, so the loop
+        goes round until a round emits nothing before it blocks.
+        """
+        team = self.team
+        while not self._tick():
+            ready = self._publish()
+            while (claim := self._claim()) is not None:
+                team.submit(*claim)
+            if ready:
+                yield from self._emit(ready)
+            elif team.in_flight():
+                result = team.fetch(
+                    self.last_stalls, self._on_timeout,
+                    who=self.who, span=self.span,
+                )
+                if result is not None:  # else a handled loss: go round
+                    self._result(*result)
+            elif not self._idle():
+                return
+
+    def stall_breakdown(self) -> dict[str, float]:
+        """Fraction of aggregate process time blocked, per reason.
+
+        Denominator: ``wall seconds x (worker processes + parent)`` —
+        the real-silicon analogue of the simulator's ``finish_cycles x
+        processes``, so the breakdowns line up in
+        ``repro.analysis.obs_report``.
+        """
+        procs = self.workers + 1 if self.workers else 1
+        return self.last_stalls.breakdown(self.last_wall_seconds * procs)
+
+    # -- policy hooks ----------------------------------------------------
+    def _tick(self) -> bool:
+        """Top of every round; truthy ends the run."""
+        return False
+
+    def _publish(self) -> list:
+        """Run the ``publish`` nodes that are ready; returns the
+        display-ready run they released."""
+        return []
+
+    def _claim(self) -> tuple | None:
+        """The next node to start now, already dispatched on its graph,
+        as ``team.submit`` arguments ``(wid, sid, key, args, fault)`` —
+        ``None`` when nothing may start (no free worker, in-flight
+        depth reached, nothing ready)."""
+        raise NotImplementedError
+
+    def _emit(self, ready: list) -> Iterator:
+        return iter(())
+
+    def _result(self, kind, wid, sid, key, payload, snap) -> None:
+        if kind == "ok":
+            self._done(sid, key, payload)
+        else:
+            self._failed(sid, key, payload)
+
+    def _done(self, sid: str, key, payload) -> None:
+        """A worker finished ``key``: complete it on its graph and bank
+        what its ``publish`` step needs."""
+        raise NotImplementedError
+
+    def _failed(self, sid: str, key, exc: Exception) -> None:
+        raise exc
+
+    def _on_timeout(self) -> bool | None:
+        """Between result polls.  A dead worker's task is unrecoverable
+        here, so its death is the canonical :class:`DecodeError`."""
+        codes = sorted(
+            w.proc.exitcode
+            for w in self.team.workers.values()
+            if w.proc.exitcode is not None
+        )
+        if codes:
+            raise DecodeError(
+                f"{self.role} worker process died mid-{self.unit} "
+                f"(exit codes {codes}); its {self.loss} is lost — "
+                "aborting the parallel decode"
+            )
+
+    def _idle(self) -> bool:
+        """Nothing in flight and nothing claimable: truthy keeps the
+        loop going (more work may arrive), falsy ends the run."""
+        return False
+
+
+class StreamDecoder(ParentLoop):
+    """One stream decoded on a leased team — what the GOP-grain and the
+    slice-grain decoder share: the scan, the lease and the run record.
+
+    ``workers=0`` decodes in-process through the identical plan and
+    loop (deterministic CI path, no processes); ``>= 1`` uses that many
+    OS worker processes; ``None`` the available CPU count.
+    """
+
+    def __init__(
+        self,
+        data: bytes,
+        index: StreamIndex | None,
+        workers: int | None,
+        resilient: bool,
+        start_method: str | None,
+    ) -> None:
+        if workers is None:
+            workers = os.cpu_count() or 1
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        self.data = data
+        self.index = scan_index(data, index)
+        self.workers = workers
+        self.resilient = resilient
+        self.start_method = start_method
+        self.seq = self.index.sequence_header
+        self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
+        #: Shared-pool bytes the last parallel run allocated (Fig. 8
+        #: counterpart on real silicon); 0 for the in-process path.
+        self.last_pool_bytes = 0
+        self.last_stalls = StallTable()
+        #: Wall seconds of the last run.
+        self.last_wall_seconds = 0.0
+        #: The task graph the last run dispatched from (``None`` before
+        #: the first): settled and conserving, aborted runs included.
+        self.last_graph: TaskGraph | None = None
+
+    def _run(
+        self, graph: TaskGraph, body: Callable, slots: int, state: dict
+    ) -> Iterator:
+        """Lease the team, attach the stream under a fresh run id with a
+        ``slots``-frame pool, and drive ``graph`` to the end.
+
+        A run that aborts — a task error, a dead worker, a consumer
+        that stops iterating — retires its team instead of releasing
+        it (tasks may still be running there) and leaves the graph
+        aborted: in flight is ``lost``, never started ``cancelled``.
+        """
+        self.last_stalls = StallTable()
+        self.last_graph = graph
+        team = self.team = get_team(self.workers, self.start_method)
+        self.sid = f"run-{next(_RUN_IDS)}"
+        t_run = time.perf_counter()
+        try:
+            self.pool = team.attach(
+                self.sid, body, self.data, self.layout, slots, state
+            )
+            self.last_pool_bytes = self.pool.nbytes if self.workers else 0
+            yield from self.drive()
+        except BaseException:
+            team.retire()
+            raise
+        finally:
+            team.detach(self.sid)
+            team.release()
+            graph.abort()
+            self.last_wall_seconds = time.perf_counter() - t_run

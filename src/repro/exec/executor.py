@@ -1,16 +1,20 @@
 """The unified executor: one front end over every decode path.
 
 :class:`TaskGraphExecutor` is what ``decode --grain ... --engine ...``
-runs: it plans a typed task graph (:mod:`repro.exec.plan`) for
-accounting, asks :class:`~repro.exec.auto.AutoGranularity` for a
-``(grain, engine)`` decision when either axis is ``auto``, and then
-drives the decode through ``MPGopDecoder`` for GOP grain or
-``MPSliceDecoder`` for slice grain — two partitions handed to the one
-process runtime in :mod:`repro.exec.backend` (every window reuses the
-same warm worker team).
+(and its older spelling ``--workers N --parallel ...``) runs: it asks
+:class:`~repro.exec.auto.AutoGranularity` for a ``(grain, engine)``
+decision when either axis is ``auto`` and drives the decode through
+``MPGopDecoder`` or ``MPSliceDecoder`` — a plan and a policy each for
+the one parent loop (:mod:`repro.exec.dispatch`) on the one process
+runtime (:mod:`repro.exec.backend`; every window reuses the same warm
+worker team).  The task graphs those decoders *dispatched from* are
+kept in ``last_graphs``: after every run, aborted ones included, each
+must satisfy the conservation law, and their counts are what the
+``exec.tasks.*`` metrics report.
 
-Online re-pick: with ``grain="auto"`` the stream is executed in
-windows of ``repick_gops`` closed GOPs.  Each window is decoded as a
+One decode path: the stream is executed in windows — one window over
+the whole stream for a pinned grain, windows of ``repick_gops`` closed
+GOPs with ``grain="auto"``.  Each auto window is decoded as a
 stand-alone substream (sequence-header prefix + the window's GOP byte
 range — bit-exact by the closed-GOP argument that already underwrites
 the mp decoder), the planner's observed stall table is summarized
@@ -43,8 +47,8 @@ import time
 
 from repro.exec.auto import AutoGranularity, CostModel, Decision, ObsSnapshot
 from repro.exec.backend import scan_index
+from repro.exec.dispatch import account
 from repro.exec.graph import TaskGraph
-from repro.exec.plan import plan_graph
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex, sequence_prefix
@@ -151,9 +155,9 @@ class TaskGraphExecutor:
         #: Every Decision this executor made, in order (first entry is
         #: the up-front pick; later entries are GOP-boundary re-picks).
         self.last_decisions: list[Decision] = []
-        #: Accounting graphs for the executed segments (one per window
-        #: in auto mode, one for the whole stream otherwise); each is
-        #: conservation-verified after its segment completes.
+        #: The task graphs the last run's windows dispatched from (one
+        #: per window in auto mode, one for the whole stream otherwise);
+        #: each is conservation-verified when the run ends or aborts.
         self.last_graphs: list[TaskGraph] = []
         #: Aggregate stall table + wall seconds across the run.
         self.last_stalls = StallTable()
@@ -174,55 +178,26 @@ class TaskGraphExecutor:
             engine_hint=None if self.engine == "auto" else self.engine,
         )
 
-    def _gop_planner(self, data: bytes, engine: str, index=None):
+    def _planner(self, decision: Decision, data: bytes, index=None):
+        """The decoder for one window: a plan + a policy for the one
+        parent loop (:mod:`repro.exec.dispatch`)."""
         from repro.parallel.mp import MPGopDecoder
-
-        return MPGopDecoder(
-            data,
-            index=index,
-            workers=self.workers,
-            engine=engine,
-            resilient=self.resilient,
-            start_method=self.start_method,
-            _crash_gop=self._crash_gop,
-        )
-
-    def _slice_planner(self, data: bytes, index=None):
         from repro.parallel.mp_slice import MPSliceDecoder
 
-        return MPSliceDecoder(
-            data,
+        common = dict(
             index=index,
             workers=self.workers,
-            mode=self.mode,
             resilient=self.resilient,
             start_method=self.start_method,
-            _crash_task=self._crash_task,
         )
-
-    def _account_segment(self, index: StreamIndex, grain: str) -> TaskGraph:
-        """Build + drive the segment's typed task graph (accounting).
-
-        The pixel work runs through the planner; the graph is the
-        executor's explicit record of what that work *was* — typed
-        nodes, ref edges, and the conservation counters the property
-        suite audits.  ``run_all`` enforces dependency order
-        structurally (dispatch refuses a node whose refs have not
-        published), so a planner bug that reordered edges would raise
-        here, not silently corrupt output.
-        """
-        graph = plan_graph(index, grain)
-        graph.run_all()
-        graph.verify_conservation()
-        reg = metrics()
-        for name, value in graph.counts().items():
-            if value:
-                reg.counter(f"exec.tasks.{name}").inc(value)
-        self.last_graphs.append(graph)
-        return graph
-
-    def _fold_planner_obs(self, planner) -> None:
-        self.last_stalls.merge(planner.last_stalls.snapshot())
+        if decision.grain == "gop":
+            return MPGopDecoder(
+                data, engine=decision.engine, _crash_gop=self._crash_gop,
+                **common,
+            )
+        return MPSliceDecoder(
+            data, mode=self.mode, _crash_task=self._crash_task, **common
+        )
 
     # ------------------------------------------------------------------
     def decode_all(self, counters: WorkCounters | None = None) -> list[Frame]:
@@ -237,74 +212,62 @@ class TaskGraphExecutor:
         self.last_stalls = StallTable()
         t_run = time.perf_counter()
         try:
-            if self.grain == "auto":
-                return self._decode_windowed(counters)
-            return self._decode_fixed(counters)
+            return self._decode_windows(counters)
         finally:
             self.last_wall_seconds = time.perf_counter() - t_run
+            # The graphs this run dispatched from — an aborted run's
+            # included — must conserve, and feed ``exec.tasks.*``.
+            account(self.last_graphs)
 
-    def _initial_decision(self) -> Decision:
-        if self.grain != "auto" and self.engine != "auto":
-            # Nothing to choose: record the pinned configuration so
-            # traces and metrics still show what ran (alt == chosen).
+    def _decode_windows(self, counters: WorkCounters | None) -> list[Frame]:
+        """Windowed execution with GOP-boundary re-picks.
+
+        Auto grain re-picks every ``repick_gops`` closed GOPs; a pinned
+        grain is one window over the whole stream (no substream copy).
+        With both axes pinned there is nothing to choose: the pinned
+        configuration is recorded so traces and metrics still show
+        what ran (alt == chosen).
+        """
+        gops = self.index.gops
+        controller = None
+        if "auto" in (self.grain, self.engine):
+            controller = self._controller()
+            decision = controller.decide()
+        else:
             est = self.model.estimate(
                 self._profile(), self.grain, self.engine, self.workers
             )
-            return Decision(
-                grain=self.grain,
-                engine=self.engine,
-                est_cost=est,
-                alt_grain=self.grain,
-                alt_engine=self.engine,
-                alt_cost=est,
+            decision = Decision(
+                grain=self.grain, engine=self.engine, est_cost=est,
+                alt_grain=self.grain, alt_engine=self.engine, alt_cost=est,
                 reason="fixed",
             )
-        return self._controller().decide()
-
-    def _decode_fixed(self, counters: WorkCounters | None) -> list[Frame]:
-        """Pinned grain: one pass over the whole stream, zero overhead."""
-        decision = self._initial_decision()
         self.last_decisions.append(decision)
-        _trace_decision(decision, window=0, gop=0)
-        self._account_segment(self.index, decision.grain)
-        if decision.grain == "gop":
-            planner = self._gop_planner(
-                self.data, decision.engine, index=self.index
-            )
-        else:
-            planner = self._slice_planner(self.data, index=self.index)
-        frames = planner.decode_all(counters)
-        self._fold_planner_obs(planner)
-        return frames
-
-    def _decode_windowed(self, counters: WorkCounters | None) -> list[Frame]:
-        """Auto grain: windowed execution with GOP-boundary re-picks."""
-        controller = self._controller()
-        decision = controller.decide()
-        self.last_decisions.append(decision)
-        gops = self.index.gops
+        step = self.repick_gops if self.grain == "auto" else max(len(gops), 1)
         frames: list[Frame] = []
-        window = 0
-        start = 0
-        while start < len(gops):
-            end = min(start + self.repick_gops, len(gops))
+        for window, start in enumerate(range(0, max(len(gops), 1), step)):
+            end = min(start + step, len(gops))
             _trace_decision(decision, window=window, gop=start)
-            # The window substream: sequence-header prefix + the
-            # contiguous GOP byte range.  Closed GOPs make this decode
-            # bit-exact; the repeated prefix adds zero to counters.
-            sub = bytes(self.prefix) + bytes(
-                self.data[gops[start].start_offset : gops[end - 1].end_offset]
-            )
-            if decision.grain == "gop":
-                planner = self._gop_planner(sub, decision.engine)
+            if end - start == len(gops):
+                planner = self._planner(decision, self.data, self.index)
             else:
-                planner = self._slice_planner(sub)
-            self._account_segment(planner.index, decision.grain)
-            frames.extend(planner.decode_all(counters))
-            self._fold_planner_obs(planner)
-            start = end
-            window += 1
-            if start < len(gops):
+                # The window substream: sequence-header prefix + the
+                # contiguous GOP byte range.  Closed GOPs make this
+                # decode bit-exact; the repeated prefix adds zero to
+                # counters.
+                first, last = gops[start], gops[end - 1]
+                planner = self._planner(
+                    decision,
+                    bytes(self.prefix)
+                    + bytes(self.data[first.start_offset : last.end_offset]),
+                )
+            try:
+                frames.extend(planner.decode_all(counters))
+            finally:
+                if planner.last_graph is not None:
+                    self.last_graphs.append(planner.last_graph)
+                self.last_stalls.merge(planner.last_stalls.snapshot())
+            if end < len(gops):
                 snap = ObsSnapshot.from_run(
                     planner.last_stalls,
                     planner.last_wall_seconds,

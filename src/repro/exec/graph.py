@@ -1,54 +1,70 @@
-"""Typed task graphs: the executor's unit of planning and accounting.
+"""Typed task graphs: the live ready-set every parent loop dispatches from.
 
 A :class:`TaskGraph` is the explicit form of what the schedulers used
-to encode implicitly in control flow: *which* units of work exist
-(typed :class:`TaskNode` records — ``parse`` / ``reconstruct`` /
-``publish``), and *which edges* must publish before a node may run
-(reference-dependency edges, the paper's synchronization constraint).
+to encode in control flow: *which* units of work exist (typed
+:class:`TaskNode` records) and *which edges* must complete before a
+node may start (reference-dependency edges — the paper's
+synchronization constraint — and policy-imposed barrier edges).
 
-The graph is deliberately an accounting structure, not a runtime
-scheduler: planners (:mod:`repro.exec.plan`) lower a scan index into a
-graph, the executor dispatches work through the worker-pool backend,
-and the graph's conservation law — ``planned == dispatched ==
-completed + cancelled`` — is what the property suite
-(``tests/exec/test_exec_properties.py``) holds every execution to.
-Dependency safety is structural: :meth:`TaskGraph.dispatch` refuses a
-node whose ref edges have not completed, so "never schedule before the
-refs publish" is enforced by construction, not by convention.
+It is the one place the start/release rule lives.  Planners
+(:mod:`repro.exec.plan`) lower a scan into a graph whose worker-run
+nodes carry the payload that is actually sent and whose ``publish``
+nodes are steps the parent runs itself; the GOP decoder, the slice
+decoder and every serve session lane then *dispatch from* their graph:
+a node may start only once it is in the ready set, and completing it
+is what releases its dependents.  Readiness is incremental — each node
+keeps a count of unmet edges and each completion decrements its
+dependents' — so asking "what may start now?" never rescans the graph,
+and the ready set is kept in plan order, which is the in-order service
+rule of the paper's task queues.
+
+Because the run dispatches from it, the graph's conservation law —
+``planned == dispatched + cancelled`` and ``dispatched == completed +
+lost`` — audits the run that happened: an aborted run leaves
+``completed < planned`` with the difference accounted as ``cancelled``
+(never started) or ``lost`` (in flight when the run died).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator
 
 #: The three task kinds of the paper's pipeline: ``parse`` (entropy
-#: decode / headers), ``reconstruct`` (dequant + IDCT + motion comp),
-#: ``publish`` (make a decoded reference picture visible to waiters).
+#: decode / headers), ``reconstruct`` (dequant + IDCT + motion comp —
+#: the planners fuse a unit's parse into it, so every worker-run node
+#: they emit is a ``reconstruct``), ``publish`` (the parent makes a
+#: decoded unit visible to its waiters and to the display merge).
 TASK_KINDS = ("parse", "reconstruct", "publish")
 
 PENDING = "pending"
 DISPATCHED = "dispatched"
 COMPLETED = "completed"
 CANCELLED = "cancelled"
+LOST = "lost"
 
 
 @dataclass(frozen=True)
 class TaskNode:
-    """One typed unit of work with explicit ref-dependency edges.
+    """One typed unit of work with explicit dependency edges.
 
     ``tid`` is unique within its graph; ``deps`` names the tids whose
-    completion (reference publication) gates this node.  ``stream`` /
-    ``gop`` / ``order`` locate the work in the coded stream so planners
-    and tests can reason about what a node decodes without carrying
-    byte payloads around.
+    completion gates this node, and ``barriers`` the subset of those
+    edges that a synchronisation *policy* imposed rather than a data
+    dependency (what splits a gated wait into the ``barrier`` and
+    ``ref.publish`` stalls).  ``payload`` is what a worker is sent for
+    the node (``None`` for the parent-run ``publish`` steps); ``gop`` /
+    ``order`` locate the work in the coded stream.
     """
 
-    tid: str
+    tid: Hashable
     kind: str
-    stream: int = 0
     gop: int = 0
     order: int = 0
-    deps: tuple[str, ...] = ()
+    deps: tuple = ()
+    barriers: tuple = ()
+    payload: object = None
 
     def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
@@ -58,74 +74,120 @@ class TaskNode:
 
 
 class TaskGraph:
-    """A DAG of :class:`TaskNode` with conservation accounting.
+    """A DAG of :class:`TaskNode`: live ready set + conservation audit.
 
-    Nodes move ``pending -> dispatched -> completed`` (or ``pending ->
-    cancelled`` when an error abandons downstream work).  Every
-    transition is checked:
+    Nodes move ``pending -> dispatched -> completed``.  A pending node
+    may instead be ``cancelled`` (with the dependents that could then
+    never run) and a dispatched one ``lost`` when its run aborts;
+    :meth:`requeue` and :meth:`restore` are the exact inverses of
+    dispatch and cancel.  Every transition is checked:
 
     * :meth:`add` rejects duplicate tids, unknown deps (edges must
       point at already-added nodes, which also makes cycles
       unrepresentable), and self-edges;
     * :meth:`dispatch` rejects a node whose deps have not completed —
       the "never schedule before the refs publish" invariant;
-    * :meth:`verify_conservation` checks ``planned == dispatched ==
-      completed + cancelled`` once a run finishes.
+    * :meth:`verify_conservation` checks ``planned == dispatched +
+      cancelled`` and ``dispatched == completed + lost`` once a run
+      finishes or aborts.
     """
 
     def __init__(self) -> None:
-        self.nodes: dict[str, TaskNode] = {}
-        self.state: dict[str, str] = {}
-        #: Monotone counters — never decremented, so the conservation
-        #: law audits history, not just the final state.
+        self.nodes: dict[Hashable, TaskNode] = {}
+        self.state: dict[Hashable, str] = {}
+        #: Nodes per outcome.  ``dispatched`` counts nodes, not
+        #: attempts: a requeued node gives its dispatch back.
         self.planned = 0
         self.dispatched = 0
         self.completed = 0
         self.cancelled = 0
+        self.lost = 0
+        self._seq: dict[Hashable, int] = {}
+        self._tids: list[Hashable] = []
+        self._unmet: dict[Hashable, int] = {}
+        self._dependents: dict[Hashable, list] = {}
+        #: Plan positions of the pending nodes with no unmet edge:
+        #: worker-run nodes, parent-run ``publish`` nodes.
+        self._ready: tuple[list[int], list[int]] = ([], [])
 
     # ------------------------------------------------------------------
     def add(self, node: TaskNode) -> TaskNode:
-        if node.tid in self.nodes:
-            raise ValueError(f"duplicate task id {node.tid!r}")
+        tid, nodes, state = node.tid, self.nodes, self.state
+        if tid in nodes:
+            raise ValueError(f"duplicate task id {tid!r}")
         for dep in node.deps:
-            if dep == node.tid:
-                raise ValueError(f"task {node.tid!r} depends on itself")
-            if dep not in self.nodes:
+            if dep == tid:
+                raise ValueError(f"task {tid!r} depends on itself")
+            if dep not in nodes:
                 raise ValueError(
-                    f"task {node.tid!r} depends on unknown task {dep!r} "
+                    f"task {tid!r} depends on unknown task {dep!r} "
                     "(edges must point at already-planned nodes)"
                 )
-        self.nodes[node.tid] = node
-        self.state[node.tid] = PENDING
+        unmet = 0
+        for dep in node.deps:
+            self._dependents[dep].append(tid)
+            if state[dep] != COMPLETED:
+                unmet += 1
+        self._seq[tid] = len(self._tids)
+        self._tids.append(tid)
+        self._dependents[tid] = []
+        self._unmet[tid] = unmet
+        nodes[tid] = node
         self.planned += 1
+        self._set_pending(tid)
         return node
+
+    def _lane(self, tid: Hashable) -> list[int]:
+        return self._ready[self.nodes[tid].kind == "publish"]
+
+    def _set_pending(self, tid: Hashable) -> None:
+        self.state[tid] = PENDING
+        if not self._unmet[tid]:
+            insort(self._lane(tid), self._seq[tid])
+
+    def _leave_pending(self, tid: Hashable, state: str) -> None:
+        self.state[tid] = state
+        if not self._unmet[tid]:
+            lane = self._lane(tid)
+            del lane[bisect_left(lane, self._seq[tid])]
 
     def ready(self) -> list[TaskNode]:
         """Pending nodes whose every dep has completed, in plan order."""
-        return [
-            node
-            for tid, node in self.nodes.items()
-            if self.state[tid] == PENDING
-            and all(self.state[d] == COMPLETED for d in node.deps)
-        ]
+        return [self.nodes[self._tids[s]] for s in sorted(sum(self._ready, []))]
 
-    def dispatch(self, tid: str) -> TaskNode:
+    def first_ready(self, publish: bool = False) -> TaskNode | None:
+        """The earliest-planned ready node a worker may be sent — or,
+        with ``publish``, that the parent may run."""
+        lane = self._ready[publish]
+        return self.nodes[self._tids[lane[0]]] if lane else None
+
+    def pending(self) -> Iterator[TaskNode]:
+        """Every pending node, ready or not, in plan order."""
+        return (n for t, n in self.nodes.items() if self.state[t] == PENDING)
+
+    @property
+    def in_flight(self) -> int:
+        return self.dispatched - self.completed - self.lost
+
+    # ------------------------------------------------------------------
+    def dispatch(self, tid: Hashable) -> TaskNode:
         node = self.nodes[tid]
         if self.state[tid] != PENDING:
             raise ValueError(
                 f"task {tid!r} dispatched twice (state {self.state[tid]!r})"
             )
-        unpublished = [d for d in node.deps if self.state[d] != COMPLETED]
-        if unpublished:
+        if self._unmet[tid]:
+            unpublished = [d for d in node.deps if self.state[d] != COMPLETED]
             raise ValueError(
                 f"task {tid!r} scheduled before its ref edges published: "
                 f"{unpublished}"
             )
-        self.state[tid] = DISPATCHED
+        self._leave_pending(tid, DISPATCHED)
         self.dispatched += 1
         return node
 
-    def complete(self, tid: str) -> None:
+    def complete(self, tid: Hashable) -> list[TaskNode]:
+        """Finish a dispatched node; returns the nodes that released."""
         if self.state[tid] != DISPATCHED:
             raise ValueError(
                 f"task {tid!r} completed without dispatch "
@@ -133,9 +195,27 @@ class TaskGraph:
             )
         self.state[tid] = COMPLETED
         self.completed += 1
+        released = []
+        for dep in self._dependents[tid]:
+            self._unmet[dep] -= 1
+            if not self._unmet[dep] and self.state[dep] == PENDING:
+                self._set_pending(dep)
+                released.append(self.nodes[dep])
+        return released
 
-    def cancel(self, tid: str) -> None:
-        """Abandon a node (error paths): pending nodes only.
+    def requeue(self, tid: Hashable) -> None:
+        """Take a dispatched node back (its worker was lost and it will
+        be retried): pending again, at its place in plan order."""
+        if self.state[tid] != DISPATCHED:
+            raise ValueError(
+                f"task {tid!r} is not in flight (state {self.state[tid]!r})"
+            )
+        self.dispatched -= 1
+        self._set_pending(tid)
+
+    def cancel(self, tid: Hashable) -> list[Hashable]:
+        """Abandon a pending node and every pending node that depends
+        on it, directly or not; returns their tids in plan order.
 
         A cancelled node counts toward conservation — work planned but
         deliberately not done is still accounted for, unlike work
@@ -146,39 +226,61 @@ class TaskGraph:
                 f"task {tid!r} cancelled after dispatch "
                 f"(state {self.state[tid]!r})"
             )
-        self.state[tid] = CANCELLED
-        self.cancelled += 1
+        out, stack = [], [tid]
+        while stack:
+            tid = stack.pop()
+            if self.state[tid] == PENDING:
+                self._leave_pending(tid, CANCELLED)
+                self.cancelled += 1
+                out.append(tid)
+                stack.extend(self._dependents[tid])
+        return sorted(out, key=self._seq.__getitem__)
+
+    def restore(self, tids: Iterable[Hashable]) -> None:
+        """Un-cancel ``tids`` (the inverse of :meth:`cancel`)."""
+        for tid in tids:
+            if self.state[tid] != CANCELLED:
+                raise ValueError(
+                    f"task {tid!r} is not cancelled "
+                    f"(state {self.state[tid]!r})"
+                )
+            self.cancelled -= 1
+            self._set_pending(tid)
 
     def cancel_pending(self) -> int:
         """Cancel every still-pending node; returns how many."""
-        n = 0
-        for tid, st in self.state.items():
-            if st == PENDING:
-                self.cancel(tid)
-                n += 1
-        return n
+        tids = [node.tid for node in self.pending()]
+        for tid in tids:
+            self._leave_pending(tid, CANCELLED)
+        self.cancelled += len(tids)
+        return len(tids)
+
+    def abort(self) -> None:
+        """The run is over: what was in flight is ``lost``, what never
+        started is ``cancelled``.  A no-op on a finished graph."""
+        for tid, state in self.state.items():
+            if state == DISPATCHED:
+                self.state[tid] = LOST
+                self.lost += 1
+        self.cancel_pending()
 
     # ------------------------------------------------------------------
     def run_all(self, on_node=None) -> int:
         """Drive the graph to completion in dependency order.
 
-        Repeatedly dispatches every ready node (calling ``on_node`` if
-        given) and completes it.  Returns the number of nodes run.
-        Raises if the graph stalls with pending nodes whose deps can
-        never publish (a planner bug).
+        Repeatedly dispatches the earliest ready node (calling
+        ``on_node`` if given) and completes it.  Returns the number of
+        nodes run.  Raises if the graph stalls with pending nodes whose
+        deps can never publish (a planner bug).
         """
         ran = 0
-        while True:
-            batch = self.ready()
-            if not batch:
-                break
-            for node in batch:
-                self.dispatch(node.tid)
-                if on_node is not None:
-                    on_node(node)
-                self.complete(node.tid)
-                ran += 1
-        stuck = [t for t, s in self.state.items() if s == PENDING]
+        while (node := self.first_ready(True) or self.first_ready()) is not None:
+            self.dispatch(node.tid)
+            if on_node is not None:
+                on_node(node)
+            self.complete(node.tid)
+            ran += 1
+        stuck = [n.tid for n in self.pending()]
         if stuck:
             raise RuntimeError(
                 f"task graph stalled with unrunnable pending nodes: {stuck}"
@@ -188,15 +290,15 @@ class TaskGraph:
     # ------------------------------------------------------------------
     def is_settled(self) -> bool:
         """True when no node is pending or in flight."""
-        return all(s in (COMPLETED, CANCELLED) for s in self.state.values())
+        return self.planned == self.completed + self.cancelled + self.lost
 
     def verify_conservation(self) -> None:
         """Assert ``planned == dispatched + cancelled`` and
-        ``dispatched == completed`` once the run settled.
+        ``dispatched == completed + lost`` once the run settled.
 
-        Raises ``RuntimeError`` naming the leak otherwise — the
-        executor calls this after every run, so a lost task is a loud
-        failure, never a silent hang.
+        Raises ``RuntimeError`` naming the leak otherwise — callers
+        check every graph they dispatched from after the run, so a lost
+        task is a loud failure, never a silent hang.
         """
         if self.planned != len(self.nodes):
             raise RuntimeError(
@@ -208,10 +310,11 @@ class TaskGraph:
                 f"planned={self.planned} != dispatched={self.dispatched} "
                 f"+ cancelled={self.cancelled}"
             )
-        if self.dispatched != self.completed:
+        if self.dispatched != self.completed + self.lost:
             raise RuntimeError(
                 "task conservation violated: "
-                f"dispatched={self.dispatched} != completed={self.completed}"
+                f"dispatched={self.dispatched} != completed={self.completed} "
+                f"+ lost={self.lost}"
             )
 
     def counts(self) -> dict[str, int]:
@@ -220,4 +323,5 @@ class TaskGraph:
             "dispatched": self.dispatched,
             "completed": self.completed,
             "cancelled": self.cancelled,
+            "lost": self.lost,
         }

@@ -1,136 +1,340 @@
-"""Planners: lower a scan index into a typed :class:`TaskGraph`.
+"""Planners: the three partitions of a scanned stream, as data.
 
-Two grains, mirroring the paper's decomposition study:
+The paper's GOP-level and slice-level decoders, and the multi-stream
+service on top of them, are one scan -> workers -> display structure
+that differs only in the task queue.  This module is where that
+difference lives: each planner lowers a
+:class:`~repro.mpeg2.index.StreamIndex` into the units of work and the
+edges between them, and the one parent loop
+(:mod:`repro.exec.dispatch`) dispatches whichever it is handed.
 
-* :func:`plan_gop_graph` — the coarse grain.  Closed GOPs share no
-  coded state, so each GOP is an independent ``parse -> reconstruct ->
-  publish`` chain with **no cross-GOP edges**: maximum parallelism,
-  synchronization only at the display merge.
-* :func:`plan_slice_graph` — the fine grain.  Each *picture* gets a
-  ``parse`` node and a ``reconstruct`` node; reference pictures (I/P)
-  additionally get a ``publish`` node.  A reconstruct depends on its
-  own parse **and on the publish of every reference picture it
-  predicts from** (the paper's improved barrier: wait only for the
-  refs you read, not for every earlier picture).  B-picture
-  reconstructs fan in from both the forward and backward reference
-  publishes and publish nothing themselves — they are the leaves that
-  make slice-grain parallelism wide.
-
-The graphs carry stream coordinates, not byte payloads: they are the
-executor's accounting spine (dependency safety + task conservation),
-while the actual pixel work runs through the worker-pool backend.
+* **GOP grain** (:func:`scan_gop_tasks`, :func:`plan_gop_graph`) — the
+  paper's 1-D queue.  Closed GOPs share no coded state, so the graph
+  is independent ``decode -> publish`` pairs with **no cross-GOP
+  edges**; a ``decode`` node carries a chunk of consecutive
+  :class:`GopTask` byte ranges, its ``publish`` node is the parent's
+  display merge of that chunk.
+* **Slice grain** (:func:`scan_slice_tasks`, :func:`plan_slice_batches`,
+  :func:`plan_slice_graph`) — the 2-D picture/slice queue.  Each
+  picture is at most ``workers`` batch nodes of consecutive slices
+  (parse and reconstruct fused: one node is one message) plus one
+  parent-run ``publish`` node that waits for them.  A picture's
+  batches carry a **ref edge** from the ``publish`` of every picture it
+  predicts from; the *simple* policy adds one **barrier edge** from
+  the previous picture's ``publish``, the *improved* policy adds none
+  — which is all the two variants differ in.
+* **Serve** (:func:`plan_serve_tasks`) — per GOP, one task for the
+  reference pictures and one per B picture depending on it (or one
+  coarse task per GOP); nothing depends on a B task, which is what
+  makes shedding one under overload safe.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 from repro.exec.graph import TaskGraph, TaskNode
+from repro.mpeg2.decoder import DecodeError
+from repro.mpeg2.headers import PictureHeader
 from repro.mpeg2.index import StreamIndex
 
 
-def plan_gop_graph(index: StreamIndex, stream: int = 0) -> TaskGraph:
-    """GOP-grain plan: one independent chain per closed GOP."""
-    graph = TaskGraph()
-    for gi, _gop in enumerate(index.gops):
-        parse = graph.add(
-            TaskNode(tid=f"g{gi}.parse", kind="parse", stream=stream, gop=gi)
-        )
-        recon = graph.add(
-            TaskNode(
-                tid=f"g{gi}.reconstruct",
-                kind="reconstruct",
-                stream=stream,
+# ======================================================================
+# GOP grain
+# ======================================================================
+@dataclass(frozen=True)
+class GopTask:
+    """One GOP of worker work: its byte range + its frame slots."""
+
+    gop: int
+    byte_start: int
+    byte_end: int
+    picture_count: int
+    slot_base: int
+
+
+def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
+    """Split the index into per-GOP tasks.
+
+    Slot bases are assigned cumulatively so every decoded picture in
+    the stream has a reserved slot in the frame pool — the mp
+    equivalent of the paper's decoded-frame memory that Fig. 8 charts.
+    """
+    tasks: list[GopTask] = []
+    slot = 0
+    for gi, gop in enumerate(index.gops):
+        tasks.append(
+            GopTask(
                 gop=gi,
-                deps=(parse.tid,),
+                byte_start=gop.start_offset,
+                byte_end=gop.end_offset,
+                picture_count=len(gop.pictures),
+                slot_base=slot,
             )
+        )
+        slot += len(gop.pictures)
+    return tasks
+
+
+def plan_gop_graph(index: StreamIndex, workers: int = 0) -> TaskGraph:
+    """GOP-grain plan: one ``decode -> publish`` pair per dispatch chunk.
+
+    When a stream has many more GOPs than the team has workers, per-GOP
+    messages are pure overhead: two waves of chunks per worker still
+    load-balance, so consecutive GOPs are grouped into at most ``2 x
+    workers`` chunks.  Short streams (or big teams, or ``workers=0``)
+    degenerate to one GOP per chunk — coalescing never *reduces*
+    available parallelism — and consecutive grouping keeps completions
+    roughly in stream order, which keeps the reorder buffer shallow.
+    """
+    tasks = scan_gop_tasks(index)
+    per = -(-len(tasks) // (2 * workers)) if workers > 0 and tasks else 1
+    graph = TaskGraph()
+    for i in range(0, len(tasks), per):
+        chunk = tuple(tasks[i : i + per])
+        gop = chunk[0].gop
+        decode = graph.add(
+            TaskNode(f"g{gop}.decode", "reconstruct", gop=gop, payload=chunk)
+        )
+        graph.add(
+            TaskNode(f"g{gop}.publish", "publish", gop=gop, deps=(decode.tid,))
+        )
+    return graph
+
+
+# ======================================================================
+# slice grain
+# ======================================================================
+@dataclass(frozen=True)
+class SlicePlan:
+    """One slice task: wire byte range + static reconstruction flag.
+
+    ``reconstruct`` is ``True`` for exactly one slice per macroblock
+    row — the bitstream-*last* one — realising the sequential
+    decoder's last-write-wins semantics for duplicated slices without
+    any concurrent-write hazard (every other duplicate is parse-only:
+    its work counters still accrue, its pixels never land).
+    """
+
+    vertical_position: int
+    payload_start: int
+    payload_end: int
+    reconstruct: bool
+
+
+@dataclass(frozen=True)
+class PicturePlan:
+    """Scan product for one picture: everything a worker or the
+    scheduler needs, no pixels, fully picklable."""
+
+    #: Global coding-order number.
+    order: int
+    #: GOP number and coding position within it (diagnostics).
+    gop: int
+    #: Global display-order number across the stream.
+    display_index: int
+    header: PictureHeader
+    #: Bits of the picture header incl. start code (counter parity).
+    header_bits: int
+    #: Coding-order numbers of the forward / backward reference
+    #: pictures, or ``None`` (I has neither, P no backward).
+    fwd: int | None
+    bwd: int | None
+    slices: tuple[SlicePlan, ...]
+
+    @property
+    def dependencies(self) -> tuple[int, ...]:
+        return tuple(d for d in (self.fwd, self.bwd) if d is not None)
+
+    @property
+    def is_reference(self) -> bool:
+        return self.header.picture_type.is_reference
+
+
+def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
+    """Flatten the scan index into coding-order picture plans.
+
+    Validates upfront what the sequential decoder validates lazily —
+    closed GOPs only, references present — raising
+    :class:`~repro.mpeg2.decoder.DecodeError` with the sequential
+    decoder's messages, so malformed streams are rejected identically.
+    """
+    plans: list[PicturePlan] = []
+    base = 0
+    display_base = 0
+    for gi, gop in enumerate(index.gops):
+        if not gop.closed_gop:
+            raise DecodeError(
+                "GOP-level decode requires closed GOPs (paper assumption)"
+            )
+        ranks = gop.display_ranks()
+        ref_old: int | None = None
+        ref_new: int | None = None
+        for pos, pic in enumerate(gop.pictures):
+            letter = pic.picture_type.letter
+            if letter == "I":
+                fwd = bwd = None
+            elif letter == "P":
+                fwd, bwd = ref_new, None
+                if fwd is None:
+                    raise DecodeError("P-picture without forward reference")
+            else:
+                fwd, bwd = ref_old, ref_new
+                if fwd is None:
+                    raise DecodeError("B-picture without forward reference")
+                if bwd is None:
+                    raise DecodeError("B-picture without backward reference")
+            order = base + pos
+            # Static duplicate resolution: the bitstream-last slice of
+            # each row reconstructs; earlier duplicates are parse-only.
+            last_for_row: dict[int, int] = {
+                sl.vertical_position: si for si, sl in enumerate(pic.slices)
+            }
+            plans.append(
+                PicturePlan(
+                    order=order,
+                    gop=gi,
+                    display_index=display_base + ranks[pos],
+                    header=pic.header(),
+                    header_bits=(
+                        pic.header_payload_end - pic.header_payload_start + 4
+                    )
+                    * 8,
+                    fwd=base + fwd if fwd is not None else None,
+                    bwd=base + bwd if bwd is not None else None,
+                    slices=tuple(
+                        SlicePlan(
+                            vertical_position=sl.vertical_position,
+                            payload_start=sl.payload_start,
+                            payload_end=sl.payload_end,
+                            reconstruct=last_for_row[sl.vertical_position]
+                            == si,
+                        )
+                        for si, sl in enumerate(pic.slices)
+                    ),
+                )
+            )
+            if pic.picture_type.is_reference:
+                ref_old, ref_new = ref_new, pos
+        base += len(gop.pictures)
+        display_base += len(gop.pictures)
+    return plans
+
+
+def plan_slice_batches(
+    slice_counts: Sequence[int],
+    dependencies: Sequence[Sequence[int]],
+    mode: str = "improved",
+    workers: int = 1,
+) -> TaskGraph:
+    """Slice-grain plan over bare picture structure (pure logic).
+
+    Picture ``o`` with ``n`` slices becomes batch nodes ``p<o>.s<first
+    slice>`` of ``ceil(n / workers)`` consecutive slices each (payload:
+    the slice-index range), so every worker can take a share of the
+    same picture, and a ``p<o>.publish`` node that waits for them.  A
+    zero-slice picture is its ``publish`` node alone, which then
+    carries the picture's gating edges itself.
+    """
+    graph = TaskGraph()
+    for order, (count, deps) in enumerate(zip(slice_counts, dependencies)):
+        for d in deps:
+            if not 0 <= d < order:
+                raise ValueError(
+                    f"picture {order} depends on {d}: dependencies must "
+                    "be earlier in coding order"
+                )
+        refs = tuple(dict.fromkeys(f"p{d}.publish" for d in deps))
+        previous = f"p{order - 1}.publish"
+        barriers = (
+            (previous,)
+            if mode == "simple" and order and previous not in refs
+            else ()
+        )
+        gate = refs + barriers
+        per = -(-count // max(workers, 1))
+        batches = tuple(
+            graph.add(
+                TaskNode(
+                    f"p{order}.s{start}", "reconstruct", order=order,
+                    deps=gate, barriers=barriers,
+                    payload=range(start, min(count, start + per)),
+                )
+            ).tid
+            for start in range(0, count, per or 1)
         )
         graph.add(
             TaskNode(
-                tid=f"g{gi}.publish",
-                kind="publish",
-                stream=stream,
-                gop=gi,
-                deps=(recon.tid,),
+                f"p{order}.publish", "publish", order=order,
+                deps=batches or gate, barriers=() if batches else barriers,
             )
         )
     return graph
 
 
-def plan_slice_graph(index: StreamIndex, stream: int = 0) -> TaskGraph:
-    """Slice-grain plan: per-picture nodes with ref-publish edges.
-
-    Pictures are walked in coding (stream) order per GOP.  ``fwd`` and
-    ``bwd`` track the publish tids of the two most recent reference
-    pictures — exactly the prediction sources the MPEG-2 bitstream
-    semantics allow inside a closed GOP — so each reconstruct's dep
-    tuple *is* the improved barrier of the paper: P waits only on its
-    forward reference's publish, B on both references', I on nothing
-    but its own parse.
-    """
-    graph = TaskGraph()
-    for gi, gop in enumerate(index.gops):
-        fwd: str | None = None  # publish tid of the older reference
-        bwd: str | None = None  # publish tid of the newer reference
-        for order, pic in enumerate(gop.pictures):
-            parse = graph.add(
-                TaskNode(
-                    tid=f"g{gi}.p{order}.parse",
-                    kind="parse",
-                    stream=stream,
-                    gop=gi,
-                    order=order,
-                )
-            )
-            deps = [parse.tid]
-            if pic.picture_type.is_reference:
-                # P predicts from the most recent reference; the
-                # opening I predicts from nothing.
-                if pic.picture_type.name == "P":
-                    if bwd is not None:
-                        deps.append(bwd)
-                recon = graph.add(
-                    TaskNode(
-                        tid=f"g{gi}.p{order}.reconstruct",
-                        kind="reconstruct",
-                        stream=stream,
-                        gop=gi,
-                        order=order,
-                        deps=tuple(deps),
-                    )
-                )
-                publish = graph.add(
-                    TaskNode(
-                        tid=f"g{gi}.p{order}.publish",
-                        kind="publish",
-                        stream=stream,
-                        gop=gi,
-                        order=order,
-                        deps=(recon.tid,),
-                    )
-                )
-                fwd, bwd = bwd, publish.tid
-            else:
-                # B predicts from both surrounding references and
-                # publishes nothing — nobody waits on a B.
-                for ref in (fwd, bwd):
-                    if ref is not None:
-                        deps.append(ref)
-                graph.add(
-                    TaskNode(
-                        tid=f"g{gi}.p{order}.reconstruct",
-                        kind="reconstruct",
-                        stream=stream,
-                        gop=gi,
-                        order=order,
-                        deps=tuple(deps),
-                    )
-                )
-    return graph
+def plan_slice_graph(
+    index: StreamIndex, mode: str = "improved", workers: int = 1
+) -> TaskGraph:
+    """Slice-grain plan of a scanned stream: :func:`plan_slice_batches`
+    over the reference links :func:`scan_slice_tasks` derived — P waits
+    on its forward reference's publish, B on both references', I on
+    nothing (plus, under ``simple``, the per-picture barrier)."""
+    plans = scan_slice_tasks(index)
+    return plan_slice_batches(
+        [len(p.slices) for p in plans],
+        [p.dependencies for p in plans],
+        mode,
+        workers,
+    )
 
 
-def plan_graph(index: StreamIndex, grain: str, stream: int = 0) -> TaskGraph:
+def plan_graph(index: StreamIndex, grain: str) -> TaskGraph:
     """Dispatch on grain name (``gop`` | ``slice``)."""
     if grain == "gop":
-        return plan_gop_graph(index, stream)
+        return plan_gop_graph(index)
     if grain == "slice":
-        return plan_slice_graph(index, stream)
+        return plan_slice_graph(index)
     raise ValueError(f"unknown grain {grain!r}; expected 'gop' or 'slice'")
+
+
+# ======================================================================
+# serve
+# ======================================================================
+def plan_serve_tasks(
+    plans: Sequence[PicturePlan], grain: str = "fine"
+) -> list[tuple]:
+    """One session's decomposition: ``(key, kind, gop, orders, deps)``
+    rows in plan order, every picture in exactly one row.
+
+    ``"fine"``: per GOP a ``("ref", gop)`` task with its reference
+    pictures, then one ``("b", gop, order)`` task per B picture that
+    depends on it (closed GOPs guarantee both references live there).
+
+    ``"coarse"``: one ``("ref", gop)`` task per GOP carrying every
+    picture in coding order, no deps — fewer scheduler messages and no
+    intra-GOP synchronization, at the cost that the ``drop_b`` degrade
+    action has no standalone B tasks to shed (``skip_gop`` still
+    applies).
+    """
+    if grain not in ("fine", "coarse"):
+        raise ValueError(
+            f"unknown task grain {grain!r}; expected 'fine' or 'coarse'"
+        )
+    by_gop: dict[int, list[PicturePlan]] = {}
+    for plan in plans:
+        by_gop.setdefault(plan.gop, []).append(plan)
+    rows: list[tuple] = []
+    for gop in sorted(by_gop):
+        ref_key = ("ref", gop)
+        refs = tuple(
+            p.order for p in by_gop[gop] if grain == "coarse" or p.is_reference
+        )
+        if refs:
+            rows.append((ref_key, "ref", gop, refs, ()))
+        rows.extend(
+            (("b", gop, p.order), "b", gop, (p.order,), (ref_key,) if refs else ())
+            for p in by_gop[gop]
+            if p.order not in refs
+        )
+    return rows

@@ -6,16 +6,21 @@ cannot show real speedup under the GIL.  This module escapes the GIL
 the same way the paper escaped a single R4400: separate OS processes
 (`multiprocessing`), one per worker, each decoding whole closed GOPs.
 
-The process machinery is not here: GOP-grain decode is one *partition*
-handed to the single worker runtime in :mod:`repro.exec.backend` — a
-task body (:func:`~repro.exec.backend.decode_gop_chunk`) plus a small
-session context — and this module is the parent loop around it.
+Neither the process machinery nor the dispatch loop is here: GOP-grain
+decode is one *partition* — the plan
+:func:`~repro.exec.plan.plan_gop_graph`, the task body
+:func:`~repro.exec.backend.decode_gop_chunk` and a small session
+context — handed to the single worker runtime in
+:mod:`repro.exec.backend` and driven by the one parent loop in
+:mod:`repro.exec.dispatch`.  This module supplies the policy
+(one chunk per worker, stream order) and the display
+merge.
 
 The paper's three roles map onto real primitives:
 
 * **scan** — the parent builds a :class:`repro.mpeg2.index.StreamIndex`
   (start-code scan, no decoding) and splits it into per-GOP byte-range
-  tasks (:func:`~repro.exec.backend.scan_gop_tasks`).
+  tasks (:func:`~repro.exec.plan.scan_gop_tasks`).
 * **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` for
   ``(workers, start_method)``, forked once per process and shared with
   the slice decoder and the serve layer.  The coded stream is published
@@ -25,8 +30,8 @@ The paper's three roles map onto real primitives:
   (sequence-header prefix + GOP bytes), decodes it with the batched
   :class:`~repro.mpeg2.decoder.SequenceDecoder`, and writes the
   decoded planes straight into a shared-memory frame pool.  Tasks are
-  *chunks* of consecutive GOPs
-  (:func:`~repro.exec.backend.coalesce_gop_tasks`) so streams with many
+  *chunks* of consecutive GOPs (one ``decode`` node of the plan each)
+  so streams with many
   more GOPs than workers cost one queue message per chunk — dispatch
   and result publication both — instead of one per GOP; only tiny
   metadata (temporal references + work counters) crosses the process
@@ -36,7 +41,7 @@ The paper's three roles map onto real primitives:
   (:class:`~repro.parallel.mp_slice.DisplayMerger`), reading frames
   out of the pool.
 
-``workers=0`` runs the identical loop on the in-process transport
+``workers=0`` runs the identical plan on the in-process transport
 (:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory)
 so functional tests are deterministic on constrained CI;
 ``workers>=1`` is the real-silicon path measured by
@@ -53,28 +58,21 @@ by ``tests/parallel/test_mp_parity.py`` and the golden-vector suite.
 
 from __future__ import annotations
 
-import os
-import time
-from collections import deque
 from typing import Iterator
 
 from repro.exec.backend import (  # noqa: F401  (names tests import from here)
     GopResult,
-    coalesce_gop_tasks,
     decode_gop_chunk,
-    fetch_or_raise,
     persistent_worker_pids,
-    scan_gop_tasks,
-    scan_index,
-    team_run,
 )
+from repro.exec.dispatch import StreamDecoder
+from repro.exec.plan import plan_gop_graph, scan_gop_tasks  # noqa: F401
 from repro.exec.shm import FrameLayout, SharedFramePool  # noqa: F401
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex, sequence_prefix
 from repro.obs.metrics import metrics
-from repro.obs.stalls import StallTable
 from repro.obs.trace import trace_span
 from repro.parallel.mp_slice import DisplayMerger, record_merge_hold
 
@@ -82,7 +80,7 @@ from repro.parallel.mp_slice import DisplayMerger, record_merge_hold
 # ----------------------------------------------------------------------
 # the decoder
 # ----------------------------------------------------------------------
-class MPGopDecoder:
+class MPGopDecoder(StreamDecoder):
     """GOP-level parallel decoder on real cores (paper Section 5.1).
 
     Parameters
@@ -93,11 +91,8 @@ class MPGopDecoder:
         Optional pre-built scan index (shared between the scan step and
         the workers, as in the paper).
     workers:
-        ``0`` decodes in-process through the identical scan/merge
-        pipeline (deterministic CI path, no processes).  ``>= 1``
-        spawns exactly that many OS worker processes (the paper's
-        ``P``); workers beyond the GOP count simply stay idle.
-        ``None`` uses the available CPU count.
+        See :class:`~repro.exec.dispatch.StreamDecoder`; workers beyond
+        the GOP count simply stay idle.
     engine:
         Decode engine for the workers (default ``"batched"``).
     resilient:
@@ -120,41 +115,17 @@ class MPGopDecoder:
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.data = data
-        self.index = scan_index(data, index)
-        self.workers = workers
+        super().__init__(data, index, workers, resilient, start_method)
         self.engine = engine
-        self.resilient = resilient
-        self.start_method = start_method
         #: Test-only fault injection: the worker that picks up this GOP
         #: dies with ``os._exit`` mid-stream (no result, no cleanup).
         self._crash_gop = _crash_gop
-        self.seq = self.index.sequence_header
-        self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
-        self.tasks = scan_gop_tasks(self.index)
         self.prefix = sequence_prefix(data, self.index)
-        #: Shared-pool bytes the last parallel run allocated (Fig. 8
-        #: counterpart on real silicon); 0 for the in-process path.
-        self.last_pool_bytes = 0
-        #: Stall attribution for the last run (wall seconds, canonical
-        #: :mod:`repro.obs.stalls` reasons; workers + merge combined).
-        self.last_stalls = StallTable()
-        #: Wall seconds of the last ``iter_gops`` drain.
-        self.last_wall_seconds = 0.0
 
     def stall_breakdown(self) -> dict[str, float]:
-        """Fraction of aggregate process time blocked, per reason.
-
-        Denominator: ``wall seconds x (worker processes + merger)`` —
-        the real-silicon analogue of the simulator's
-        ``finish_cycles x processes``, so the two breakdowns line up
-        in ``repro.analysis.obs_report``.
-        """
-        procs = min(self.workers, len(self.tasks)) + 1 if self.workers else 1
+        """As the base class's, but a team larger than the stream has
+        GOPs only ever keeps that many workers busy."""
+        procs = min(self.workers, len(self.index.gops)) + 1 if self.workers else 1
         return self.last_stalls.breakdown(self.last_wall_seconds * procs)
 
     # ------------------------------------------------------------------
@@ -174,80 +145,77 @@ class MPGopDecoder:
     ) -> Iterator[tuple[int, list[Frame]]]:
         """Yield ``(gop_number, display_ordered_frames)`` in stream order.
 
-        One loop for both transports: chunks of consecutive GOPs go to
-        whichever worker is free (one chunk per worker at a time — the
-        tasks are coarse, so pulling costs nothing and balances load),
-        results come back through the liveness-polled fetch, and the
-        reorder buffer releases GOPs in stream order.  ``workers=0``
-        runs each chunk where it is submitted.
+        The plan is :func:`~repro.exec.plan.plan_gop_graph`; the policy
+        below is one chunk per worker at a time, in stream order — the
+        tasks are coarse, so pulling costs nothing and balances load.
+        ``workers=0`` runs each chunk where it is submitted.
         """
-        workers = self.workers
-        self.last_stalls = stalls = StallTable()
-        reg = metrics()
-        occupancy = reg.gauge("mp.frame_pool.occupancy")
-        depth = reg.gauge("queue.depth")
-        chunks = deque(enumerate(coalesce_gop_tasks(self.tasks, workers)))
-        merger = DisplayMerger(
-            len(self.tasks),
+        self.counters = counters
+        self.graph = plan_gop_graph(self.index, self.workers)
+        #: chunk tid -> the GopResults its publish node will merge.
+        self.results: dict[str, list[GopResult]] = {}
+        self.merger = DisplayMerger(
+            len(self.index.gops),
             # An out-of-order completion sat in the reorder buffer: the
             # display-order merge stall (paper's display process).
-            on_hold=(
-                (lambda r, t0, ns: record_merge_hold(stalls, t0, ns, gop=r.gop))
-                if workers
-                else None
-            ),
+            on_hold=self._held if self.workers else None,
         )
         state = {
             "prefix": self.prefix,
             "engine": self.engine,
             "resilient": self.resilient,
         }
-        t_run = time.perf_counter()
-        try:
-            with team_run(
-                workers, self.start_method, decode_gop_chunk, self.data,
-                self.layout, self.index.picture_count, state,
-            ) as (team, sid, pool):
-                self.last_pool_bytes = pool.nbytes if workers else 0
+        yield from self._run(
+            self.graph, decode_gop_chunk, self.index.picture_count, state
+        )
+        self.merger.finish("GOP results")
 
-                def feed() -> None:
-                    for wid in team.free():
-                        if not chunks:
-                            return
-                        n, group = chunks.popleft()
-                        crash = any(t.gop == self._crash_gop for t in group)
-                        team.submit(
-                            wid, sid, n, group, "crash" if crash else None
-                        )
-                        reg.counter("mp.dispatch.messages").inc()
+    def _held(self, result: GopResult, since_ns: int, held_ns: int) -> None:
+        record_merge_hold(self.last_stalls, since_ns, held_ns, gop=result.gop)
 
-                feed()
-                while team.in_flight(sid):
-                    results = fetch_or_raise(
-                        team, stalls, "GOP", "stream", "task"
-                    )
-                    feed()
-                    for result in results:
-                        occupancy.inc(len(result.temporal_references))
-                        ready = merger.push(result.gop, result)
-                        depth.set(merger.held)
-                        for done in ready:
-                            if counters is not None:
-                                counters.add(done.counters)
-                            refs = done.temporal_references
-                            with trace_span(
-                                "mp.shm.read", cat="mp",
-                                gop=done.gop, frames=len(refs),
-                            ):
-                                frames = [
-                                    pool.read_frame(done.slot_base + j, ref)
-                                    for j, ref in enumerate(refs)
-                                ]
-                            occupancy.dec(len(refs))
-                            yield done.gop, frames
-                merger.finish("GOP results")
-        finally:
-            self.last_wall_seconds = time.perf_counter() - t_run
+    # -- the policy ------------------------------------------------------
+    def _claim(self) -> tuple | None:
+        free = self.team.free()
+        node = self.graph.first_ready()
+        if not free or node is None:
+            return None
+        self.graph.dispatch(node.tid)
+        metrics().counter("mp.dispatch.messages").inc()
+        crash = any(t.gop == self._crash_gop for t in node.payload)
+        return free[0], self.sid, node.tid, node.payload, "crash" if crash else None
+
+    def _done(self, sid, key, results: list[GopResult]) -> None:
+        self.graph.complete(key)
+        self.results[key] = results
+
+    def _publish(self) -> list[GopResult]:
+        reg = metrics()
+        ready: list[GopResult] = []
+        while (node := self.graph.first_ready(publish=True)) is not None:
+            self.graph.dispatch(node.tid)
+            for result in self.results.pop(node.deps[0]):
+                reg.gauge("mp.frame_pool.occupancy").inc(
+                    len(result.temporal_references)
+                )
+                ready += self.merger.push(result.gop, result)
+                reg.gauge("queue.depth").set(self.merger.held)
+            self.graph.complete(node.tid)
+        return ready
+
+    def _emit(self, ready: list[GopResult]) -> Iterator[tuple[int, list[Frame]]]:
+        for done in ready:
+            if self.counters is not None:
+                self.counters.add(done.counters)
+            refs = done.temporal_references
+            with trace_span(
+                "mp.shm.read", cat="mp", gop=done.gop, frames=len(refs)
+            ):
+                frames = [
+                    self.pool.read_frame(done.slot_base + j, ref)
+                    for j, ref in enumerate(refs)
+                ]
+            metrics().gauge("mp.frame_pool.occupancy").dec(len(refs))
+            yield done.gop, frames
 
 
 def decode_parallel(

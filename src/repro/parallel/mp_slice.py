@@ -3,30 +3,40 @@
 :mod:`repro.parallel.mp` brings the paper's **GOP-level** decomposition
 (Section 5.1) to real cores; this module does the same for the
 **slice-level** decomposition (Section 5.2), the one the paper finds
-superior on latency and memory.  Tasks are individual slices, organised
-by the 2-D picture/slice queue; two synchronisation policies mirror the
-simulated :class:`repro.parallel.slice_level.SliceLevelDecoder`:
+superior on latency and memory.  Tasks are batches of a picture's
+slices, and *when* a picture's slices may start is the edges of the
+slice-grain task graph (:func:`~repro.exec.plan.plan_slice_batches`);
+the two synchronisation policies of the simulated
+:class:`repro.parallel.slice_level.SliceLevelDecoder` are two
+topologies of it:
 
-* ``simple`` — a picture's slices become available only when **every**
-  earlier picture (coding order) has completed: a barrier after each
-  picture.
-* ``improved`` — a picture's slices become available as soon as its
-  **reference pictures** have been decoded and published: consecutive
-  B-pictures interleave freely, so the barrier survives only after
-  I/P pictures.
+* ``simple`` — besides its reference edges, every picture carries a
+  **barrier edge** from the picture before it: its slices become
+  available only when every earlier picture (coding order) is complete.
+* ``improved`` — **reference edges only**: a picture's slices become
+  available as soon as its reference pictures have been decoded and
+  published, so consecutive B-pictures interleave freely and the
+  barrier survives only after I/P pictures.
 
 The paper's three roles map onto real primitives:
 
 * **scan** — the parent flattens the :class:`repro.mpeg2.index.
   StreamIndex` into coding-order :class:`PicturePlan` records (byte
   ranges, reference links, display indices) without decoding
-  (:func:`scan_slice_tasks`), and drives the pure-logic
-  :class:`PictureSliceQueue` that embodies the availability rule, the
-  dispatch credit and the frame window.
+  (:func:`~repro.exec.plan.scan_slice_tasks`) and plans the graph from
+  them.  The pure-logic :class:`PictureSliceQueue` dispatches from it:
+  earliest ready batch first (the paper's in-order 2-D queue —
+  work-conserving, but GOP 0 always has priority, so display order
+  completes front to back), on a credit of ``2 x workers`` batches, and
+  only inside the frame window (:func:`frame_window`: pool size depends
+  on GOP structure and worker count, never on stream length — the
+  paper's Fig. 8 — and cannot deadlock; argument in DESIGN §2.4).
 * **workers** — the warm :class:`repro.exec.backend.WorkerTeam`
-  shared with the GOP decoder and the serve layer; this module only
-  supplies the partition: a session context (:func:`picture_state`)
-  and a task body (:func:`decode_batch`) run per :class:`SliceBatch`.
+  shared with the GOP decoder and the serve layer, fed by the one
+  parent loop (:mod:`repro.exec.dispatch`); this module only supplies
+  the partition and the policy (:class:`MPSliceDecoder`'s hooks): a
+  session context (:func:`picture_state`) and a task body
+  (:func:`decode_batch`) run per :class:`SliceBatch`.
   The coded stream is published once into shared memory; workers
   attach by name and slice payload byte ranges straight out of the
   segment.  One function, :func:`decode_batch_into_pool`, is the whole
@@ -39,34 +49,10 @@ The paper's three roles map onto real primitives:
   frame pool, reading reference pictures through zero-copy views.
   Only the batch's summed work counters and its corrupt row numbers
   cross the process boundary — pixels and bitstream never do.
-* **display** — the parent completes pictures (concealment for corrupt
-  rows, publish for dependents), then merges them into display order
-  through :class:`DisplayMerger`.
-
-Dispatch: earliest picture first, on credit, inside a frame window
--------------------------------------------------------------------
-The parent keeps at most ``2 x workers`` batches in flight (one running
-and one queued on the least-loaded worker) and refills one credit per
-result from
-:meth:`PictureSliceQueue.claim_batch`, which always serves the
-**earliest-coded available** picture — the paper's in-order 2-D queue —
-in at most ``workers`` batches of ``ceil(slices / workers)`` consecutive
-slices, so every worker can take a share of the same picture.  The rule
-is work-conserving (while GOP 0 waits for a reference, the next GOP's
-I-picture runs) but GOP 0 always has priority, so display order
-completes front to back and the first pictures are ready after one
-picture time, not after every GOP's I-picture.
-
-Decoded pictures live in a pool of ``max(longest GOP, 2 x workers) + 1``
-slots handed out from a free list (:func:`frame_window`); slot numbers
-ride in the task.  A picture may start only while it lies within that
-many pictures of the first one still holding or needing a slot, and a
-slot is freed once its picture **and every picture that references
-it** have been emitted.  Pool size thus depends on GOP structure and
-worker count, never on stream length (the paper's Fig. 8).  It cannot
-deadlock: every picture the oldest slot holder waits for —
-display-earlier pictures and dependents — belongs to its own closed
-GOP, which fits inside the window.
+* **display** — a picture's ``publish`` node, released by its last
+  batch, is the parent's step: concealment for corrupt rows, publish
+  for dependents, then the merge into display order through
+  :class:`DisplayMerger`.
 
 Bit-exactness
 -------------
@@ -88,19 +74,16 @@ counters, pinned by ``tests/parallel/test_mp_slice_parity``.
 Stall attribution (paper Table 3 / Fig. 12)
 -------------------------------------------
 A gate clock starts only when a **free credit** finds nothing it may
-dispatch because a picture is unavailable, and stops when that picture
-is found available again; at most one clock runs at a time, so the
+dispatch because a picture waits on an edge, and stops when that
+picture is claimed; at most one clock runs at a time, so the
 scheduler's gated seconds never exceed wall seconds.  The wait splits
-on release:
-
-* time the picture spent waiting for its references to be published is
-  :data:`~repro.obs.stalls.REASON_REF_PUBLISH` — a true data
-  dependency, paid by both policies;
-* the remainder (simple mode only: waiting for unrelated earlier
-  pictures) is :data:`~repro.obs.stalls.REASON_BARRIER` — the
-  policy-imposed cost the improved variant eliminates.  By
-  construction the improved decoder reports **zero** barrier stall,
-  which is exactly the paper's argument for it.
+by edge kind: the part that ended when the picture's last reference
+edge published is :data:`~repro.obs.stalls.REASON_REF_PUBLISH` — a true
+data dependency, paid by both policies; the remainder, which only a
+barrier edge can cause, is :data:`~repro.obs.stalls.REASON_BARRIER` —
+the policy-imposed cost.  The improved plan has no barrier edge, so it
+reports **zero** barrier stall, which is exactly the paper's argument
+for it.
 
 Worker idle time is ``queue.get``; display reordering is
 ``merge.reorder`` — the same canonical vocabulary as the GOP decoder
@@ -110,21 +93,16 @@ and the SMP simulator, so all three report through one
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.bitstream.emulation import unescape_payload
 from repro.mpeg2.batched import parse_slice, reconstruct_slices
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import (
-    SLICE_CORRUPTION_ERRORS,
-    DecodeError,
-)
+from repro.mpeg2.decoder import SLICE_CORRUPTION_ERRORS
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.headers import PictureHeader, SequenceHeader
+from repro.mpeg2.headers import SequenceHeader
 from repro.mpeg2.index import StreamIndex
 from repro.mpeg2.reconstruct import conceal_rows, missing_rows
 from repro.obs.metrics import metrics
@@ -136,135 +114,21 @@ from repro.obs.stalls import (
     record_concealment,
 )
 from repro.obs.trace import trace_complete, trace_span
-from repro.exec.backend import (
-    TaskContext,
-    fetch_or_raise,
-    scan_index,
-    team_run,
+from repro.exec.backend import TaskContext
+from repro.exec.dispatch import StreamDecoder
+from repro.exec.graph import COMPLETED, DISPATCHED, PENDING
+from repro.exec.plan import (  # noqa: F401  (names callers import from here)
+    PicturePlan,
+    SlicePlan,
+    plan_slice_batches,
+    scan_slice_tasks,
 )
-from repro.exec.shm import FrameLayout
 from repro.parallel.slice_level import SliceMode
 
 
 # ======================================================================
-# scan: stream index -> coding-order picture/slice plans
+# the frame window (the slot resource of the slice plan)
 # ======================================================================
-@dataclass(frozen=True)
-class SlicePlan:
-    """One slice task: wire byte range + static reconstruction flag.
-
-    ``reconstruct`` is ``True`` for exactly one slice per macroblock
-    row — the bitstream-*last* one — realising the sequential
-    decoder's last-write-wins semantics for duplicated slices without
-    any concurrent-write hazard (every other duplicate is parse-only:
-    its work counters still accrue, its pixels never land).
-    """
-
-    vertical_position: int
-    payload_start: int
-    payload_end: int
-    reconstruct: bool
-
-
-@dataclass(frozen=True)
-class PicturePlan:
-    """Scan product for one picture: everything a worker or the
-    scheduler needs, no pixels, fully picklable."""
-
-    #: Global coding-order number.
-    order: int
-    #: GOP number and coding position within it (diagnostics).
-    gop: int
-    #: Global display-order number across the stream.
-    display_index: int
-    header: PictureHeader
-    #: Bits of the picture header incl. start code (counter parity).
-    header_bits: int
-    #: Coding-order numbers of the forward / backward reference
-    #: pictures, or ``None`` (I has neither, P no backward).
-    fwd: int | None
-    bwd: int | None
-    slices: tuple[SlicePlan, ...]
-
-    @property
-    def dependencies(self) -> tuple[int, ...]:
-        return tuple(d for d in (self.fwd, self.bwd) if d is not None)
-
-    @property
-    def is_reference(self) -> bool:
-        return self.header.picture_type.is_reference
-
-
-def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
-    """Flatten the scan index into coding-order picture plans.
-
-    Validates upfront what the sequential decoder validates lazily —
-    closed GOPs only, references present — raising
-    :class:`~repro.mpeg2.decoder.DecodeError` with the sequential
-    decoder's messages, so malformed streams are rejected identically.
-    """
-    plans: list[PicturePlan] = []
-    base = 0
-    display_base = 0
-    for gi, gop in enumerate(index.gops):
-        if not gop.closed_gop:
-            raise DecodeError(
-                "GOP-level decode requires closed GOPs (paper assumption)"
-            )
-        ranks = gop.display_ranks()
-        ref_old: int | None = None
-        ref_new: int | None = None
-        for pos, pic in enumerate(gop.pictures):
-            letter = pic.picture_type.letter
-            if letter == "I":
-                fwd = bwd = None
-            elif letter == "P":
-                fwd, bwd = ref_new, None
-                if fwd is None:
-                    raise DecodeError("P-picture without forward reference")
-            else:
-                fwd, bwd = ref_old, ref_new
-                if fwd is None:
-                    raise DecodeError("B-picture without forward reference")
-                if bwd is None:
-                    raise DecodeError("B-picture without backward reference")
-            order = base + pos
-            # Static duplicate resolution: the bitstream-last slice of
-            # each row reconstructs; earlier duplicates are parse-only.
-            last_for_row: dict[int, int] = {
-                sl.vertical_position: si for si, sl in enumerate(pic.slices)
-            }
-            plans.append(
-                PicturePlan(
-                    order=order,
-                    gop=gi,
-                    display_index=display_base + ranks[pos],
-                    header=pic.header(),
-                    header_bits=(
-                        pic.header_payload_end - pic.header_payload_start + 4
-                    )
-                    * 8,
-                    fwd=base + fwd if fwd is not None else None,
-                    bwd=base + bwd if bwd is not None else None,
-                    slices=tuple(
-                        SlicePlan(
-                            vertical_position=sl.vertical_position,
-                            payload_start=sl.payload_start,
-                            payload_end=sl.payload_end,
-                            reconstruct=last_for_row[sl.vertical_position]
-                            == si,
-                        )
-                        for si, sl in enumerate(pic.slices)
-                    ),
-                )
-            )
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, pos
-        base += len(gop.pictures)
-        display_base += len(gop.pictures)
-    return plans
-
-
 def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
     """Pool slots for a slice-grain decode of ``plans``.
 
@@ -295,14 +159,18 @@ class SliceBatch(NamedTuple):
 
 
 class PictureSliceQueue:
-    """The 2-D task queue: availability, dispatch credit, frame window.
+    """The slice-grain dispatch policy: credit, frame window, gate clock.
 
     The real-silicon twin of the simulated
-    :class:`repro.parallel.queues.SliceTaskQueue`: same availability
-    rules, same earliest-available-first service order, no simulator.
-    It also holds what is in flight and which pool slot each picture
-    occupies, so credit, window and never-before-references can be
-    property-tested without a process.
+    :class:`repro.parallel.queues.SliceTaskQueue`.  *When* a picture's
+    slices may start is not decided here: the queue holds the
+    :func:`~repro.exec.plan.plan_slice_batches` graph of the stream and
+    serves its ready set earliest-planned first — the paper's in-order
+    2-D queue — so ``simple`` and ``improved`` differ only in the edges
+    of that graph.  What the queue adds is the resources a ready batch
+    still needs: a dispatch credit and a pool slot inside the frame
+    window.  It runs no process, so credit, window and
+    never-before-references can be property-tested without one.
 
     Parameters
     ----------
@@ -311,7 +179,7 @@ class PictureSliceQueue:
     dependencies:
         Per picture, the coding-order numbers it references.  Every
         dependency must be *earlier* (MPEG-2 coding order guarantees
-        this; the queue enforces it).
+        this; the plan enforces it).
     mode:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
@@ -344,31 +212,22 @@ class PictureSliceQueue:
         on_released: Callable[[int], None] | None = None,
         on_slot: Callable[[int], None] | None = None,
     ) -> None:
-        mode = SliceMode(mode).value
+        self.mode = SliceMode(mode).value
         if len(slice_counts) != len(dependencies):
             raise ValueError("slice_counts and dependencies length mismatch")
-        for order, deps in enumerate(dependencies):
-            for d in deps:
-                if not 0 <= d < order:
-                    raise ValueError(
-                        f"picture {order} depends on {d}: dependencies must "
-                        "be earlier in coding order"
-                    )
-        self.mode = mode
+        self.graph = graph = plan_slice_batches(
+            slice_counts, dependencies, self.mode, workers
+        )
         self.credit = max(1, 2 * workers)
-        self.in_flight = 0
         self._deps = [tuple(dict.fromkeys(d)) for d in dependencies]
-        self._counts = list(slice_counts)
-        #: Slices per batch: ceil(slices / workers).
-        self._per = [-(-c // max(workers, 1)) for c in slice_counts]
-        self._next_slice = [0] * len(slice_counts)
-        self._remaining = list(slice_counts)
-        self._complete = [False] * len(slice_counts)
-        self._complete_count = 0
-        self._newly_complete: list[int] = []
-        #: Zero-slice pictures not yet settled (nothing to hand out).
-        self._empty = [o for o, c in enumerate(slice_counts) if c == 0]
+        #: Per picture, its batch nodes; ``_head`` is the first picture
+        #: that may still have one pending (where a gate clock goes).
+        self._batches: list[list] = [[] for _ in slice_counts]
+        for node in graph.nodes.values():
+            if node.kind != "publish":
+                self._batches[node.order].append(node)
         self._head = 0
+        self._newly_complete: list[int] = []
         self._gate: int | None = None
         self._on_gated = on_gated
         self._on_released = on_released
@@ -386,22 +245,14 @@ class PictureSliceQueue:
         #: First picture whose slot is not yet back on the free list.
         self._base = 0
 
-    # -- availability --------------------------------------------------
-    def _available(self, order: int) -> bool:
-        if self.mode == "simple":
-            # Every earlier picture (coding order) must be complete.
-            return self._complete_count >= order
-        # improved: only the references must be complete.
-        return all(self._complete[d] for d in self._deps[order])
-
-    def _set_complete(self, order: int) -> None:
-        self._complete[order] = True
-        self._complete_count += 1
-        self._newly_complete.append(order)
+    @property
+    def in_flight(self) -> int:
+        """Batches out (``publish`` steps never stay dispatched)."""
+        return self.graph.in_flight
 
     def _limit(self) -> int:
         """One past the last picture the frame window lets start."""
-        return min(len(self._counts), self._base + self.window)
+        return min(len(self._slot), self._base + self.window)
 
     def _acquire(self, order: int) -> int:
         slot = self._slot[order]
@@ -416,71 +267,76 @@ class PictureSliceQueue:
         """Claim the next batch; ``None`` if the credit is spent or
         nothing may start right now.
 
-        Serves the earliest-coded available picture inside the frame
-        window — the paper's in-order queue: a later picture is served
-        only while every earlier one is fully handed out or waiting for
-        a reference.  In simple mode nothing after the first
-        unavailable picture can be available, so the scan stops there.
+        Serves the earliest-planned ready batch if its picture lies
+        inside the frame window: a later picture is served only while
+        every earlier one is fully handed out or waiting on an edge.
         """
         if self.in_flight >= self.credit:
             return None
-        blocked: int | None = None
-        for order in range(self._head, self._limit()):
-            count = self._counts[order]
-            if self._next_slice[order] >= count:
-                if order == self._head:
-                    self._head += 1
-                continue
-            if not self._available(order):
-                if blocked is None:
-                    blocked = order
-                if self.mode == "simple":
-                    break
-                continue
-            if order == self._gate:
+        node = self.graph.first_ready()
+        if node is not None and node.order < self._limit():
+            if node.order == self._gate:
                 self._gate = None
                 if self._on_released is not None:
-                    self._on_released(order)
-            start = self._next_slice[order]
-            stop = self._next_slice[order] = min(count, start + self._per[order])
-            self.in_flight += 1
+                    self._on_released(node.order)
+            self.graph.dispatch(node.tid)
             return SliceBatch(
-                order,
-                range(start, stop),
-                self._acquire(order),
-                tuple(self._slot[d] for d in self._deps[order]),
+                node.order,
+                node.payload,
+                self._acquire(node.order),
+                tuple(self._slot[d] for d in self._deps[node.order]),
             )
-        if blocked is not None and self._gate is None:
-            self._gate = blocked
-            if self._on_gated is not None:
-                self._on_gated(blocked)
+        if self._gate is None:
+            # A free credit found nothing to place: the clock goes on
+            # the earliest picture with slices still waiting on an edge
+            # (not on one that is ready but outside the window).
+            state = self.graph.state
+            while self._head < len(self._batches) and not any(
+                state[b.tid] == PENDING for b in self._batches[self._head]
+            ):
+                self._head += 1
+            head = self._head
+            if head < self._limit() and (node is None or node.order != head):
+                self._gate = head
+                if self._on_gated is not None:
+                    self._on_gated(head)
         return None
+
+    def _settle(self, publish) -> None:
+        """Complete a ready ``publish`` node on the caller's behalf."""
+        self.graph.dispatch(publish.tid)
+        self._acquire(publish.order)
+        self.graph.complete(publish.tid)
+        self._newly_complete.append(publish.order)
 
     def complete_batch(self, order: int, slices: int) -> bool:
         """Report one finished batch of ``slices`` slices of ``order``
         (returns its credit); ``True`` if that completed the picture."""
-        done = self._counts[order] - self._remaining[order]
-        if not 0 < slices <= self._next_slice[order] - done:
-            raise ValueError(f"picture {order} has no outstanding slices")
-        self.in_flight -= 1
-        self._remaining[order] -= slices
-        if self._remaining[order] == 0:
-            self._set_complete(order)
-            return True
-        return False
+        for node in self._batches[order]:
+            if (
+                self.graph.state[node.tid] == DISPATCHED
+                and len(node.payload) == slices
+            ):
+                # Only the picture's publish step waits on a batch, and
+                # the last one releases it.
+                released = self.graph.complete(node.tid)
+                for publish in released:
+                    self._settle(publish)
+                return bool(released)
+        raise ValueError(f"picture {order} has no outstanding slices")
 
     def take_completed(self) -> list[int]:
         """Pictures completed since the last call, for the caller to
-        publish **before** it claims again: finished by a batch, or
-        zero-slice pictures that settle here because they are available
-        and inside the window (they take a slot — dependents and the
-        display read it blank — but there is nothing to hand out)."""
-        limit = self._limit()
-        for order in [o for o in self._empty if o < limit]:
-            if self._available(order):
-                self._empty.remove(order)
-                self._acquire(order)
-                self._set_complete(order)
+        publish **before** it claims again (their ``publish`` nodes are
+        completed here on its behalf): finished by a batch, or
+        zero-slice pictures that settle here because their edges are
+        met and they are inside the window (they take a slot —
+        dependents and the display read it blank — but there is nothing
+        to hand out)."""
+        while (
+            node := self.graph.first_ready(publish=True)
+        ) is not None and node.order < self._limit():
+            self._settle(node)
         out, self._newly_complete = self._newly_complete, []
         return out
 
@@ -499,14 +355,14 @@ class PictureSliceQueue:
     # -- diagnostics -----------------------------------------------------
     @property
     def done(self) -> bool:
-        return self._complete_count == len(self._counts)
+        return self.graph.completed == self.graph.planned
 
     @property
     def pictures_complete(self) -> int:
-        return self._complete_count
+        return sum(map(self.is_complete, range(len(self._slot))))
 
     def is_complete(self, order: int) -> bool:
-        return self._complete[order]
+        return self.graph.state[f"p{order}.publish"] == COMPLETED
 
     def slot_of(self, order: int) -> int | None:
         """Pool slot ``order`` occupies (``None`` when it has none)."""
@@ -734,6 +590,23 @@ def decode_picture_into_pool(
 # ======================================================================
 # what a worker is given: the session state and the batch task body
 # ======================================================================
+def base_counters(index: StreamIndex, plans: list[PicturePlan]) -> WorkCounters:
+    """GOP + picture header contributions (the parent's share).
+
+    The sequential decoder charges one header + its wire bits per GOP
+    and per picture; slice headers/bits are charged inside
+    :func:`parse_slice` by whichever process parses the slice.
+    """
+    c = WorkCounters()
+    for gop in index.gops:
+        c.headers += 1
+        c.bits += (gop.header_payload_end - gop.header_payload_start + 4) * 8
+    for plan in plans:
+        c.headers += 1
+        c.bits += plan.header_bits
+    return c
+
+
 def picture_state(
     plans: list[PicturePlan], index: StreamIndex, resilient: bool
 ) -> dict:
@@ -765,8 +638,13 @@ def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
 # ======================================================================
 # the decoder
 # ======================================================================
-class MPSliceDecoder:
+class MPSliceDecoder(StreamDecoder):
     """Slice-level parallel decoder on real cores (paper Section 5.2).
+
+    The plan is the slice-grain graph inside :class:`PictureSliceQueue`,
+    which also picks (earliest ready batch, on credit, inside the frame
+    window); the rest of the policy is below: publish (concealment,
+    publish time, display merge), emit, and the gate clock.
 
     Parameters
     ----------
@@ -776,10 +654,7 @@ class MPSliceDecoder:
         Optional pre-built scan index (shared between the scan step and
         the workers, as in the paper).
     workers:
-        ``0`` runs the identical queue/claim/complete pipeline
-        in-process (deterministic CI path, no processes); ``>= 1``
-        spawns that many persistent OS worker processes.  ``None``
-        uses the available CPU count.
+        See :class:`~repro.exec.dispatch.StreamDecoder`.
     mode:
         ``"simple"`` barriers after every picture; ``"improved"``
         (default) barriers only after reference pictures, letting
@@ -792,6 +667,8 @@ class MPSliceDecoder:
         ``"fork"`` on Linux keeps the coded bytes copy-on-write).
     """
 
+    role, unit, loss = "slice", "picture", "slice"
+
     def __init__(
         self,
         data: bytes,
@@ -802,57 +679,12 @@ class MPSliceDecoder:
         start_method: str | None = None,
         _crash_task: tuple[int, int] | None = None,
     ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.data = data
-        self.index = scan_index(data, index)
-        self.workers = workers
+        super().__init__(data, index, workers, resilient, start_method)
         self.mode = SliceMode(mode)
-        self.resilient = resilient
-        self.start_method = start_method
         #: Test-only fault injection: the worker that picks up this
         #: ``(picture_order, slice_index)`` dies with ``os._exit``.
         self._crash_task = _crash_task
-        self.seq = self.index.sequence_header
-        self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
         self.plans = scan_slice_tasks(self.index)
-        #: Shared-pool bytes the last parallel run allocated; 0 for the
-        #: in-process path.
-        self.last_pool_bytes = 0
-        #: Stall attribution for the last run (wall seconds, canonical
-        #: :mod:`repro.obs.stalls` reasons; workers + scheduler).
-        self.last_stalls = StallTable()
-        #: Wall seconds of the last decode.
-        self.last_wall_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def stall_breakdown(self) -> dict[str, float]:
-        """Fraction of aggregate process time blocked, per reason.
-
-        Denominator: ``wall seconds x (worker processes + scheduler)``
-        — directly comparable with ``MPGopDecoder.stall_breakdown()``
-        and the simulator's ``finish_cycles x processes``.
-        """
-        procs = self.workers + 1 if self.workers else 1
-        return self.last_stalls.breakdown(self.last_wall_seconds * procs)
-
-    def _base_counters(self) -> WorkCounters:
-        """GOP + picture header contributions (the parent's share).
-
-        The sequential decoder charges one header + its wire bits per
-        GOP and per picture; slice headers/bits are charged inside
-        :func:`parse_slice` by whichever process parses the slice.
-        """
-        c = WorkCounters()
-        for gop in self.index.gops:
-            c.headers += 1
-            c.bits += (gop.header_payload_end - gop.header_payload_start + 4) * 8
-        for plan in self.plans:
-            c.headers += 1
-            c.bits += plan.header_bits
-        return c
 
     # ------------------------------------------------------------------
     def decode_all(self, counters: WorkCounters | None = None) -> list[Frame]:
@@ -868,180 +700,128 @@ class MPSliceDecoder:
     ) -> Iterator[Frame]:
         """Yield decoded frames in display order."""
         if counters is not None:
-            counters.add(self._base_counters())
-        self.last_stalls = stalls = StallTable()
-        workers = self.workers
-        reg = metrics()
-        depth_gauge = reg.gauge("queue.depth")
-        dispatch_msgs = reg.counter("mp.dispatch.messages")
-        crash_order, crash_sidx = self._crash_task or (None, None)
-        t_run = time.perf_counter()
-        try:
-            with team_run(
-                workers, self.start_method, decode_batch, self.data,
-                self.layout, frame_window(self.plans, workers),
-                picture_state(self.plans, self.index, self.resilient),
-            ) as (team, sid, pool):
-                self.last_pool_bytes = pool.nbytes if workers else 0
-
-                def submit(batch: SliceBatch) -> None:
-                    # One running and one queued batch per worker: the
-                    # credit (2 x workers) always leaves one with room.
-                    crash = (
-                        batch.order == crash_order
-                        and crash_sidx in batch.sidxs
-                    )
-                    team.submit(
-                        team.free(2)[0], sid,
-                        (batch.order, batch.sidxs[0]), batch,
-                        "crash" if crash else None,
-                    )
-                    depth_gauge.inc()
-                    dispatch_msgs.inc()
-
-                def fetch() -> tuple:
-                    result = fetch_or_raise(
-                        team, stalls, "slice", "picture", "slice"
-                    )
-                    depth_gauge.dec()
-                    return result
-
-                yield from self._schedule(counters, pool, submit, fetch)
-        finally:
-            self.last_wall_seconds = time.perf_counter() - t_run
-
-    # ------------------------------------------------------------------
-    # the scheduler: one loop for both transports
-    # ------------------------------------------------------------------
-    def _schedule(
-        self,
-        counters: WorkCounters | None,
-        pool,
-        submit: Callable[[SliceBatch], None],
-        fetch: Callable[[], tuple],
-    ) -> Iterator[Frame]:
-        """Claim on credit, publish, merge, emit — to the last picture.
-
-        ``submit`` hands a batch to the team and ``fetch`` returns the
-        next ``(order, slices, counters, corrupt_rows)`` result (or
-        raises what the task raised); worker processes and the
-        in-process transport differ in nothing else.
-        """
+            counters.add(base_counters(self.index, self.plans))
+        self.counters = counters
+        self.gated_since: dict[int, int] = {}
+        self.publish_ns: dict[int, int] = {}
+        self.corrupt_rows: dict[int, list[int]] = {}
         plans = self.plans
-        stalls = self.last_stalls
-        mb_height = self.index.mb_height
-        gated_since: dict[int, int] = {}
-        publish_ns: dict[int, int] = {}
-
-        def on_gated(order: int) -> None:
-            gated_since[order] = time.monotonic_ns()
-
-        def on_released(order: int) -> None:
-            t0 = gated_since.pop(order)
-            now = time.monotonic_ns()
-            total_s = (now - t0) / 1e9
-            if self.mode is SliceMode.IMPROVED:
-                # The improved rule gates only on unpublished
-                # references: the whole wait is a true data dependency.
-                ref_s, barrier_s = total_s, 0.0
-            else:
-                # Simple rule: split the wait into the part covered by
-                # reference publication (true dependency) and the
-                # remainder — the policy-imposed per-picture barrier
-                # the improved variant removes.
-                dep_ns = max(
-                    (publish_ns.get(d, t0) for d in plans[order].dependencies),
-                    default=t0,
-                )
-                ref_s = max(0.0, (min(dep_ns, now) - t0) / 1e9)
-                barrier_s = max(0.0, total_s - ref_s)
-            if ref_s > 0.0:
-                stalls.record("scheduler", REASON_REF_PUBLISH, ref_s)
-            if barrier_s > 0.0:
-                stalls.record("scheduler", REASON_BARRIER, barrier_s)
-            reason = REASON_BARRIER if barrier_s > 0.0 else REASON_REF_PUBLISH
-            trace_complete(
-                "mp.slice.gate", "stall", t0, now - t0,
-                order=order, reason=reason,
-            )
-
-        q = PictureSliceQueue(
+        slots = frame_window(plans, self.workers)
+        self.q = q = PictureSliceQueue(
             [len(p.slices) for p in plans],
             [p.dependencies for p in plans],
             self.mode,
             workers=self.workers,
-            window=pool.slots,
-            on_gated=on_gated,
-            on_released=on_released,
-            on_slot=pool.clear_frame,
+            window=slots,
+            on_gated=self._on_gated,
+            on_released=self._on_released,
+            on_slot=lambda slot: self.pool.clear_frame(slot),
         )
-        merger = DisplayMerger(
-            len(plans),
-            on_hold=(
-                (lambda o, t0, ns: record_merge_hold(stalls, t0, ns, order=o))
-                if self.workers
-                else None
-            ),
+        self.merger = DisplayMerger(
+            len(plans), on_hold=self._held if self.workers else None
         )
-        corrupt_rows: dict[int, list[int]] = {}
-
-        def publish(completed: list[int]) -> list[int]:
-            """Publish newly complete pictures (conceal + record
-            publish time + bank in the display merger); return the
-            display-ready run.  Runs *before* the next claim so the
-            stall split sees fresh publish times; the caller emits the
-            returned frames after dispatching, keeping workers fed."""
-            ready: list[int] = []
-            for order in completed:
-                plan = plans[order]
-                fwd_slot = q.slot_of(plan.fwd) if plan.fwd is not None else None
-                t0 = time.perf_counter()
-                lost, n_t, n_s = conceal_in_pool(
-                    plan, corrupt_rows.pop(order, ()), q.slot_of(order),
-                    fwd_slot, mb_height, pool, self.resilient,
-                )
-                record_concealment(
-                    stalls, "scheduler", n_t, n_s, time.perf_counter() - t0
-                )
-                if counters is not None:
-                    counters.concealed_slices += lost
-                publish_ns[order] = time.monotonic_ns()
-                ready.extend(merger.push(plan.display_index, order))
-            return ready
-
-        def emit(ready: list[int]) -> Iterator[Frame]:
-            for done in ready:
-                with trace_span("mp.shm.read", cat="mp", order=done):
-                    frame = pool.read_frame(
-                        q.slot_of(done), plans[done].header.temporal_reference
-                    )
-                q.mark_emitted(done)
-                yield frame
-
-        def pump() -> Iterator[Frame]:
-            # Emitting frees slots, which may let more pictures start or
-            # settle: go round until a round completes nothing.
-            completed = True
-            while completed:
-                completed = q.take_completed()
-                ready = publish(completed)
-                while (batch := q.claim_batch()) is not None:
-                    submit(batch)
-                yield from emit(ready)
-
-        yield from pump()
-        while q.in_flight:
-            order, slices, done, rows = fetch()
-            if counters is not None:
-                counters.add(done)
-            if rows:
-                corrupt_rows.setdefault(order, []).extend(rows)
-            q.complete_batch(order, slices)
-            yield from pump()
+        yield from self._run(
+            q.graph, decode_batch, slots,
+            picture_state(plans, self.index, self.resilient),
+        )
         if not q.done:  # pragma: no cover - defensive
             raise RuntimeError(
                 "picture/slice queue stuck with incomplete pictures"
             )
+
+    # -- stall attribution -----------------------------------------------
+    def _held(self, order: int, since_ns: int, held_ns: int) -> None:
+        record_merge_hold(self.last_stalls, since_ns, held_ns, order=order)
+
+    def _on_gated(self, order: int) -> None:
+        self.gated_since[order] = time.monotonic_ns()
+
+    def _on_released(self, order: int) -> None:
+        t0 = self.gated_since.pop(order)
+        now = time.monotonic_ns()
+        # The part of the wait covered by reference publication is a
+        # true data dependency; the remainder — only a picture with a
+        # barrier edge can have one, so never under the improved rule —
+        # is the policy-imposed per-picture barrier.
+        refs_at = now
+        if self.q.graph.nodes[f"p{order}.s0"].barriers:
+            refs_at = max(
+                (self.publish_ns.get(d, t0) for d in self.plans[order].dependencies),
+                default=t0,
+            )
+        ref_ns = min(max(refs_at, t0), now) - t0
+        barrier_ns = now - t0 - ref_ns
+        if ref_ns > 0:
+            self.last_stalls.record("scheduler", REASON_REF_PUBLISH, ref_ns / 1e9)
+        if barrier_ns > 0:
+            self.last_stalls.record("scheduler", REASON_BARRIER, barrier_ns / 1e9)
+        trace_complete(
+            "mp.slice.gate", "stall", t0, now - t0, order=order,
+            reason=REASON_BARRIER if barrier_ns > 0 else REASON_REF_PUBLISH,
+        )
+
+    # -- the policy --------------------------------------------------------
+    def _claim(self) -> tuple | None:
+        batch = self.q.claim_batch()
+        if batch is None:
+            return None
+        crash_order, crash_sidx = self._crash_task or (None, None)
+        crash = batch.order == crash_order and crash_sidx in batch.sidxs
+        reg = metrics()
+        reg.gauge("queue.depth").inc()
+        reg.counter("mp.dispatch.messages").inc()
+        # One running and one queued batch per worker: the credit
+        # (2 x workers) always leaves one with room.
+        return (
+            self.team.free(2)[0], self.sid, (batch.order, batch.sidxs[0]),
+            batch, "crash" if crash else None,
+        )
+
+    def _done(self, sid, key, payload) -> None:
+        order, slices, done, rows = payload
+        metrics().gauge("queue.depth").dec()
+        if self.counters is not None:
+            self.counters.add(done)
+        if rows:
+            self.corrupt_rows.setdefault(order, []).extend(rows)
+        self.q.complete_batch(order, slices)
+
+    def _publish(self) -> list[int]:
+        """Publish newly complete pictures (conceal + record publish
+        time + bank in the display merger); return the display-ready
+        run.  The loop runs this *before* the next claim so the stall
+        split sees fresh publish times."""
+        q = self.q
+        ready: list[int] = []
+        for order in q.take_completed():
+            plan = self.plans[order]
+            fwd_slot = q.slot_of(plan.fwd) if plan.fwd is not None else None
+            t0 = time.perf_counter()
+            lost, n_t, n_s = conceal_in_pool(
+                plan, self.corrupt_rows.pop(order, ()), q.slot_of(order),
+                fwd_slot, self.index.mb_height, self.pool, self.resilient,
+            )
+            record_concealment(
+                self.last_stalls, "scheduler", n_t, n_s,
+                time.perf_counter() - t0,
+            )
+            if self.counters is not None:
+                self.counters.concealed_slices += lost
+            self.publish_ns[order] = time.monotonic_ns()
+            ready.extend(self.merger.push(plan.display_index, order))
+        return ready
+
+    def _emit(self, ready: list[int]) -> Iterator[Frame]:
+        # Emitting frees slots, which may let more pictures start or
+        # settle: the loop goes round again after it.
+        for done in ready:
+            with trace_span("mp.shm.read", cat="mp", order=done):
+                frame = self.pool.read_frame(
+                    self.q.slot_of(done),
+                    self.plans[done].header.temporal_reference,
+                )
+            self.q.mark_emitted(done)
+            yield frame
 
 
 def decode_slice_parallel(

@@ -6,9 +6,13 @@ drive it through millions of orderings:
 
 * **Tasks** are :class:`ServeTask` records — a GOP's reference
   pictures (``kind="ref"``) or one B picture (``kind="b"``), with
-  explicit dependency keys.  A task is *dispatchable* only when every
-  dependency has been published, which is what makes "drop B first"
-  legal: nothing ever depends on a ``"b"`` task.
+  explicit dependency keys.  Each session lane holds them as a
+  :class:`~repro.exec.graph.TaskGraph`; a task is *dispatchable* only
+  from that graph's ready set, i.e. when every dependency has been
+  published, which is what makes "drop B first" legal: nothing ever
+  depends on a ``"b"`` task.  Completion, retry (``requeue``), shedding
+  (cancel) and its inverse (``restore``) are the graph's transitions,
+  so a lane's conservation law can be audited after the run.
 * **Weighted fairness** is start-time fair queueing: each session
   carries a virtual time ``served / weight``; :meth:`Scheduler.
   next_task` serves the dispatchable session with the smallest virtual
@@ -37,6 +41,14 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+
+from repro.exec.graph import (
+    COMPLETED,
+    DISPATCHED,
+    PENDING,
+    TaskGraph,
+    TaskNode,
+)
 
 #: Safety factor applied to measured throughput when estimating
 #: capacity: scheduling overhead, pool contention and pacing jitter
@@ -116,19 +128,23 @@ class Admission(str, Enum):
 
 
 class _SessionLane:
-    """Scheduler-internal per-session lane."""
+    """Scheduler-internal per-session lane: the session's live task
+    graph (one node per :class:`ServeTask`, keyed by ``task.key``, the
+    task itself as payload) plus its fair-queueing account."""
 
-    __slots__ = (
-        "sid", "weight", "pending", "inflight", "published",
-        "served", "finished",
-    )
+    __slots__ = ("sid", "weight", "graph", "served", "finished")
 
     def __init__(self, sid: str, tasks: list[ServeTask], weight: float):
         self.sid = sid
         self.weight = weight
-        self.pending: list[ServeTask] = list(tasks)
-        self.inflight: dict[tuple, ServeTask] = {}
-        self.published: set[tuple] = set()
+        self.graph = TaskGraph()
+        for t in tasks:
+            if t.session != sid:
+                raise ValueError(f"task {t.key} belongs to {t.session!r}")
+            # add() rejects a dependency that is not an earlier task.
+            self.graph.add(
+                TaskNode(t.key, "reconstruct", gop=t.gop, deps=t.deps, payload=t)
+            )
         self.served = 0.0
         self.finished = False
 
@@ -136,15 +152,37 @@ class _SessionLane:
     def vtime(self) -> float:
         return self.served / self.weight
 
+    def pending(self) -> list[ServeTask]:
+        return [node.payload for node in self.graph.pending()]
+
+    def cancel(self, tasks: list[ServeTask]) -> list[ServeTask]:
+        """Cancel ``tasks`` (and whatever depends on them) on the graph;
+        returns everything that was cancelled, in plan order."""
+        graph = self.graph
+        cancelled: set[tuple] = set()
+        for t in tasks:
+            if graph.state[t.key] == PENDING:
+                cancelled.update(graph.cancel(t.key))
+        return [n.payload for key, n in graph.nodes.items() if key in cancelled]
+
     def started_gops(self) -> set[int]:
         """GOPs with any dispatched or published work (un-skippable)."""
-        out = {t.gop for t in self.inflight.values()}
-        out.update(key[1] for key in self.published)
-        return out
+        state = self.graph.state
+        return {
+            node.gop
+            for key, node in self.graph.nodes.items()
+            if state[key] in (DISPATCHED, COMPLETED)
+        }
 
 
 class Scheduler:
     """Weighted-fair picker over admitted sessions (pure logic).
+
+    *When* a task may start is its lane graph's ready set; the
+    scheduler adds the policy on top: which session goes next
+    (start-time fair queueing), how many of its tasks may be in flight
+    (``max_inflight``), which sessions are active at all (admission),
+    and what may be shed (the degradation hooks cancel graph nodes).
 
     Parameters
     ----------
@@ -184,23 +222,13 @@ class Scheduler:
             raise ValueError(f"session {sid!r} already submitted")
         if weight <= 0:
             raise ValueError(f"weight must be > 0, got {weight}")
-        seen: set[tuple] = set()
-        for t in tasks:
-            if t.session != sid:
-                raise ValueError(f"task {t.key} belongs to {t.session!r}")
-            for dep in t.deps:
-                if dep not in seen:
-                    raise ValueError(
-                        f"task {t.key} depends on {dep} which is not an "
-                        "earlier task (dependencies must point backwards)"
-                    )
-            seen.add(t.key)
+        lane = _SessionLane(sid, tasks, weight)
         if len(self._active) < self.capacity:
-            self._lanes[sid] = _SessionLane(sid, tasks, weight)
+            self._lanes[sid] = lane
             self._active.append(sid)
             return Admission.ADMITTED
         if len(self._waiting) < self.max_queue:
-            self._lanes[sid] = _SessionLane(sid, tasks, weight)
+            self._lanes[sid] = lane
             self._waiting.append(sid)
             return Admission.QUEUED
         return Admission.REJECTED
@@ -216,42 +244,43 @@ class Scheduler:
     def is_active(self, sid: str) -> bool:
         return sid in self._active
 
-    # -- dispatch ------------------------------------------------------
-    def _dispatchable(self, lane: _SessionLane) -> ServeTask | None:
-        if lane.finished or len(lane.inflight) >= self.max_inflight:
-            return None
-        for t in lane.pending:
-            if all(d in lane.published for d in t.deps):
-                return t
-        return None
+    def task(self, sid: str, key: tuple) -> ServeTask:
+        """The submitted task ``key`` of session ``sid``."""
+        return self._lanes[sid].graph.nodes[key].payload
 
+    def graphs(self) -> list[TaskGraph]:
+        """Every admitted or queued session's task graph."""
+        return [lane.graph for lane in self._lanes.values()]
+
+    # -- dispatch ------------------------------------------------------
     def next_task(self) -> ServeTask | None:
         """Dispatch the next task: min virtual time wins, FIFO on ties.
 
-        Never returns a task whose dependencies are unpublished, never
-        exceeds ``max_inflight`` per session, and never serves a
-        queued (not yet active) session.
+        Never returns a task whose dependencies are unpublished (it
+        picks from the lane graphs' ready sets), never exceeds
+        ``max_inflight`` per session, and never serves a queued (not
+        yet active) session.
         """
-        best: tuple[float, int] | None = None
-        best_task: ServeTask | None = None
-        best_lane: _SessionLane | None = None
+        best: tuple | None = None  # (vtime, rank, lane, ready node)
         for rank, sid in enumerate(self._active):
             lane = self._lanes[sid]
-            task = self._dispatchable(lane)
-            if task is None:
+            if lane.finished or lane.graph.in_flight >= self.max_inflight:
                 continue
-            score = (lane.vtime, rank)
-            if best is None or score < best:
-                best, best_task, best_lane = score, task, lane
-        if best_task is None or best_lane is None:
+            node = lane.graph.first_ready()
+            if node is not None and (
+                best is None or (lane.vtime, rank) < best[:2]
+            ):
+                best = (lane.vtime, rank, lane, node)
+        if best is None:
             return None
-        best_lane.pending.remove(best_task)
-        best_lane.inflight[best_task.key] = best_task
-        best_lane.served += best_task.work
-        return best_task
+        lane, task = best[2], best[3].payload
+        lane.graph.dispatch(task.key)
+        lane.served += task.work
+        return task
 
     def requeue(self, task: ServeTask) -> None:
-        """Return a dispatched task to the head of its session's lane.
+        """Return a dispatched task to its session's lane, at its place
+        in plan order.
 
         Used for dead-worker / timeout retry; the service tracks which
         workers are excluded for the retried task.  The work charge is
@@ -259,37 +288,30 @@ class Scheduler:
         share twice.
         """
         lane = self._lanes[task.session]
-        if task.key not in lane.inflight:
-            raise ValueError(f"task {task.key} is not in flight")
-        del lane.inflight[task.key]
+        lane.graph.requeue(task.key)
         lane.served = max(0.0, lane.served - task.work)
-        lane.pending.insert(0, task)
 
     def complete(self, task: ServeTask) -> None:
         """Mark a dispatched task finished and publish its key."""
-        lane = self._lanes[task.session]
-        if task.key not in lane.inflight:
-            raise ValueError(f"task {task.key} is not in flight")
-        del lane.inflight[task.key]
-        lane.published.add(task.key)
+        self._lanes[task.session].graph.complete(task.key)
 
     def session_idle(self, sid: str) -> bool:
         """True when the session has no pending and no in-flight tasks."""
-        lane = self._lanes[sid]
-        return not lane.pending and not lane.inflight
+        return self._lanes[sid].graph.is_settled()
 
     def finish_session(self, sid: str) -> list[str]:
         """Retire a session (done or failed); activate queued sessions.
 
-        Returns the sessions promoted from the admission queue into
-        the freed capacity slots.
+        Whatever the session still had in flight is accounted ``lost``
+        and whatever was pending ``cancelled`` on its graph.  Returns
+        the sessions promoted from the admission queue into the freed
+        capacity slots.
         """
         lane = self._lanes.get(sid)
         if lane is None:
             return []
         lane.finished = True
-        lane.pending.clear()
-        lane.inflight.clear()
+        lane.graph.abort()
         promoted: list[str] = []
         if sid in self._active:
             self._active.remove(sid)
@@ -312,18 +334,11 @@ class Scheduler:
         the skipped pictures.
         """
         lane = self._lanes[sid]
-        droppable = [t for t in lane.pending if t.is_droppable]
+        droppable = [t for t in lane.pending() if t.is_droppable]
         if gops is not None:
-            chosen: list[int] = []
-            for t in droppable:
-                if t.gop not in chosen:
-                    if len(chosen) >= gops:
-                        continue
-                    chosen.append(t.gop)
+            chosen = list(dict.fromkeys(t.gop for t in droppable))[:gops]
             droppable = [t for t in droppable if t.gop in chosen]
-        for t in droppable:
-            lane.pending.remove(t)
-        return droppable
+        return lane.cancel(droppable)
 
     def skip_next_gop(self, sid: str) -> list[ServeTask]:
         """Drop every pending task of the earliest *unstarted* GOP.
@@ -335,17 +350,9 @@ class Scheduler:
         """
         lane = self._lanes[sid]
         started = lane.started_gops()
-        candidate: int | None = None
-        for t in lane.pending:
-            if t.gop not in started:
-                candidate = t.gop
-                break
-        if candidate is None:
-            return []
-        dropped = [t for t in lane.pending if t.gop == candidate]
-        for t in dropped:
-            lane.pending.remove(t)
-        return dropped
+        pending = lane.pending()
+        candidate = next((t.gop for t in pending if t.gop not in started), None)
+        return lane.cancel([t for t in pending if t.gop == candidate])
 
     def truncate_from_gop(self, sid: str) -> tuple[int | None, list[ServeTask]]:
         """Cancel every pending task from the earliest all-unstarted GOP on.
@@ -359,18 +366,22 @@ class Scheduler:
         reference pictures, exactly the invariant
         :meth:`skip_next_gop` protects.  Returns ``(cut_gop,
         dropped_tasks)``; ``(None, [])`` when no clean cut exists.
+        :meth:`restore` is the inverse.
         """
         lane = self._lanes[sid]
-        if not lane.pending:
+        pending = lane.pending()
+        if not pending:
             return None, []
         started = lane.started_gops()
-        cut = (max(started) + 1) if started else min(t.gop for t in lane.pending)
-        dropped = [t for t in lane.pending if t.gop >= cut]
-        if not dropped:
-            return None, []
-        for t in dropped:
-            lane.pending.remove(t)
-        return cut, dropped
+        cut = (max(started) + 1) if started else min(t.gop for t in pending)
+        dropped = lane.cancel([t for t in pending if t.gop >= cut])
+        return (cut, dropped) if dropped else (None, [])
+
+    def restore(self, sid: str, tasks: list[ServeTask]) -> None:
+        """Put cancelled ``tasks`` back (the inverse of
+        :meth:`truncate_from_gop`): they are pending again, each at its
+        place in plan order, as if never cancelled."""
+        self._lanes[sid].graph.restore(t.key for t in tasks)
 
     # -- diagnostics ---------------------------------------------------
     def served_work(self, sid: str) -> float:
@@ -380,7 +391,8 @@ class Scheduler:
         return self._lanes[sid].vtime
 
     def pending_count(self, sid: str) -> int:
-        return len(self._lanes[sid].pending)
+        graph = self._lanes[sid].graph
+        return graph.planned - graph.dispatched - graph.cancelled
 
     def inflight_count(self, sid: str) -> int:
-        return len(self._lanes[sid].inflight)
+        return self._lanes[sid].graph.in_flight

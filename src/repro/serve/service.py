@@ -8,15 +8,17 @@ level: *many* scans, one worker team, many display reorder buffers).
 Execution model
 ---------------
 * The service is one more *partition* on the process runtime of
-  :mod:`repro.exec.backend`: each session is attached to the team
-  (frame pool + bitstream arena + picture plans), its tasks — a GOP's
-  reference pictures or a single B picture
-  (:class:`~repro.serve.scheduler.ServeTask`), from the weighted-fair
-  :class:`~repro.serve.scheduler.Scheduler` — run the
-  :func:`decode_pictures` body, and one run loop drives either
-  transport: the warm :class:`~repro.exec.backend.WorkerTeam` or, at
-  ``workers=0``, the in-process :class:`~repro.exec.backend.LocalTeam`
-  (the deterministic CI path the fuzz suite leans on).
+  :mod:`repro.exec.backend` and one more *policy* over the one parent
+  loop (:class:`~repro.exec.dispatch.ParentLoop`): each session is
+  attached to the team (frame pool + bitstream arena + picture plans),
+  its tasks — a GOP's reference pictures or a single B picture
+  (:class:`~repro.serve.scheduler.ServeTask`), picked by the
+  weighted-fair :class:`~repro.serve.scheduler.Scheduler` from the
+  sessions' task graphs — run the :func:`decode_pictures` body, and
+  the loop drives either transport: the warm
+  :class:`~repro.exec.backend.WorkerTeam` or, at ``workers=0``, the
+  in-process :class:`~repro.exec.backend.LocalTeam` (the deterministic
+  CI path the fuzz suite leans on).
 * The parent assigns exactly one task at a time per worker, so it
   always knows which worker holds which task.  Robustness is a
   *policy* over the team's liveness poll: a worker that dies (or
@@ -58,6 +60,7 @@ from repro.obs.stalls import (
 )
 from repro.obs.trace import trace_complete, trace_span
 from repro.exec.backend import TaskContext, get_team
+from repro.exec.dispatch import ParentLoop, account
 from repro.parallel.mp_slice import decode_picture_into_pool, picture_state
 from repro.serve.degrade import (
     ACTION_DROP_B,
@@ -65,12 +68,7 @@ from repro.serve.degrade import (
     ACTION_SWITCH_RUNG,
     DegradePolicy,
 )
-from repro.serve.scheduler import (
-    Admission,
-    Scheduler,
-    ServeTask,
-    estimate_capacity,
-)
+from repro.serve.scheduler import Admission, Scheduler, estimate_capacity
 from repro.serve.session import SessionStatus, StreamSession
 
 #: How long an idle dynamic service sleeps between control-plane polls.
@@ -116,8 +114,9 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
 # ======================================================================
 # the service
 # ======================================================================
-class DecodeService:
-    """Admission-controlled multi-stream decoder on a shared pool.
+class DecodeService(ParentLoop):
+    """Admission-controlled multi-stream decoder on a shared pool (the
+    serve policy over :class:`~repro.exec.dispatch.ParentLoop`).
 
     Parameters
     ----------
@@ -149,6 +148,9 @@ class DecodeService:
         Monotonic-seconds source (injectable for deterministic
         degradation tests).
     """
+
+    who = "serve"
+    span = "serve.result.wait"
 
     def __init__(
         self,
@@ -234,12 +236,11 @@ class DecodeService:
         )
         self.sessions: dict[str, StreamSession] = {}
         self._sinks: dict[str, Callable[[int, Frame | None], None]] = {}
-        self._tasks_by_key: dict[tuple[str, tuple], ServeTask] = {}
         #: (session, task key) -> ids of the workers lost on it (died or
         #: timed out); its size is the loss count ``max_task_retries``
         #: bounds.
         self.excluded: dict[tuple[str, tuple], set[int]] = {}
-        self.last_stalls = StallTable()
+        self.last_stalls = self.stalls = StallTable()
         self.last_wall_seconds = 0.0
         #: High-water mark of live shared frame-pool bytes.
         self.last_pool_bytes = 0
@@ -254,10 +255,12 @@ class DecodeService:
         self._drain = False
         self._dynamic = False
         self._stopping = False
-        #: The team of the active run (``None`` outside one) and the
-        #: frame pools of the sessions attached to it.
-        self._team = None
+        #: The team of the active run (``None`` outside one), the frame
+        #: pools of the sessions attached to it and what its workers
+        #: shipped, per pid.
+        self.team = None
         self._pools: dict = {}
+        self._shipped: dict[int, MetricsRegistry] = {}
 
     # ------------------------------------------------------------------
     # submission / admission
@@ -392,8 +395,6 @@ class DecodeService:
             sess.status = SessionStatus.REJECTED
             metrics().counter("serve.sessions.rejected").inc()
             self.flight.record(name, "rejected")
-        for t in tasks:
-            self._tasks_by_key[(name, t.key)] = t
         self.sessions[name] = sess
         if on_frame is not None:
             self._sinks[name] = on_frame
@@ -535,7 +536,7 @@ class DecodeService:
     # ------------------------------------------------------------------
     # result handling
     # ------------------------------------------------------------------
-    def _emit(self, sess: StreamSession, ready: list[tuple[int, bool]], pool) -> None:
+    def _emit_run(self, sess: StreamSession, ready: list[tuple[int, bool]], pool) -> None:
         """Emit a display-ordered run: pace, degrade, sink."""
         sink = self._sinks.get(sess.name)
         for order, dropped in ready:
@@ -620,21 +621,27 @@ class DecodeService:
         # for the fuzz suite's invariants).
         if action == ACTION_DROP_B:
             assert all(t.kind == "b" for t in dropped)
+        self._shed(sess, reason, dropped, debt_s, tasks=len(dropped))
+
+    def _shed(
+        self, sess: StreamSession, reason: str, dropped: list, debt_s: float,
+        **detail,
+    ) -> None:
+        """Account one degrade action in obs and pass its pictures
+        through the display merger as markers, so the reorder buffer
+        can release runs blocked behind them and the session can still
+        finish (:meth:`_emit_run` tells shed from switched)."""
+        debt_s = max(debt_s, 0.0)
         self.flight.record(
-            sess.name, "degrade", action=reason, tasks=len(dropped),
-            debt_ms=max(debt_s, 0.0) * 1e3,
+            sess.name, "degrade", action=reason, debt_ms=debt_s * 1e3, **detail
         )
-        self.last_stalls.record(sess.name, reason, max(debt_s, 0.0))
+        self.last_stalls.record(sess.name, reason, debt_s)
         trace_complete(
-            "serve.degrade", "stall",
-            time.monotonic_ns(), int(max(debt_s, 0.0) * 1e9),
+            "serve.degrade", "stall", time.monotonic_ns(), int(debt_s * 1e9),
             session=sess.name, reason=reason, tasks=len(dropped),
         )
         orders = tuple(o for t in dropped for o in t.orders)
-        # Drop markers flow through the same display merger, so the
-        # reorder buffer can release runs blocked behind shed pictures.
-        ready = sess.push_dropped(orders)
-        self._emit(sess, ready, self._pools[sess.name])
+        self._emit_run(sess, sess.push_dropped(orders), self._pools[sess.name])
 
     def _switch_rung(self, sess: StreamSession, debt_s: float) -> None:
         """Downshift an overloaded session to its next ABR rung.
@@ -650,7 +657,7 @@ class DecodeService:
         no ladder, no clean cut exists, or the service cannot admit
         the continuation.
         """
-        if not sess.rungs or self._team is None:
+        if not sess.rungs or self.team is None:
             return
         cut, dropped = self.scheduler.truncate_from_gop(sess.name)
         if cut is None or not dropped:
@@ -672,33 +679,17 @@ class DecodeService:
             # Could not place the continuation; put the tail back so
             # the pictures are decoded at the original rung instead of
             # silently vanishing.
-            for t in reversed(dropped):
-                self.scheduler._lanes[sess.name].pending.insert(0, t)
+            self.scheduler.restore(sess.name, dropped)
             return
         self._attach(cont_name)
         sess.continuation = cont_name
         orders = tuple(o for t in dropped for o in t.orders)
         sess.switched_orders.update(orders)
         metrics().counter("serve.degrade.switch_rung").inc()
-        self.flight.record(
-            sess.name, "degrade", action=REASON_DEGRADE_SWITCH_RUNG,
+        self._shed(
+            sess, REASON_DEGRADE_SWITCH_RUNG, dropped, debt_s,
             cut_gop=cut, pictures=len(orders), continuation=cont_name,
-            debt_ms=max(debt_s, 0.0) * 1e3,
         )
-        self.last_stalls.record(
-            sess.name, REASON_DEGRADE_SWITCH_RUNG, max(debt_s, 0.0)
-        )
-        trace_complete(
-            "serve.degrade", "stall",
-            time.monotonic_ns(), int(max(debt_s, 0.0) * 1e9),
-            session=sess.name, reason=REASON_DEGRADE_SWITCH_RUNG,
-            tasks=len(dropped),
-        )
-        # Switch markers flow through the display merger so the old
-        # session can still finish; _emit routes them to the switched
-        # accounting, not the dropped path.
-        ready = sess.push_dropped(orders)
-        self._emit(sess, ready, self._pools[sess.name])
 
     def _session_maybe_done(self, sid: str) -> None:
         sess = self.sessions[sid]
@@ -734,38 +725,34 @@ class DecodeService:
                     wait * 1e3
                 )
 
-    def _handle_ok(self, sid: str, key: tuple, counters: WorkCounters) -> None:
+    def _result(self, kind, wid, sid, key, payload, snap) -> None:
+        metrics().gauge("serve.inflight").dec()
+        if snap is not None:
+            self._shipped.setdefault(
+                self.team.pid(wid), MetricsRegistry()
+            ).merge_snapshot(snap)
+        super()._result(kind, wid, sid, key, payload, snap)
+
+    def _done(self, sid: str, key: tuple, counters: WorkCounters) -> None:
         sess = self.sessions[sid]
-        task = self._tasks_by_key[(sid, key)]
         if sess.terminal:
             return  # late result for an already-failed session
+        task = self.scheduler.task(sid, key)
         self.scheduler.complete(task)
         sess.counters.add(counters)
         ready = sess.push_decoded(task.orders)
-        self._emit(sess, ready, self._pools[sid])
+        self._emit_run(sess, ready, self._pools[sid])
         self._session_maybe_done(sid)
+
+    def _failed(self, sid: str, key: tuple, exc: Exception) -> None:
+        # No scheduler.complete(): _fail_session retires the whole
+        # lane, in-flight task included.
+        self._fail_session(sid, exc)
 
     def _nonterminal(self) -> list[str]:
         return [
             sid for sid, s in self.sessions.items() if not s.terminal
         ]
-
-    def _strand_check(self) -> None:
-        """No dispatchable work, nothing in flight: settle stragglers."""
-        for sid in self._nonterminal():
-            sess = self.sessions[sid]
-            if self.scheduler.is_active(sid) and self.scheduler.session_idle(sid):
-                if sess.display_done:
-                    self._session_maybe_done(sid)
-                else:  # pragma: no cover - defensive
-                    self._fail_session(
-                        sid,
-                        {
-                            "type": "DecodeError",
-                            "message": "session stranded with undecoded "
-                            "pictures and no pending tasks",
-                        },
-                    )
 
     # ------------------------------------------------------------------
     # run
@@ -811,7 +798,7 @@ class DecodeService:
         """Publish a session to the team: frame pool, bitstream arena
         (once per session) and the immutable decode context."""
         sess = self.sessions[sid]
-        self._pools[sid] = self._team.attach(
+        self._pools[sid] = self.team.attach(
             sid, decode_pictures, sess.data, sess.layout, sess.picture_count,
             picture_state(sess.plans, sess.index, sess.resilient),
         )
@@ -825,26 +812,27 @@ class DecodeService:
         and its segments are unlinked (a result that still arrives for
         it is dropped by the team)."""
         for sid in [s for s in self._pools if self.sessions[s].terminal]:
-            if not self._team.in_flight(sid):
+            if not self.team.in_flight(sid):
                 del self._pools[sid]
-                self._team.detach(sid)
+                self.team.detach(sid)
 
-    def _dispatch(self) -> None:
-        """One task to every idle worker, lowest worker id first."""
-        for wid in self._team.free():
-            task = self.scheduler.next_task()
-            if task is None:
-                return
-            # Test hooks, keyed on (wid, sid, key) so the replacement
-            # worker that retries the task does NOT fail again.
-            ident = (wid, task.session, task.key)
-            fault = (
-                "crash" if ident == self._crash_task
-                else "hang" if ident == self._hang_task
-                else None
-            )
-            metrics().gauge("serve.inflight").inc()
-            self._team.submit(wid, task.session, task.key, task.orders, fault)
+    def _claim(self) -> tuple | None:
+        """One task at a time per worker, lowest idle worker id first;
+        the scheduler picks (and dispatches on the lane graph)."""
+        free = self.team.free()
+        task = self.scheduler.next_task() if free else None
+        if task is None:
+            return None
+        # Test hooks, keyed on (wid, sid, key) so the replacement
+        # worker that retries the task does NOT fail again.
+        ident = (free[0], task.session, task.key)
+        fault = (
+            "crash" if ident == self._crash_task
+            else "hang" if ident == self._hang_task
+            else None
+        )
+        metrics().gauge("serve.inflight").inc()
+        return free[0], task.session, task.key, task.orders, fault
 
     def _on_timeout(self) -> bool:
         """Liveness check between result polls: the serve *policy* for
@@ -852,11 +840,11 @@ class DecodeService:
         retry budget, fails its session only) and the team gets one
         replacement per loss; a truthy return abandons the wait so the
         loop can re-dispatch — also when nothing is in flight."""
-        lost = self._team.find_lost(self.task_timeout_s)
+        lost = self.team.find_lost(self.task_timeout_s)
         if lost is None:
-            return not self._team.in_flight()
+            return not self.team.in_flight()
         wid, why = lost
-        held = self._team.lose(wid)
+        held = self.team.lose(wid)
         metrics().counter(f"serve.worker.{why}").inc()
         for sid, key in held:
             metrics().gauge("serve.inflight").dec()
@@ -880,53 +868,47 @@ class DecodeService:
                 )
             else:
                 metrics().counter("serve.task.retries").inc()
-                self.scheduler.requeue(self._tasks_by_key[(sid, key)])
-        self._team.spawn()
+                self.scheduler.requeue(self.scheduler.task(sid, key))
+        self.team.spawn()
         return True
 
+    def _tick(self) -> bool:
+        self._apply_control()
+        self._release_settled()
+        return self._should_exit()
+
+    def _idle(self) -> bool:
+        """Nothing dispatchable, nothing in flight: settle stragglers,
+        then wait for intake (dynamic) or stop."""
+        settled = False
+        for sid in self._nonterminal():
+            if self.scheduler.is_active(sid) and self.scheduler.session_idle(sid):
+                settled = True
+                if self.sessions[sid].display_done:
+                    self._session_maybe_done(sid)
+                else:  # pragma: no cover - defensive
+                    self._fail_session(
+                        sid,
+                        {
+                            "type": "DecodeError",
+                            "message": "session stranded with undecoded "
+                            "pictures and no pending tasks",
+                        },
+                    )
+        if not settled and self._dynamic and not self._stopping:
+            time.sleep(_IDLE_POLL_S)  # wait for intake / cancel
+            return True
+        return settled  # else only queued-forever/rejected remain
+
     def _serve(self) -> None:
-        """The run loop — one for worker processes and ``workers=0``."""
-        team = self._team = get_team(self.workers, self.start_method)
-        shipped: dict[int, MetricsRegistry] = {}
+        """One run of the parent loop — worker processes or ``workers=0``."""
+        team = self.team = get_team(self.workers, self.start_method)
         try:
             # Every admitted (active or queued) session is attached.
             for sid in self._nonterminal():
                 self._attach(sid)
-            while True:
-                self._apply_control()
-                self._release_settled()
-                if self._should_exit():
-                    break
-                self._dispatch()
-                if not team.in_flight():
-                    before = set(self._nonterminal())
-                    self._strand_check()
-                    if set(self._nonterminal()) != before:
-                        continue
-                    if self._dynamic and not self._stopping:
-                        # Idle dynamic service: wait for intake/cancel.
-                        time.sleep(_IDLE_POLL_S)
-                        continue
-                    break  # only queued-forever/rejected remain
-                result = team.fetch(
-                    self.last_stalls, self._on_timeout,
-                    who="serve", span="serve.result.wait",
-                )
-                if result is None:
-                    continue  # a handled loss: re-dispatch
-                kind, wid, sid, key, payload, snap = result
-                metrics().gauge("serve.inflight").dec()
-                if snap is not None:
-                    pid = team.pid(wid)
-                    if pid not in shipped:
-                        shipped[pid] = MetricsRegistry()
-                    shipped[pid].merge_snapshot(snap)
-                if kind == "ok":
-                    self._handle_ok(sid, key, payload)
-                else:
-                    # No scheduler.complete(): _fail_session retires
-                    # the whole lane, in-flight task included.
-                    self._fail_session(sid, payload)
+            for _ in self.drive():  # emission goes to the sessions' sinks
+                pass
         finally:
             # Whatever is still attached goes now; a whole, idle team
             # stays warm for the next run and any other is shut down
@@ -936,18 +918,16 @@ class DecodeService:
                 team.detach(sid)
             self._pools.clear()
             team.release()
-            self._team = None
+            self.team = None
             self.last_worker_metrics = [
                 {"pid": pid, "metrics": reg.snapshot()}
-                for pid, reg in sorted(shipped.items())
+                for pid, reg in sorted(self._shipped.items())
             ]
+            # The graphs the run dispatched from, sessions that ended
+            # early included (their remainder is cancelled or lost).
+            account(g for g in self.scheduler.graphs() if g.is_settled())
 
     # ------------------------------------------------------------------
-    def stall_breakdown(self) -> dict[str, float]:
-        """Fraction of aggregate process time blocked, per reason."""
-        procs = self.workers + 1 if self.workers else 1
-        return self.last_stalls.breakdown(self.last_wall_seconds * procs)
-
     def report(self) -> dict:
         """JSON-able service report: sessions + aggregates."""
         sessions = [s.report() for s in self.sessions.values()]

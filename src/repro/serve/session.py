@@ -22,8 +22,9 @@ from typing import Iterator
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.index import build_index, sequence_prefix
 from repro.obs.slo import SLOPolicy, SLOTracker
+from repro.exec.plan import PicturePlan, plan_serve_tasks, scan_slice_tasks
 from repro.exec.shm import FrameLayout
-from repro.parallel.mp_slice import DisplayMerger, PicturePlan, scan_slice_tasks
+from repro.parallel.mp_slice import DisplayMerger, base_counters
 from repro.parallel.pacing import WallClockPacer
 from repro.serve.degrade import DegradePolicy, DegradeState
 from repro.serve.scheduler import ServeTask
@@ -123,8 +124,7 @@ class StreamSession:
         #: Work counters (sequential-oracle parity): GOP + picture
         #: header charges land here upfront, slice work as results
         #: arrive.
-        self.counters = WorkCounters()
-        self._charge_base_counters()
+        self.counters = base_counters(self.index, self.plans)
         # -- accounting ------------------------------------------------
         self.emitted_pictures = 0
         self.dropped_pictures = 0
@@ -134,18 +134,6 @@ class StreamSession:
         self.queued_at: float | None = None
         #: orders decoded but not yet pushed through the merger is not
         #: tracked here — the merger is the single source of truth.
-
-    # ------------------------------------------------------------------
-    def _charge_base_counters(self) -> None:
-        """GOP + picture header work (the scan/parent's share)."""
-        for gop in self.index.gops:
-            self.counters.headers += 1
-            self.counters.bits += (
-                gop.header_payload_end - gop.header_payload_start + 4
-            ) * 8
-        for plan in self.plans:
-            self.counters.headers += 1
-            self.counters.bits += plan.header_bits
 
     # ------------------------------------------------------------------
     @classmethod
@@ -212,70 +200,15 @@ class StreamSession:
 
     # ------------------------------------------------------------------
     def tasks(self, grain: str = "fine") -> list[ServeTask]:
-        """The scheduler decomposition, at a chosen grain.
-
-        ``"fine"`` (default, the historical decomposition): per-GOP
-        reference task + one task per B-picture, the B depending on
-        its own GOP's reference task (closed GOPs guarantee both
-        references live there).  Every picture appears in exactly one
-        task.
-
-        ``"coarse"``: one task per GOP carrying every picture in
-        coding order, kind ``"ref"``, no deps — fewer scheduler
-        messages and no intra-GOP synchronization, at the cost that
-        the ``drop_b`` degrade action has no standalone B tasks to
-        shed (a documented tradeoff of the coarse grain; ``skip_gop``
-        still applies).
-        """
-        if grain not in ("fine", "coarse"):
-            raise ValueError(
-                f"unknown task grain {grain!r}; expected 'fine' or 'coarse'"
-            )
-        out: list[ServeTask] = []
-        by_gop: dict[int, list[PicturePlan]] = {}
-        for plan in self.plans:
-            by_gop.setdefault(plan.gop, []).append(plan)
-        if grain == "coarse":
-            for gop in sorted(by_gop):
-                plans = by_gop[gop]
-                out.append(
-                    ServeTask(
-                        session=self.name,
-                        key=("ref", gop),
-                        kind="ref",
-                        gop=gop,
-                        orders=tuple(p.order for p in plans),
-                    )
-                )
-            return out
-        for gop in sorted(by_gop):
-            plans = by_gop[gop]
-            refs = tuple(p.order for p in plans if p.is_reference)
-            ref_key = ("ref", gop)
-            if refs:
-                out.append(
-                    ServeTask(
-                        session=self.name,
-                        key=ref_key,
-                        kind="ref",
-                        gop=gop,
-                        orders=refs,
-                    )
-                )
-            for p in plans:
-                if p.is_reference:
-                    continue
-                out.append(
-                    ServeTask(
-                        session=self.name,
-                        key=("b", gop, p.order),
-                        kind="b",
-                        gop=gop,
-                        orders=(p.order,),
-                        deps=(ref_key,) if refs else (),
-                    )
-                )
-        return out
+        """The scheduler decomposition, at a chosen grain
+        (:func:`~repro.exec.plan.plan_serve_tasks`): ``"fine"``
+        (default) is a per-GOP reference task plus one task per B
+        picture depending on it, ``"coarse"`` one task per GOP.  Every
+        picture appears in exactly one task."""
+        return [
+            ServeTask(self.name, *row)
+            for row in plan_serve_tasks(self.plans, grain)
+        ]
 
     # ------------------------------------------------------------------
     # display-side bookkeeping

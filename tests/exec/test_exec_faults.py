@@ -27,6 +27,22 @@ from repro.mpeg2.decoder import DecodeError, SequenceDecoder
 from tests.parallel.test_mp_fault_injection import assert_no_stray_children
 
 
+def assert_aborted_run_conserves(ex: TaskGraphExecutor) -> None:
+    """The graphs are the ones the run dispatched from, so an aborted
+    run shows: not everything completed, the difference is accounted
+    as cancelled (never started) or lost (in flight at the abort), and
+    the conservation law still holds."""
+    assert ex.last_graphs, "no graph recorded for the aborted run"
+    counts = {"planned": 0, "completed": 0, "cancelled": 0, "lost": 0}
+    for graph in ex.last_graphs:
+        assert graph.is_settled()
+        graph.verify_conservation()
+        for name in counts:
+            counts[name] += graph.counts()[name]
+    assert counts["completed"] < counts["planned"], counts
+    assert counts["cancelled"] + counts["lost"] > 0, counts
+
+
 class TestWorkerDeath:
     def test_gop_grain_crash_raises_decode_error(
         self, medium_stream, no_shm_leak, deadline
@@ -37,6 +53,7 @@ class TestWorkerDeath:
         )
         with pytest.raises(DecodeError, match="worker process died"):
             ex.decode_all()
+        assert_aborted_run_conserves(ex)
         assert_no_stray_children()
 
     def test_slice_grain_crash_raises_decode_error(
@@ -47,6 +64,7 @@ class TestWorkerDeath:
         )
         with pytest.raises(DecodeError, match="worker process died"):
             ex.decode_all()
+        assert_aborted_run_conserves(ex)
         assert_no_stray_children()
 
     def test_auto_grain_crash_still_fails_clean(
@@ -62,6 +80,7 @@ class TestWorkerDeath:
         assert ex._controller().decide().grain == "gop"
         with pytest.raises(DecodeError, match="worker process died"):
             ex.decode_all()
+        assert_aborted_run_conserves(ex)
         assert_no_stray_children()
 
     def test_crash_on_first_task_before_any_result(
@@ -72,6 +91,10 @@ class TestWorkerDeath:
         )
         with pytest.raises(DecodeError, match="worker process died"):
             ex.decode_all()
+        assert_aborted_run_conserves(ex)
+        # Killed on its very first task: nothing completed at all.
+        assert ex.last_graphs[0].completed == 0
+        assert ex.last_graphs[0].lost == 1
         assert_no_stray_children()
 
     def test_clean_decode_after_crash(self, two_gop_stream, no_shm_leak):
@@ -105,6 +128,7 @@ class TestPoisonInput:
         ex = TaskGraphExecutor(data, grain="gop", engine="batched", workers=2)
         with pytest.raises(Exception):
             ex.decode_all()
+        assert_aborted_run_conserves(ex)
         assert_no_stray_children()
 
     def test_resilient_mode_conceals_identically(

@@ -245,25 +245,71 @@ class TestConservation:
             graph.verify_conservation()
 
     def test_gop_plan_shape(self, golden):
+        # The executed shape: per dispatch chunk one worker-run decode
+        # node carrying the chunk's GopTasks (what is actually sent) and
+        # one parent-run publish node waiting on it; no cross-GOP edge.
         index = golden.index("two_gop_48x32")
         graph = plan_gop_graph(index)
-        # Three typed nodes per GOP, chained parse->reconstruct->publish.
-        assert len(graph.nodes) == 3 * len(index.gops)
+        assert list(graph.nodes) == [
+            "g0.decode", "g0.publish", "g1.decode", "g1.publish",
+        ]
         for gi in range(len(index.gops)):
-            rec = graph.nodes[f"g{gi}.reconstruct"]
-            assert rec.deps == (f"g{gi}.parse",)
-            pub = graph.nodes[f"g{gi}.publish"]
-            assert pub.deps == (f"g{gi}.reconstruct",)
+            decode = graph.nodes[f"g{gi}.decode"]
+            assert decode.kind == "reconstruct" and decode.deps == ()
+            assert [t.gop for t in decode.payload] == [gi]
+            publish = graph.nodes[f"g{gi}.publish"]
+            assert publish.kind == "publish" and publish.payload is None
+            assert publish.deps == (f"g{gi}.decode",)
+        # Many more GOPs than workers: consecutive GOPs coalesce into at
+        # most 2 x workers chunks, every GOP in exactly one.
+        index = golden.index("rc_64x48_gop4")
+        for workers in (0, 1, 2):
+            graph = plan_gop_graph(index, workers)
+            chunks = [n.payload for n in graph.nodes.values() if n.payload]
+            assert [t.gop for c in chunks for t in c] == list(
+                range(len(index.gops))
+            )
+            if workers:
+                assert len(chunks) <= 2 * workers
 
     def test_slice_plan_b_pictures_wait_on_both_refs(self, golden):
+        from repro.exec.plan import scan_slice_tasks
+
         index = golden.index("ipb_64x48_gop13")
-        graph = plan_slice_graph(index)
-        graph.run_all()  # structurally runnable
-        graph.verify_conservation()
-        # Every reconstruct node depends at least on its own parse.
-        for node in graph.nodes.values():
-            if node.kind == "reconstruct":
-                assert any(d.endswith(".parse") for d in node.deps)
+        plans = scan_slice_tasks(index)
+        for mode in ("simple", "improved"):
+            graph = plan_slice_graph(index, mode=mode, workers=2)
+            for plan in plans:
+                publish = graph.nodes[f"p{plan.order}.publish"]
+                batches = [graph.nodes[t] for t in publish.deps]
+                # At most `workers` batches, covering every slice once,
+                # parse and reconstruct fused into the one node.
+                assert 1 <= len(batches) <= 2
+                assert [i for b in batches for i in b.payload] == list(
+                    range(len(plan.slices))
+                )
+                refs = tuple(f"p{d}.publish" for d in plan.dependencies)
+                previous = f"p{plan.order - 1}.publish"
+                barrier = (
+                    (previous,)
+                    if mode == "simple" and plan.order and previous not in refs
+                    else ()
+                )
+                for batch in batches:
+                    assert batch.kind == "reconstruct"
+                    # Ref edges: P waits on its forward reference's
+                    # publish, B on both, I on nothing.  The simple
+                    # policy adds the one barrier edge from the previous
+                    # picture; improved adds none.
+                    assert batch.deps == refs + barrier
+                    assert batch.barriers == barrier
+                if plan.header.picture_type.letter == "B":
+                    assert len(refs) == 2
+            assert any(n.barriers for n in graph.nodes.values()) == (
+                mode == "simple"
+            )
+            graph.run_all()  # structurally runnable
+            graph.verify_conservation()
 
 
 # ----------------------------------------------------------------------

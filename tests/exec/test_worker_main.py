@@ -8,8 +8,10 @@ sentinel — and the test reads what it put on the result queue.  Pins the
 loop, and that the metrics shipped with the results add up to exactly
 what the task bodies recorded (nothing lost, nothing counted twice).
 
-The structural test at the bottom pins the point of the runtime:
-``src/repro`` creates processes in one place, with one target.
+The structural tests at the bottom pin the point of the runtime:
+``src/repro`` creates processes in one place, with one target; hands a
+team work and takes results back in one place, the parent loop; and
+decides when a task may start in one place, the task graph.
 """
 
 from __future__ import annotations
@@ -20,12 +22,8 @@ import re
 
 import pytest
 
-from repro.exec.backend import (
-    GopResult,
-    decode_gop_chunk,
-    scan_gop_tasks,
-    worker_main,
-)
+from repro.exec.backend import GopResult, decode_gop_chunk, worker_main
+from repro.exec.plan import scan_gop_tasks
 from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError
@@ -185,24 +183,58 @@ def test_late_attach_is_contained(stream):
     assert isinstance(results[0][4], DecodeError)
 
 
-def test_src_has_one_process_creation_site_and_one_target():
+def src_lines():
+    """``(path relative to src/repro, line number, line)`` of every
+    source line of the package."""
     root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    for folder, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    for n, line in enumerate(fh):
+                        yield os.path.relpath(path, root), n, line
+
+
+def test_src_has_one_process_creation_site_and_one_target():
     creation = re.compile(
         r"\.Process\(|\.Pool\(|os\.fork\(|ProcessPoolExecutor|subprocess\."
     )
+    lines = list(src_lines())
     sites, targets = [], []
-    for folder, _dirs, files in os.walk(root):
-        for name in files:
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(folder, name)
-            rel = os.path.relpath(path, root)
-            with open(path) as fh:
-                lines = fh.readlines()
-            for n, line in enumerate(lines):
-                if creation.search(line):
-                    sites.append(rel)
-                    call = "".join(lines[n : n + 4])
-                    targets += re.findall(r"target=(\w+)", call)
+    for i, (rel, _n, line) in enumerate(lines):
+        if creation.search(line):
+            sites.append(rel)
+            call = "".join(text for _, _, text in lines[i : i + 4])
+            targets += re.findall(r"target=(\w+)", call)
     assert sites == [os.path.join("exec", "backend.py")]
     assert targets == ["worker_main"]
+
+
+def test_src_has_one_parent_loop_and_one_readiness_rule():
+    # One loop moves work: a team is handed a task, and asked for a
+    # result, at exactly one call site each (the definitions in
+    # backend.py aside) ...
+    calls = {"submit": [], "fetch": []}
+    # ... and only the task graph decides that a task's dependencies
+    # are complete: the three hand-written gates are gone, and nobody
+    # else tests every dependency of something against a completed set.
+    gates = re.compile(
+        r"\b_available\b|\b_dispatchable\b|\.published\b"
+        r"|\ball\(.*\bfor \w+ in .*\b(deps|dependencies)\b"
+    )
+    gated = set()
+    for rel, _n, line in src_lines():
+        code = line.split("#")[0]
+        for method, sites in calls.items():
+            if re.search(rf"\bteam\.{method}\(", code):
+                sites.append(rel)
+        if gates.search(code):
+            gated.add(rel)
+    loop = os.path.join("exec", "dispatch.py")
+    assert calls == {"submit": [loop], "fetch": [loop]}
+    # repro.parallel.queues is the *simulated* SMP's task queue — a
+    # model of the paper's machine in simulated time, not a parent of
+    # real workers.
+    gated.discard(os.path.join("parallel", "queues.py"))
+    assert gated <= {os.path.join("exec", "graph.py")}

@@ -368,3 +368,43 @@ class TestDroppability:
                 dispatched + dropped_total[sid] + sched.pending_count(sid)
                 == total
             )
+
+    @given(scheduler_workload(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_truncate_then_restore_is_a_no_op(self, workload, data):
+        """``restore`` is the inverse of ``truncate_from_gop``: after
+        random progress, cutting a session's tail and putting it back
+        yields the same ``next_task()`` sequence as never cutting."""
+        sessions, weights = workload
+
+        def run(truncate: bool) -> list[tuple[str, tuple]]:
+            sched = Scheduler(capacity=len(sessions), max_inflight=2)
+            for sid, tasks in sessions.items():
+                sched.submit(sid, tasks, weight=weights[sid])
+            inflight: list[ServeTask] = []
+            for complete in progress:
+                task = sched.next_task()
+                if task is None:
+                    break
+                inflight.append(task)
+                if complete:
+                    sched.complete(inflight.pop())
+            if truncate:
+                before = sched.pending_count(victim)
+                cut, dropped = sched.truncate_from_gop(victim)
+                if cut is not None:
+                    assert all(t.gop >= cut for t in dropped)
+                    assert sched.pending_count(victim) == before - len(dropped)
+                    sched.restore(victim, dropped)
+                assert sched.pending_count(victim) == before
+            for task in inflight:
+                sched.complete(task)
+            order = []
+            while (task := sched.next_task()) is not None:
+                order.append((task.session, task.key))
+                sched.complete(task)
+            return order
+
+        progress = data.draw(st.lists(st.booleans(), max_size=8))
+        victim = data.draw(st.sampled_from(sorted(sessions)))
+        assert run(truncate=True) == run(truncate=False)
