@@ -169,9 +169,8 @@ def _traced_headline_obs(data: bytes, workers: int = 4) -> dict[str, object]:
             "workers": workers,
             "stall_breakdown": decoder.stall_breakdown(),
             "trace_stall_breakdown": stall_breakdown(doc),
-            # Dispatch cost: queue messages for the whole run (chunked
-            # coalescing makes this ~2*workers instead of one per GOP)
-            # and the cumulative parent/worker queue-wait seconds.
+            # Dispatch cost: queue messages for the whole run (one per
+            # GOP) and the cumulative parent/worker queue-wait seconds.
             "dispatch_messages": counters.get("mp.dispatch.messages", 0),
             "queue_get_stall_seconds": decoder.last_stalls.by_reason().get(
                 "queue.get", 0.0

@@ -18,7 +18,7 @@ and the policy they hand them:
 * :mod:`repro.exec.graph` — typed task nodes with explicit dependency
   edges: the live ready set every parent dispatches from, and the
   conservation law that audits the run afterwards.
-* :mod:`repro.exec.plan` — the three partitions as data: GOP chunks,
+* :mod:`repro.exec.plan` — the three partitions as data: GOPs,
   slice batches (``simple`` / ``improved`` as edges) and the serve
   ref/B decomposition.
 * :mod:`repro.exec.dispatch` — :class:`ParentLoop`, the one loop that

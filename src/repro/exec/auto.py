@@ -76,7 +76,7 @@ class ObsSnapshot:
         """Summarize a planner's post-run stall table.
 
         Worker idleness is the ``queue.get`` time booked by
-        ``worker-*`` waiters (the between-task gaps the chunk body
+        ``worker-*`` waiters (the between-task gaps the worker loop
         attributes); barrier / ref-publish totals come straight from
         the canonical reasons.
         """
@@ -134,8 +134,8 @@ class CostModel:
     proxy); the scalar engine pays roughly 4x the batched engine's
     per-byte cost (the measured gap between the per-block and the
     whole-picture vectorized paths).  Each grain then adds its own
-    overheads: GOP grain a per-GOP dispatch message and the
-    sequence-prefix re-parse, slice grain a per-picture process
+    overheads: GOP grain a per-GOP dispatch message and its
+    result's display merge, slice grain a per-picture process
     message plus worker spawn cost (the slice path spawns fresh
     workers per run) and the barrier/ref-publish synchronization the
     paper charges the fine grain with.
@@ -146,8 +146,8 @@ class CostModel:
     batched_s_per_byte: float = 2.0e-6
     #: The scalar engine's multiplier over batched.
     scalar_multiplier: float = 4.0
-    #: Per-GOP overhead at GOP grain: one dispatch message + decoding
-    #: the repeated sequence-header prefix.
+    #: Per-GOP overhead at GOP grain: one dispatch message + the
+    #: result's trip back and display merge.
     gop_task_s: float = 2.0e-3
     #: Per-picture overhead at slice grain: at most ``workers`` batch
     #: messages each way + publish/merge bookkeeping (measured ~0.6 ms

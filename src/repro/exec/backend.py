@@ -33,6 +33,9 @@ here (protocol tables and the design argument: DESIGN §2.10):
   :func:`shutdown_persistent_pools` and :func:`persistent_worker_pids`
   front it; one mp decode's lease is
   :meth:`repro.exec.dispatch.StreamDecoder._run`.
+* :func:`decode_gop_task` — the GOP-grain task body (the slice and
+  serve bodies live with their decoders): one GOP decoded in place from
+  the attached stream, by the offsets of the parent's one scan.
 """
 
 from __future__ import annotations
@@ -724,40 +727,44 @@ class GopResult:
     counters: WorkCounters = field(default_factory=WorkCounters)
 
 
-def decode_gop_chunk(
-    ctx: TaskContext, key, tasks: tuple[GopTask, ...]
-) -> list[GopResult]:
-    """Task body: decode a chunk of GOPs, park frames in the pool.
+class _SliceBytes:
+    """The coded stream as :class:`SequenceDecoder` reads it: ``data[a:b]``
+    is ``bytes`` (a shared-arena view has no ``find`` to unescape with),
+    so only the slice being parsed is ever materialised."""
 
-    Each GOP becomes a stand-alone substream (sequence-header prefix +
-    the GOP's bytes — the only part of the stream materialised as
-    ``bytes``), decoded by :class:`SequenceDecoder` to display-ordered
-    frames.  One message dispatches the chunk; one publishes all its
-    results.
+    def __init__(self, data: "bytes | memoryview") -> None:
+        self.data = data
+
+    def __getitem__(self, span: slice) -> bytes:
+        return bytes(self.data[span])
+
+
+def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
+    """Task body: decode one GOP in place, park its frames in the pool.
+
+    The GOP is read from the attached stream by the offsets of the
+    parent's scan (``task.index``) — no substream, no second scan — and
+    decoded by :class:`SequenceDecoder` to display-ordered frames, which
+    land in the ``task.picture_count`` slots from ``task.slot_base``.
     """
     state = ctx.state
-    results: list[GopResult] = []
-    for task in tasks:
-        substream = state["prefix"] + bytes(
-            ctx.data[task.byte_start : task.byte_end]
-        )
-        counters = WorkCounters()
-        with trace_span(
-            "mp.worker.decode_gop", cat="mp",
-            gop=task.gop, pictures=task.picture_count,
-        ):
-            frames = SequenceDecoder(
-                substream, engine=state["engine"], resilient=state["resilient"]
-            ).decode_all(counters)
-        with trace_span("mp.shm.write", cat="mp", frames=len(frames)):
-            for j, frame in enumerate(frames):
-                ctx.pool.write_frame(task.slot_base + j, frame)
-        results.append(
-            GopResult(
-                gop=task.gop,
-                slot_base=task.slot_base,
-                temporal_references=[f.temporal_reference for f in frames],
-                counters=counters,
-            )
-        )
-    return results
+    counters = WorkCounters()
+    with trace_span(
+        "mp.worker.decode_gop", cat="mp",
+        gop=task.gop, pictures=task.picture_count,
+    ):
+        frames = SequenceDecoder(
+            _SliceBytes(ctx.data),
+            index=StreamIndex(state["seq"], [task.index], len(ctx.data)),
+            engine=state["engine"],
+            resilient=state["resilient"],
+        ).decode_all(counters)
+    with trace_span("mp.shm.write", cat="mp", frames=len(frames)):
+        for j, frame in enumerate(frames):
+            ctx.pool.write_frame(task.slot_base + j, frame)
+    return GopResult(
+        gop=task.gop,
+        slot_base=task.slot_base,
+        temporal_references=[f.temporal_reference for f in frames],
+        counters=counters,
+    )

@@ -14,18 +14,19 @@ must satisfy the conservation law, and their counts are what the
 
 One decode path: the stream is executed in windows — one window over
 the whole stream for a pinned grain, windows of ``repick_gops`` closed
-GOPs with ``grain="auto"``.  Each auto window is decoded as a
-stand-alone substream (sequence-header prefix + the window's GOP byte
-range — bit-exact by the closed-GOP argument that already underwrites
-the mp decoder), the planner's observed stall table is summarized
-into an :class:`~repro.exec.auto.ObsSnapshot`, and the controller
-re-picks at the GOP boundary.  Every decision — initial and re-pick —
-is traced as an ``exec.plan`` span carrying the chosen grain/engine
-*and the rejected alternative's estimated cost*, and counted in the
-``exec.plan.*`` metrics.
+GOPs with ``grain="auto"``.  A window is the stream itself plus a
+:class:`~repro.mpeg2.index.StreamIndex` over the window's GOPs — both
+grains' task bodies read the coded bytes by the offsets of the one
+scan, so nothing is copied or scanned again, and closed GOPs make any
+window decode bit-exact.  After each, the planner's observed stall
+table is summarized into an :class:`~repro.exec.auto.ObsSnapshot` and
+the controller re-picks at the GOP boundary.  Every decision — initial
+and re-pick — is traced as an ``exec.plan`` span carrying the chosen
+grain/engine *and the rejected alternative's estimated cost*, and
+counted in the ``exec.plan.*`` metrics.
 
-Engine semantics: the engine choice selects the substream decode
-engine at GOP grain.  At slice grain the two-phase slice machinery is
+Engine semantics: the engine choice selects the GOP decode engine at
+GOP grain.  At slice grain the two-phase slice machinery is
 inherently the batched path (bit-identical output regardless), so the
 engine decision is recorded in the plan as a cost-model hint rather
 than switching kernels — the differential matrix pins that every
@@ -34,16 +35,15 @@ combination still matches the scalar oracle exactly.
 Bit-exactness contract (pinned by ``tests/exec/test_exec_parity.py``):
 frames *and* aggregate work counters equal
 ``SequenceDecoder(data).decode_all()`` for every grain / engine /
-worker combination.  Window substreams re-include the sequence-header
-prefix, which contributes zero to the work counters, so per-window
-counter sums equal the linear decode's — the same argument the
-per-GOP mp parity already rests on.
+worker combination; the sequence header contributes nothing to the
+work counters, so per-window counter sums equal the linear decode's.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 from repro.exec.auto import AutoGranularity, CostModel, Decision, ObsSnapshot
 from repro.exec.backend import scan_index
@@ -51,7 +51,7 @@ from repro.exec.dispatch import account
 from repro.exec.graph import TaskGraph
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex, sequence_prefix
+from repro.mpeg2.index import StreamIndex
 from repro.obs.metrics import metrics
 from repro.obs.stalls import StallTable
 from repro.obs.trace import trace_complete
@@ -151,7 +151,6 @@ class TaskGraphExecutor:
         self.model = model or CostModel()
         self._crash_gop = _crash_gop
         self._crash_task = _crash_task
-        self.prefix = sequence_prefix(data, self.index)
         #: Every Decision this executor made, in order (first entry is
         #: the up-front pick; later entries are GOP-boundary re-picks).
         self.last_decisions: list[Decision] = []
@@ -178,9 +177,9 @@ class TaskGraphExecutor:
             engine_hint=None if self.engine == "auto" else self.engine,
         )
 
-    def _planner(self, decision: Decision, data: bytes, index=None):
-        """The decoder for one window: a plan + a policy for the one
-        parent loop (:mod:`repro.exec.dispatch`)."""
+    def _planner(self, decision: Decision, index: StreamIndex):
+        """The decoder for one window of the stream: a plan + a policy
+        for the one parent loop (:mod:`repro.exec.dispatch`)."""
         from repro.parallel.mp import MPGopDecoder
         from repro.parallel.mp_slice import MPSliceDecoder
 
@@ -192,11 +191,11 @@ class TaskGraphExecutor:
         )
         if decision.grain == "gop":
             return MPGopDecoder(
-                data, engine=decision.engine, _crash_gop=self._crash_gop,
+                self.data, engine=decision.engine, _crash_gop=self._crash_gop,
                 **common,
             )
         return MPSliceDecoder(
-            data, mode=self.mode, _crash_task=self._crash_task, **common
+            self.data, mode=self.mode, _crash_task=self._crash_task, **common
         )
 
     # ------------------------------------------------------------------
@@ -223,7 +222,7 @@ class TaskGraphExecutor:
         """Windowed execution with GOP-boundary re-picks.
 
         Auto grain re-picks every ``repick_gops`` closed GOPs; a pinned
-        grain is one window over the whole stream (no substream copy).
+        grain is one window over the whole stream.
         With both axes pinned there is nothing to choose: the pinned
         configuration is recorded so traces and metrics still show
         what ran (alt == chosen).
@@ -248,19 +247,9 @@ class TaskGraphExecutor:
         for window, start in enumerate(range(0, max(len(gops), 1), step)):
             end = min(start + step, len(gops))
             _trace_decision(decision, window=window, gop=start)
-            if end - start == len(gops):
-                planner = self._planner(decision, self.data, self.index)
-            else:
-                # The window substream: sequence-header prefix + the
-                # contiguous GOP byte range.  Closed GOPs make this
-                # decode bit-exact; the repeated prefix adds zero to
-                # counters.
-                first, last = gops[start], gops[end - 1]
-                planner = self._planner(
-                    decision,
-                    bytes(self.prefix)
-                    + bytes(self.data[first.start_offset : last.end_offset]),
-                )
+            planner = self._planner(
+                decision, replace(self.index, gops=gops[start:end])
+            )
             try:
                 frames.extend(planner.decode_all(counters))
             finally:

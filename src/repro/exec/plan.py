@@ -10,10 +10,10 @@ edges between them, and the one parent loop
 
 * **GOP grain** (:func:`scan_gop_tasks`, :func:`plan_gop_graph`) — the
   paper's 1-D queue.  Closed GOPs share no coded state, so the graph
-  is independent ``decode -> publish`` pairs with **no cross-GOP
-  edges**; a ``decode`` node carries a chunk of consecutive
-  :class:`GopTask` byte ranges, its ``publish`` node is the parent's
-  display merge of that chunk.
+  is independent ``decode -> publish`` pairs, one per GOP, with **no
+  cross-GOP edges**; a ``decode`` node carries one :class:`GopTask`
+  (the GOP's scan entry), its ``publish`` node is the parent's display
+  merge of that GOP.
 * **Slice grain** (:func:`scan_slice_tasks`, :func:`plan_slice_batches`,
   :func:`plan_slice_graph`) — the 2-D picture/slice queue.  Each
   picture is at most ``workers`` batch nodes of consecutive slices
@@ -37,7 +37,7 @@ from typing import Sequence
 from repro.exec.graph import TaskGraph, TaskNode
 from repro.mpeg2.decoder import DecodeError
 from repro.mpeg2.headers import PictureHeader
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.index import GopIndex, StreamIndex
 
 
 # ======================================================================
@@ -45,57 +45,38 @@ from repro.mpeg2.index import StreamIndex
 # ======================================================================
 @dataclass(frozen=True)
 class GopTask:
-    """One GOP of worker work: its byte range + its frame slots."""
+    """One GOP of worker work: its entry in the parent's scan — offsets
+    into the one shared arena, so a worker neither copies nor re-scans
+    the bytes — and the frame-pool slot its first display-order picture
+    lands in, assigned when the GOP is dispatched."""
 
     gop: int
-    byte_start: int
-    byte_end: int
-    picture_count: int
-    slot_base: int
+    index: GopIndex
+    slot_base: int = 0
+
+    @property
+    def picture_count(self) -> int:
+        return len(self.index.pictures)
 
 
 def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
-    """Split the index into per-GOP tasks.
+    """Split the index into per-GOP tasks, in stream order."""
+    return [GopTask(gi, gop) for gi, gop in enumerate(index.gops)]
 
-    Slot bases are assigned cumulatively so every decoded picture in
-    the stream has a reserved slot in the frame pool — the mp
-    equivalent of the paper's decoded-frame memory that Fig. 8 charts.
+
+def plan_gop_graph(index: StreamIndex) -> TaskGraph:
+    """GOP-grain plan: one ``g<k>.decode -> g<k>.publish`` pair per GOP.
+
+    One GOP per message whatever the team size: a queue round trip is
+    ~0.2 ms against a GOP's ~270 ms of decode, so grouping GOPs saves
+    nothing, and a GOP published alone is displayable one GOP of decode
+    time after the run starts (paper §5.1).
     """
-    tasks: list[GopTask] = []
-    slot = 0
-    for gi, gop in enumerate(index.gops):
-        tasks.append(
-            GopTask(
-                gop=gi,
-                byte_start=gop.start_offset,
-                byte_end=gop.end_offset,
-                picture_count=len(gop.pictures),
-                slot_base=slot,
-            )
-        )
-        slot += len(gop.pictures)
-    return tasks
-
-
-def plan_gop_graph(index: StreamIndex, workers: int = 0) -> TaskGraph:
-    """GOP-grain plan: one ``decode -> publish`` pair per dispatch chunk.
-
-    When a stream has many more GOPs than the team has workers, per-GOP
-    messages are pure overhead: two waves of chunks per worker still
-    load-balance, so consecutive GOPs are grouped into at most ``2 x
-    workers`` chunks.  Short streams (or big teams, or ``workers=0``)
-    degenerate to one GOP per chunk — coalescing never *reduces*
-    available parallelism — and consecutive grouping keeps completions
-    roughly in stream order, which keeps the reorder buffer shallow.
-    """
-    tasks = scan_gop_tasks(index)
-    per = -(-len(tasks) // (2 * workers)) if workers > 0 and tasks else 1
     graph = TaskGraph()
-    for i in range(0, len(tasks), per):
-        chunk = tuple(tasks[i : i + per])
-        gop = chunk[0].gop
+    for task in scan_gop_tasks(index):
+        gop = task.gop
         decode = graph.add(
-            TaskNode(f"g{gop}.decode", "reconstruct", gop=gop, payload=chunk)
+            TaskNode(f"g{gop}.decode", "reconstruct", gop=gop, payload=task)
         )
         graph.add(
             TaskNode(f"g{gop}.publish", "publish", gop=gop, deps=(decode.tid,))

@@ -14,7 +14,7 @@ and the SMP simulator so reports line up):
 ``decode.gop_ms``        histogram — wall ms per decoded GOP
 ``mp.worker.idle_ms``    histogram — worker gap between tasks
 ``mp.scan_ms``           counter   — parent scan (index build) ms
-``mp.frame_pool.occupancy`` gauge  — shm slots written, not yet read
+``mp.frame_pool.occupancy`` gauge  — frame-window slots held, dispatch to emit
 ``queue.depth``          gauge     — display reorder-buffer depth
 ======================== ==========================================
 

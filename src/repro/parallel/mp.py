@@ -9,47 +9,51 @@ the same way the paper escaped a single R4400: separate OS processes
 Neither the process machinery nor the dispatch loop is here: GOP-grain
 decode is one *partition* — the plan
 :func:`~repro.exec.plan.plan_gop_graph`, the task body
-:func:`~repro.exec.backend.decode_gop_chunk` and a small session
+:func:`~repro.exec.backend.decode_gop_task` and a small session
 context — handed to the single worker runtime in
 :mod:`repro.exec.backend` and driven by the one parent loop in
-:mod:`repro.exec.dispatch`.  This module supplies the policy
-(one chunk per worker, stream order) and the display
-merge.
+:mod:`repro.exec.dispatch`.  This module supplies the policy (one GOP
+per worker at a time, stream order, a bounded frame window) and the
+display merge.
 
 The paper's three roles map onto real primitives:
 
 * **scan** — the parent builds a :class:`repro.mpeg2.index.StreamIndex`
-  (start-code scan, no decoding) and splits it into per-GOP byte-range
-  tasks (:func:`~repro.exec.plan.scan_gop_tasks`).
+  (start-code scan, no decoding) once; each GOP's entry in it is a task
+  (:func:`~repro.exec.plan.scan_gop_tasks`).
 * **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` for
   ``(workers, start_method)``, forked once per process and shared with
   the slice decoder and the serve layer.  The coded stream is published
-  **once** into POSIX shared memory; workers attach by name and slice
-  their GOP's bytes straight out of the segment — the bitstream never
-  crosses the task pipe.  Each worker rebuilds a stand-alone substream
-  (sequence-header prefix + GOP bytes), decodes it with the batched
-  :class:`~repro.mpeg2.decoder.SequenceDecoder`, and writes the
-  decoded planes straight into a shared-memory frame pool.  Tasks are
-  *chunks* of consecutive GOPs (one ``decode`` node of the plan each)
-  so streams with many
-  more GOPs than workers cost one queue message per chunk — dispatch
-  and result publication both — instead of one per GOP; only tiny
-  metadata (temporal references + work counters) crosses the process
-  boundary through pickling, and pixel arrays never do.
+  **once** into POSIX shared memory; workers attach by name and decode
+  their GOP in place, by the parent's offsets, with the batched
+  :class:`~repro.mpeg2.decoder.SequenceDecoder` — the bitstream never
+  crosses the task pipe and is never re-scanned — then write the
+  decoded planes into a shared-memory frame pool.  One message
+  dispatches a GOP and one publishes it; only tiny metadata (scan
+  offsets out, temporal references + work counters back) is pickled,
+  and pixel arrays never are.
 * **display** — the parent merges completed GOPs back into display
   order through the shared reorder buffer
   (:class:`~repro.parallel.mp_slice.DisplayMerger`), reading frames
   out of the pool.
 
+The frame pool is a **window**, not the stream: ``2 x workers`` *runs*
+of ``longest GOP`` slots each (fewer if the stream has fewer GOPs) —
+the paper's ``workers x GOP`` decoded-frame memory (Fig. 8) plus one
+finished GOP per worker waiting for display.  A GOP takes a run at
+dispatch and returns it once the consumer has its frames, so a slow
+consumer back-pressures the workers; claiming earliest first, the
+oldest un-emitted GOP always owns a run and the window cannot deadlock.
+
 ``workers=0`` runs the identical plan on the in-process transport
-(:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory)
-so functional tests are deterministic on constrained CI;
-``workers>=1`` is the real-silicon path measured by
+(:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory,
+a one-run window) so functional tests are deterministic on constrained
+CI; ``workers>=1`` is the real-silicon path measured by
 ``benchmarks/perf_parallel.py``.
 
 Bit-exactness: closed GOPs carry no coded state across their
-boundaries, so a GOP decoded from its substream is identical to the
-same GOP decoded mid-stream; frames within a GOP are display-ordered
+boundaries, so a GOP decoded alone is identical to the same GOP
+decoded mid-stream; frames within a GOP are display-ordered
 by ``decode_gop`` and closed GOPs appear in display order in the
 stream.  The mp decoder therefore reproduces
 ``SequenceDecoder.decode_all`` bit-for-bit, counters included — pinned
@@ -58,11 +62,12 @@ by ``tests/parallel/test_mp_parity.py`` and the golden-vector suite.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator
 
 from repro.exec.backend import (  # noqa: F401  (names tests import from here)
     GopResult,
-    decode_gop_chunk,
+    decode_gop_task,
     persistent_worker_pids,
 )
 from repro.exec.dispatch import StreamDecoder
@@ -71,7 +76,7 @@ from repro.exec.shm import FrameLayout, SharedFramePool  # noqa: F401
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex, sequence_prefix
+from repro.mpeg2.index import StreamIndex
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
 from repro.parallel.mp_slice import DisplayMerger, record_merge_hold
@@ -120,7 +125,6 @@ class MPGopDecoder(StreamDecoder):
         #: Test-only fault injection: the worker that picks up this GOP
         #: dies with ``os._exit`` mid-stream (no result, no cleanup).
         self._crash_gop = _crash_gop
-        self.prefix = sequence_prefix(data, self.index)
 
     def stall_breakdown(self) -> dict[str, float]:
         """As the base class's, but a team larger than the stream has
@@ -146,59 +150,74 @@ class MPGopDecoder(StreamDecoder):
         """Yield ``(gop_number, display_ordered_frames)`` in stream order.
 
         The plan is :func:`~repro.exec.plan.plan_gop_graph`; the policy
-        below is one chunk per worker at a time, in stream order — the
-        tasks are coarse, so pulling costs nothing and balances load.
-        ``workers=0`` runs each chunk where it is submitted.
+        below is one GOP per worker at a time, earliest first, each
+        into a free run of the frame window.  ``workers=0`` runs each
+        GOP where it is submitted.
         """
         self.counters = counters
-        self.graph = plan_gop_graph(self.index, self.workers)
-        #: chunk tid -> the GopResults its publish node will merge.
-        self.results: dict[str, list[GopResult]] = {}
+        self.graph = plan_gop_graph(self.index)
+        #: decode tid -> the GopResult its publish node will merge.
+        self.results: dict[str, GopResult] = {}
+        gops = self.index.gops
+        #: The frame window: run ``r`` is slots ``[r * L, (r + 1) * L)``,
+        #: ``L`` the longest GOP; a GOP holds one from dispatch to emit.
+        self.run_slots = max((len(g.pictures) for g in gops), default=0)
+        self.free_runs = list(range(min(max(2 * self.workers, 1), len(gops))))
+        self.held_runs: dict[int, int] = {}
         self.merger = DisplayMerger(
-            len(self.index.gops),
+            len(gops),
             # An out-of-order completion sat in the reorder buffer: the
             # display-order merge stall (paper's display process).
             on_hold=self._held if self.workers else None,
         )
         state = {
-            "prefix": self.prefix,
+            "seq": self.seq,
             "engine": self.engine,
             "resilient": self.resilient,
         }
-        yield from self._run(
-            self.graph, decode_gop_chunk, self.index.picture_count, state
-        )
+        try:
+            yield from self._run(
+                self.graph, decode_gop_task,
+                len(self.free_runs) * self.run_slots, state,
+            )
+        finally:
+            # Aborted or abandoned mid-stream, no run is held any more.
+            metrics().gauge("mp.frame_pool.occupancy").set(0)
         self.merger.finish("GOP results")
 
     def _held(self, result: GopResult, since_ns: int, held_ns: int) -> None:
         record_merge_hold(self.last_stalls, since_ns, held_ns, gop=result.gop)
 
     # -- the policy ------------------------------------------------------
+    def _gauge_window(self) -> None:
+        metrics().gauge("mp.frame_pool.occupancy").set(
+            len(self.held_runs) * self.run_slots
+        )
+
     def _claim(self) -> tuple | None:
         free = self.team.free()
         node = self.graph.first_ready()
-        if not free or node is None:
+        if not free or node is None or not self.free_runs:
             return None
         self.graph.dispatch(node.tid)
         metrics().counter("mp.dispatch.messages").inc()
-        crash = any(t.gop == self._crash_gop for t in node.payload)
-        return free[0], self.sid, node.tid, node.payload, "crash" if crash else None
+        run = self.held_runs[node.gop] = self.free_runs.pop()
+        self._gauge_window()
+        task = replace(node.payload, slot_base=run * self.run_slots)
+        crash = task.gop == self._crash_gop
+        return free[0], self.sid, node.tid, task, "crash" if crash else None
 
-    def _done(self, sid, key, results: list[GopResult]) -> None:
+    def _done(self, sid, key, result: GopResult) -> None:
         self.graph.complete(key)
-        self.results[key] = results
+        self.results[key] = result
 
     def _publish(self) -> list[GopResult]:
-        reg = metrics()
         ready: list[GopResult] = []
         while (node := self.graph.first_ready(publish=True)) is not None:
             self.graph.dispatch(node.tid)
-            for result in self.results.pop(node.deps[0]):
-                reg.gauge("mp.frame_pool.occupancy").inc(
-                    len(result.temporal_references)
-                )
-                ready += self.merger.push(result.gop, result)
-                reg.gauge("queue.depth").set(self.merger.held)
+            result = self.results.pop(node.deps[0])
+            ready += self.merger.push(result.gop, result)
+            metrics().gauge("queue.depth").set(self.merger.held)
             self.graph.complete(node.tid)
         return ready
 
@@ -214,7 +233,8 @@ class MPGopDecoder(StreamDecoder):
                     self.pool.read_frame(done.slot_base + j, ref)
                     for j, ref in enumerate(refs)
                 ]
-            metrics().gauge("mp.frame_pool.occupancy").dec(len(refs))
+            self.free_runs.append(self.held_runs.pop(done.gop))
+            self._gauge_window()
             yield done.gop, frames
 
 

@@ -245,32 +245,27 @@ class TestConservation:
             graph.verify_conservation()
 
     def test_gop_plan_shape(self, golden):
-        # The executed shape: per dispatch chunk one worker-run decode
-        # node carrying the chunk's GopTasks (what is actually sent) and
-        # one parent-run publish node waiting on it; no cross-GOP edge.
-        index = golden.index("two_gop_48x32")
-        graph = plan_gop_graph(index)
-        assert list(graph.nodes) == [
-            "g0.decode", "g0.publish", "g1.decode", "g1.publish",
-        ]
-        for gi in range(len(index.gops)):
-            decode = graph.nodes[f"g{gi}.decode"]
-            assert decode.kind == "reconstruct" and decode.deps == ()
-            assert [t.gop for t in decode.payload] == [gi]
-            publish = graph.nodes[f"g{gi}.publish"]
-            assert publish.kind == "publish" and publish.payload is None
-            assert publish.deps == (f"g{gi}.decode",)
-        # Many more GOPs than workers: consecutive GOPs coalesce into at
-        # most 2 x workers chunks, every GOP in exactly one.
-        index = golden.index("rc_64x48_gop4")
-        for workers in (0, 1, 2):
-            graph = plan_gop_graph(index, workers)
-            chunks = [n.payload for n in graph.nodes.values() if n.payload]
-            assert [t.gop for c in chunks for t in c] == list(
-                range(len(index.gops))
-            )
-            if workers:
-                assert len(chunks) <= 2 * workers
+        # The executed shape: per GOP one worker-run decode node whose
+        # payload is that GOP's task (what is actually sent: its entry
+        # in the parent's scan) and one parent-run publish node waiting
+        # on it; no cross-GOP edge, whatever the team size.
+        for vector in ("two_gop_48x32", "rc_64x48_gop4"):
+            index = golden.index(vector)
+            graph = plan_gop_graph(index)
+            assert list(graph.nodes) == [
+                f"g{gi}.{step}"
+                for gi in range(len(index.gops))
+                for step in ("decode", "publish")
+            ]
+            for gi, gop in enumerate(index.gops):
+                decode = graph.nodes[f"g{gi}.decode"]
+                assert decode.kind == "reconstruct" and decode.deps == ()
+                assert decode.payload.gop == gi
+                assert decode.payload.index is gop
+                assert decode.payload.picture_count == len(gop.pictures)
+                publish = graph.nodes[f"g{gi}.publish"]
+                assert publish.kind == "publish" and publish.payload is None
+                assert publish.deps == (f"g{gi}.decode",)
 
     def test_slice_plan_b_pictures_wait_on_both_refs(self, golden):
         from repro.exec.plan import scan_slice_tasks

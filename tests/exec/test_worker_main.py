@@ -1,8 +1,8 @@
 """The one worker main, driven in this process on plain ``queue.Queue``s.
 
 No fork: :func:`repro.exec.backend.worker_main` is fed the wire
-protocol by hand — attach, one task of each of the three kinds (GOP
-chunk, slice batch, serve picture list), a task that raises, detach,
+protocol by hand — attach, one task of each of the three kinds (GOP,
+slice batch, serve picture list), a task that raises, detach,
 sentinel — and the test reads what it put on the result queue.  Pins the
 ``ok`` / ``err`` / ``obs`` message shapes, that an error never ends the
 loop, and that the metrics shipped with the results add up to exactly
@@ -19,15 +19,15 @@ from __future__ import annotations
 import os
 import queue
 import re
+from dataclasses import replace
 
 import pytest
 
-from repro.exec.backend import GopResult, decode_gop_chunk, worker_main
+from repro.exec.backend import GopResult, decode_gop_task, worker_main
 from repro.exec.plan import scan_gop_tasks
 from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError
-from repro.mpeg2.index import sequence_prefix
 from repro.obs.metrics import MetricsRegistry, metrics, reset_metrics
 from repro.obs.trace import disable_tracing
 from repro.parallel.mp_slice import (
@@ -92,19 +92,22 @@ def test_protocol_end_to_end(golden, stream):
     plans = scan_slice_tasks(index)
     pictures = picture_state(plans, index, False)
     gop_state = {
-        "prefix": sequence_prefix(data, index),
+        "seq": index.sequence_header,
         "engine": "batched",
         "resilient": False,
     }
-    gop0 = scan_gop_tasks(index)[0]
+    # The second GOP, read by its offsets into the whole-stream arena,
+    # parked one slot into the pool.
+    gop1 = replace(scan_gop_tasks(index)[1], slot_base=1)
+    first = len(index.gops[0].pictures)
     intra = plans[0]  # first coded picture of a closed GOP: no refs
     batch = SliceBatch(0, range(len(intra.slices)), 0, ())
 
     results = drive([
-        attach("g", decode_gop_chunk, gop_state),
+        attach("g", decode_gop_task, gop_state),
         attach("s", decode_batch, pictures),
         attach("v", decode_pictures, pictures),
-        ("task", "g", 0, (gop0,), None),
+        ("task", "g", 0, gop1, None),
         ("task", "s", (0, 0), batch, None),
         ("task", "v", ("ref", 0), (0,), None),
         ("task", "v", ("ref", 9), (len(plans),), None),   # raises
@@ -129,12 +132,14 @@ def test_protocol_end_to_end(golden, stream):
     ]
     payloads = [r[4] for r in results]
 
-    # GOP chunk: metadata only comes back; the pixels are in the pool.
-    (gop_result,) = payloads[0]
-    assert isinstance(gop_result, GopResult) and gop_result.gop == 0
+    # GOP task: metadata only comes back; the pixels are in the pool.
+    gop_result = payloads[0]
+    assert isinstance(gop_result, GopResult)
+    assert (gop_result.gop, gop_result.slot_base) == (1, 1)
+    assert len(gop_result.temporal_references) == gop1.picture_count
     for j, ref in enumerate(gop_result.temporal_references):
-        got = pool.read_frame(gop0.slot_base + j, ref)
-        assert got.digest() == frames[j].digest()
+        got = pool.read_frame(1 + j, ref)
+        assert got.digest() == frames[first + j].digest()
     # Slice batch: (order, slices, counters, corrupt rows).
     order, slices, counters, rows = payloads[1]
     assert (order, slices, rows) == (0, len(intra.slices), [])
@@ -238,3 +243,20 @@ def test_src_has_one_parent_loop_and_one_readiness_rule():
     # real workers.
     gated.discard(os.path.join("parallel", "queues.py"))
     assert gated <= {os.path.join("exec", "graph.py")}
+
+
+def test_src_gop_path_has_one_scan_and_no_substreams():
+    # Every GOP-grain and executor-window decode reads the one attached
+    # stream by the offsets of the parent's single scan.  A second
+    # ``build_index`` or a ``sequence_prefix`` under ``exec/`` or in the
+    # GOP decoder would be the substream route (prefix + copied bytes,
+    # scanned again in the worker) coming back beside it.
+    watched = (os.path.join("exec", ""), os.path.join("parallel", "mp.py"))
+    scans = [
+        (rel, line.strip())
+        for rel, _n, line in src_lines()
+        if rel.startswith(watched)
+        and re.search(r"\b(build_index|sequence_prefix)\(", line.split("#")[0])
+    ]
+    scan_index = (os.path.join("exec", "backend.py"), "index = build_index(data)")
+    assert scans == [scan_index]

@@ -30,8 +30,10 @@ import time
 import pytest
 
 from repro.mpeg2.decoder import DecodeError
+from repro.obs.metrics import metrics
 from repro.parallel.mp import MPGopDecoder
 from repro.parallel.mp_slice import MPSliceDecoder
+from tests.parallel.test_mp_gop_window import tile
 
 #: Upper bound on how long a crashed decode may take to fail — "no
 #: hang" made executable.  Generous (CI boxes are slow); the liveness
@@ -192,6 +194,16 @@ class TestSliceReconstructError:
         assert_no_stray_children()
 
 
+def assert_aborted_run_accounted(dec: MPGopDecoder) -> None:
+    """The graph an aborted run dispatched from conserves, with the
+    unfinished GOPs on it, and no frame-window run is still booked."""
+    counts = dec.last_graph.counts()
+    dec.last_graph.verify_conservation()
+    assert counts["completed"] < counts["planned"]
+    assert counts["cancelled"] + counts["lost"] > 0
+    assert metrics().gauge("mp.frame_pool.occupancy").value == 0
+
+
 class TestGopWorkerCrash:
     """The GOP path gets the same treatment (it previously had none)."""
 
@@ -202,12 +214,31 @@ class TestGopWorkerCrash:
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_crash_on_first_gop(self, two_gop_stream, no_shm_leak, deadline):
         dec = MPGopDecoder(two_gop_stream, workers=1, _crash_gop=0)
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
+
+    def test_consumer_closes_after_first_gop(
+        self, two_gop_stream, no_shm_leak, deadline
+    ):
+        # 8 GOPs on a 4-run window: when GOP 0 is handed over, later
+        # GOPs hold runs (in flight or waiting their turn to display).
+        # Walking away then must book nothing: the occupancy gauge is
+        # process-global and would read non-zero for every later run.
+        dec = MPGopDecoder(tile(two_gop_stream, 4), workers=2)
+        longest = max(len(g.pictures) for g in dec.index.gops)
+        gauge = metrics().gauge("mp.frame_pool.occupancy")
+        it = dec.iter_gops()
+        assert next(it)[0] == 0
+        assert longest <= gauge.value <= 4 * longest
+        it.close()
+        assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_clean_decode_after_crash(self, two_gop_stream, no_shm_leak):
         dec = MPGopDecoder(two_gop_stream, workers=2, _crash_gop=0)

@@ -92,10 +92,9 @@ class TestScanStep:
     def test_tasks_cover_every_picture_once(self, medium_stream):
         index = build_index(medium_stream)
         tasks = scan_gop_tasks(index)
-        slots = []
-        for t in tasks:
-            slots.extend(range(t.slot_base, t.slot_base + t.picture_count))
-        assert slots == list(range(index.picture_count))
+        assert [t.gop for t in tasks] == list(range(len(index.gops)))
+        assert [t.index for t in tasks] == index.gops
+        assert sum(t.picture_count for t in tasks) == index.picture_count
 
 
 class TestSharedFramePool:
