@@ -68,6 +68,9 @@ SMALL_MATRIX = paper_stream_matrix(pictures=4, resolution_divisor=4, gop_sizes=(
 #: Timed decode passes per engine (the minimum is reported).
 DECODE_REPEATS = 5
 
+#: Batched/scalar floor on the headline stream (measured ~7.7x).
+HEADLINE_SPEEDUP_FLOOR = 6.0
+
 
 def _cores() -> int:
     """Effective core count (affinity mask, not package count)."""
@@ -216,7 +219,7 @@ def test_perf_smoke(record) -> None:
 
 @pytest.mark.perf
 def test_perf_decode(record) -> None:
-    """Perf gate: batched must beat scalar >= 4x on the headline stream."""
+    """Perf gate: batched must beat scalar >= 6x on the headline stream."""
     report = run()
     lines = [
         f"{'stream':<24}{'scalar p/s':>12}{'batched p/s':>13}{'speedup':>9}"
@@ -235,7 +238,7 @@ def test_perf_decode(record) -> None:
         f"{split['amdahl_bound']:.2f}x"
     )
     record("\n".join(lines))
-    assert report["headline_decode_speedup"] >= 4.0
+    assert report["headline_decode_speedup"] >= HEADLINE_SPEEDUP_FLOOR
 
 
 def main() -> int:
@@ -248,7 +251,7 @@ def main() -> int:
             f"  speedup {row['decode_speedup']:.2f}x"
         )
     print(f"headline speedup: {report['headline_decode_speedup']:.2f}x")
-    return 0 if report["headline_decode_speedup"] >= 4.0 else 1
+    return 0 if report["headline_decode_speedup"] >= HEADLINE_SPEEDUP_FLOOR else 1
 
 
 if __name__ == "__main__":

@@ -727,18 +727,6 @@ class GopResult:
     counters: WorkCounters = field(default_factory=WorkCounters)
 
 
-class _SliceBytes:
-    """The coded stream as :class:`SequenceDecoder` reads it: ``data[a:b]``
-    is ``bytes`` (a shared-arena view has no ``find`` to unescape with),
-    so only the slice being parsed is ever materialised."""
-
-    def __init__(self, data: "bytes | memoryview") -> None:
-        self.data = data
-
-    def __getitem__(self, span: slice) -> bytes:
-        return bytes(self.data[span])
-
-
 def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
     """Task body: decode one GOP in place, park its frames in the pool.
 
@@ -754,7 +742,7 @@ def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
         gop=task.gop, pictures=task.picture_count,
     ):
         frames = SequenceDecoder(
-            _SliceBytes(ctx.data),
+            ctx.data,
             index=StreamIndex(state["seq"], [task.index], len(ctx.data)),
             engine=state["engine"],
             resilient=state["resilient"],

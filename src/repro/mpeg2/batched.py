@@ -14,17 +14,20 @@ updates, motion vectors, coded block patterns and every coefficient —
 is decoded by one function holding a single small bit accumulator in
 locals, refilled eight bytes at a time, against flattened versions of
 every VLC table (plain ``int`` length/symbol arrays; the run/level
-table additionally folds the sign bit into one extra window bit, so a
-coefficient costs one table walk instead of a codeword walk plus a
-sign-bit read).  There are no per-symbol method calls and no
-per-macroblock array allocations; the output is a :class:`SliceParse`
-of flat Python lists, with coefficients stored as a sparse marked
-stream of small packed ints — one negative block marker, then
-``(scan_position << 24) | (value + bias)`` per coefficient — whose
-positions stay in **scan** space (phase 2 forward-fills the markers
-and applies the scan permutation to the whole stream in a few
-vectorized passes, so no block is ever un-scanned individually and
-the parser spends nothing on it).
+table additionally folds the sign bit into one extra window bit and
+fuses every complete symbol of a 14-bit window into one row, so a
+probe yields ~2.3 coefficients).  There are no per-symbol method
+calls and no per-macroblock array allocations; the output is a
+:class:`SliceParse` of flat Python lists plus the coefficients as one
+``bytearray`` of little-endian int32 *entries* in bitstream order —
+``(run << 24) | (level + bias)`` per coefficient, one EOB entry
+closing every coded block.  A fused row carries its entries
+pre-packed as ``bytes``, so the hot loop appends them without
+creating an int per coefficient, and because runs stay **relative**
+the parser adds up no positions either: phase 2 turns runs into scan
+positions with one segmented cumsum per picture and applies the scan
+permutation to the whole stream, so no block is ever un-scanned
+individually.
 
 Phase 2 reconstructs pixels with a handful of vectorized operations
 over a whole *picture or GOP* at a time: slices are concatenated into
@@ -66,16 +69,13 @@ those of the scalar decoder — all paper experiments are unchanged.
 
 from __future__ import annotations
 
+from struct import Struct
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.bitstream.reader import BitstreamError
-from repro.mpeg2.blockcoding import (
-    _AC_EOB_RUN,
-    _AC_MAGS,
-    _AC_RUNS,
-    BlockSyntaxError,
-)
+from repro.mpeg2.blockcoding import BlockSyntaxError
 from repro.mpeg2.constants import PictureType, quantiser_scale
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import idct_rounded
@@ -89,6 +89,8 @@ from repro.mpeg2.tables import (
     CODED_BLOCK_PATTERN,
     DC_SIZE_CHROMA,
     DC_SIZE_LUMA,
+    EOB,
+    ESCAPE,
     ESCAPE_LEVEL_BITS,
     ESCAPE_RUN_BITS,
     MB_ADDRESS_INCREMENT,
@@ -103,9 +105,6 @@ from repro.obs.trace import trace_span
 
 #: Pixels of one 4:2:0 macroblock (256 luma + 2 * 64 chroma).
 _MB_PIXELS = 256 + 64 + 64
-
-#: Coefficient capacity of one macroblock record (6 blocks x 64).
-_MB_COEFFS = 6 * 64
 
 
 # ----------------------------------------------------------------------
@@ -183,97 +182,104 @@ _ESC_LEVEL_SIGN = 1 << (ESCAPE_LEVEL_BITS - 1)
 _ESC_LEVEL_SPAN = 1 << ESCAPE_LEVEL_BITS
 
 
+#: The coefficient stream is a ``bytearray`` of little-endian int32
+#: *entries*, ``(run << _COEF_SHIFT) | (level + _COEF_BIAS)``: the run
+#: is the codeword's own zero run (**relative** — the parser never
+#: adds up a scan position), an intra DC term is a run-0 entry, and one
+#: ``_COEF_EOB`` entry closes every coded block.  The 24-bit biased
+#: value field is ample: levels are bounded by the 12-bit escape range
+#: and DC predictor drift (at most ``128 + 2047 * 4 * mb_width`` on a
+#: corrupt-but-parseable slice — under 2**22 for the 12-bit picture
+#: widths the sequence header admits); runs are < 64, so only an EOB
+#: reaches bit 30.
+_COEF_SHIFT = 24
+_COEF_BIAS = 1 << 23
+_COEF_VMASK = (1 << 24) - 1
+_COEF_EOB = 1 << 30
+_ENTRY = Struct("<i")
+_EOB_BYTES = _ENTRY.pack(_COEF_EOB)
+
+#: Negative run sentinels of the two control symbols.
+_AC_EOB_RUN = -1
+_AC_ESCAPE_RUN = -2
+
+
 def _build_signed_ac() -> tuple[bytes, list[int], list[int]]:
     """Fold the sign bit of every run/level codeword into the table.
 
     The decoder's hottest symbol is the AC run/level pair, whose
     codeword is followed by one sign bit.  Widening the decode window
     by that bit lets a single lookup yield length (codeword + sign),
-    run and *signed* level — the per-coefficient sign-bit read, with
-    its own bounds check and refill, disappears from the hot loop.
-    EOB and the escape prefix carry no sign bit and keep their true
-    length; invalid prefixes stay length 0.
+    run and the symbol's stream *entry* (run and signed level already
+    packed) — the per-coefficient sign-bit read, with its own bounds
+    check and refill, disappears from the hot loop.  EOB and the
+    escape prefix carry no sign bit and keep their true length (their
+    runs are the sentinels above); invalid prefixes stay length 0.
     """
     maxlen = AC_RUN_LEVEL.max_len
     lens = bytearray(1 << (maxlen + 1))
     runs = [0] * (1 << (maxlen + 1))
-    lvls = [0] * (1 << (maxlen + 1))
+    entries = [0] * (1 << (maxlen + 1))
     base_lens = AC_RUN_LEVEL._dec_lens
-    for w in range(1 << maxlen):
-        length = base_lens[w]
-        if length == 0:
+    for w, sym in enumerate(AC_RUN_LEVEL._dec_syms):
+        if sym is None:
             continue
-        run = _AC_RUNS[w]
+        length = base_lens[w]
         w0 = w << 1
-        if run < 0:  # EOB or escape prefix: no sign bit follows
+        if sym == EOB or sym == ESCAPE:  # no sign bit follows
             lens[w0] = lens[w0 | 1] = length
-            runs[w0] = runs[w0 | 1] = run
-        else:
-            mag = _AC_MAGS[w]
-            for b in (0, 1):
-                w1 = w0 | b
-                sign = (w1 >> (maxlen - length)) & 1
-                lens[w1] = length + 1
-                runs[w1] = run
-                lvls[w1] = -mag if sign else mag
-    return bytes(lens), runs, lvls
+            runs[w0] = runs[w0 | 1] = (
+                _AC_EOB_RUN if sym == EOB else _AC_ESCAPE_RUN
+            )
+            continue
+        run, mag = sym
+        for w1 in (w0, w0 | 1):
+            sign = (w1 >> (maxlen - length)) & 1
+            lens[w1] = length + 1
+            runs[w1] = run
+            entries[w1] = (run << _COEF_SHIFT) | (
+                (-mag if sign else mag) + _COEF_BIAS
+            )
+    return bytes(lens), runs, entries
 
 
-_AC2_LENS, _AC2_RUNS, _AC2_LVLS = _build_signed_ac()
+_AC2_LENS, _AC2_RUNS, _AC2_ENTRIES = _build_signed_ac()
 _AC2_MAXLEN = AC_RUN_LEVEL.max_len + 1
-
-#: Sparse coefficients travel as a marked stream of *compact* ints
-#: (CPython stores ints below 2**30 inline in the object; keeping every
-#: entry under that bound makes the hot-loop shift/or/append and the
-#: phase-2 ``np.asarray`` conversion measurably cheaper than 33+-bit
-#: packed values).  Each coded block contributes one negative *marker*
-#: entry, ``-1 - block_base`` (``block_base = record * 384 + block *
-#: 64``), followed by one ``(scan_position << _COEF_SHIFT) | (value +
-#: _COEF_BIAS)`` entry per coefficient.  The 24-bit biased value field
-#: is ample: levels are bounded by the 12-bit escape range and DC
-#: predictor drift (at most ``128 + 2047 * 4 * mb_width`` on a
-#: corrupt-but-parseable slice — under 2**22 for the 12-bit picture
-#: widths the sequence header admits).
-_COEF_SHIFT = 24
-_COEF_BIAS = 1 << 23
-_COEF_VMASK = (1 << 24) - 1
-
-#: Hot-loop companion to ``_AC2_LVLS``: each signed level pre-biased
-#: into the packed value field, so the per-coefficient append is one
-#: shift and one or — no add.  Only ``run >= 0`` windows are ever
-#: read through this table.
-_AC2_BIASED: list[int] = [lvl + _COEF_BIAS for lvl in _AC2_LVLS]
 
 #: Fused multi-symbol AC decode: one ``_FUSE_BITS``-bit window maps to
 #: every *complete* run/level symbol it contains (average AC symbols
 #: run ~5 bits including the folded sign, so a window usually carries
-#: two).  ``_AC_FUSED[w] == (consumed_bits, eob, ((run, biased_level),
-#: ...))``: the walk stops — leaving ``consumed_bits`` at the last
-#: clean symbol boundary — before escape codes, invalid prefixes and
-#: codewords that straddle the window, all of which the single-symbol
-#: path then handles at the exact same bit position the scalar decoder
-#: would report.  An EOB inside the window is consumed and flagged
-#: instead of emitted.  Built lazily on first use (16K windows) so
-#: importing the module stays cheap for short-lived processes.
+#: two).  ``_AC_FUSED[w] == (consumed_bits, advance, entry_bytes,
+#: eob)``: the symbols travel **pre-packed** — ``entry_bytes`` is
+#: appended to the stream verbatim, a trailing EOB's entry included —
+#: and ``advance`` is their total ``run + 1``, so the hot loop checks a
+#: whole window's bounds with one add and one compare and creates no
+#: int per coefficient.  The walk stops — leaving ``consumed_bits`` at
+#: the last clean symbol boundary — before escape codes, invalid
+#: prefixes and codewords that straddle the window, all of which the
+#: single-symbol path then handles at the exact same bit position the
+#: scalar decoder would report.  Built lazily on first use (16K
+#: windows) so importing the module stays cheap.
 _FUSE_BITS = 14
 _FUSE_MASK = (1 << _FUSE_BITS) - 1
-_AC_FUSED: list[tuple[int, int, tuple]] | None = None
+_AC_FUSED: list[tuple[int, int, bytes, int]] | None = None
 
 
-def _build_fused_ac() -> list[tuple[int, int, tuple]]:
+def _build_fused_ac() -> list[tuple[int, int, bytes, int]]:
     global _AC_FUSED
     if _AC_FUSED is not None:
         return _AC_FUSED
     lens = _AC2_LENS
     runs = _AC2_RUNS
-    biased = _AC2_BIASED
+    entries = _AC2_ENTRIES
     maxlen = _AC2_MAXLEN
     fb = _FUSE_BITS
-    table: list[tuple[int, int, tuple]] = []
+    table: list[tuple[int, int, bytes, int]] = []
     for w in range(1 << fb):
         pos = 0
+        adv = 0
         eob = 0
-        pairs: list[tuple[int, int]] = []
+        packed = b""
         while True:
             rem = fb - pos
             if rem <= 0:
@@ -291,16 +297,37 @@ def _build_fused_ac() -> list[tuple[int, int, tuple]]:
                 break
             run = runs[wnd]
             if run >= 0:
-                pairs.append((run, biased[wnd]))
+                packed += _ENTRY.pack(entries[wnd])
+                adv += run + 1
                 pos += length
                 continue
             if run == _AC_EOB_RUN:
                 pos += length
                 eob = 1
+                packed += _EOB_BYTES
             break
-        table.append((pos, eob, tuple(pairs)))
+        table.append((pos, adv, packed, eob))
     _AC_FUSED = table
     return table
+
+
+def _raise_past_block(k: int, entry_bytes: bytes) -> None:
+    """Raise for the first symbol of a fused window to leave the block.
+
+    The hot loop only knows the window's *total* advance overshot; this
+    re-walks its entries from ``k``, the index before the window, to
+    name the symbol, index and run the scalar decoder's per-coefficient
+    check reports.
+    """
+    for (entry,) in _ENTRY.iter_unpack(entry_bytes):
+        run = entry >> _COEF_SHIFT
+        k += run
+        if k >= 64:
+            raise BlockSyntaxError(
+                f"coefficient index {k} past end of block (run {run})"
+            )
+        k += 1
+
 
 #: ``_POPCNT6[cbp]`` = coded blocks in a 6-bit coded block pattern.
 _POPCNT6: list[int] = [bin(c).count("1") for c in range(64)]
@@ -319,13 +346,15 @@ class SliceParse:
     macroblocks (coded *and* skipped, in address order).  Motion
     vectors are stored struct-of-arrays: a presence flag plus absolute
     luma half-pel ``dy``/``dx`` components per direction.  Coefficients
-    are a sparse marked stream of compact packed ints: each coded
-    block opens with ``-1 - (record * 384 + block * 64)`` and is
-    followed by ``(scan_position << 24) | (level + 2**23)`` per
-    coefficient — positions stay in scan space during parse
-    (``alternate_scan`` records which permutation applies); phase 2
-    forward-fills the markers, permutes to raster and scatters the
-    whole stream with a handful of vector ops.
+    are ``coef_packed``, a ``bytearray`` of little-endian int32
+    entries in bitstream order: ``(run << 24) | (level + 2**23)`` per
+    coefficient (``run`` is the codeword's zero run, *not* a scan
+    position; an intra DC term is a run-0 entry) and one ``1 << 30``
+    EOB entry closing every coded block — so the n-th EOB-delimited
+    group belongs to the n-th set ``cbp`` bit of the slice, and
+    ``len(coef_packed) == 4 * (coefficients + intra DC terms +
+    idct_blocks)``.  ``alternate_scan`` records which permutation
+    phase 2 applies once it has summed the runs into positions.
     """
 
     __slots__ = (
@@ -359,7 +388,7 @@ class SliceParse:
         self.b_on: list[bool] = []
         self.b_dy: list[int] = []
         self.b_dx: list[int] = []
-        self.coef_packed: list[int] = []
+        self.coef_packed = bytearray()
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -520,8 +549,9 @@ def parse_slice(
     a_bon = sp.b_on.append
     a_bdy = sp.b_dy.append
     a_bdx = sp.b_dx.append
-    a_cp = sp.coef_packed.append
-    rec = 0
+    buf = sp.coef_packed
+    pack = _ENTRY.pack
+    eob_bytes = _EOB_BYTES
 
     mba_lens = _MBA_LENS
     mba_inc = _MBA_INC
@@ -534,7 +564,7 @@ def parse_slice(
     cbp_mask = _MASKS[_CBP_MAXLEN]
     ac_lens = _AC2_LENS
     ac_runs = _AC2_RUNS
-    ac_biased = _AC2_BIASED
+    ac_entries = _AC2_ENTRIES
     ac_maxlen = _AC2_MAXLEN
     ac_fused = _AC_FUSED
     if ac_fused is None:
@@ -554,25 +584,20 @@ def parse_slice(
             if abits >= mba_maxlen:
                 w = (acc >> (abits - mba_maxlen)) & mba_mask
                 length = mba_lens[w]
-                if length == 0:
-                    raise VLCError(
-                        f"{MB_ADDRESS_INCREMENT.name}: invalid codeword at "
-                        f"bit {bytepos * 8 - abits} (window {w:0{mba_maxlen}b})"
-                    )
             else:
                 # Stream tail: remaining real bits == abits.
                 w = (acc << (mba_maxlen - abits)) & mba_mask
                 length = mba_lens[w]
-                if length == 0:
-                    raise VLCError(
-                        f"{MB_ADDRESS_INCREMENT.name}: invalid codeword at "
-                        f"bit {bytepos * 8 - abits} (window {w:0{mba_maxlen}b})"
-                    )
                 if length > abits:
                     raise VLCError(
                         f"{MB_ADDRESS_INCREMENT.name}: truncated codeword at "
                         "end of stream"
                     )
+            if length == 0:
+                raise VLCError(
+                    f"{MB_ADDRESS_INCREMENT.name}: invalid codeword at "
+                    f"bit {bytepos * 8 - abits} (window {w:0{mba_maxlen}b})"
+                )
             abits -= length
             vlc_symbols += 1
             inc = mba_inc[w]
@@ -608,7 +633,6 @@ def parse_slice(
                 a_bon(False)
                 a_bdy(0)
                 a_bdx(0)
-                rec += 1
                 pf_dy = pf_dx = pb_dy = pb_dx = 0  # reset_pmv
             elif is_b:
                 if not prev_valid:
@@ -645,7 +669,6 @@ def parse_slice(
                 a_bon(prev_b_on)
                 a_bdy(pv_b_dy)
                 a_bdx(pv_b_dx)
-                rec += 1
             else:
                 raise SliceDecodeError(
                     "skipped macroblocks are illegal in I-pictures"
@@ -662,23 +685,18 @@ def parse_slice(
         if abits >= mt_maxlen:
             w = (acc >> (abits - mt_maxlen)) & mt_mask
             length = mt_lens[w]
-            if length == 0:
-                raise VLCError(
-                    f"{mt_name}: invalid codeword at bit "
-                    f"{bytepos * 8 - abits} (window {w:0{mt_maxlen}b})"
-                )
         else:
             w = (acc << (mt_maxlen - abits)) & mt_mask
             length = mt_lens[w]
-            if length == 0:
-                raise VLCError(
-                    f"{mt_name}: invalid codeword at bit "
-                    f"{bytepos * 8 - abits} (window {w:0{mt_maxlen}b})"
-                )
             if length > abits:
                 raise VLCError(
                     f"{mt_name}: truncated codeword at end of stream"
                 )
+        if length == 0:
+            raise VLCError(
+                f"{mt_name}: invalid codeword at bit "
+                f"{bytepos * 8 - abits} (window {w:0{mt_maxlen}b})"
+            )
         abits -= length
         flags = mt_flags[w]
         vlc_symbols += 1
@@ -719,24 +737,19 @@ def parse_slice(
                 if abits >= mc_maxlen:
                     w = (acc >> (abits - mc_maxlen)) & mc_mask
                     length = mc_lens[w]
-                    if length == 0:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: invalid codeword at bit "
-                            f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                        )
                 else:
                     w = (acc << (mc_maxlen - abits)) & mc_mask
                     length = mc_lens[w]
-                    if length == 0:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: invalid codeword at bit "
-                            f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                        )
                     if length > abits:
                         raise VLCError(
                             f"{MOTION_CODE.name}: truncated codeword at end "
                             "of stream"
                         )
+                if length == 0:
+                    raise VLCError(
+                        f"{MOTION_CODE.name}: invalid codeword at bit "
+                        f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
+                    )
                 abits -= length
                 code = mc_syms[w]
                 if ff == 1 or code == 0:
@@ -794,24 +807,19 @@ def parse_slice(
                 if abits >= mc_maxlen:
                     w = (acc >> (abits - mc_maxlen)) & mc_mask
                     length = mc_lens[w]
-                    if length == 0:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: invalid codeword at bit "
-                            f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                        )
                 else:
                     w = (acc << (mc_maxlen - abits)) & mc_mask
                     length = mc_lens[w]
-                    if length == 0:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: invalid codeword at bit "
-                            f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                        )
                     if length > abits:
                         raise VLCError(
                             f"{MOTION_CODE.name}: truncated codeword at end "
                             "of stream"
                         )
+                if length == 0:
+                    raise VLCError(
+                        f"{MOTION_CODE.name}: invalid codeword at bit "
+                        f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
+                    )
                 abits -= length
                 code = mc_syms[w]
                 if bf == 1 or code == 0:
@@ -871,26 +879,20 @@ def parse_slice(
             if abits >= _CBP_MAXLEN:
                 w = (acc >> (abits - _CBP_MAXLEN)) & cbp_mask
                 length = _CBP_LENS[w]
-                if length == 0:
-                    raise VLCError(
-                        f"{CODED_BLOCK_PATTERN.name}: invalid codeword at "
-                        f"bit {bytepos * 8 - abits} "
-                        f"(window {w:0{_CBP_MAXLEN}b})"
-                    )
             else:
                 w = (acc << (_CBP_MAXLEN - abits)) & cbp_mask
                 length = _CBP_LENS[w]
-                if length == 0:
-                    raise VLCError(
-                        f"{CODED_BLOCK_PATTERN.name}: invalid codeword at "
-                        f"bit {bytepos * 8 - abits} "
-                        f"(window {w:0{_CBP_MAXLEN}b})"
-                    )
                 if length > abits:
                     raise VLCError(
                         f"{CODED_BLOCK_PATTERN.name}: truncated codeword at "
                         "end of stream"
                     )
+            if length == 0:
+                raise VLCError(
+                    f"{CODED_BLOCK_PATTERN.name}: invalid codeword at "
+                    f"bit {bytepos * 8 - abits} "
+                    f"(window {w:0{_CBP_MAXLEN}b})"
+                )
             abits -= length
             cbp = _CBP_SYMS[w]
             vlc_symbols += 1
@@ -902,12 +904,10 @@ def parse_slice(
         # ---- coefficient blocks ------------------------------------
         intra_mb = flags & _MT_INTRA
         if cbp:
-            base0 = rec * _MB_COEFFS
             for i in range(6):
                 if not cbp & (32 >> i):
                     continue
-                a_cp(-1 - (base0 + (i << 6)))  # block marker
-                k = 0
+                k = 0  # scan index of the next coefficient
                 if intra_mb:
                     if i < 4:
                         dc_lens = _DCL_LENS
@@ -915,18 +915,12 @@ def parse_slice(
                         dc_maxlen = _DCL_MAXLEN
                         dc_name = DC_SIZE_LUMA.name
                         pred = dc0
-                    elif i == 4:
-                        dc_lens = _DCC_LENS
-                        dc_syms = _DCC_SYMS
-                        dc_maxlen = _DCC_MAXLEN
-                        dc_name = DC_SIZE_CHROMA.name
-                        pred = dc1
                     else:
                         dc_lens = _DCC_LENS
                         dc_syms = _DCC_SYMS
                         dc_maxlen = _DCC_MAXLEN
                         dc_name = DC_SIZE_CHROMA.name
-                        pred = dc2
+                        pred = dc1 if i == 4 else dc2
                     if abits < dc_maxlen:
                         chunk = data[bytepos : bytepos + 8]
                         nb = len(chunk)
@@ -938,26 +932,20 @@ def parse_slice(
                     if abits >= dc_maxlen:
                         w = (acc >> (abits - dc_maxlen)) & masks[dc_maxlen]
                         length = dc_lens[w]
-                        if length == 0:
-                            raise VLCError(
-                                f"{dc_name}: invalid codeword at bit "
-                                f"{bytepos * 8 - abits} "
-                                f"(window {w:0{dc_maxlen}b})"
-                            )
                     else:
                         w = (acc << (dc_maxlen - abits)) & masks[dc_maxlen]
                         length = dc_lens[w]
-                        if length == 0:
-                            raise VLCError(
-                                f"{dc_name}: invalid codeword at bit "
-                                f"{bytepos * 8 - abits} "
-                                f"(window {w:0{dc_maxlen}b})"
-                            )
                         if length > abits:
                             raise VLCError(
                                 f"{dc_name}: truncated codeword at end of "
                                 "stream"
                             )
+                    if length == 0:
+                        raise VLCError(
+                            f"{dc_name}: invalid codeword at bit "
+                            f"{bytepos * 8 - abits} "
+                            f"(window {w:0{dc_maxlen}b})"
+                        )
                     size = dc_syms[w]
                     abits -= length
                     vlc_symbols += 1
@@ -987,17 +975,20 @@ def parse_slice(
                         dc1 = pred
                     else:
                         dc2 = pred
-                    a_cp(pred + 0x800000)  # DC: scan position 0
+                    buf += pack(pred + 0x800000)  # DC: a run-0 entry
                     dc_emits += 1
                     k = 1
 
                 while True:
-                    # Fused fast path: one peek emits every complete
-                    # run/level symbol in the window and consumes a
-                    # trailing EOB.  Escapes, invalid prefixes,
-                    # window-straddling codewords and the stream tail
-                    # fall through to the single-symbol path below,
-                    # which owns all error positions.
+                    # Fused fast path: one peek appends the pre-packed
+                    # entries of every complete run/level symbol in the
+                    # window, a trailing EOB's included.  ``k`` only
+                    # grows, so one bound check per window fails on
+                    # exactly the windows the per-symbol check would.
+                    # Escapes, invalid prefixes, window-straddling
+                    # codewords and the stream tail fall through to the
+                    # single-symbol path below, which owns their error
+                    # positions.
                     if abits < _FUSE_BITS:
                         chunk = data[bytepos : bytepos + 8]
                         nb = len(chunk)
@@ -1007,20 +998,15 @@ def parse_slice(
                         abits += nb << 3
                         bytepos += nb
                     if abits >= _FUSE_BITS:
-                        consumed, eob, pairs = ac_fused[
+                        consumed, adv, entry_bytes, eob = ac_fused[
                             (acc >> (abits - _FUSE_BITS)) & _FUSE_MASK
                         ]
                         if consumed:
+                            k += adv
+                            if k > 64:
+                                _raise_past_block(k - adv, entry_bytes)
                             abits -= consumed
-                            for run, biased in pairs:
-                                k += run
-                                if k >= 64:
-                                    raise BlockSyntaxError(
-                                        f"coefficient index {k} past end "
-                                        f"of block (run {run})"
-                                    )
-                                a_cp((k << 24) | biased)
-                                k += 1
+                            buf += entry_bytes
                             if eob:
                                 break
                             continue
@@ -1035,49 +1021,34 @@ def parse_slice(
                         ) | ifb(chunk, "big")
                         abits += nb << 3
                         bytepos += nb
-                        if abits < ac_maxlen:
-                            # Stream tail: remaining real bits == abits.
-                            w = (acc << (ac_maxlen - abits)) & ac_mask
-                            length = ac_lens[w]
-                            if length == 0:
-                                raise VLCError(
-                                    f"{AC_RUN_LEVEL.name}: invalid codeword "
-                                    f"at bit {bytepos * 8 - abits} "
-                                    f"(window {w:0{ac_maxlen}b})"
-                                )
-                            if length > abits:
-                                if ac_runs[w] >= 0 and length - 1 <= abits:
-                                    # The run/level codeword itself fits;
-                                    # only its folded sign bit is past the
-                                    # end — the scalar path consumes the
-                                    # codeword, then fails the one-bit
-                                    # sign read.
-                                    raise BitstreamError(
-                                        "read past end of stream (want 1 "
-                                        f"bits at {n}, have 0)"
-                                    )
-                                raise VLCError(
-                                    f"{AC_RUN_LEVEL.name}: truncated "
-                                    "codeword at end of stream"
-                                )
-                        else:
-                            w = (acc >> (abits - ac_maxlen)) & ac_mask
-                            length = ac_lens[w]
-                            if length == 0:
-                                raise VLCError(
-                                    f"{AC_RUN_LEVEL.name}: invalid codeword "
-                                    f"at bit {bytepos * 8 - abits} "
-                                    f"(window {w:0{ac_maxlen}b})"
-                                )
-                    else:
+                    if abits >= ac_maxlen:
                         w = (acc >> (abits - ac_maxlen)) & ac_mask
                         length = ac_lens[w]
-                        if length == 0:
+                    else:
+                        # Stream tail: remaining real bits == abits.
+                        w = (acc << (ac_maxlen - abits)) & ac_mask
+                        length = ac_lens[w]
+                        if length > abits:
+                            if ac_runs[w] >= 0 and length - 1 <= abits:
+                                # The run/level codeword itself fits;
+                                # only its folded sign bit is past the
+                                # end — the scalar path consumes the
+                                # codeword, then fails the one-bit
+                                # sign read.
+                                raise BitstreamError(
+                                    "read past end of stream (want 1 "
+                                    f"bits at {n}, have 0)"
+                                )
                             raise VLCError(
-                                f"{AC_RUN_LEVEL.name}: invalid codeword at "
-                                f"bit {bytepos * 8 - abits} "
-                                f"(window {w:0{ac_maxlen}b})"
+                                f"{AC_RUN_LEVEL.name}: truncated "
+                                "codeword at end of stream"
                             )
+                    if length == 0:
+                        raise VLCError(
+                            f"{AC_RUN_LEVEL.name}: invalid codeword at "
+                            f"bit {bytepos * 8 - abits} "
+                            f"(window {w:0{ac_maxlen}b})"
+                        )
                     abits -= length
                     run = ac_runs[w]
                     if run >= 0:
@@ -1087,10 +1058,11 @@ def parse_slice(
                                 f"coefficient index {k} past end of block "
                                 f"(run {run})"
                             )
-                        a_cp((k << 24) | ac_biased[w])
+                        buf += pack(ac_entries[w])
                         k += 1
                         continue
                     if run == _AC_EOB_RUN:
+                        buf += eob_bytes
                         break
                     else:
                         # Escape: 6-bit run + 12-bit signed level.
@@ -1125,7 +1097,7 @@ def parse_slice(
                             f"coefficient index {k} past end of block "
                             f"(run {run})"
                         )
-                    a_cp((k << 24) | (level + 0x800000))
+                    buf += pack((run << 24) | (level + 0x800000))
                     k += 1
         idct_blocks += _POPCNT6[cbp]
 
@@ -1142,7 +1114,6 @@ def parse_slice(
             a_bon(False)
             a_bdy(0)
             a_bdx(0)
-            rec += 1
             pf_dy = pf_dx = pb_dy = pb_dx = 0  # reset_pmv
             prev_valid = False
         else:
@@ -1170,7 +1141,6 @@ def parse_slice(
             a_bon(b_on)
             a_bdy(bdy)
             a_bdx(bdx)
-            rec += 1
             dc0 = dc1 = dc2 = _DC_RESET  # reset_dc
             if is_p and not (flags & _MT_FWD):
                 pf_dy = pf_dx = 0  # no-MC P macroblock: PMV reset
@@ -1189,12 +1159,12 @@ def parse_slice(
                 pv_b_dy = pv_b_dx = 0
         prev_addr = address
 
-    ncp = len(sp.coef_packed)
-    # The AC loop keeps no per-symbol counter: every packed entry is
-    # one run/level symbol except the intra DC terms and the per-block
-    # markers — and each marker (one per coded block, ``idct_blocks``
-    # in total) stands for exactly the block's closing EOB symbol, so
-    # AC symbols = (ncp - dc_emits - idct_blocks) + idct_blocks.
+    ncp = len(buf) >> 2
+    # The AC loop keeps no per-symbol counter: every entry is one AC
+    # symbol — a run/level pair or a block's closing EOB (one per
+    # coded block, ``idct_blocks`` in total) — except the intra DC
+    # terms, so AC symbols = ncp - dc_emits and coefficients are what
+    # is left once the EOBs go too.
     local.vlc_symbols = vlc_symbols + ncp - dc_emits
     local.macroblocks = macroblocks
     local.mc_macroblocks = mc_macroblocks
@@ -1212,10 +1182,12 @@ def parse_slice(
 class PictureAssembly:
     """One picture's slice parses concatenated into NumPy arrays.
 
-    ``coef_idx``/``coef_val`` form the picture-wide sparse coefficient
-    stream (indices are ``record * 384 + block * 64 + raster_pos``);
     ``rec_idx``/``blk_idx`` enumerate the coded blocks of the picture
-    (the IDCT batch members) in record order.
+    (the IDCT batch members) in record order — the order their
+    EOB-delimited groups appear in the coefficient stream, so a
+    group's ordinal *is* its IDCT batch row.  ``coef_idx``/``coef_val``
+    are the picture-wide sparse coefficients, indices
+    ``batch_row * 64 + raster_pos``.
     """
 
     __slots__ = (
@@ -1247,6 +1219,15 @@ def assemble_picture(slices: list[SliceParse]) -> PictureAssembly:
     superseded duplicates before calling) — record order therefore
     never affects pixels, because every record scatters to a distinct
     macroblock address.
+
+    The joined coefficient stream is read with one ``np.frombuffer``
+    and resolved by a cumsum chain: the EOB mask numbers the blocks
+    (``cumsum(eob) - eob``), and a coefficient's scan position is the
+    running sum of ``run + 1`` minus that sum at its block's start,
+    minus 1.  Which ``(record, block)`` an ordinal means is never
+    stored — it is the ordinal-th set ``cbp`` bit — so a stream whose
+    EOB count disagrees with ``cbp`` raises instead of scattering
+    coefficients into the wrong blocks.
     """
     asm = PictureAssembly()
     n = sum(len(s) for s in slices)
@@ -1261,8 +1242,6 @@ def assemble_picture(slices: list[SliceParse]) -> PictureAssembly:
     asm.b_on = b_on = np.empty(n, dtype=bool)
     asm.b_dy = b_dy = np.empty(n, dtype=np.int64)
     asm.b_dx = b_dx = np.empty(n, dtype=np.int64)
-    idx_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
     off = 0
     for s in slices:
         m = len(s)
@@ -1279,30 +1258,35 @@ def assemble_picture(slices: list[SliceParse]) -> PictureAssembly:
         b_on[off:end] = s.b_on
         b_dy[off:end] = s.b_dy
         b_dx[off:end] = s.b_dx
-        if s.coef_packed:
-            arr = np.asarray(s.coef_packed, dtype=np.int64)
-            marks = arr < 0
-            # Forward-fill each block marker over the coefficients
-            # that follow it (the stream always opens with a marker),
-            # then drop the markers and rebuild flat scan indices.
-            fill = np.maximum.accumulate(
-                np.where(marks, np.arange(arr.size), 0)
-            )
-            keep = ~marks
-            kept = arr[keep]
-            sidx = (-1 - arr[fill[keep]]) + (kept >> _COEF_SHIFT)
-            ridx = scan_to_raster_flat(sidx, s.alternate_scan)
-            idx_parts.append(ridx + off * _MB_COEFFS)
-            val_parts.append((kept & _COEF_VMASK) - _COEF_BIAS)
         off = end
-    if idx_parts:
-        asm.coef_idx = np.concatenate(idx_parts)
-        asm.coef_val = np.concatenate(val_parts)
-    else:
-        asm.coef_idx = np.empty(0, dtype=np.int64)
-        asm.coef_val = np.empty(0, dtype=np.int64)
     coded = (cbp[:, None] & _BLOCK_BITS) != 0  # (n, 6)
     asm.rec_idx, asm.blk_idx = np.nonzero(coded)
+
+    arr = np.frombuffer(b"".join([s.coef_packed for s in slices]), "<i4")
+    eob = arr >= _COEF_EOB
+    # EOBs before an entry: a coefficient's block ordinal, and at the
+    # last entry (an EOB, counted in) the number of blocks closed.
+    ordinal = np.cumsum(eob, dtype=np.int32)
+    n_eob = int(ordinal[-1]) if arr.size else 0
+    if n_eob != asm.rec_idx.size:
+        raise RuntimeError(
+            f"coefficient stream closes {n_eob} blocks but the coded "
+            f"block patterns announce {asm.rec_idx.size}"
+        )
+    # Scan position = running sum of ``run + 1`` (EOBs add nothing),
+    # rebased to the sum at the block's start — the previous EOB's.
+    pos = np.cumsum(
+        np.where(eob, 0, (arr >> _COEF_SHIFT) + 1), dtype=np.int32
+    )
+    start = np.zeros(n_eob + 1, dtype=np.int32)
+    start[1:] = pos[eob]
+    coef = ~eob
+    ordinal = ordinal[coef]
+    sidx = (ordinal << 6) + (pos[coef] - start[ordinal] - 1)
+    asm.coef_idx = scan_to_raster_flat(
+        sidx, bool(slices) and slices[0].alternate_scan
+    )
+    asm.coef_val = (arr[coef] & _COEF_VMASK) - _COEF_BIAS
     return asm
 
 
@@ -1311,18 +1295,14 @@ def _compact_levels(asm: PictureAssembly) -> np.ndarray:
 
     Returns ``(m, 8, 8)`` where ``m == len(asm.rec_idx)``: one sparse
     scatter of the coefficient stream, no per-block work, no un-scan
-    (the scan permutation was applied at parse time).
+    (the scan permutation was applied at assembly).
     """
     m = asm.rec_idx.size
     # float64 throughout phase 2's transform chain: level magnitudes
     # keep every intermediate exactly representable (see the
     # ``dequantize_*_f64`` twins), and the IDCT gets its native dtype.
     lv = np.zeros((m, 64), dtype=np.float64)
-    if asm.coef_idx.size:
-        # Map flat block number (record * 6 + block) -> IDCT batch row.
-        blkmap = np.zeros(asm.n * 6, dtype=np.int64)
-        blkmap[asm.rec_idx * 6 + asm.blk_idx] = np.arange(m)
-        lv[blkmap[asm.coef_idx >> 6], asm.coef_idx & 63] = asm.coef_val
+    lv.reshape(-1)[asm.coef_idx] = asm.coef_val
     return lv.reshape(m, 8, 8)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitstream import BitReader, BitWriter
-from repro.bitstream.reader import BitstreamError
 from repro.mpeg2.constants import LEVEL_MAX, LEVEL_MIN
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.tables import (
@@ -28,34 +27,10 @@ from repro.mpeg2.tables import (
     MAX_DC_SIZE,
     VLCTable,
 )
-from repro.mpeg2.vlc import VLCError
 
 
 class BlockSyntaxError(Exception):
     """Raised on impossible coefficient positions or level values."""
-
-
-# ----------------------------------------------------------------------
-# Flattened AC decode tables for the fast block decoder: per max_len
-# window, the run (with negative sentinels for the control symbols) and
-# magnitude as plain ints — no tuple unpacking per symbol in the hot
-# loop.  Invalid windows keep run 0; they are rejected by the length
-# table before these are consulted.
-# ----------------------------------------------------------------------
-_AC_EOB_RUN = -1
-_AC_ESCAPE_RUN = -2
-_AC_RUNS: list[int] = [0] * (1 << AC_RUN_LEVEL.max_len)
-_AC_MAGS: list[int] = [0] * (1 << AC_RUN_LEVEL.max_len)
-for _w, _sym in enumerate(AC_RUN_LEVEL._dec_syms):
-    if _sym is None:
-        continue
-    if _sym == EOB:
-        _AC_RUNS[_w] = _AC_EOB_RUN
-    elif _sym == ESCAPE:
-        _AC_RUNS[_w] = _AC_ESCAPE_RUN
-    else:
-        _AC_RUNS[_w], _AC_MAGS[_w] = _sym
-del _w, _sym
 
 
 # ----------------------------------------------------------------------
@@ -150,198 +125,6 @@ def encode_block(
             run = 0
     AC_RUN_LEVEL.encode(w, EOB)
     return new_pred
-
-
-def decode_blocks_fast(
-    r: BitReader,
-    cbp: int,
-    *,
-    intra: bool,
-    dc_luma: VLCTable,
-    dc_chroma: VLCTable,
-    dc_pred: list[int],
-    counters: WorkCounters,
-) -> np.ndarray:
-    """Decode every coded block of one macroblock with an inlined cursor.
-
-    Functionally identical to calling :func:`decode_block` once per set
-    bit of ``cbp`` (same syntax, same ``VLCError`` / ``BitstreamError``
-    / ``BlockSyntaxError`` conditions, same counter accounting, same
-    in-place DC predictor updates), but the innermost loop of the whole
-    decoder — coefficient run/level decode, hundreds of thousands of
-    symbols per picture at the paper's operating points — runs on local
-    variables: a small MSB-first accumulator refilled a byte at a time
-    from the payload, instead of a ``BitReader`` method call per
-    symbol.  Doing the whole macroblock in one call amortises the
-    cursor setup and writes levels straight into the ``(6, 64)`` output
-    array.  The reader's position is synchronised on exit.
-
-    The batched phase-1 parser (:mod:`repro.mpeg2.batched`) uses this
-    entry point; the scalar oracle keeps the straightforward
-    per-block version, and the cross-engine parity suite pins the two
-    to bit-identical behaviour.
-    """
-    levels = np.zeros((6, 64), dtype=np.int64)
-    if cbp == 0:
-        return levels
-    data = r._data
-    n = r._nbits
-    pos = r._pos
-    nbytes = len(data)
-    # Accumulator: the next ``abits`` stream bits, MSB-aligned at the
-    # top of ``acc``; refilled from ``data[bytepos]`` a byte at a time.
-    bytepos = pos >> 3
-    rem = pos & 7
-    if rem:
-        acc = data[bytepos] & (0xFF >> rem)
-        abits = 8 - rem
-        bytepos += 1
-    else:
-        acc = 0
-        abits = 0
-
-    ac_runs = _AC_RUNS
-    ac_mags = _AC_MAGS
-    ac_lens = AC_RUN_LEVEL._dec_lens
-    ac_maxlen = AC_RUN_LEVEL.max_len
-    vlc_symbols = 0
-    coefficients = 0
-
-    for i in range(6):
-        if not cbp & (32 >> i):
-            continue
-        row = levels[i]
-        k = 0
-        if intra:
-            dc_table = dc_luma if i < 4 else dc_chroma
-            maxlen = dc_table.max_len
-            while abits < maxlen and bytepos < nbytes:
-                acc = (acc << 8) | data[bytepos]
-                bytepos += 1
-                abits += 8
-            w = (
-                (acc >> (abits - maxlen))
-                if abits >= maxlen
-                else (acc << (maxlen - abits))
-            )
-            length = dc_table._dec_lens[w]
-            if length == 0:
-                raise VLCError(
-                    f"{dc_table.name}: invalid codeword at bit {pos} "
-                    f"(window {w:0{maxlen}b})"
-                )
-            if length > n - pos:
-                raise VLCError(
-                    f"{dc_table.name}: truncated codeword at end of stream"
-                )
-            size = dc_table._dec_syms[w]
-            abits -= length
-            acc &= (1 << abits) - 1
-            pos += length
-            vlc_symbols += 1
-            di = 0 if i < 4 else i - 3
-            if size:
-                if size > n - pos:
-                    raise BitstreamError(
-                        f"read past end of stream (want {size} bits at {pos}, "
-                        f"have {n - pos})"
-                    )
-                while abits < size and bytepos < nbytes:
-                    acc = (acc << 8) | data[bytepos]
-                    bytepos += 1
-                    abits += 8
-                raw = acc >> (abits - size)
-                abits -= size
-                acc &= (1 << abits) - 1
-                pos += size
-                if raw & (1 << (size - 1)):
-                    new_pred = dc_pred[di] + raw
-                else:
-                    new_pred = dc_pred[di] - (raw ^ ((1 << size) - 1))
-            else:
-                new_pred = dc_pred[di]
-            dc_pred[di] = new_pred
-            row[0] = new_pred
-            k = 1
-
-        while True:
-            while abits < ac_maxlen and bytepos < nbytes:
-                acc = (acc << 8) | data[bytepos]
-                bytepos += 1
-                abits += 8
-            w = (
-                (acc >> (abits - ac_maxlen))
-                if abits >= ac_maxlen
-                else (acc << (ac_maxlen - abits))
-            )
-            length = ac_lens[w]
-            if length == 0:
-                raise VLCError(
-                    f"{AC_RUN_LEVEL.name}: invalid codeword at bit {pos} "
-                    f"(window {w:0{ac_maxlen}b})"
-                )
-            if length > n - pos:
-                raise VLCError(
-                    f"{AC_RUN_LEVEL.name}: truncated codeword at end of stream"
-                )
-            run = ac_runs[w]
-            abits -= length
-            acc &= (1 << abits) - 1
-            pos += length
-            vlc_symbols += 1
-            if run < 0:
-                if run == _AC_EOB_RUN:
-                    break
-                nbits = ESCAPE_RUN_BITS + ESCAPE_LEVEL_BITS
-                if nbits > n - pos:
-                    raise BitstreamError(
-                        f"read past end of stream (want {nbits} bits at {pos}, "
-                        f"have {n - pos})"
-                    )
-                while abits < nbits and bytepos < nbytes:
-                    acc = (acc << 8) | data[bytepos]
-                    bytepos += 1
-                    abits += 8
-                v = acc >> (abits - nbits)
-                abits -= nbits
-                acc &= (1 << abits) - 1
-                pos += nbits
-                run = v >> ESCAPE_LEVEL_BITS
-                raw = v & ((1 << ESCAPE_LEVEL_BITS) - 1)
-                level = (
-                    raw - (1 << ESCAPE_LEVEL_BITS)
-                    if raw & (1 << (ESCAPE_LEVEL_BITS - 1))
-                    else raw
-                )
-                if level == 0:
-                    raise BlockSyntaxError("escape-coded level of 0")
-            else:
-                mag = ac_mags[w]
-                if pos >= n:
-                    raise BitstreamError(
-                        f"read past end of stream (want 1 bits at {pos}, have 0)"
-                    )
-                if abits == 0:
-                    acc = data[bytepos]
-                    bytepos += 1
-                    abits = 8
-                abits -= 1
-                level = -mag if (acc >> abits) & 1 else mag
-                acc &= (1 << abits) - 1
-                pos += 1
-            k += run
-            if k >= 64:
-                raise BlockSyntaxError(
-                    f"coefficient index {k} past end of block (run {run})"
-                )
-            row[k] = level
-            k += 1
-            coefficients += 1
-
-    r._pos = pos
-    counters.vlc_symbols += vlc_symbols
-    counters.coefficients += coefficients
-    return levels
 
 
 def decode_block(

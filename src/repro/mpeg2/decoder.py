@@ -85,7 +85,9 @@ class SequenceDecoder:
     Parameters
     ----------
     data:
-        The complete coded stream.
+        The complete coded stream: ``bytes``, or — with a pre-built
+        ``index`` — any buffer view of it (a worker's shared arena);
+        :meth:`slice_payload` is the only place it is read.
     index:
         Optional pre-built scan index (the parallel decoders share one
         index between the scan process and the workers).
@@ -101,7 +103,7 @@ class SequenceDecoder:
 
     def __init__(
         self,
-        data: bytes,
+        data: bytes | memoryview,
         index: StreamIndex | None = None,
         resilient: bool = False,
         engine: str = "batched",
@@ -196,9 +198,7 @@ class SequenceDecoder:
             # them bit-identical on lossy streams.
             conceal_pending: set[int] = set()
             for sl in pic.slices:
-                payload = unescape_payload(
-                    self.data[sl.payload_start : sl.payload_end]
-                )
+                payload = self.slice_payload(sl)
                 with trace_span("decode.slice", row=sl.vertical_position):
                     if self.resilient:
                         try:
@@ -231,9 +231,7 @@ class SequenceDecoder:
         final: dict[int, SliceParse | None] = {}
         with trace_span("decode.parse", slices=len(pic.slices)):
             for sl in pic.slices:
-                payload = unescape_payload(
-                    self.data[sl.payload_start : sl.payload_end]
-                )
+                payload = self.slice_payload(sl)
                 try:
                     sp = parse_slice(
                         payload, sl.vertical_position, header, mbw, mbh,
@@ -264,8 +262,15 @@ class SequenceDecoder:
         return out, slice_counters, local
 
     def slice_payload(self, sl) -> bytes:
-        """Unescaped payload bytes of a slice (worker-process fetch)."""
-        return unescape_payload(self.data[sl.payload_start : sl.payload_end])
+        """Unescaped payload bytes of a slice.
+
+        ``bytes()`` of a ``bytes`` slice is free; of an arena view's it
+        materialises just this slice (a view has no ``find`` to
+        unescape with).
+        """
+        return unescape_payload(
+            bytes(self.data[sl.payload_start : sl.payload_end])
+        )
 
     def make_context(
         self, pic: PictureIndex, fwd: Frame | None, bwd: Frame | None
@@ -383,9 +388,7 @@ class SequenceDecoder:
                 temporal_reference=pic.temporal_reference,
             ):
                 for sl in pic.slices:
-                    payload = unescape_payload(
-                        self.data[sl.payload_start : sl.payload_end]
-                    )
+                    payload = self.slice_payload(sl)
                     try:
                         sp = parse_slice(
                             payload, sl.vertical_position, header, mbw, mbh,

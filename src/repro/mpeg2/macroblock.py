@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bitstream import BitReader, BitWriter
 from repro.mpeg2 import mv_coding
-from repro.mpeg2.blockcoding import decode_block, decode_blocks_fast, encode_block
+from repro.mpeg2.blockcoding import decode_block, encode_block
 from repro.mpeg2.constants import PictureType, quantiser_scale
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import idct_rounded
@@ -397,7 +397,6 @@ def parse_macroblock(
     state: SliceState,
     pic: PictureHeader,
     counters: WorkCounters,
-    fast: bool = False,
 ) -> tuple[MbMode, MotionVector | None, MotionVector | None, np.ndarray, int]:
     """Phase-1 bit work of one coded macroblock (no pixel operations).
 
@@ -405,13 +404,10 @@ def parse_macroblock(
     coded block pattern and all coefficient run/levels, updating the
     slice predictor state exactly as the sequential decoder does.
     Returns ``(mode, mv_fwd, mv_bwd, levels, cbp)`` where ``levels`` is
-    the (6, 64) scan-ordered level array.  Shared verbatim by the
-    scalar decode path and the batched two-phase fast path, which is
-    what makes their parse stages bit-identical by construction —
-    except that ``fast=True`` (the batched parser) decodes coefficient
-    blocks through :func:`decode_blocks_fast`, the inlined-cursor
-    variant with the same syntax, errors and counters (covered by the
-    cross-engine parity suite).
+    the (6, 64) scan-ordered level array.  This is the scalar oracle's
+    parse; the batched engine's inlined phase 1
+    (:func:`repro.mpeg2.batched.parse_slice`) replicates it and is
+    pinned to it by the cross-engine parity suite.
 
     The caller is responsible for :func:`_apply_coded_state` after any
     reconstruction bookkeeping that needs the pre-update state.
@@ -453,18 +449,6 @@ def parse_macroblock(
         cbp = 63
     else:
         cbp = 0
-
-    if fast:
-        levels = decode_blocks_fast(
-            r,
-            cbp,
-            intra=mode.intra,
-            dc_luma=DC_SIZE_LUMA,
-            dc_chroma=DC_SIZE_CHROMA,
-            dc_pred=state.dc_pred,
-            counters=counters,
-        )
-        return mode, mv_fwd, mv_bwd, levels, cbp
 
     levels = np.zeros((6, 64), dtype=np.int64)
     for i in range(6):

@@ -16,6 +16,7 @@ decides when a task may start in one place, the task graph.
 
 from __future__ import annotations
 
+import inspect
 import os
 import queue
 import re
@@ -260,3 +261,23 @@ def test_src_gop_path_has_one_scan_and_no_substreams():
     ]
     scan_index = (os.path.join("exec", "backend.py"), "index = build_index(data)")
     assert scans == [scan_index]
+
+
+def test_src_has_one_coefficient_parser_and_one_payload_read():
+    # The batched engine's phase 1 is ``batched.parse_slice`` and the
+    # scalar oracle's is ``decode_block``; the inlined-cursor block
+    # decoder that sat between them (and the switch that selected it)
+    # must not come back as a third.  And ``SequenceDecoder`` reads the
+    # coded stream at one place, ``slice_payload``, which takes bytes
+    # or an arena view alike — no wrapper class in the worker.
+    from repro.mpeg2 import blockcoding
+    from repro.mpeg2.macroblock import parse_macroblock
+
+    assert not hasattr(blockcoding, "decode_blocks_fast")
+    assert "fast" not in inspect.signature(parse_macroblock).parameters
+    decoder = os.path.join("mpeg2", "decoder.py")
+    reads = 0
+    for rel, _n, line in src_lines():
+        assert "_SliceBytes" not in line, rel
+        reads += rel == decoder and "sl.payload_start" in line.split("#")[0]
+    assert reads == 1

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.mpeg2.batched import parse_slice
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
@@ -102,7 +103,17 @@ class TestResolutionMatrix:
         ids=lambda s: s.name,
     )
     def test_table1_resolution_parity(self, spec):
-        assert_stream_parity(build_stream(spec))
+        data = build_stream(spec)
+        assert_stream_parity(data)
+        # The coefficient stream is packed bytes, never a list of ints.
+        dec = SequenceDecoder(data)
+        pic = dec.index.gops[0].pictures[0]
+        sl = pic.slices[0]
+        sp = parse_slice(
+            dec.slice_payload(sl), sl.vertical_position, pic.header(),
+            dec.index.mb_width, dec.index.mb_height, False,
+        )
+        assert type(sp.coef_packed) is bytearray
 
 
 class TestAlternateScan:
