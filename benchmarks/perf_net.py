@@ -14,8 +14,9 @@ root:
 * ``sweep`` — one record per (loss, sessions) point: per-client
   delivery accounting (intact / concealed / shed / abandoned), the
   per-client lateness CDF at fixed percentiles
-  (:meth:`WallClockPacer.lateness_percentiles` — p50/p90/p99/max, a
-  stable shape instead of the old raw knot list; readers accept both),
+  (:meth:`repro.parallel.pacing.Pacer.lateness_percentiles` —
+  p50/p90/p99/max, a stable shape instead of the old raw knot list;
+  readers accept both),
   the server's per-connection SLO snapshot (burn rate, budget spent,
   breaches), concealment rates, and the shim's own drop ledger;
 * ``gates`` — the acceptance summary the pytest gate asserts.

@@ -12,8 +12,8 @@ root with three sections:
   stays under :data:`MISS_BUDGET` (binary-search style sweep up the
   session counts), with the per-point miss fraction and wall time;
 * ``miss_cdf`` — the deadline-miss CDF at the sustained point and at
-  saturation (one session past it): ``P(lateness <= x)`` knots from
-  :meth:`repro.parallel.pacing.WallClockPacer.miss_cdf`;
+  saturation (one session past it): ``P(lateness <= x)`` knots over
+  every session's :attr:`repro.parallel.pacing.Pacer.lateness`;
 * ``overload_2x`` — deliberate 2x overload (per-session fps set to
   twice what the measured throughput can carry) demonstrating
   *graceful* degradation: every session still reaches a terminal

@@ -97,8 +97,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         or args.iframes
     )
     if trick:
+        from dataclasses import replace
+
         from repro.access import trick_decode, trick_decode_mp
-        from repro.mpeg2.index import build_index, sequence_prefix
+        from repro.mpeg2.index import build_index
 
         if sum(map(bool, (args.reverse, args.iframes, args.rate != 1))) > 1:
             print(
@@ -107,6 +109,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             )
             return 2
         target = 0
+        index = build_index(data)
         if args.reverse:
             mode = "reverse"
         elif args.iframes:
@@ -116,27 +119,23 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             if args.seek is not None:
                 # Compose seek + fast-forward the way the net server
                 # does: join at the closed GOP owning the target, then
-                # fast-forward over the tail substream.
-                index = build_index(data)
+                # fast-forward over the tail of the index.
                 join = index.gop_for_display_index(args.seek)
                 base = index.gop_display_base(join)
-                data = (
-                    sequence_prefix(data, index)
-                    + data[index.gops[join].start_offset :]
-                )
+                index = replace(index, gops=index.gops[join:])
                 print(f"joined at GOP {join} (display base {base})")
         else:
             mode = "seek"
             target = args.seek
         if args.workers is not None:
             pairs = trick_decode_mp(
-                data, mode, target=target, workers=args.workers,
+                data, mode, target=target, index=index, workers=args.workers,
                 resilient=args.resilient, counters=counters,
             )
         else:
             engine = "batched" if args.engine == "auto" else args.engine
             pairs = trick_decode(
-                data, mode, target=target, engine=engine,
+                data, mode, target=target, index=index, engine=engine,
                 resilient=args.resilient, counters=counters,
             )
         frames = [f for _, f in pairs]

@@ -8,7 +8,9 @@ random-access subsystem: the scan index maps byte offsets and display
 indices to GOP/picture coordinates (``StreamIndex.locate_offset`` /
 ``join_point``), and the trick modes below re-plan *which* pictures to
 decode while reusing the scalar/batched engines and the multiprocess
-GOP decoder unchanged.
+GOP decoder unchanged: a decoder is handed the stream's own bytes and,
+where it should see only some GOPs, an index *view* restricted to them
+(``replace(index, gops=...)``) — never a spliced copy scanned again.
 
 Modes (:data:`TRICK_MODES`):
 
@@ -34,7 +36,7 @@ the golden-vector suite pins digests per mode for the whole corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.counters import WorkCounters
@@ -45,7 +47,6 @@ from repro.mpeg2.index import (
     StreamIndex,
     StreamIndexError,
     build_index,
-    sequence_prefix,
 )
 
 
@@ -248,10 +249,10 @@ def trick_decode_mp(
 ) -> list[tuple[int, Frame]]:
     """Run trick mode ``mode`` through the multiprocess GOP decoder.
 
-    The selected GOPs are spliced into a stand-alone substream
-    (sequence prefix + GOP bytes, exactly the scan product GOP-level
-    workers consume) and handed to :class:`~repro.parallel.mp.
-    MPGopDecoder` unchanged; the emitted frames are then subset to the
+    The selected GOPs are handed to :class:`~repro.parallel.mp.
+    MPGopDecoder` as an index *view* — the stream's own bytes and scan,
+    restricted to those GOPs, exactly the scan product GOP-level
+    workers consume — and the emitted frames are then subset to the
     plan.  ``workers=0`` decodes in-process deterministically.
     """
     from repro.parallel.mp import MPGopDecoder
@@ -259,18 +260,15 @@ def trick_decode_mp(
     idx = index if index is not None else build_index(data)
     plan = plan_trick(idx, mode, target)
     selected = sorted(plan.gops())
-    parts = [sequence_prefix(data, idx)]
-    parts.extend(
-        data[idx.gops[g].start_offset : idx.gops[g].end_offset] for g in selected
-    )
-    substream = b"".join(parts)
-    sub_index = build_index(substream)
     decoded: dict[int, list[Frame]] = {}
     mp_dec = MPGopDecoder(
-        substream, index=sub_index, workers=workers, resilient=resilient
+        data,
+        index=replace(idx, gops=[idx.gops[g] for g in selected]),
+        workers=workers,
+        resilient=resilient,
     )
-    for sub_gop, frames in mp_dec.iter_gops(counters):
-        decoded[selected[sub_gop]] = frames
+    for view_gop, frames in mp_dec.iter_gops(counters):
+        decoded[selected[view_gop]] = frames
     return [
         (idx.gop_display_base(gop) + rank, decoded[gop][rank])
         for gop, rank in plan.emissions

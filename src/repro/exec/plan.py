@@ -14,15 +14,17 @@ edges between them, and the one parent loop
   cross-GOP edges**; a ``decode`` node carries one :class:`GopTask`
   (the GOP's scan entry), its ``publish`` node is the parent's display
   merge of that GOP.
-* **Slice grain** (:func:`scan_slice_tasks`, :func:`plan_slice_batches`,
-  :func:`plan_slice_graph`) — the 2-D picture/slice queue.  Each
-  picture is at most ``workers`` batch nodes of consecutive slices
-  (parse and reconstruct fused: one node is one message) plus one
-  parent-run ``publish`` node that waits for them.  A picture's
-  batches carry a **ref edge** from the ``publish`` of every picture it
-  predicts from; the *simple* policy adds one **barrier edge** from
-  the previous picture's ``publish``, the *improved* policy adds none
-  — which is all the two variants differ in.
+* **Slice grain** (:func:`scan_slice_tasks`, :func:`add_slice_picture`,
+  :func:`plan_slice_batches`, :func:`plan_slice_graph`) — the 2-D
+  picture/slice queue.  Each picture is at most ``workers`` batch
+  nodes of consecutive slices (parse and reconstruct fused: one node
+  is one message) plus one parent-run ``publish`` node that waits for
+  them.  A picture's batches carry a **ref edge** from the ``publish``
+  of every picture it predicts from; the *simple* policy adds one
+  **barrier edge** from the previous picture's ``publish``, the
+  *improved* policy adds none — which is all the two variants differ
+  in.  The adder plans one picture onto a live graph, so a scan may
+  plan as it goes (the simulated 2-D queue does).
 * **Serve** (:func:`plan_serve_tasks`) — per GOP, one task for the
   reference pictures and one per B picture depending on it (or one
   coarse task per GOP); nothing depends on a B task, which is what
@@ -203,54 +205,69 @@ def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
     return plans
 
 
+def add_slice_picture(
+    graph: TaskGraph,
+    order: int,
+    count: int,
+    deps: Sequence[int],
+    mode: str = "improved",
+    workers: int = 1,
+) -> None:
+    """Plan picture ``order`` (``count`` slices, predicting from
+    pictures ``deps``) onto a graph — live or not — that holds every
+    earlier picture.
+
+    It becomes batch nodes ``p<o>.s<first slice>`` of ``ceil(count /
+    workers)`` consecutive slices each (payload: the slice-index range;
+    one slice per node when ``workers == count``), so every worker can
+    take a share of the same picture, and a ``p<o>.publish`` node that
+    waits for them.  A zero-slice picture is its ``publish`` node
+    alone, which then carries the picture's gating edges itself.
+    """
+    for d in deps:
+        if not 0 <= d < order:
+            raise ValueError(
+                f"picture {order} depends on {d}: dependencies must "
+                "be earlier in coding order"
+            )
+    refs = tuple(dict.fromkeys(f"p{d}.publish" for d in deps))
+    previous = f"p{order - 1}.publish"
+    barriers = (
+        (previous,)
+        if mode == "simple" and order and previous not in refs
+        else ()
+    )
+    gate = refs + barriers
+    per = -(-count // max(workers, 1))
+    batches = tuple(
+        graph.add(
+            TaskNode(
+                f"p{order}.s{start}", "reconstruct", order=order,
+                deps=gate, barriers=barriers,
+                payload=range(start, min(count, start + per)),
+            )
+        ).tid
+        for start in range(0, count, per or 1)
+    )
+    graph.add(
+        TaskNode(
+            f"p{order}.publish", "publish", order=order,
+            deps=batches or gate, barriers=() if batches else barriers,
+        )
+    )
+
+
 def plan_slice_batches(
     slice_counts: Sequence[int],
     dependencies: Sequence[Sequence[int]],
     mode: str = "improved",
     workers: int = 1,
 ) -> TaskGraph:
-    """Slice-grain plan over bare picture structure (pure logic).
-
-    Picture ``o`` with ``n`` slices becomes batch nodes ``p<o>.s<first
-    slice>`` of ``ceil(n / workers)`` consecutive slices each (payload:
-    the slice-index range), so every worker can take a share of the
-    same picture, and a ``p<o>.publish`` node that waits for them.  A
-    zero-slice picture is its ``publish`` node alone, which then
-    carries the picture's gating edges itself.
-    """
+    """Slice-grain plan over bare picture structure (pure logic):
+    :func:`add_slice_picture` for every picture, in coding order."""
     graph = TaskGraph()
     for order, (count, deps) in enumerate(zip(slice_counts, dependencies)):
-        for d in deps:
-            if not 0 <= d < order:
-                raise ValueError(
-                    f"picture {order} depends on {d}: dependencies must "
-                    "be earlier in coding order"
-                )
-        refs = tuple(dict.fromkeys(f"p{d}.publish" for d in deps))
-        previous = f"p{order - 1}.publish"
-        barriers = (
-            (previous,)
-            if mode == "simple" and order and previous not in refs
-            else ()
-        )
-        gate = refs + barriers
-        per = -(-count // max(workers, 1))
-        batches = tuple(
-            graph.add(
-                TaskNode(
-                    f"p{order}.s{start}", "reconstruct", order=order,
-                    deps=gate, barriers=barriers,
-                    payload=range(start, min(count, start + per)),
-                )
-            ).tid
-            for start in range(0, count, per or 1)
-        )
-        graph.add(
-            TaskNode(
-                f"p{order}.publish", "publish", order=order,
-                deps=batches or gate, barriers=() if batches else barriers,
-            )
-        )
+        add_slice_picture(graph, order, count, deps, mode, workers)
     return graph
 
 

@@ -254,45 +254,18 @@ class StreamIndex:
         )
 
 
-# ----------------------------------------------------------------------
-# GOP byte-range extraction (scan products for process-level workers)
-# ----------------------------------------------------------------------
-def gop_byte_ranges(index: StreamIndex) -> list[tuple[int, int]]:
-    """Wire byte range ``[start, end)`` of every GOP, start code included.
-
-    This is the task list the paper's scan process hands to GOP-level
-    workers: each range is a self-contained unit of coded bytes (GOP
-    header + pictures + slices) that one worker decodes independently.
-    Ranges are contiguous and non-overlapping in stream order.
-    """
-    return [(g.start_offset, g.end_offset) for g in index.gops]
-
-
 def sequence_prefix(data: bytes, index: StreamIndex) -> bytes:
     """The stream's leading bytes up to the first GOP start code.
 
     Contains the sequence header (dimensions, frame rate, bit rate) —
-    the global state every worker needs before it can decode *any* GOP.
-    Prepending this prefix to a GOP's byte range yields a stand-alone
-    decodable stream (see :func:`gop_substream`).
+    the global state every decoder needs before it can decode *any*
+    GOP.  Prefix + whole GOPs is a stand-alone stream (how the tests
+    and the bench tile clips); decoders never splice — they take the
+    stream's own bytes and ``replace(index, gops=...)``.
     """
     if not index.gops:
         raise StreamIndexError("stream contains no GOPs")
     return data[: index.gops[0].start_offset]
-
-
-def gop_substream(data: bytes, index: StreamIndex, gop: int) -> bytes:
-    """A stand-alone stream holding only GOP ``gop``: prefix + GOP bytes.
-
-    The result is a valid input for :class:`repro.mpeg2.decoder.
-    SequenceDecoder` / :func:`build_index`: sequence header first, one
-    GOP, no trailing data.  Closed GOPs decode from it bit-identically
-    to their in-stream decode because no coded state crosses a closed
-    GOP boundary — this is exactly the paper's Section 5.1 argument for
-    GOP-grain tasks, realised at the byte level.
-    """
-    g = index.gops[gop]
-    return sequence_prefix(data, index) + data[g.start_offset : g.end_offset]
 
 
 def build_index(data: bytes) -> StreamIndex:

@@ -10,8 +10,8 @@ otherwise.  Every picture therefore ends *delivered or concealed* —
 the invariant the network benchmarks gate on.
 
 Measurement mirrors the serve layer: a
-:class:`~repro.parallel.pacing.WallClockPacer` anchors at the first
-commit and records per-picture lateness; concealment time lands in a
+:class:`~repro.parallel.pacing.Pacer` on wall seconds anchors at the
+first commit and records per-picture lateness; concealment time lands in a
 :class:`~repro.obs.stalls.StallTable` under the ``conceal.*`` reasons.
 
 PR-8 telemetry: the client mints a trace id, performs the clock-offset
@@ -58,7 +58,7 @@ from repro.obs.propagate import (
 )
 from repro.obs.stalls import StallTable, record_concealment
 from repro.obs.trace import trace_complete, trace_instant
-from repro.parallel.pacing import WallClockPacer
+from repro.parallel.pacing import Pacer
 
 
 @dataclass
@@ -88,7 +88,7 @@ class ClientResult:
     receipts: list[PictureReceipt] = field(default_factory=list)
     frames: list[Frame] = field(default_factory=list)
     stalls: StallTable = field(default_factory=StallTable)
-    pacer: WallClockPacer = field(default_factory=WallClockPacer)
+    pacer: Pacer = field(default_factory=Pacer)
     reject_reason: str | None = None
     late_slices: int = 0     # bands that arrived after their commit
     session: str | None = None   # server-assigned session id
@@ -249,9 +249,9 @@ async def _run(
     result.rate = int(first.header.get("rate", 1))
     result.join_gop = int(first.header.get("join_gop", 0))
     result.join_display_base = int(first.header.get("join_display_base", 0))
-    result.pacer = WallClockPacer(
-        rate_hz=first.header["fps"],
-        preroll_pictures=first.header.get("preroll", 0),
+    fps = first.header["fps"]
+    result.pacer = Pacer(
+        1.0 / fps if fps else None, first.header.get("preroll", 0)
     )
     clock = first.header.get("clock")
     if clock is not None:
@@ -313,7 +313,7 @@ async def _run(
             # Degraded away server-side: display holds the previous
             # picture; nothing to conceal.
             result.receipts.append(receipt)
-            receipt.late_s = result.pacer.on_emit(pic)
+            receipt.late_s = result.pacer.on_emit(pic, time.monotonic())
             trace_instant(
                 EVENT_DEADLINE, E2E_CATEGORY,
                 session=result.session, pic=pic, shed=True,
@@ -354,7 +354,7 @@ async def _run(
             bands=receipt.bands, rows=rows,
             concealed=receipt.concealed,
         )
-        receipt.late_s = result.pacer.on_emit(pic)
+        receipt.late_s = result.pacer.on_emit(pic, time.monotonic())
         trace_instant(
             EVENT_DEADLINE, E2E_CATEGORY,
             session=result.session, pic=pic,

@@ -348,7 +348,7 @@ class NetServer:
 
         sess = await asyncio.to_thread(
             self.service.submit_dynamic, sid, data,
-            on_frame=sink, start_gop=start_gop,
+            on_frame=sink, start_gop=start_gop, index=self.indexes[name],
         )
         if sess.status is SessionStatus.REJECTED:
             await reject("capacity")

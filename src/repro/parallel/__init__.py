@@ -18,6 +18,11 @@ decompositions are provided:
 Both run on real bitstreams.  Workers either replay pre-profiled
 per-task costs (fast, used for processor sweeps) or actually decode
 (used by the tests that prove parallel output == sequential output).
+Each simulated decoder is a scan body and a worker body on the one
+shared run of :mod:`~repro.parallel.simrun`, whose display process
+reorders and paces with the real runtime's :mod:`~repro.parallel.merge`
+and :mod:`~repro.parallel.pacing`; the slice queue dispatches from the
+real slice decoder's task graph (:mod:`repro.exec.plan`).
 
 Beyond the simulation, :mod:`~repro.parallel.mp` runs the same
 scan/worker/display architecture on *real* cores: OS worker processes
@@ -36,11 +41,12 @@ from repro.parallel.profile import (
     SliceProfile,
     profile_stream,
 )
-from repro.parallel.gop_level import GopLevelDecoder, ParallelConfig, DecodeRunResult
+from repro.parallel.simrun import ParallelConfig, DecodeRunResult
+from repro.parallel.gop_level import GopLevelDecoder
 from repro.parallel.slice_level import SliceLevelDecoder, SliceMode
 from repro.parallel.macroblock_level import MacroblockLevelDecoder
 from repro.parallel.numa import PlacedGopDecoder, PlacementPolicy
-from repro.parallel.pacing import DisplayPacer
+from repro.parallel.pacing import Pacer
 from repro.parallel.random_access import seek_latency, SeekLatency
 from repro.parallel.stats import (
     speedup_curve,
@@ -56,10 +62,10 @@ from repro.parallel.mp import (
     decode_parallel,
     scan_gop_tasks,
 )
+from repro.parallel.merge import DisplayMerger
 from repro.parallel.mp_slice import (
     MPSliceDecoder,
     PictureSliceQueue,
-    DisplayMerger,
     decode_slice_parallel,
     scan_slice_tasks,
 )
@@ -86,7 +92,7 @@ __all__ = [
     "MacroblockLevelDecoder",
     "PlacedGopDecoder",
     "PlacementPolicy",
-    "DisplayPacer",
+    "Pacer",
     "seek_latency",
     "SeekLatency",
     "ParallelConfig",

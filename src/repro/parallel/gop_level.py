@@ -9,163 +9,24 @@ motivation for this design.  Its cost is memory: every decoded picture
 lives until the display process drains it, and with ``P`` workers on
 consecutive GOPs that backlog reaches ``P x GOP size`` frames
 (Figs. 8-9), plus the scanned stream bytes.
+
+This module is the scan body, the worker body and the bounded frame
+pool; the machine they run on is :class:`~repro.parallel.simrun.SimRun`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from itertools import accumulate
 
-from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.frame import Frame
-from repro.obs.stalls import REASON_MERGE, REASON_POOL_SLOT, StallTable
-from repro.parallel.pacing import DisplayPacer
-from repro.parallel.profile import StreamProfile, profile_stream
+from repro.obs.stalls import REASON_POOL_SLOT
+from repro.parallel.profile import StreamProfile
 from repro.parallel.queues import SimQueue
-from repro.smp.costs import CostModel, DEFAULT_COST_MODEL
-from repro.smp.engine import Compute, Halt, Process, Simulator, SleepUntil, Stall
-from repro.smp.machine import CHALLENGE, MachineConfig
-from repro.smp.memtrack import MemoryTracker
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Shared knobs of both parallel decoders.
-
-    ``workers`` is the paper's ``P``: decode processes, excluding the
-    scan and display processes (total processors = P + 2).
-    ``remote_fraction`` only matters on NUMA machines: ``None`` models
-    no data placement (Section 7.2's measured case); a small value
-    models the proposed round-robin GOP placement with task stealing.
-    """
-
-    workers: int
-    machine: MachineConfig = CHALLENGE
-    cost: CostModel = DEFAULT_COST_MODEL
-    #: Actually decode in workers (slow; enables output verification).
-    execute: bool = False
-    remote_fraction: float | None = None
-    #: When set, the display process paces output at this rate and
-    #: deadline misses are counted (real-time playback simulation).
-    display_rate_hz: float | None = None
-    #: Startup buffer for paced playback, in pictures (player preroll).
-    display_preroll_pictures: int = 0
-    #: GOP decoder: cap on decoded frames awaiting display.  ``None``
-    #: reproduces the paper's unbounded behaviour (Figs. 8-9 memory
-    #: growth); a cap trades throughput for bounded memory.  The worker
-    #: on the display-front GOP is exempt, which keeps the pipeline
-    #: deadlock-free at any cap.
-    max_frames_in_flight: int | None = None
-    #: Decode engine used by ``execute=True`` runs (see
-    #: :class:`~repro.mpeg2.decoder.SequenceDecoder`): the batched
-    #: two-phase fast path by default, ``"scalar"`` for the oracle.
-    #: Simulated cycle counts are engine-independent (identical
-    #: counters); only the wall-clock cost of executing runs changes.
-    engine: str = "batched"
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.workers + 2 > self.machine.processors:
-            raise ValueError(
-                f"{self.workers} workers + scan + display exceed the "
-                f"{self.machine.processors}-processor machine"
-            )
-        if self.max_frames_in_flight is not None and self.max_frames_in_flight < 1:
-            raise ValueError("max_frames_in_flight must be >= 1")
-
-
-@dataclass
-class DecodeRunResult:
-    """Outcome of one simulated parallel decode."""
-
-    config: ParallelConfig
-    picture_count: int
-    #: Virtual time (cycles) when the last picture was displayed.
-    finish_cycles: int = 0
-    #: Per-worker statistics, indexed by worker number.
-    worker_busy: list[int] = field(default_factory=list)
-    worker_stall: list[int] = field(default_factory=list)
-    worker_sync: list[int] = field(default_factory=list)
-    #: Virtual display time of each picture, in display order.
-    display_times: list[int] = field(default_factory=list)
-    memory: MemoryTracker = field(default_factory=MemoryTracker)
-    #: Decoded frames in display order (``execute=True`` runs only).
-    frames: list[Frame] | None = None
-    #: Real-time pacing stats (``display_rate_hz`` runs only).
-    late_pictures: int = 0
-    max_lateness_cycles: int = 0
-    startup_cycles: int = 0
-    #: Stall attribution (cycles) under the canonical reason vocabulary
-    #: of :mod:`repro.obs.stalls` — the simulated counterpart of the mp
-    #: pipeline's wall-clock stall table.
-    stalls: StallTable = field(default_factory=StallTable)
-
-    @property
-    def finish_seconds(self) -> float:
-        return self.config.machine.seconds(self.finish_cycles)
-
-    @property
-    def pictures_per_second(self) -> float:
-        return self.picture_count / self.finish_seconds
-
-    @property
-    def peak_memory(self) -> int:
-        return self.memory.peak()
-
-    @property
-    def max_lateness_seconds(self) -> float:
-        return self.config.machine.seconds(self.max_lateness_cycles)
-
-    @property
-    def startup_seconds(self) -> float:
-        """Latency from simulation start to the first displayed picture."""
-        return self.config.machine.seconds(self.startup_cycles)
-
-    @property
-    def met_realtime(self) -> bool:
-        """True if a paced run displayed every picture by its deadline."""
-        return self.late_pictures == 0
-
-    def worker_exec(self, i: int) -> int:
-        """Execution (busy + stall) time of worker ``i``."""
-        return self.worker_busy[i] + self.worker_stall[i]
-
-    @property
-    def mean_sync_ratio(self) -> float:
-        """Average over workers of sync_wait / execution time (Fig. 12).
-
-        Workers that never received a task (more workers than tasks —
-        the paper avoids this by using long streams) are excluded:
-        their wait is stream exhaustion, not synchronisation.
-        """
-        ratios = [
-            self.worker_sync[i] / self.worker_exec(i)
-            for i in range(len(self.worker_busy))
-            if self.worker_exec(i) > 0
-        ]
-        return sum(ratios) / len(ratios) if ratios else 0.0
-
-    def stall_breakdown(self) -> dict[str, float]:
-        """Fraction of aggregate process time blocked, per reason.
-
-        Denominator: ``finish_cycles x (workers + scan + display)`` —
-        the simulated analogue of "wall seconds x processes" used by
-        the real mp pipeline, so the two breakdowns are directly
-        comparable in ``repro.analysis.obs_report``.
-        """
-        processes = self.config.workers + 2
-        return self.stalls.breakdown(self.finish_cycles * processes)
-
-
-@dataclass(frozen=True)
-class _GopTask:
-    gop_index: int
-
-
-@dataclass(frozen=True)
-class _DisplayItem:
-    display_index: int
+from repro.parallel.simrun import DecodeRunResult, ParallelConfig, SimRun
+from repro.smp.engine import Compute, Process, WaitCondition
+from repro.smp.sync import Condition
 
 
 class GopLevelDecoder:
@@ -175,26 +36,15 @@ class GopLevelDecoder:
         self.profile = profile
         self._data = data
 
-    @classmethod
-    def from_stream(cls, data: bytes) -> "GopLevelDecoder":
-        profile, _ = profile_stream(data)
-        return cls(profile, data)
-
     # ------------------------------------------------------------------
     def run(self, config: ParallelConfig) -> DecodeRunResult:
         profile = self.profile
         if config.execute and self._data is None:
             raise ValueError("execute=True needs the stream bytes")
 
-        sim = Simulator()
-        cost = config.cost
-        machine = config.machine
-        memory = MemoryTracker()
-        result = DecodeRunResult(
-            config=config, picture_count=profile.picture_count, memory=memory
-        )
+        run = SimRun(profile, config)
+        sim, cost, memory = run.sim, run.cost, run.memory
         task_queue = SimQueue("gop-tasks", cost.queue_op_cycles)
-        display_queue = SimQueue("display", cost.queue_op_cycles)
         decoder = (
             SequenceDecoder(self._data, engine=config.engine)
             if config.execute
@@ -202,128 +52,63 @@ class GopLevelDecoder:
         )
         decoded: dict[int, Frame] = {}
         fbytes = profile.frame_bytes
-        pixels = profile.picture_pixels
 
-        # Bounded frame pool (max_frames_in_flight).  ``display_progress``
-        # tracks the next display index so workers can tell whether they
-        # hold the display-front GOP (always exempt from the cap).
-        from repro.smp.engine import SignalCondition, WaitCondition
-        from repro.smp.sync import Condition
-
-        frames_in_flight = [0]
-        display_progress = [0]
+        # Bounded frame pool (max_frames_in_flight): a worker at the cap
+        # waits for the display, unless it holds the display-front GOP.
+        cap = config.max_frames_in_flight
+        frames_in_flight = 0
         pool_cond = Condition("frame-pool", reason=REASON_POOL_SLOT)
-        gop_first_display: list[int] = []
-        acc = 0
-        for g in profile.gops:
-            gop_first_display.append(acc)
-            acc += len(g.pictures)
-        gop_first_display.append(acc)
+        gop_first_display = [0, *accumulate(len(g.pictures) for g in profile.gops)]
 
-        def _front_gop() -> int:
+        def front_gop() -> int:
             """Index of the GOP the display process is draining."""
-            import bisect
-
-            return bisect.bisect_right(gop_first_display, display_progress[0]) - 1
+            shown_so_far = len(run.result.display_times)
+            return bisect_right(gop_first_display, shown_so_far) - 1
 
         # -- scan process (paper Fig. 4) --------------------------------
         def scan_body(proc: Process):
             for gop in profile.gops:
                 yield Compute(cost.scan_cycles(gop.wire_bytes))
                 memory.allocate(sim.now, gop.wire_bytes, "stream")
-                yield from task_queue.put(_GopTask(gop.index))
+                yield from task_queue.put(gop.index)
             yield from task_queue.close()
 
         # -- worker processes -------------------------------------------
-        def worker_body(proc: Process):
+        def worker_body(proc: Process, wid: int):
+            nonlocal frames_in_flight
             while True:
-                task = yield from task_queue.get()
-                if task is None:
+                gop_index = yield from task_queue.get()
+                if gop_index is None:
                     break
-                gop = profile.gops[task.gop_index]
-                display_base = sum(
-                    len(g.pictures) for g in profile.gops[: task.gop_index]
-                )
+                gop = profile.gops[gop_index]
                 if config.execute:
-                    frames = decoder.decode_gop(decoder.index.gops[task.gop_index])
+                    frames = decoder.decode_gop(decoder.index.gops[gop_index])
                     for k, f in enumerate(frames):
-                        decoded[display_base + k] = f
+                        decoded[gop_first_display[gop_index] + k] = f
                 for pic in gop.pictures:
-                    if config.max_frames_in_flight is not None:
-                        while (
-                            frames_in_flight[0] >= config.max_frames_in_flight
-                            and task.gop_index != _front_gop()
-                        ):
-                            yield WaitCondition(pool_cond)
-                    frames_in_flight[0] += 1
+                    while (
+                        cap is not None
+                        and frames_in_flight >= cap
+                        and gop_index != front_gop()
+                    ):
+                        yield WaitCondition(pool_cond)
+                    frames_in_flight += 1
                     memory.allocate(sim.now, fbytes, "frames")
-                    busy = cost.decode_cycles(pic.total_counters())
-                    yield Compute(busy)
-                    yield Stall(
-                        cost.stall_cycles(
-                            busy, machine, pixels, config.remote_fraction
-                        )
+                    yield from run.work(
+                        cost.decode_cycles(pic.total_counters()),
+                        config.remote_fraction,
                     )
-                    yield from display_queue.put(
-                        _DisplayItem(display_index=pic.display_index)
-                    )
+                    yield from run.display_queue.put((pic.display_index, None))
                 memory.free(sim.now, gop.wire_bytes, "stream")
 
-        # -- display process ---------------------------------------------
-        pacer = DisplayPacer(
-            machine, config.display_rate_hz, config.display_preroll_pictures
-        )
+        def shown(_item) -> None:
+            nonlocal frames_in_flight
+            memory.free(sim.now, fbytes, "frames")
+            frames_in_flight -= 1
 
-        def display_body(proc: Process):
-            import heapq
-
-            pending: list[int] = []
-            arrival: dict[int, int] = {}
-            next_index = 0
-            total = profile.picture_count
-            while next_index < total:
-                item = yield from display_queue.get()
-                assert item is not None, "display queue closed early"
-                heapq.heappush(pending, item.display_index)
-                arrival[item.display_index] = sim.now
-                while pending and pending[0] == next_index:
-                    heapq.heappop(pending)
-                    held = sim.now - arrival.pop(next_index)
-                    if held > 0:
-                        # Completed out of display order: the time it sat
-                        # in the reorder buffer is a merge stall (the mp
-                        # pipeline records the same quantity in seconds).
-                        sim.stalls.record(proc.name, REASON_MERGE, held)
-                    target = pacer.on_ready(next_index, sim.now)
-                    if target is not None:
-                        yield SleepUntil(target)
-                    yield Compute(cost.display_cycles())
-                    memory.free(sim.now, fbytes, "frames")
-                    frames_in_flight[0] -= 1
-                    result.display_times.append(sim.now)
-                    next_index += 1
-                    display_progress[0] = next_index
-                    if config.max_frames_in_flight is not None:
-                        yield SignalCondition(pool_cond)
-            yield Halt()
-
-        sim.add_process("scan", scan_body)
-        workers = [
-            sim.add_process(f"worker-{i}", worker_body)
-            for i in range(config.workers)
-        ]
-        sim.add_process("display", display_body)
-        sim.run()
-
-        result.finish_cycles = result.display_times[-1]
-        result.stalls = sim.stalls
-        result.worker_busy = [w.stats.busy for w in workers]
-        result.worker_stall = [w.stats.stall for w in workers]
-        result.worker_sync = [w.stats.sync_wait for w in workers]
-        result.late_pictures = pacer.late_pictures
-        result.max_lateness_cycles = pacer.max_lateness
-        result.startup_cycles = pacer.startup_cycles or (
-            result.display_times[0] if result.display_times else 0
+        result = run.run(
+            scan_body, worker_body, shown,
+            wake=pool_cond if cap is not None else None,
         )
         if config.execute:
             result.frames = [decoded[i] for i in range(profile.picture_count)]

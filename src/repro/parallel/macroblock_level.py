@@ -17,18 +17,19 @@ Amdahl's law then caps the speedup at
 ``total_work / parse_work`` — about 2x at the paper's 5 Mb/s
 operating point — which is why the paper parallelizes at slice
 granularity instead.
+
+The parser body and the worker body live here; they run on the shared
+:class:`~repro.parallel.simrun.SimRun`, the parser in the scan seat.
 """
 
 from __future__ import annotations
 
 from repro.mpeg2.counters import WorkCounters
-from repro.parallel.gop_level import DecodeRunResult, ParallelConfig
-from repro.parallel.pacing import DisplayPacer
 from repro.parallel.profile import StreamProfile
 from repro.parallel.queues import SimQueue
+from repro.parallel.simrun import DecodeRunResult, ParallelConfig, SimRun
 from repro.smp.costs import CostModel
-from repro.smp.engine import Compute, Halt, Process, Simulator, SleepUntil, Stall
-from repro.smp.memtrack import MemoryTracker
+from repro.smp.engine import Compute, Process
 
 
 def measured_phase_split(data: bytes) -> dict[str, float]:
@@ -136,31 +137,17 @@ class MacroblockLevelDecoder:
 
     def run(self, config: ParallelConfig) -> DecodeRunResult:
         profile = self.profile
-        sim = Simulator()
-        cost = config.cost
-        machine = config.machine
-        memory = MemoryTracker()
-        result = DecodeRunResult(
-            config=config, picture_count=profile.picture_count, memory=memory
-        )
+        run = SimRun(profile, config)
+        sim, cost, memory = run.sim, run.cost, run.memory
         recon_queue = SimQueue("recon-tasks", cost.queue_op_cycles)
-        display_queue = SimQueue("display", cost.queue_op_cycles)
         fbytes = profile.frame_bytes
-        pixels = profile.picture_pixels
 
         # Per-picture counters: ``unstarted`` guards the one-time frame
         # allocation at first claim; ``remaining`` detects completion.
         # Both are updated atomically with respect to engine yields.
-        unstarted: dict[int, int] = {}
-        remaining: dict[int, int] = {}
-        order = 0
-        flat: list[tuple[int, object]] = []  # (global order, picture)
-        for gop in profile.gops:
-            for pic in gop.pictures:
-                unstarted[order] = len(pic.slices)
-                remaining[order] = len(pic.slices)
-                flat.append((order, pic))
-                order += 1
+        flat = list(enumerate(p for g in profile.gops for p in g.pictures))
+        unstarted = [len(pic.slices) for _, pic in flat]
+        remaining = list(unstarted)
 
         # -- parser process: ALL bitstream decoding, serially ------------
         def parser_body(proc: Process):
@@ -169,16 +156,14 @@ class MacroblockLevelDecoder:
                     int(cost.cycles_per_bit * pic.header_bits + cost.cycles_per_header)
                 )
                 for si, sp in enumerate(pic.slices):
-                    busy = parse_cycles(cost, sp.counters)
-                    yield Compute(busy)
-                    yield Stall(
-                        cost.stall_cycles(busy, machine, pixels, config.remote_fraction)
+                    yield from run.work(
+                        parse_cycles(cost, sp.counters), config.remote_fraction
                     )
                     yield from recon_queue.put((order_, pic, si))
             yield from recon_queue.close()
 
         # -- reconstruction workers ---------------------------------------
-        def worker_body(proc: Process):
+        def worker_body(proc: Process, wid: int):
             while True:
                 task = yield from recon_queue.get()
                 if task is None:
@@ -187,55 +172,16 @@ class MacroblockLevelDecoder:
                 if unstarted[order_] == len(pic.slices):
                     memory.allocate(sim.now, fbytes, "frames")
                 unstarted[order_] -= 1
-                busy = reconstruction_cycles(cost, pic.slices[si].counters)
-                yield Compute(busy)
-                yield Stall(
-                    cost.stall_cycles(busy, machine, pixels, config.remote_fraction)
+                yield from run.work(
+                    reconstruction_cycles(cost, pic.slices[si].counters),
+                    config.remote_fraction,
                 )
                 remaining[order_] -= 1
-                finished = remaining[order_] == 0
-                if finished:
-                    yield from display_queue.put(pic.display_index)
+                if remaining[order_] == 0:
+                    yield from run.display_queue.put((pic.display_index, None))
 
-        # -- display process ------------------------------------------------
-        pacer = DisplayPacer(
-            machine, config.display_rate_hz, config.display_preroll_pictures
+        return run.run(
+            parser_body, worker_body,
+            shown=lambda _item: memory.free(sim.now, fbytes, "frames"),
+            feeder_name="parser",
         )
-
-        def display_body(proc: Process):
-            import heapq
-
-            pending: list[int] = []
-            next_index = 0
-            total = profile.picture_count
-            while next_index < total:
-                idx = yield from display_queue.get()
-                assert idx is not None, "display queue closed early"
-                heapq.heappush(pending, idx)
-                while pending and pending[0] == next_index:
-                    heapq.heappop(pending)
-                    target = pacer.on_ready(next_index, sim.now)
-                    if target is not None:
-                        yield SleepUntil(target)
-                    yield Compute(cost.display_cycles())
-                    memory.free(sim.now, fbytes, "frames")
-                    result.display_times.append(sim.now)
-                    next_index += 1
-            yield Halt()
-
-        sim.add_process("parser", parser_body)
-        workers = [
-            sim.add_process(f"worker-{i}", worker_body)
-            for i in range(config.workers)
-        ]
-        sim.add_process("display", display_body)
-        sim.run()
-
-        result.finish_cycles = result.display_times[-1]
-        result.stalls = sim.stalls
-        result.worker_busy = [w.stats.busy for w in workers]
-        result.worker_stall = [w.stats.stall for w in workers]
-        result.worker_sync = [w.stats.sync_wait for w in workers]
-        result.late_pictures = pacer.late_pictures
-        result.max_lateness_cycles = pacer.max_lateness
-        return result

@@ -34,7 +34,7 @@ The paper's three roles map onto real primitives:
   and pixel arrays never are.
 * **display** — the parent merges completed GOPs back into display
   order through the shared reorder buffer
-  (:class:`~repro.parallel.mp_slice.DisplayMerger`), reading frames
+  (:class:`~repro.parallel.merge.DisplayMerger`), reading frames
   out of the pool.
 
 The frame pool is a **window**, not the stream: ``2 x workers`` *runs*
@@ -79,7 +79,7 @@ from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
-from repro.parallel.mp_slice import DisplayMerger, record_merge_hold
+from repro.parallel.merge import DisplayMerger, record_merge_hold
 
 
 # ----------------------------------------------------------------------

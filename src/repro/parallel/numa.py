@@ -16,6 +16,9 @@ fraction); a stolen task streams its input and writes its output
 across the interconnect (large remote fraction).  The ablation
 benchmark compares it against the no-placement baseline the paper
 measured on DASH.
+
+The per-cluster queues, the scan body and the worker body live here;
+they run on the shared :class:`~repro.parallel.simrun.SimRun`.
 """
 
 from __future__ import annotations
@@ -23,20 +26,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.parallel.gop_level import DecodeRunResult, ParallelConfig, _DisplayItem
-from repro.parallel.pacing import DisplayPacer
+from repro.obs.stalls import REASON_QUEUE_GET
 from repro.parallel.profile import StreamProfile
-from repro.smp.engine import (
-    Compute,
-    Halt,
-    Process,
-    SignalCondition,
-    Simulator,
-    SleepUntil,
-    Stall,
-    WaitCondition,
-)
-from repro.smp.memtrack import MemoryTracker
+from repro.parallel.simrun import DecodeRunResult, ParallelConfig, SimRun
+from repro.smp.engine import Compute, Process, SignalCondition, WaitCondition
 from repro.smp.sync import Condition
 
 
@@ -68,7 +61,7 @@ class _ClusterQueues:
 
     def __post_init__(self) -> None:
         self.queues = [deque() for _ in range(self.clusters)]
-        self.cond = Condition("cluster-queues")
+        self.cond = Condition("cluster-queues", reason=REASON_QUEUE_GET)
 
     # -- scan side -------------------------------------------------------
     def put(self, cluster: int, gop_index: int):
@@ -123,17 +116,10 @@ class PlacedGopDecoder:
         profile = self.profile
         cost = config.cost
         clusters = max(machine.processors // machine.cluster_size, 1)
-        sim = Simulator()
-        memory = MemoryTracker()
-        result = DecodeRunResult(
-            config=config, picture_count=profile.picture_count, memory=memory
-        )
+        run = SimRun(profile, config)
+        sim, memory = run.sim, run.memory
         queues = _ClusterQueues(clusters=clusters, op_cycles=cost.queue_op_cycles)
-        from repro.parallel.queues import SimQueue
-
-        display_queue = SimQueue("display", cost.queue_op_cycles)
         fbytes = profile.frame_bytes
-        pixels = profile.picture_pixels
         stolen_count = 0
 
         def scan_body(proc: Process):
@@ -143,79 +129,33 @@ class PlacedGopDecoder:
                 yield from queues.put(gop.index % clusters, gop.index)
             yield from queues.close()
 
-        def make_worker(wid: int):
+        def worker_body(proc: Process, wid: int):
+            nonlocal stolen_count
             home = machine.cluster_of(wid)
-
-            def worker_body(proc: Process):
-                nonlocal stolen_count
-                while True:
-                    task = yield from queues.get(home)
-                    if task is None:
-                        break
-                    gop_index, stolen = task
-                    if stolen:
-                        stolen_count += 1
-                    remote = (
-                        self.policy.stolen_remote_fraction
-                        if stolen
-                        else self.policy.local_remote_fraction
+            while True:
+                task = yield from queues.get(home)
+                if task is None:
+                    break
+                gop_index, stolen = task
+                if stolen:
+                    stolen_count += 1
+                remote = (
+                    self.policy.stolen_remote_fraction
+                    if stolen
+                    else self.policy.local_remote_fraction
+                )
+                gop = profile.gops[gop_index]
+                for pic in gop.pictures:
+                    memory.allocate(sim.now, fbytes, "frames")
+                    yield from run.work(
+                        cost.decode_cycles(pic.total_counters()), remote
                     )
-                    gop = profile.gops[gop_index]
-                    for pic in gop.pictures:
-                        memory.allocate(sim.now, fbytes, "frames")
-                        busy = cost.decode_cycles(pic.total_counters())
-                        yield Compute(busy)
-                        yield Stall(
-                            cost.stall_cycles(busy, machine, pixels, remote)
-                        )
-                        yield from display_queue.put(
-                            _DisplayItem(display_index=pic.display_index)
-                        )
-                    memory.free(sim.now, gop.wire_bytes, "stream")
+                    yield from run.display_queue.put((pic.display_index, None))
+                memory.free(sim.now, gop.wire_bytes, "stream")
 
-            return worker_body
-
-        pacer = DisplayPacer(
-            machine, config.display_rate_hz, config.display_preroll_pictures
-        )
-
-        def display_body(proc: Process):
-            import heapq
-
-            pending: list[int] = []
-            next_index = 0
-            total = profile.picture_count
-            while next_index < total:
-                item = yield from display_queue.get()
-                assert item is not None, "display queue closed early"
-                heapq.heappush(pending, item.display_index)
-                while pending and pending[0] == next_index:
-                    heapq.heappop(pending)
-                    target = pacer.on_ready(next_index, sim.now)
-                    if target is not None:
-                        yield SleepUntil(target)
-                    yield Compute(cost.display_cycles())
-                    memory.free(sim.now, fbytes, "frames")
-                    result.display_times.append(sim.now)
-                    next_index += 1
-            yield Halt()
-
-        sim.add_process("scan", scan_body)
-        workers = [
-            sim.add_process(f"worker-{i}", make_worker(i))
-            for i in range(config.workers)
-        ]
-        sim.add_process("display", display_body)
-        sim.run()
-
-        result.finish_cycles = result.display_times[-1]
-        result.worker_busy = [w.stats.busy for w in workers]
-        result.worker_stall = [w.stats.stall for w in workers]
-        result.worker_sync = [w.stats.sync_wait for w in workers]
-        result.late_pictures = pacer.late_pictures
-        result.max_lateness_cycles = pacer.max_lateness
-        result.startup_cycles = pacer.startup_cycles or (
-            result.display_times[0] if result.display_times else 0
+        result = run.run(
+            scan_body, worker_body,
+            shown=lambda _item: memory.free(sim.now, fbytes, "frames"),
         )
         # Stash the stealing diagnostics on the result object.
         result.stolen_tasks = stolen_count  # type: ignore[attr-defined]

@@ -2,144 +2,69 @@
 
 The paper's goal is *real-time* decoding: 30 pictures/second reaching
 the display.  The throughput experiments decode as fast as possible;
-this module adds the real-time view: the display process emits picture
-``k`` no earlier than ``t0 + k * period`` (where ``t0`` is when the
-first picture is ready — the startup latency), and any picture not
-decoded by its deadline is counted *late* with its lateness measured.
+this module adds the real-time view: picture ``k`` is due at
+``t0 + (k + preroll) * period``, where ``t0`` is when the first picture
+is ready (the startup latency), and a picture that is ready after its
+deadline is *late* by the difference.
 
-Pacing also changes memory behaviour: when decode runs faster than the
-display rate, the GOP decoder's decoded-picture backlog grows against
-the paced drain — the flip side of the Fig. 8/9 analysis.
+:class:`Pacer` is that schedule on whatever clock its caller keeps.
+The simulated display process (:mod:`repro.parallel.simrun`) counts
+machine cycles — an integer period, integer lateness — and sleeps an
+early picture until its deadline, which is what makes the GOP
+decoder's decoded-picture backlog grow against a paced drain (the flip
+side of the Fig. 8/9 analysis).  The serve layer and the net client
+count wall-clock seconds, and their per-picture lateness is the raw
+material for the deadline-miss CDF that ``benchmarks/perf_serve.py``
+charts and for the overload-degradation triggers
+(:mod:`repro.serve.degrade`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-
-from repro.smp.machine import MachineConfig
 
 
 @dataclass
-class DisplayPacer:
-    """Deadline bookkeeping for a paced display process.
+class Pacer:
+    """Deadline bookkeeping for a paced display, in the caller's units.
 
-    With ``rate_hz`` of ``None`` the pacer is inert (decode-rate
+    With a ``period`` of ``None`` the pacer is inert (decode-rate
     display, the default the throughput benchmarks use).
     """
 
-    machine: MachineConfig
-    rate_hz: float | None = None
-    #: Pictures of startup buffer: deadlines start this many periods
-    #: after the first picture is ready (a player's preroll).
-    preroll_pictures: int = 0
-    t0: int | None = field(default=None, init=False)
-    late_pictures: int = field(default=0, init=False)
-    max_lateness: int = field(default=0, init=False)
-    total_lateness: int = field(default=0, init=False)
-
-    @property
-    def period(self) -> int:
-        if self.rate_hz is None:
-            raise ValueError("pacer has no display rate")
-        return self.machine.cycles(1.0 / self.rate_hz)
-
-    @property
-    def enabled(self) -> bool:
-        return self.rate_hz is not None
-
-    def deadline(self, index: int) -> int:
-        assert self.t0 is not None, "deadline before first picture"
-        return self.t0 + (index + self.preroll_pictures) * self.period
-
-    def on_ready(self, index: int, now: int) -> int | None:
-        """Record picture ``index`` becoming displayable at ``now``.
-
-        Returns the virtual time to sleep until before emitting it, or
-        ``None`` to emit immediately (pacing off, first picture, or
-        already past the deadline — a *late* picture).
-        """
-        if not self.enabled:
-            return None
-        if self.t0 is None:
-            self.t0 = now
-            return None
-        deadline = self.deadline(index)
-        if now > deadline:
-            lateness = now - deadline
-            self.late_pictures += 1
-            self.total_lateness += lateness
-            self.max_lateness = max(self.max_lateness, lateness)
-            return None
-        return deadline
-
-    # ------------------------------------------------------------------
-    @property
-    def startup_cycles(self) -> int:
-        return self.t0 or 0
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "late_pictures": self.late_pictures,
-            "max_lateness_s": self.machine.seconds(self.max_lateness),
-            "startup_s": self.machine.seconds(self.startup_cycles),
-        }
-
-
-@dataclass
-class WallClockPacer:
-    """The :class:`DisplayPacer` deadline schedule on *wall-clock* time.
-
-    The simulator's pacer counts virtual machine cycles; the serve
-    layer (:mod:`repro.serve`) needs the same bookkeeping against real
-    seconds: picture ``k`` of a session should be displayable no later
-    than ``t0 + k / rate_hz`` where ``t0`` anchors at the first emitted
-    picture (a player's join time).  Every emission records its
-    *lateness* (seconds past the deadline, clamped at 0 when on time),
-    which is the raw material for the deadline-miss CDF that
-    ``benchmarks/perf_serve.py`` charts and for the overload-degradation
-    triggers (:mod:`repro.serve.degrade`).
-
-    With ``rate_hz=None`` the pacer is inert (decode-rate display).
-    """
-
-    rate_hz: float | None = None
+    #: Time between two pictures' deadlines (``None``: no pacing).
+    period: float | None = None
     #: Deadlines start this many periods after the first picture (a
     #: player's preroll buffer).
     preroll_pictures: int = 0
+    #: When the first picture was ready: the anchor of every deadline.
     t0: float | None = field(default=None, init=False)
-    #: Lateness in seconds per emitted picture (0.0 = met deadline).
+    #: Lateness per emitted picture (0 = met its deadline).
     lateness: list[float] = field(default_factory=list, init=False)
 
     @property
     def enabled(self) -> bool:
-        return self.rate_hz is not None
-
-    @property
-    def period(self) -> float:
-        if self.rate_hz is None:
-            raise ValueError("pacer has no display rate")
-        return 1.0 / self.rate_hz
+        return self.period is not None
 
     def deadline(self, index: int) -> float:
+        if self.period is None:
+            raise ValueError("pacer has no display rate")
         assert self.t0 is not None, "deadline before first picture"
         return self.t0 + (index + self.preroll_pictures) * self.period
 
-    def on_emit(self, index: int, now: float | None = None) -> float:
+    def on_emit(self, index: int, now: float) -> float:
         """Record picture ``index`` becoming displayable at ``now``.
 
-        Returns the lateness in seconds (0.0 when the deadline was met
-        or pacing is off).  The first emission anchors ``t0``.
+        Returns its lateness (0 when the deadline was met or pacing is
+        off).  The first emission anchors ``t0`` and is never late.
         """
-        if not self.enabled:
-            return 0.0
-        if now is None:
-            now = time.monotonic()
+        if self.period is None:
+            return 0
+        late = 0 * self.period  # zero in the clock's own type
         if self.t0 is None:
             self.t0 = now
-            self.lateness.append(0.0)
-            return 0.0
-        late = max(0.0, now - self.deadline(index))
+        else:
+            late = max(late, now - self.deadline(index))
         self.lateness.append(late)
         return late
 
@@ -150,39 +75,16 @@ class WallClockPacer:
 
     @property
     def late_pictures(self) -> int:
-        return sum(1 for s in self.lateness if s > 0.0)
+        return sum(1 for s in self.lateness if s > 0)
 
     @property
-    def max_lateness_s(self) -> float:
-        return max(self.lateness, default=0.0)
-
-    @property
-    def total_lateness_s(self) -> float:
-        return sum(self.lateness)
-
-    def miss_cdf(self, points: int = 20) -> list[dict[str, float]]:
-        """Deadline-miss CDF: ``P(lateness <= x)`` at ``points`` knots.
-
-        Knots are spread over ``[0, max_lateness]``; the first knot
-        (x=0) is the fraction of pictures that met their deadline.
-        """
-        n = len(self.lateness)
-        if n == 0:
-            return []
-        ordered = sorted(self.lateness)
-        hi = ordered[-1]
-        knots = [hi * i / max(1, points - 1) for i in range(points)] if hi > 0 else [0.0]
-        out = []
-        for x in knots:
-            frac = sum(1 for s in ordered if s <= x + 1e-12) / n
-            out.append({"lateness_s": x, "fraction": frac})
-        return out
+    def max_lateness(self) -> float:
+        return max(self.lateness, default=0)
 
     def lateness_percentiles(self) -> dict[str, float]:
-        """Fixed lateness percentiles in seconds: p50/p90/p99/max.
+        """Fixed lateness percentiles: p50/p90/p99/max.
 
-        The compact replacement for shipping the full :meth:`miss_cdf`
-        knot list in bench payloads — four numbers instead of
+        The compact form bench payloads carry — four numbers instead of
         thousands of per-picture samples (linear interpolation between
         order statistics, max exact).
         """
@@ -205,9 +107,10 @@ class WallClockPacer:
         }
 
     def summary(self) -> dict[str, float]:
+        """Report row of a pacer on a seconds clock (serve, net)."""
         return {
             "emitted": self.emitted,
             "late_pictures": self.late_pictures,
-            "max_lateness_s": self.max_lateness_s,
-            "total_lateness_s": self.total_lateness_s,
+            "max_lateness_s": self.max_lateness,
+            "total_lateness_s": sum(self.lateness),
         }

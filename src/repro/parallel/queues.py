@@ -6,19 +6,23 @@ conditions.  Every queue access costs ``queue_op_cycles`` (the paper
 measures task-queue/lock time and finds it negligible but nonzero).
 
 The 2-D queue (paper Fig. 4, Section 5.2) holds pictures at the first
-level and slices at the second; its *availability rule* is what
-distinguishes the simple slice decoder (a picture's slices open up
-only when every earlier picture has completed — a barrier at every
-picture) from the improved one (they open up as soon as the picture's
-reference pictures have completed — a barrier only at I/P pictures).
+level and slices at the second.  *When* a slice may start is not
+decided here: the queue dispatches from the slice-grain task graph of
+:mod:`repro.exec.plan` — the one the real slice decoder dispatches
+from — planned a picture at a time as the scan process finds them.
+Its edges are what distinguishes the simple slice decoder (a barrier
+edge from the picture before: a barrier at every picture) from the
+improved one (reference edges only: a barrier only at I/P pictures).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
+from repro.exec.graph import TaskGraph
+from repro.exec.plan import add_slice_picture
 from repro.obs.stalls import REASON_QUEUE_GET
 from repro.parallel.profile import GopProfile, PictureProfile
 from repro.smp.engine import Compute, SignalCondition, WaitCondition
@@ -82,14 +86,7 @@ class PictureEntry:
     order: int
     #: Global coding-order numbers of pictures this one references.
     dependencies: list[int]
-    unclaimed: deque = field(default_factory=deque)  # slice indices
-    remaining: int = 0
-    started: bool = False
     complete: bool = False
-
-    def __post_init__(self) -> None:
-        self.unclaimed = deque(range(len(self.picture.slices)))
-        self.remaining = len(self.picture.slices)
 
 
 @dataclass(frozen=True)
@@ -101,10 +98,13 @@ class SliceTask:
 
 
 class SliceTaskQueue:
-    """The 2-D task queue with a pluggable availability rule.
+    """The 2-D task queue: the slice-grain plan, served in simulated time.
 
     ``mode`` is ``"simple"`` (synchronise at every picture) or
-    ``"improved"`` (synchronise only at reference pictures).
+    ``"improved"`` (synchronise only at reference pictures) — two edge
+    sets of one graph (:func:`~repro.exec.plan.add_slice_picture`, one
+    node per slice), served earliest-planned first: keeps memory low
+    and matches the paper's in-order queue.
     """
 
     def __init__(self, name: str, op_cycles: int, mode: str) -> None:
@@ -113,16 +113,22 @@ class SliceTaskQueue:
         self.name = name
         self.op_cycles = op_cycles
         self.mode = mode
+        self.graph = TaskGraph()
+        #: Pictures fed so far, indexed by coding order.
         self.entries: list[PictureEntry] = []
         self._complete_count = 0
         self._finished_feeding = False
         self._cond = Condition(f"{name}.cond", reason=REASON_QUEUE_GET)
-        #: First index that may still have unclaimed slices (scan hint).
-        self._head = 0
 
     # -- scan side -----------------------------------------------------
     def add_picture(self, entry: PictureEntry) -> Generator:
+        """Feed the next picture in coding order."""
         self.entries.append(entry)
+        slices = len(entry.picture.slices)
+        add_slice_picture(
+            self.graph, entry.order, slices, entry.dependencies, self.mode,
+            workers=slices,
+        )
         yield Compute(self.op_cycles)
         yield SignalCondition(self._cond)
 
@@ -130,39 +136,15 @@ class SliceTaskQueue:
         self._finished_feeding = True
         yield SignalCondition(self._cond)
 
-    # -- availability --------------------------------------------------
-    def _available(self, entry: PictureEntry) -> bool:
-        if self.mode == "simple":
-            # Every earlier picture (coding order) must be complete.
-            return self._complete_count >= entry.order
-        # improved: only the references must be complete.
-        return all(self.entries[d].complete for d in entry.dependencies)
-
-    def _claim_next(self) -> SliceTask | None:
-        # Serve slices from the earliest available picture: keeps
-        # memory low and matches the paper's in-order queue.
-        while self._head < len(self.entries) and not self.entries[self._head].unclaimed:
-            self._head += 1
-        for entry in self.entries[self._head :]:
-            if not entry.unclaimed:
-                continue
-            if not self._available(entry):
-                if self.mode == "simple":
-                    # In-order rule: nothing later can be available.
-                    return None
-                continue
-            entry.started = True
-            return SliceTask(entry=entry, slice_index=entry.unclaimed.popleft())
-        return None
-
     # -- worker side ----------------------------------------------------
     def get_slice(self) -> Generator:
         """Claim the next available slice; ``None`` when the stream is done."""
         while True:
-            task = self._claim_next()
-            if task is not None:
+            node = self.graph.first_ready()
+            if node is not None:
+                self.graph.dispatch(node.tid)
                 yield Compute(self.op_cycles)
-                return task
+                return SliceTask(self.entries[node.order], node.payload[0])
             if self._finished_feeding and self._complete_count == len(self.entries):
                 return None
             yield WaitCondition(self._cond)
@@ -170,19 +152,20 @@ class SliceTaskQueue:
     def complete_slice(self, task: SliceTask) -> Generator:
         """Report a finished slice; returns True if its picture completed.
 
-        The completion decision is taken atomically with the decrement,
-        *before* any yield: two workers finishing the same picture's
-        last slices in one engine window must elect exactly one
-        completer (the classic check-after-wait race).
+        A picture's last slice releases its ``publish`` node, which is
+        settled here, *before* any yield: two workers finishing the same
+        picture's last slices in one engine window must elect exactly
+        one completer (the classic check-after-wait race).
         """
         entry = task.entry
-        entry.remaining -= 1
-        finished = entry.remaining == 0
-        if finished:
+        released = self.graph.complete(f"p{entry.order}.s{task.slice_index}")
+        for publish in released:
+            self.graph.dispatch(publish.tid)
+            self.graph.complete(publish.tid)
             entry.complete = True
             self._complete_count += 1
         yield Compute(self.op_cycles)
-        if finished:
+        if released:
             yield SignalCondition(self._cond)
             return True
         return False

@@ -14,22 +14,24 @@ independent of worker count and GOP size, and random access is fast
 synchronisation at picture boundaries and slice-grain queue traffic,
 plus re-reading picture headers per worker (all modelled, all measured
 by the paper).
+
+This module is the scan body, the worker body and the frame lifetimes;
+when a slice may start is the task graph inside
+:class:`~repro.parallel.queues.SliceTaskQueue`, and the machine they
+run on is :class:`~repro.parallel.simrun.SimRun`.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 
 from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.macroblock import PictureCodingContext, decode_slice
-from repro.parallel.gop_level import DecodeRunResult, ParallelConfig
-from repro.parallel.pacing import DisplayPacer
-from repro.parallel.profile import StreamProfile, profile_stream
-from repro.parallel.queues import PictureEntry, SimQueue, SliceTask, SliceTaskQueue
-from repro.smp.engine import Compute, Halt, Process, Simulator, SleepUntil, Stall
-from repro.smp.memtrack import MemoryTracker
+from repro.parallel.profile import StreamProfile
+from repro.parallel.queues import PictureEntry, SliceTaskQueue
+from repro.parallel.simrun import DecodeRunResult, ParallelConfig, SimRun
+from repro.smp.engine import Compute, Process
 
 
 class SliceMode(enum.Enum):
@@ -47,11 +49,6 @@ class SliceLevelDecoder:
     def __init__(self, profile: StreamProfile, data: bytes | None = None) -> None:
         self.profile = profile
         self._data = data
-
-    @classmethod
-    def from_stream(cls, data: bytes) -> "SliceLevelDecoder":
-        profile, _ = profile_stream(data)
-        return cls(profile, data)
 
     # ------------------------------------------------------------------
     def _build_entries(self) -> list[PictureEntry]:
@@ -76,30 +73,18 @@ class SliceLevelDecoder:
         if config.execute and self._data is None:
             raise ValueError("execute=True needs the stream bytes")
 
-        sim = Simulator()
-        cost = config.cost
-        machine = config.machine
-        memory = MemoryTracker()
-        result = DecodeRunResult(
-            config=config, picture_count=profile.picture_count, memory=memory
-        )
+        run = SimRun(profile, config)
+        sim, cost, memory = run.sim, run.cost, run.memory
         entries = self._build_entries()
         queue = SliceTaskQueue("slice-tasks", cost.queue_op_cycles, mode.value)
-        display_queue = SimQueue("display", cost.queue_op_cycles)
         fbytes = profile.frame_bytes
-        pixels = profile.picture_pixels
 
         # Frame lifetime refcounts: 1 for display + 1 per dependent
         # picture that still needs this frame as a reference.
-        dependents: dict[int, list[int]] = {}
-        base = 0
-        for gop in profile.gops:
-            for pos in range(len(gop.pictures)):
-                dependents[base + pos] = [base + d for d in gop.dependents(pos)]
-            base += len(gop.pictures)
-        refcount = {
-            e.order: 1 + len(dependents[e.order]) for e in entries
-        }
+        refcount = {e.order: 1 for e in entries}
+        for e in entries:
+            for dep in e.dependencies:
+                refcount[dep] += 1
 
         def _release(order: int) -> None:
             refcount[order] -= 1
@@ -118,13 +103,11 @@ class SliceLevelDecoder:
         )
         contexts: dict[int, PictureCodingContext] = {}
         frames: dict[int, Frame] = {}
-        index_pictures = {}
-        if config.execute:
-            k = 0
-            for gop in decoder.index.gops:
-                for pic in gop.pictures:
-                    index_pictures[k] = pic
-                    k += 1
+        index_pictures = (
+            [pic for gop in decoder.index.gops for pic in gop.pictures]
+            if config.execute
+            else []
+        )
 
         def _context_for(entry: PictureEntry) -> PictureCodingContext:
             ctx = contexts.get(entry.order)
@@ -151,96 +134,51 @@ class SliceLevelDecoder:
             yield from queue.finish_feeding()
 
         # -- worker processes ----------------------------------------------
-        def make_worker(wid: int):
-            seen_pictures: set[int] = set()
+        allocated: set[int] = set()
 
-            def worker_body(proc: Process):
-                while True:
-                    task = yield from queue.get_slice()
-                    if task is None:
-                        break
-                    entry = task.entry
-                    if entry.order not in seen_pictures:
-                        seen_pictures.add(entry.order)
-                        # Each worker re-reads the picture header and
-                        # sets up per-picture context for every picture
-                        # it touches (paper: the slice versions' extra
-                        # overhead, Section 5.2.1).
-                        yield Compute(
-                            int(
-                                cost.picture_attach_cycles
-                                + cost.cycles_per_bit * entry.picture.header_bits
-                            )
-                        )
-                    if entry.order not in _allocated:
-                        _allocated.add(entry.order)
-                        memory.allocate(sim.now, fbytes, "frames")
-                    sp = entry.picture.slices[task.slice_index]
-                    if config.execute:
-                        ctx = _context_for(entry)
-                        sl = index_pictures[entry.order].slices[task.slice_index]
-                        decode_slice(
-                            decoder.slice_payload(sl), sl.vertical_position, ctx
-                        )
-                    busy = cost.decode_cycles(sp.counters)
-                    yield Compute(busy)
-                    yield Stall(
-                        cost.stall_cycles(
-                            busy, machine, pixels, config.remote_fraction
+        def worker_body(proc: Process, wid: int):
+            seen_pictures: set[int] = set()
+            while True:
+                task = yield from queue.get_slice()
+                if task is None:
+                    break
+                entry = task.entry
+                if entry.order not in seen_pictures:
+                    seen_pictures.add(entry.order)
+                    # Each worker re-reads the picture header and sets
+                    # up per-picture context for every picture it
+                    # touches (paper: the slice versions' extra
+                    # overhead, Section 5.2.1).
+                    yield Compute(
+                        int(
+                            cost.picture_attach_cycles
+                            + cost.cycles_per_bit * entry.picture.header_bits
                         )
                     )
-                    finished = yield from queue.complete_slice(task)
-                    if finished:
-                        memory.free(sim.now, entry.picture.wire_bytes, "stream")
-                        for dep in entry.dependencies:
-                            _release(dep)
-                        yield from display_queue.put(entry)
+                if entry.order not in allocated:
+                    allocated.add(entry.order)
+                    memory.allocate(sim.now, fbytes, "frames")
+                sp = entry.picture.slices[task.slice_index]
+                if config.execute:
+                    ctx = _context_for(entry)
+                    sl = index_pictures[entry.order].slices[task.slice_index]
+                    decode_slice(
+                        decoder.slice_payload(sl), sl.vertical_position, ctx
+                    )
+                yield from run.work(
+                    cost.decode_cycles(sp.counters), config.remote_fraction
+                )
+                finished = yield from queue.complete_slice(task)
+                if finished:
+                    memory.free(sim.now, entry.picture.wire_bytes, "stream")
+                    for dep in entry.dependencies:
+                        _release(dep)
+                    yield from run.display_queue.put(
+                        (entry.picture.display_index, entry)
+                    )
 
-            return worker_body
-
-        _allocated: set[int] = set()
-
-        # -- display process -----------------------------------------------
-        pacer = DisplayPacer(
-            machine, config.display_rate_hz, config.display_preroll_pictures
-        )
-
-        def display_body(proc: Process):
-            pending: list[tuple[int, PictureEntry]] = []
-            next_index = 0
-            total = profile.picture_count
-            while next_index < total:
-                entry = yield from display_queue.get()
-                assert entry is not None, "display queue closed early"
-                heapq.heappush(pending, (entry.picture.display_index, entry))
-                while pending and pending[0][0] == next_index:
-                    _, done = heapq.heappop(pending)
-                    target = pacer.on_ready(next_index, sim.now)
-                    if target is not None:
-                        yield SleepUntil(target)
-                    yield Compute(cost.display_cycles())
-                    result.display_times.append(sim.now)
-                    _release(done.order)
-                    next_index += 1
-            yield Halt()
-
-        sim.add_process("scan", scan_body)
-        workers = [
-            sim.add_process(f"worker-{i}", make_worker(i))
-            for i in range(config.workers)
-        ]
-        sim.add_process("display", display_body)
-        sim.run()
-
-        result.finish_cycles = result.display_times[-1]
-        result.stalls = sim.stalls
-        result.worker_busy = [w.stats.busy for w in workers]
-        result.worker_stall = [w.stats.stall for w in workers]
-        result.worker_sync = [w.stats.sync_wait for w in workers]
-        result.late_pictures = pacer.late_pictures
-        result.max_lateness_cycles = pacer.max_lateness
-        result.startup_cycles = pacer.startup_cycles or (
-            result.display_times[0] if result.display_times else 0
+        result = run.run(
+            scan_body, worker_body, shown=lambda entry: _release(entry.order)
         )
         if config.execute:
             by_display = sorted(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.parallel.gop_level import DecodeRunResult
+from repro.parallel.simrun import DecodeRunResult
 
 
 def pictures_per_second(result: DecodeRunResult) -> float:

@@ -31,7 +31,7 @@ the policy opts in via ``switch_rung_after``.
 
 :class:`DegradeState` is a tiny hysteresis machine driven by the
 per-picture deadline verdicts from
-:class:`repro.parallel.pacing.WallClockPacer`: consecutive misses
+:class:`repro.parallel.pacing.Pacer`: consecutive misses
 escalate, consecutive on-time emissions de-escalate.  It is pure logic
 (no clock, no scheduler) so the property suite can sweep it; the
 service wires its actions to

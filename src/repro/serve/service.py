@@ -48,6 +48,7 @@ from typing import Callable
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
+from repro.mpeg2.index import StreamIndex
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.slo import SLOPolicy
@@ -342,6 +343,7 @@ class DecodeService(ParentLoop):
         start_gop: int = 0,
         rungs: list[bytes] | None = None,
         rung_level: int = 0,
+        index: StreamIndex | None = None,
     ) -> StreamSession:
         if name in self.sessions:
             raise ValueError(f"duplicate session name {name!r}")
@@ -362,6 +364,7 @@ class DecodeService(ParentLoop):
                 start_gop=start_gop,
                 rungs=rungs,
                 rung_level=rung_level,
+                index=index,
             )
         except Exception as exc:
             # Corrupt-input containment, scan stage: the poison stream
@@ -413,6 +416,7 @@ class DecodeService(ParentLoop):
         timeout_s: float = 30.0,
         start_gop: int = 0,
         rungs: list[bytes] | None = None,
+        index: StreamIndex | None = None,
     ) -> StreamSession:
         """Offer a stream to a service running under :meth:`run_forever`.
 
@@ -420,7 +424,9 @@ class DecodeService(ParentLoop):
         the session through scan + admission (microseconds-to-
         milliseconds) and returns the session with its verdict on
         ``status``, exactly like :meth:`submit` before a static run.
-        ``start_gop`` requests a mid-stream join (see :meth:`submit`).
+        ``start_gop`` requests a mid-stream join (see :meth:`submit`);
+        ``index`` is the caller's scan of ``data``, if it has one (the
+        session then does not scan again).
         """
         if not self._dynamic:
             raise RuntimeError(
@@ -428,9 +434,12 @@ class DecodeService(ParentLoop):
             )
         done = threading.Event()
         box: dict = {}
+        options = dict(
+            weight=weight, resilient=resilient, on_frame=on_frame,
+            start_gop=start_gop, rungs=rungs, index=index,
+        )
         with self._control_lock:
-            self._intake.append((name, data, weight, resilient, on_frame,
-                                 start_gop, rungs, done, box))
+            self._intake.append((name, data, options, done, box))
         if not done.wait(timeout_s):
             raise TimeoutError(
                 f"service did not process submission {name!r} "
@@ -486,15 +495,11 @@ class DecodeService(ParentLoop):
     def _process_intake(self) -> None:
         with self._control_lock:
             batch, self._intake = self._intake, []
-        for (name, data, weight, resilient, on_frame,
-             start_gop, rungs, done, box) in batch:
+        for name, data, options, done, box in batch:
             try:
                 if self._stopping:
                     raise RuntimeError("service is shutting down")
-                sess = self._submit_impl(
-                    name, data, weight=weight, resilient=resilient,
-                    on_frame=on_frame, start_gop=start_gop, rungs=rungs,
-                )
+                sess = self._submit_impl(name, data, **options)
                 if not sess.terminal:
                     self._attach(sess.name)
                 box["session"] = sess

@@ -1,31 +1,36 @@
 """Per-stream session state for the multi-stream decode service.
 
 A :class:`StreamSession` owns everything one client's stream needs
-inside the service: the scan products (index + coding-order
-:class:`~repro.parallel.mp_slice.PicturePlan` records), the task
+inside the service: the scan products (the caller's index or its own
+scan, narrowed to the GOPs from the join point on, + coding-order
+:class:`~repro.exec.plan.PicturePlan` records), the task
 decomposition handed to the scheduler (reference-pictures-per-GOP +
-one task per B picture), the display-order reorder buffer, the
-wall-clock deadline pacer, the degradation state machine, and the
-emission/drop accounting that ends up in the service report.
+one task per B picture), the display-order reorder buffer
+(:class:`~repro.parallel.merge.DisplayMerger`), the deadline pacer
+(:class:`~repro.parallel.pacing.Pacer` on wall seconds), the
+degradation state machine, and the emission/drop accounting that ends
+up in the service report.
 
 Scan failures (corrupt headers, open GOPs, missing references) raise
 at construction; :meth:`StreamSession.failed` wraps that into a
-terminal session record so the service can *contain* a poisoned
-stream instead of dying with it.
+terminal session record — the same fields, from the same initialiser,
+over no pictures — so the service can *contain* a poisoned stream
+instead of dying with it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
-from typing import Iterator
 
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.index import build_index, sequence_prefix
+from repro.mpeg2.index import StreamIndex, build_index
 from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.exec.plan import PicturePlan, plan_serve_tasks, scan_slice_tasks
 from repro.exec.shm import FrameLayout
-from repro.parallel.mp_slice import DisplayMerger, base_counters
-from repro.parallel.pacing import WallClockPacer
+from repro.parallel.merge import DisplayMerger
+from repro.parallel.mp_slice import base_counters
+from repro.parallel.pacing import Pacer
 from repro.serve.degrade import DegradePolicy, DegradeState
 from repro.serve.scheduler import ServeTask
 
@@ -56,45 +61,67 @@ class StreamSession:
         start_gop: int = 0,
         rungs: list[bytes] | None = None,
         rung_level: int = 0,
+        index: StreamIndex | None = None,
     ) -> None:
         if weight <= 0:
             raise ValueError(f"weight must be > 0, got {weight}")
+        # The scan step (skipped when the caller already holds the
+        # stream's index) — may raise DecodeError; the service catches
+        # and turns it into a FAILED session (corrupt-input
+        # containment).
+        if index is None:
+            index = build_index(data)
+        # Mid-stream join: admit at the next closed GOP at/after
+        # ``start_gop`` and decode the tail as an index *view* — the
+        # same bytes and the one scan, minus the GOPs before the join.
+        # Because no coded state crosses a closed-GOP boundary, every
+        # picture of the tail is bit-identical to the same picture of a
+        # linear decode — the join is exact, and all downstream
+        # machinery (plans, merger, shared-pool meta) sees an ordinary
+        # stream whose pictures number from the join.  join_point
+        # raises StreamIndexError past EOF (contained like any other
+        # scan failure).
+        join = index.join_point(start_gop) if start_gop else 0
+        self._init(
+            name, data, replace(index, gops=index.gops[join:]),
+            weight=weight, resilient=resilient,
+            fps=fps, preroll_pictures=preroll_pictures,
+            policy=policy, slo_policy=slo_policy,
+            rungs=rungs, rung_level=rung_level,
+        )
+        self.join_gop = join
+        self.join_display_base = index.gop_display_base(join)
+
+    def _init(
+        self, name: str, data: bytes, index: StreamIndex | None,
+        weight: float = 1.0, resilient: bool = False,
+        fps: float | None = None, preroll_pictures: int = 0,
+        policy: DegradePolicy | None = None,
+        slo_policy: SLOPolicy | None = None,
+        rungs: list[bytes] | None = None, rung_level: int = 0,
+    ) -> None:
+        """Every field of a session, over the GOPs of ``index`` (``None``:
+        a stream that never scanned — no pictures, nothing to decode)."""
         self.name = name
         self.data = data
         self.weight = weight
         self.resilient = resilient
-        # The scan step — may raise DecodeError; the service catches
-        # and turns it into a FAILED session (corrupt-input
-        # containment).
-        self.index = build_index(data)
-        # Mid-stream join: admit at the next closed GOP at/after
-        # ``start_gop`` and decode the tail *substream* (sequence
-        # prefix + remaining GOP bytes).  Because no coded state
-        # crosses a closed-GOP boundary, every picture of the tail is
-        # bit-identical to the same picture of a linear decode — the
-        # join is exact, and all downstream machinery (plans, merger,
-        # shared-pool meta) sees an ordinary stream.  join_point
-        # raises StreamIndexError past EOF (contained like any other
-        # scan failure).
+        self.index = index
         self.join_gop = 0
         self.join_display_base = 0
-        if start_gop:
-            join = self.index.join_point(start_gop)
-            self.join_gop = join
-            self.join_display_base = self.index.gop_display_base(join)
-            tail = (
-                sequence_prefix(data, self.index)
-                + data[self.index.gops[join].start_offset :]
-            )
-            self.data = tail
-            self.index = build_index(tail)
-        self.seq = self.index.sequence_header
-        self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
-        self.plans: list[PicturePlan] = scan_slice_tasks(self.index)
+        self.seq = self.layout = None
+        self.plans: list[PicturePlan] = []
+        #: Work counters (sequential-oracle parity): GOP + picture
+        #: header charges land here upfront, slice work as results
+        #: arrive.
+        self.counters = WorkCounters()
+        if index is not None:
+            self.seq = index.sequence_header
+            self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
+            self.plans = scan_slice_tasks(index)
+            self.counters = base_counters(index, self.plans)
         self.merger = DisplayMerger(len(self.plans))
-        self.pacer = WallClockPacer(
-            rate_hz=fps, preroll_pictures=preroll_pictures
-        )
+        self.pacer = Pacer(1.0 / fps if fps else None, preroll_pictures)
         self.degrade = DegradeState(policy or DegradePolicy())
         #: Online SLO evaluation of emit-time deadlines; only tracked
         #: when the service declared objectives AND the session is
@@ -121,10 +148,6 @@ class StreamSession:
         self.continuation: str | None = None
         self.status = SessionStatus.PENDING
         self.error: dict | None = None
-        #: Work counters (sequential-oracle parity): GOP + picture
-        #: header charges land here upfront, slice work as results
-        #: arrive.
-        self.counters = base_counters(self.index, self.plans)
         # -- accounting ------------------------------------------------
         self.emitted_pictures = 0
         self.dropped_pictures = 0
@@ -132,46 +155,14 @@ class StreamSession:
         self.dropped_b_tasks = 0
         self.admitted_at: float | None = None
         self.queued_at: float | None = None
-        #: orders decoded but not yet pushed through the merger is not
-        #: tracked here — the merger is the single source of truth.
 
     # ------------------------------------------------------------------
     @classmethod
     def failed(cls, name: str, error: BaseException) -> "StreamSession":
         """A terminal session record for a stream that failed to scan."""
         sess = cls.__new__(cls)
-        sess.name = name
-        sess.data = b""
-        sess.weight = 1.0
-        sess.resilient = False
-        sess.join_gop = 0
-        sess.join_display_base = 0
-        sess.index = None
-        sess.seq = None
-        sess.layout = None
-        sess.plans = []
-        sess.merger = DisplayMerger(0)
-        sess.pacer = WallClockPacer(rate_hz=None)
-        sess.degrade = DegradeState(DegradePolicy())
-        sess.slo = None
-        sess.slo_dumped = False
-        sess.rungs = []
-        sess.rung_level = 0
-        sess.switched_orders = set()
-        sess.switched_pictures = 0
-        sess.continuation = None
-        sess.status = SessionStatus.FAILED
-        sess.error = {
-            "type": type(error).__name__,
-            "message": str(error),
-        }
-        sess.counters = WorkCounters()
-        sess.emitted_pictures = 0
-        sess.dropped_pictures = 0
-        sess.skipped_gops = 0
-        sess.dropped_b_tasks = 0
-        sess.admitted_at = None
-        sess.queued_at = None
+        sess._init(name, b"", None)
+        sess.fail(error)
         return sess
 
     # ------------------------------------------------------------------
@@ -213,32 +204,25 @@ class StreamSession:
     # ------------------------------------------------------------------
     # display-side bookkeeping
     # ------------------------------------------------------------------
-    def push_decoded(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
-        """Bank decoded pictures; return the display-ready run.
-
-        Returns ``(order, dropped)`` pairs in display order (``dropped``
-        is always False here).
-        """
+    def _push(self, orders: tuple[int, ...], dropped: bool) -> list[tuple[int, bool]]:
         ready: list[tuple[int, bool]] = []
         for order in orders:
             plan = self.plans[order]
-            ready.extend(self.merger.push(plan.display_index, (order, False)))
+            ready.extend(self.merger.push(plan.display_index, (order, dropped)))
         return ready
+
+    def push_decoded(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
+        """Bank decoded pictures; return the display-ready run, as
+        ``(order, dropped)`` pairs in display order."""
+        return self._push(orders, False)
 
     def push_dropped(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
         """Bank deliberately-shed pictures as drop markers."""
-        ready: list[tuple[int, bool]] = []
-        for order in orders:
-            plan = self.plans[order]
-            ready.extend(self.merger.push(plan.display_index, (order, True)))
-        return ready
+        return self._push(orders, True)
 
     @property
     def display_done(self) -> bool:
         return self.merger.done
-
-    def iter_display_indices(self) -> Iterator[int]:  # pragma: no cover
-        yield from range(self.picture_count)
 
     # ------------------------------------------------------------------
     def report(self) -> dict:

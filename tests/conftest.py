@@ -11,12 +11,18 @@ session-scoped :class:`GoldenCache` (``golden`` fixture) decodes each
 vector through the scalar oracle exactly once per test session and
 hands out the shared frames/counters, so adding another parity
 consumer no longer adds another full-corpus decode to the wall time.
+
+The process-level suites (mp decoders, executor, serve) share one pair
+of "no leaks, no hangs" postcondition fixtures: :func:`no_shm_leak`
+and the SIGALRM :func:`deadline` (``watchdog`` to the serve suites).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import time
 
 import pytest
 
@@ -106,6 +112,57 @@ class GoldenCache:
             dis = plan.display_indices(self.index(name))
             self._oracle[key] = [(d, frames[d]) for d in dis]
         return self._oracle[key]
+
+
+#: Upper bound on how long a faulted or wedged run may take to fail —
+#: "no hang" made executable.  Generous (CI boxes are slow); the
+#: liveness poll should surface a death within ~a second.
+FAIL_DEADLINE_S = 60
+
+SHM_DIR = "/dev/shm"
+
+
+def shm_snapshot() -> set[str]:
+    if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux
+        return set()
+    return set(os.listdir(SHM_DIR))
+
+
+@pytest.fixture
+def no_shm_leak():
+    """Assert the test leaves no new /dev/shm entries behind."""
+    before = shm_snapshot()
+    yield
+    # Allow the resource tracker a beat to finish unlinking.
+    for _ in range(20):
+        leaked = shm_snapshot() - before
+        if not leaked:
+            return
+        time.sleep(0.1)
+    raise AssertionError(f"leaked shared-memory segments: {sorted(leaked)}")
+
+
+@pytest.fixture
+def deadline():
+    """SIGALRM watchdog: a fault must surface — a crashed worker as a
+    DecodeError, a wedged service as a failed run — not hang the suite."""
+
+    def on_alarm(signum, frame):  # pragma: no cover - only on bug
+        raise TimeoutError(
+            f"run did not fail or finish within {FAIL_DEADLINE_S}s — "
+            "the liveness poll is broken or the service hung"
+        )
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(FAIL_DEADLINE_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def watchdog(deadline):
+    """The serve suites' name for :func:`deadline`."""
 
 
 @pytest.fixture(scope="session")

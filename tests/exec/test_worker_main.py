@@ -239,11 +239,46 @@ def test_src_has_one_parent_loop_and_one_readiness_rule():
             gated.add(rel)
     loop = os.path.join("exec", "dispatch.py")
     assert calls == {"submit": [loop], "fetch": [loop]}
-    # repro.parallel.queues is the *simulated* SMP's task queue — a
-    # model of the paper's machine in simulated time, not a parent of
-    # real workers.
-    gated.discard(os.path.join("parallel", "queues.py"))
     assert gated <= {os.path.join("exec", "graph.py")}
+
+
+def test_src_simulator_keeps_one_of_each():
+    # The simulated decoders share the runtime's pure-logic pieces: one
+    # display process (the only place that sleeps to a deadline), one
+    # reorder buffer (``DisplayMerger`` — no private heaps), one pacer,
+    # and the task graph's start rule (previous test).  The copies that
+    # sat beside them must not come back.
+    parallel = os.path.join("parallel", "")
+    sleepers, pacers = set(), []
+    gone = re.compile(
+        r"\b(DisplayPacer|WallClockPacer|_GopTask|_DisplayItem"
+        r"|gop_substream|gop_byte_ranges|iter_display_indices)\b"
+    )
+    queue_state = re.compile(r"heapq|\.(unclaimed|remaining|started)\b")
+    for rel, _n, line in src_lines():
+        code = line.split("#")[0]
+        assert not gone.search(code), (rel, line)
+        # Every join, rung switch and trick decode is an index view on
+        # the one scan; nothing splices a substream to scan it again.
+        assert not re.search(r"(?<!def )\bsequence_prefix\(", code), (rel, line)
+        if rel.startswith(parallel):
+            assert not queue_state.search(code), (rel, line)
+            if "SleepUntil" in code:
+                sleepers.add(rel)
+            pacers += re.findall(r"^class (\w*Pacer)\b", code)
+    assert sleepers == {os.path.join("parallel", "simrun.py")}
+    assert pacers == ["Pacer"]
+
+
+def test_src_executor_imports_parallel_lazily():
+    # ``repro.parallel.queues`` imports ``repro.exec.plan``; that stays
+    # acyclic only while ``repro.exec`` reaches back into
+    # ``repro.parallel`` from inside functions, never at import time.
+    for rel, _n, line in src_lines():
+        if rel.startswith(os.path.join("exec", "")):
+            assert not re.match(r"(from|import) repro\.parallel\b", line), (
+                rel, line,
+            )
 
 
 def test_src_gop_path_has_one_scan_and_no_substreams():

@@ -17,14 +17,14 @@ worker alive.
 
 Every test also asserts the shared-memory segment is unlinked: a
 crashed decode must not leak ``/dev/shm`` blocks (the classic
-``shared_memory`` footgun).
+``shared_memory`` footgun) — the ``no_shm_leak`` and ``deadline``
+fixtures of ``tests/conftest.py``, shared with the executor and serve
+suites.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 import time
 
 import pytest
@@ -34,49 +34,6 @@ from repro.obs.metrics import metrics
 from repro.parallel.mp import MPGopDecoder
 from repro.parallel.mp_slice import MPSliceDecoder
 from tests.parallel.test_mp_gop_window import tile
-
-#: Upper bound on how long a crashed decode may take to fail — "no
-#: hang" made executable.  Generous (CI boxes are slow); the liveness
-#: poll should surface death within ~a second.
-FAIL_DEADLINE_S = 60
-
-SHM_DIR = "/dev/shm"
-
-
-def shm_snapshot() -> set[str]:
-    if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux
-        return set()
-    return set(os.listdir(SHM_DIR))
-
-
-@pytest.fixture
-def no_shm_leak():
-    """Assert the test leaves no new /dev/shm entries behind."""
-    before = shm_snapshot()
-    yield
-    # Allow the resource tracker a beat to finish unlinking.
-    for _ in range(20):
-        leaked = shm_snapshot() - before
-        if not leaked:
-            return
-        time.sleep(0.1)
-    raise AssertionError(f"leaked shared-memory segments: {sorted(leaked)}")
-
-
-@pytest.fixture
-def deadline():
-    """SIGALRM watchdog: the crash must surface, not hang the suite."""
-    def on_alarm(signum, frame):  # pragma: no cover - only on bug
-        raise TimeoutError(
-            "crashed worker did not surface as DecodeError within "
-            f"{FAIL_DEADLINE_S}s — the liveness poll is broken"
-        )
-
-    old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(FAIL_DEADLINE_S)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
 
 
 def assert_no_stray_children():

@@ -12,6 +12,8 @@ layout round-trip.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,7 @@ from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import build_index, gop_byte_ranges, gop_substream
+from repro.mpeg2.index import build_index
 from repro.parallel.mp import (
     FrameLayout,
     GopResult,
@@ -68,11 +70,11 @@ def assert_mp_parity(data: bytes, workers: int, resilient: bool = False):
 
 
 class TestScanStep:
-    """The scan products: GOP byte ranges and substreams."""
+    """The scan products: GOP byte ranges and one-GOP index views."""
 
     def test_gop_ranges_are_contiguous_and_ordered(self, two_gop_stream):
         index = build_index(two_gop_stream)
-        ranges = gop_byte_ranges(index)
+        ranges = [(g.start_offset, g.end_offset) for g in index.gops]
         assert len(ranges) == 2
         for (s0, e0), (s1, e1) in zip(ranges, ranges[1:]):
             assert s0 < e0 <= s1 < e1
@@ -83,8 +85,10 @@ class TestScanStep:
         index = build_index(two_gop_stream)
         whole = SequenceDecoder(two_gop_stream).decode_all()
         for gi, gop in enumerate(index.gops):
-            sub = gop_substream(two_gop_stream, index, gi)
-            frames = SequenceDecoder(sub).decode_all()
+            # One GOP of the stream is the stream's own bytes and an
+            # index restricted to that GOP — no copy, no second scan.
+            view = replace(index, gops=[gop])
+            frames = SequenceDecoder(two_gop_stream, index=view).decode_all()
             assert len(frames) == len(gop.pictures)
             offset = sum(len(g.pictures) for g in index.gops[:gi])
             assert_frames_identical(whole[offset : offset + len(frames)], frames)

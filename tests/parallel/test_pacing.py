@@ -11,8 +11,9 @@ from repro.parallel import (
     SliceMode,
     profile_stream,
 )
-from repro.parallel.pacing import DisplayPacer
+from repro.parallel.pacing import Pacer
 from repro.parallel.profile import tile_profile
+from repro.parallel.simrun import SimRun
 from repro.smp import CHALLENGE, challenge
 
 
@@ -28,42 +29,48 @@ def cfg(workers, rate=None):
     )
 
 
+#: The simulator's clock: integer machine cycles.
+PERIOD = CHALLENGE.cycles(1 / 30)
+
+
 class TestDisplayPacer:
     def test_disabled_pacer_never_sleeps(self):
-        pacer = DisplayPacer(CHALLENGE, None)
+        pacer = Pacer(None)
         assert not pacer.enabled
-        assert pacer.on_ready(0, 100) is None
-        assert pacer.on_ready(1, 5) is None
+        assert pacer.on_emit(0, 100) == 0
+        assert pacer.on_emit(1, 5) == 0
+        # Never anchored, so the display process never waits on it.
+        assert pacer.t0 is None
         assert pacer.late_pictures == 0
 
     def test_first_picture_sets_epoch(self):
-        pacer = DisplayPacer(CHALLENGE, 30.0)
-        assert pacer.on_ready(0, 1000) is None
+        pacer = Pacer(PERIOD)
+        assert pacer.on_emit(0, 1000) == 0
         assert pacer.t0 == 1000
-        assert pacer.startup_cycles == 1000
 
     def test_early_picture_sleeps_to_deadline(self):
-        pacer = DisplayPacer(CHALLENGE, 30.0)
-        pacer.on_ready(0, 0)
-        period = pacer.period
-        assert pacer.on_ready(1, period // 2) == period
+        pacer = Pacer(PERIOD)
+        pacer.on_emit(0, 0)
+        assert pacer.on_emit(1, PERIOD // 2) == 0
+        assert pacer.deadline(1) == PERIOD
+        assert pacer.deadline(3) == 3 * PERIOD
         assert pacer.late_pictures == 0
 
     def test_late_picture_counted(self):
-        pacer = DisplayPacer(CHALLENGE, 30.0)
-        pacer.on_ready(0, 0)
-        period = pacer.period
-        assert pacer.on_ready(1, period + 500) is None
+        pacer = Pacer(PERIOD)
+        pacer.on_emit(0, 0)
+        assert pacer.on_emit(1, PERIOD + 500) == 500
         assert pacer.late_pictures == 1
         assert pacer.max_lateness == 500
 
-    def test_period_from_rate(self):
-        pacer = DisplayPacer(CHALLENGE, 30.0)
-        assert pacer.period == CHALLENGE.cycles(1 / 30)
+    def test_period_from_rate(self, profile):
+        run = SimRun(profile, cfg(1, rate=30.0))
+        assert run.pacer.period == CHALLENGE.cycles(1 / 30)
+        assert isinstance(run.pacer.period, int)
 
     def test_period_requires_rate(self):
         with pytest.raises(ValueError):
-            DisplayPacer(CHALLENGE, None).period
+            Pacer(None).deadline(0)
 
 
 class TestPacedRuns:

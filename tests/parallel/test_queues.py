@@ -175,6 +175,18 @@ class TestSliceTaskQueue:
         sim.run()
         assert violations == []
 
+    @pytest.mark.parametrize("mode", ["simple", "improved"])
+    def test_run_conserves_the_plan(self, make_entries, mode):
+        """The simulated queue dispatches from the real decoder's task
+        graph, so it obeys the law real runs are audited by."""
+        entries = make_entries()
+        _, q = self._run(entries, mode, workers=4)
+        q.graph.verify_conservation()
+        slices = sum(len(e.picture.slices) for e in entries)
+        assert q.graph.planned == slices + len(entries)  # + publish nodes
+        assert q.graph.completed == q.graph.planned
+        assert q.graph.cancelled == q.graph.lost == 0
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SliceTaskQueue("q", 1, "bogus")

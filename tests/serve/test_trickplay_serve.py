@@ -3,7 +3,8 @@
 Two service-level behaviours ride on the closed-GOP entry guarantee:
 
 * **Mid-stream join** — ``submit(..., start_gop=g)`` admits the
-  session at the next closed GOP and decodes the tail *substream*.
+  session at the next closed GOP and decodes the tail of the stream
+  (an index view on the one scan: same bytes, fewer GOPs).
   Every emitted picture must be bit-identical to the same picture of
   a full linear decode; the join is exact, not approximate.
 * **Rung switch** — under sustained overload the degradation ladder's
@@ -25,6 +26,7 @@ from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.serve import DecodeService, DegradePolicy, SessionStatus
 from repro.serve.degrade import ACTION_DROP_B, ACTION_SWITCH_RUNG, DegradeState
 from repro.serve.rungs import build_rung_ladder, downscale_frame
+from repro.serve.session import StreamSession
 from repro.video.synthetic import SyntheticVideo
 from tests.mpeg2.test_batched_parity import assert_frames_identical
 
@@ -79,6 +81,28 @@ class TestMidStreamJoin:
         doc = sess.report()
         assert doc["join_gop"] == 1
         assert doc["join_display_base"] == 4
+
+    def test_join_arena_is_the_original_stream(self, golden):
+        # A join copies nothing and scans nothing twice: the session
+        # keeps the caller's bytes and a view of the caller's index.
+        data = golden.data("rc_64x48_gop4")
+        full_index = golden.index("rc_64x48_gop4")
+        join = 1
+        sess = StreamSession("j", data, start_gop=join, index=full_index)
+        assert sess.data is data
+        assert sess.index.gops[0] is full_index.gops[join]
+        assert len(sess.index.gops) == len(full_index.gops) - join
+        assert sess.join_gop == join
+        assert sess.join_display_base == full_index.gop_display_base(join)
+        # Pictures number from the join; their bytes are where the
+        # full scan found them.
+        first = full_index.gops[join].pictures[0].slices[0]
+        assert sess.plans[0].order == 0
+        assert sess.plans[0].slices[0].payload_start == first.payload_start
+        # The same holds when the session scans for itself.
+        own = StreamSession("k", data, start_gop=join)
+        assert own.data is data
+        assert own.plans == sess.plans
 
     def test_join_past_eof_contained(self, golden):
         # A bad join point is a scan failure: the session fails alone,
