@@ -183,7 +183,7 @@ def _decode_gop_subset(
     in hand.  Full plans reuse the engine's GOP decode and subset it.
     """
     if not refs_only:
-        frames = dec.decode_gop(gop, counters)
+        frames = list(dec.decode_gop(gop, counters))
         return {rank: frames[rank] for rank in ranks}
     out: dict[int, Frame] = {}
     display_ranks = gop.display_ranks()

@@ -29,19 +29,19 @@ positions with one segmented cumsum per picture and applies the scan
 permutation to the whole stream, so no block is ever un-scanned
 individually.
 
-Phase 2 reconstructs pixels with a handful of vectorized operations
-over a whole *picture or GOP* at a time: slices are concatenated into
-one :class:`PictureAssembly` per picture
-(:func:`assemble_picture`), every coded block of every picture in the
-batch goes through **one** inverse quantization + **one**
-:func:`~repro.mpeg2.dct.idct_rounded` call
-(:func:`gop_dequant_idct` — dequant and IDCT depend only on levels
-and quantiser scales, never on reference frames, so they batch across
-pictures), and each picture is finished by :func:`mc_scatter` —
-motion compensation grouped by (reference, half-pel phase) and one
-fancy-indexed scatter per plane.  MC must stay per picture in coding
-order because P and B pictures fetch from previously reconstructed
-references.
+Phase 2 (:func:`reconstruct_slices`) reconstructs one picture with a
+handful of vectorized operations: its slices are concatenated into
+one :class:`PictureAssembly` (:func:`assemble_picture`), every coded
+block goes through **one** inverse quantization + **one**
+:func:`~repro.mpeg2.dct.idct_rounded` call (:func:`gop_dequant_idct`),
+and :func:`mc_scatter` finishes it — motion compensation grouped by
+(reference, half-pel phase) and one fancy-indexed scatter per plane.
+The picture is the grain on purpose.  MC must run per picture in
+coding order, because P and B pictures fetch from previously
+reconstructed references; and a picture's transform arrays
+(≈ 1.6k blocks of 512 B float64 at 352x240) sit near the size of L2,
+where a whole GOP's (≈ 10 MB each) did not — measured, the GOP-wide
+transform was ≈ 1.6x slower per block (DESIGN §2.6).
 
 Bit-exactness
 -------------
@@ -52,7 +52,7 @@ The fast path is bit-identical to the scalar path by construction:
   at the same stream positions on corrupt input (pinned by the
   cross-engine parity and negative-vector suites);
 * ``scipy.fft``'s IDCT is batch-size invariant (tested), so one call
-  per GOP equals one call per macroblock;
+  per picture equals one call per macroblock;
 * half-pel averaging uses the same ``(a+b+1)>>1`` integer arithmetic
   as :func:`repro.mpeg2.motion.predict_block`, applied per phase
   group;
@@ -1309,14 +1309,15 @@ def _compact_levels(asm: PictureAssembly) -> np.ndarray:
 def gop_dequant_idct(
     assemblies: list[PictureAssembly], seq: SequenceHeader
 ) -> list[np.ndarray]:
-    """One inverse quantization + **one** IDCT over many pictures.
+    """One inverse quantization + **one** IDCT over the given pictures.
 
     Dequant and IDCT depend only on levels, quantiser scales and the
-    sequence quant matrices — never on reference frames — so every
-    coded block of a GOP batches into a single NumPy call chain
-    (``scipy.fft``'s IDCT is batch-size invariant, so this is
-    bit-identical to per-macroblock calls).  Returns one
-    ``(n, 6, 8, 8)`` int32 residual array per assembly.
+    sequence quant matrices — never on reference frames — so the coded
+    blocks of any number of pictures batch into a single NumPy call
+    chain (``scipy.fft``'s IDCT is batch-size invariant, so this is
+    bit-identical to per-macroblock calls).  The decoders call it once
+    per picture, from :func:`reconstruct_slices`; it accepts many.
+    Returns one ``(n, 6, 8, 8)`` int32 residual array per assembly.
     """
     counts = [a.rec_idx.size for a in assemblies]
     total = sum(counts)
@@ -1528,14 +1529,14 @@ def reconstruct_slices(
     fwd: Frame | None,
     bwd: Frame | None,
 ) -> None:
-    """Phase 2 for a single picture (compatibility entry point).
+    """Phase 2: reconstruct one picture from its slice parses.
 
-    The slice-level parallel decoders and the picture-granular decode
-    path call this; the GOP-batched path in
-    :class:`repro.mpeg2.decoder.SequenceDecoder` calls
-    :func:`assemble_picture` / :func:`gop_dequant_idct` /
-    :func:`mc_scatter` directly to batch the transform work across
-    pictures.
+    Assembly, one dequant + IDCT over the picture's coded blocks, then
+    motion compensation and the pixel scatter into ``out``.  Every
+    batched decode runs phase 2 here:
+    :class:`~repro.mpeg2.decoder.SequenceDecoder` (sequential and GOP
+    grain) picture by picture, the slice-parallel decoders per batch
+    of slices.
     """
     del pic  # scan order was applied at parse time
     asm = assemble_picture(slices)

@@ -9,40 +9,32 @@ processes.
 
 Reference management follows the standard: the two most recent I/P
 pictures are held; a P predicts from the newer one; a B predicts
-forward from the older and backward from the newer.  Decoded frames
-carry their temporal reference; display order is obtained by sorting
-within each (closed) GOP.
+forward from the older and backward from the newer.
+
+:meth:`SequenceDecoder.decode_gop` streams: it decodes one *reference
+interval* (:meth:`GopIndex.reference_intervals`) at a time — the
+batched engine parses the interval, then reconstructs it picture by
+picture — and yields each frame in display order as soon as every
+frame before it is decoded.  The first frame is one picture of work
+away, not a GOP's, and phase 2's arrays stay near one picture in size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from time import perf_counter
 
 from repro.bitstream.emulation import unescape_payload
 from repro.bitstream.reader import BitstreamError
-from repro.mpeg2.batched import (
-    SliceParse,
-    assemble_picture,
-    gop_dequant_idct,
-    mc_scatter,
-    parse_slice,
-    reconstruct_slices,
-)
+from repro.mpeg2.batched import SliceParse, parse_slice, reconstruct_slices
 from repro.mpeg2.blockcoding import BlockSyntaxError
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import (
-    GopIndex,
-    PictureIndex,
-    StreamIndex,
-    build_index,
-)
-from repro.mpeg2.macroblock import (
-    PictureCodingContext,
-    SliceDecodeError,
-    decode_slice,
-)
-from repro.mpeg2.reconstruct import conceal_row, conceal_rows, missing_rows
+from repro.mpeg2.headers import PictureHeader
+from repro.mpeg2.index import GopIndex, PictureIndex, StreamIndex, build_index
+from repro.mpeg2.macroblock import PictureCodingContext, SliceDecodeError, decode_slice
+from repro.mpeg2.reconstruct import conceal_rows, missing_rows
 from repro.mpeg2.vlc import VLCError
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
@@ -67,16 +59,36 @@ SLICE_CORRUPTION_ERRORS = (
     ValueError,
 )
 
+#: A batched phase-1 product: header, the *last* parse of every row
+#: (``None``: corrupt, to conceal) and per-slice counters in bitstream order.
+ParsedPicture = tuple[
+    PictureHeader, dict[int, SliceParse | None], list[tuple[int, WorkCounters]]
+]
 
-def conceal_slice(ctx: PictureCodingContext, vertical_position: int) -> None:
-    """Replace a lost slice's macroblock row.
 
-    Classic concealment: copy the co-located row from the forward
-    reference when one exists, else fill mid-grey.  Slice independence
-    (predictors reset at every slice) is what confines the damage to
-    one row — the same property the parallel decomposition uses.
+def release_in_display_order(
+    order: list[int], intervals: Iterable[dict[int, Frame]]
+) -> Iterator[Frame]:
+    """Yield frames in display order, each as soon as its prefix is done.
+
+    ``order`` is the GOP's coding positions in display order
+    (:meth:`GopIndex.display_order`, the stable sort by temporal
+    reference); ``intervals`` yields ``{coding position: frame}`` per
+    decoded interval.  No frame leaves before its interval is decoded.
     """
-    conceal_row(ctx.out, ctx.fwd, vertical_position - 1)
+    held: dict[int, Frame] = {}
+    shown = 0
+    for decoded in intervals:
+        held.update(decoded)
+        while shown < len(order) and order[shown] in held:
+            yield held.pop(order[shown])
+            shown += 1
+
+
+def _references(pic: PictureIndex, old, new) -> tuple:
+    """``(forward, backward)`` for ``pic`` from the two reference slots
+    (frames when reconstructing, availability flags when parsing)."""
+    return (new, None) if pic.picture_type.is_reference else (old, new)
 
 
 class SequenceDecoder:
@@ -93,7 +105,8 @@ class SequenceDecoder:
         index between the scan process and the workers).
     resilient:
         When true, a slice whose payload fails to parse is concealed
-        (see :func:`conceal_slice`) instead of aborting the decode.
+        (see :func:`repro.mpeg2.reconstruct.conceal_rows`) instead of
+        aborting the decode.
     engine:
         ``"batched"`` (default) decodes pictures through the two-phase
         parse/reconstruct fast path (:mod:`repro.mpeg2.batched`);
@@ -153,18 +166,18 @@ class SequenceDecoder:
         (work counters and output pixels are identical with tracing on
         or off, pinned by the overhead-guard test).
         """
+        with self._picture_span(pic):
+            return self._decode_picture_inner(pic, fwd, bwd)
+
+    @contextmanager
+    def _picture_span(self, pic: PictureIndex):
         t0 = perf_counter()
-        with trace_span(
-            "decode.picture",
-            type=pic.picture_type.letter,
-            engine=self.engine,
-            temporal_reference=pic.temporal_reference,
-        ):
-            result = self._decode_picture_inner(pic, fwd, bwd)
+        with trace_span("decode.picture", type=pic.picture_type.letter,
+                        engine=self.engine, temporal_reference=pic.temporal_reference):
+            yield
         metrics().histogram("decode.picture_ms").observe(
             (perf_counter() - t0) * 1e3
         )
-        return result
 
     def _decode_picture_inner(
         self,
@@ -173,69 +186,74 @@ class SequenceDecoder:
         bwd: Frame | None,
     ) -> tuple[Frame, list[tuple[int, WorkCounters]], WorkCounters]:
         local = WorkCounters()
+        if self.engine == "batched":
+            parsed = self._parse_picture(pic, fwd is not None, bwd is not None, local)
+            return self._reconstruct(pic, parsed, fwd, bwd, local), parsed[2], local
+
+        header = self._picture_header(pic, fwd is not None, bwd is not None, local)
+        out = self._blank(pic)
+        ctx = PictureCodingContext(seq=self.seq, pic=header, out=out, fwd=fwd, bwd=bwd)
+        slice_counters: list[tuple[int, WorkCounters]] = []
+        # A row's *last* action wins (duplicate slices): decode now, but
+        # conceal in one end-of-picture sweep, so spatial concealment
+        # sees every decoded neighbour — the sweep every path runs, which
+        # keeps them bit-identical on lossy streams.
+        conceal_pending: set[int] = set()
+        for sl in pic.slices:
+            payload = self.slice_payload(sl)
+            with trace_span("decode.slice", row=sl.vertical_position):
+                try:
+                    c = decode_slice(payload, sl.vertical_position, ctx, local)
+                except SLICE_CORRUPTION_ERRORS:
+                    if not self.resilient:
+                        raise
+                    conceal_pending.add(sl.vertical_position - 1)
+                    local.concealed_slices += 1
+                    continue
+            conceal_pending.discard(sl.vertical_position - 1)
+            slice_counters.append((sl.vertical_position, c))
+        if self.resilient:
+            self._conceal(pic, out, fwd, conceal_pending, local)
+        return out, slice_counters, local
+
+    def _picture_header(
+        self, pic: PictureIndex, has_fwd: bool, has_bwd: bool, local: WorkCounters
+    ) -> PictureHeader:
+        """Charge the picture header; check the references it needs exist."""
         header = pic.header()
         local.headers += 1
         local.bits += (pic.header_payload_end - pic.header_payload_start + 4) * 8
-        out = Frame.blank(self.seq.width, self.seq.height)
-        out.temporal_reference = pic.temporal_reference
-        if header.picture_type.letter != "I" and fwd is None:
-            raise DecodeError(
-                f"{header.picture_type.letter}-picture without forward reference"
-            )
-        if header.picture_type.letter == "B" and bwd is None:
+        letter = header.picture_type.letter
+        if letter != "I" and not has_fwd:
+            raise DecodeError(f"{letter}-picture without forward reference")
+        if letter == "B" and not has_bwd:
             raise DecodeError("B-picture without backward reference")
-        slice_counters: list[tuple[int, WorkCounters]] = []
+        return header
 
-        if self.engine == "scalar":
-            ctx = PictureCodingContext(
-                seq=self.seq, pic=header, out=out, fwd=fwd, bwd=bwd
-            )
-            # A row's *last* action wins (duplicate slices): decode
-            # immediately, but defer concealment to one end-of-picture
-            # sweep so spatial (row-above) concealment sees every
-            # decoded neighbour — the same sweep the batched and
-            # slice-parallel paths run, which is what keeps all of
-            # them bit-identical on lossy streams.
-            conceal_pending: set[int] = set()
-            for sl in pic.slices:
-                payload = self.slice_payload(sl)
-                with trace_span("decode.slice", row=sl.vertical_position):
-                    if self.resilient:
-                        try:
-                            c = decode_slice(
-                                payload, sl.vertical_position, ctx, local
-                            )
-                        except SLICE_CORRUPTION_ERRORS:
-                            conceal_pending.add(sl.vertical_position - 1)
-                            local.concealed_slices += 1
-                            continue
-                        conceal_pending.discard(sl.vertical_position - 1)
-                    else:
-                        c = decode_slice(payload, sl.vertical_position, ctx, local)
-                slice_counters.append((sl.vertical_position, c))
-            if self.resilient:
-                lost = missing_rows(
-                    out.mb_height,
-                    (sl.vertical_position - 1 for sl in pic.slices),
-                )
-                local.concealed_slices += len(lost)
-                conceal_rows(out, fwd, conceal_pending.union(lost))
-            return out, slice_counters, local
+    def _parse_picture(
+        self, pic: PictureIndex, has_fwd: bool, has_bwd: bool, local: WorkCounters
+    ) -> ParsedPicture:
+        """Batched phase 1 for one picture: bit work only.
 
-        # Batched engine: phase 1 parses every slice (bit work only),
-        # phase 2 reconstructs the whole picture vectorized.  A row's
-        # *last* action wins — a later duplicate slice or a concealment
-        # fully overwrites the row, exactly as the sequential writes
-        # would, because every slice covers its complete row.
-        mbw, mbh = out.mb_width, out.mb_height
+        A later duplicate slice or a concealment fully overwrites a
+        row, exactly as the sequential writes would, because every
+        slice covers its complete row: only a row's last parse is kept.
+        """
+        header = self._picture_header(pic, has_fwd, has_bwd, local)
+        mbw, mbh = self.index.mb_width, self.index.mb_height
         final: dict[int, SliceParse | None] = {}
-        with trace_span("decode.parse", slices=len(pic.slices)):
+        slice_counters: list[tuple[int, WorkCounters]] = []
+        with trace_span(
+            "decode.parse",
+            slices=len(pic.slices),
+            type=header.picture_type.letter,
+            temporal_reference=pic.temporal_reference,
+        ):
             for sl in pic.slices:
                 payload = self.slice_payload(sl)
                 try:
                     sp = parse_slice(
-                        payload, sl.vertical_position, header, mbw, mbh,
-                        fwd is not None,
+                        payload, sl.vertical_position, header, mbw, mbh, has_fwd
                     )
                 except SLICE_CORRUPTION_ERRORS:
                     if not self.resilient:
@@ -246,20 +264,40 @@ class SequenceDecoder:
                 local.add(sp.counters)
                 slice_counters.append((sl.vertical_position, sp.counters))
                 final[sl.vertical_position - 1] = sp
+        return header, final, slice_counters
+
+    def _reconstruct(
+        self, pic: PictureIndex, parsed: ParsedPicture,
+        fwd: Frame | None, bwd: Frame | None, local: WorkCounters,
+    ) -> Frame:
+        """Batched phase 2 for one parsed picture, then concealment."""
+        header, final, _ = parsed
+        out = self._blank(pic)
         with trace_span("decode.reconstruct"):
             reconstruct_slices(
                 [sp for sp in final.values() if sp is not None],
                 self.seq, header, out, fwd, bwd,
             )
             if self.resilient:
-                lost = missing_rows(
-                    out.mb_height,
-                    (sl.vertical_position - 1 for sl in pic.slices),
-                )
-                local.concealed_slices += len(lost)
                 rows = {row for row, sp in final.items() if sp is None}
-                conceal_rows(out, fwd, rows.union(lost))
-        return out, slice_counters, local
+                self._conceal(pic, out, fwd, rows, local)
+        return out
+
+    def _conceal(
+        self, pic: PictureIndex, out: Frame, fwd: Frame | None,
+        rows: set[int], local: WorkCounters,
+    ) -> None:
+        """Conceal ``rows`` plus every row no slice of ``pic`` covered."""
+        lost = missing_rows(
+            out.mb_height, (sl.vertical_position - 1 for sl in pic.slices)
+        )
+        local.concealed_slices += len(lost)
+        conceal_rows(out, fwd, rows.union(lost))
+
+    def _blank(self, pic: PictureIndex) -> Frame:
+        out = Frame.blank(self.seq.width, self.seq.height)
+        out.temporal_reference = pic.temporal_reference
+        return out
 
     def slice_payload(self, sl) -> bytes:
         """Unescaped payload bytes of a slice.
@@ -280,10 +318,8 @@ class SequenceDecoder:
         Used by the slice-level parallel decoders, where many workers
         decode slices of the same picture into one shared frame.
         """
-        out = Frame.blank(self.seq.width, self.seq.height)
-        out.temporal_reference = pic.temporal_reference
         return PictureCodingContext(
-            seq=self.seq, pic=pic.header(), out=out, fwd=fwd, bwd=bwd
+            seq=self.seq, pic=pic.header(), out=self._blank(pic), fwd=fwd, bwd=bwd
         )
 
     # ------------------------------------------------------------------
@@ -291,171 +327,80 @@ class SequenceDecoder:
     # ------------------------------------------------------------------
     def decode_gop(
         self, gop: GopIndex, counters: WorkCounters | None = None
-    ) -> list[Frame]:
-        """Decode one closed GOP; returns frames in *display* order.
+    ) -> Iterator[Frame]:
+        """Decode one closed GOP: an iterator of its frames in display order.
 
         This is exactly the unit of work of a GOP-level worker process
         (paper Section 5.1): the GOP is self-contained, so no state is
-        shared with other tasks.
+        shared with other tasks.  An open GOP is rejected at the call;
+        the decode runs as the iterator is consumed, so a corrupt slice
+        raises after the frames before its interval.  ``counters`` are
+        charged when the iterator is exhausted, never if closed early.
         """
         if not gop.closed_gop:
             raise DecodeError(
                 "GOP-level decode requires closed GOPs (paper assumption)"
             )
-        t0 = perf_counter()
-        with trace_span("decode.gop", pictures=len(gop.pictures)):
-            frames = self._decode_gop_inner(gop, counters)
-        metrics().histogram("decode.gop_ms").observe(
-            (perf_counter() - t0) * 1e3
+        return release_in_display_order(
+            gop.display_order(), self._decode_intervals(gop, counters)
         )
-        return frames
 
-    def _decode_gop_inner(
-        self, gop: GopIndex, counters: WorkCounters | None = None
-    ) -> list[Frame]:
+    def _decode_intervals(
+        self, gop: GopIndex, counters: WorkCounters | None
+    ) -> Iterator[dict[int, Frame]]:
+        """``{coding position: frame}`` per reference interval of ``gop``.
+
+        No span is open at a ``yield``, so the consumer's time is never
+        booked as decode time: each interval is one ``decode.gop`` span,
+        and ``decode.gop_ms`` records their sum once per decoded GOP.
+        """
         local = WorkCounters()
         local.headers += 1
         local.bits += (gop.header_payload_end - gop.header_payload_start + 4) * 8
-        if self.engine == "batched":
-            decoded = self._decode_gop_batched(gop, local)
-        else:
-            ref_old: Frame | None = None
-            ref_new: Frame | None = None
-            decoded = []
-            for pic in gop.pictures:
-                if pic.picture_type.is_reference:
-                    frame = self.decode_picture(pic, ref_new, None, local)
-                    ref_old, ref_new = ref_new, frame
-                else:
-                    frame = self.decode_picture(pic, ref_old, ref_new, local)
-                decoded.append(frame)
-        decoded.sort(key=lambda f: f.temporal_reference)
+        refs: tuple[Frame | None, Frame | None] = (None, None)
+        busy = 0.0
+        for interval in gop.reference_intervals():
+            pics = [gop.pictures[pos] for pos in interval]
+            t0 = perf_counter()
+            with trace_span("decode.gop", pictures=len(pics)):
+                frames, refs = self._decode_interval(pics, refs, local)
+            busy += perf_counter() - t0
+            yield dict(zip(interval, frames))
+        metrics().histogram("decode.gop_ms").observe(busy * 1e3)
         if counters is not None:
             counters.add(local)
-        return decoded
 
-    def _decode_gop_batched(
-        self, gop: GopIndex, local: WorkCounters
-    ) -> list[Frame]:
-        """GOP mega-batch: parse every picture, transform once, then MC.
+    def _decode_interval(
+        self, pics: list[PictureIndex], refs: tuple, local: WorkCounters
+    ) -> tuple[list[Frame], tuple]:
+        """Decode one interval: its frames in coding order, and new refs.
 
-        Phase 1 walks the pictures in coding order doing only bit work
-        (and the same reference-availability checks, in the same
-        order, as the per-picture path — a corrupt stream raises the
-        identical exception class at the identical point).  Phase 2a
-        runs **one** dequant + IDCT chain over every coded block of
-        the GOP (:func:`repro.mpeg2.batched.gop_dequant_idct` — the
-        transform never reads reference frames, so it batches across
-        pictures).  Phase 2b motion-compensates and scatters each
-        picture in coding order, managing references exactly as the
-        sequential decoder does.  Pixels, work counters and error
-        behaviour are identical to the per-picture path; only the
-        batching grain changes.
+        The batched engine parses the whole interval first, checking
+        reference availability in the per-picture order (so a corrupt
+        stream raises the identical exception at the identical point),
+        then reconstructs each picture: the VLC tables stay cached
+        across the parses, and phase 2 works on one picture at a time.
         """
-        mbw = (self.seq.width + 15) // 16
-        mbh = (self.seq.height + 15) // 16
-        # ---- phase 1: bit-only parse of every picture --------------
-        parsed: list[
-            tuple[PictureIndex, object, dict[int, SliceParse | None], WorkCounters]
-        ] = []
-        have_old = False  # ref availability mirrors phase-2 ref handoff
-        have_new = False
-        for pic in gop.pictures:
-            header = pic.header()
-            pcount = WorkCounters()
-            pcount.headers += 1
-            pcount.bits += (
-                pic.header_payload_end - pic.header_payload_start + 4
-            ) * 8
-            letter = header.picture_type.letter
-            if letter == "I":
-                has_fwd = have_new
-            elif letter == "P":
-                if not have_new:
-                    raise DecodeError("P-picture without forward reference")
-                has_fwd = True
+        parsed: list[ParsedPicture] = []
+        if self.engine == "batched":
+            have = (refs[0] is not None, refs[1] is not None)
+            for pic in pics:
+                fwd, bwd = _references(pic, *have)
+                parsed.append(self._parse_picture(pic, bool(fwd), bool(bwd), local))
+                if pic.picture_type.is_reference:
+                    have = (have[1], True)
+        frames = []
+        for k, pic in enumerate(pics):
+            fwd, bwd = _references(pic, *refs)
+            if self.engine == "scalar":
+                out = self.decode_picture(pic, fwd, bwd, local)
             else:
-                if not have_old:
-                    raise DecodeError("B-picture without forward reference")
-                if not have_new:
-                    raise DecodeError("B-picture without backward reference")
-                has_fwd = True
-            final: dict[int, SliceParse | None] = {}
-            with trace_span(
-                "decode.parse",
-                slices=len(pic.slices),
-                type=letter,
-                temporal_reference=pic.temporal_reference,
-            ):
-                for sl in pic.slices:
-                    payload = self.slice_payload(sl)
-                    try:
-                        sp = parse_slice(
-                            payload, sl.vertical_position, header, mbw, mbh,
-                            has_fwd,
-                        )
-                    except SLICE_CORRUPTION_ERRORS:
-                        if not self.resilient:
-                            raise
-                        pcount.concealed_slices += 1
-                        final[sl.vertical_position - 1] = None
-                        continue
-                    pcount.add(sp.counters)
-                    final[sl.vertical_position - 1] = sp
-            parsed.append((pic, header, final, pcount))
-            if header.picture_type.is_reference:
-                have_old, have_new = have_new, True
-
-        # ---- phase 2a: one dequant + IDCT over the whole GOP -------
-        assemblies = [
-            assemble_picture([sp for sp in final.values() if sp is not None])
-            for _, _, final, _ in parsed
-        ]
-        blocks_per_pic = gop_dequant_idct(assemblies, self.seq)
-
-        # ---- phase 2b: per-picture MC + scatter, in coding order ---
-        ref_old: Frame | None = None
-        ref_new: Frame | None = None
-        decoded: list[Frame] = []
-        for (pic, header, final, pcount), asm, blocks in zip(
-            parsed, assemblies, blocks_per_pic
-        ):
-            t0 = perf_counter()
-            with trace_span(
-                "decode.picture",
-                type=header.picture_type.letter,
-                engine=self.engine,
-                temporal_reference=pic.temporal_reference,
-            ):
-                out = Frame.blank(self.seq.width, self.seq.height)
-                out.temporal_reference = pic.temporal_reference
-                if header.picture_type.is_reference:
-                    fwd, bwd = ref_new, None
-                else:
-                    fwd, bwd = ref_old, ref_new
-                with trace_span("decode.reconstruct"):
-                    mc_scatter(asm, blocks, out, fwd, bwd)
-                    if self.resilient:
-                        lost = missing_rows(
-                            out.mb_height,
-                            (
-                                sl.vertical_position - 1
-                                for sl in pic.slices
-                            ),
-                        )
-                        local.concealed_slices += len(lost)
-                        rows = {
-                            row for row, sp in final.items() if sp is None
-                        }
-                        conceal_rows(out, fwd, rows.union(lost))
-            metrics().histogram("decode.picture_ms").observe(
-                (perf_counter() - t0) * 1e3
-            )
-            local.add(pcount)
-            if header.picture_type.is_reference:
-                ref_old, ref_new = ref_new, out
-            decoded.append(out)
-        return decoded
+                with self._picture_span(pic):
+                    out = self._reconstruct(pic, parsed[k], fwd, bwd, local)
+            if pic.picture_type.is_reference:
+                refs = (refs[1], out)
+            frames.append(out)
+        return frames, refs
 
     # ------------------------------------------------------------------
     # whole stream

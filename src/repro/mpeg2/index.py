@@ -148,6 +148,19 @@ class GopIndex:
                 ref_old, ref_new = ref_new, pos
         raise IndexError(f"coding position {coding_position} out of range")
 
+    def reference_intervals(self) -> list[range]:
+        """Coding positions cut into *reference intervals*: a reference
+        picture plus the B pictures after it in coding order, so
+        ``I0 P3 B1 B2 P6 B4 B5`` gives ``{I0}``, ``{P3 B1 B2}``,
+        ``{P6 B4 B5}`` — the unit the streamed GOP decode works in."""
+        starts = [
+            pos
+            for pos, pic in enumerate(self.pictures)
+            if pos == 0 or pic.picture_type.is_reference
+        ]
+        ends = starts[1:] + [len(self.pictures)]
+        return [range(a, b) for a, b in zip(starts, ends)]
+
 
 @dataclass
 class StreamIndex:

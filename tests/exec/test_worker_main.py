@@ -16,6 +16,7 @@ decides when a task may start in one place, the task graph.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 import queue
@@ -316,3 +317,42 @@ def test_src_has_one_coefficient_parser_and_one_payload_read():
         assert "_SliceBytes" not in line, rel
         reads += rel == decoder and "sl.payload_start" in line.split("#")[0]
     assert reads == 1
+
+
+def test_src_gop_decode_streams_through_the_picture_path():
+    # The GOP decode is the picture path run one reference interval at
+    # a time: the GOP-wide mega-batch beside it is gone, the sequential
+    # decoder parses a slice at one place, and the transform has one
+    # caller — phase 2 of one picture.  (``gop_dequant_idct`` keeps its
+    # list signature: the bench's stage probe calls it.)
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    calls: dict[str, list[tuple[str, str]]] = {
+        "parse_slice": [], "gop_dequant_idct": [],
+    }
+    for rel, _n, line in src_lines():
+        assert "_decode_gop_batched" not in line, rel
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in calls
+                    ):
+                        site = (os.path.relpath(path, root), fn.name)
+                        calls[node.func.id].append(site)
+    decoder = os.path.join("mpeg2", "decoder.py")
+    assert [s for s in calls["parse_slice"] if s[0] == decoder] == [
+        (decoder, "_parse_picture")
+    ]
+    assert calls["gop_dequant_idct"] == [
+        (os.path.join("mpeg2", "batched.py"), "reconstruct_slices")
+    ]
