@@ -268,7 +268,7 @@ def trick_decode_mp(
         resilient=resilient,
     )
     for view_gop, frames in mp_dec.iter_gops(counters):
-        decoded[selected[view_gop]] = frames
+        decoded.setdefault(selected[view_gop], []).extend(frames)
     return [
         (idx.gop_display_base(gop) + rank, decoded[gop][rank])
         for gop, rank in plan.emissions

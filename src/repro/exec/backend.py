@@ -14,13 +14,16 @@ here (protocol tables and the design argument: DESIGN §2.10):
       ("detach", sid)
       None                                    # sentinel
 
+      -> ("part", wid, sid, key, payload, None, None)      # ctx.post(payload)
       -> ("ok" | "err", wid, sid, key, payload, metrics, stalls)
       -> ("obs", wid, None, None, None, metrics, stalls)   # at sentinel
 
   It alone owns ``reset_metrics``, trace-shard flushing, ``queue.get``
   idle attribution, the crash/hang test hooks, exception containment
   and segment close.  Metrics and stalls ride every result message, so
-  whatever a worker recorded survives its being killed later.
+  whatever a worker recorded survives its being killed later.  A body
+  may ``post`` parts of its result while it runs; a part carries
+  neither, and the task is still running until its ``ok`` or ``err``.
 * :class:`WorkerTeam` — the only spawner, poller and reaper, and the
   owner of each session's shared segments.  The parent assigns every
   task to a named worker; what a dead or timed-out worker *means* is
@@ -35,7 +38,8 @@ here (protocol tables and the design argument: DESIGN §2.10):
   :meth:`repro.exec.dispatch.StreamDecoder._run`.
 * :func:`decode_gop_task` — the GOP-grain task body (the slice and
   serve bodies live with their decoders): one GOP decoded in place from
-  the attached stream, by the offsets of the parent's one scan.
+  the attached stream, by the offsets of the parent's one scan, each
+  frame posted as it lands in the pool.
 """
 
 from __future__ import annotations
@@ -156,6 +160,8 @@ class TaskContext:
     ``data`` is the coded stream (``bytes`` in process, a zero-copy
     view of the shared arena in a worker), ``pool`` the session's frame
     pool and ``state`` the immutable decode context shipped at attach.
+    ``post(payload)`` sends the parent a ``part`` of the running task's
+    result; the transport sets it for each task.
     """
 
     sid: str
@@ -163,6 +169,7 @@ class TaskContext:
     data: "bytes | memoryview"
     pool: FramePoolBase
     state: dict
+    post: Callable[[object], None] | None = None
     #: Worker side only: the attached arena, and the attach time that
     #: idle attribution is clamped to (time a warm worker sat between
     #: two runs is not a stall of the later one).
@@ -342,6 +349,10 @@ def worker_main(
                 # per-task timeout must reap us.
                 while True:  # pragma: no cover - killed by the parent
                     time.sleep(60.0)
+            if ctx is not None:
+                ctx.post = lambda payload: result_q.put(
+                    ("part", wid, sid, key, payload, None, None)
+                )
             result = run_task(ctx, wid, sid, key, args)
             if result[0] == "err":
                 result = (*result[:4], _portable(result[4]))
@@ -360,7 +371,7 @@ class LocalTeam:
     """The ``workers=0`` transport: one pretend worker, no processes.
 
     Same interface as :class:`WorkerTeam`; a task runs where it is
-    submitted and its result waits in a deque for :meth:`fetch`.
+    submitted and its parts and result wait in a deque for :meth:`fetch`.
     Deterministic on constrained CI, never touches ``/dev/shm``, and
     metrics land directly in the caller's registry.
     """
@@ -384,7 +395,12 @@ class LocalTeam:
         return sum(1 for r in self.results if sid is None or r[2] == sid)
 
     def submit(self, wid, sid, key, args, fault=None) -> None:
-        result = run_task(self.contexts.get(sid), wid, sid, key, args)
+        ctx = self.contexts.get(sid)
+        if ctx is not None:
+            ctx.post = lambda payload: self.results.append(
+                ("part", wid, sid, key, payload, None)
+            )
+        result = run_task(ctx, wid, sid, key, args)
         self.results.append((*result, None))
 
     def fetch(self, stalls=None, on_timeout=None, **_names) -> tuple:
@@ -549,8 +565,9 @@ class WorkerTeam:
         polling.  Returns the next ``(kind, wid, sid, key, payload,
         metrics)``: its metrics and stalls are already folded into the
         parent registry and ``stalls``, and the wait is booked as
-        ``who``'s ``queue.get`` stall under ``span``.  Results of lost
-        workers and of released sessions are dropped.
+        ``who``'s ``queue.get`` stall under ``span``.  A ``part`` leaves
+        its task held by the worker; an ``ok`` or ``err`` releases it.
+        Messages of lost workers and of released sessions are dropped.
         """
         t0 = time.monotonic_ns()
         while True:
@@ -562,17 +579,18 @@ class WorkerTeam:
                 continue
             kind, wid, sid, key, payload, snap, stall_snap = msg
             worker = self.workers.get(wid)
-            if (
-                worker is not None
-                and worker.held.pop((sid, key), None) is not None
-                and sid in self.attached
-            ):
+            if worker is None or (sid, key) not in worker.held:
+                continue
+            if kind in ("ok", "err"):
+                del worker.held[(sid, key)]
+            if sid in self.attached:
                 break
         waited = time.monotonic_ns() - t0
         trace_complete(span, "stall", t0, waited, reason=REASON_QUEUE_GET)
         stalls.record(who, REASON_QUEUE_GET, waited / 1e9)
-        metrics().merge_snapshot(snap)
-        stalls.merge(stall_snap)
+        if snap is not None:
+            metrics().merge_snapshot(snap)
+            stalls.merge(stall_snap)
         return kind, wid, sid, key, payload, snap
 
     # -- losses ----------------------------------------------------------
@@ -719,7 +737,13 @@ atexit.register(shutdown_persistent_pools)
 # ----------------------------------------------------------------------
 @dataclass
 class GopResult:
-    """What a worker sends back: metadata only, never pixels."""
+    """What a worker sends back: metadata only, never pixels.
+
+    A run of one GOP's display-ordered frames, parked in the pool slots
+    from ``slot_base``.  A posted part is one frame with empty
+    counters; the task's result is the GOP's last run and carries the
+    whole GOP's counters.
+    """
 
     gop: int
     slot_base: int
@@ -733,10 +757,14 @@ def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
     The GOP is read from the attached stream by the offsets of the
     parent's scan (``task.index``) — no substream, no second scan — and
     decoded by :class:`SequenceDecoder` to display-ordered frames, which
-    land in the ``task.picture_count`` slots from ``task.slot_base``.
+    land in the ``task.picture_count`` slots from ``task.slot_base`` as
+    they are decoded.  Every frame but the last is posted as a part the
+    moment it is in the pool; the last one is the result, so a GOP of
+    one picture or none is still one message.
     """
     state = ctx.state
     counters = WorkCounters()
+    result = GopResult(task.gop, task.slot_base, counters=counters)
     with trace_span(
         "mp.worker.decode_gop", cat="mp",
         gop=task.gop, pictures=task.picture_count,
@@ -746,13 +774,14 @@ def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
             index=StreamIndex(state["seq"], [task.index], len(ctx.data)),
             engine=state["engine"],
             resilient=state["resilient"],
-        ).decode_all(counters)
-    with trace_span("mp.shm.write", cat="mp", frames=len(frames)):
+        ).decode_gop(task.index, counters)
         for j, frame in enumerate(frames):
-            ctx.pool.write_frame(task.slot_base + j, frame)
-    return GopResult(
-        gop=task.gop,
-        slot_base=task.slot_base,
-        temporal_references=[f.temporal_reference for f in frames],
-        counters=counters,
-    )
+            slot = task.slot_base + j
+            with trace_span("mp.shm.write", cat="mp", frames=1):
+                ctx.pool.write_frame(slot, frame)
+            run = [frame.temporal_reference]
+            if j + 1 < task.picture_count:
+                ctx.post(GopResult(task.gop, slot, run))
+            else:
+                result = GopResult(task.gop, slot, run, counters)
+    return result

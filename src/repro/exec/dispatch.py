@@ -10,8 +10,10 @@ that moves that work, and the only caller of ``team.submit`` and
 which worker and how many may be in flight (:meth:`ParentLoop._claim`),
 what the parent does for a released ``publish`` node and where the
 display-ready run goes (:meth:`~ParentLoop._publish`,
-:meth:`~ParentLoop._emit`), and what a failed task or a dead worker
-means (:meth:`~ParentLoop._failed`, :meth:`~ParentLoop._on_timeout`).
+:meth:`~ParentLoop._emit`), what a part posted by a running task
+means (:meth:`~ParentLoop._part`; only GOP tasks post), and what a
+failed task or a dead worker means (:meth:`~ParentLoop._failed`,
+:meth:`~ParentLoop._on_timeout`).
 The defaults are the mp decoders': a task error is re-raised and every
 loss is fatal.
 """
@@ -84,7 +86,11 @@ class ParentLoop:
                     self.last_stalls, self._on_timeout,
                     who=self.who, span=self.span,
                 )
-                if result is not None:  # else a handled loss: go round
+                if result is None:
+                    continue  # a handled loss: go round
+                if result[0] == "part":
+                    self._part(*result[2:5])
+                else:
                     self._result(*result)
             elif not self._idle():
                 return
@@ -120,7 +126,13 @@ class ParentLoop:
     def _emit(self, ready: list) -> Iterator:
         return iter(())
 
+    def _part(self, sid: str, key, payload) -> None:
+        """A running task posted part of its result; the task is still
+        in flight (its ``ok`` or ``err`` comes to :meth:`_result`)."""
+        raise NotImplementedError
+
     def _result(self, kind, wid, sid, key, payload, snap) -> None:
+        """A task ended: ``kind`` is ``"ok"`` or ``"err"``."""
         if kind == "ok":
             self._done(sid, key, payload)
         else:

@@ -71,8 +71,10 @@ def plan_gop_graph(index: StreamIndex) -> TaskGraph:
 
     One GOP per message whatever the team size: a queue round trip is
     ~0.2 ms against a GOP's ~270 ms of decode, so grouping GOPs saves
-    nothing, and a GOP published alone is displayable one GOP of decode
-    time after the run starts (paper §5.1).
+    nothing.  The ``publish`` node merges the GOP's last frames; the
+    task posts every earlier one as it is decoded, so the first picture
+    is displayable one picture of decode after the run starts, not the
+    paper's one GOP (§5.1).
     """
     graph = TaskGraph()
     for task in scan_gop_tasks(index):

@@ -27,21 +27,25 @@ The paper's three roles map onto real primitives:
   **once** into POSIX shared memory; workers attach by name and decode
   their GOP in place, by the parent's offsets, with the batched
   :class:`~repro.mpeg2.decoder.SequenceDecoder` — the bitstream never
-  crosses the task pipe and is never re-scanned — then write the
-  decoded planes into a shared-memory frame pool.  One message
-  dispatches a GOP and one publishes it; only tiny metadata (scan
-  offsets out, temporal references + work counters back) is pickled,
-  and pixel arrays never are.
+  crosses the task pipe and is never re-scanned — then write each
+  decoded picture into a shared-memory frame pool as it comes out of
+  the decoder.  One message dispatches a GOP; the worker posts one
+  ``part`` per picture as it lands, the last picture being the task's
+  result.  Only tiny metadata (scan offsets out, temporal references +
+  work counters back) is pickled, and pixel arrays never are.
 * **display** — the parent merges completed GOPs back into display
   order through the shared reorder buffer
   (:class:`~repro.parallel.merge.DisplayMerger`), reading frames
-  out of the pool.
+  out of the pool.  The head GOP — the earliest not yet handed over —
+  is handed over picture by picture as its parts arrive; a later GOP's
+  parts wait until it is the head, so the first picture is one
+  picture of decode away, not one GOP.
 
 The frame pool is a **window**, not the stream: ``2 x workers`` *runs*
 of ``longest GOP`` slots each (fewer if the stream has fewer GOPs) —
 the paper's ``workers x GOP`` decoded-frame memory (Fig. 8) plus one
 finished GOP per worker waiting for display.  A GOP takes a run at
-dispatch and returns it once the consumer has its frames, so a slow
+dispatch and returns it once the consumer has all its frames, so a slow
 consumer back-pressures the workers; claiming earliest first, the
 oldest un-emitted GOP always owns a run and the window cannot deadlock.
 
@@ -147,17 +151,24 @@ class MPGopDecoder(StreamDecoder):
     def iter_gops(
         self, counters: WorkCounters | None = None
     ) -> Iterator[tuple[int, list[Frame]]]:
-        """Yield ``(gop_number, display_ordered_frames)`` in stream order.
+        """Yield ``(gop_number, display_ordered_frames)`` runs in display
+        order.
 
+        A GOP may come in several runs — the head GOP as its task posts
+        each picture — and its runs, concatenated, are its frames; no
+        run of a GOP comes before the last run of the GOP before it.
         The plan is :func:`~repro.exec.plan.plan_gop_graph`; the policy
         below is one GOP per worker at a time, earliest first, each
-        into a free run of the frame window.  ``workers=0`` runs each
-        GOP where it is submitted.
+        into a free run of the frame window, which it gives back when
+        its last run is handed over.  ``workers=0`` runs each GOP where
+        it is submitted.
         """
         self.counters = counters
         self.graph = plan_gop_graph(self.index)
         #: decode tid -> the GopResult its publish node will merge.
         self.results: dict[str, GopResult] = {}
+        #: gop -> the parts its task posted that are not emitted yet.
+        self.parts: dict[int, list[GopResult]] = {}
         gops = self.index.gops
         #: The frame window: run ``r`` is slots ``[r * L, (r + 1) * L)``,
         #: ``L`` the longest GOP; a GOP holds one from dispatch to emit.
@@ -207,35 +218,50 @@ class MPGopDecoder(StreamDecoder):
         crash = task.gop == self._crash_gop
         return free[0], self.sid, node.tid, task, "crash" if crash else None
 
+    def _part(self, sid, key, part: GopResult) -> None:
+        self.parts.setdefault(part.gop, []).append(part)
+
     def _done(self, sid, key, result: GopResult) -> None:
         self.graph.complete(key)
         self.results[key] = result
 
-    def _publish(self) -> list[GopResult]:
-        ready: list[GopResult] = []
+    def _publish(self) -> list[tuple[int, list[GopResult], GopResult | None]]:
+        """Merge the finished GOPs; return the display-ready runs as
+        ``(gop, parts, final result or None)``: every GOP the merger
+        released, then what the head GOP — the first not released —
+        has posted so far."""
+        ready = []
         while (node := self.graph.first_ready(publish=True)) is not None:
             self.graph.dispatch(node.tid)
             result = self.results.pop(node.deps[0])
-            ready += self.merger.push(result.gop, result)
+            for done in self.merger.push(result.gop, result):
+                ready.append(
+                    (done.gop, [*self.parts.pop(done.gop, []), done], done)
+                )
             metrics().gauge("queue.depth").set(self.merger.held)
             self.graph.complete(node.tid)
+        head = self.merger.emitted
+        if head in self.parts:
+            ready.append((head, self.parts.pop(head), None))
         return ready
 
-    def _emit(self, ready: list[GopResult]) -> Iterator[tuple[int, list[Frame]]]:
-        for done in ready:
-            if self.counters is not None:
-                self.counters.add(done.counters)
-            refs = done.temporal_references
+    def _emit(self, ready) -> Iterator[tuple[int, list[Frame]]]:
+        for gop, parts, done in ready:
+            slots = [
+                (part.slot_base + j, ref)
+                for part in parts
+                for j, ref in enumerate(part.temporal_references)
+            ]
             with trace_span(
-                "mp.shm.read", cat="mp", gop=done.gop, frames=len(refs)
+                "mp.shm.read", cat="mp", gop=gop, frames=len(slots)
             ):
-                frames = [
-                    self.pool.read_frame(done.slot_base + j, ref)
-                    for j, ref in enumerate(refs)
-                ]
-            self.free_runs.append(self.held_runs.pop(done.gop))
-            self._gauge_window()
-            yield done.gop, frames
+                frames = [self.pool.read_frame(*slot) for slot in slots]
+            if done is not None:
+                if self.counters is not None:
+                    self.counters.add(done.counters)
+                self.free_runs.append(self.held_runs.pop(gop))
+                self._gauge_window()
+            yield gop, frames
 
 
 def decode_parallel(

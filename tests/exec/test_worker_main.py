@@ -4,14 +4,16 @@ No fork: :func:`repro.exec.backend.worker_main` is fed the wire
 protocol by hand — attach, one task of each of the three kinds (GOP,
 slice batch, serve picture list), a task that raises, detach,
 sentinel — and the test reads what it put on the result queue.  Pins the
-``ok`` / ``err`` / ``obs`` message shapes, that an error never ends the
-loop, and that the metrics shipped with the results add up to exactly
-what the task bodies recorded (nothing lost, nothing counted twice).
+``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP task posts
+every picture but its last as a part, after the picture is in the
+pool), that an error never ends the loop, and that the metrics shipped
+with the results add up to exactly what the task bodies recorded
+(nothing lost, nothing counted twice).
 
 The structural tests at the bottom pin the point of the runtime:
 ``src/repro`` creates processes in one place, with one target; hands a
-team work and takes results back in one place, the parent loop; and
-decides when a task may start in one place, the task graph.
+team work and takes results and parts back in one place, the parent
+loop; and decides when a task may start in one place, the task graph.
 """
 
 from __future__ import annotations
@@ -75,9 +77,21 @@ def stream(golden):
             seg.unlink()
 
 
-def drive(messages: list) -> list[tuple]:
+class WatchedQueue(queue.Queue):
+    """A result queue that shows ``watch`` each message as it is put."""
+
+    def __init__(self, watch) -> None:
+        super().__init__()
+        self.watch = watch
+
+    def put(self, msg, *args, **kwargs) -> None:
+        self.watch(msg)
+        super().put(msg, *args, **kwargs)
+
+
+def drive(messages: list, watch=lambda msg: None) -> list[tuple]:
     task_q: queue.Queue = queue.Queue()
-    result_q: queue.Queue = queue.Queue()
+    result_q = WatchedQueue(watch)
     for msg in (*messages, None):
         task_q.put(msg)
     worker_main(WID, task_q, result_q)
@@ -104,6 +118,17 @@ def test_protocol_end_to_end(golden, stream):
     first = len(index.gops[0].pictures)
     intra = plans[0]  # first coded picture of a closed GOP: no refs
     batch = SliceBatch(0, range(len(intra.slices)), 0, ())
+    pictures_g1 = gop1.picture_count
+    assert pictures_g1 > 1
+
+    # What the pool holds at the moment each GOP part is posted.
+    pooled = []
+
+    def watch(msg):
+        if msg[0] == "part":
+            part = msg[4]
+            (ref,) = part.temporal_references
+            pooled.append(pool.read_frame(part.slot_base, ref).digest())
 
     results = drive([
         attach("g", decode_gop_task, gop_state),
@@ -118,11 +143,12 @@ def test_protocol_end_to_end(golden, stream):
         ("detach", "v"),
         ("task", "v", ("ref", 0), (0,), None),            # late, after detach
         ("detach", "v"),                                   # unknown: ignored
-    ])
+    ], watch)
 
     # Every message is (kind, wid, sid, key, payload, metrics, stalls).
     assert all(len(r) == 7 and r[1] == WID for r in results)
     assert [(r[0], r[2], r[3]) for r in results] == [
+        *[("part", "g", 0)] * (pictures_g1 - 1),
         ("ok", "g", 0),
         ("ok", "s", (0, 0)),
         ("ok", "v", ("ref", 0)),
@@ -132,16 +158,25 @@ def test_protocol_end_to_end(golden, stream):
         ("err", "v", ("ref", 0)),
         ("obs", None, None),
     ]
+    parts, results = results[: pictures_g1 - 1], results[pictures_g1 - 1 :]
     payloads = [r[4] for r in results]
 
-    # GOP task: metadata only comes back; the pixels are in the pool.
-    gop_result = payloads[0]
-    assert isinstance(gop_result, GopResult)
-    assert (gop_result.gop, gop_result.slot_base) == (1, 1)
-    assert len(gop_result.temporal_references) == gop1.picture_count
-    for j, ref in enumerate(gop_result.temporal_references):
-        got = pool.read_frame(1 + j, ref)
-        assert got.digest() == frames[first + j].digest()
+    # GOP task: metadata only comes back, one frame per message, and
+    # each part's pixels were in the pool before the part was posted.
+    runs = [r[4] for r in parts] + [payloads[0]]
+    assert all(isinstance(run, GopResult) and run.gop == 1 for run in runs)
+    assert [run.slot_base for run in runs] == list(range(1, 1 + pictures_g1))
+    assert all(len(run.temporal_references) == 1 for run in runs)
+    shown = frames[first : first + pictures_g1]
+    assert pooled == [f.digest() for f in shown[:-1]]
+    for run, want in zip(runs, shown):
+        got = pool.read_frame(run.slot_base, run.temporal_references[0])
+        assert got.digest() == want.digest()
+    # Parts carry no metrics, stalls or counters; the ok carries all.
+    for part in parts:
+        assert part[5] is None and part[6] is None
+        assert part[4].counters == WorkCounters()
+    assert runs[-1].counters.macroblocks > 0
     # Slice batch: (order, slices, counters, corrupt rows).
     order, slices, counters, rows = payloads[1]
     assert (order, slices, rows) == (0, len(intra.slices), [])
@@ -241,6 +276,82 @@ def test_src_has_one_parent_loop_and_one_readiness_rule():
     loop = os.path.join("exec", "dispatch.py")
     assert calls == {"submit": [loop], "fetch": [loop]}
     assert gated <= {os.path.join("exec", "graph.py")}
+
+
+class _Scopes(ast.NodeVisitor):
+    """``(path, enclosing class.function)`` of the nodes ``pick`` keeps."""
+
+    def __init__(self, rel: str, pick) -> None:
+        self.rel, self.pick, self.scope, self.found = rel, pick, [], []
+
+    def generic_visit(self, node) -> None:
+        if self.pick(node):
+            self.found.append((self.rel, ".".join(self.scope)))
+        named = isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        if named:
+            self.scope.append(node.name)
+        super().generic_visit(node)
+        if named:
+            self.scope.pop()
+
+
+def src_sites(pick) -> list[tuple[str, str]]:
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    found = []
+    for folder, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                visitor = _Scopes(os.path.relpath(path, root), pick)
+                visitor.visit(tree)
+                found += visitor.found
+    return found
+
+
+def test_src_has_one_route_for_posted_parts():
+    # A running task's parts reach the policy through the one parent
+    # loop: only ``drive`` tells a part from a result (so ``_result``
+    # sees ``ok`` and ``err`` alone), only the two transports give a
+    # task its ``post``, and no policy runs a loop of its own.
+    def is_part(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "part"
+
+    def tests_part(node) -> bool:
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            return any(
+                is_part(n)
+                or isinstance(n, (ast.Tuple, ast.List, ast.Set))
+                and any(map(is_part, n.elts))
+                for n in operands
+            )
+        return isinstance(node, ast.MatchValue) and is_part(node.value)
+
+    def sends_part(node) -> bool:
+        return isinstance(node, ast.Tuple) and bool(node.elts) and is_part(
+            node.elts[0]
+        )
+
+    def sets_post(node) -> bool:
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Attribute) and t.attr == "post"
+            for t in node.targets
+        )
+
+    def defines_drive(node) -> bool:
+        return isinstance(node, ast.FunctionDef) and node.name == "drive"
+
+    loop = os.path.join("exec", "dispatch.py")
+    backend = os.path.join("exec", "backend.py")
+    transports = [(backend, "worker_main"), (backend, "LocalTeam.submit")]
+    assert src_sites(tests_part) == [(loop, "ParentLoop.drive")]
+    assert src_sites(sends_part) == transports
+    assert src_sites(sets_post) == transports
+    assert src_sites(defines_drive) == [(loop, "ParentLoop")]
 
 
 def test_src_simulator_keeps_one_of_each():

@@ -13,7 +13,8 @@ These tests use the decoders' fault-injection hooks (``_crash_gop`` /
 observable as a SIGKILL: no result, no cleanup, a nonzero exitcode.
 An exception *inside* a slice batch (its one fused reconstruct call) is
 the opposite case: it must come back as an error result and leave the
-worker alive.
+worker alive.  So must a corrupt slice halfway through a GOP task, after
+the pictures before it were already handed over.
 
 Every test also asserts the shared-memory segment is unlinked: a
 crashed decode must not leak ``/dev/shm`` blocks (the classic
@@ -29,10 +30,12 @@ import time
 
 import pytest
 
-from repro.mpeg2.decoder import DecodeError
+from repro.mpeg2.decoder import DecodeError, SequenceDecoder
+from repro.mpeg2.index import build_index
 from repro.obs.metrics import metrics
 from repro.parallel.mp import MPGopDecoder
 from repro.parallel.mp_slice import MPSliceDecoder
+from tests.mpeg2.test_gop_batching import _corrupt
 from tests.parallel.test_mp_gop_window import tile
 
 
@@ -194,6 +197,33 @@ class TestGopWorkerCrash:
         assert next(it)[0] == 0
         assert longest <= gauge.value <= 4 * longest
         it.close()
+        assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_strict_corrupt_slice_mid_gop(
+        self, golden, no_shm_leak, deadline, workers
+    ):
+        # GOP 0 is handed over picture by picture while its task runs:
+        # a corrupt slice in a later reference interval of GOP 0 lets
+        # the pictures before that interval through, bit-exact, and
+        # then fails the decode with the scalar oracle's exception.
+        name, pos = "ipb_64x48_gop13", 4  # P6 opens the third interval
+        data = _corrupt(tile(golden.data(name), 2), pos, 4, b"\xaa")
+        interval = next(
+            r for r in build_index(data).gops[0].reference_intervals()
+            if pos in r
+        )
+        with pytest.raises(Exception) as oracle:
+            SequenceDecoder(data, engine="scalar").decode_all()
+        frames, _ = golden.scalar(name)
+        dec = MPGopDecoder(data, workers=workers)
+        got = []
+        with pytest.raises(oracle.type):
+            for gop, run in dec.iter_gops():
+                assert gop == 0
+                got += [f.digest() for f in run]
+        assert got == [f.digest() for f in frames[: interval.start]]
         assert_no_stray_children()
         assert_aborted_run_accounted(dec)
 

@@ -1,16 +1,19 @@
 """The GOP decoder streams: one GOP per task, a bounded frame window.
 
-Two layers of evidence that ``MPGopDecoder`` hands over GOP 0 while
-the rest of the stream is still to be decoded, from a frame pool whose
-size does not depend on the stream's length:
+Two layers of evidence that ``MPGopDecoder`` hands over GOP 0 picture
+by picture while the rest of the stream is still to be decoded, from a
+frame pool whose size does not depend on the stream's length:
 
 * on real streams (a committed vector tiled to 8 and 16 GOPs) at
-  ``workers`` 0 and 2 — one message per GOP, most of the plan still
-  pending when the first GOP is in hand, same pool for both lengths;
-* the window policy as pure logic — the real ``_claim`` / ``_done`` /
-  ``_publish`` / ``_emit`` hooks and the real parent loop on a team
-  with no processes, hypothesis choosing GOP sizes, worker count and
-  which in-flight GOP finishes next.
+  ``workers`` 0 and 2 — one message dispatches each GOP, the first run
+  handed over is GOP 0's first picture alone while GOP 0's task is
+  still running, most of the plan still pending then, same pool for
+  both lengths;
+* the window policy as pure logic — the real ``_claim`` / ``_part`` /
+  ``_done`` / ``_publish`` / ``_emit`` hooks and the real parent loop
+  on a team with no processes, hypothesis choosing GOP sizes, worker
+  count, which in-flight GOP reports next and how much of it it posts
+  as parts before its result.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.backend import GopResult
+from repro.exec.graph import DISPATCHED
 from repro.mpeg2.headers import PictureType, SequenceHeader
 from repro.mpeg2.index import (
     GopIndex,
@@ -56,6 +60,12 @@ def test_first_gop_arrives_while_the_plan_is_still_pending(golden, workers):
     assert gops == 8
     shown = []
     for gop, gop_frames in dec.iter_gops():
+        if not shown:
+            # GOP 0's first picture, handed over on its own while the
+            # task that decodes GOP 0 is still running.
+            assert (gop, len(gop_frames)) == (0, 1)
+            if workers == 0:
+                assert dec.graph.state["g0.decode"] == DISPATCHED
         if gop == 0:
             # Only what fits the window has been started; the rest of
             # the stream is still on the plan, not buffered in the pool.
@@ -98,17 +108,22 @@ class FakePool:
 
 
 class FakeTeam:
-    """A team without processes: ``fetch`` finishes whichever in-flight
-    GOP the test draws next, and ``submit`` audits the window."""
+    """A team without processes: ``fetch`` reports for whichever
+    in-flight GOP the test draws next — a one-frame part while it has
+    frames left to post, or its result with every frame not yet
+    posted — and ``submit`` audits the window."""
 
     def __init__(self, dec: MPGopDecoder, draw) -> None:
         self.dec, self.draw = dec, draw
         self.size = max(dec.workers, 1)
         self.window = max(2 * dec.workers, 1)
-        self.busy: dict[int, tuple] = {}
+        #: wid -> [sid, key, task, frames posted so far].
+        self.busy: dict[int, list] = {}
         #: gop -> the pool slots it owns until the consumer has it.
         self.live: dict[int, set[int]] = {}
         self.submitted: list[int] = []
+        #: GOPs whose result has been fetched.
+        self.finished: set[int] = set()
 
     def attach(self, sid, body, data, layout, slots, state):
         self.slots = slots
@@ -133,15 +148,19 @@ class FakeTeam:
         self.live[task.gop] = slots
         assert len(self.dec.held_runs) == len(self.live) <= self.window
         self.submitted.append(task.gop)
-        self.busy[wid] = (sid, key, task)
+        self.busy[wid] = [sid, key, task, 0]
 
     def fetch(self, stalls, on_timeout, **_names) -> tuple:
         wid = self.draw(st.sampled_from(sorted(self.busy)))
-        sid, key, task = self.busy.pop(wid)
-        result = GopResult(
-            task.gop, task.slot_base, list(range(task.picture_count))
-        )
-        return "ok", wid, sid, key, result, None
+        sid, key, task, posted = self.busy[wid]
+        slot = task.slot_base + posted
+        if posted < task.picture_count and self.draw(st.booleans()):
+            self.busy[wid][3] += 1
+            return "part", wid, sid, key, GopResult(task.gop, slot, [0]), None
+        del self.busy[wid]
+        self.finished.add(task.gop)
+        rest = [0] * (task.picture_count - posted)
+        return "ok", wid, sid, key, GopResult(task.gop, slot, rest), None
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,14 +172,23 @@ class FakeTeam:
 def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
     dec = MPGopDecoder(b"", index=synthetic_index(gop_sizes), workers=workers)
     team = FakeTeam(dec, data.draw)
-    emitted = []
+    got: dict[int, list[int]] = {}
     with mock.patch("repro.exec.dispatch.get_team", return_value=team):
         # A stalled policy — nothing in flight, nothing claimable, GOPs
         # left — ends the loop early and ``merger.finish`` raises.
         for gop, slots in dec.iter_gops():
-            assert set(slots) == team.live.pop(gop)
-            emitted.append(gop)
-    assert emitted == team.submitted == list(range(len(gop_sizes)))
+            # Every earlier GOP was handed over whole before this run.
+            assert all(g in got and g not in team.live for g in range(gop))
+            assert set(slots) <= team.live[gop]
+            got.setdefault(gop, []).extend(slots)
+            assert len(dec.held_runs) <= team.window
+            if gop not in dec.held_runs:
+                # Its run went back to the window with this run: the
+                # GOP's result is in, and all of its frames are out, in
+                # slot order.
+                assert gop in team.finished
+                assert got[gop] == sorted(team.live.pop(gop))
+    assert list(got) == team.submitted == list(range(len(gop_sizes)))
     assert team.slots == min(team.window, len(gop_sizes)) * max(
         gop_sizes, default=0
     )
