@@ -18,16 +18,20 @@ here (protocol tables and the design argument: DESIGN §2.10):
       -> ("ok" | "err", wid, sid, key, payload, metrics, stalls)
       -> ("obs", wid, None, None, None, metrics, stalls)   # at sentinel
 
-  It alone owns ``reset_metrics``, trace-shard flushing, ``queue.get``
-  idle attribution, the crash/hang test hooks, exception containment
-  and segment close.  Metrics and stalls ride every result message, so
+  Tasks arrive on a private queue; every message back is written
+  synchronously to the worker's own pipe (no feeder thread: a posted
+  part is readable by the parent when ``post`` returns).  It alone owns
+  ``reset_metrics``, trace-shard flushing, ``queue.get`` idle
+  attribution, the crash/hang test hooks, exception containment and
+  segment close.  Metrics and stalls ride every result message, so
   whatever a worker recorded survives its being killed later.  A body
   may ``post`` parts of its result while it runs; a part carries
   neither, and the task is still running until its ``ok`` or ``err``.
 * :class:`WorkerTeam` — the only spawner, poller and reaper, and the
-  owner of each session's shared segments.  The parent assigns every
-  task to a named worker; what a dead or timed-out worker *means* is
-  the caller's policy over the one parent loop
+  owner of each session's shared segments.  It waits on every live
+  worker's pipe at once; a pipe at EOF is a dead worker.  The parent
+  assigns every task to a named worker; what a dead or timed-out
+  worker *means* is the caller's policy over the one parent loop
   (:mod:`repro.exec.dispatch`: fatal for the mp decoders, requeue +
   :meth:`WorkerTeam.spawn` for the service).
   :class:`LocalTeam` is the same interface at ``workers=0``.
@@ -48,7 +52,6 @@ import atexit
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 import shutil
 import stat
 import tempfile
@@ -58,6 +61,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from glob import glob
 from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from typing import Callable
 
 from repro.exec.plan import GopTask
@@ -200,17 +204,6 @@ def run_task(ctx: TaskContext | None, wid: int, sid: str, key, args) -> tuple:
         return ("err", wid, sid, key, exc)
 
 
-def _portable(exc: Exception) -> Exception:
-    """``exc`` if it survives pickling, else a DecodeError naming it (a
-    result the queue's feeder thread cannot pickle would be dropped and
-    the parent would wait for it forever)."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return DecodeError(f"{type(exc).__name__}: {exc}")
-
-
 def _attach(msg: tuple, contexts: dict) -> None:
     """Map a session's segments into this worker.
 
@@ -276,16 +269,17 @@ def _drop_channels(foreign: dict[int, int]) -> None:
 
 
 def worker_main(
-    wid: int, task_q, result_q, foreign: dict[int, int] | None = None
+    wid: int, task_q, results, foreign: dict[int, int] | None = None
 ) -> None:
     """The worker loop: attach / task / detach messages to sentinel.
 
-    Results are tiny tuples — pixels land in the session's shared frame
-    pool and the bitstream is read in place from its arena, so neither
-    ever crosses the process boundary.  Every result carries the
-    metrics recorded since the previous one (the registry is reset
-    after each snapshot, so nothing is counted twice) and the idle
-    stall that preceded the task.
+    ``results`` is the write end of this worker's pipe to the parent
+    (anything with ``send``).  Results are tiny tuples — pixels land in
+    the session's shared frame pool and the bitstream is read in place
+    from its arena, so neither ever crosses the process boundary.
+    Every result carries the metrics recorded since the previous one
+    (the registry is reset after each snapshot, so nothing is counted
+    twice) and the idle stall that preceded the task.
     """
     name = f"worker-{wid}"
     # Under fork the child inherits the parent's registry, tracer and
@@ -306,7 +300,16 @@ def worker_main(
             tracer.write_shard(
                 os.path.join(trace_dir, f"shard-{os.getpid()}.jsonl")
             )
-        result_q.put((*result, snap, stalls.snapshot()))
+        msg = (*result, snap, stalls.snapshot())
+        try:
+            results.send(msg)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            # ``send`` pickles before it writes, so nothing went out: a
+            # payload that does not pickle comes back as the error
+            # naming it (an exception, or else the pickling failure).
+            cause = msg[4] if msg[0] == "err" else exc
+            error = DecodeError(f"{type(cause).__name__}: {cause}")
+            results.send(("err", *msg[1:4], error, *msg[5:]))
 
     try:
         while (msg := task_q.get()) is not None:
@@ -350,13 +353,10 @@ def worker_main(
                 while True:  # pragma: no cover - killed by the parent
                     time.sleep(60.0)
             if ctx is not None:
-                ctx.post = lambda payload: result_q.put(
+                ctx.post = lambda payload: results.send(
                     ("part", wid, sid, key, payload, None, None)
                 )
-            result = run_task(ctx, wid, sid, key, args)
-            if result[0] == "err":
-                result = (*result[:4], _portable(result[4]))
-            ship(result, stalls)
+            ship(run_task(ctx, wid, sid, key, args), stalls)
             last_end = time.monotonic_ns()
         ship(("obs", wid, None, None, None), StallTable())
     finally:
@@ -392,7 +392,12 @@ class LocalTeam:
         return [] if self.results else [0]
 
     def in_flight(self, sid: str | None = None) -> int:
-        return sum(1 for r in self.results if sid is None or r[2] == sid)
+        """Tasks whose ``ok`` or ``err`` is not fetched yet (a queued
+        part is not a task)."""
+        return sum(
+            1 for r in self.results
+            if r[0] in ("ok", "err") and (sid is None or r[2] == sid)
+        )
 
     def submit(self, wid, sid, key, args, fault=None) -> None:
         ctx = self.contexts.get(sid)
@@ -412,9 +417,10 @@ class LocalTeam:
     release = retire
 
 
-#: One worker: its process, its private task queue and the tasks it
-#: holds, ``(sid, key) -> monotonic seconds at assignment``, oldest first.
-_Worker = namedtuple("_Worker", "proc task_q held")
+#: One worker: its process, its private task queue, the parent's read
+#: end of its result pipe and the tasks it holds, ``(sid, key) ->
+#: monotonic seconds at assignment``, oldest first.
+_Worker = namedtuple("_Worker", "proc task_q conn held")
 
 
 class WorkerTeam:
@@ -436,8 +442,10 @@ class WorkerTeam:
         resource_tracker.ensure_running()
         self.key = (workers, start_method)
         self.ctx = multiprocessing.get_context(start_method)
-        self.result_q = self.ctx.Queue()
         self.workers: dict[int, _Worker] = {}
+        #: Messages read off the pipes but not yet handed out: one per
+        #: ready pipe per wait, so no worker's results starve another's.
+        self._inbox: deque = deque()
         #: sid -> (attach message, pool, arena) of every live session.
         self.attached: dict[str, tuple] = {}
         self.leased = False
@@ -459,18 +467,21 @@ class WorkerTeam:
         wid = self._next_wid
         self._next_wid += 1
         task_q = self.ctx.Queue()
-        # Everything open right now except the two queue ends the worker
-        # uses (the pipes ``start()`` itself creates come later).
+        conn, writer = self.ctx.Pipe(duplex=False)
+        # Everything open right now except the two ends the worker uses
+        # (the pipes ``start()`` itself creates come later).
         foreign = _open_channels()
-        for fd in (task_q._reader.fileno(), self.result_q._writer.fileno()):
+        for fd in (task_q._reader.fileno(), writer.fileno()):
             foreign.pop(fd, None)
         proc = self.ctx.Process(
             target=worker_main,
-            args=(wid, task_q, self.result_q, foreign),
+            args=(wid, task_q, writer, foreign),
             daemon=True,
         )
         proc.start()
-        self.workers[wid] = _Worker(proc, task_q, {})
+        # The worker holds the only write end: its death is EOF here.
+        writer.close()
+        self.workers[wid] = _Worker(proc, task_q, conn, {})
         for msg, _pool, _arena in self.attached.values():
             task_q.put(msg)
         return wid
@@ -557,9 +568,9 @@ class WorkerTeam:
     ) -> tuple | None:
         """Liveness-polled result wait: the one blocking get of all parents.
 
-        Blocks on the result queue in :data:`LIVENESS_POLL_S` chunks.
-        Every empty poll runs ``on_timeout()``, which may raise (fatal:
-        a dead worker whose task is unrecoverable), return truthy to
+        Blocks on every live worker's pipe in :data:`LIVENESS_POLL_S`
+        chunks.  Every empty poll runs ``on_timeout()``, which may raise
+        (fatal: a dead worker whose task is unrecoverable), return truthy to
         abandon the wait (a *handled* loss — the serve layer requeues
         and respawns; ``None`` is returned), or return falsy to keep
         polling.  Returns the next ``(kind, wid, sid, key, payload,
@@ -571,13 +582,13 @@ class WorkerTeam:
         """
         t0 = time.monotonic_ns()
         while True:
-            try:
-                msg = self.result_q.get(timeout=LIVENESS_POLL_S)
-            except queue_mod.Empty:
-                if on_timeout():
-                    return None
-                continue
-            kind, wid, sid, key, payload, snap, stall_snap = msg
+            if not self._inbox:
+                self._poll()
+                if not self._inbox:
+                    if on_timeout():
+                        return None
+                    continue
+            kind, wid, sid, key, payload, snap, stall_snap = self._inbox.popleft()
             worker = self.workers.get(wid)
             if worker is None or (sid, key) not in worker.held:
                 continue
@@ -592,6 +603,32 @@ class WorkerTeam:
             metrics().merge_snapshot(snap)
             stalls.merge(stall_snap)
         return kind, wid, sid, key, payload, snap
+
+    def _poll(self) -> None:
+        """Wait up to :data:`LIVENESS_POLL_S` on the open worker pipes
+        and move one message off each ready pipe into the inbox.
+
+        A pipe at EOF is a dead worker's: it is closed, which takes it
+        out of every later wait (the liveness poll decides what the
+        death means).  A message that pickled in the worker but does
+        not load here becomes an ``err`` for the worker's oldest held
+        task — the only task a worker reports on."""
+        open_ = {
+            w.conn: wid for wid, w in self.workers.items() if not w.conn.closed
+        }
+        for conn in wait(list(open_), LIVENESS_POLL_S):
+            wid = open_[conn]
+            try:
+                self._inbox.append(conn.recv())
+            except EOFError:
+                conn.close()
+            except Exception as exc:
+                held = next(iter(self.workers[wid].held), None)
+                if held is not None:
+                    error = DecodeError(
+                        f"unloadable result: {type(exc).__name__}: {exc}"
+                    )
+                    self._inbox.append(("err", wid, *held, error, None, None))
 
     # -- losses ----------------------------------------------------------
     def find_lost(self, task_timeout_s: float | None = None):
@@ -611,6 +648,7 @@ class WorkerTeam:
         w = self.workers.pop(wid)
         self.lost += 1
         reap_processes([w.proc])
+        w.conn.close()
         self._dead_queues.append(w.task_q)
         return list(w.held)
 
@@ -639,8 +677,8 @@ class WorkerTeam:
         """Stop every worker and release everything (idempotent).
 
         Idle, live workers get the sentinel and their final ``obs``
-        message is collected; then — always — escalating reap, queue
-        close and the unlink of any segment still attached."""
+        message is collected; then — always — escalating reap, queue and
+        pipe close and the unlink of any segment still attached."""
         live = list(self.workers.values())
         if live and all(w.proc.exitcode is None and not w.held for w in live):
             for w in live:
@@ -648,27 +686,29 @@ class WorkerTeam:
             deadline = time.monotonic() + SHUTDOWN_GRACE_S
             pending = len(live)
             while pending and time.monotonic() < deadline:
-                try:
-                    msg = self.result_q.get(timeout=LIVENESS_POLL_S)
-                except queue_mod.Empty:
-                    if not any(w.proc.is_alive() for w in live):
-                        break
-                    continue
-                if msg[0] == "obs":
-                    metrics().merge_snapshot(msg[5])
-                    pending -= 1
+                if all(w.conn.closed for w in live):
+                    break  # every pipe at EOF: nobody left to report
+                self._poll()
+                while self._inbox:
+                    msg = self._inbox.popleft()
+                    if msg[0] == "obs":
+                        metrics().merge_snapshot(msg[5])
+                        pending -= 1
             for w in live:
                 w.proc.join(timeout=SHUTDOWN_GRACE_S)
         reap_processes([w.proc for w in live])
+        for w in live:
+            w.conn.close()
         if live or self._dead_queues:
             # Closed without blocking on the feeder threads.
-            for q in (*[w.task_q for w in live], *self._dead_queues, self.result_q):
+            for q in (*[w.task_q for w in live], *self._dead_queues):
                 q.close()
                 q.cancel_join_thread()
         for _msg, pool, arena in self.attached.values():
             release_segments(pool, arena)
         self.workers.clear()
         self._dead_queues.clear()
+        self._inbox.clear()
         self.attached.clear()
 
 

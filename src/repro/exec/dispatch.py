@@ -11,7 +11,7 @@ which worker and how many may be in flight (:meth:`ParentLoop._claim`),
 what the parent does for a released ``publish`` node and where the
 display-ready run goes (:meth:`~ParentLoop._publish`,
 :meth:`~ParentLoop._emit`), what a part posted by a running task
-means (:meth:`~ParentLoop._part`; only GOP tasks post), and what a
+means (:meth:`~ParentLoop._part`; GOP and serve tasks post), and what a
 failed task or a dead worker means (:meth:`~ParentLoop._failed`,
 :meth:`~ParentLoop._on_timeout`).
 The defaults are the mp decoders': a task error is re-raised and every

@@ -132,7 +132,7 @@ class _SessionLane:
     graph (one node per :class:`ServeTask`, keyed by ``task.key``, the
     task itself as payload) plus its fair-queueing account."""
 
-    __slots__ = ("sid", "weight", "graph", "served", "finished")
+    __slots__ = ("sid", "weight", "graph", "served", "finished", "retried")
 
     def __init__(self, sid: str, tasks: list[ServeTask], weight: float):
         self.sid = sid
@@ -147,6 +147,9 @@ class _SessionLane:
             )
         self.served = 0.0
         self.finished = False
+        #: GOPs of requeued tasks: a task may post pictures before its
+        #: worker is lost, so its GOP stays started while it waits.
+        self.retried: set[int] = set()
 
     @property
     def vtime(self) -> float:
@@ -166,9 +169,10 @@ class _SessionLane:
         return [n.payload for key, n in graph.nodes.items() if key in cancelled]
 
     def started_gops(self) -> set[int]:
-        """GOPs with any dispatched or published work (un-skippable)."""
+        """GOPs with any dispatched, published or requeued work
+        (un-skippable)."""
         state = self.graph.state
-        return {
+        return self.retried | {
             node.gop
             for key, node in self.graph.nodes.items()
             if state[key] in (DISPATCHED, COMPLETED)
@@ -289,6 +293,7 @@ class Scheduler:
         """
         lane = self._lanes[task.session]
         lane.graph.requeue(task.key)
+        lane.retried.add(task.gop)
         lane.served = max(0.0, lane.served - task.work)
 
     def complete(self, task: ServeTask) -> None:

@@ -19,6 +19,12 @@ Execution model
   :class:`~repro.exec.backend.WorkerTeam` or, at ``workers=0``, the
   in-process :class:`~repro.exec.backend.LocalTeam` (the deterministic
   CI path the fuzz suite leans on).
+* A task hands over each picture as it lands: the body posts every
+  picture but its last the moment it is in the pool, and the session
+  banks it and emits what it makes display-ready while the rest of the
+  task decodes.  So a session's first picture waits for one picture,
+  not for its GOP's reference pictures; the task, its B dependants and
+  ``serve.inflight`` still wait for the task's ``ok``.
 * The parent assigns exactly one task at a time per worker, so it
   always knows which worker holds which task.  Robustness is a
   *policy* over the team's liveness poll: a worker that dies (or
@@ -81,9 +87,11 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
 
     Runs in a worker (or in the parent at ``workers=0``) and records
     the ``serve.worker.*`` metrics there, so report consumers see one
-    vocabulary regardless of ``workers``.  Returns the pictures' summed
-    work counters; whatever it raises fails the session, not the
-    worker.
+    vocabulary regardless of ``workers``.  Every picture but the last
+    is posted (its coding order) the moment it is in the pool, so the
+    parent can show it while the rest decode.  Returns the pictures'
+    summed work counters; whatever it raises fails the session, not
+    the worker.
     """
     state = ctx.state
     counters = WorkCounters()
@@ -94,12 +102,14 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
             "serve.task", cat="serve",
             session=ctx.sid, key=str(key), pictures=len(orders),
         ):
-            for order in orders:
+            for i, order in enumerate(orders):
                 decode_picture_into_pool(
                     ctx.data, state["plans"][order], state["seq"],
                     state["mb_width"], state["mb_height"], ctx.pool,
                     state["resilient"], counters,
                 )
+                if i + 1 < len(orders):
+                    ctx.post(order)
     except Exception:
         reg.counter("serve.worker.task_errors").inc()
         raise
@@ -737,6 +747,14 @@ class DecodeService(ParentLoop):
                 self.team.pid(wid), MetricsRegistry()
             ).merge_snapshot(snap)
         super()._result(kind, wid, sid, key, payload, snap)
+
+    def _part(self, sid: str, key: tuple, order: int) -> None:
+        """A running task posted one decoded picture: emit what it makes
+        display-ready now.  The task stays in flight until its ``ok``,
+        which banks the rest (B tasks still wait for the whole task)."""
+        sess = self.sessions[sid]
+        if not sess.terminal:
+            self._emit_run(sess, sess.push_decoded((order,)), self._pools[sid])
 
     def _done(self, sid: str, key: tuple, counters: WorkCounters) -> None:
         sess = self.sessions[sid]

@@ -121,6 +121,8 @@ class StreamSession:
             self.plans = scan_slice_tasks(index)
             self.counters = base_counters(index, self.plans)
         self.merger = DisplayMerger(len(self.plans))
+        #: Coding orders decoded and pushed to the merger so far.
+        self.banked: set[int] = set()
         self.pacer = Pacer(1.0 / fps if fps else None, preroll_pictures)
         self.degrade = DegradeState(policy or DegradePolicy())
         #: Online SLO evaluation of emit-time deadlines; only tracked
@@ -213,8 +215,12 @@ class StreamSession:
 
     def push_decoded(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
         """Bank decoded pictures; return the display-ready run, as
-        ``(order, dropped)`` pairs in display order."""
-        return self._push(orders, False)
+        ``(order, dropped)`` pairs in display order.  Each picture is
+        banked once: a task's ``ok`` after its parts, or a retried task
+        posting again, skips the orders already banked."""
+        fresh = tuple(o for o in orders if o not in self.banked)
+        self.banked.update(fresh)
+        return self._push(fresh, False)
 
     def push_dropped(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
         """Bank deliberately-shed pictures as drop markers."""

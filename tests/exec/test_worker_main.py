@@ -1,14 +1,17 @@
-"""The one worker main, driven in this process on plain ``queue.Queue``s.
+"""The one worker main, driven in this process on a plain ``queue.Queue``.
 
 No fork: :func:`repro.exec.backend.worker_main` is fed the wire
 protocol by hand — attach, one task of each of the three kinds (GOP,
 slice batch, serve picture list), a task that raises, detach,
-sentinel — and the test reads what it put on the result queue.  Pins the
-``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP task posts
-every picture but its last as a part, after the picture is in the
-pool), that an error never ends the loop, and that the metrics shipped
-with the results add up to exactly what the task bodies recorded
-(nothing lost, nothing counted twice).
+sentinel — and the test reads what it sent down its result pipe (a
+watched stand-in that pickles each message, as a pipe does).  Pins the
+``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP or serve
+task posts every picture but its last as a part, after the picture is
+in the pool), that an error never ends the loop, and that the metrics
+shipped with the results add up to exactly what the task bodies
+recorded (nothing lost, nothing counted twice).  Real processes check
+the two ends of the pipe: a result that does not pickle comes back as
+an ``err``, and the worker lives on.
 
 The structural tests at the bottom pin the point of the runtime:
 ``src/repro`` creates processes in one place, with one target; hands a
@@ -21,18 +24,27 @@ from __future__ import annotations
 import ast
 import inspect
 import os
+import pickle
 import queue
 import re
+import threading
 from dataclasses import replace
 
 import pytest
 
-from repro.exec.backend import GopResult, decode_gop_task, worker_main
-from repro.exec.plan import scan_gop_tasks
+from repro.exec.backend import (
+    GopResult,
+    LocalTeam,
+    WorkerTeam,
+    decode_gop_task,
+    worker_main,
+)
+from repro.exec.plan import plan_serve_tasks, scan_gop_tasks
 from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError
 from repro.obs.metrics import MetricsRegistry, metrics, reset_metrics
+from repro.obs.stalls import StallTable
 from repro.obs.trace import disable_tracing
 from repro.parallel.mp_slice import (
     SliceBatch,
@@ -77,29 +89,30 @@ def stream(golden):
             seg.unlink()
 
 
-class WatchedQueue(queue.Queue):
-    """A result queue that shows ``watch`` each message as it is put."""
+class WatchedPipe:
+    """A result pipe that shows ``watch`` each message as it is sent.
+
+    Like ``Connection.send`` it pickles the message before anything is
+    written, so what it keeps is what the parent would read."""
 
     def __init__(self, watch) -> None:
-        super().__init__()
         self.watch = watch
+        self.sent: list[tuple] = []
 
-    def put(self, msg, *args, **kwargs) -> None:
+    def send(self, msg) -> None:
+        msg = pickle.loads(pickle.dumps(msg))
         self.watch(msg)
-        super().put(msg, *args, **kwargs)
+        self.sent.append(msg)
 
 
 def drive(messages: list, watch=lambda msg: None) -> list[tuple]:
     task_q: queue.Queue = queue.Queue()
-    result_q = WatchedQueue(watch)
+    results = WatchedPipe(watch)
     for msg in (*messages, None):
         task_q.put(msg)
-    worker_main(WID, task_q, result_q)
+    worker_main(WID, task_q, results)
     assert task_q.empty(), "the loop stopped before the sentinel"
-    out = []
-    while not result_q.empty():
-        out.append(result_q.get_nowait())
-    return out
+    return results.sent
 
 
 def test_protocol_end_to_end(golden, stream):
@@ -212,6 +225,34 @@ def test_protocol_end_to_end(golden, stream):
         assert set(r[6]) <= {f"worker-{WID}"}
         assert all(set(cell) == {"queue.get"} for cell in r[6].values())
 
+    # A serve reference task posts every picture but its last, by
+    # coding order, each already in the pool when the part is read.
+    (ref_row, *_) = plan_serve_tasks(plans)
+    key, _kind, _gop, refs, _deps = ref_row
+    assert len(refs) >= 2
+    pooled.clear()
+
+    def watch_serve(msg):
+        if msg[0] == "part":
+            plan = plans[msg[4]]
+            got = pool.read_frame(msg[4], plan.header.temporal_reference)
+            pooled.append((plan.display_index, got.digest()))
+
+    served = drive([attach("v", decode_pictures, pictures),
+                    ("task", "v", key, refs, None)], watch_serve)
+    assert [(r[0], r[2], r[3]) for r in served] == [
+        *[("part", "v", key)] * (len(refs) - 1),
+        ("ok", "v", key),
+        ("obs", None, None),
+    ]
+    assert [r[4] for r in served[:-2]] == list(refs[:-1])
+    assert all(r[5] is None and r[6] is None for r in served[:-2])
+    assert pooled == [
+        (plans[o].display_index, frames[plans[o].display_index].digest())
+        for o in refs[:-1]
+    ]
+    assert served[-2][5]["counters"]["serve.worker.pictures"] == len(refs)
+
 
 def test_late_attach_is_contained(stream):
     # The parent released the session before the worker got to its
@@ -223,6 +264,87 @@ def test_late_attach_is_contained(stream):
     results = drive([tuple(gone), ("task", "late", 1, (0,), None)])
     assert [(r[0], r[2]) for r in results] == [("err", "late"), ("obs", None)]
     assert isinstance(results[0][4], DecodeError)
+
+
+def test_local_team_counts_tasks_not_parts(golden):
+    # At workers=0 a task runs at submit and its parts queue ahead of
+    # its ok: in flight is still one task, as on WorkerTeam.
+    name = "ipb_64x48_gop13"
+    data, index = golden.data(name), golden.index(name)
+    plans = scan_slice_tasks(index)
+    seq = index.sequence_header
+    (ref_row, *_) = plan_serve_tasks(plans)
+    key, _kind, _gop, refs, _deps = ref_row
+    assert len(refs) == 5
+    team = LocalTeam()
+    team.attach(
+        "v", decode_pictures, data,
+        FrameLayout.for_display(seq.width, seq.height), len(plans),
+        picture_state(plans, index, False),
+    )
+    team.submit(0, "v", key, refs)
+    assert [r[0] for r in team.results] == ["part"] * 4 + ["ok"]
+    assert (team.in_flight(), team.in_flight("v"), team.in_flight("x")) == (1, 1, 0)
+    parts = [team.fetch() for _ in range(4)]
+    assert [p[4] for p in parts] == list(refs[:-1])
+    assert team.in_flight() == 1 and team.free() == []
+    assert team.fetch()[0] == "ok"
+    assert team.in_flight() == 0 and team.free() == [0]
+
+
+class HoldsLock(Exception):
+    """Does not pickle: it carries a lock."""
+
+    def __init__(self) -> None:
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+class NeedsTwo(Exception):
+    """Pickles, but does not load: its constructor wants two arguments."""
+
+    def __init__(self, a, b) -> None:
+        super().__init__(f"{a} and {b}")
+
+
+def raising_body(ctx, key, args):
+    if args == "lock":
+        raise HoldsLock()
+    if args == "two":
+        raise NeedsTwo(1, 2)
+    return os.getpid()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ("lock", "HoldsLock: holds a lock"),
+        ("two", "unloadable result: TypeError: "),
+    ],
+)
+def test_unpicklable_error_comes_back_as_decode_error(
+    args, message, no_shm_leak, watchdog
+):
+    # A body at workers=1 raises what the pipe cannot carry: the parent
+    # still gets that task's err, a DecodeError naming it, and the same
+    # worker serves the next task.
+    team = WorkerTeam(1)
+    try:
+        layout = FrameLayout.for_display(16, 16)
+        team.attach("u", raising_body, b"\0" * 16, layout, 1, {})
+        pid = team.pid(0)
+        got = []
+        for key, task in ((1, args), (2, None)):
+            team.submit(0, "u", key, task)
+            got.append(team.fetch(StallTable(), lambda: bool(team.find_lost())))
+        (kind, wid, sid, key, error, _snap), ok = got
+        assert (kind, wid, sid, key) == ("err", 0, "u", 1)
+        assert isinstance(error, DecodeError)
+        assert str(error).startswith(message)
+        assert ok[0] == "ok" and ok[4] == pid == team.pid(0)
+        assert team.in_flight() == 0 and team.find_lost() is None
+    finally:
+        team.shutdown()
 
 
 def src_lines():
@@ -278,6 +400,57 @@ def test_src_has_one_parent_loop_and_one_readiness_rule():
     assert gated <= {os.path.join("exec", "graph.py")}
 
 
+def test_src_worker_results_travel_on_pipes():
+    # Worker -> parent is one pipe per worker, written synchronously by
+    # ``Connection.send``: no ``multiprocessing.Queue`` (whose feeder
+    # thread holds a posted part until it gets the GIL) is on that
+    # path; the one queue left is each worker's task queue.  And a part
+    # is still told from a result in the parent loop alone.
+    backend = os.path.join("exec", "backend.py")
+    made = {"Queue(": [], "Pipe(": []}
+    for rel, _n, line in src_lines():
+        code = line.split("#")[0].strip()
+        for call, sites in made.items():
+            if rel == backend and call in code:
+                sites.append(code)
+    assert made == {
+        "Queue(": ["task_q = self.ctx.Queue()"],
+        "Pipe(": ["conn, writer = self.ctx.Pipe(duplex=False)"],
+    }
+
+    def calls(name):
+        return lambda node: (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+        )
+
+    def in_worker(sites):
+        return [s for s in sites if s[0] == backend and s[1].startswith("worker_main")]
+
+    assert in_worker(src_sites(calls("put"))) == []
+    assert in_worker(src_sites(calls("send")))
+    loop = os.path.join("exec", "dispatch.py")
+    assert src_sites(_tests_part) == [(loop, "ParentLoop.drive")]
+
+
+def _is_part(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "part"
+
+
+def _tests_part(node) -> bool:
+    """A comparison (or match case) against the ``"part"`` kind."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return any(
+            _is_part(n)
+            or isinstance(n, (ast.Tuple, ast.List, ast.Set))
+            and any(map(_is_part, n.elts))
+            for n in operands
+        )
+    return isinstance(node, ast.MatchValue) and _is_part(node.value)
+
+
 class _Scopes(ast.NodeVisitor):
     """``(path, enclosing class.function)`` of the nodes ``pick`` keeps."""
 
@@ -317,22 +490,8 @@ def test_src_has_one_route_for_posted_parts():
     # loop: only ``drive`` tells a part from a result (so ``_result``
     # sees ``ok`` and ``err`` alone), only the two transports give a
     # task its ``post``, and no policy runs a loop of its own.
-    def is_part(node) -> bool:
-        return isinstance(node, ast.Constant) and node.value == "part"
-
-    def tests_part(node) -> bool:
-        if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            return any(
-                is_part(n)
-                or isinstance(n, (ast.Tuple, ast.List, ast.Set))
-                and any(map(is_part, n.elts))
-                for n in operands
-            )
-        return isinstance(node, ast.MatchValue) and is_part(node.value)
-
     def sends_part(node) -> bool:
-        return isinstance(node, ast.Tuple) and bool(node.elts) and is_part(
+        return isinstance(node, ast.Tuple) and bool(node.elts) and _is_part(
             node.elts[0]
         )
 
@@ -348,7 +507,7 @@ def test_src_has_one_route_for_posted_parts():
     loop = os.path.join("exec", "dispatch.py")
     backend = os.path.join("exec", "backend.py")
     transports = [(backend, "worker_main"), (backend, "LocalTeam.submit")]
-    assert src_sites(tests_part) == [(loop, "ParentLoop.drive")]
+    assert src_sites(_tests_part) == [(loop, "ParentLoop.drive")]
     assert src_sites(sends_part) == transports
     assert src_sites(sets_post) == transports
     assert src_sites(defines_drive) == [(loop, "ParentLoop")]

@@ -16,10 +16,13 @@ import multiprocessing
 
 import pytest
 
+from repro.exec.backend import LocalTeam
+from repro.exec.graph import DISPATCHED
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.serve import DecodeService, DegradePolicy, SessionStatus
 from repro.video.synthetic import SyntheticVideo
 from tests.mpeg2.test_batched_parity import assert_frames_identical
+from tests.mpeg2.test_gop_batching import _corrupt
 from tests.parallel.test_mp_fault_injection import assert_no_stray_children
 
 
@@ -422,3 +425,118 @@ class TestServiceApi:
             if p.pid not in persistent_worker_pids()
         ]
         assert strays == []
+
+
+class TestHandOver:
+    """A serve task posts each picture as it lands in the pool: the
+    parent shows it while the task still runs, and banks each picture
+    exactly once whatever the order of parts, results and retries."""
+
+    NAME = "ipb_64x48_gop13"  # one GOP: ref task I0 P3 P6 P9 P12
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_first_picture_shown_while_its_ref_task_runs(
+        self, golden, workers, no_shm_leak, watchdog
+    ):
+        name = self.NAME
+        svc = DecodeService(workers=workers, capacity=1)
+        got, sinks = collect_frames(svc, [name])
+        ref_state = {}
+
+        def sink(display_index, frame):
+            (graph,) = svc.scheduler.graphs()
+            ref_state.setdefault(display_index, graph.state[("ref", 0)])
+            sinks[name](display_index, frame)
+
+        sess = svc.submit(name, golden.data(name), on_frame=sink)
+        svc.run()
+        assert ref_state[0] == DISPATCHED
+        assert_session_parity(golden, name, sess, got[name])
+        assert_no_stray_children()
+
+    def test_each_picture_banked_once(self, golden):
+        # Process-less: every part is delivered twice (as a retried
+        # task would post it again), then the task's ok.
+        name = self.NAME
+        svc = DecodeService(workers=0, capacity=1)
+        got, sinks = collect_frames(svc, [name])
+        sess = svc.submit(name, golden.data(name), on_frame=sinks[name])
+        team = svc.team = LocalTeam()
+        svc._attach(name)
+        parts = 0
+        while (task := svc.scheduler.next_task()) is not None:
+            team.submit(0, name, task.key, task.orders)
+            while team.results:
+                kind, _wid, sid, key, payload, _snap = team.fetch()
+                if kind == "ok":
+                    svc._done(sid, key, payload)
+                else:
+                    parts += 1
+                    svc._part(sid, key, payload)
+                    svc._part(sid, key, payload)
+        assert parts == 4
+        assert_session_parity(golden, name, sess, got[name])
+        assert sess.emitted_pictures + sess.dropped_pictures + (
+            sess.switched_pictures
+        ) == sess.picture_count
+
+    def test_requeued_gop_is_never_shed(self, many_gop_stream):
+        # A ref task that posted pictures and then lost its worker is
+        # pending again, but its GOP may already be on screen: neither
+        # a rung switch nor skip_gop may cut it away.
+        svc = DecodeService(workers=0, capacity=1)
+        svc.submit("s", many_gop_stream)
+        sched = svc.scheduler
+        task = sched.next_task()
+        assert task.key == ("ref", 0)
+        sched.requeue(task)
+        cut, dropped = sched.truncate_from_gop("s")
+        assert cut == 1 and min(t.gop for t in dropped) == 1
+        sched.restore("s", dropped)
+        assert {t.gop for t in sched.skip_next_gop("s")} == {1}
+
+    def test_strict_corrupt_reference_fails_after_ready_pictures(
+        self, golden, no_shm_leak, watchdog
+    ):
+        # P6 (coding position 4) is corrupt: the ref task posts I0 and
+        # P3, then raises.  Only display 0 was display-ready (P3 waits
+        # for B1 and B2, which wait for the whole ref task).
+        name = self.NAME
+        good = golden.data(name)
+        svc = DecodeService(workers=2, capacity=2)
+        got, sinks = collect_frames(svc, ["bad", "good"])
+        bad = svc.submit("bad", _corrupt(good, 4, 4, b"\xaa"), on_frame=sinks["bad"])
+        ok = svc.submit("good", good, on_frame=sinks["good"])
+        svc.run()
+        assert bad.status is SessionStatus.FAILED
+        assert bad.error["type"] == "BlockSyntaxError"
+        ref_frames, _ = golden.scalar(name)
+        assert sorted(got["bad"]) == [0]
+        assert_frames_identical(ref_frames[:1], [got["bad"][0]])
+        assert_session_parity(golden, name, ok, got["good"])
+        for graph in svc.scheduler.graphs():
+            graph.verify_conservation()
+        assert_no_stray_children()
+
+    def test_cancel_between_part_and_ok_drops_the_rest(self, golden):
+        # workers=0: the ref task ran whole at submit, its parts and ok
+        # wait in the team; the sink cancels on the first picture, and
+        # the loop applies it before it reads the next part.
+        name = self.NAME
+        svc = DecodeService(workers=0, capacity=1)
+        got, sinks = collect_frames(svc, [name])
+
+        def sink(display_index, frame):
+            sinks[name](display_index, frame)
+            svc.request_cancel(name)
+
+        sess = svc.submit(name, golden.data(name), on_frame=sink)
+        svc.run()
+        assert sess.status is SessionStatus.CANCELLED
+        assert sorted(got[name]) == [0] and sess.emitted_pictures == 1
+        ref_frames, _ = golden.scalar(name)
+        assert_frames_identical(ref_frames[:1], [got[name][0]])
+        (graph,) = svc.scheduler.graphs()
+        graph.verify_conservation()
+        assert graph.counts()["lost"] == 1  # the ref task, mid-flight
+        assert graph.counts()["completed"] == 0
