@@ -18,12 +18,6 @@ Reported per stream:
 * the shared frame pool's allocated bytes (the Fig. 8 memory quantity,
   now measured on real shared memory).
 
-The ``auto`` section compares ``--grain auto`` (the unified executor's
-online auto-granularity) against every fixed (grain, engine)
-configuration on the same streams: auto must match or beat the best
-fixed configuration within :data:`AUTO_TOLERANCE` on every vector —
-the committed acceptance bar ``perf_regression.py`` gates on.
-
 Speedup is bounded by physical cores: the JSON records
 ``cpu_affinity`` and the pytest gate (``perf`` marker, never tier-1)
 asserts the >= 1.8x @ 4-workers acceptance bar only when at least 4
@@ -266,103 +260,6 @@ def bench_slice_decompositions(
     }
 
 
-#: Streams for the auto-vs-fixed comparison.  Both are meaty enough
-#: that the auto path's per-window overhead (profile + re-scan) sits
-#: well inside the tolerance; tiny streams would measure overhead, not
-#: the decision quality.
-AUTO_SPECS = (SLICE_SPEC, HEADLINE_SPEC)
-
-#: Worker count for the auto-vs-fixed comparison.
-AUTO_WORKERS = 2
-
-#: Auto must land within this fraction of the best fixed
-#: configuration's wall-clock (or beat it) on every benchmarked
-#: vector — the acceptance bar perf_regression.py gates on.
-AUTO_TOLERANCE = 0.05
-
-
-def bench_auto_vs_fixed(
-    specs: tuple[TestStreamSpec, ...] = AUTO_SPECS,
-    workers: int = AUTO_WORKERS,
-    repeats: int = 2,
-) -> dict[str, object]:
-    """Auto-granularity vs every fixed (grain, engine) configuration.
-
-    For each stream: time the fixed grains through the *same* unified
-    executor (so the comparison isolates the decision, not the code
-    path), time ``grain=auto engine=auto``, and record the decisions
-    the controller actually made.  ``within_tolerance`` is the
-    acceptance flag: auto at most :data:`AUTO_TOLERANCE` slower than
-    the best fixed configuration (usually it *is* the best fixed
-    configuration, plus a profiling epsilon).
-    """
-    from repro.exec import TaskGraphExecutor
-
-    streams: dict[str, object] = {}
-    for spec in specs:
-        data = build_stream(spec)
-        fixed: dict[str, dict[str, float]] = {}
-        for grain in ("gop", "slice"):
-            seconds = _best_of(
-                lambda: TaskGraphExecutor(
-                    data, grain=grain, engine="batched", workers=workers
-                ).decode_all(),
-                repeats,
-            )
-            fixed[f"{grain}/batched"] = {
-                "seconds": seconds,
-                "pictures_per_sec": spec.pictures / seconds,
-            }
-        best_name = min(fixed, key=lambda k: fixed[k]["seconds"])
-        best_s = fixed[best_name]["seconds"]
-
-        last_ex: list[TaskGraphExecutor] = []
-
-        def run_auto() -> None:
-            ex = TaskGraphExecutor(
-                data, grain="auto", engine="auto", workers=workers
-            )
-            ex.decode_all()
-            last_ex[:] = [ex]
-
-        auto_s = _best_of(run_auto, repeats)
-        decisions = [
-            {
-                "grain": d.grain,
-                "engine": d.engine,
-                "reason": d.reason,
-                "est_cost": d.est_cost,
-                "alt": f"{d.alt_grain}/{d.alt_engine}",
-                "alt_cost": d.alt_cost,
-            }
-            for d in last_ex[0].last_decisions
-        ]
-        streams[spec.name] = {
-            "spec": asdict(spec),
-            "stream_bytes": len(data),
-            "workers": workers,
-            "fixed": fixed,
-            "best_fixed": {"config": best_name, "seconds": best_s},
-            "auto": {
-                "seconds": auto_s,
-                "pictures_per_sec": spec.pictures / auto_s,
-                "decisions": decisions,
-                "repicks": sum(
-                    1
-                    for a, b in zip(decisions, decisions[1:])
-                    if (a["grain"], a["engine"]) != (b["grain"], b["engine"])
-                ),
-            },
-            "auto_vs_best_fixed": auto_s / best_s,
-            "within_tolerance": auto_s <= best_s * (1.0 + AUTO_TOLERANCE),
-        }
-    return {
-        "tolerance": AUTO_TOLERANCE,
-        "workers": workers,
-        "streams": streams,
-    }
-
-
 def run(path: str = OUTPUT_PATH) -> dict[str, object]:
     """Benchmark the matrix + headline and write the JSON."""
     streams: dict[str, object] = {}
@@ -374,7 +271,6 @@ def run(path: str = OUTPUT_PATH) -> dict[str, object]:
         build_stream(HEADLINE_SPEC), workers=4
     )
     slice_section = bench_slice_decompositions()
-    auto_section = bench_auto_vs_fixed()
 
     report = {
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -391,7 +287,6 @@ def run(path: str = OUTPUT_PATH) -> dict[str, object]:
         ],
         "streams": streams,
         "slice": slice_section,
-        "auto": auto_section,
     }
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -423,22 +318,6 @@ def _format_report(report: dict) -> str:
             f"  barrier {row['barrier_wait_seconds']:.3f}s"
             f"  ref.publish {row['ref_publish_wait_seconds']:.3f}s"
         )
-    auto = report.get("auto", {})
-    if auto:
-        lines.append(
-            f"auto vs fixed ({auto['workers']} workers, "
-            f"tolerance {auto['tolerance'] * 100:.0f}%):"
-        )
-        for name, row in auto["streams"].items():
-            d0 = row["auto"]["decisions"][0]
-            lines.append(
-                f"  {name:<26}auto {row['auto']['seconds']:>7.3f}s"
-                f"  best-fixed {row['best_fixed']['config']} "
-                f"{row['best_fixed']['seconds']:.3f}s"
-                f"  ratio {row['auto_vs_best_fixed']:.3f}"
-                f"  picked {d0['grain']}/{d0['engine']}"
-                f" ({'ok' if row['within_tolerance'] else 'SLOW'})"
-            )
     lines.append(
         f"cores available: {report['cpu_affinity']} "
         f"(speedup is physically capped at this)"
@@ -476,19 +355,6 @@ def test_perf_parallel(record) -> None:
     assert report["slice"]["improved_barrier_below_simple"], (
         "improved barrier policy did not reduce barrier wait vs simple"
     )
-    # Auto-granularity acceptance: on every benchmarked vector, auto
-    # matches or beats the best fixed configuration (within tolerance)
-    # — core-count independent, since auto and fixed run on the same
-    # hardware in the same process.
-    for name, row in report["auto"]["streams"].items():
-        assert row["within_tolerance"], (
-            f"auto-granularity on {name} took "
-            f"{row['auto']['seconds']:.3f}s vs best fixed "
-            f"{row['best_fixed']['config']} "
-            f"{row['best_fixed']['seconds']:.3f}s "
-            f"(ratio {row['auto_vs_best_fixed']:.3f} > "
-            f"1 + {report['auto']['tolerance']})"
-        )
     if cores < 4:
         pytest.skip(
             f"only {cores} core(s) available; cannot assert 4-worker "

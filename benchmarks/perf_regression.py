@@ -12,11 +12,6 @@ file.  Machine identity is checked loosely: if the baseline was
 recorded on a different platform string, the comparison is
 informational only (skip, not fail) — cross-machine wall-clock deltas
 are not regressions.
-
-A second gate audits the committed ``BENCH_parallel.json`` ``auto``
-section: on every benchmarked vector, ``--grain auto`` must match or
-beat the best fixed (grain, engine) configuration within the recorded
-tolerance — regressed artifacts cannot be quietly committed.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.video.streams import build_stream
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_decode.json")
-PARALLEL_BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_parallel.json")
 VERDICT_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "results",
@@ -242,48 +236,3 @@ def test_perf_no_decode_regression(record) -> None:
             f"(floor {2.0 * scalar_pps:.2f} p/s)\n{table}"
         )
 
-
-@pytest.mark.perf
-def test_perf_auto_granularity_matches_best_fixed(record) -> None:
-    """Gate on the committed BENCH_parallel.json ``auto`` section.
-
-    Auto-granularity's whole claim is "you never pay for not knowing
-    the right grain": on every benchmarked vector the committed
-    numbers must show ``--grain auto`` within the tolerance of (or
-    beating) the best fixed (grain, engine) configuration.  A commit
-    of a regressed artifact — auto slower than the best fixed config —
-    fails here; remeasure with ``benchmarks/perf_parallel.py`` after
-    fixing the controller rather than re-committing the regression.
-    """
-    if not os.path.exists(PARALLEL_BASELINE_PATH):
-        pytest.skip("no committed BENCH_parallel.json baseline")
-    with open(PARALLEL_BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    auto = baseline.get("auto")
-    if not auto or not auto.get("streams"):
-        pytest.skip(
-            "committed BENCH_parallel.json has no auto section "
-            "(older schema); regenerate with benchmarks/perf_parallel.py"
-        )
-
-    tol = auto["tolerance"]
-    lines = [
-        f"{'stream':<26}{'auto s':>9}{'best fixed':>16}{'ratio':>8}"
-    ]
-    failures = []
-    for name, row in auto["streams"].items():
-        ratio = row["auto_vs_best_fixed"]
-        lines.append(
-            f"{name:<26}{row['auto']['seconds']:>9.3f}"
-            f"{row['best_fixed']['config']:>12} "
-            f"{row['best_fixed']['seconds']:>.3f}"
-            f"{ratio:>8.3f}"
-        )
-        if not row["within_tolerance"] or ratio > 1.0 + tol:
-            failures.append((name, ratio))
-    record("\n".join(lines))
-    assert not failures, (
-        "committed BENCH_parallel.json shows auto-granularity slower "
-        f"than the best fixed configuration (tolerance {tol}): "
-        + ", ".join(f"{n} ratio {r:.3f}" for n, r in failures)
-    )

@@ -153,14 +153,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         or args.engine == "auto"
         or args.workers is not None
     ):
-        # The unified executor path: a live task graph + auto (or
-        # pinned) grain/engine decisions over the shared backend.
-        # ``--workers N --parallel gop|slice`` is the older spelling of
-        # ``--grain gop|slice``.
+        # The unified executor path: a live task graph, grain and
+        # engine pinned or resolved by the fixed ``auto`` rule.
         from repro.exec import TaskGraphExecutor
+        from repro.exec.auto import resolve
 
-        alias = args.grain is None and args.engine != "auto"
-        grain = args.parallel if alias else args.grain or "auto"
+        grain = args.grain or "auto"
+        try:
+            resolve(grain, args.engine)
+        except ValueError as exc:
+            print(f"decode: {exc}", file=sys.stderr)
+            return 2
         ex = TaskGraphExecutor(
             data,
             grain=grain,
@@ -176,24 +179,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             if ex.workers
             else "in-process fallback"
         )
-        if alias and grain == "slice":
-            print(
-                f"parallel decode ({mode}, slice-level, "
-                f"{args.barrier} barrier)"
-            )
-        elif alias:
-            print(f"parallel decode ({mode}, GOP-level)")
-        else:
-            print(
-                f"executor decode ({mode}, grain {grain}, "
-                f"engine {args.engine})"
-            )
-            for i, d in enumerate(ex.last_decisions):
-                print(
-                    f"  plan[{i}]: grain={d.grain} engine={d.engine} "
-                    f"[{d.reason}] est {d.est_cost:.3f}s "
-                    f"(alt {d.alt_grain}/{d.alt_engine} {d.alt_cost:.3f}s)"
-                )
+        d = ex.decision
+        print(
+            f"executor decode ({mode}, grain {d.grain}, engine {d.engine}, "
+            f"{d.reason})"
+        )
     else:
         decoder = SequenceDecoder(
             data, resilient=args.resilient, engine=args.engine
@@ -263,7 +253,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         task_timeout_s=args.task_timeout,
         preroll_pictures=args.preroll,
         grain=args.grain,
-        engine=args.engine,
     )
     for spec in args.streams:
         weight = 1.0
@@ -636,11 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--workers", type=int, default=None, metavar="N",
                      help="decode on N real worker processes "
                           "(repro.exec; 0 = in-process fallback)")
-    dec.add_argument("--parallel", default="gop", choices=["gop", "slice"],
-                     help="parallel decomposition when --workers is "
-                          "given: whole closed GOPs (Section 5.1) or "
-                          "individual slices (Section 5.2); an alias of "
-                          "--grain gop|slice")
     dec.add_argument("--barrier", default="improved",
                      choices=["simple", "improved"],
                      help="slice-level synchronisation: barrier after "
@@ -649,14 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--engine", default="batched",
                      choices=["scalar", "batched", "auto"],
                      help="decode engine (bit-identical either way); "
-                          "'auto' lets the executor's cost model pick")
+                          "'auto' is batched; slice grain is batched only")
     dec.add_argument("--grain", default=None,
                      choices=["auto", "gop", "slice"],
-                     help="route through the unified task-graph "
-                          "executor (repro.exec): pin the decomposition "
-                          "grain, or 'auto' to choose per stream and "
-                          "re-pick at GOP boundaries from observed "
-                          "stage timings")
+                     help="parallel decomposition (repro.exec): whole "
+                          "closed GOPs (Section 5.1) or slices (Section "
+                          "5.2); 'auto' (the default with --workers) is "
+                          "GOP grain")
     dec.add_argument("--seek", type=int, default=None, metavar="PIC",
                      help="trick-play: start at the closed GOP owning "
                           "display picture PIC (bit-identical to the "
@@ -701,15 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-session in-flight task bound (backpressure)")
     srv.add_argument("--preroll", type=int, default=0,
                      help="deadline preroll buffer in pictures")
-    srv.add_argument("--grain", default=None,
+    srv.add_argument("--grain", default="slice",
                      choices=["auto", "gop", "slice"],
                      help="scheduler task grain per session: 'gop' = "
                           "one task per GOP, 'slice' = fine ref/B "
-                          "tasks (default), 'auto' = per-stream pick "
-                          "from the bandwidth profile's cost estimate")
-    srv.add_argument("--engine", default=None,
-                     choices=["auto", "scalar", "batched"],
-                     help="cost-model engine hint for --grain auto")
+                          "tasks (default), 'auto' = GOP grain")
     srv.add_argument("--task-timeout", type=float, default=60.0,
                      help="per-task wall-clock budget before the worker "
                           "is presumed wedged and the task retried")

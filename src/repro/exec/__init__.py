@@ -24,16 +24,14 @@ and the policy they hand them:
 * :mod:`repro.exec.dispatch` — :class:`ParentLoop`, the one loop that
   moves work from a graph to a team and back (the callers override its
   policy hooks), and :class:`StreamDecoder`, one stream's lease.
-* :mod:`repro.exec.auto` — the :class:`AutoGranularity` controller:
-  chooses engine + grain per stream from the bandwidth profiler's
-  cost estimate and re-picks at GOP boundaries from observed obs
-  stage timings.
+* :mod:`repro.exec.auto` — the fixed rule ``auto`` resolves to:
+  GOP grain, batched engine; a pinned axis stays pinned.
 * :mod:`repro.exec.executor` — :class:`TaskGraphExecutor`, the
   unified front end behind ``--grain auto|gop|slice`` and
   ``--engine auto|scalar|batched``.
 """
 
-from repro.exec.auto import AutoGranularity, CostModel, Decision, ObsSnapshot
+from repro.exec.auto import AutoGranularity, Decision
 from repro.exec.backend import (
     LIVENESS_POLL_S,
     WorkerTeam,
@@ -42,7 +40,7 @@ from repro.exec.backend import (
     persistent_worker_pids,
     shutdown_persistent_pools,
 )
-from repro.exec.executor import TaskGraphExecutor, decode_auto
+from repro.exec.executor import TaskGraphExecutor
 from repro.exec.graph import TaskGraph, TaskNode
 from repro.exec.plan import plan_gop_graph, plan_slice_graph
 from repro.exec.shm import (
@@ -55,9 +53,7 @@ from repro.exec.shm import (
 
 __all__ = [
     "AutoGranularity",
-    "CostModel",
     "Decision",
-    "ObsSnapshot",
     "LIVENESS_POLL_S",
     "WorkerTeam",
     "collect_trace_shards",
@@ -65,7 +61,6 @@ __all__ = [
     "persistent_worker_pids",
     "shutdown_persistent_pools",
     "TaskGraphExecutor",
-    "decode_auto",
     "TaskGraph",
     "TaskNode",
     "plan_gop_graph",

@@ -66,6 +66,7 @@ from repro.obs.stalls import (
     StallTable,
 )
 from repro.obs.trace import trace_complete, trace_span
+from repro.exec.auto import resolve
 from repro.exec.backend import TaskContext, get_team
 from repro.exec.dispatch import ParentLoop, account
 from repro.parallel.mp_slice import decode_picture_into_pool, picture_state
@@ -80,6 +81,9 @@ from repro.serve.session import SessionStatus, StreamSession
 
 #: How long an idle dynamic service sleeps between control-plane polls.
 _IDLE_POLL_S = 0.002
+
+#: Executor grain -> scheduler decomposition.
+_TASK_GRAIN = {"gop": "coarse", "slice": "fine"}
 
 
 def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters:
@@ -180,8 +184,7 @@ class DecodeService(ParentLoop):
         bench_path: str | None = None,
         slo_policy: SLOPolicy | None = None,
         flight_dir: str | None = None,
-        grain: str | None = None,
-        engine: str | None = None,
+        grain: str = "slice",
         _crash_task: tuple | None = None,  # (wid, sid, key) test hook
         _hang_task: tuple | None = None,   # (wid, sid, key) test hook
     ) -> None:
@@ -193,23 +196,11 @@ class DecodeService(ParentLoop):
             raise ValueError("task_timeout_s must be > 0")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
-        if grain not in (None, "auto", "gop", "slice"):
-            raise ValueError(
-                f"unknown grain {grain!r}; expected auto, gop or slice"
-            )
-        if engine not in (None, "auto", "scalar", "batched"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected auto, scalar or batched"
-            )
-        #: Task-decomposition grain: ``None`` keeps the legacy fine
-        #: decomposition (per-GOP ref task + per-B tasks); ``"gop"``
-        #: one coarse task per GOP; ``"slice"`` the fine decomposition
-        #: explicitly; ``"auto"`` a per-session AutoGranularity
-        #: decision at submit time (traced as ``exec.plan``).
+        #: Task-decomposition grain: ``"slice"`` (default) the fine
+        #: per-GOP ref task + per-B tasks, ``"gop"`` one coarse task
+        #: per GOP, ``"auto"`` the executor's rule (GOP grain).
         self.grain = grain
-        #: Cost-model engine hint for auto decisions (the serve worker
-        #: decode path is the batched two-phase machinery either way).
-        self.engine = engine
+        self._task_grain = _TASK_GRAIN[resolve(grain).grain]
         self.workers = workers
         self.fps = fps
         self.capacity = (
@@ -276,42 +267,6 @@ class DecodeService(ParentLoop):
     # ------------------------------------------------------------------
     # submission / admission
     # ------------------------------------------------------------------
-    def _task_grain(self, sess: StreamSession) -> str:
-        """Resolve this service's grain setting for one session.
-
-        ``"auto"`` asks the :class:`~repro.exec.auto.AutoGranularity`
-        controller, feeding it the session's bandwidth profile; a GOP
-        pick maps to the coarse one-task-per-GOP decomposition, a
-        slice pick to the fine ref+B decomposition.  The decision is
-        traced as an ``exec.plan`` span (chosen grain/engine plus the
-        rejected alternative's estimated cost) and counted in the
-        ``exec.plan.*`` metrics, exactly like the executor's.
-        """
-        if self.grain is None or self.grain == "slice":
-            return "fine"
-        if self.grain == "gop":
-            return "coarse"
-        from repro.analysis.bandwidth import profile_stream
-        from repro.exec.auto import AutoGranularity
-        from repro.exec.executor import _trace_decision
-
-        profile = profile_stream(sess.data, index=sess.index)
-        controller = AutoGranularity(
-            profile=profile,
-            workers=self.workers,
-            engine_hint=(
-                self.engine if self.engine not in (None, "auto") else None
-            ),
-        )
-        decision = controller.decide()
-        _trace_decision(decision, window=0, gop=0)
-        self.flight.record(
-            sess.name, "exec.plan",
-            grain=decision.grain, engine=decision.engine,
-            reason=decision.reason,
-        )
-        return "coarse" if decision.grain == "gop" else "fine"
-
     def submit(
         self,
         name: str,
@@ -394,7 +349,7 @@ class DecodeService(ParentLoop):
                 gop=sess.join_gop, display_base=sess.join_display_base,
             )
             metrics().counter("serve.sessions.joined").inc()
-        tasks = sess.tasks(grain=self._task_grain(sess))
+        tasks = sess.tasks(grain=self._task_grain)
         verdict = self.scheduler.submit(name, tasks, weight=weight)
         if verdict is Admission.ADMITTED:
             sess.status = SessionStatus.ACTIVE

@@ -70,14 +70,13 @@ class TestWorkerDeath:
     def test_auto_grain_crash_still_fails_clean(
         self, two_gop_stream, no_shm_leak, deadline
     ):
-        # Auto picks GOP grain for this stream (the cost model strongly
-        # prefers it at this size); the crash hook rides along and the
-        # death must surface identically through the windowed path.
+        # Auto is GOP grain; the crash hook rides along and the death
+        # must surface identically through the auto path.
         ex = TaskGraphExecutor(
             two_gop_stream, grain="auto", engine="batched", workers=2,
             _crash_gop=0,
         )
-        assert ex._controller().decide().grain == "gop"
+        assert ex.decision.grain == "gop"
         with pytest.raises(DecodeError, match="worker process died"):
             ex.decode_all()
         assert_aborted_run_conserves(ex)
@@ -178,6 +177,7 @@ class TestHungWorker:
 class TestHooksInert:
     def test_executor_default_has_no_injection(self, small_stream):
         ex = TaskGraphExecutor(small_stream, grain="gop", workers=1)
-        assert ex._crash_gop is None
-        assert ex._crash_task is None
+        assert ex.planner._crash_gop is None
+        sl = TaskGraphExecutor(small_stream, grain="slice", workers=1)
+        assert sl.planner._crash_task is None
         assert len(ex.decode_all()) > 0

@@ -6,7 +6,9 @@ strongest way available: for **every** committed golden vector and
 **every** ``(grain, engine, workers)`` combination, decoded pixels,
 display order, and aggregate work counters must equal the sequential
 scalar oracle's, and the committed *negative* vectors must be rejected
-with exactly the pinned exception class.
+with exactly the pinned exception class.  The one cell that is not a
+decode is slice grain with the scalar engine: slice grain runs only
+the batched path, so that request is rejected.
 
 The full 3x3 grain/engine matrix runs at ``workers=0`` (the
 deterministic in-process fallback — cheap, and the combination logic
@@ -57,13 +59,11 @@ def assert_exec_parity(golden, name: str, grain: str, engine: str,
         f"{name} grain={grain} engine={engine} workers={workers}: "
         f"work counters diverged from the scalar oracle"
     )
-    # The executor's own records: at least one decision, and every
-    # executed segment's task graph settled with conserved counts.
-    assert ex.last_decisions, "no Decision recorded"
-    assert ex.last_graphs, "no accounting graph recorded"
-    for graph in ex.last_graphs:
-        assert graph.is_settled()
-        graph.verify_conservation()
+    # The executor's own record: the one graph it dispatched from,
+    # settled with conserved counts.
+    (graph,) = ex.last_graphs
+    assert graph.is_settled()
+    graph.verify_conservation()
 
 
 class TestFullMatrixInProcess:
@@ -83,34 +83,24 @@ class TestFullMatrixInProcess:
         ],
     )
     def test_matrix_cell(self, golden, name, grain, engine):
+        if (grain, engine) == ("slice", "scalar"):
+            with pytest.raises(ValueError, match="'slice'.*'scalar'"):
+                TaskGraphExecutor(golden.data(name), grain=grain, engine=engine)
+            return
         assert_exec_parity(golden, name, grain, engine, workers=0)
 
     def test_decision_reasons(self, golden):
-        # Pinned both axes -> "fixed"; any auto axis -> model-driven.
+        # Both axes pinned -> "pinned"; any auto axis -> the fixed rule,
+        # which is GOP grain and the batched engine.
         data = golden.data("two_gop_48x32")
-        ex, _, _ = decode_exec(data, "gop", "batched", 0)
-        assert [d.reason for d in ex.last_decisions] == ["fixed"]
-        ex, _, _ = decode_exec(data, "auto", "auto", 0)
-        assert ex.last_decisions[0].reason == "profile"
-        for d in ex.last_decisions[1:]:
-            assert d.reason in ("steady", "worker-idle", "sync-bound")
-
-    def test_auto_windows_cover_every_gop(self, golden):
-        # Auto grain decodes in repick windows; with a 1-GOP window the
-        # per-window accounting graphs must tile the stream exactly.
-        data = golden.data("ipb_64x48_gop13")
-        counters = WorkCounters()
-        ex = TaskGraphExecutor(
-            data, grain="auto", engine="batched", workers=0, repick_gops=1
-        )
-        frames = ex.decode_all(counters)
-        ref_frames, ref_counters = golden.scalar("ipb_64x48_gop13")
-        assert [f.digest() for f in frames] == [
-            f.digest() for f in ref_frames
-        ]
-        assert counters == ref_counters
-        assert len(ex.last_graphs) == len(ex.index.gops)
-        assert len(ex.last_decisions) == len(ex.index.gops)
+        ex = TaskGraphExecutor(data, grain="slice", engine="batched")
+        assert (ex.decision.grain, ex.decision.reason) == ("slice", "pinned")
+        for grain, engine in (("auto", "auto"), ("auto", "scalar"),
+                              ("gop", "auto")):
+            d = TaskGraphExecutor(data, grain=grain, engine=engine).decision
+            assert d.grain == "gop", (grain, engine)
+            assert d.engine == ("scalar" if engine == "scalar" else "batched")
+            assert d.reason == "rule"
 
 
 class TestRealWorkers:
@@ -130,6 +120,42 @@ class TestRealWorkers:
 
     def test_auto_grain_real_workers(self, golden):
         assert_exec_parity(golden, "two_gop_48x32", "auto", "auto", 2)
+
+    def test_auto_runs_as_one_window(self, golden, tmp_path):
+        # ``auto`` is GOP grain over the whole stream: one graph, one
+        # dispatch message per GOP and one ``exec.plan`` span, however
+        # many GOPs the stream has.
+        from repro.mpeg2.index import build_index
+        from repro.obs import (
+            disable_tracing,
+            enable_tracing,
+            get_tracer,
+            metrics,
+            reset_metrics,
+        )
+
+        clip = golden.data("ipb_64x48_gop13")
+        gops = build_index(clip).gops
+        start, end = gops[0].start_offset, gops[-1].end_offset
+        data = clip[:start] + clip[start:end] * 8 + clip[end:]
+        ref_frames, _ = golden.scalar("ipb_64x48_gop13")
+        reset_metrics()
+        enable_tracing(process_name="test")
+        try:
+            ex = TaskGraphExecutor(data, grain="auto", workers=2)
+            frames = ex.decode_all()
+            doc = get_tracer().write_chrome(str(tmp_path / "t.json"))
+        finally:
+            disable_tracing()
+        assert [f.digest() for f in frames] == [
+            f.digest() for f in ref_frames
+        ] * 8
+        assert len(ex.last_graphs) == 1
+        assert metrics().snapshot()["counters"]["mp.dispatch.messages"] == 8
+        plans = [
+            e["args"] for e in doc["traceEvents"] if e.get("name") == "exec.plan"
+        ]
+        assert plans == [{"grain": "gop", "engine": "batched", "reason": "rule"}]
 
     def test_scalar_engine_real_workers(self, golden):
         assert_exec_parity(golden, "two_gop_48x32", "gop", "scalar", 2)
@@ -201,15 +227,3 @@ class TestArguments:
             TaskGraphExecutor(data, engine="bogus")
         with pytest.raises(ValueError, match="workers"):
             TaskGraphExecutor(data, workers=-1)
-        with pytest.raises(ValueError, match="repick_gops"):
-            TaskGraphExecutor(data, repick_gops=0)
-
-    def test_decode_auto_convenience(self, golden):
-        from repro.exec import decode_auto
-
-        data = golden.data("two_gop_48x32")
-        ref_frames, _ = golden.scalar("two_gop_48x32")
-        frames = decode_auto(data, workers=0)
-        assert [f.digest() for f in frames] == [
-            f.digest() for f in ref_frames
-        ]

@@ -12,11 +12,9 @@ claim:
    cancelled`` after any mix of full runs and error-path
    cancellations; the monotone counters cannot drift from the state
    map.
-3. **Decision determinism** — :class:`AutoGranularity` is a pure
-   function: the same profile yields the same :class:`Decision`, and
-   the same ``(prev, ObsSnapshot)`` yields the same re-pick, every
-   time.  This is what makes ``--grain auto`` runs reproducible given
-   the same observations.
+3. **Decision determinism** — :class:`AutoGranularity` is the fixed
+   rule: whatever the stream's profile and the worker count, ``auto``
+   is GOP grain and the batched engine, and a hint pins its axis.
 """
 
 from __future__ import annotations
@@ -26,14 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bandwidth import BandwidthProfile, GopBandwidth
-from repro.exec.auto import (
-    IDLE_REPICK_FRAC,
-    SYNC_REPICK_FRAC,
-    AutoGranularity,
-    CostModel,
-    Decision,
-    ObsSnapshot,
-)
+from repro.exec.auto import AutoGranularity, Decision
 from repro.exec.graph import TaskGraph, TaskNode
 from repro.exec.plan import plan_gop_graph, plan_graph, plan_slice_graph
 
@@ -101,42 +92,6 @@ def profiles(draw) -> BandwidthProfile:
         burstiness=1.0,
         gops=gops,
         mean_picture_bytes={"I": float(gop_bytes) / pics_per_gop},
-    )
-
-
-def snapshots():
-    finite = st.floats(
-        min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
-    )
-    return st.builds(
-        ObsSnapshot,
-        wall_s=st.floats(
-            min_value=1e-3, max_value=1e3,
-            allow_nan=False, allow_infinity=False,
-        ),
-        pictures=st.integers(min_value=1, max_value=10_000),
-        queue_depth=st.integers(min_value=0, max_value=64),
-        worker_idle_s=finite,
-        barrier_s=finite,
-        ref_publish_s=finite,
-    )
-
-
-def decisions():
-    grains = st.sampled_from(("gop", "slice"))
-    engines = st.sampled_from(("scalar", "batched"))
-    cost = st.floats(
-        min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False
-    )
-    return st.builds(
-        Decision,
-        grain=grains,
-        engine=engines,
-        est_cost=cost,
-        alt_grain=grains,
-        alt_engine=engines,
-        alt_cost=cost,
-        reason=st.sampled_from(("profile", "steady", "fixed")),
     )
 
 
@@ -317,70 +272,9 @@ class TestDecisionDeterminism:
         workers=st.integers(min_value=0, max_value=8),
     )
     def test_decide_is_deterministic(self, profile, workers):
-        ctl = AutoGranularity(profile=profile, workers=workers)
-        assert ctl.decide() == ctl.decide()
-        # And a freshly-built controller over the same inputs agrees.
-        again = AutoGranularity(profile=profile, workers=workers)
-        assert again.decide() == ctl.decide()
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        profile=profiles(),
-        workers=st.integers(min_value=0, max_value=8),
-        prev=decisions(),
-        snap=snapshots(),
-    )
-    def test_repick_is_deterministic(self, profile, workers, prev, snap):
-        ctl = AutoGranularity(profile=profile, workers=workers)
-        assert ctl.repick(prev, snap) == ctl.repick(prev, snap)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        profile=profiles(),
-        workers=st.integers(min_value=0, max_value=8),
-        prev=decisions(),
-        snap=snapshots(),
-    )
-    def test_repick_moves_only_on_the_documented_signals(
-        self, profile, workers, prev, snap
-    ):
-        ctl = AutoGranularity(profile=profile, workers=workers)
-        new = ctl.repick(prev, snap)
-        if new.grain != prev.grain:
-            if new.grain == "slice":
-                assert prev.grain == "gop"
-                assert snap.idle_frac > IDLE_REPICK_FRAC
-                assert new.reason == "worker-idle"
-            else:
-                assert prev.grain == "slice"
-                assert snap.sync_frac > SYNC_REPICK_FRAC
-                assert new.reason == "sync-bound"
-        else:
-            assert new.reason in ("steady", "worker-idle", "sync-bound")
-        # A re-pick never flips the engine mid-stream.
-        assert new.engine == prev.engine
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        profile=profiles(),
-        workers=st.integers(min_value=0, max_value=8),
-        prev=decisions(),
-        snap=snapshots(),
-    )
-    def test_pinned_grain_never_repicks(self, profile, workers, prev, snap):
-        ctl = AutoGranularity(
-            profile=profile, workers=workers, grain_hint=prev.grain
-        )
-        new = ctl.repick(prev, snap)
-        assert (new.grain, new.engine) == (prev.grain, prev.engine)
-        assert new.reason == "pinned"
-
-    @settings(max_examples=40, deadline=None)
-    @given(profile=profiles(), workers=st.integers(min_value=0, max_value=8))
-    def test_decision_carries_the_rejected_alternative(self, profile, workers):
+        # The same decision for every stream and every pool size.
         d = AutoGranularity(profile=profile, workers=workers).decide()
-        assert d.est_cost <= d.alt_cost
-        assert (d.grain, d.engine) != (d.alt_grain, d.alt_engine)
+        assert d == Decision(grain="gop", engine="batched", reason="rule")
 
     @settings(max_examples=40, deadline=None)
     @given(profile=profiles(), workers=st.integers(min_value=0, max_value=8))
@@ -389,37 +283,14 @@ class TestDecisionDeterminism:
             d = AutoGranularity(
                 profile=profile, workers=workers, grain_hint=grain
             ).decide()
-            assert d.grain == grain
+            assert (d.grain, d.engine, d.reason) == (grain, "batched", "rule")
         for engine in ("scalar", "batched"):
             d = AutoGranularity(
                 profile=profile, workers=workers, engine_hint=engine
             ).decide()
-            assert d.engine == engine
-
-    def test_obs_snapshot_from_stall_table(self):
-        from repro.obs.stalls import (
-            REASON_BARRIER,
-            REASON_QUEUE_GET,
-            REASON_REF_PUBLISH,
-            StallTable,
-        )
-
-        stalls = StallTable()
-        stalls.record("worker-0", REASON_QUEUE_GET, 0.5)
-        stalls.record("worker-1", REASON_QUEUE_GET, 0.25)
-        stalls.record("merge", REASON_QUEUE_GET, 9.0)  # not worker idle
-        stalls.record("worker-0", REASON_BARRIER, 0.125)
-        stalls.record("worker-1", REASON_REF_PUBLISH, 0.0625)
-        snap = ObsSnapshot.from_run(stalls, wall_s=1.0, pictures=10)
-        assert snap.worker_idle_s == pytest.approx(0.75)
-        assert snap.barrier_s == pytest.approx(0.125)
-        assert snap.ref_publish_s == pytest.approx(0.0625)
-        assert snap.idle_frac == pytest.approx(0.75)
-        assert snap.sync_frac == pytest.approx(0.1875)
-
-    def test_cost_model_prefers_batched(self):
-        # Same shape, scalar engine strictly more expensive.
-        model = CostModel()
-        assert model.engine_cost(10_000, "scalar") > model.engine_cost(
-            10_000, "batched"
-        )
+            assert (d.grain, d.engine, d.reason) == ("gop", engine, "rule")
+        d = AutoGranularity(
+            profile=profile, workers=workers,
+            grain_hint="slice", engine_hint="batched",
+        ).decide()
+        assert d.reason == "pinned"

@@ -553,7 +553,7 @@ def test_src_executor_imports_parallel_lazily():
 
 
 def test_src_gop_path_has_one_scan_and_no_substreams():
-    # Every GOP-grain and executor-window decode reads the one attached
+    # Every GOP-grain and executor decode reads the one attached
     # stream by the offsets of the parent's single scan.  A second
     # ``build_index`` or a ``sequence_prefix`` under ``exec/`` or in the
     # GOP decoder would be the substream route (prefix + copied bytes,

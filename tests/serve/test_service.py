@@ -106,6 +106,24 @@ class TestParityInProcess:
         assert svc.scheduler.vtime("s2") <= svc.scheduler.vtime("s0") + 8
 
 
+    def test_auto_grain_is_one_coarse_task_per_gop(self, golden):
+        # ``auto`` is GOP grain: one ("ref", gop) task carrying every
+        # picture of its GOP, no B tasks, oracle-identical frames.
+        names = ["ipb_64x48_gop13", "two_gop_48x32", "rc_64x48_gop4"]
+        svc = DecodeService(workers=0, capacity=len(names), grain="auto")
+        got, sinks = collect_frames(svc, names)
+        for name in names:
+            sess = svc.submit(name, golden.data(name), on_frame=sinks[name])
+            graph = svc.scheduler.graphs()[-1]
+            assert list(graph.nodes) == [
+                ("ref", g) for g in range(len(sess.index.gops))
+            ]
+        report = svc.run()
+        assert report["status_counts"] == {"done": len(names)}
+        for name in names:
+            assert_session_parity(golden, name, svc.sessions[name], got[name])
+
+
 class TestParityWorkers:
     """Real processes: same transparency, plus cleanup postconditions."""
 

@@ -110,6 +110,13 @@ class TestDecode:
         out = capsys.readouterr().out
         assert "decoded 13 pictures" in out
 
+    def test_slice_grain_scalar_engine_rejected(self, encoded_file, capsys):
+        rc = main(["decode", encoded_file, "--grain", "slice",
+                   "--engine", "scalar"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'slice'" in err and "'scalar'" in err
+
     def test_workers_output_matches_sequential(self, encoded_file, tmp_path, capsys):
         seq_dir = str(tmp_path / "seq")
         par_dir = str(tmp_path / "par")
