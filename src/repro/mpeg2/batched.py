@@ -31,17 +31,26 @@ individually.
 
 Phase 2 (:func:`reconstruct_slices`) reconstructs one picture with a
 handful of vectorized operations: its slices are concatenated into
-one :class:`PictureAssembly` (:func:`assemble_picture`), every coded
-block goes through **one** inverse quantization + **one**
-:func:`~repro.mpeg2.dct.idct_rounded` call (:func:`gop_dequant_idct`),
-and :func:`mc_scatter` finishes it — motion compensation grouped by
-(reference, half-pel phase) and one fancy-indexed scatter per plane.
-The picture is the grain on purpose.  MC must run per picture in
-coding order, because P and B pictures fetch from previously
-reconstructed references; and a picture's transform arrays
-(≈ 1.6k blocks of 512 B float64 at 352x240) sit near the size of L2,
-where a whole GOP's (≈ 10 MB each) did not — measured, the GOP-wide
-transform was ≈ 1.6x slower per block (DESIGN §2.6).
+one :class:`PictureAssembly` (:func:`assemble_picture`), and
+:func:`gop_dequant_idct` dequantises the **sparse** coefficient stream
+as it stands — only the coded coefficients are scaled, clipped and
+summed for mismatch control — then makes one dense scatter and
+**one** :func:`~repro.mpeg2.dct.idct_rounded` call over the coded
+blocks alone.  :func:`mc_scatter` finishes it in plane layout: each
+macroblock is one int16 ``(24, 16)`` tile (luma over Cb | Cr), motion
+compensation grouped by (reference, half-pel phase) fetches straight
+into it and averages bidirectional macroblocks in place, the residual
+blocks land through a block view of a second tile stack, and one add,
+one clip and one fancy-indexed scatter per plane write the frame.
+int16 is wide enough: the orthonormal IDCT keeps the L2 norm, so a
+residual sample is at most ``8 * 2048`` (a saturated block) and a
+0..255 prediction on top still fits.  The picture is the grain on
+purpose.  MC must run per picture in coding order, because P and B
+pictures fetch from previously reconstructed references; and a
+picture's transform arrays (≈ 1.6k blocks of 512 B float64 at
+352x240) sit near the size of L2, where a whole GOP's (≈ 10 MB each)
+did not — measured, the GOP-wide transform was ≈ 1.6x slower per
+block (DESIGN §2.6).
 
 Bit-exactness
 -------------
@@ -72,17 +81,21 @@ from __future__ import annotations
 from struct import Struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.bitstream.reader import BitstreamError
 from repro.mpeg2.blockcoding import BlockSyntaxError
-from repro.mpeg2.constants import PictureType, quantiser_scale
+from repro.mpeg2.constants import (
+    COEFF_MAX,
+    COEFF_MIN,
+    PictureType,
+    quantiser_scale,
+)
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import idct_rounded
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader, SequenceHeader
 from repro.mpeg2.macroblock import SliceDecodeError
-from repro.mpeg2.quant import dequantize_intra_f64, dequantize_non_intra_f64
+from repro.mpeg2.quant import INTRA_DC_STEP
 from repro.mpeg2.scan import scan_to_raster_flat
 from repro.mpeg2.tables import (
     AC_RUN_LEVEL,
@@ -99,7 +112,6 @@ from repro.mpeg2.tables import (
     MBA_ESCAPE_VALUE,
     MOTION_CODE,
 )
-from repro.mpeg2.reconstruct import write_macroblocks
 from repro.mpeg2.vlc import VLCError
 from repro.obs.trace import trace_span
 
@@ -1290,235 +1302,214 @@ def assemble_picture(slices: list[SliceParse]) -> PictureAssembly:
     return asm
 
 
-def _compact_levels(asm: PictureAssembly) -> np.ndarray:
-    """Dense raster-ordered levels of the assembly's coded blocks.
+def _dequantise(asm: PictureAssembly, seq: SequenceHeader) -> np.ndarray:
+    """Dense ``(m, 8, 8)`` float64 coefficients of the coded blocks.
 
-    Returns ``(m, 8, 8)`` where ``m == len(asm.rec_idx)``: one sparse
-    scatter of the coefficient stream, no per-block work, no un-scan
-    (the scan permutation was applied at assembly).
+    Dequantises the sparse stream as it stands — a zero level stays
+    zero, so only coded coefficients are scaled, clipped and summed.
+    Each is multiplied by its raster position's weight and its block's
+    scale: ``W * q / 16`` on an intra level, 8 on the intra DC level,
+    ``W * q / 32`` on a non-intra ``2 * level + sign(level)``.  Every
+    intermediate is an integer below ``2**27`` plus power-of-two
+    fraction bits, exact in float64, so this equals the int64
+    :func:`~repro.mpeg2.quant.dequantize_intra` /
+    :func:`~repro.mpeg2.quant.dequantize_non_intra` bit for bit.
+    Mismatch control takes each block's sum from one ``np.bincount``
+    and toggles (7,7) of the even ones after the dense scatter.
     """
     m = asm.rec_idx.size
-    # float64 throughout phase 2's transform chain: level magnitudes
-    # keep every intermediate exactly representable (see the
-    # ``dequantize_*_f64`` twins), and the IDCT gets its native dtype.
-    lv = np.zeros((m, 64), dtype=np.float64)
-    lv.reshape(-1)[asm.coef_idx] = asm.coef_val
-    return lv.reshape(m, 8, 8)
+    blk = asm.coef_idx >> 6
+    # Weight-table row 0 is non-intra, row 1 intra.
+    key = (asm.intra[asm.rec_idx].astype(np.intp) << 6)[blk] | (
+        asm.coef_idx & 63
+    )
+    weights = np.concatenate((
+        seq.non_intra_quant_matrix.ravel() * 0.03125,
+        seq.intra_quant_matrix.ravel() * 0.0625,
+    ))
+    mult = weights[key] * asm.qscale[asm.rec_idx][blk]
+    mult[key == 64] = INTRA_DC_STEP  # intra DC: fixed step, no qscale
+    lv = asm.coef_val
+    f = np.trunc(np.where(key < 64, 2 * lv + np.sign(lv), lv) * mult)
+    np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
+    even = np.flatnonzero(np.bincount(blk, weights=f, minlength=m) % 2 == 0)
+    dense = np.zeros((m, 64), dtype=np.float64)
+    dense.reshape(-1)[asm.coef_idx] = f
+    last = dense[even, 63]
+    dense[even, 63] = last + 1.0 - 2.0 * (last % 2)
+    return dense.reshape(m, 8, 8)
 
 
 def gop_dequant_idct(
     assemblies: list[PictureAssembly], seq: SequenceHeader
 ) -> list[np.ndarray]:
-    """One inverse quantization + **one** IDCT over the given pictures.
+    """Inverse quantization + IDCT of each assembly's coded blocks.
 
     Dequant and IDCT depend only on levels, quantiser scales and the
-    sequence quant matrices — never on reference frames — so the coded
-    blocks of any number of pictures batch into a single NumPy call
-    chain (``scipy.fft``'s IDCT is batch-size invariant, so this is
+    sequence quant matrices — never on reference frames.  Each assembly
+    gets one :func:`_dequantise` and **one**
+    :func:`~repro.mpeg2.dct.idct_rounded` call over its coded blocks
+    (``scipy.fft``'s IDCT is batch-size invariant, so this is
     bit-identical to per-macroblock calls).  The decoders call it once
     per picture, from :func:`reconstruct_slices`; it accepts many.
-    Returns one ``(n, 6, 8, 8)`` int32 residual array per assembly.
+    Returns one ``(m, 8, 8)`` int32 residual per assembly, row ``j``
+    block ``(rec_idx[j], blk_idx[j])``; uncoded blocks have no row.
     """
-    counts = [a.rec_idx.size for a in assemblies]
-    total = sum(counts)
-    out: list[np.ndarray] = []
+    total = sum(a.rec_idx.size for a in assemblies)
     if total == 0:
-        return [
-            np.zeros((a.n, 6, 8, 8), dtype=np.int32) for a in assemblies
-        ]
+        return [np.zeros((0, 8, 8), dtype=np.int32) for _ in assemblies]
     with trace_span(
         "kernel.dequant_idct",
         cat="kernel",
         blocks=int(total),
         pictures=len(assemblies),
     ):
-        raster = np.concatenate([_compact_levels(a) for a in assemblies])
-        qs = np.concatenate(
-            [a.qscale[a.rec_idx] for a in assemblies]
-        )[:, None, None]
-        is_i = np.concatenate([a.intra[a.rec_idx] for a in assemblies])
-        coeffs = np.empty_like(raster)
-        if is_i.any():
-            coeffs[is_i] = dequantize_intra_f64(
-                raster[is_i], seq.intra_quant_matrix, qs[is_i]
-            )
-        ni = ~is_i
-        if ni.any():
-            coeffs[ni] = dequantize_non_intra_f64(
-                raster[ni], seq.non_intra_quant_matrix, qs[ni]
-            )
-        idct = idct_rounded(coeffs)
-        pos = 0
-        for a, m in zip(assemblies, counts):
-            blocks = np.zeros((a.n, 6, 8, 8), dtype=np.int32)
-            if m:
-                blocks[a.rec_idx, a.blk_idx] = idct[pos : pos + m]
-            out.append(blocks)
-            pos += m
-    return out
+        return [idct_rounded(_dequantise(a, seq)) for a in assemblies]
 
 
 def _phase_gather(
-    plane: np.ndarray,
+    planes: tuple[tuple[np.ndarray, np.ndarray], ...],
     tops: np.ndarray,
     lefts: np.ndarray,
-    fys: np.ndarray,
-    fxs: np.ndarray,
-    bh: int,
-    bw: int,
-) -> np.ndarray:
+    dys: np.ndarray,
+    dxs: np.ndarray,
+    dst: np.ndarray,
+    blend: np.ndarray | None,
+) -> None:
     """Half-pel prediction fetch for many blocks, grouped by phase.
 
-    For each of the four half-pel phases ``(fy, fx)`` the matching
-    blocks become one strided-view gather over ``plane`` followed by
-    the standard rounded average — the same integer arithmetic as
+    ``planes`` pairs each reference plane with the ``(n, bh, bw)`` view
+    its predictions land in: block ``i``, at ``(tops[i], lefts[i])``
+    displaced by the half-pel vector ``(dys[i], dxs[i])``, lands in row
+    ``dst[i]``, averaged with what is there where ``blend[i]`` (the B
+    bidirectional mode).  Sorted by half-pel phase, each phase's run is
+    one strided-window gather per plane plus the rounded average of
     :func:`repro.mpeg2.motion.predict_block`, applied batchwise.
     """
-    out = np.empty((len(tops), bh, bw), dtype=np.int32)
-    for fy in (0, 1):
-        for fx in (0, 1):
-            m = (fys == fy) & (fxs == fx)
-            if not m.any():
-                continue
-            win = sliding_window_view(plane, (bh + fy, bw + fx))
-            region = win[tops[m], lefts[m]].astype(np.int32)
-            if fy and fx:
-                out[m] = (
-                    region[:, :-1, :-1]
-                    + region[:, :-1, 1:]
-                    + region[:, 1:, :-1]
-                    + region[:, 1:, 1:]
-                    + 2
-                ) >> 2
-            elif fy:
-                out[m] = (region[:, :-1, :] + region[:, 1:, :] + 1) >> 1
-            elif fx:
-                out[m] = (region[:, :, :-1] + region[:, :, 1:] + 1) >> 1
-            else:
-                out[m] = region
-    return out
-
-
-def _direction_pred(
-    ref: Frame, rows: np.ndarray, cols: np.ndarray, dys: np.ndarray, dxs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched one-direction prediction: (Y, Cb, Cr) block stacks."""
-    # Luma: floor-halve the half-pel vector (matches Python divmod).
-    iy = dys // 2
-    ix = dxs // 2
-    fy = dys & 1
-    fx = dxs & 1
-    py = _phase_gather(ref.y, rows * 16 + iy, cols * 16 + ix, fy, fx, 16, 16)
-    # Chroma vector: luma MV halved truncating toward zero.
-    cdy = np.sign(dys) * (np.abs(dys) // 2)
-    cdx = np.sign(dxs) * (np.abs(dxs) // 2)
-    ciy = cdy // 2
-    cix = cdx // 2
-    cfy = cdy & 1
-    cfx = cdx & 1
-    ctop = rows * 8 + ciy
-    cleft = cols * 8 + cix
-    pcb = _phase_gather(ref.cb, ctop, cleft, cfy, cfx, 8, 8)
-    pcr = _phase_gather(ref.cr, ctop, cleft, cfy, cfx, 8, 8)
-    return py, pcb, pcr
+    phase = ((dys & 1) << 1) | (dxs & 1)
+    order = np.argsort(phase, kind="stable")
+    # Floor-halve the vector (matches Python divmod).
+    tops = tops[order] + (dys[order] >> 1)
+    lefts = lefts[order] + (dxs[order] >> 1)
+    dst = dst[order]
+    if blend is not None:
+        blend = blend[order]
+    lo = 0
+    for ph, hi in enumerate(np.cumsum(np.bincount(phase, minlength=4))):
+        if hi == lo:
+            continue
+        fy, fx = ph >> 1, ph & 1
+        t, left, rows = tops[lo:hi], lefts[lo:hi], dst[lo:hi]
+        avg = None if blend is None else blend[lo:hi]
+        lo = hi
+        for plane, out in planes:
+            # Every (bh + fy, bw + fx) window of the plane, by top-left:
+            # ``sliding_window_view``'s view at a fraction of its cost.
+            plane = np.ascontiguousarray(plane)
+            bh, bw = out.shape[1] + fy, out.shape[2] + fx
+            (h, w), st = plane.shape, plane.strides
+            win = np.ndarray((h - bh + 1, w - bw + 1, bh, bw), plane.dtype,
+                             plane, 0, st + st)
+            region = win[t, left]
+            if fx:
+                region = np.add(
+                    region[:, :, :-1], region[:, :, 1:], dtype=np.int16
+                )
+            if fy:
+                region = np.add(
+                    region[:, :-1], region[:, 1:], dtype=np.int16
+                )
+            if fy or fx:
+                region += 1 + (fy & fx)  # (sum + 2) >> 2 when both
+                region >>= fy + fx
+            if avg is not None:
+                # Rows that are not bidirectional average the fetch
+                # with itself: (2p + 1) >> 1 == p.
+                cur = out[rows]
+                np.copyto(cur, region, where=~avg[:, None, None])
+                cur += region
+                cur += 1
+                cur >>= 1
+                region = cur
+            out[rows] = region
 
 
 def mc_scatter(
     asm: PictureAssembly,
-    blocks: np.ndarray,
+    residual: np.ndarray,
     out: Frame,
     fwd: Frame | None,
     bwd: Frame | None,
 ) -> None:
     """Motion-compensate one picture and scatter its pixels into ``out``.
 
-    ``blocks`` is the picture's ``(n, 6, 8, 8)`` int32 residual array
+    ``residual`` is the picture's ``(m, 8, 8)`` coded-block residual
     (from :func:`gop_dequant_idct`).  This stage is the only part of
     phase 2 that must run per picture in coding order — it reads the
     previously reconstructed reference frames.
+
+    A macroblock is an int16 ``(24, 16)`` tile, luma over Cb | Cr, so
+    block ``b`` of the standard six is tile block ``(b >> 1, b & 1)``.
+    Predictions land in one tile stack (zero for intra macroblocks),
+    the residual in a zeroed second one through its block view; one
+    add, one clip, one scatter per plane.  The module docstring says
+    why int16 cannot overflow.
     """
     n = asm.n
     if n == 0:
         return
-    f_valid = asm.f_on
-    b_valid = asm.b_on
     mbw = out.mb_width
     rows = asm.addr // mbw
     cols = asm.addr % mbw
+    tile = np.zeros((n, 24, 16), dtype=np.int16)
+    y, cb, cr = tile[:, :16], tile[:, 16:, :8], tile[:, 16:, 8:]
 
-    pred6 = np.zeros((n, 6, 8, 8), dtype=np.int32)
-    if f_valid.any() or b_valid.any():
+    f_on = asm.f_on
+    b_on = asm.b_on
+    if f_on.any() or b_on.any():
         with trace_span(
-            "kernel.mc",
-            cat="kernel",
-            macroblocks=int((f_valid | b_valid).sum()),
+            "kernel.mc", cat="kernel", macroblocks=int((f_on | b_on).sum())
         ):
-            pred_y = np.zeros((n, 16, 16), dtype=np.int32)
-            pred_cb = np.zeros((n, 8, 8), dtype=np.int32)
-            pred_cr = np.zeros((n, 8, 8), dtype=np.int32)
-            fy_ = fcb = fcr = None
-            if f_valid.any():
-                if fwd is None:
+            for on, ref, dys, dxs, blend in (
+                (f_on, fwd, asm.f_dy, asm.f_dx, None),
+                (b_on, bwd, asm.b_dy, asm.b_dx, f_on),
+            ):
+                if not on.any():
+                    continue
+                if ref is None:
                     raise ValueError(
                         "motion vector present but reference frame missing"
                     )
-                py, pcb, pcr = _direction_pred(
-                    fwd,
-                    rows[f_valid],
-                    cols[f_valid],
-                    asm.f_dy[f_valid],
-                    asm.f_dx[f_valid],
-                )
-                fy_ = np.zeros((n, 16, 16), dtype=np.int32)
-                fcb = np.zeros((n, 8, 8), dtype=np.int32)
-                fcr = np.zeros((n, 8, 8), dtype=np.int32)
-                fy_[f_valid], fcb[f_valid], fcr[f_valid] = py, pcb, pcr
-            by_ = bcb = bcr = None
-            if b_valid.any():
-                if bwd is None:
-                    raise ValueError(
-                        "motion vector present but reference frame missing"
-                    )
-                py, pcb, pcr = _direction_pred(
-                    bwd,
-                    rows[b_valid],
-                    cols[b_valid],
-                    asm.b_dy[b_valid],
-                    asm.b_dx[b_valid],
-                )
-                by_ = np.zeros((n, 16, 16), dtype=np.int32)
-                bcb = np.zeros((n, 8, 8), dtype=np.int32)
-                bcr = np.zeros((n, 8, 8), dtype=np.int32)
-                by_[b_valid], bcb[b_valid], bcr[b_valid] = py, pcb, pcr
+                dst = np.flatnonzero(on)
+                r, c, dy, dx = rows[dst], cols[dst], dys[dst], dxs[dst]
+                if blend is not None:
+                    blend = blend[dst]
+                _phase_gather(((ref.y, y),), r * 16, c * 16, dy, dx, dst,
+                              blend)
+                # Chroma vector: luma MV halved truncating toward zero.
+                dy = np.sign(dy) * (np.abs(dy) >> 1)
+                dx = np.sign(dx) * (np.abs(dx) >> 1)
+                _phase_gather(((ref.cb, cb), (ref.cr, cr)), r * 8, c * 8,
+                              dy, dx, dst, blend)
 
-            only_f = f_valid & ~b_valid
-            only_b = b_valid & ~f_valid
-            both = f_valid & b_valid
-            if only_f.any():
-                pred_y[only_f] = fy_[only_f]
-                pred_cb[only_f] = fcb[only_f]
-                pred_cr[only_f] = fcr[only_f]
-            if only_b.any():
-                pred_y[only_b] = by_[only_b]
-                pred_cb[only_b] = bcb[only_b]
-                pred_cr[only_b] = bcr[only_b]
-            if both.any():
-                # B bidirectional mode: rounded average of the two fetches.
-                pred_y[both] = (fy_[both] + by_[both] + 1) >> 1
-                pred_cb[both] = (fcb[both] + bcb[both] + 1) >> 1
-                pred_cr[both] = (fcr[both] + bcr[both] + 1) >> 1
-
-            pred6[:, 0] = pred_y[:, :8, :8]
-            pred6[:, 1] = pred_y[:, :8, 8:]
-            pred6[:, 2] = pred_y[:, 8:, :8]
-            pred6[:, 3] = pred_y[:, 8:, 8:]
-            pred6[:, 4] = pred_cb
-            pred6[:, 5] = pred_cr
-
-    # ---- residual add, clip, single scatter into the frame planes ----
+    # ---- residual add, clip, one scatter per plane -------------------
     with trace_span("kernel.scatter", cat="kernel", macroblocks=n):
-        pixels = np.clip(blocks + pred6, 0, 255).astype(np.uint8)
-        write_macroblocks(out, rows, cols, pixels)
+        if residual.size:
+            # Copying each block into a zeroed canvas and adding it
+            # whole beats a fancy ``+=`` on the tile, which gathers,
+            # adds and scatters back every block (~0.2 vs ~0.4 ms a
+            # 352x240 picture).
+            canvas = np.zeros_like(tile)
+            blk = asm.blk_idx
+            canvas.reshape(n, 3, 8, 2, 8).transpose(0, 1, 3, 2, 4)[
+                asm.rec_idx, blk >> 1, blk & 1
+            ] = residual
+            tile += canvas
+        np.clip(tile, 0, 255, out=tile)
+        mbh = out.mb_height
+        out.y.reshape(mbh, 16, mbw, 16)[rows, :, cols, :] = y
+        out.cb.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = cb
+        out.cr.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = cr
 
 
 def reconstruct_slices(
@@ -1542,5 +1533,5 @@ def reconstruct_slices(
     asm = assemble_picture(slices)
     if asm.n == 0:
         return
-    blocks = gop_dequant_idct([asm], seq)[0]
-    mc_scatter(asm, blocks, out, fwd, bwd)
+    residual = gop_dequant_idct([asm], seq)[0]
+    mc_scatter(asm, residual, out, fwd, bwd)

@@ -7,8 +7,9 @@ encoder and decoder transform all blocks of a picture in one call.
 
 Both sides of the codec use *the same* float implementation followed by
 the same rounding, so the encoder's local reconstruction is bit-exact
-with the decoder's output (a tested invariant; it stands in for the
-IEEE-1180 conformance the reference codec relies on).
+with the decoder's output (a tested invariant).  The rounded inverse
+is also held to the IEEE 1180 accuracy limits against a float64
+matrix-formula IDCT (``tests/mpeg2/test_phase2.py``).
 """
 
 from __future__ import annotations
@@ -55,9 +56,12 @@ def idct_rounded(coeffs: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Inverse DCT rounded to the nearest integer (int32).
 
     This single rounding point is shared by encoder reconstruction and
-    decoder, guaranteeing bit-exact agreement.
+    decoder, guaranteeing bit-exact agreement.  Rounds in place: the
+    transform's float64 output is a fresh array, so a second one of the
+    same size need not be allocated (and page-faulted) per call.
     """
-    return np.rint(idct(coeffs, workers=workers)).astype(np.int32)
+    f = idct(coeffs, workers=workers)
+    return np.rint(f, out=f).astype(np.int32)
 
 
 def _check(arr: np.ndarray) -> None:

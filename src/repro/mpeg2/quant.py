@@ -109,38 +109,6 @@ def dequantize_non_intra(
     return _mismatch_control(f)
 
 
-def dequantize_intra_f64(
-    levels: np.ndarray, matrix: np.ndarray, qscale: int | np.ndarray
-) -> np.ndarray:
-    """Float64 twin of :func:`dequantize_intra` for the batched path.
-
-    Every intermediate is an integer far below ``2**53``
-    (``|level| * max(W) * max(q) < 2**27``), where float64 arithmetic
-    is exact — products and power-of-two divisions incur no rounding —
-    so the result equals the int64 path bit for bit (pinned by the
-    cross-engine parity suites).  Working in float halves the pass
-    count (truncating division by 16 is one multiply by an exact
-    ``W/16`` matrix plus one ``np.trunc``) and hands the IDCT its
-    native dtype, so the transform performs no input conversion.
-    ``levels`` must already be float64.
-    """
-    f = np.trunc(levels * (matrix * 0.0625) * qscale)
-    f[..., 0, 0] = levels[..., 0, 0] * INTRA_DC_STEP
-    np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
-    return _mismatch_control(f)
-
-
-def dequantize_non_intra_f64(
-    levels: np.ndarray, matrix: np.ndarray, qscale: int | np.ndarray
-) -> np.ndarray:
-    """Float64 twin of :func:`dequantize_non_intra` (see above)."""
-    f = np.trunc(
-        (2.0 * levels + np.sign(levels)) * (matrix * 0.03125) * qscale
-    )
-    np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
-    return _mismatch_control(f)
-
-
 def _mismatch_control(coeffs: np.ndarray) -> np.ndarray:
     """MPEG-2 mismatch control: make each block's coefficient sum odd.
 

@@ -117,31 +117,6 @@ def write_macroblock(
         counters.pixels += 256 + 64 + 64
 
 
-def write_macroblocks(
-    out: Frame, rows: np.ndarray, cols: np.ndarray, pixels: np.ndarray
-) -> None:
-    """Batched :func:`write_macroblock`: scatter many macroblocks at once.
-
-    ``pixels`` is ``(n, 6, 8, 8)`` **uint8** final pixel data (already
-    clipped) for the macroblocks at ``(rows[i], cols[i])``; the six
-    blocks follow the standard order (four luma quadrants, Cb, Cr).
-    Positions must be distinct.  Reshape views expose each plane as
-    ``(mb_row, y, mb_col, x)`` so the whole picture lands in three
-    fancy-indexed assignments — this is the phase-2 counterpart of the
-    scalar per-macroblock write.
-    """
-    n = len(rows)
-    mbh, mbw = out.mb_height, out.mb_width
-    lum = np.empty((n, 16, 16), dtype=np.uint8)
-    lum[:, :8, :8] = pixels[:, 0]
-    lum[:, :8, 8:] = pixels[:, 1]
-    lum[:, 8:, :8] = pixels[:, 2]
-    lum[:, 8:, 8:] = pixels[:, 3]
-    out.y.reshape(mbh, 16, mbw, 16)[rows, :, cols, :] = lum
-    out.cb.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = pixels[:, 4]
-    out.cr.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = pixels[:, 5]
-
-
 def copy_macroblock(out: Frame, src: Frame, mb_row: int, mb_col: int,
                     counters: WorkCounters | None = None) -> None:
     """Copy a co-located macroblock (P-picture skipped MB, zero MV)."""

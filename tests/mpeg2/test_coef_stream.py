@@ -7,8 +7,8 @@ entries — ``(run << 24) | (level + 2**23)`` per coefficient, one
 here, below the whole-stream parity suites:
 
 * the round trip ``encode_slice`` -> ``parse_slice`` ->
-  ``assemble_picture`` -> ``_compact_levels`` returns the raster-ordered
-  levels that went in, for the shapes a stream of run-relative entries
+  ``assemble_picture`` returns, once ``coef_idx``/``coef_val`` are
+  scattered into blocks, the raster-ordered levels that went in, for the shapes a stream of run-relative entries
   could plausibly get wrong (DC-only blocks, a coefficient at scan index
   63, escape-coded runs and levels, uncoded blocks, both scans);
 * the bound check the parser defers to once per fused VLC window raises
@@ -29,8 +29,8 @@ from repro.bitstream import BitWriter
 from repro.bitstream.emulation import escape_payload
 from repro.mpeg2 import batched
 from repro.mpeg2.batched import (
+    PictureAssembly,
     SliceParse,
-    _compact_levels,
     assemble_picture,
     parse_slice,
 )
@@ -70,6 +70,13 @@ from repro.video.synthetic import SyntheticVideo
 from tests.mpeg2.test_batched_parity import assert_frames_identical
 
 EOB_ENTRY = 1 << 30
+
+
+def _scatter_levels(asm: PictureAssembly) -> np.ndarray:
+    """The assembly's sparse stream as dense ``(m, 8, 8)`` levels."""
+    levels = np.zeros((asm.rec_idx.size, 64), dtype=np.int64)
+    levels.reshape(-1)[asm.coef_idx] = asm.coef_val
+    return levels.reshape(-1, 8, 8)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +188,7 @@ def test_round_trip_returns_the_raster_levels(picture):
 
     asm = assemble_picture(parses)
     assert list(zip(asm.rec_idx, asm.blk_idx)) == where
-    got = _compact_levels(asm)
+    got = _scatter_levels(asm)
     assert got.shape == (len(expected), 8, 8)
     if expected:
         assert np.array_equal(got, np.stack(expected))
@@ -191,7 +198,7 @@ def test_all_slices_concealed_assembles_to_nothing():
     asm = assemble_picture([])
     assert asm.n == 0
     assert asm.coef_idx.size == asm.coef_val.size == asm.rec_idx.size == 0
-    assert _compact_levels(asm).shape == (0, 8, 8)
+    assert _scatter_levels(asm).shape == (0, 8, 8)
 
 
 def test_mispaired_stream_fails_loudly():
