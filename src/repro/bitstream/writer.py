@@ -38,11 +38,14 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         acc = (self._acc << nbits) | value
         n = self._nacc + nbits
-        buf = self._buf
-        while n >= 8:
-            n -= 8
-            buf.append((acc >> n) & 0xFF)
-        self._acc = acc & ((1 << n) - 1)
+        if n >= 8:
+            # Flush every whole byte in one conversion, so a long value
+            # (a packed run of codewords) costs linear time.
+            keep = n & 7
+            self._buf += (acc >> keep).to_bytes(n >> 3, "big")
+            acc &= (1 << keep) - 1
+            n = keep
+        self._acc = acc
         self._nacc = n
 
     def write_bit(self, bit: int) -> None:

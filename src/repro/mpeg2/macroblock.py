@@ -22,7 +22,12 @@ import numpy as np
 
 from repro.bitstream import BitReader, BitWriter
 from repro.mpeg2 import mv_coding
-from repro.mpeg2.blockcoding import decode_block, encode_block
+from repro.mpeg2.blockcoding import (
+    block_codes,
+    decode_block,
+    encode_dc_differential,
+    write_codes,
+)
 from repro.mpeg2.constants import PictureType, quantiser_scale
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import idct_rounded
@@ -31,7 +36,6 @@ from repro.mpeg2.headers import PictureHeader, SequenceHeader, SliceHeader
 from repro.mpeg2.motion import MotionVector
 from repro.mpeg2.quant import dequantize_intra, dequantize_non_intra
 from repro.mpeg2.reconstruct import (
-    Prediction,
     copy_macroblock,
     form_prediction,
     write_macroblock,
@@ -58,6 +62,10 @@ _CBP_BLOCK_INDEX: tuple[np.ndarray, ...] = tuple(
     np.array([i for i in range(6) if cbp & (32 >> i)], dtype=np.intp)
     for cbp in range(64)
 )
+
+
+#: ``_CBP_BITS[i]`` is block i's bit in a coded block pattern.
+_CBP_BITS = 32 >> np.arange(6)
 
 
 class SliceDecodeError(Exception):
@@ -116,11 +124,7 @@ class MacroblockPlan:
     @property
     def cbp(self) -> int:
         """Coded block pattern: bit (32 >> i) set if block i has data."""
-        pattern = 0
-        for i in range(6):
-            if np.any(self.levels[i]):
-                pattern |= 32 >> i
-        return pattern
+        return int(self.levels.any(axis=1) @ _CBP_BITS)
 
 
 def _dc_index(block: int) -> int:
@@ -157,6 +161,13 @@ def encode_slice(
 
     SliceHeader(quantiser_scale_code=qscale_code).write(w)
     state = SliceState(qscale_code=qscale_code)
+    # Macroblock syntax is recorded as codewords; the coded blocks are
+    # collected and run/level coded in one pass, then merged back in
+    # at the positions where each block's syntax belongs.
+    header = _CodeList()
+    blocks: list[np.ndarray] = []
+    block_intra: list[bool] = []
+    block_at: list[int] = []
     prev_addr = row_start - 1
     for plan in plans:
         increment = plan.address - prev_addr
@@ -167,16 +178,66 @@ def encode_slice(
         for _ in range(increment - 1):
             _apply_skip_state(state, pic.picture_type)
         while increment > 33:
-            MB_ADDRESS_INCREMENT.encode(w, MBA_ESCAPE)
+            MB_ADDRESS_INCREMENT.encode(header, MBA_ESCAPE)
             increment -= MBA_ESCAPE_VALUE
-        MB_ADDRESS_INCREMENT.encode(w, increment)
-        _encode_macroblock(w, plan, state, pic)
+        MB_ADDRESS_INCREMENT.encode(header, increment)
+        cbp = _encode_macroblock_header(header, plan, state, pic)
+        for i in range(6):
+            if plan.intra:
+                di = _dc_index(i)
+                state.dc_pred[di] = encode_dc_differential(
+                    header, int(plan.levels[i, 0]), state.dc_pred[di],
+                    DC_SIZE_LUMA if i < 4 else DC_SIZE_CHROMA,
+                )
+            elif not cbp & (32 >> i):
+                continue
+            blocks.append(plan.levels[i])
+            block_intra.append(plan.intra)
+            block_at.append(len(header.values))
         prev_addr = plan.address
 
+    values, lengths, per_block = block_codes(
+        np.array(blocks, dtype=np.int64).reshape(-1, 64), np.array(block_intra)
+    )
+    # Header code i sorts at 2i + 1, a block's codes at twice the number
+    # of header codes recorded before it: the order they were made in.
+    keys = np.concatenate([
+        2 * np.arange(len(header.values)) + 1,
+        2 * np.repeat(np.array(block_at, dtype=np.int64), per_block),
+    ])
+    order = np.argsort(keys, kind="stable")
+    write_codes(
+        w,
+        np.concatenate([np.array(header.values, dtype=np.int64), values])[order],
+        np.concatenate([np.array(header.lengths, dtype=np.int64), lengths])[order],
+    )
 
-def _encode_macroblock(
-    w: BitWriter, plan: MacroblockPlan, state: SliceState, pic: PictureHeader
-) -> None:
+
+class _CodeList:
+    """A :class:`BitWriter` stand-in that records ``(value, length)`` codes."""
+
+    def __init__(self) -> None:
+        self.values: list[int] = []
+        self.lengths: list[int] = []
+
+    def write_bits(self, value: int, nbits: int) -> None:
+        if value < 0 or nbits < value.bit_length():
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        self.values.append(value)
+        self.lengths.append(nbits)
+
+    def write_bit(self, bit: int) -> None:
+        self.write_bits(bit & 1, 1)
+
+
+def _encode_macroblock_header(
+    w: _CodeList, plan: MacroblockPlan, state: SliceState, pic: PictureHeader
+) -> int:
+    """Macroblock type, vectors and CBP of a plan; returns the CBP.
+
+    Leaves the slice state as after the whole macroblock, except for
+    the intra DC predictors, which the caller advances block by block.
+    """
     ptype = pic.picture_type
     cbp = plan.cbp
     mode = _plan_mode(plan, cbp, ptype)
@@ -207,23 +268,8 @@ def _encode_macroblock(
     if mode.coded:
         CODED_BLOCK_PATTERN.encode(w, cbp)
 
-    if mode.intra:
-        for i in range(6):
-            table = DC_SIZE_LUMA if i < 4 else DC_SIZE_CHROMA
-            di = _dc_index(i)
-            state.dc_pred[di] = encode_block(
-                w,
-                plan.levels[i],
-                intra=True,
-                dc_table=table,
-                dc_predictor=state.dc_pred[di],
-            )
-    else:
-        for i in range(6):
-            if cbp & (32 >> i):
-                encode_block(w, plan.levels[i], intra=False)
-
     _apply_coded_state(state, mode, plan.mv_fwd, plan.mv_bwd, ptype)
+    return cbp
 
 
 def _plan_mode(plan: MacroblockPlan, cbp: int, ptype: PictureType) -> MbMode:

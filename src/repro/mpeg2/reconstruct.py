@@ -220,31 +220,3 @@ def missing_rows(mb_height: int, covered_rows) -> list[int]:
     """
     covered = set(covered_rows)
     return [r for r in range(mb_height) if r not in covered]
-
-
-def extract_macroblock(frame: Frame, mb_row: int, mb_col: int) -> np.ndarray:
-    """Gather the (6, 8, 8) block stack of a macroblock (encoder side)."""
-    y0 = mb_row * MACROBLOCK_SIZE
-    x0 = mb_col * MACROBLOCK_SIZE
-    cy0, cx0 = y0 // 2, x0 // 2
-    out = np.empty((6, BLOCK_SIZE, BLOCK_SIZE), dtype=np.int32)
-    luma = frame.y[y0 : y0 + 16, x0 : x0 + 16]
-    out[0] = luma[:8, :8]
-    out[1] = luma[:8, 8:]
-    out[2] = luma[8:, :8]
-    out[3] = luma[8:, 8:]
-    out[4] = frame.cb[cy0 : cy0 + 8, cx0 : cx0 + 8]
-    out[5] = frame.cr[cy0 : cy0 + 8, cx0 : cx0 + 8]
-    return out
-
-
-def prediction_blocks(pred: Prediction) -> np.ndarray:
-    """The (6, 8, 8) block stack of a prediction (encoder residuals)."""
-    out = np.empty((6, BLOCK_SIZE, BLOCK_SIZE), dtype=np.int32)
-    out[0] = pred.y[:8, :8]
-    out[1] = pred.y[:8, 8:]
-    out[2] = pred.y[8:, :8]
-    out[3] = pred.y[8:, 8:]
-    out[4] = pred.cb
-    out[5] = pred.cr
-    return out

@@ -146,3 +146,103 @@ class TestBlockRoundtrip:
             decode_block(
                 BitReader(w.getvalue()), intra=False, counters=WorkCounters()
             )
+
+
+# ----------------------------------------------------------------------
+# the block coder against an independent string-concatenating coder
+# ----------------------------------------------------------------------
+def _reference_bits(levels, intra, dc_table, dc_predictor):
+    """Bits of one block, built from codeword strings pair by pair."""
+    from repro.mpeg2.tables import (
+        AC_CODED_PAIRS,
+        AC_RUN_LEVEL,
+        EOB,
+        ESCAPE,
+    )
+
+    out = []
+    start = 0
+    if intra:
+        diff = int(levels[0]) - dc_predictor
+        size = abs(diff).bit_length()
+        out.append(dc_table.codeword(size))
+        if size:
+            magnitude = diff if diff > 0 else (-diff) ^ ((1 << size) - 1)
+            out.append(format(magnitude, f"0{size}b"))
+        start = 1
+    run = 0
+    for k in range(start, 64):
+        level = int(levels[k])
+        if level == 0:
+            run += 1
+            continue
+        if (run, abs(level)) in AC_CODED_PAIRS:
+            out.append(AC_RUN_LEVEL.codeword((run, abs(level))))
+            out.append("1" if level < 0 else "0")
+        else:
+            out.append(AC_RUN_LEVEL.codeword(ESCAPE))
+            out.append(format(run, "06b"))
+            out.append(format(level & 0xFFF, "012b"))
+        run = 0
+    out.append(AC_RUN_LEVEL.codeword(EOB))
+    return "".join(out)
+
+
+@st.composite
+def _coded_block(draw):
+    """A block of (run, level) pairs, tabled and escaped, plus a DC."""
+    from repro.mpeg2.tables import AC_CODED_PAIRS
+
+    intra = draw(st.booleans())
+    levels = np.zeros(64, dtype=np.int64)
+    k = 1 if intra else 0
+    while k < 64 and draw(st.integers(0, 4)):
+        run = draw(st.integers(0, 63 - k))
+        tabled = sorted(m for r, m in AC_CODED_PAIRS if r == run)
+        if tabled and draw(st.booleans()):
+            mag = draw(st.sampled_from(tabled))
+        else:
+            mag = draw(st.integers(1, 2047))
+        k += run
+        levels[k] = mag if draw(st.booleans()) else -mag
+        k += 1
+    table = draw(st.sampled_from([DC_SIZE_LUMA, DC_SIZE_CHROMA]))
+    predictor = draw(st.integers(0, 2047))
+    if intra:
+        size = draw(st.integers(0, 11))
+        lo = 0 if size == 0 else 1 << (size - 1)
+        magnitude = draw(st.integers(lo, (1 << size) - 1))
+        levels[0] = predictor + (magnitude if draw(st.booleans()) else -magnitude)
+    return levels, intra, table, predictor
+
+
+class TestBlockCoderProperty:
+    @given(_coded_block())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_string_coder(self, case):
+        levels, intra, table, predictor = case
+        w = BitWriter()
+        encode_block(
+            w, levels, intra=intra, dc_table=table if intra else None,
+            dc_predictor=predictor,
+        )
+        nbits = w.bit_position
+        w.align()
+        got = "".join(f"{b:08b}" for b in w.getvalue())[:nbits]
+        assert got == _reference_bits(levels, intra, table, predictor)
+
+    def test_every_run_on_both_sides_of_the_table(self):
+        from repro.mpeg2.tables import AC_CODED_PAIRS
+
+        for run in range(64):
+            tabled = max((m for r, m in AC_CODED_PAIRS if r == run), default=0)
+            for mag in sorted({1, tabled, tabled + 1, 2047} - {0}):
+                for level in (mag, -mag):
+                    levels = np.zeros(64, dtype=np.int64)
+                    levels[run] = level
+                    w = BitWriter()
+                    encode_block(w, levels, intra=False)
+                    nbits = w.bit_position
+                    w.align()
+                    got = "".join(f"{b:08b}" for b in w.getvalue())[:nbits]
+                    assert got == _reference_bits(levels, False, None, 0), level

@@ -28,7 +28,6 @@ from repro.mpeg2.motion import MotionVector
 from repro.mpeg2.quant import dequantize_intra, dequantize_non_intra
 from repro.mpeg2.reconstruct import (
     form_prediction,
-    prediction_blocks,
     write_macroblock,
 )
 from repro.mpeg2.scan import unscan_block
