@@ -38,7 +38,8 @@ summed for mismatch control — then makes one dense scatter and
 **one** :func:`~repro.mpeg2.dct.idct_rounded` call over the coded
 blocks alone.  :func:`mc_scatter` finishes it in plane layout: each
 macroblock is one int16 ``(24, 16)`` tile (luma over Cb | Cr), motion
-compensation grouped by (reference, half-pel phase) fetches straight
+compensation (:func:`repro.mpeg2.motion.predict_macroblocks`, shared
+with the encoder) grouped by (reference, half-pel phase) fetches straight
 into it and averages bidirectional macroblocks in place, the residual
 blocks land through a block view of a second tile stack, and one add,
 one clip and one fancy-indexed scatter per plane write the frame.
@@ -95,6 +96,7 @@ from repro.mpeg2.dct import idct_rounded
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader, SequenceHeader
 from repro.mpeg2.macroblock import SliceDecodeError
+from repro.mpeg2.motion import predict_macroblocks
 from repro.mpeg2.quant import INTRA_DC_STEP
 from repro.mpeg2.scan import scan_to_raster_flat
 from repro.mpeg2.tables import (
@@ -270,23 +272,23 @@ _AC2_MAXLEN = AC_RUN_LEVEL.max_len + 1
 #: the last clean symbol boundary — before escape codes, invalid
 #: prefixes and codewords that straddle the window, all of which the
 #: single-symbol path then handles at the exact same bit position the
-#: scalar decoder would report.  Built lazily on first use (16K
-#: windows) so importing the module stays cheap.
+#: scalar decoder would report.  A window's entry depends only on the
+#: bits it consumes, so the 16K windows share ≈ 4.1K distinct entries
+#: (≈ 0.5 MB, not ≈ 1.8 MB).  Built at import (≈ 30 ms): built later,
+#: amid a caller's freed temporaries (an encode's, say), the entries
+#: scatter over the heap and every parse runs a few per cent slower.
 _FUSE_BITS = 14
 _FUSE_MASK = (1 << _FUSE_BITS) - 1
-_AC_FUSED: list[tuple[int, int, bytes, int]] | None = None
 
 
 def _build_fused_ac() -> list[tuple[int, int, bytes, int]]:
-    global _AC_FUSED
-    if _AC_FUSED is not None:
-        return _AC_FUSED
     lens = _AC2_LENS
     runs = _AC2_RUNS
     entries = _AC2_ENTRIES
     maxlen = _AC2_MAXLEN
     fb = _FUSE_BITS
     table: list[tuple[int, int, bytes, int]] = []
+    distinct: dict[tuple[int, int, bytes, int], tuple[int, int, bytes, int]] = {}
     for w in range(1 << fb):
         pos = 0
         adv = 0
@@ -318,9 +320,12 @@ def _build_fused_ac() -> list[tuple[int, int, bytes, int]]:
                 eob = 1
                 packed += _EOB_BYTES
             break
-        table.append((pos, adv, packed, eob))
-    _AC_FUSED = table
+        entry = (pos, adv, packed, eob)
+        table.append(distinct.setdefault(entry, entry))
     return table
+
+
+_AC_FUSED = _build_fused_ac()
 
 
 def _raise_past_block(k: int, entry_bytes: bytes) -> None:
@@ -579,8 +584,6 @@ def parse_slice(
     ac_entries = _AC2_ENTRIES
     ac_maxlen = _AC2_MAXLEN
     ac_fused = _AC_FUSED
-    if ac_fused is None:
-        ac_fused = _build_fused_ac()
     ac_mask = _MASKS[ac_maxlen]
 
     while prev_addr < row_last:
@@ -1367,73 +1370,6 @@ def gop_dequant_idct(
         return [idct_rounded(_dequantise(a, seq)) for a in assemblies]
 
 
-def _phase_gather(
-    planes: tuple[tuple[np.ndarray, np.ndarray], ...],
-    tops: np.ndarray,
-    lefts: np.ndarray,
-    dys: np.ndarray,
-    dxs: np.ndarray,
-    dst: np.ndarray,
-    blend: np.ndarray | None,
-) -> None:
-    """Half-pel prediction fetch for many blocks, grouped by phase.
-
-    ``planes`` pairs each reference plane with the ``(n, bh, bw)`` view
-    its predictions land in: block ``i``, at ``(tops[i], lefts[i])``
-    displaced by the half-pel vector ``(dys[i], dxs[i])``, lands in row
-    ``dst[i]``, averaged with what is there where ``blend[i]`` (the B
-    bidirectional mode).  Sorted by half-pel phase, each phase's run is
-    one strided-window gather per plane plus the rounded average of
-    :func:`repro.mpeg2.motion.predict_block`, applied batchwise.
-    """
-    phase = ((dys & 1) << 1) | (dxs & 1)
-    order = np.argsort(phase, kind="stable")
-    # Floor-halve the vector (matches Python divmod).
-    tops = tops[order] + (dys[order] >> 1)
-    lefts = lefts[order] + (dxs[order] >> 1)
-    dst = dst[order]
-    if blend is not None:
-        blend = blend[order]
-    lo = 0
-    for ph, hi in enumerate(np.cumsum(np.bincount(phase, minlength=4))):
-        if hi == lo:
-            continue
-        fy, fx = ph >> 1, ph & 1
-        t, left, rows = tops[lo:hi], lefts[lo:hi], dst[lo:hi]
-        avg = None if blend is None else blend[lo:hi]
-        lo = hi
-        for plane, out in planes:
-            # Every (bh + fy, bw + fx) window of the plane, by top-left:
-            # ``sliding_window_view``'s view at a fraction of its cost.
-            plane = np.ascontiguousarray(plane)
-            bh, bw = out.shape[1] + fy, out.shape[2] + fx
-            (h, w), st = plane.shape, plane.strides
-            win = np.ndarray((h - bh + 1, w - bw + 1, bh, bw), plane.dtype,
-                             plane, 0, st + st)
-            region = win[t, left]
-            if fx:
-                region = np.add(
-                    region[:, :, :-1], region[:, :, 1:], dtype=np.int16
-                )
-            if fy:
-                region = np.add(
-                    region[:, :-1], region[:, 1:], dtype=np.int16
-                )
-            if fy or fx:
-                region += 1 + (fy & fx)  # (sum + 2) >> 2 when both
-                region >>= fy + fx
-            if avg is not None:
-                # Rows that are not bidirectional average the fetch
-                # with itself: (2p + 1) >> 1 == p.
-                cur = out[rows]
-                np.copyto(cur, region, where=~avg[:, None, None])
-                cur += region
-                cur += 1
-                cur >>= 1
-                region = cur
-            out[rows] = region
-
-
 def mc_scatter(
     asm: PictureAssembly,
     residual: np.ndarray,
@@ -1462,7 +1398,6 @@ def mc_scatter(
     rows = asm.addr // mbw
     cols = asm.addr % mbw
     tile = np.zeros((n, 24, 16), dtype=np.int16)
-    y, cb, cr = tile[:, :16], tile[:, 16:, :8], tile[:, 16:, 8:]
 
     f_on = asm.f_on
     b_on = asm.b_on
@@ -1470,27 +1405,10 @@ def mc_scatter(
         with trace_span(
             "kernel.mc", cat="kernel", macroblocks=int((f_on | b_on).sum())
         ):
-            for on, ref, dys, dxs, blend in (
-                (f_on, fwd, asm.f_dy, asm.f_dx, None),
-                (b_on, bwd, asm.b_dy, asm.b_dx, f_on),
-            ):
-                if not on.any():
-                    continue
-                if ref is None:
-                    raise ValueError(
-                        "motion vector present but reference frame missing"
-                    )
-                dst = np.flatnonzero(on)
-                r, c, dy, dx = rows[dst], cols[dst], dys[dst], dxs[dst]
-                if blend is not None:
-                    blend = blend[dst]
-                _phase_gather(((ref.y, y),), r * 16, c * 16, dy, dx, dst,
-                              blend)
-                # Chroma vector: luma MV halved truncating toward zero.
-                dy = np.sign(dy) * (np.abs(dy) >> 1)
-                dx = np.sign(dx) * (np.abs(dx) >> 1)
-                _phase_gather(((ref.cb, cb), (ref.cr, cr)), r * 8, c * 8,
-                              dy, dx, dst, blend)
+            predict_macroblocks(tile, rows, cols, (
+                (fwd, f_on, asm.f_dy, asm.f_dx),
+                (bwd, b_on, asm.b_dy, asm.b_dx),
+            ))
 
     # ---- residual add, clip, one scatter per plane -------------------
     with trace_span("kernel.scatter", cat="kernel", macroblocks=n):
@@ -1507,9 +1425,9 @@ def mc_scatter(
             tile += canvas
         np.clip(tile, 0, 255, out=tile)
         mbh = out.mb_height
-        out.y.reshape(mbh, 16, mbw, 16)[rows, :, cols, :] = y
-        out.cb.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = cb
-        out.cr.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = cr
+        out.y.reshape(mbh, 16, mbw, 16)[rows, :, cols, :] = tile[:, :16]
+        out.cb.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = tile[:, 16:, :8]
+        out.cr.reshape(mbh, 8, mbw, 8)[rows, :, cols, :] = tile[:, 16:, 8:]
 
 
 def reconstruct_slices(

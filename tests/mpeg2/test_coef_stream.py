@@ -290,7 +290,7 @@ def test_overflow_on_nth_symbol_of_a_fused_window(nth):
     bits = int.from_bytes(payload, "big")
     shift = len(payload) * 8 - window_bit - batched._FUSE_BITS
     window = (bits >> shift) & batched._FUSE_MASK
-    _consumed, _advance, entry_bytes, _eob = batched._build_fused_ac()[window]
+    _consumed, _advance, entry_bytes, _eob = batched._AC_FUSED[window]
     assert len(entry_bytes) // 4 >= nth
 
     scalar = _scalar_error(payload)
