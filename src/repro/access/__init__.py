@@ -48,6 +48,7 @@ from repro.mpeg2.index import (
     StreamIndexError,
     build_index,
 )
+from repro.mpeg2.kernel import reference_frames
 
 
 class AccessError(Exception):
@@ -186,18 +187,14 @@ def _decode_gop_subset(
         frames = list(dec.decode_gop(gop, counters))
         return {rank: frames[rank] for rank in ranks}
     out: dict[int, Frame] = {}
+    decoded: dict[int, Frame] = {}
     display_ranks = gop.display_ranks()
-    fwd: Frame | None = None
-    for pos, pic in enumerate(gop.pictures):
+    for pos, (pic, refs) in enumerate(zip(gop.pictures, gop.references())):
         if not pic.picture_type.is_reference:
             continue
-        frame = dec.decode_picture(
-            pic,
-            fwd if pic.picture_type is PictureType.P else None,
-            None,
-            counters,
+        frame = decoded[pos] = dec.decode_picture(
+            pic, *reference_frames(refs, decoded), counters
         )
-        fwd = frame
         if display_ranks[pos] in ranks:
             out[display_ranks[pos]] = frame
             if len(out) == len(ranks):

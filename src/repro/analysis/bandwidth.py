@@ -29,15 +29,6 @@ from dataclasses import dataclass, field
 from repro.mpeg2.index import StreamIndex, build_index
 
 
-def _picture_wire_bytes(pic) -> int:
-    """Wire bytes of one picture: header start code through last slice."""
-    start = pic.header_payload_start - 4
-    end = pic.header_payload_end
-    if pic.slices:
-        end = max(end, pic.slices[-1].payload_end)
-    return end - start
-
-
 @dataclass(frozen=True)
 class GopBandwidth:
     """Wire cost of one GOP at a display rate."""
@@ -107,9 +98,9 @@ def profile_stream(
     per_type: dict[str, list[int]] = {}
     total_pictures = 0
     for gi, gop in enumerate(idx.gops):
-        gop_bytes = gop.header_payload_end - gop.header_payload_start + 4
+        gop_bytes = gop.header_bits // 8
         for pic in gop.pictures:
-            nbytes = _picture_wire_bytes(pic)
+            nbytes = pic.wire_bytes
             gop_bytes += nbytes
             per_type.setdefault(pic.picture_type.letter, []).append(nbytes)
         n = len(gop.pictures)

@@ -90,10 +90,6 @@ class BitReader:
     def bits_remaining(self) -> int:
         return self._nbits - self._pos
 
-    @property
-    def is_aligned(self) -> bool:
-        return self._pos % 8 == 0
-
     def align(self) -> None:
         """Skip forward to the next byte boundary (no-op if aligned)."""
         self._pos = (self._pos + 7) & ~7

@@ -77,11 +77,6 @@ class BitWriter:
         """Total number of bits written so far."""
         return len(self._buf) * 8 + self._nacc
 
-    @property
-    def is_aligned(self) -> bool:
-        """True when the next bit written starts a new byte."""
-        return self._nacc == 0
-
     def align(self) -> None:
         """Zero-pad to the next byte boundary (no-op if aligned)."""
         if self._nacc:

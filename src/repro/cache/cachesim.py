@@ -222,19 +222,3 @@ def line_size_sweep(
         total, _ = simulate(trace, CacheConfig(line_size=ls, capacity=capacity))
         out[ls] = total.read_miss_rate
     return out
-
-
-def cache_size_sweep(
-    trace: MemoryTrace,
-    capacities: list[int],
-    associativities: list[int],
-    line_size: int = 64,
-) -> dict[tuple[int, int], CacheStats]:
-    """Aggregate stats per (capacity, associativity) (Figs. 14-15)."""
-    out: dict[tuple[int, int], CacheStats] = {}
-    for cap in capacities:
-        for assoc in associativities:
-            cfg = CacheConfig(line_size=line_size, capacity=cap, associativity=assoc)
-            total, _ = simulate(trace, cfg)
-            out[(cap, assoc)] = total
-    return out

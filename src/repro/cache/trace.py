@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.mpeg2.decoder import SequenceDecoder
+from repro.mpeg2.kernel import reference_frames
 
 WORD = 4
 TABLE_REGION_BYTES = 8192
@@ -283,21 +284,16 @@ def generate_decode_trace(
     stream_offset = 0
     decoded = 0
 
-    # Frame-buffer pool: pick the lowest buffer not holding a live ref.
-    fwd_buf = bwd_buf = None
-    ref_old = ref_new = None  # decoded Frame refs for actual decoding
-
     for gop in decoder.index.gops:
-        for pic in gop.pictures:
+        # Per coding position: the decoded frame and the frame buffer
+        # it lives in (the lowest one not holding one of its refs).
+        frames: list = []
+        bufs: list[int] = []
+        for pic, refs in zip(gop.pictures, gop.references()):
             if max_pictures is not None and decoded >= max_pictures:
                 break
-            is_ref = pic.picture_type.is_reference
-            if is_ref:
-                fwd, bwd = ref_new, None
-                fwd_b, bwd_b = bwd_buf, None
-            else:
-                fwd, bwd = ref_old, ref_new
-                fwd_b, bwd_b = fwd_buf, bwd_buf
+            fwd, bwd = reference_frames(refs, frames)
+            fwd_b, bwd_b = reference_frames(refs, bufs)
             out_buf = min(
                 b for b in range(layout.frame_buffers) if b not in (fwd_b, bwd_b)
             )
@@ -334,9 +330,8 @@ def generate_decode_trace(
             write_all.append(w)
             proc_all.append(p)
             decoded += 1
-            if is_ref:
-                ref_old, ref_new = ref_new, ctx.out
-                fwd_buf, bwd_buf = bwd_buf, out_buf
+            frames.append(ctx.out)
+            bufs.append(out_buf)
         else:
             continue
         break

@@ -74,6 +74,7 @@ from repro.exec.shm import (
 )
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
+from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex, build_index
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.stalls import REASON_QUEUE_GET, StallTable
@@ -779,10 +780,10 @@ atexit.register(shutdown_persistent_pools)
 class GopResult:
     """What a worker sends back: metadata only, never pixels.
 
-    A run of one GOP's display-ordered frames, parked in the pool slots
-    from ``slot_base``.  A posted part is one frame with empty
-    counters; the task's result is the GOP's last run and carries the
-    whole GOP's counters.
+    A run of one GOP's display-ordered frames, decoded straight into
+    the pool slots from ``slot_base``.  A posted part is one frame with
+    empty counters; the task's result is the GOP's last run and
+    carries the whole GOP's counters.
     """
 
     gop: int
@@ -792,17 +793,26 @@ class GopResult:
 
 
 def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
-    """Task body: decode one GOP in place, park its frames in the pool.
+    """Task body: decode one GOP straight into its run of pool slots.
 
     The GOP is read from the attached stream by the offsets of the
     parent's scan (``task.index``) — no substream, no second scan — and
-    decoded by :class:`SequenceDecoder` to display-ordered frames, which
-    land in the ``task.picture_count`` slots from ``task.slot_base`` as
-    they are decoded.  Every frame but the last is posted as a part the
-    moment it is in the pool; the last one is the result, so a GOP of
-    one picture or none is still one message.
+    decoded by :class:`SequenceDecoder`, each picture into slot
+    ``task.slot_base + display rank`` (cleared first: runs are reused
+    across GOPs, and a row no slice covers must read blank).  Every
+    frame but the last is posted as a part the moment it is final; the
+    last one is the result, so a GOP of one picture or none is still
+    one message.
     """
     state = ctx.state
+    gop = task.index
+    ranks = gop.display_ranks()
+
+    def into(pos: int) -> Frame:
+        slot = task.slot_base + ranks[pos]
+        ctx.pool.clear_frame(slot)
+        return ctx.pool.view_frame(slot, gop.pictures[pos].temporal_reference)
+
     counters = WorkCounters()
     result = GopResult(task.gop, task.slot_base, counters=counters)
     with trace_span(
@@ -811,14 +821,12 @@ def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
     ):
         frames = SequenceDecoder(
             ctx.data,
-            index=StreamIndex(state["seq"], [task.index], len(ctx.data)),
+            index=StreamIndex(state["seq"], [gop], len(ctx.data)),
             engine=state["engine"],
             resilient=state["resilient"],
-        ).decode_gop(task.index, counters)
+        ).decode_gop(gop, counters, into)
         for j, frame in enumerate(frames):
             slot = task.slot_base + j
-            with trace_span("mp.shm.write", cat="mp", frames=1):
-                ctx.pool.write_frame(slot, frame)
             run = [frame.temporal_reference]
             if j + 1 < task.picture_count:
                 ctx.post(GopResult(task.gop, slot, run))

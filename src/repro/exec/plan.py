@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.exec.graph import TaskGraph, TaskNode
-from repro.mpeg2.decoder import DecodeError
 from repro.mpeg2.headers import PictureHeader
 from repro.mpeg2.index import GopIndex, StreamIndex
+from repro.mpeg2.kernel import check_closed, check_references, last_in_row
 
 
 # ======================================================================
@@ -95,11 +95,11 @@ def plan_gop_graph(index: StreamIndex) -> TaskGraph:
 class SlicePlan:
     """One slice task: wire byte range + static reconstruction flag.
 
-    ``reconstruct`` is ``True`` for exactly one slice per macroblock
-    row — the bitstream-*last* one — realising the sequential
-    decoder's last-write-wins semantics for duplicated slices without
-    any concurrent-write hazard (every other duplicate is parse-only:
-    its work counters still accrue, its pixels never land).
+    ``reconstruct`` is the kernel's :func:`~repro.mpeg2.kernel.last_in_row`
+    tag: ``True`` for exactly one slice per macroblock row, the
+    bitstream-*last* one, so duplicated slices resolve without any
+    concurrent-write hazard (every other duplicate is parse-only: its
+    work counters still accrue, its pixels never land).
     """
 
     vertical_position: int
@@ -120,8 +120,6 @@ class PicturePlan:
     #: Global display-order number across the stream.
     display_index: int
     header: PictureHeader
-    #: Bits of the picture header incl. start code (counter parity).
-    header_bits: int
     #: Coding-order numbers of the forward / backward reference
     #: pictures, or ``None`` (I has neither, P no backward).
     fwd: int | None
@@ -141,69 +139,36 @@ def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
     """Flatten the scan index into coding-order picture plans.
 
     Validates upfront what the sequential decoder validates lazily —
-    closed GOPs only, references present — raising
-    :class:`~repro.mpeg2.decoder.DecodeError` with the sequential
+    closed GOPs only, references present — raising the kernel's
+    :class:`~repro.mpeg2.kernel.DecodeError` with the sequential
     decoder's messages, so malformed streams are rejected identically.
     """
     plans: list[PicturePlan] = []
     base = 0
-    display_base = 0
     for gi, gop in enumerate(index.gops):
-        if not gop.closed_gop:
-            raise DecodeError(
-                "GOP-level decode requires closed GOPs (paper assumption)"
-            )
+        check_closed(gop)
         ranks = gop.display_ranks()
-        ref_old: int | None = None
-        ref_new: int | None = None
-        for pos, pic in enumerate(gop.pictures):
-            letter = pic.picture_type.letter
-            if letter == "I":
-                fwd = bwd = None
-            elif letter == "P":
-                fwd, bwd = ref_new, None
-                if fwd is None:
-                    raise DecodeError("P-picture without forward reference")
-            else:
-                fwd, bwd = ref_old, ref_new
-                if fwd is None:
-                    raise DecodeError("B-picture without forward reference")
-                if bwd is None:
-                    raise DecodeError("B-picture without backward reference")
-            order = base + pos
-            # Static duplicate resolution: the bitstream-last slice of
-            # each row reconstructs; earlier duplicates are parse-only.
-            last_for_row: dict[int, int] = {
-                sl.vertical_position: si for si, sl in enumerate(pic.slices)
-            }
+        for pos, (pic, (fwd, bwd)) in enumerate(zip(gop.pictures, gop.references())):
+            check_references(pic.picture_type, fwd is not None, bwd is not None)
+            finals = last_in_row([sl.vertical_position for sl in pic.slices])
             plans.append(
                 PicturePlan(
-                    order=order,
+                    order=base + pos,
                     gop=gi,
-                    display_index=display_base + ranks[pos],
+                    display_index=base + ranks[pos],
                     header=pic.header(),
-                    header_bits=(
-                        pic.header_payload_end - pic.header_payload_start + 4
-                    )
-                    * 8,
                     fwd=base + fwd if fwd is not None else None,
                     bwd=base + bwd if bwd is not None else None,
                     slices=tuple(
                         SlicePlan(
-                            vertical_position=sl.vertical_position,
-                            payload_start=sl.payload_start,
-                            payload_end=sl.payload_end,
-                            reconstruct=last_for_row[sl.vertical_position]
-                            == si,
+                            sl.vertical_position, sl.payload_start,
+                            sl.payload_end, final,
                         )
-                        for si, sl in enumerate(pic.slices)
+                        for sl, final in zip(pic.slices, finals)
                     ),
                 )
             )
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, pos
         base += len(gop.pictures)
-        display_base += len(gop.pictures)
     return plans
 
 

@@ -164,7 +164,7 @@ class FramePoolBase:
 class SharedFramePool(FramePoolBase):
     """A block of ``slots`` decoded-frame slots in POSIX shared memory.
 
-    Workers write planes in place (:meth:`write_frame`); the display
+    Workers decode into slots in place (:meth:`view_frame`); the display
     merger copies them out (:meth:`read_frame`).  The *owner* (parent
     process) creates and eventually unlinks the segment; workers attach
     by name and never unlink.

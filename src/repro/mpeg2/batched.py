@@ -1442,10 +1442,9 @@ def reconstruct_slices(
 
     Assembly, one dequant + IDCT over the picture's coded blocks, then
     motion compensation and the pixel scatter into ``out``.  Every
-    batched decode runs phase 2 here:
-    :class:`~repro.mpeg2.decoder.SequenceDecoder` (sequential and GOP
-    grain) picture by picture, the slice-parallel decoders per batch
-    of slices.
+    batched decode runs phase 2 here, through the picture kernel's
+    :func:`repro.mpeg2.kernel.reconstruct` (a whole picture, or one
+    slice-parallel batch of it).
     """
     del pic  # scan order was applied at parse time
     asm = assemble_picture(slices)

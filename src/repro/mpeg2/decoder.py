@@ -1,15 +1,16 @@
-"""Sequential reference decoder, with GOP- and slice-granular entry points.
+"""Sequential reference decoder, with GOP- and picture-granular entry points.
 
 :class:`SequenceDecoder` is the uniprocessor baseline of the paper.
-Its decomposition into :meth:`decode_gop`, :meth:`decode_picture` and
-the slice-level :func:`repro.mpeg2.macroblock.decode_slice` is exactly
-the task granularity menu of Section 4 — the parallel decoders in
-:mod:`repro.parallel` call these same entry points from worker
-processes.
+Its decomposition into :meth:`decode_gop` and :meth:`decode_picture`
+is the task granularity menu of Section 4.  The batched engine decodes
+every picture through the picture kernel (:mod:`repro.mpeg2.kernel`),
+the same one the slice-parallel batches, serve tasks and the encoder
+call; GOP tasks run :meth:`decode_gop` itself in their worker, each
+picture landing straight in its frame-pool slot.
 
-Reference management follows the standard: the two most recent I/P
-pictures are held; a P predicts from the newer one; a B predicts
-forward from the older and backward from the newer.
+Reference management follows the kernel's reference table: the two
+most recent I/P pictures are held; a P predicts from the newer one; a
+B predicts forward from the older and backward from the newer.
 
 :meth:`SequenceDecoder.decode_gop` streams: it decodes one *reference
 interval* (:meth:`GopIndex.reference_intervals`) at a time — the
@@ -21,21 +22,26 @@ away, not a GOP's, and phase 2's arrays stay near one picture in size.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from time import perf_counter
 
-from repro.bitstream.emulation import unescape_payload
-from repro.bitstream.reader import BitstreamError
-from repro.mpeg2.batched import SliceParse, parse_slice, reconstruct_slices
-from repro.mpeg2.blockcoding import BlockSyntaxError
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader
 from repro.mpeg2.index import GopIndex, PictureIndex, StreamIndex, build_index
-from repro.mpeg2.macroblock import PictureCodingContext, SliceDecodeError, decode_slice
-from repro.mpeg2.reconstruct import conceal_rows, missing_rows
-from repro.mpeg2.vlc import VLCError
+from repro.mpeg2.kernel import (  # noqa: F401  (names callers import from here)
+    SLICE_CORRUPTION_ERRORS,
+    DecodeError,
+    check_closed,
+    check_references,
+    conceal,
+    parse_slices,
+    read_slices,
+    reconstruct,
+    reference_frames,
+)
+from repro.mpeg2.macroblock import PictureCodingContext, decode_slice
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
 
@@ -43,27 +49,6 @@ from repro.obs.trace import trace_span
 #: ``"batched"`` the two-phase parse/reconstruct fast path (default;
 #: bit-identical, asserted by the parity suite).
 ENGINES = ("scalar", "batched")
-
-
-class DecodeError(Exception):
-    """Raised when reference pictures needed by the stream are missing."""
-
-
-#: Exceptions a corrupt slice payload can legitimately raise; the
-#: resilient decoder conceals the slice on any of these.
-SLICE_CORRUPTION_ERRORS = (
-    BitstreamError,
-    BlockSyntaxError,
-    SliceDecodeError,
-    VLCError,
-    ValueError,
-)
-
-#: A batched phase-1 product: header, the *last* parse of every row
-#: (``None``: corrupt, to conceal) and per-slice counters in bitstream order.
-ParsedPicture = tuple[
-    PictureHeader, dict[int, SliceParse | None], list[tuple[int, WorkCounters]]
-]
 
 
 def release_in_display_order(
@@ -85,12 +70,6 @@ def release_in_display_order(
             shown += 1
 
 
-def _references(pic: PictureIndex, old, new) -> tuple:
-    """``(forward, backward)`` for ``pic`` from the two reference slots
-    (frames when reconstructing, availability flags when parsing)."""
-    return (new, None) if pic.picture_type.is_reference else (old, new)
-
-
 class SequenceDecoder:
     """Decode a framed MPEG-2 stream produced by :mod:`repro.mpeg2.encoder`.
 
@@ -98,8 +77,7 @@ class SequenceDecoder:
     ----------
     data:
         The complete coded stream: ``bytes``, or — with a pre-built
-        ``index`` — any buffer view of it (a worker's shared arena);
-        :meth:`slice_payload` is the only place it is read.
+        ``index`` — any buffer view of it (a worker's shared arena).
     index:
         Optional pre-built scan index (the parallel decoders share one
         index between the scan process and the workers).
@@ -109,9 +87,9 @@ class SequenceDecoder:
         aborting the decode.
     engine:
         ``"batched"`` (default) decodes pictures through the two-phase
-        parse/reconstruct fast path (:mod:`repro.mpeg2.batched`);
-        ``"scalar"`` keeps the per-macroblock oracle path.  Both are
-        bit-identical, counters included.
+        picture kernel (:mod:`repro.mpeg2.kernel`); ``"scalar"`` keeps
+        the per-macroblock oracle path.  Both are bit-identical,
+        counters included.
     """
 
     def __init__(
@@ -138,27 +116,13 @@ class SequenceDecoder:
         fwd: Frame | None,
         bwd: Frame | None,
         counters: WorkCounters | None = None,
+        out: Frame | None = None,
+        per_slice: list[tuple[int, WorkCounters]] | None = None,
     ) -> Frame:
-        """Decode one picture given its reference frames."""
-        out, _slice_counters, local = self.decode_picture_with_slices(
-            pic, fwd, bwd
-        )
-        if counters is not None:
-            counters.add(local)
-        return out
-
-    def decode_picture_with_slices(
-        self,
-        pic: PictureIndex,
-        fwd: Frame | None,
-        bwd: Frame | None,
-    ) -> tuple[Frame, list[tuple[int, WorkCounters]], WorkCounters]:
-        """Decode one picture; also return per-slice work counters.
-
-        Returns ``(frame, slice_counters, picture_counters)`` where
-        ``slice_counters`` is ``(vertical_position, counters)`` per
-        successfully decoded slice in bitstream order — the unit the
-        stream profiler feeds to the parallel simulations.
+        """Decode one picture given its reference frames, into ``out``
+        (a fresh frame by default); ``per_slice`` collects
+        ``(vertical_position, counters)`` per good slice in bitstream
+        order, the unit the stream profiler feeds the simulations.
 
         Observability: the whole picture is bracketed by a
         ``decode.picture`` trace span and feeds the
@@ -166,8 +130,20 @@ class SequenceDecoder:
         (work counters and output pixels are identical with tracing on
         or off, pinned by the overhead-guard test).
         """
+        if out is None:
+            out = self._blank(pic)
+        local = WorkCounters()
         with self._picture_span(pic):
-            return self._decode_picture_inner(pic, fwd, bwd)
+            if self.engine == "batched":
+                parsed = self._parse_picture(
+                    pic, fwd is not None, bwd is not None, local, per_slice
+                )
+                self._reconstruct(pic, parsed, out, fwd, bwd, local)
+            else:
+                self._decode_scalar(pic, out, fwd, bwd, local, per_slice)
+        if counters is not None:
+            counters.add(local)
+        return out
 
     @contextmanager
     def _picture_span(self, pic: PictureIndex):
@@ -179,42 +155,33 @@ class SequenceDecoder:
             (perf_counter() - t0) * 1e3
         )
 
-    def _decode_picture_inner(
-        self,
-        pic: PictureIndex,
-        fwd: Frame | None,
-        bwd: Frame | None,
-    ) -> tuple[Frame, list[tuple[int, WorkCounters]], WorkCounters]:
-        local = WorkCounters()
-        if self.engine == "batched":
-            parsed = self._parse_picture(pic, fwd is not None, bwd is not None, local)
-            return self._reconstruct(pic, parsed, fwd, bwd, local), parsed[2], local
-
+    def _decode_scalar(
+        self, pic: PictureIndex, out: Frame, fwd: Frame | None,
+        bwd: Frame | None, local: WorkCounters, per_slice: list | None,
+    ) -> None:
+        """The per-macroblock oracle: decode every slice straight into
+        ``out``, then the kernel's conceal sweep."""
         header = self._picture_header(pic, fwd is not None, bwd is not None, local)
-        out = self._blank(pic)
         ctx = PictureCodingContext(seq=self.seq, pic=header, out=out, fwd=fwd, bwd=bwd)
-        slice_counters: list[tuple[int, WorkCounters]] = []
         # A row's *last* action wins (duplicate slices): decode now, but
         # conceal in one end-of-picture sweep, so spatial concealment
         # sees every decoded neighbour — the sweep every path runs, which
         # keeps them bit-identical on lossy streams.
-        conceal_pending: set[int] = set()
-        for sl in pic.slices:
-            payload = self.slice_payload(sl)
-            with trace_span("decode.slice", row=sl.vertical_position):
+        corrupt: set[int] = set()
+        for vpos, payload, _final in read_slices(self.data, pic.slices):
+            with trace_span("decode.slice", row=vpos):
                 try:
-                    c = decode_slice(payload, sl.vertical_position, ctx, local)
+                    c = decode_slice(payload, vpos, ctx, local)
                 except SLICE_CORRUPTION_ERRORS:
                     if not self.resilient:
                         raise
-                    conceal_pending.add(sl.vertical_position - 1)
+                    corrupt.add(vpos - 1)
                     local.concealed_slices += 1
                     continue
-            conceal_pending.discard(sl.vertical_position - 1)
-            slice_counters.append((sl.vertical_position, c))
-        if self.resilient:
-            self._conceal(pic, out, fwd, conceal_pending, local)
-        return out, slice_counters, local
+            corrupt.discard(vpos - 1)
+            if per_slice is not None:
+                per_slice.append((vpos, c))
+        conceal(out, fwd, corrupt, pic.slices, self.resilient, local)
 
     def _picture_header(
         self, pic: PictureIndex, has_fwd: bool, has_bwd: bool, local: WorkCounters
@@ -222,77 +189,31 @@ class SequenceDecoder:
         """Charge the picture header; check the references it needs exist."""
         header = pic.header()
         local.headers += 1
-        local.bits += (pic.header_payload_end - pic.header_payload_start + 4) * 8
-        letter = header.picture_type.letter
-        if letter != "I" and not has_fwd:
-            raise DecodeError(f"{letter}-picture without forward reference")
-        if letter == "B" and not has_bwd:
-            raise DecodeError("B-picture without backward reference")
+        local.bits += pic.header_bits
+        check_references(header.picture_type, has_fwd, has_bwd)
         return header
 
     def _parse_picture(
-        self, pic: PictureIndex, has_fwd: bool, has_bwd: bool, local: WorkCounters
-    ) -> ParsedPicture:
-        """Batched phase 1 for one picture: bit work only.
-
-        A later duplicate slice or a concealment fully overwrites a
-        row, exactly as the sequential writes would, because every
-        slice covers its complete row: only a row's last parse is kept.
-        """
+        self, pic: PictureIndex, has_fwd: bool, has_bwd: bool,
+        local: WorkCounters, per_slice: list | None = None,
+    ) -> tuple:
+        """Batched phase 1 for one picture: ``(header, parses, corrupt rows)``."""
         header = self._picture_header(pic, has_fwd, has_bwd, local)
-        mbw, mbh = self.index.mb_width, self.index.mb_height
-        final: dict[int, SliceParse | None] = {}
-        slice_counters: list[tuple[int, WorkCounters]] = []
-        with trace_span(
-            "decode.parse",
-            slices=len(pic.slices),
-            type=header.picture_type.letter,
-            temporal_reference=pic.temporal_reference,
-        ):
-            for sl in pic.slices:
-                payload = self.slice_payload(sl)
-                try:
-                    sp = parse_slice(
-                        payload, sl.vertical_position, header, mbw, mbh, has_fwd
-                    )
-                except SLICE_CORRUPTION_ERRORS:
-                    if not self.resilient:
-                        raise
-                    local.concealed_slices += 1
-                    final[sl.vertical_position - 1] = None
-                    continue
-                local.add(sp.counters)
-                slice_counters.append((sl.vertical_position, sp.counters))
-                final[sl.vertical_position - 1] = sp
-        return header, final, slice_counters
+        parses, corrupt = parse_slices(
+            read_slices(self.data, pic.slices), header,
+            self.index.mb_width, self.index.mb_height, has_fwd,
+            self.resilient, local, per_slice,
+        )
+        return header, parses, corrupt
 
     def _reconstruct(
-        self, pic: PictureIndex, parsed: ParsedPicture,
+        self, pic: PictureIndex, parsed: tuple, out: Frame,
         fwd: Frame | None, bwd: Frame | None, local: WorkCounters,
-    ) -> Frame:
-        """Batched phase 2 for one parsed picture, then concealment."""
-        header, final, _ = parsed
-        out = self._blank(pic)
-        with trace_span("decode.reconstruct"):
-            reconstruct_slices(
-                [sp for sp in final.values() if sp is not None],
-                self.seq, header, out, fwd, bwd,
-            )
-            if self.resilient:
-                rows = {row for row, sp in final.items() if sp is None}
-                self._conceal(pic, out, fwd, rows, local)
-        return out
-
-    def _conceal(
-        self, pic: PictureIndex, out: Frame, fwd: Frame | None,
-        rows: set[int], local: WorkCounters,
     ) -> None:
-        """Conceal ``rows`` plus every row no slice of ``pic`` covered."""
-        lost = missing_rows(
-            out.mb_height, (sl.vertical_position - 1 for sl in pic.slices)
-        )
-        local.concealed_slices += len(lost)
-        conceal_rows(out, fwd, rows.union(lost))
+        """Batched phase 2 for one parsed picture, then concealment."""
+        header, parses, corrupt = parsed
+        reconstruct(out, parses, self.seq, header, fwd, bwd)
+        conceal(out, fwd, corrupt, pic.slices, self.resilient, local)
 
     def _blank(self, pic: PictureIndex) -> Frame:
         out = Frame.blank(self.seq.width, self.seq.height)
@@ -300,23 +221,18 @@ class SequenceDecoder:
         return out
 
     def slice_payload(self, sl) -> bytes:
-        """Unescaped payload bytes of a slice.
-
-        ``bytes()`` of a ``bytes`` slice is free; of an arena view's it
-        materialises just this slice (a view has no ``find`` to
-        unescape with).
-        """
-        return unescape_payload(
-            bytes(self.data[sl.payload_start : sl.payload_end])
-        )
+        """Unescaped payload bytes of one slice of the stream."""
+        ((_vpos, payload, _final),) = read_slices(self.data, [sl], (True,))
+        return payload
 
     def make_context(
         self, pic: PictureIndex, fwd: Frame | None, bwd: Frame | None
     ) -> PictureCodingContext:
-        """Build a decode context with a fresh output frame.
+        """Build a scalar decode context with a fresh output frame.
 
-        Used by the slice-level parallel decoders, where many workers
-        decode slices of the same picture into one shared frame.
+        Used by the simulated slice-level decoder and the cache trace,
+        which decode slices one :func:`decode_slice` call at a time
+        into one shared frame.
         """
         return PictureCodingContext(
             seq=self.seq, pic=pic.header(), out=self._blank(pic), fwd=fwd, bwd=bwd
@@ -326,7 +242,10 @@ class SequenceDecoder:
     # GOP granularity
     # ------------------------------------------------------------------
     def decode_gop(
-        self, gop: GopIndex, counters: WorkCounters | None = None
+        self,
+        gop: GopIndex,
+        counters: WorkCounters | None = None,
+        into: Callable[[int], Frame] | None = None,
     ) -> Iterator[Frame]:
         """Decode one closed GOP: an iterator of its frames in display order.
 
@@ -336,17 +255,17 @@ class SequenceDecoder:
         the decode runs as the iterator is consumed, so a corrupt slice
         raises after the frames before its interval.  ``counters`` are
         charged when the iterator is exhausted, never if closed early.
+        ``into`` says where each picture lands (by coding position): a
+        fresh frame by default; a GOP task passes its frame-pool slots,
+        so the yielded frames are views of them.
         """
-        if not gop.closed_gop:
-            raise DecodeError(
-                "GOP-level decode requires closed GOPs (paper assumption)"
-            )
+        check_closed(gop)
         return release_in_display_order(
-            gop.display_order(), self._decode_intervals(gop, counters)
+            gop.display_order(), self._decode_intervals(gop, counters, into)
         )
 
     def _decode_intervals(
-        self, gop: GopIndex, counters: WorkCounters | None
+        self, gop: GopIndex, counters: WorkCounters | None, into
     ) -> Iterator[dict[int, Frame]]:
         """``{coding position: frame}`` per reference interval of ``gop``.
 
@@ -356,24 +275,33 @@ class SequenceDecoder:
         """
         local = WorkCounters()
         local.headers += 1
-        local.bits += (gop.header_payload_end - gop.header_payload_start + 4) * 8
-        refs: tuple[Frame | None, Frame | None] = (None, None)
+        local.bits += gop.header_bits
+        table = gop.references()
+        if into is None:
+            into = lambda pos: self._blank(gop.pictures[pos])  # noqa: E731
+        #: Decoded pictures by coding position, while a later one may
+        #: still reference them.
+        decoded: dict[int, Frame] = {}
         busy = 0.0
         for interval in gop.reference_intervals():
-            pics = [gop.pictures[pos] for pos in interval]
             t0 = perf_counter()
-            with trace_span("decode.gop", pictures=len(pics)):
-                frames, refs = self._decode_interval(pics, refs, local)
+            with trace_span("decode.gop", pictures=len(interval)):
+                self._decode_interval(gop, interval, table, decoded, local, into)
             busy += perf_counter() - t0
-            yield dict(zip(interval, frames))
+            frames = {pos: decoded[pos] for pos in interval}
+            needed = {r for refs in table[interval.stop :] for r in refs}
+            decoded = {pos: f for pos, f in decoded.items() if pos in needed}
+            yield frames
         metrics().histogram("decode.gop_ms").observe(busy * 1e3)
         if counters is not None:
             counters.add(local)
 
     def _decode_interval(
-        self, pics: list[PictureIndex], refs: tuple, local: WorkCounters
-    ) -> tuple[list[Frame], tuple]:
-        """Decode one interval: its frames in coding order, and new refs.
+        self, gop: GopIndex, interval: range, table: list,
+        decoded: dict[int, Frame], local: WorkCounters,
+        into: Callable[[int], Frame],
+    ) -> None:
+        """Decode one interval into ``decoded``.
 
         The batched engine parses the whole interval first, checking
         reference availability in the per-picture order (so a corrupt
@@ -381,26 +309,22 @@ class SequenceDecoder:
         then reconstructs each picture: the VLC tables stay cached
         across the parses, and phase 2 works on one picture at a time.
         """
-        parsed: list[ParsedPicture] = []
+        parsed = {}
         if self.engine == "batched":
-            have = (refs[0] is not None, refs[1] is not None)
-            for pic in pics:
-                fwd, bwd = _references(pic, *have)
-                parsed.append(self._parse_picture(pic, bool(fwd), bool(bwd), local))
-                if pic.picture_type.is_reference:
-                    have = (have[1], True)
-        frames = []
-        for k, pic in enumerate(pics):
-            fwd, bwd = _references(pic, *refs)
+            for pos in interval:
+                has_fwd, has_bwd = (r is not None for r in table[pos])
+                parsed[pos] = self._parse_picture(
+                    gop.pictures[pos], has_fwd, has_bwd, local
+                )
+        for pos in interval:
+            pic = gop.pictures[pos]
+            fwd, bwd = reference_frames(table[pos], decoded)
+            out = decoded[pos] = into(pos)
             if self.engine == "scalar":
-                out = self.decode_picture(pic, fwd, bwd, local)
+                self.decode_picture(pic, fwd, bwd, local, out)
             else:
                 with self._picture_span(pic):
-                    out = self._reconstruct(pic, parsed[k], fwd, bwd, local)
-            if pic.picture_type.is_reference:
-                refs = (refs[1], out)
-            frames.append(out)
-        return frames, refs
+                    self._reconstruct(pic, parsed[pos], out, fwd, bwd, local)
 
     # ------------------------------------------------------------------
     # whole stream

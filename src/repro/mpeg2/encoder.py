@@ -30,12 +30,18 @@ from repro.bitstream import (
     SEQUENCE_HEADER_CODE,
     BitWriter,
 )
-from repro.mpeg2.batched import parse_slice, reconstruct_slices
 from repro.mpeg2.constants import PictureType, quantiser_scale
+from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import fdct
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.gop import GopStructure
 from repro.mpeg2.headers import GopHeader, PictureHeader, SequenceHeader
+from repro.mpeg2.kernel import (
+    parse_slices,
+    reconstruct,
+    reference_frames,
+    reference_table,
+)
 from repro.mpeg2.macroblock import MacroblockPlan, encode_slice
 from repro.mpeg2.motion import (
     MotionVector,
@@ -174,27 +180,17 @@ def _encode_gop(
     ).write(w)
     assembler.add_segment(GROUP_START_CODE, w.getvalue())
 
-    ref_old: Frame | None = None
-    ref_new: Frame | None = None
-    for display_idx in structure.coding_order():
-        ptype = structure.type_of(display_idx)
-        if ptype.is_reference:
-            fwd, bwd = ref_new, None
-        else:
-            fwd, bwd = ref_old, ref_new
-        recon = _encode_picture(
-            gop_frames[display_idx],
-            display_idx,
-            ptype,
-            fwd,
-            bwd,
-            seq,
-            config,
-            assembler,
-            rate,
+    order = structure.coding_order()
+    types = [structure.type_of(display_idx) for display_idx in order]
+    recons: list[Frame | None] = []
+    for display_idx, ptype, refs in zip(order, types, reference_table(types)):
+        fwd, bwd = reference_frames(refs, recons)
+        recons.append(
+            _encode_picture(
+                gop_frames[display_idx], display_idx, ptype, fwd, bwd,
+                seq, config, assembler, rate,
+            )
         )
-        if ptype.is_reference:
-            ref_old, ref_new = ref_new, recon
 
 
 def _encode_picture(
@@ -237,17 +233,16 @@ def _encode_picture(
     if not ptype.is_reference:
         return None
     # Decode-back reconstruction: references are rebuilt from the coded
-    # bits by the batched decoder, so encoder refs == decoder output
-    # bit-for-bit.
+    # bits by the decoder's picture kernel, so encoder refs == decoder
+    # output bit-for-bit.
     out = Frame.blank(source.display_width, source.display_height)
     out.temporal_reference = temporal_reference
-    parses = [
-        parse_slice(
-            payload, row + 1, header, mbw, source.mb_height, fwd is not None
-        )
-        for row, payload in enumerate(slice_payloads)
-    ]
-    reconstruct_slices(parses, seq, header, out, fwd, bwd)
+    coded = [(row + 1, payload, True) for row, payload in enumerate(slice_payloads)]
+    parses, _ = parse_slices(
+        coded, header, mbw, source.mb_height, fwd is not None,
+        resilient=False, counters=WorkCounters(),
+    )
+    reconstruct(out, parses, seq, header, fwd, bwd)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mpeg2.constants import PictureType
+from repro.mpeg2.kernel import reference_table
 
 
 @dataclass(frozen=True)
@@ -74,20 +75,22 @@ class GopStructure:
         return inv
 
     def references(self, display_index: int) -> tuple[int | None, int | None]:
-        """(forward, backward) reference display indices of a picture.
+        """(forward, backward) reference display indices of a picture:
+        the kernel's :func:`~repro.mpeg2.kernel.reference_table` over
+        the coding order, in display indices.
 
         I-pictures have none; P-pictures reference the previous
         reference picture; B-pictures reference the surrounding pair.
         """
         if not 0 <= display_index < self.size:
             raise ValueError(f"display index {display_index} out of range")
-        m = self.ip_distance
-        if display_index == 0:
-            return None, None
-        if display_index % m == 0:
-            return display_index - m, None
-        fwd = (display_index // m) * m
-        return fwd, fwd + m
+        order = self.coding_order()
+        table = reference_table([self.type_of(d) for d in order])
+        fwd, bwd = table[order.index(display_index)]
+        return (
+            None if fwd is None else order[fwd],
+            None if bwd is None else order[bwd],
+        )
 
     def type_of(self, display_index: int) -> PictureType:
         if display_index == 0:

@@ -28,6 +28,7 @@ from repro.bitstream.emulation import unescape_payload
 from repro.bitstream.reader import BitReader
 from repro.mpeg2.constants import PictureType, mb_ceil
 from repro.mpeg2.headers import GopHeader, PictureHeader, SequenceHeader
+from repro.mpeg2.kernel import reference_table
 
 
 class StreamIndexError(Exception):
@@ -74,6 +75,11 @@ class PictureIndex:
     def wire_bytes(self) -> int:
         return self.end_offset - self.start_offset
 
+    @property
+    def header_bits(self) -> int:
+        """Bits of the header, start code included (counter parity)."""
+        return (self.header_payload_end - self.header_payload_start + 4) * 8
+
     def header(self) -> PictureHeader:
         return PictureHeader(
             temporal_reference=self.temporal_reference,
@@ -106,6 +112,11 @@ class GopIndex:
     def wire_bytes(self) -> int:
         return self.end_offset - self.start_offset
 
+    @property
+    def header_bits(self) -> int:
+        """Bits of the header, start code included (counter parity)."""
+        return (self.header_payload_end - self.header_payload_start + 4) * 8
+
     def display_order(self) -> list[int]:
         """Positions (coding order) sorted by temporal reference."""
         return sorted(
@@ -120,33 +131,13 @@ class GopIndex:
             ranks[pos] = rank
         return ranks
 
-    def reference_positions(self, coding_position: int) -> list[int]:
-        """Coding positions of the pictures ``coding_position`` references.
-
-        The standard two-slot reference rule over coding order: a P
-        references the previous reference picture; a B references the
-        previous two (forward first, backward second).  This is the
-        index-level twin of ``GopProfile.reference_positions`` — the
-        scan product the 2-D picture/slice task queue is built from
-        (paper Section 5.2: the scan process reads picture types to
-        construct dependency-closed tasks).
-        """
-        if not 0 <= coding_position < len(self.pictures):
-            raise IndexError(
-                f"coding position {coding_position} out of range"
-            )
-        ref_old: int | None = None
-        ref_new: int | None = None
-        for pos, pic in enumerate(self.pictures):
-            if pos == coding_position:
-                if pic.picture_type is PictureType.P:
-                    return [r for r in (ref_new,) if r is not None]
-                if pic.picture_type is PictureType.B:
-                    return [r for r in (ref_old, ref_new) if r is not None]
-                return []
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, pos
-        raise IndexError(f"coding position {coding_position} out of range")
+    def references(self) -> list[tuple[int | None, int | None]]:
+        """``(fwd, bwd)`` coding positions per picture: the kernel's
+        :func:`~repro.mpeg2.kernel.reference_table` over this GOP — the
+        scan product the picture/slice task queue is built from (paper
+        Section 5.2: the scan process reads picture types to construct
+        dependency-closed tasks)."""
+        return reference_table([pic.picture_type for pic in self.pictures])
 
     def reference_intervals(self) -> list[range]:
         """Coding positions cut into *reference intervals*: a reference

@@ -320,9 +320,6 @@ class PictureCodingContext:
     def mb_width(self) -> int:
         return self.out.mb_width
 
-    def references_for(self) -> tuple[Frame | None, Frame | None]:
-        return self.fwd, self.bwd
-
 
 def decode_slice(
     payload: bytes,

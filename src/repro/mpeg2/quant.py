@@ -126,8 +126,3 @@ def _mismatch_control(coeffs: np.ndarray) -> np.ndarray:
     adjust = np.where(last % 2 == 0, 1, -1)
     coeffs[..., 7, 7] = np.where(even, last + adjust, last)
     return coeffs
-
-
-def effective_step(matrix: np.ndarray, qscale: int) -> np.ndarray:
-    """The reconstruction step size per coefficient (diagnostic)."""
-    return matrix * qscale / 16.0

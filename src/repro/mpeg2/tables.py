@@ -134,10 +134,6 @@ class MbMode:
         if self.intra and (self.mc_fwd or self.mc_bwd or self.coded):
             raise ValueError("intra macroblocks carry no MC flags or CBP")
 
-    @property
-    def has_motion(self) -> bool:
-        return self.mc_fwd or self.mc_bwd
-
 
 # I-pictures: intra / intra+quant (Table B.2a).
 MB_TYPE_I = VLCTable(

@@ -130,7 +130,3 @@ class VLCTable:
         phase-1 batched parser uses to skip per-call overhead.
         """
         return self._dec_syms[window], self._dec_lens[window]
-
-    def mean_code_length(self) -> float:
-        """Unweighted mean codeword length (diagnostic)."""
-        return sum(l for _, l in self._encode.values()) / len(self._encode)

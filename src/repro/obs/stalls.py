@@ -57,6 +57,8 @@ two become directly comparable.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 
 REASON_QUEUE_GET = "queue.get"
@@ -197,7 +199,13 @@ class StallTable:
         denom = max(total_time, sum(per_reason.values()))
         if denom == 0:
             return {reason: 0.0 for reason in per_reason}
-        return {reason: t / denom for reason, t in per_reason.items()}
+        out = {reason: t / denom for reason, t in per_reason.items()}
+        # Rounding in the divisions can lift the sum a few ulps over 1
+        # when the stalls fill the denominator: take them off the top.
+        while sum(out.values()) > 1.0:
+            top = max(out, key=out.__getitem__)
+            out[top] = math.nextafter(out[top], 0.0)
+        return out
 
     def __bool__(self) -> bool:
         return bool(self._totals)

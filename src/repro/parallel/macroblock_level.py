@@ -37,53 +37,50 @@ def measured_phase_split(data: bytes) -> dict[str, float]:
 
     The empirical counterpart of :func:`parse_cycles` /
     :func:`reconstruction_cycles`: decode ``data`` once through the
-    two-phase fast path (:mod:`repro.mpeg2.batched`), timing phase 1
-    (serial bit work) and phase 2 (vectorized reconstruction)
-    separately.  The returned ``amdahl_bound`` is the measured speedup
-    ceiling of the parser-process architecture this module simulates —
-    the number the paper argues against at its Section 4 operating
-    point.
+    picture kernel (:mod:`repro.mpeg2.kernel`), timing phase 1 (serial
+    bit work) and phase 2 (vectorized reconstruction) separately.  The
+    returned ``amdahl_bound`` is the measured speedup ceiling of the
+    parser-process architecture this module simulates — the number the
+    paper argues against at its Section 4 operating point.
 
     Returns ``{"parse_seconds", "reconstruct_seconds",
     "parse_fraction", "amdahl_bound", "pictures"}``.
     """
     from time import perf_counter
 
-    from repro.mpeg2.batched import parse_slice, reconstruct_slices
     from repro.mpeg2.decoder import SequenceDecoder
     from repro.mpeg2.frame import Frame
+    from repro.mpeg2.kernel import (
+        parse_slices,
+        read_slices,
+        reconstruct,
+        reference_frames,
+    )
 
     dec = SequenceDecoder(data)
-    seq = dec.seq
+    seq, index = dec.seq, dec.index
     parse_t = 0.0
     recon_t = 0.0
     pictures = 0
-    for gop in dec.index.gops:
-        ref_old = ref_new = None
-        for pic in gop.pictures:
-            if pic.picture_type.is_reference:
-                fwd, bwd = ref_new, None
-            else:
-                fwd, bwd = ref_old, ref_new
+    for gop in index.gops:
+        decoded: list[Frame] = []
+        for pic, refs in zip(gop.pictures, gop.references()):
+            fwd, bwd = reference_frames(refs, decoded)
             header = pic.header()
             out = Frame.blank(seq.width, seq.height)
             out.temporal_reference = pic.temporal_reference
-            mbw, mbh = out.mb_width, out.mb_height
-            payloads = [
-                (dec.slice_payload(sl), sl.vertical_position) for sl in pic.slices
-            ]
+            coded = read_slices(dec.data, pic.slices)
             t0 = perf_counter()
-            parses = [
-                parse_slice(payload, vpos, header, mbw, mbh, fwd is not None)
-                for payload, vpos in payloads
-            ]
+            parses, _ = parse_slices(
+                coded, header, index.mb_width, index.mb_height,
+                fwd is not None, False, WorkCounters(),
+            )
             t1 = perf_counter()
-            reconstruct_slices(parses, seq, header, out, fwd, bwd)
+            reconstruct(out, parses, seq, header, fwd, bwd)
             recon_t += perf_counter() - t1
             parse_t += t1 - t0
             pictures += 1
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, out
+            decoded.append(out)
     total = parse_t + recon_t
     return {
         "parse_seconds": parse_t,

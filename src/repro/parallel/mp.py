@@ -27,12 +27,14 @@ The paper's three roles map onto real primitives:
   **once** into POSIX shared memory; workers attach by name and decode
   their GOP in place, by the parent's offsets, with the batched
   :class:`~repro.mpeg2.decoder.SequenceDecoder` — the bitstream never
-  crosses the task pipe and is never re-scanned — then write each
-  decoded picture into a shared-memory frame pool as it comes out of
-  the decoder.  One message dispatches a GOP; the worker posts one
-  ``part`` per picture as it lands, the last picture being the task's
-  result.  Only tiny metadata (scan offsets out, temporal references +
-  work counters back) is pickled, and pixel arrays never are.
+  crosses the task pipe and is never re-scanned — each picture landing
+  straight in its slot of a shared-memory frame pool, where later
+  pictures of the GOP read it as a reference and the parent reads it
+  for display: no private frame, no copy.  One message dispatches a
+  GOP; the worker posts one ``part`` per picture as it lands, the last
+  picture being the task's result.  Only tiny metadata (scan offsets
+  out, temporal references + work counters back) is pickled, and pixel
+  arrays never are.
 * **display** — the parent merges completed GOPs back into display
   order through the shared reorder buffer
   (:class:`~repro.parallel.merge.DisplayMerger`), reading frames

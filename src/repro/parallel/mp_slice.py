@@ -39,16 +39,15 @@ The paper's three roles map onto real primitives:
   (:func:`decode_batch`) run per :class:`SliceBatch`.
   The coded stream is published once into shared memory; workers
   attach by name and slice payload byte ranges straight out of the
-  segment.  One function, :func:`decode_batch_into_pool`, is the whole
-  decode — for the task body on either transport and the serve
-  layer's :func:`decode_picture_into_pool` alike: every slice of the
-  batch gets the phase-1 bit-only parse
-  (:func:`repro.mpeg2.batched.parse_slice`), then **one**
-  :func:`~repro.mpeg2.batched.reconstruct_slices` call reconstructs
-  the batch's statically-final rows in place on the shared-memory
-  frame pool, reading reference pictures through zero-copy views.
-  Only the batch's summed work counters and its corrupt row numbers
-  cross the process boundary — pixels and bitstream never do.
+  segment.  The decode is the picture kernel (:mod:`repro.mpeg2.kernel`)
+  that every batched path runs, split at its seam: the task body runs
+  phase 1 on every slice of the batch and then **one** phase-2
+  reconstruct of the batch's statically-final rows, in place on the
+  shared-memory frame pool, reading reference pictures through
+  zero-copy views; the picture's conceal sweep waits for its
+  ``publish`` step.  Only the batch's summed work counters and its
+  corrupt row numbers cross the process boundary — pixels and
+  bitstream never do.
 * **display** — a picture's ``publish`` node, released by its last
   batch, is the parent's step: concealment for corrupt rows, publish
   for dependents, then the merge into display order through
@@ -62,11 +61,9 @@ frames, which the availability rule guarantees are final before any of
 the picture's slices start.  Within a picture, slices cover disjoint
 macroblock rows, so concurrent in-place writes never overlap — whether
 the rows of one batch are reconstructed one call each or all in one.
-Duplicate slices (same row twice) are resolved *statically*: the
-parser runs for every slice (work counters are exact), but only the
-bitstream-last slice of each row carries ``reconstruct=True`` — the
-sequential decoder's last-write-wins outcome without a write race.
-Every slot is zeroed when it is handed out, so rows no slice covers
+Duplicate slices resolve statically, by the kernel's
+:func:`~repro.mpeg2.kernel.last_in_row` tag: no write race.  Every
+slot is zeroed when it is handed out, so rows no slice covers
 read as the sequential decoder's blank frame.  The result is
 bit-identical to ``SequenceDecoder.decode_all()``, frames and
 counters, pinned by ``tests/parallel/test_mp_slice_parity``.
@@ -97,14 +94,10 @@ import time
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from repro.bitstream.emulation import unescape_payload
-from repro.mpeg2.batched import parse_slice, reconstruct_slices
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import SLICE_CORRUPTION_ERRORS
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.headers import SequenceHeader
 from repro.mpeg2.index import StreamIndex
-from repro.mpeg2.reconstruct import conceal_rows, missing_rows
+from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.metrics import metrics
 from repro.obs.stalls import (
     REASON_BARRIER,
@@ -369,158 +362,20 @@ class PictureSliceQueue:
 
 
 # ======================================================================
-# the task body (worker loop, workers=0 path and the serve layer)
-# ======================================================================
-def decode_batch_into_pool(
-    data: bytes | memoryview,
-    plan: PicturePlan,
-    batch: SliceBatch,
-    seq: SequenceHeader,
-    mb_width: int,
-    mb_height: int,
-    pool,
-    resilient: bool,
-) -> tuple[WorkCounters, list[int]]:
-    """Decode one batch of one picture of ``data`` in place on ``pool``.
-
-    Parses **every** slice of ``batch`` (duplicates included, so work
-    counters match the sequential oracle exactly), then reconstructs
-    the statically-final slices among them with one
-    :func:`reconstruct_slices` call into slot ``batch.slot``
-    (references read through zero-copy views of ``batch.ref_slots`` —
-    the availability rule must already hold).  ``pool`` is any
-    :class:`repro.exec.shm.FramePoolBase`.
-
-    Returns the batch's summed work counters and the macroblock rows
-    whose final slice was corrupt: a corrupt slice is skipped and
-    counted in ``concealed_slices`` when ``resilient`` (the caller's
-    end-of-picture :func:`conceal_in_pool` sweep repairs the rows) and
-    raises otherwise — exactly the sequential decoder's contract.
-    """
-    counters = WorkCounters()
-    corrupt_rows: list[int] = []
-    parses = []
-    for sidx in batch.sidxs:
-        sl = plan.slices[sidx]
-        # bytes() materialises shared-memory views (workers read the
-        # stream from an arena); for a bytes slice it is a no-op.
-        payload = unescape_payload(bytes(data[sl.payload_start : sl.payload_end]))
-        try:
-            with trace_span(
-                "mp.slice.parse", cat="mp",
-                order=plan.order, row=sl.vertical_position,
-            ):
-                sp = parse_slice(
-                    payload, sl.vertical_position, plan.header,
-                    mb_width, mb_height, plan.fwd is not None,
-                )
-        except SLICE_CORRUPTION_ERRORS:
-            if not resilient:
-                raise
-            counters.concealed_slices += 1
-            if sl.reconstruct:
-                corrupt_rows.append(sl.vertical_position - 1)
-            continue
-        counters.add(sp.counters)
-        if sl.reconstruct:
-            parses.append(sp)
-    if parses:
-        out = pool.view_frame(batch.slot, plan.header.temporal_reference)
-        fwd, bwd = (*map(pool.view_frame, batch.ref_slots), None, None)[:2]
-        try:
-            with trace_span(
-                "mp.slice.reconstruct", cat="mp",
-                order=plan.order, slices=len(parses),
-            ):
-                reconstruct_slices(parses, seq, plan.header, out, fwd, bwd)
-        finally:
-            del out, fwd, bwd
-    return counters, corrupt_rows
-
-
-def conceal_in_pool(
-    plan: PicturePlan,
-    corrupt_rows,
-    slot: int,
-    fwd_slot: int | None,
-    mb_height: int,
-    pool,
-    resilient: bool,
-) -> tuple[int, int, int]:
-    """End-of-picture concealment sweep on a frame pool.
-
-    Rows whose *final* slice was corrupt, plus — when ``resilient`` —
-    rows no slice covered at all (lost on the wire), get the
-    sequential decoder's :func:`conceal_rows` sweep.  Returns
-    ``(lost rows, temporal, spatial)`` counts.
-    """
-    lost: list[int] = []
-    if resilient:
-        covered = (sl.vertical_position - 1 for sl in plan.slices)
-        lost = missing_rows(mb_height, covered)
-    rows = set(corrupt_rows).union(lost)
-    if not rows:
-        return 0, 0, 0
-    out = pool.view_frame(slot, plan.header.temporal_reference)
-    fwd = pool.view_frame(fwd_slot) if fwd_slot is not None else None
-    try:
-        return (len(lost), *conceal_rows(out, fwd, rows))
-    finally:
-        del out, fwd
-
-
-def decode_picture_into_pool(
-    data: bytes | memoryview,
-    plan: PicturePlan,
-    seq: SequenceHeader,
-    mb_width: int,
-    mb_height: int,
-    pool,
-    resilient: bool,
-    counters: WorkCounters | None = None,
-) -> int:
-    """Decode one whole picture into ``pool`` slot ``plan.order``.
-
-    The picture-granularity composition the serve layer runs (its pools
-    have one slot per picture, so slots are coding-order numbers): one
-    :func:`decode_batch_into_pool` over every slice, then the
-    :func:`conceal_in_pool` sweep.
-
-    Returns the number of concealed slices (0 unless ``resilient``);
-    raises the slice-corruption error when ``resilient`` is off.
-    """
-    batch = SliceBatch(
-        plan.order, range(len(plan.slices)), plan.order, plan.dependencies
-    )
-    done, corrupt_rows = decode_batch_into_pool(
-        data, plan, batch, seq, mb_width, mb_height, pool, resilient
-    )
-    lost, _, _ = conceal_in_pool(
-        plan, corrupt_rows, plan.order, plan.fwd, mb_height, pool, resilient
-    )
-    done.concealed_slices += lost
-    if counters is not None:
-        counters.add(done)
-    return done.concealed_slices
-
-
-# ======================================================================
 # what a worker is given: the session state and the batch task body
 # ======================================================================
-def base_counters(index: StreamIndex, plans: list[PicturePlan]) -> WorkCounters:
+def base_counters(index: StreamIndex) -> WorkCounters:
     """GOP + picture header contributions (the parent's share).
 
     The sequential decoder charges one header + its wire bits per GOP
-    and per picture; slice headers/bits are charged inside
-    :func:`parse_slice` by whichever process parses the slice.
+    and per picture; slice headers/bits are charged by the picture
+    kernel's phase 1 in whichever process parses the slice.
     """
     c = WorkCounters()
     for gop in index.gops:
-        c.headers += 1
-        c.bits += (gop.header_payload_end - gop.header_payload_start + 4) * 8
-    for plan in plans:
-        c.headers += 1
-        c.bits += plan.header_bits
+        for header in (gop, *gop.pictures):
+            c.headers += 1
+            c.bits += header.header_bits
     return c
 
 
@@ -540,16 +395,29 @@ def picture_state(
 
 
 def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
-    """Task body: one :func:`decode_batch_into_pool` on the session's
-    pool.  Returns ``(order, slices, counters, corrupt_rows)``; a
-    corrupt slice when not resilient, or a failure inside the fused
-    reconstruct, is raised — the runtime reports it as an ``err``
-    result for the parent to re-raise, never as a dead worker."""
+    """Task body: the picture kernel's two phases on one batch, in
+    place on slot ``batch.slot``, references read through views of
+    ``batch.ref_slots``.  Returns ``(order, slices, counters,
+    corrupt_rows)``; the rows wait for the picture's conceal sweep in
+    :meth:`MPSliceDecoder._publish`.  What it raises comes back as an
+    ``err`` result for the parent to re-raise, never a dead worker."""
     state = ctx.state
-    return (batch.order, len(batch.sidxs)) + decode_batch_into_pool(
-        ctx.data, state["plans"][batch.order], batch, state["seq"],
-        state["mb_width"], state["mb_height"], ctx.pool, state["resilient"],
+    plan = state["plans"][batch.order]
+    slices = [plan.slices[i] for i in batch.sidxs]
+    counters = WorkCounters()
+    parses, corrupt = parse_slices(
+        read_slices(ctx.data, slices, [sl.reconstruct for sl in slices]),
+        plan.header, state["mb_width"], state["mb_height"],
+        plan.fwd is not None, state["resilient"], counters,
     )
+    if parses:
+        out = ctx.pool.view_frame(batch.slot, plan.header.temporal_reference)
+        fwd, bwd = (*map(ctx.pool.view_frame, batch.ref_slots), None, None)[:2]
+        try:
+            reconstruct(out, parses, state["seq"], plan.header, fwd, bwd)
+        finally:
+            del out, fwd, bwd
+    return batch.order, len(slices), counters, corrupt
 
 
 # ======================================================================
@@ -617,7 +485,7 @@ class MPSliceDecoder(StreamDecoder):
     ) -> Iterator[Frame]:
         """Yield decoded frames in display order."""
         if counters is not None:
-            counters.add(base_counters(self.index, self.plans))
+            counters.add(base_counters(self.index))
         self.counters = counters
         self.gated_since: dict[int, int] = {}
         self.publish_ns: dict[int, int] = {}
@@ -714,16 +582,19 @@ class MPSliceDecoder(StreamDecoder):
             plan = self.plans[order]
             fwd_slot = q.slot_of(plan.fwd) if plan.fwd is not None else None
             t0 = time.perf_counter()
-            lost, n_t, n_s = conceal_in_pool(
-                plan, self.corrupt_rows.pop(order, ()), q.slot_of(order),
-                fwd_slot, self.index.mb_height, self.pool, self.resilient,
-            )
+            out = self.pool.view_frame(q.slot_of(order))
+            fwd = self.pool.view_frame(fwd_slot) if fwd_slot is not None else None
+            try:
+                n_t, n_s = conceal(
+                    out, fwd, self.corrupt_rows.pop(order, ()), plan.slices,
+                    self.resilient, self.counters,
+                )
+            finally:
+                del out, fwd
             record_concealment(
                 self.last_stalls, "scheduler", n_t, n_s,
                 time.perf_counter() - t0,
             )
-            if self.counters is not None:
-                self.counters.concealed_slices += lost
             self.publish_ns[order] = time.monotonic_ns()
             ready.extend(self.merger.push(plan.display_index, order))
         return ready

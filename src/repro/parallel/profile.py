@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.frame import Frame, frame_bytes
 from repro.mpeg2.constants import PictureType
+from repro.mpeg2.kernel import reference_frames, reference_table
 
 
 @dataclass
@@ -78,33 +79,20 @@ class GopProfile:
         return total
 
     def reference_positions(self, coding_position: int) -> list[int]:
-        """Coding positions of the pictures this one references.
-
-        Uses the standard two-slot reference rule over coding order:
-        a P references the previous reference picture; a B references
-        the previous two.
-        """
-        refs: list[int] = []
-        ref_old: int | None = None
-        ref_new: int | None = None
-        for pos, pic in enumerate(self.pictures):
-            if pos == coding_position:
-                if pic.picture_type is PictureType.P:
-                    refs = [r for r in (ref_new,) if r is not None]
-                elif pic.picture_type is PictureType.B:
-                    refs = [r for r in (ref_old, ref_new) if r is not None]
-                return refs
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, pos
-        raise IndexError(f"coding position {coding_position} out of range")
+        """Coding positions of the pictures this one references (the
+        kernel's :func:`~repro.mpeg2.kernel.reference_table`)."""
+        return [r for r in self._references()[coding_position] if r is not None]
 
     def dependents(self, coding_position: int) -> list[int]:
         """Coding positions of pictures that reference this one."""
         return [
             pos
-            for pos in range(len(self.pictures))
-            if coding_position in self.reference_positions(pos)
+            for pos, refs in enumerate(self._references())
+            if coding_position in refs
         ]
+
+    def _references(self) -> list[tuple[int | None, int | None]]:
+        return reference_table([p.picture_type for p in self.pictures])
 
 
 @dataclass
@@ -178,34 +166,26 @@ def profile_stream(
         gp = GopProfile(
             index=gi,
             wire_bytes=gop.wire_bytes,
-            header_bits=(gop.header_payload_end - gop.header_payload_start + 4) * 8,
+            header_bits=gop.header_bits,
         )
-        ref_old: Frame | None = None
-        ref_new: Frame | None = None
         gop_frames: list[Frame] = []
-        for pos, pic in enumerate(gop.pictures):
-            if pic.picture_type.is_reference:
-                fwd, bwd = ref_new, None
-            else:
-                fwd, bwd = ref_old, ref_new
-            frame, slice_counters, _local = dec.decode_picture_with_slices(
-                pic, fwd, bwd
-            )
+        for pos, (pic, refs) in enumerate(zip(gop.pictures, gop.references())):
+            fwd, bwd = reference_frames(refs, gop_frames)
+            slice_counters: list = []
+            frame = dec.decode_picture(pic, fwd, bwd, per_slice=slice_counters)
             pp = PictureProfile(
                 picture_type=pic.picture_type,
                 temporal_reference=pic.temporal_reference,
                 coding_position=pos,
                 display_index=display_base + pic.temporal_reference,
                 wire_bytes=pic.wire_bytes,
-                header_bits=(pic.header_payload_end - pic.header_payload_start + 4) * 8,
+                header_bits=pic.header_bits,
             )
             pp.slices.extend(
                 SliceProfile(vertical_position=vpos, counters=counters)
                 for vpos, counters in slice_counters
             )
             gp.pictures.append(pp)
-            if pic.picture_type.is_reference:
-                ref_old, ref_new = ref_new, frame
             gop_frames.append(frame)
         profile.gops.append(gp)
         if keep_frames:
@@ -227,36 +207,7 @@ def tile_profile(profile: StreamProfile, repeats: int) -> StreamProfile:
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    out = StreamProfile(
-        width=profile.width,
-        height=profile.height,
-        frame_rate=profile.frame_rate,
-        bit_rate=profile.bit_rate,
-        total_bytes=profile.total_bytes * repeats,
-    )
-    display_base = 0
-    for r in range(repeats):
-        for gop in profile.gops:
-            new_gop = GopProfile(
-                index=len(out.gops),
-                wire_bytes=gop.wire_bytes,
-                header_bits=gop.header_bits,
-            )
-            for pic in gop.pictures:
-                new_gop.pictures.append(
-                    PictureProfile(
-                        picture_type=pic.picture_type,
-                        temporal_reference=pic.temporal_reference,
-                        coding_position=pic.coding_position,
-                        display_index=display_base + pic.temporal_reference,
-                        wire_bytes=pic.wire_bytes,
-                        header_bits=pic.header_bits,
-                        slices=pic.slices,
-                    )
-                )
-            display_base += len(gop.pictures)
-            out.gops.append(new_gop)
-    return out
+    return _restream(profile, profile.gops * repeats, profile.total_bytes * repeats)
 
 
 def slice_gops(profile: StreamProfile, start: int, end: int | None = None) -> StreamProfile:
@@ -269,33 +220,28 @@ def slice_gops(profile: StreamProfile, start: int, end: int | None = None) -> St
     gops = profile.gops[start:end]
     if not gops:
         raise ValueError(f"empty GOP range {start}:{end}")
-    out = StreamProfile(
-        width=profile.width,
-        height=profile.height,
-        frame_rate=profile.frame_rate,
-        bit_rate=profile.bit_rate,
-        total_bytes=0,
-    )
+    return _restream(profile, gops, sum(g.wire_bytes for g in gops))
+
+
+def _restream(
+    profile: StreamProfile, gops: list[GopProfile], total_bytes: int
+) -> StreamProfile:
+    """``gops`` as a stream of their own: GOPs renumbered from 0 and
+    display indices rebuilt, slice profiles shared."""
+    out = replace(profile, total_bytes=total_bytes, gops=[])
     display_base = 0
-    for gi, gop in enumerate(gops):
-        new_gop = GopProfile(
-            index=gi, wire_bytes=gop.wire_bytes, header_bits=gop.header_bits
-        )
-        for pic in gop.pictures:
-            new_gop.pictures.append(
-                PictureProfile(
-                    picture_type=pic.picture_type,
-                    temporal_reference=pic.temporal_reference,
-                    coding_position=pic.coding_position,
-                    display_index=display_base + pic.temporal_reference,
-                    wire_bytes=pic.wire_bytes,
-                    header_bits=pic.header_bits,
-                    slices=pic.slices,
-                )
+    for gop in gops:
+        out.gops.append(
+            replace(
+                gop,
+                index=len(out.gops),
+                pictures=[
+                    replace(pic, display_index=display_base + pic.temporal_reference)
+                    for pic in gop.pictures
+                ],
             )
+        )
         display_base += len(gop.pictures)
-        out.total_bytes += gop.wire_bytes
-        out.gops.append(new_gop)
     return out
 
 
@@ -347,14 +293,11 @@ def synthesize_profile(
         for pos, display_idx in enumerate(structure.coding_order()):
             src = draw(structure.type_of(display_idx))
             gop.pictures.append(
-                PictureProfile(
-                    picture_type=src.picture_type,
+                replace(
+                    src,
                     temporal_reference=display_idx,
                     coding_position=pos,
                     display_index=display_base + display_idx,
-                    wire_bytes=src.wire_bytes,
-                    header_bits=src.header_bits,
-                    slices=src.slices,
                 )
             )
             gop.wire_bytes += src.wire_bytes

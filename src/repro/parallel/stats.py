@@ -40,12 +40,6 @@ def load_balance(result: DecodeRunResult) -> tuple[int, int, float]:
     return min(execs), max(execs), sum(execs) / len(execs)
 
 
-def imbalance_ratio(result: DecodeRunResult) -> float:
-    """max/mean worker computing time; 1.0 is perfectly balanced."""
-    lo, hi, mean = load_balance(result)
-    return hi / mean if mean else 1.0
-
-
 def sync_ratio(result: DecodeRunResult) -> float:
     """Average worker sync-wait / execution-time ratio (Fig. 12)."""
     return result.mean_sync_ratio

@@ -237,14 +237,6 @@ class Scheduler:
             return Admission.QUEUED
         return Admission.REJECTED
 
-    @property
-    def active_sessions(self) -> list[str]:
-        return list(self._active)
-
-    @property
-    def waiting_sessions(self) -> list[str]:
-        return list(self._waiting)
-
     def is_active(self, sid: str) -> bool:
         return sid in self._active
 

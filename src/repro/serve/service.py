@@ -55,6 +55,7 @@ from typing import Callable
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.slo import SLOPolicy
@@ -69,7 +70,7 @@ from repro.obs.trace import trace_complete, trace_span
 from repro.exec.auto import resolve
 from repro.exec.backend import TaskContext, get_team
 from repro.exec.dispatch import ParentLoop, account
-from repro.parallel.mp_slice import decode_picture_into_pool, picture_state
+from repro.parallel.mp_slice import picture_state
 from repro.serve.degrade import (
     ACTION_DROP_B,
     ACTION_SKIP_GOP,
@@ -84,6 +85,25 @@ _IDLE_POLL_S = 0.002
 
 #: Executor grain -> scheduler decomposition.
 _TASK_GRAIN = {"gop": "coarse", "slice": "fine"}
+
+
+def _decode_picture(ctx: TaskContext, plan, counters: WorkCounters) -> None:
+    """One whole picture into pool slot ``plan.order`` (a serve pool
+    has a slot per picture): the picture kernel's two phases, then its
+    conceal sweep."""
+    state, pool = ctx.state, ctx.pool
+    parses, corrupt = parse_slices(
+        read_slices(ctx.data, plan.slices, [sl.reconstruct for sl in plan.slices]),
+        plan.header, state["mb_width"], state["mb_height"],
+        plan.fwd is not None, state["resilient"], counters,
+    )
+    out = pool.view_frame(plan.order, plan.header.temporal_reference)
+    fwd, bwd = (*map(pool.view_frame, plan.dependencies), None, None)[:2]
+    try:
+        reconstruct(out, parses, state["seq"], plan.header, fwd, bwd)
+        conceal(out, fwd, corrupt, plan.slices, state["resilient"], counters)
+    finally:
+        del out, fwd, bwd
 
 
 def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters:
@@ -107,11 +127,7 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
             session=ctx.sid, key=str(key), pictures=len(orders),
         ):
             for i, order in enumerate(orders):
-                decode_picture_into_pool(
-                    ctx.data, state["plans"][order], state["seq"],
-                    state["mb_width"], state["mb_height"], ctx.pool,
-                    state["resilient"], counters,
-                )
+                _decode_picture(ctx, state["plans"][order], counters)
                 if i + 1 < len(orders):
                     ctx.post(order)
     except Exception:

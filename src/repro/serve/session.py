@@ -119,7 +119,7 @@ class StreamSession:
             self.seq = index.sequence_header
             self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
             self.plans = scan_slice_tasks(index)
-            self.counters = base_counters(index, self.plans)
+            self.counters = base_counters(index)
         self.merger = DisplayMerger(len(self.plans))
         #: Coding orders decoded and pushed to the merger so far.
         self.banked: set[int] = set()

@@ -325,9 +325,6 @@ class Simulator:
             raise TypeError(f"unknown simulator command: {command!r}")
 
     # ------------------------------------------------------------------
-    def stats_by_name(self) -> dict[str, ProcessStats]:
-        return {p.name: p.stats for p in self.processes}
-
     def finish_time(self, names: Iterable[str] | None = None) -> int:
         """Latest finish time over the named (or all) processes."""
         procs = self.processes

@@ -67,9 +67,6 @@ class MemoryTracker:
         curve = self.curve(category)
         return max((u for _, u in curve), default=0)
 
-    def peak_by_category(self) -> dict[str, int]:
-        return {c: self.peak(c) for c in self.categories()}
-
     def categories(self) -> list[str]:
         seen: dict[str, None] = {}
         for e in self.events:

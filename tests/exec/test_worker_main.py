@@ -573,36 +573,30 @@ def test_src_has_one_coefficient_parser_and_one_payload_read():
     # The batched engine's phase 1 is ``batched.parse_slice`` and the
     # scalar oracle's is ``decode_block``; the inlined-cursor block
     # decoder that sat between them (and the switch that selected it)
-    # must not come back as a third.  And ``SequenceDecoder`` reads the
-    # coded stream at one place, ``slice_payload``, which takes bytes
-    # or an arena view alike — no wrapper class in the worker.
+    # must not come back as a third.  And the package reads a coded
+    # slice out of the stream at one place, the picture kernel's
+    # ``read_slices``, which takes bytes or an arena view alike — no
+    # wrapper class in the worker.
     from repro.mpeg2 import blockcoding
     from repro.mpeg2.macroblock import parse_macroblock
 
     assert not hasattr(blockcoding, "decode_blocks_fast")
     assert "fast" not in inspect.signature(parse_macroblock).parameters
-    decoder = os.path.join("mpeg2", "decoder.py")
-    reads = 0
+    reads = []
     for rel, _n, line in src_lines():
         assert "_SliceBytes" not in line, rel
-        reads += rel == decoder and "sl.payload_start" in line.split("#")[0]
-    assert reads == 1
+        if re.search(r"\[\s*\w+\.payload_start\s*:", line.split("#")[0]):
+            reads.append(rel)
+    assert reads == [os.path.join("mpeg2", "kernel.py")]
 
 
-def test_src_gop_decode_streams_through_the_picture_path():
-    # The GOP decode is the picture path run one reference interval at
-    # a time: the GOP-wide mega-batch beside it is gone, the sequential
-    # decoder parses a slice at one place, and the transform has one
-    # caller — phase 2 of one picture.  (``gop_dequant_idct`` keeps its
-    # list signature: the bench's stage probe calls it.)
+def src_calls(*names: str) -> dict[str, list[tuple[str, str]]]:
+    """``(path relative to src/repro, enclosing function)`` of every
+    call of each of ``names`` (as ``f(...)`` or ``mod.f(...)``)."""
     root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
-    calls: dict[str, list[tuple[str, str]]] = {
-        "parse_slice": [], "gop_dequant_idct": [],
-    }
-    for rel, _n, line in src_lines():
-        assert "_decode_gop_batched" not in line, rel
-    for folder, _dirs, files in os.walk(root):
-        for name in files:
+    calls: dict[str, list[tuple[str, str]]] = {name: [] for name in names}
+    for folder, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
             if not name.endswith(".py"):
                 continue
             path = os.path.join(folder, name)
@@ -612,17 +606,58 @@ def test_src_gop_decode_streams_through_the_picture_path():
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 for node in ast.walk(fn):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id in calls
-                    ):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    called = (
+                        func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None
+                    )
+                    if called in calls:
                         site = (os.path.relpath(path, root), fn.name)
-                        calls[node.func.id].append(site)
-    decoder = os.path.join("mpeg2", "decoder.py")
-    assert [s for s in calls["parse_slice"] if s[0] == decoder] == [
-        (decoder, "_parse_picture")
-    ]
-    assert calls["gop_dequant_idct"] == [
-        (os.path.join("mpeg2", "batched.py"), "reconstruct_slices")
-    ]
+                        calls[called].append(site)
+    return calls
+
+
+def test_src_gop_decode_streams_through_the_picture_path():
+    # The GOP decode is the picture path run one reference interval at
+    # a time: the GOP-wide mega-batch beside it is gone, and the
+    # transform has one caller — phase 2 of one picture.
+    # (``gop_dequant_idct`` keeps its list signature: the bench's stage
+    # probe calls it.)
+    for rel, _n, line in src_lines():
+        assert "_decode_gop_batched" not in line, rel
+    assert src_calls("gop_dequant_idct") == {
+        "gop_dequant_idct": [
+            (os.path.join("mpeg2", "batched.py"), "reconstruct_slices")
+        ]
+    }
+
+
+def test_src_has_one_picture_kernel_and_one_reference_table():
+    # Every batched decode of a picture — sequential, slice batch, serve
+    # task, GOP task, the encoder's decode-back and the phase-split
+    # probe — runs the picture kernel: outside ``batched.py`` a slice is
+    # parsed at one call site and a picture reconstructed at one, both
+    # in ``kernel.py``.  The two-slot reference rotation is written once,
+    # in the kernel's reference table; and a GOP task decodes into its
+    # pool slots in place, so nothing copies a private frame into one.
+    from repro.mpeg2.index import GopIndex
+    from repro.parallel import mp_slice
+
+    kernel = os.path.join("mpeg2", "kernel.py")
+    assert src_calls("parse_slice", "reconstruct_slices", "write_frame") == {
+        "parse_slice": [(kernel, "parse_slices")],
+        "reconstruct_slices": [(kernel, "reconstruct")],
+        "write_frame": [],
+    }
+    rotations = {
+        rel for rel, _n, line in src_lines()
+        if re.search(r"\bref_(old|new)\b", line.split("#")[0])
+    }
+    assert rotations == {kernel}
+    for gone in ("decode_batch_into_pool", "conceal_in_pool",
+                 "decode_picture_into_pool"):
+        assert not hasattr(mp_slice, gone), gone
+    assert not hasattr(GopIndex, "reference_positions")

@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpeg2 import decoder as decoder_mod
+from repro.mpeg2 import kernel as kernel_mod
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder, release_in_display_order
 from repro.mpeg2.index import GopIndex, build_index
@@ -189,13 +189,13 @@ _DIGESTS = CORPUS[_BASE]["frame_digests"]
 def test_first_frame_needs_only_the_first_interval(monkeypatch):
     """Lazy: the first frame is out after the first interval's parse."""
     parsed = []
-    real = decoder_mod.parse_slice
+    real = kernel_mod.parse_slice
 
     def counting(payload, vpos, *args):
         parsed.append(vpos)
         return real(payload, vpos, *args)
 
-    monkeypatch.setattr(decoder_mod, "parse_slice", counting)
+    monkeypatch.setattr(kernel_mod, "parse_slice", counting)
     dec = SequenceDecoder(_BASE_DATA, engine="batched")
     frames = dec.decode_gop(_GOP)
     assert parsed == []

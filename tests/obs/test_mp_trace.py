@@ -42,7 +42,8 @@ class TestMergedTimeline:
         names = {e["name"] for e in events}
         assert "mp.scan" in names
         assert "mp.worker.decode_gop" in names
-        assert "mp.shm.write" in names
+        # GOP tasks decode straight into their pool slots: no copy.
+        assert "mp.shm.write" not in names
         assert "mp.shm.read" in names
         assert "mp.result.wait" in names  # parent-side merge wait
 

@@ -9,6 +9,7 @@ from repro.obs.stalls import (
     REASON_BARRIER,
     REASON_MERGE,
     REASON_POOL_SLOT,
+    REASON_REF_PUBLISH,
     REASON_QUEUE_GET,
     StallTable,
     format_stall_breakdown,
@@ -79,6 +80,21 @@ class TestBreakdown:
         t.record("b", REASON_MERGE, 70.0)
         b = t.breakdown(100.0)  # stalls sum to 150 > denominator
         assert sum(b.values()) <= 1.0 + 1e-12
+
+    def test_fractions_never_round_above_one(self):
+        # Stalls that fill the denominator: each division rounds, and
+        # these four used to sum to 1.0000000000000002 (the split a
+        # 2-worker slice decode reported now and then).
+        t = StallTable()
+        for reason, seconds in zip(
+            (REASON_QUEUE_GET, REASON_MERGE, REASON_BARRIER, REASON_REF_PUBLISH),
+            (0.9677999949201714, 0.3580493746949883,
+             0.8916606598206824, 0.2184427269152317),
+        ):
+            t.record("w", reason, seconds)
+        b = t.breakdown(1e-4)
+        assert sum(b.values()) <= 1.0
+        assert sum(b.values()) == pytest.approx(1.0)
 
     def test_zero_total_time(self):
         t = StallTable()

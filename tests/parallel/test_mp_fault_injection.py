@@ -124,17 +124,18 @@ class TestSliceReconstructError:
     @pytest.fixture
     def failing_reconstruct(self, monkeypatch):
         # Forked workers inherit the patched module: every P-picture
-        # batch fails after its slices have parsed cleanly.
-        from repro.parallel import mp_slice
+        # batch fails after its slices have parsed cleanly, inside the
+        # picture kernel's phase 2.
+        from repro.mpeg2 import kernel
 
-        real = mp_slice.reconstruct_slices
+        real = kernel.reconstruct_slices
 
         def reconstruct(parses, seq, header, out, fwd, bwd):
             if header.picture_type.letter == "P":
                 raise RuntimeError("injected reconstruct failure")
             real(parses, seq, header, out, fwd, bwd)
 
-        monkeypatch.setattr(mp_slice, "reconstruct_slices", reconstruct)
+        monkeypatch.setattr(kernel, "reconstruct_slices", reconstruct)
 
     @pytest.mark.parametrize("resilient", [False, True])
     @pytest.mark.parametrize("workers", [0, 2])

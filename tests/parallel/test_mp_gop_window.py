@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.exec.backend import GopResult
 from repro.exec.graph import DISPATCHED
+from repro.mpeg2.counters import WorkCounters
+from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.headers import PictureType, SequenceHeader
 from repro.mpeg2.index import (
     GopIndex,
@@ -36,6 +38,8 @@ from repro.mpeg2.index import (
 )
 from repro.obs.metrics import metrics, reset_metrics
 from repro.parallel.mp import MPGopDecoder
+
+from tests.mpeg2.test_resilience import corrupt_slice
 
 VECTOR = "two_gop_48x32"
 
@@ -86,6 +90,52 @@ def test_pool_does_not_grow_with_the_stream(golden):
         sizes.append(dec.last_pool_bytes)
     longest = max(len(g.pictures) for g in dec.index.gops)
     assert sizes[0] == sizes[1] == 2 * 2 * longest * dec.layout.slot_bytes
+
+
+def _drop_slice(data: bytes, gop: int, pic: int, sl: int) -> bytes:
+    """``data`` without one slice (start code and payload): lost."""
+    s = build_index(data).gops[gop].pictures[pic].slices[sl]
+    return data[: s.payload_start - 4] + data[s.payload_end :]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("case", ["hole", "lossy"])
+def test_gop_tasks_decode_into_reused_slots(
+    golden, no_shm_leak, case, workers, engine
+):
+    # Six GOPs on at most 2 x 2 runs: the last GOPs decode in place into
+    # slots an earlier GOP's pictures filled.  A row no slice covers
+    # must read as Frame.blank's zeros there (non-resilient), and the
+    # conceal sweep must see the same neighbours and references
+    # (resilient) as the sequential decoder.
+    data = tile(golden.data(VECTOR), 3)
+    if case == "hole":
+        # GOP 5's B1 (coding position 2) loses its second row.
+        data = _drop_slice(data, 5, 2, 1)
+    else:
+        data = corrupt_slice(data, gop=4, pic=1, sl=0)
+        data = _drop_slice(_drop_slice(data, 5, 2, 0), 5, 0, 1)
+    resilient = case == "lossy"
+    want = WorkCounters()
+    ref = SequenceDecoder(
+        data, engine="scalar", resilient=resilient
+    ).decode_all(want)
+    if case == "hole":
+        blank = ref[-3]
+        assert not (blank.y[16:32].any() or blank.cb[8:16].any()
+                    or blank.cr[8:16].any())
+    else:
+        assert want.concealed_slices == 3
+
+    got = WorkCounters()
+    dec = MPGopDecoder(
+        data, workers=workers, engine=engine, resilient=resilient
+    )
+    frames = dec.decode_all(got)
+    assert len(dec.index.gops) == 6 > max(2 * workers, 1)
+    assert [f.digest() for f in frames] == [f.digest() for f in ref]
+    assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -195,6 +195,17 @@ class TestResilientParity:
         assert_slice_parity(data, workers=2, mode="improved", resilient=True)
 
     @pytest.mark.parametrize("workers", (0, 2))
+    def test_mid_gop_i_picture(self, golden, workers):
+        # Three I pictures in one GOP, the second one corrupt: the
+        # reference table gives an I picture no forward reference on
+        # every path, so its row is concealed spatially everywhere.
+        data = golden.data("neg_fuzz027_splice_bitstream_error")
+        counters = WorkCounters()
+        SequenceDecoder(data, resilient=True).decode_all(counters)
+        assert counters.concealed_slices == 1
+        assert_slice_parity(data, workers, "improved", resilient=True)
+
+    @pytest.mark.parametrize("workers", (0, 2))
     def test_strict_mode_raises_same_family(self, small_stream, workers):
         data = corrupt_slice(small_stream, gop=0, pic=4, sl=1)
         try:
