@@ -103,10 +103,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         or args.iframes
     )
     if trick:
-        from dataclasses import replace
-
         from repro.access import trick_decode, trick_decode_mp
-        from repro.mpeg2.index import build_index
 
         if sum(map(bool, (args.reverse, args.iframes, args.rate != 1))) > 1:
             print(
@@ -114,45 +111,35 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        target = 0
-        index = build_index(data)
         if args.reverse:
             mode = "reverse"
         elif args.iframes:
             mode = "iframes"
         elif args.rate != 1:
+            # With --seek, fast-forward joins at the closed GOP owning
+            # the target, the way the net server does.
             mode = f"ff{args.rate}"
-            if args.seek is not None:
-                # Compose seek + fast-forward the way the net server
-                # does: join at the closed GOP owning the target, then
-                # fast-forward over the tail of the index.
-                join = index.gop_for_display_index(args.seek)
-                base = index.gop_display_base(join)
-                index = replace(index, gops=index.gops[join:])
-                print(f"joined at GOP {join} (display base {base})")
         else:
             mode = "seek"
-            target = args.seek
+        target = args.seek or 0
         if args.workers is not None:
             pairs = trick_decode_mp(
-                data, mode, target=target, index=index, workers=args.workers,
+                data, mode, target=target, workers=args.workers,
                 resilient=args.resilient, counters=counters,
             )
         else:
             engine = "batched" if args.engine == "auto" else args.engine
             pairs = trick_decode(
-                data, mode, target=target, index=index, engine=engine,
+                data, mode, target=target, engine=engine,
                 resilient=args.resilient, counters=counters,
             )
         frames = [f for _, f in pairs]
         # Dump under the *display* index so a seek tail diffs 1:1
         # against the same files from a linear decode.
         dump_indices = [d for d, _ in pairs]
-        lo = min(dump_indices) if pairs else 0
-        hi = max(dump_indices) if pairs else 0
         print(
-            f"trick-play {mode}: {len(frames)} pictures "
-            f"(display indices {lo}..{hi})"
+            f"trick-play {mode}: {len(frames)} pictures (display indices "
+            f"{min(dump_indices)}..{max(dump_indices)})"
         )
     elif (
         args.grain is not None

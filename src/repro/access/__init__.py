@@ -6,25 +6,26 @@ boundary, so any closed GOP decodes bit-identically whether reached
 linearly or jumped to.  This module turns that property into a
 random-access subsystem: the scan index maps byte offsets and display
 indices to GOP/picture coordinates (``StreamIndex.locate_offset`` /
-``join_point``), and the trick modes below re-plan *which* pictures to
-decode while reusing the scalar/batched engines and the multiprocess
-GOP decoder unchanged: a decoder is handed the stream's own bytes and,
-where it should see only some GOPs, an index *view* restricted to them
-(``replace(index, gops=...)``) — never a spliced copy scanned again.
+``join_point``), and :func:`plan_trick` turns a mode into an index
+*view* — the GOPs the mode visits, each narrowed to the pictures it
+shows plus the I/P pictures those predict from.  Every decoder (the
+scalar/batched engines, the multiprocess GOP decoder, the decode
+service) runs over the stream's own bytes and that view unchanged,
+and never sees a spliced copy scanned again.
 
 Modes (:data:`TRICK_MODES`):
 
 ``seek``
-    Enter at the closed GOP owning a target display index and decode
-    linearly to the end, emitting frames at or after the target.
+    Enter at the closed GOP owning a target display index and emit
+    from the target to the end, decoding the tail plus the pictures it
+    predicts from.
 ``reverse``
     Decode GOPs last-to-first and emit each GOP's frames in reverse
     display order — global reverse playback.
 ``ff2`` / ``ff4``
-    N-times fast-forward: process every (N/2)-th GOP and decode only
-    its reference pictures (I/P).  Skipping B pictures is exact because
-    B's never enter the two-slot reference chain; the emitted I/P
-    frames are bit-identical to the linear decode.
+    N-times fast-forward from the join at the target: every (N/2)-th
+    GOP, its reference pictures (I/P) only.  Skipping B pictures is
+    exact because B's never enter the two-slot reference chain.
 ``iframes``
     I-only scrub: each GOP contributes exactly its intra picture,
     decoded with no references at all.
@@ -48,7 +49,6 @@ from repro.mpeg2.index import (
     StreamIndexError,
     build_index,
 )
-from repro.mpeg2.kernel import reference_frames
 
 
 class AccessError(Exception):
@@ -69,27 +69,24 @@ FF_GOP_STRIDE = {2: 1, 4: 2}
 
 @dataclass(frozen=True)
 class TrickPlan:
-    """A trick-mode decode plan: which GOPs, which frames, what engine work.
+    """A trick-mode decode plan: what to show and the index view to decode.
 
     ``emissions`` lists ``(gop, display_rank)`` in emission order;
     the global display index of an emission is
-    ``index.gop_display_base(gop) + display_rank``.  ``refs_only``
-    marks plans whose GOPs only need their I/P chain decoded.
+    ``index.gop_display_base(gop) + display_rank``.  ``view`` is the
+    decode input: the source index narrowed to the GOPs the plan
+    visits, in first-emission order, and within each GOP to its
+    emitted pictures plus their closure under
+    :meth:`~repro.mpeg2.index.GopIndex.references`.  ``sources`` is,
+    per view picture in the order a decoder emits it, its source
+    display index, or ``None`` for a picture decoded only to predict
+    from.
     """
 
     mode: str
     emissions: tuple[tuple[int, int], ...]
-    refs_only: bool
-
-    def gops(self) -> list[int]:
-        """Distinct GOP numbers in first-emission order."""
-        seen: list[int] = []
-        for gop, _rank in self.emissions:
-            if not seen or seen[-1] != gop:
-                if gop in seen:
-                    raise AccessError(f"plan revisits GOP {gop}")
-                seen.append(gop)
-        return seen
+    view: StreamIndex
+    sources: tuple[int | None, ...]
 
     def display_indices(self, index: StreamIndex) -> list[int]:
         return [
@@ -107,22 +104,69 @@ def _require_closed(index: StreamIndex, gop: int, *, context: str) -> GopIndex:
     return g
 
 
+def _plan(
+    index: StreamIndex, mode: str, emissions: list[tuple[int, int]]
+) -> TrickPlan:
+    """The plan for ``emissions``, with its index view.
+
+    Dropping pictures outside the reference closure leaves every kept
+    picture's ``(fwd, bwd)`` unchanged — B pictures never predict, and
+    a kept picture's references are kept — so every decoder run over
+    the view reproduces the linear decode's pixels for the emissions.
+    """
+    if not emissions:
+        raise AccessError(f"{mode}: the stream has nothing to show")
+    shown: dict[int, set[int]] = {}
+    for gop, rank in emissions:
+        shown.setdefault(gop, set()).add(rank)
+    gops: list[GopIndex] = []
+    sources: list[int | None] = []
+    for gop, ranks in shown.items():
+        g = index.gops[gop]
+        display_ranks = g.display_ranks()
+        keep = {pos for pos, r in enumerate(display_ranks) if r in ranks}
+        table = g.references()
+        # References point back in coding order: one backward sweep
+        # closes the set.
+        for pos in reversed(range(len(g.pictures))):
+            if pos in keep:
+                keep.update(r for r in table[pos] if r is not None)
+        coded = sorted(keep)
+        gops.append(replace(g, pictures=[g.pictures[p] for p in coded]))
+        base = index.gop_display_base(gop)
+        for pos in sorted(coded, key=display_ranks.__getitem__):
+            rank = display_ranks[pos]
+            sources.append(base + rank if rank in ranks else None)
+    return TrickPlan(
+        mode=mode,
+        emissions=tuple(emissions),
+        view=replace(index, gops=gops),
+        sources=tuple(sources),
+    )
+
+
 def plan_trick(
     index: StreamIndex, mode: str, target: int = 0
 ) -> TrickPlan:
-    """Build the emission plan for ``mode`` over ``index``.
+    """Build the plan for ``mode`` over ``index``.
 
-    ``target`` is a display index (``seek``) and is ignored by the
-    other modes.  Raises :class:`SeekError` for seeks past EOF or into
-    an open GOP, :class:`AccessError` for unknown modes.
+    ``target`` is a display index: ``seek`` emits from it on, the
+    fast-forward modes join at the first closed GOP from the one owning
+    it (``index.join_point(index.gop_for_display_index(target))``, the
+    rule :class:`~repro.serve.session.StreamSession` applies to
+    ``start_gop``), and ``reverse`` / ``iframes`` ignore it.
+    Raises :class:`SeekError` for targets past EOF or entries into an
+    open GOP, :class:`AccessError` for unknown modes.
     """
-    if mode == "seek":
+    if mode in ("seek", "ff2", "ff4"):
         if not 0 <= target < index.picture_count:
             raise SeekError(
                 f"seek target {target} past EOF "
                 f"(stream has {index.picture_count} pictures)"
             )
         entry = index.gop_for_display_index(target)
+
+    if mode == "seek":
         _require_closed(index, entry, context=f"seek to {target}")
         emissions: list[tuple[int, int]] = []
         for gop in range(entry, len(index.gops)):
@@ -130,7 +174,7 @@ def plan_trick(
             for rank in range(len(index.gops[gop].pictures)):
                 if base + rank >= target:
                     emissions.append((gop, rank))
-        return TrickPlan(mode=mode, emissions=tuple(emissions), refs_only=False)
+        return _plan(index, mode, emissions)
 
     if mode == "reverse":
         emissions = []
@@ -138,21 +182,23 @@ def plan_trick(
             _require_closed(index, gop, context="reverse play")
             for rank in reversed(range(len(index.gops[gop].pictures))):
                 emissions.append((gop, rank))
-        return TrickPlan(mode=mode, emissions=tuple(emissions), refs_only=False)
+        return _plan(index, mode, emissions)
 
     if mode in ("ff2", "ff4"):
         stride = FF_GOP_STRIDE[int(mode[2:])]
+        try:
+            join = index.join_point(entry) if entry else 0
+        except StreamIndexError as exc:
+            raise SeekError(f"{mode} from {target}: {exc}") from None
         emissions = []
-        for gop in range(0, len(index.gops), stride):
+        for gop in range(join, len(index.gops), stride):
             g = _require_closed(index, gop, context=mode)
-            ranks = g.display_ranks()
-            for pos in sorted(
-                (p for p, pic in enumerate(g.pictures)
-                 if pic.picture_type.is_reference),
-                key=lambda p: ranks[p],
-            ):
-                emissions.append((gop, ranks[pos]))
-        return TrickPlan(mode=mode, emissions=tuple(emissions), refs_only=True)
+            emissions.extend(
+                (gop, rank)
+                for rank, pic in zip(g.display_ranks(), g.pictures)
+                if pic.picture_type.is_reference
+            )
+        return _plan(index, mode, emissions)
 
     if mode == "iframes":
         emissions = []
@@ -164,45 +210,21 @@ def plan_trick(
                     break
             else:
                 raise AccessError(f"GOP {gop} has no I picture")
-        return TrickPlan(mode=mode, emissions=tuple(emissions), refs_only=True)
+        return _plan(index, mode, emissions)
 
     raise AccessError(f"unknown trick mode {mode!r}; expected one of {TRICK_MODES}")
 
 
-def _decode_gop_subset(
-    dec: SequenceDecoder,
-    gop: GopIndex,
-    ranks: set[int],
-    refs_only: bool,
-    counters: WorkCounters | None,
-) -> dict[int, Frame]:
-    """Decode the frames of ``gop`` at display ranks ``ranks``.
-
-    ``refs_only`` plans walk the I/P coding chain directly — B pictures
-    are neither decoded nor charged, which is the whole point of the
-    fast-forward modes — and stop as soon as every requested rank is
-    in hand.  Full plans reuse the engine's GOP decode and subset it.
-    """
-    if not refs_only:
-        frames = list(dec.decode_gop(gop, counters))
-        return {rank: frames[rank] for rank in ranks}
-    out: dict[int, Frame] = {}
-    decoded: dict[int, Frame] = {}
-    display_ranks = gop.display_ranks()
-    for pos, (pic, refs) in enumerate(zip(gop.pictures, gop.references())):
-        if not pic.picture_type.is_reference:
-            continue
-        frame = decoded[pos] = dec.decode_picture(
-            pic, *reference_frames(refs, decoded), counters
-        )
-        if display_ranks[pos] in ranks:
-            out[display_ranks[pos]] = frame
-            if len(out) == len(ranks):
-                break
-    missing = ranks - set(out)
-    if missing:
-        raise AccessError(f"GOP ranks {sorted(missing)} are not reference pictures")
-    return out
+def _shown(
+    plan: TrickPlan, index: StreamIndex, frames: list[Frame]
+) -> list[tuple[int, Frame]]:
+    """A decode of ``plan.view`` as ``(source display index, frame)``
+    pairs in emission order."""
+    by_source = {
+        d: frame for d, frame in zip(plan.sources, frames, strict=True)
+        if d is not None
+    }
+    return [(d, by_source[d]) for d in plan.display_indices(index)]
 
 
 def trick_decode(
@@ -222,17 +244,8 @@ def trick_decode(
     """
     idx = index if index is not None else build_index(data)
     plan = plan_trick(idx, mode, target)
-    dec = SequenceDecoder(data, index=idx, resilient=resilient, engine=engine)
-    per_gop: dict[int, dict[int, Frame]] = {}
-    for gop in plan.gops():
-        ranks = {rank for g, rank in plan.emissions if g == gop}
-        per_gop[gop] = _decode_gop_subset(
-            dec, idx.gops[gop], ranks, plan.refs_only, counters
-        )
-    return [
-        (idx.gop_display_base(gop) + rank, per_gop[gop][rank])
-        for gop, rank in plan.emissions
-    ]
+    dec = SequenceDecoder(data, index=plan.view, resilient=resilient, engine=engine)
+    return _shown(plan, idx, dec.decode_all(counters))
 
 
 def trick_decode_mp(
@@ -246,30 +259,16 @@ def trick_decode_mp(
 ) -> list[tuple[int, Frame]]:
     """Run trick mode ``mode`` through the multiprocess GOP decoder.
 
-    The selected GOPs are handed to :class:`~repro.parallel.mp.
-    MPGopDecoder` as an index *view* — the stream's own bytes and scan,
-    restricted to those GOPs, exactly the scan product GOP-level
-    workers consume — and the emitted frames are then subset to the
-    plan.  ``workers=0`` decodes in-process deterministically.
+    The decoder gets the plan's index view — the scan product GOP-level
+    workers consume, narrowed to what the plan shows and predicts from.
+    ``workers=0`` decodes in-process deterministically.
     """
     from repro.parallel.mp import MPGopDecoder
 
     idx = index if index is not None else build_index(data)
     plan = plan_trick(idx, mode, target)
-    selected = sorted(plan.gops())
-    decoded: dict[int, list[Frame]] = {}
-    mp_dec = MPGopDecoder(
-        data,
-        index=replace(idx, gops=[idx.gops[g] for g in selected]),
-        workers=workers,
-        resilient=resilient,
-    )
-    for view_gop, frames in mp_dec.iter_gops(counters):
-        decoded.setdefault(selected[view_gop], []).extend(frames)
-    return [
-        (idx.gop_display_base(gop) + rank, decoded[gop][rank])
-        for gop, rank in plan.emissions
-    ]
+    dec = MPGopDecoder(data, index=plan.view, workers=workers, resilient=resilient)
+    return _shown(plan, idx, dec.decode_all(counters))
 
 
 def default_seek_targets(index: StreamIndex) -> list[int]:

@@ -292,33 +292,50 @@ class NetServer:
         # the request shapes the session (join GOP, served picture
         # set), so it must be part of the handshake, not a race with
         # slice traffic.
-        controls = int(hello.header.get("controls", 0) or 0)
-        seek_picture: int | None = None
+        controls = hello.header.get("controls") or 0
+        if type(controls) is not int or controls < 0:
+            await reject("bad-request")
+            return
+        seek_picture = None
         rate = 1
         for _ in range(controls):
             ctrl = await read_message(reader)
             if ctrl is None:
                 raise ProtocolError("EOF during trick-play handshake")
             if ctrl.type == MSG_SEEK:
-                seek_picture = int(ctrl.header.get("picture", 0))
+                seek_picture = ctrl.header.get("picture", 0)
             elif ctrl.type == MSG_RATE:
-                rate = int(ctrl.header.get("rate", 1))
+                rate = ctrl.header.get("rate", 1)
             else:
                 raise ProtocolError(
                     f"expected SEEK/RATE in handshake, got {ctrl.type_name}"
                 )
-        if rate not in (1, 2, 4):
+        if seek_picture is not None and type(seek_picture) is not int:
+            await reject("bad-request")
+            return
+        if type(rate) is not int or rate not in (1, 2, 4):
             await reject("bad-rate")
             return
+        index = self.indexes[name]
         start_gop = 0
         if seek_picture is not None:
-            index = self.indexes[name]
             try:
                 # The session joins at the next *closed* GOP at/after
                 # the one owning the target (StreamSession.join_point).
                 start_gop = index.gop_for_display_index(seek_picture)
             except StreamIndexError:
                 await reject("seek-past-eof")
+                return
+        plan = None
+        if rate > 1:
+            # Fast-forward decodes the ffN plan's index view, joined by
+            # the same rule: the session holds only the pictures it
+            # shows, numbered contiguously, so the k-th is due at k/fps
+            # — exactly N-times content speed.
+            try:
+                plan = plan_trick(index, f"ff{rate}", seek_picture or 0)
+            except AccessError:
+                await reject("bad-rate")
                 return
         sid = f"{name}#{conn_id}"
         if not self._bandwidth_admit(sid, profile):
@@ -348,7 +365,9 @@ class NetServer:
 
         sess = await asyncio.to_thread(
             self.service.submit_dynamic, sid, data,
-            on_frame=sink, start_gop=start_gop, index=self.indexes[name],
+            on_frame=sink,
+            start_gop=start_gop if plan is None else 0,
+            index=index if plan is None else plan.view,
         )
         if sess.status is SessionStatus.REJECTED:
             await reject("capacity")
@@ -356,24 +375,8 @@ class NetServer:
         if sess.status is SessionStatus.FAILED:
             await reject("scan-failed")
             return
-
-        # Fast-forward: only the ffN plan's pictures go on the wire,
-        # renumbered contiguously so the client's delivered-or-
-        # concealed accounting and lateness CDF work unchanged — at
-        # rate N the k-th served picture is due at k/fps, which is
-        # exactly N-times content speed.
-        selected: dict[int, int] | None = None
-        if rate > 1:
-            try:
-                plan = plan_trick(sess.index, f"ff{rate}")
-            except AccessError:
-                self.service.request_cancel(sid)
-                await reject("bad-rate")
-                return
-            selected = {
-                di: k for k, di in enumerate(plan.display_indices(sess.index))
-            }
-        pictures = len(selected) if selected is not None else sess.picture_count
+        join_gop = sess.join_gop if plan is None else plan.emissions[0][0]
+        pictures = sess.picture_count
         mb_height = sess.index.mb_height
         header = {
             "session": sid,
@@ -383,8 +386,8 @@ class NetServer:
             "mb_height": mb_height,
             "pictures": pictures,
             "rate": rate,
-            "join_gop": sess.join_gop,
-            "join_display_base": sess.join_display_base,
+            "join_gop": join_gop,
+            "join_display_base": index.gop_display_base(join_gop),
             "fps": self.fps,
             "preroll": self.preroll_pictures,
             "profile": {
@@ -422,13 +425,8 @@ class NetServer:
         try:
             await self._stream_pictures(
                 record, sess, frames, sender, seq, pictures, mb_height,
-                tracker, selected=selected,
+                tracker,
             )
-            if selected is not None:
-                # Fast-forward served its last wire picture; whatever
-                # the session is still decoding is unwatchable — shed
-                # it instead of burning worker time.
-                self.service.request_cancel(sid)
             # The client may close as soon as it has every picture; the
             # stats reader finishing (EOF) is not an error here.
             await asyncio.wait_for(stats_task, timeout=5.0)
@@ -441,15 +439,9 @@ class NetServer:
 
     async def _stream_pictures(
         self, record, sess, frames, sender, seq, pictures, mb_height,
-        tracker=None, selected=None,
+        tracker=None,
     ) -> None:
-        """Pace display-ordered pictures onto the wire as slice bands.
-
-        ``selected`` (fast-forward) maps the session display indices to
-        serve onto contiguous wire picture numbers; decoded pictures
-        outside the map are consumed and discarded without charging a
-        deadline.
-        """
+        """Pace display-ordered pictures onto the wire as slice bands."""
         loop = asyncio.get_running_loop()
         period = 1.0 / self.fps
         t0: float | None = None
@@ -477,10 +469,6 @@ class NetServer:
                     )
                     return
                 continue
-            if selected is not None:
-                if display_index not in selected:
-                    continue
-                display_index = selected[display_index]
             trace_complete(
                 SPAN_DECODE, E2E_CATEGORY,
                 prev_ready_ns, max(0, ready_ns - prev_ready_ns),

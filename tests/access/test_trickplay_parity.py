@@ -16,6 +16,9 @@ Three layers of pinning:
   frame-for-frame against the batched engine and the mp path;
 * the negative surface: seek past EOF and seek into an open GOP must
   refuse on every path, never emit a best-effort frame.
+
+Every path decodes the plan's index view, so each also charges the
+same work: what the plan shows plus what that predicts from.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ from repro.access import (
     trick_decode,
     trick_decode_mp,
 )
+from repro.mpeg2.counters import WorkCounters
+from repro.mpeg2.decoder import SequenceDecoder
+from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.mpeg2.index import StreamIndexError, build_index
+from repro.video.synthetic import SyntheticVideo
 
 from tests.conftest import DIGEST_PATH
 from tests.mpeg2.test_golden_vectors import load_vector
@@ -153,6 +160,73 @@ class TestTrickSemantics:
                 )
         letters = {by_display[d] for d in plan.display_indices(index)}
         assert "B" not in letters, (name, rate)
+
+
+def _paths(data, mode, target=0):
+    """``(path, pairs, counters)`` for every trick decode path."""
+    for path, run in (
+        ("scalar", lambda c: trick_decode(
+            data, mode, target=target, engine="scalar", counters=c)),
+        ("batched", lambda c: trick_decode(
+            data, mode, target=target, engine="batched", counters=c)),
+        ("mp-inprocess", lambda c: trick_decode_mp(
+            data, mode, target=target, workers=0, counters=c)),
+    ):
+        counters = WorkCounters()
+        yield path, run(counters), counters
+
+
+class TestPlannedWork:
+    """A plan charges its reference closure, and nothing else."""
+
+    def test_seek_decodes_only_its_closure(self, golden):
+        # Seek@7 into I0 P3 B1 B2 P6 B4 B5 P9 B7 B8 P12 B10 B11 decodes
+        # I0 P3 P6 P9 B7 B8 P12 B10 B11: the GOP header plus 9 pictures
+        # of a header and 3 slices each, not the whole GOP's 53.
+        for path, pairs, counters in _paths(
+            golden.data("ipb_64x48_gop13"), "seek", 7
+        ):
+            assert [d for d, _ in pairs] == list(range(7, 13)), path
+            assert counters.headers == 37, path
+
+    @pytest.mark.parametrize("name", VECTOR_NAMES)
+    @pytest.mark.parametrize("mode", ["ff2", "ff4", "iframes"])
+    def test_skims_charge_only_reference_pictures(self, golden, name, mode):
+        index = golden.index(name)
+        plan = plan_trick(index, mode)
+        shown = []
+        for gop, rank in plan.emissions:
+            g = index.gops[gop]
+            shown.append(g.pictures[g.display_order()[rank]])
+        assert all(pic.picture_type.is_reference for pic in shown)
+        gops = len({gop for gop, _ in plan.emissions})
+        headers = gops + sum(1 + len(pic.slices) for pic in shown)
+        for path, _pairs, counters in _paths(golden.data(name), mode):
+            assert counters.headers == headers, (name, mode, path)
+
+
+@pytest.fixture(scope="module")
+def two_gop_13():
+    """26 pictures in two closed 13-picture GOPs."""
+    video = SyntheticVideo(width=48, height=32, seed=29).frames(26)
+    return encode_sequence(video, EncoderConfig(gop_size=13, qscale_code=3))
+
+
+class TestSeekAndFastForward:
+    def test_ff_target_joins_and_keeps_source_indices(self, two_gop_13):
+        # ff2 from picture 15 joins at GOP 1 and emits its I/P pictures
+        # under their own display indices, so a dump of them diffs 1:1
+        # against a linear decode's.
+        linear = SequenceDecoder(two_gop_13).decode_all()
+        for path, pairs, _ in _paths(two_gop_13, "ff2", 15):
+            assert [d for d, _ in pairs] == [13, 16, 19, 22, 25], path
+            assert [f.digest() for _, f in pairs] == [
+                linear[d].digest() for d, _ in pairs
+            ], path
+
+    def test_ff_target_past_eof_refused(self, two_gop_13):
+        with pytest.raises(SeekError):
+            plan_trick(build_index(two_gop_13), "ff2", 26)
 
 
 class TestNegativeSurface:

@@ -518,13 +518,17 @@ def test_src_simulator_keeps_one_of_each():
     # display process (the only place that sleeps to a deadline), one
     # reorder buffer (``DisplayMerger`` — no private heaps), one pacer,
     # and the task graph's start rule (previous test).  The copies that
-    # sat beside them must not come back.
+    # sat beside them must not come back, nor the trick-play paths
+    # beside the plan's index view (a refs-only walk, a wire-side
+    # picture filter).
     parallel = os.path.join("parallel", "")
     sleepers, pacers = set(), []
     gone = re.compile(
         r"\b(DisplayPacer|WallClockPacer|_GopTask|_DisplayItem"
-        r"|gop_substream|gop_byte_ranges|iter_display_indices)\b"
+        r"|gop_substream|gop_byte_ranges|iter_display_indices"
+        r"|_decode_gop_subset|refs_only|selected)\b"
     )
+    access = os.path.join("access", "")
     queue_state = re.compile(r"heapq|\.(unclaimed|remaining|started)\b")
     for rel, _n, line in src_lines():
         code = line.split("#")[0]
@@ -532,6 +536,10 @@ def test_src_simulator_keeps_one_of_each():
         # Every join, rung switch and trick decode is an index view on
         # the one scan; nothing splices a substream to scan it again.
         assert not re.search(r"(?<!def )\bsequence_prefix\(", code), (rel, line)
+        # A trick plan is an index view every decoder runs unchanged;
+        # random access has no picture or GOP decode loop of its own.
+        if rel.startswith(access):
+            assert not re.search(r"\bdecode_(picture|gop)\(", code), (rel, line)
         if rel.startswith(parallel):
             assert not queue_state.search(code), (rel, line)
             if "SleepUntil" in code:

@@ -22,9 +22,20 @@ import os
 
 import pytest
 
+from repro.access import plan_trick
+from repro.mpeg2.index import build_index
 from repro.net.client import stream_session
 from repro.net.impair import ImpairmentProfile
+from repro.net.protocol import (
+    MSG_HELLO,
+    MSG_RATE,
+    MSG_REJECT,
+    MSG_SEEK,
+    encode_message,
+    read_message,
+)
 from repro.net.server import NetServer
+from repro.obs.metrics import metrics
 from repro.obs.stalls import REASON_CONCEAL_SPATIAL, REASON_CONCEAL_TEMPORAL
 
 pytestmark = pytest.mark.net
@@ -247,6 +258,78 @@ class TestAdmission:
 
         a, b = run(scenario())
         assert a.complete and b.complete
+
+
+def _pictures_decoded() -> float:
+    return metrics().snapshot()["counters"].get("serve.worker.pictures", 0)
+
+
+class TestTrickPlay:
+    """SEEK/RATE over the socket: the wire carries the ffN plan, and
+    the service decodes exactly the pictures it sends."""
+
+    @pytest.mark.parametrize(
+        "seek,rate,join_gop,join_display_base",
+        [(None, 2, 0, 0), (None, 4, 0, 0), (5, 2, 1, 4)],
+    )
+    def test_fast_forward_sends_the_plan(
+        self, seek, rate, join_gop, join_display_base
+    ):
+        index = build_index(STREAMS["two_gop"])
+        shown = plan_trick(index, f"ff{rate}", seek or 0).display_indices(index)
+        before = _pictures_decoded()
+        result, report = run(
+            _serve_one(
+                {"fps": 240.0},
+                {"stream": "two_gop", "keep_frames": True,
+                 "seek": seek, "rate": rate},
+            )
+        )
+        assert result.complete
+        assert (result.pictures, result.rate) == (len(shown), rate)
+        assert (result.join_gop, result.join_display_base) == (
+            join_gop, join_display_base,
+        )
+        linear = DIGESTS["two_gop_48x32"]["frame_digests"]
+        assert [f.digest() for f in result.frames] == [linear[d] for d in shown]
+        assert report["service"]["status_counts"] == {"done": 1}
+        assert _pictures_decoded() - before == len(result.receipts) == len(shown)
+
+    @pytest.mark.parametrize(
+        "hello,controls,reason",
+        [
+            ({"controls": "two"}, [], "bad-request"),
+            ({"controls": 1}, [(MSG_SEEK, {"picture": "x"})], "bad-request"),
+            ({"controls": 1}, [(MSG_RATE, {"rate": "fast"})], "bad-rate"),
+        ],
+    )
+    def test_malformed_handshake_rejected(self, hello, controls, reason):
+        async def scenario():
+            srv = NetServer(STREAMS, workers=0, fps=240.0)
+            await srv.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(
+                    encode_message(MSG_HELLO, 0, {"stream": "two_gop", **hello})
+                )
+                for seq, (kind, header) in enumerate(controls, start=1):
+                    writer.write(encode_message(kind, seq, header))
+                await writer.drain()
+                reply = await asyncio.wait_for(read_message(reader), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                return reply
+            finally:
+                scenario.report = await srv.aclose()
+
+        reply = run(scenario())
+        assert reply is not None and reply.type == MSG_REJECT
+        assert reply.header["reason"] == reason
+        (conn,) = scenario.report["connections"]
+        assert conn["status"] == f"rejected:{reason}"
+        assert "session" not in conn
 
 
 class TestDisconnectContainment:

@@ -161,6 +161,27 @@ class TestDecode:
                 b = fh.read()
             assert a == b, f"{name} differs between sequential and parallel"
 
+    def test_seek_rate_dump_diffs_against_linear(self, tmp_path, capsys):
+        # Fast-forward from picture 15 of two 13-picture GOPs joins at
+        # GOP 1 and dumps its I/P pictures under their own display
+        # indices: each file is the linear decode's file of that name.
+        clip = str(tmp_path / "two_gop.m2v")
+        assert main(["encode", clip, "--width", "48", "--height", "32",
+                     "--frames", "26", "--gop-size", "13"]) == 0
+        linear_dir = str(tmp_path / "linear")
+        ff_dir = str(tmp_path / "ff")
+        assert main(["decode", clip, "--dump-dir", linear_dir]) == 0
+        assert main(["decode", clip, "--seek", "15", "--rate", "2",
+                     "--dump-dir", ff_dir]) == 0
+        assert "display indices 13..25" in capsys.readouterr().out
+        names = sorted(os.listdir(ff_dir))
+        assert names == [f"frame{i:04d}.pgm" for i in (13, 16, 19, 22, 25)]
+        for name in names:
+            with open(os.path.join(linear_dir, name), "rb") as fh:
+                a = fh.read()
+            with open(os.path.join(ff_dir, name), "rb") as fh:
+                assert fh.read() == a, name
+
 
 class TestSimulate:
     @pytest.mark.parametrize(
