@@ -18,6 +18,49 @@ import os
 import sys
 
 
+def _write_trace(path: str) -> None:
+    """Write the run's Chrome trace (``--trace``) and stop tracing."""
+    from repro.obs import disable_tracing, get_tracer
+
+    doc = get_tracer().write_chrome(path)
+    disable_tracing()
+    print(
+        f"wrote {len(doc['traceEvents'])} trace events to {path} "
+        f"(open in https://ui.perfetto.dev or chrome://tracing)"
+    )
+
+
+def _read_streams(
+    specs: list[str], weighted: bool = False
+) -> list[tuple[str, bytes, float]]:
+    """``--streams`` as ``(name, bytes, weight)``: each file named after
+    its basename, a repeat of a name as ``name#2``, ``name#3``, ...
+    With ``weighted``, a ``PATH=W`` spec that is not itself a file sets
+    a weight, which must be a number > 0 (``ValueError`` otherwise)."""
+    streams: list[tuple[str, bytes, float]] = []
+    names: set[str] = set()
+    for spec in specs:
+        path, weight = spec, 1.0
+        if weighted and "=" in spec and not os.path.exists(spec):
+            path, _, w = spec.rpartition("=")
+            bad = ValueError(f"weight in {spec!r} must be a number > 0")
+            try:
+                weight = float(w)
+            except ValueError:
+                raise bad from None
+            if not weight > 0:
+                raise bad
+        name = base = os.path.splitext(os.path.basename(path))[0]
+        n = 2
+        while name in names:
+            name = f"{base}#{n}"
+            n += 1
+        names.add(name)
+        with open(path, "rb") as fh:
+            streams.append((name, fh.read(), weight))
+    return streams
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     from repro.mpeg2.encoder import EncoderConfig, encode_sequence
     from repro.video.synthetic import SyntheticVideo
@@ -81,10 +124,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     from repro.mpeg2.counters import WorkCounters
     from repro.mpeg2.decoder import SequenceDecoder
     from repro.obs import (
-        disable_tracing,
         enable_tracing,
         format_stall_breakdown,
-        get_tracer,
         metrics,
         reset_metrics,
     )
@@ -189,13 +230,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if counters.concealed_slices:
         print(f"concealed {counters.concealed_slices} corrupt slices")
     if args.trace:
-        tracer = get_tracer()
-        doc = tracer.write_chrome(args.trace)
-        disable_tracing()
-        print(
-            f"wrote {len(doc['traceEvents'])} trace events to {args.trace} "
-            f"(open in https://ui.perfetto.dev or chrome://tracing)"
-        )
+        _write_trace(args.trace)
     if args.stats:
         print()
         print(metrics().render_table())
@@ -224,15 +259,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.analysis import TextTable, format_bytes
     from repro.obs import (
-        disable_tracing,
         enable_tracing,
         format_stall_breakdown,
-        get_tracer,
         metrics,
         reset_metrics,
     )
     from repro.serve import DecodeService
 
+    try:
+        streams = _read_streams(args.streams, weighted=True)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     if args.trace:
         enable_tracing(process_name="serve (scheduler+display)")
     reset_metrics()
@@ -245,21 +283,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         resilient=args.resilient,
         task_timeout_s=args.task_timeout,
         preroll_pictures=args.preroll,
-        grain=args.grain,
     )
-    for spec in args.streams:
-        weight = 1.0
-        path = spec
-        if "=" in spec and not os.path.exists(spec):
-            path, _, w = spec.rpartition("=")
-            weight = float(w)
-        name = os.path.splitext(os.path.basename(path))[0]
-        base, n = name, 2
-        while name in svc.sessions:
-            name = f"{base}#{n}"
-            n += 1
-        with open(path, "rb") as fh:
-            data = fh.read()
+    for name, data, weight in streams:
         svc.submit(name, data, weight=weight)
     report = svc.run()
 
@@ -300,13 +325,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{sess.error['message']} (contained)"
             )
     if args.trace:
-        tracer = get_tracer()
-        doc = tracer.write_chrome(args.trace)
-        disable_tracing()
-        print(
-            f"wrote {len(doc['traceEvents'])} trace events to {args.trace} "
-            f"(open in https://ui.perfetto.dev or chrome://tracing)"
-        )
+        _write_trace(args.trace)
     if args.stats:
         print()
         print(metrics().render_table())
@@ -336,19 +355,12 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
 
     from repro.net.impair import ImpairmentProfile
     from repro.net.server import NetServer
-    from repro.obs import disable_tracing, enable_tracing, get_tracer
+    from repro.obs import enable_tracing
+    from repro.obs.slo import SLOPolicy
 
     if args.trace:
         enable_tracing(process_name="net-serve (acceptor+service)")
-    streams: dict[str, bytes] = {}
-    for path in args.streams:
-        name = os.path.splitext(os.path.basename(path))[0]
-        base, n = name, 2
-        while name in streams:
-            name = f"{base}#{n}"
-            n += 1
-        with open(path, "rb") as fh:
-            streams[name] = fh.read()
+    streams = {name: data for name, data, _ in _read_streams(args.streams)}
 
     impairment = None
     if args.loss or args.reorder or args.jitter_ms or args.bandwidth:
@@ -360,23 +372,15 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-    slo = None
-    if args.slo_miss_budget is not None or args.slo_p99_ms is not None:
-        from repro.obs.slo import SLOPolicy
-
-        defaults = SLOPolicy()
-        slo = SLOPolicy(
-            deadline_miss_budget=(
-                args.slo_miss_budget
-                if args.slo_miss_budget is not None
-                else defaults.deadline_miss_budget
-            ),
-            p99_lateness_ms=(
-                args.slo_p99_ms
-                if args.slo_p99_ms is not None
-                else defaults.p99_lateness_ms
-            ),
+    objectives = {
+        key: value
+        for key, value in (
+            ("deadline_miss_budget", args.slo_miss_budget),
+            ("p99_lateness_ms", args.slo_p99_ms),
         )
+        if value is not None
+    }
+    slo = SLOPolicy(**objectives) if objectives else None
 
     async def serve() -> dict:
         srv = NetServer(
@@ -448,11 +452,7 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
         for path in report["flight_dumps"]:
             print(f"  {path}")
     if args.trace:
-        doc = get_tracer().write_chrome(args.trace)
-        disable_tracing()
-        print(
-            f"wrote {len(doc['traceEvents'])} trace events to {args.trace}"
-        )
+        _write_trace(args.trace)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2, default=str)
@@ -465,7 +465,7 @@ def _cmd_net_client(args: argparse.Namespace) -> int:
     import json
 
     from repro.net.client import stream_session
-    from repro.obs import disable_tracing, enable_tracing, get_tracer
+    from repro.obs import enable_tracing
 
     if args.trace:
         enable_tracing(process_name=f"net-client ({args.stream})")
@@ -477,11 +477,7 @@ def _cmd_net_client(args: argparse.Namespace) -> int:
         )
     )
     if args.trace:
-        doc = get_tracer().write_chrome(args.trace)
-        disable_tracing()
-        print(
-            f"wrote {len(doc['traceEvents'])} trace events to {args.trace}"
-        )
+        _write_trace(args.trace)
     j = result.to_json()
     print(
         f"{args.stream}: {j['status']} — {j['pictures']} pictures "
@@ -677,11 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-session in-flight task bound (backpressure)")
     srv.add_argument("--preroll", type=int, default=0,
                      help="deadline preroll buffer in pictures")
-    srv.add_argument("--grain", default="slice",
-                     choices=["auto", "gop", "slice"],
-                     help="scheduler task grain per session: 'gop' = "
-                          "one task per GOP, 'slice' = fine ref/B "
-                          "tasks (default), 'auto' = GOP grain")
     srv.add_argument("--task-timeout", type=float, default=60.0,
                      help="per-task wall-clock budget before the worker "
                           "is presumed wedged and the task retried")

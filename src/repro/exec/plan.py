@@ -26,9 +26,9 @@ edges between them, and the one parent loop
   in.  The adder plans one picture onto a live graph, so a scan may
   plan as it goes (the simulated 2-D queue does).
 * **Serve** (:func:`plan_serve_tasks`) — per GOP, one task for the
-  reference pictures and one per B picture depending on it (or one
-  coarse task per GOP); nothing depends on a B task, which is what
-  makes shedding one under overload safe.
+  reference pictures and one per B picture depending on it; nothing
+  depends on a B task, which is what makes shedding one under
+  overload safe.
 """
 
 from __future__ import annotations
@@ -266,40 +266,24 @@ def plan_graph(index: StreamIndex, grain: str) -> TaskGraph:
 # ======================================================================
 # serve
 # ======================================================================
-def plan_serve_tasks(
-    plans: Sequence[PicturePlan], grain: str = "fine"
-) -> list[tuple]:
+def plan_serve_tasks(plans: Sequence[PicturePlan]) -> list[tuple]:
     """One session's decomposition: ``(key, kind, gop, orders, deps)``
-    rows in plan order, every picture in exactly one row.
-
-    ``"fine"``: per GOP a ``("ref", gop)`` task with its reference
-    pictures, then one ``("b", gop, order)`` task per B picture that
-    depends on it (closed GOPs guarantee both references live there).
-
-    ``"coarse"``: one ``("ref", gop)`` task per GOP carrying every
-    picture in coding order, no deps — fewer scheduler messages and no
-    intra-GOP synchronization, at the cost that the ``drop_b`` degrade
-    action has no standalone B tasks to shed (``skip_gop`` still
-    applies).
-    """
-    if grain not in ("fine", "coarse"):
-        raise ValueError(
-            f"unknown task grain {grain!r}; expected 'fine' or 'coarse'"
-        )
+    rows in plan order, every picture in exactly one row — per GOP a
+    ``("ref", gop)`` task with its reference pictures, then one
+    ``("b", gop, order)`` task per B picture that depends on it
+    (closed GOPs guarantee both references live there)."""
     by_gop: dict[int, list[PicturePlan]] = {}
     for plan in plans:
         by_gop.setdefault(plan.gop, []).append(plan)
     rows: list[tuple] = []
     for gop in sorted(by_gop):
         ref_key = ("ref", gop)
-        refs = tuple(
-            p.order for p in by_gop[gop] if grain == "coarse" or p.is_reference
-        )
+        refs = tuple(p.order for p in by_gop[gop] if p.is_reference)
         if refs:
             rows.append((ref_key, "ref", gop, refs, ()))
         rows.extend(
             (("b", gop, p.order), "b", gop, (p.order,), (ref_key,) if refs else ())
             for p in by_gop[gop]
-            if p.order not in refs
+            if not p.is_reference
         )
     return rows

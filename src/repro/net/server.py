@@ -7,14 +7,16 @@ client connection:
 
 1. sends ``HELLO {stream, fps?}`` naming one of the server's published
    streams;
-2. passes two admission gates — the bandwidth gate (summed *peak* rates
-   of active sessions vs ``link_bps``, using
+2. passes two admission gates — the bandwidth gate
+   (:func:`repro.analysis.bandwidth.admissible_sessions` over the
+   *peak* rates of the admitted sessions plus the newcomer, from
    :func:`repro.analysis.bandwidth.profile_stream`) and the service's
    own capacity gate;
 3. receives ``ACCEPT`` with the stream geometry, then display-ordered
    pictures: one droppable ``SLICE`` message per MB-row band followed
-   by a reliable ``PIC_DONE``, paced onto the wire at the session's
-   display rate;
+   by a reliable ``PIC_DONE`` (a shed picture: the ``PIC_DONE`` alone),
+   the first as soon as it is decoded and picture ``k`` at the
+   session's own deadline (``sess.pacer.deadline(k)``);
 4. may send ``STATS`` receipts upstream (per-picture concealment and
    lateness), which land in the server report.
 
@@ -37,10 +39,10 @@ PR-8 telemetry at the net edge:
   scraping, and ``stats_push_pictures=N`` pushes a ``STATS`` frame to
   each client every N pictures with the live SLO snapshot;
 * every connection owns an :class:`~repro.obs.slo.SLOTracker` fed
-  from client receipts; its snapshot lands in the report and in
-  ``BENCH_net.json``, and a burnout triggers a flight-recorder dump
-  (:mod:`repro.obs.flightrec`) alongside the fail/cancel dumps the
-  service itself performs.
+  from client receipts — the one SLO judge; its snapshot lands in the
+  report and in ``BENCH_net.json``, and a burnout triggers one
+  flight-recorder dump (:mod:`repro.obs.flightrec`) alongside the
+  fail/cancel dumps the service itself performs.
 """
 
 from __future__ import annotations
@@ -49,7 +51,11 @@ import asyncio
 import threading
 import time
 
-from repro.analysis.bandwidth import BandwidthProfile, profile_stream
+from repro.analysis.bandwidth import (
+    BandwidthProfile,
+    admissible_sessions,
+    profile_stream,
+)
 from repro.net.impair import ImpairedSender, ImpairmentProfile, ImpairmentSchedule
 from repro.net.protocol import (
     MSG_ACCEPT,
@@ -107,6 +113,8 @@ class NetServer:
             raise ValueError(f"fps must be > 0, got {fps}")
         if stats_push_pictures < 0:
             raise ValueError("stats_push_pictures must be >= 0")
+        if link_bps is not None and not link_bps > 0:
+            raise ValueError(f"link_bps must be > 0, got {link_bps}")
         self.streams = dict(streams)
         self.fps = fps
         self.link_bps = link_bps
@@ -142,7 +150,6 @@ class NetServer:
             capacity=capacity,
             resilient=resilient,
             preroll_pictures=preroll_pictures,
-            slo_policy=slo,
             flight_dir=flight_dir,
             **service_kwargs,
         )
@@ -153,8 +160,8 @@ class NetServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._service_thread: threading.Thread | None = None
         self._service_report: dict | None = None
-        #: sid -> peak_bps of currently-admitted sessions (bandwidth gate).
-        self._admitted_bps: dict[str, float] = {}
+        #: sid -> profile of currently-admitted sessions (bandwidth gate).
+        self._admitted: dict[str, BandwidthProfile] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -198,18 +205,15 @@ class NetServer:
 
     # ------------------------------------------------------------------
     def _bandwidth_admit(self, sid: str, profile: BandwidthProfile) -> bool:
-        """Peak-rate link budget: admit unless it would oversubscribe.
-
-        Mirrors :func:`repro.analysis.bandwidth.admissible_sessions`:
-        the first session is always admitted (it degrades on the wire
-        rather than being unservable).
-        """
+        """Peak-rate link budget: admit if
+        :func:`~repro.analysis.bandwidth.admissible_sessions` admits
+        the newcomer after the sessions already admitted."""
         if self.link_bps is None:
             return True
-        used = sum(self._admitted_bps.values())
-        if self._admitted_bps and used + profile.peak_bps > self.link_bps:
+        offered = [*self._admitted.values(), profile]
+        if admissible_sessions(offered, self.link_bps) < len(offered):
             return False
-        self._admitted_bps[sid] = profile.peak_bps
+        self._admitted[sid] = profile
         return True
 
     # ------------------------------------------------------------------
@@ -252,7 +256,7 @@ class NetServer:
                 record["slo"] = tracker.snapshot()
             sid = record.get("session")
             if sid is not None:
-                self._admitted_bps.pop(sid, None)
+                self._admitted.pop(sid, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -439,12 +443,14 @@ class NetServer:
 
     async def _stream_pictures(
         self, record, sess, frames, sender, seq, pictures, mb_height,
-        tracker=None,
+        tracker,
     ) -> None:
-        """Pace display-ordered pictures onto the wire as slice bands."""
-        loop = asyncio.get_running_loop()
-        period = 1.0 / self.fps
-        t0: float | None = None
+        """Send display-ordered pictures as slice bands: the first on
+        arrival, picture ``k`` no earlier than the session's own
+        deadline for it, ``sess.pacer.deadline(k)`` on the service
+        clock (the session's first emission anchored that schedule
+        before it reached this queue; a shed picture is never first)."""
+        clock = self.service.clock
         sent_pics = 0
         sid = record.get("session")
         # Decode-span anchor: the pipeline is busy on this picture from
@@ -475,45 +481,20 @@ class NetServer:
                 session=sid, pic=display_index,
             )
             prev_ready_ns = ready_ns
-            now = loop.time()
-            if t0 is None:
-                t0 = now
-            else:
-                deadline = t0 + (display_index + self.preroll_pictures) * period
-                if deadline > now:
-                    await asyncio.sleep(deadline - now)
+            if sent_pics:
+                while (wait := sess.pacer.deadline(display_index) - clock()) > 0:
+                    await asyncio.sleep(wait)
             wire_start_ns = time.monotonic_ns()
             trace_complete(
                 SPAN_PACE, E2E_CATEGORY,
                 ready_ns, max(0, wire_start_ns - ready_ns),
                 session=sid, pic=display_index,
             )
-            if frame is None:
-                # Shed by degradation: reliable commit, zero bands.
-                # Counts as a deadline miss — the viewer never saw it.
-                await sender.send(
-                    encode_message(
-                        MSG_PIC_DONE, seq,
-                        {"pic": display_index, "bands": 0,
-                         "rows": mb_height, "shed": True,
-                         "ts": time.monotonic_ns()},
-                    ),
-                    droppable=False, seq=seq,
-                )
-                seq += 1
-                sent_pics += 1
-                if tracker is not None:
-                    tracker.observe(shed=True)
-                if (
-                    self.stats_push_pictures
-                    and sent_pics % self.stats_push_pictures == 0
-                ):
-                    seq = await self._push_stats(
-                        sender, seq, sid, display_index, tracker
-                    )
-                continue
+            # A picture shed by degradation is its reliable commit
+            # alone, zero bands; it counts as a deadline miss — the
+            # viewer never saw it.
             bands = 0
-            for row in range(mb_height):
+            for row in range(mb_height if frame is not None else 0):
                 ok = await sender.send(
                     encode_message(
                         MSG_SLICE, seq,
@@ -526,22 +507,26 @@ class NetServer:
                 seq += 1
                 if ok:
                     bands += 1
+            shed = {"shed": True} if frame is None else {}
             await sender.send(
                 encode_message(
                     MSG_PIC_DONE, seq,
                     {"pic": display_index, "bands": bands,
-                     "rows": mb_height, "ts": time.monotonic_ns()},
+                     "rows": mb_height, **shed, "ts": time.monotonic_ns()},
                 ),
                 droppable=False, seq=seq,
             )
             seq += 1
             sent_pics += 1
-            trace_complete(
-                SPAN_WIRE, E2E_CATEGORY,
-                wire_start_ns, max(0, time.monotonic_ns() - wire_start_ns),
-                session=sid, pic=display_index, bands=bands,
-            )
-            metrics().counter("net.pictures.sent").inc()
+            if frame is None:
+                tracker.observe(shed=True)
+            else:
+                trace_complete(
+                    SPAN_WIRE, E2E_CATEGORY,
+                    wire_start_ns, max(0, time.monotonic_ns() - wire_start_ns),
+                    session=sid, pic=display_index, bands=bands,
+                )
+                metrics().counter("net.pictures.sent").inc()
             if (
                 self.stats_push_pictures
                 and sent_pics % self.stats_push_pictures == 0
@@ -574,7 +559,7 @@ class NetServer:
                     "src": "server",
                     "session": sid,
                     "pic": pic,
-                    "slo": tracker.snapshot() if tracker else None,
+                    "slo": tracker.snapshot(),
                     "metrics": digest,
                 },
             ),
@@ -583,18 +568,17 @@ class NetServer:
         metrics().counter("net.stats.pushed").inc()
         return seq + 1
 
-    async def _read_stats(self, reader, record, tracker=None) -> None:
+    async def _read_stats(self, reader, record, tracker) -> None:
         """Drain client STATS receipts until EOF, feeding the SLO."""
         sid = record.get("session")
-        slo_dumped = False
+        # One burnout dump per connection, not one per late receipt.
+        dumped = False
         while True:
             msg = await read_message(reader)
             if msg is None:
                 return
             if msg.type == MSG_STATS:
                 record["stats"].append(msg.header)
-                if tracker is None:
-                    continue
                 hdr = msg.header
                 concealed = hdr.get("concealed_temporal", 0) + hdr.get(
                     "concealed_spatial", 0
@@ -604,8 +588,8 @@ class NetServer:
                     concealed_rows=concealed,
                     rows=hdr.get("rows", 0),
                 )
-                if tracker.burned_out and not slo_dumped and sid:
-                    slo_dumped = True
+                if tracker.burned_out and not dumped and sid:
+                    dumped = True
                     self.service.flight.record(
                         sid, "slo.burnout",
                         breaches=tracker.breaches(),

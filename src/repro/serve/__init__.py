@@ -6,8 +6,10 @@ package is that next layer up: N MPEG-2 sessions multiplexed onto one
 shared pool of decode worker processes, with
 
 * per-stream state in :class:`~repro.serve.session.StreamSession`
-  (scan index, picture plans, reorder buffer, wall-clock display
-  deadlines, priority weight);
+  (scan index, picture plans and their one task decomposition — per
+  GOP a reference-picture task plus one task per B picture —, reorder
+  buffer, wall-clock display deadlines the net edge also sends by,
+  priority weight);
 * a weighted-fair :class:`~repro.serve.scheduler.Scheduler` with
   admission control (capacity estimated from the committed
   ``BENCH_parallel.json`` throughput) and bounded per-session in-flight
@@ -21,6 +23,9 @@ shared pool of decode worker processes, with
   timeouts on the PR-4 liveness machinery, dead-worker task retry with
   per-task ``excluded`` worker tracking, and corrupt-input containment
   — one poisoned stream fails *its* session, never the service.
+
+SLOs are judged at the net edge (:mod:`repro.net.server`), from what
+its clients report, not here.
 """
 
 from repro.serve.degrade import DegradePolicy, DegradeState

@@ -14,8 +14,10 @@ Execution model
   its tasks — a GOP's reference pictures or a single B picture
   (:class:`~repro.serve.scheduler.ServeTask`), picked by the
   weighted-fair :class:`~repro.serve.scheduler.Scheduler` from the
-  sessions' task graphs — run the :func:`decode_pictures` body, and
-  the loop drives either transport: the warm
+  sessions' task graphs — run the :func:`decode_pictures` body (each
+  picture one whole-picture batch of the slice decoder's
+  :func:`~repro.parallel.mp_slice.decode_batch`, then its conceal
+  sweep), and the loop drives either transport: the warm
   :class:`~repro.exec.backend.WorkerTeam` or, at ``workers=0``, the
   in-process :class:`~repro.exec.backend.LocalTeam` (the deterministic
   CI path the fuzz suite leans on).
@@ -42,7 +44,9 @@ Execution model
 * Overload degradation: when a paced session misses deadlines, its
   :class:`~repro.serve.degrade.DegradeState` sheds pending B-picture
   tasks first, then whole unstarted GOPs, recorded under the
-  ``degrade.*`` stall reasons and counters.
+  ``degrade.*`` stall reasons and counters.  The service keeps each
+  session's deadline schedule but judges no SLO; the net edge does,
+  from what its clients report.
 """
 
 from __future__ import annotations
@@ -55,10 +59,9 @@ from typing import Callable
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex
-from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
+from repro.mpeg2.kernel import conceal
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, metrics
-from repro.obs.slo import SLOPolicy
 from repro.obs.stalls import (
     REASON_ADMISSION,
     REASON_DEGRADE_DROP_B,
@@ -67,10 +70,9 @@ from repro.obs.stalls import (
     StallTable,
 )
 from repro.obs.trace import trace_complete, trace_span
-from repro.exec.auto import resolve
 from repro.exec.backend import TaskContext, get_team
 from repro.exec.dispatch import ParentLoop, account
-from repro.parallel.mp_slice import picture_state
+from repro.parallel.mp_slice import SliceBatch, decode_batch, picture_state
 from repro.serve.degrade import (
     ACTION_DROP_B,
     ACTION_SKIP_GOP,
@@ -83,27 +85,23 @@ from repro.serve.session import SessionStatus, StreamSession
 #: How long an idle dynamic service sleeps between control-plane polls.
 _IDLE_POLL_S = 0.002
 
-#: Executor grain -> scheduler decomposition.
-_TASK_GRAIN = {"gop": "coarse", "slice": "fine"}
-
 
 def _decode_picture(ctx: TaskContext, plan, counters: WorkCounters) -> None:
     """One whole picture into pool slot ``plan.order`` (a serve pool
-    has a slot per picture): the picture kernel's two phases, then its
-    conceal sweep."""
-    state, pool = ctx.state, ctx.pool
-    parses, corrupt = parse_slices(
-        read_slices(ctx.data, plan.slices, [sl.reconstruct for sl in plan.slices]),
-        plan.header, state["mb_width"], state["mb_height"],
-        plan.fwd is not None, state["resilient"], counters,
+    has a slot per picture): the slice decoder's batch body over all of
+    its slices, then the picture's conceal sweep."""
+    pool = ctx.pool
+    batch = SliceBatch(
+        plan.order, range(len(plan.slices)), plan.order, plan.dependencies
     )
+    _order, _slices, done, corrupt = decode_batch(ctx, None, batch)
+    counters.add(done)
     out = pool.view_frame(plan.order, plan.header.temporal_reference)
-    fwd, bwd = (*map(pool.view_frame, plan.dependencies), None, None)[:2]
+    fwd = pool.view_frame(plan.fwd) if plan.fwd is not None else None
     try:
-        reconstruct(out, parses, state["seq"], plan.header, fwd, bwd)
-        conceal(out, fwd, corrupt, plan.slices, state["resilient"], counters)
+        conceal(out, fwd, corrupt, plan.slices, ctx.state["resilient"], counters)
     finally:
-        del out, fwd, bwd
+        del out, fwd
 
 
 def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters:
@@ -198,9 +196,7 @@ class DecodeService(ParentLoop):
         preroll_pictures: int = 0,
         clock: Callable[[], float] = time.monotonic,
         bench_path: str | None = None,
-        slo_policy: SLOPolicy | None = None,
         flight_dir: str | None = None,
-        grain: str = "slice",
         _crash_task: tuple | None = None,  # (wid, sid, key) test hook
         _hang_task: tuple | None = None,   # (wid, sid, key) test hook
     ) -> None:
@@ -212,11 +208,6 @@ class DecodeService(ParentLoop):
             raise ValueError("task_timeout_s must be > 0")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
-        #: Task-decomposition grain: ``"slice"`` (default) the fine
-        #: per-GOP ref task + per-B tasks, ``"gop"`` one coarse task
-        #: per GOP, ``"auto"`` the executor's rule (GOP grain).
-        self.grain = grain
-        self._task_grain = _TASK_GRAIN[resolve(grain).grain]
         self.workers = workers
         self.fps = fps
         self.capacity = (
@@ -233,10 +224,10 @@ class DecodeService(ParentLoop):
         self.policy = policy or DegradePolicy()
         self.preroll_pictures = preroll_pictures
         self.clock = clock
-        self.slo_policy = slo_policy
         #: Always-on bounded per-session event rings; ``flight_dir``
-        #: additionally enables automatic JSON dumps on fail/cancel/
-        #: SLO-burnout (paths collected in :attr:`flight_dumps`).
+        #: additionally enables automatic JSON dumps on fail/cancel
+        #: (and, from the net edge, on SLO burnout; paths collected in
+        #: :attr:`flight_dumps`).
         self.flight = FlightRecorder()
         self.flight_dir = flight_dir
         self.flight_dumps: list[str] = []
@@ -296,8 +287,10 @@ class DecodeService(ParentLoop):
         """Offer one stream to the service (before :meth:`run`).
 
         Scan failures are *contained*: the returned session is FAILED
-        and the service keeps going.  Admission control may QUEUE or
-        REJECT the session; both are visible on ``session.status``.
+        and the service keeps going.  A ``weight`` that is not > 0 is
+        the caller's error: ``ValueError``, before any scan.  Admission
+        control may QUEUE or REJECT the session; both are visible on
+        ``session.status``.
         ``on_frame(display_index, frame_or_None)`` receives every
         display-ordered emission (``None`` = picture shed by
         degradation); omit it to skip pixel reads entirely.
@@ -326,6 +319,8 @@ class DecodeService(ParentLoop):
         rung_level: int = 0,
         index: StreamIndex | None = None,
     ) -> StreamSession:
+        if not weight > 0:
+            raise ValueError(f"weight must be > 0, got {weight}")
         if name in self.sessions:
             raise ValueError(f"duplicate session name {name!r}")
         if name.startswith("__"):
@@ -341,7 +336,6 @@ class DecodeService(ParentLoop):
                 fps=self.fps,
                 preroll_pictures=self.preroll_pictures,
                 policy=self.policy,
-                slo_policy=self.slo_policy,
                 start_gop=start_gop,
                 rungs=rungs,
                 rung_level=rung_level,
@@ -365,7 +359,7 @@ class DecodeService(ParentLoop):
                 gop=sess.join_gop, display_base=sess.join_display_base,
             )
             metrics().counter("serve.sessions.joined").inc()
-        tasks = sess.tasks(grain=self._task_grain)
+        tasks = sess.tasks()
         verdict = self.scheduler.submit(name, tasks, weight=weight)
         if verdict is Admission.ADMITTED:
             sess.status = SessionStatus.ACTIVE
@@ -541,8 +535,6 @@ class DecodeService(ParentLoop):
                 self.flight.record(
                     sess.name, "picture.dropped", pic=display_index
                 )
-                if sess.slo is not None:
-                    sess.slo.observe(shed=True)
                 if sink is not None:
                     sink(display_index, None)
                 continue
@@ -564,16 +556,6 @@ class DecodeService(ParentLoop):
                         sess.name, "deadline.miss",
                         pic=display_index, late_ms=late_s * 1e3,
                     )
-                if sess.slo is not None:
-                    sess.slo.observe(late_s=late_s)
-                    if sess.slo.burned_out and not sess.slo_dumped:
-                        sess.slo_dumped = True
-                        self.flight.record(
-                            sess.name, "slo.burnout",
-                            breaches=sess.slo.breaches(),
-                            burn_rate=sess.slo.burn_rate,
-                        )
-                        self.flight_dump(sess.name, "slo-burnout")
                 action = sess.degrade.on_emit(late_s > 0)
                 if action is not None:
                     self._apply_degrade(sess, action, late_s)
@@ -955,15 +937,3 @@ class DecodeService(ParentLoop):
             "stalls": self.last_stalls.snapshot(),
         }
 
-
-def serve_streams(
-    named_streams: list[tuple[str, bytes]],
-    workers: int | None = None,
-    fps: float | None = None,
-    **kwargs,
-) -> dict:
-    """Convenience: submit every stream, run, return the report."""
-    svc = DecodeService(workers=workers, fps=fps, **kwargs)
-    for name, data in named_streams:
-        svc.submit(name, data)
-    return svc.run()

@@ -7,9 +7,10 @@ scan, narrowed to the GOPs from the join point on, + coding-order
 decomposition handed to the scheduler (reference-pictures-per-GOP +
 one task per B picture), the display-order reorder buffer
 (:class:`~repro.parallel.merge.DisplayMerger`), the deadline pacer
-(:class:`~repro.parallel.pacing.Pacer` on wall seconds), the
-degradation state machine, and the emission/drop accounting that ends
-up in the service report.
+(:class:`~repro.parallel.pacing.Pacer` on wall seconds — the one
+schedule the net edge also sends by), the degradation state machine,
+and the emission/drop accounting that ends up in the service report.
+The session judges no SLO: the net edge does, from client receipts.
 
 Scan failures (corrupt headers, open GOPs, missing references) raise
 at construction; :meth:`StreamSession.failed` wraps that into a
@@ -25,7 +26,6 @@ from enum import Enum
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.index import StreamIndex, build_index
-from repro.obs.slo import SLOPolicy, SLOTracker
 from repro.exec.plan import PicturePlan, plan_serve_tasks, scan_slice_tasks
 from repro.exec.shm import FrameLayout
 from repro.parallel.merge import DisplayMerger
@@ -57,7 +57,6 @@ class StreamSession:
         fps: float | None = None,
         preroll_pictures: int = 0,
         policy: DegradePolicy | None = None,
-        slo_policy: SLOPolicy | None = None,
         start_gop: int = 0,
         rungs: list[bytes] | None = None,
         rung_level: int = 0,
@@ -86,8 +85,7 @@ class StreamSession:
             name, data, replace(index, gops=index.gops[join:]),
             weight=weight, resilient=resilient,
             fps=fps, preroll_pictures=preroll_pictures,
-            policy=policy, slo_policy=slo_policy,
-            rungs=rungs, rung_level=rung_level,
+            policy=policy, rungs=rungs, rung_level=rung_level,
         )
         self.join_gop = join
         self.join_display_base = index.gop_display_base(join)
@@ -97,7 +95,6 @@ class StreamSession:
         weight: float = 1.0, resilient: bool = False,
         fps: float | None = None, preroll_pictures: int = 0,
         policy: DegradePolicy | None = None,
-        slo_policy: SLOPolicy | None = None,
         rungs: list[bytes] | None = None, rung_level: int = 0,
     ) -> None:
         """Every field of a session, over the GOPs of ``index`` (``None``:
@@ -125,16 +122,6 @@ class StreamSession:
         self.banked: set[int] = set()
         self.pacer = Pacer(1.0 / fps if fps else None, preroll_pictures)
         self.degrade = DegradeState(policy or DegradePolicy())
-        #: Online SLO evaluation of emit-time deadlines; only tracked
-        #: when the service declared objectives AND the session is
-        #: paced (no deadlines, nothing to evaluate).
-        self.slo = (
-            SLOTracker(slo_policy, session=name)
-            if slo_policy is not None and fps is not None
-            else None
-        )
-        #: one burnout flight-dump per session, not one per picture
-        self.slo_dumped = False
         # -- ABR rung ladder -------------------------------------------
         #: Cheaper encodings of the same content, descending cost; the
         #: ``switch_rung`` degrade action consumes the head of this
@@ -192,16 +179,12 @@ class StreamSession:
             }
 
     # ------------------------------------------------------------------
-    def tasks(self, grain: str = "fine") -> list[ServeTask]:
-        """The scheduler decomposition, at a chosen grain
-        (:func:`~repro.exec.plan.plan_serve_tasks`): ``"fine"``
-        (default) is a per-GOP reference task plus one task per B
-        picture depending on it, ``"coarse"`` one task per GOP.  Every
-        picture appears in exactly one task."""
-        return [
-            ServeTask(self.name, *row)
-            for row in plan_serve_tasks(self.plans, grain)
-        ]
+    def tasks(self) -> list[ServeTask]:
+        """The scheduler decomposition
+        (:func:`~repro.exec.plan.plan_serve_tasks`): a per-GOP
+        reference task plus one task per B picture depending on it.
+        Every picture appears in exactly one task."""
+        return [ServeTask(self.name, *row) for row in plan_serve_tasks(self.plans)]
 
     # ------------------------------------------------------------------
     # display-side bookkeeping
@@ -252,8 +235,6 @@ class StreamSession:
             doc["rung_level"] = self.rung_level
             doc["switched_pictures"] = self.switched_pictures
             doc["continuation"] = self.continuation
-        if self.slo is not None:
-            doc["slo"] = self.slo.snapshot()
         if self.error is not None:
             doc["error"] = self.error
         return doc

@@ -520,19 +520,30 @@ def test_src_simulator_keeps_one_of_each():
     # and the task graph's start rule (previous test).  The copies that
     # sat beside them must not come back, nor the trick-play paths
     # beside the plan's index view (a refs-only walk, a wire-side
-    # picture filter).
+    # picture filter), nor serve's second task grain, its convenience
+    # runner and its service-side SLO judge.
     parallel = os.path.join("parallel", "")
     sleepers, pacers = set(), []
     gone = re.compile(
         r"\b(DisplayPacer|WallClockPacer|_GopTask|_DisplayItem"
         r"|gop_substream|gop_byte_ranges|iter_display_indices"
-        r"|_decode_gop_subset|refs_only|selected)\b"
+        r"|_decode_gop_subset|refs_only|selected"
+        r"|_TASK_GRAIN|serve_streams|slo_dumped)\b"
     )
     access = os.path.join("access", "")
+    service = os.path.join("serve", "service.py")
+    edge = os.path.join("net", "server.py")
     queue_state = re.compile(r"heapq|\.(unclaimed|remaining|started)\b")
     for rel, _n, line in src_lines():
         code = line.split("#")[0]
         assert not gone.search(code), (rel, line)
+        # A serve picture is one whole-picture slice batch: the service
+        # has no parse body of its own.  The edge sends at the
+        # session's deadlines; it has no deadline formula of its own.
+        if rel == service:
+            assert "parse_slices(" not in code, (rel, line)
+        if rel == edge:
+            assert not re.search(r"\*\s*period\b", code), (rel, line)
         # Every join, rung switch and trick decode is an index view on
         # the one scan; nothing splices a substream to scan it again.
         assert not re.search(r"(?<!def )\bsequence_prefix\(", code), (rel, line)

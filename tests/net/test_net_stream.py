@@ -36,7 +36,9 @@ from repro.net.protocol import (
 )
 from repro.net.server import NetServer
 from repro.obs.metrics import metrics
+from repro.obs.slo import SLOPolicy
 from repro.obs.stalls import REASON_CONCEAL_SPATIAL, REASON_CONCEAL_TEMPORAL
+from repro.serve import DegradePolicy, SessionStatus
 
 pytestmark = pytest.mark.net
 
@@ -58,15 +60,26 @@ def run(coro):
 
 
 def _long_stream() -> bytes:
-    """~48 pictures: a decode window wide enough (~0.25 s in-process)
-    that a second client reliably arrives while the first session is
-    still *decoding* (the service capacity window) and still
-    *streaming* (the bandwidth window)."""
+    """48 pictures: at 30 fps a client that hangs up after two of them
+    leaves the session more than a second of pictures short."""
     from repro.mpeg2.encoder import EncoderConfig, encode_sequence
     from repro.video.synthetic import SyntheticVideo
 
     video = SyntheticVideo(width=48, height=32, seed=19).frames(48)
     return encode_sequence(video, EncoderConfig(gop_size=4, qscale_code=3))
+
+
+def _slow_stream() -> bytes:
+    """455 pictures of 176x120 (one 13-picture GOP encoded once, then
+    repeated): about 1.5 s of in-process decode, seconds longer than a
+    second client's handshake takes."""
+    from repro.mpeg2.encoder import EncoderConfig, encode_sequence
+    from repro.video.synthetic import SyntheticVideo
+
+    from tests.parallel.test_mp_gop_window import tile
+
+    video = SyntheticVideo(width=176, height=120, seed=19).frames(13)
+    return tile(encode_sequence(video, EncoderConfig(gop_size=13, qscale_code=3)), 35)
 
 
 STREAMS = {
@@ -198,18 +211,30 @@ class TestAdmission:
         assert result.status == "rejected:unknown-stream"
 
     def test_capacity_gate_rejects_overload(self):
+        # The first session holds the only capacity slot while it
+        # decodes (seconds); the second HELLO goes out only once that
+        # session is ACTIVE.  Degradation is out of reach, so no shed
+        # picture shortens the decode however late the fast pacing
+        # makes it.
+        streams = {"slow": _slow_stream(), "two_gop": STREAMS["two_gop"]}
+        never = DegradePolicy(drop_b_after=10**6, skip_gop_after=10**6)
+
         async def scenario():
             srv = NetServer(
-                STREAMS, workers=0, fps=30.0, capacity=1, max_queue=0
+                streams, workers=0, fps=1000.0, capacity=1, max_queue=0,
+                policy=never,
             )
             await srv.start()
             try:
-                # The long stream decodes for ~0.25s, so the second
-                # client arrives while the only capacity slot is busy.
                 first = asyncio.ensure_future(
-                    stream_session("127.0.0.1", srv.port, "long")
+                    stream_session("127.0.0.1", srv.port, "slow")
                 )
-                await asyncio.sleep(0.05)
+                while not any(
+                    s.status is SessionStatus.ACTIVE
+                    for s in list(srv.service.sessions.values())
+                ):
+                    assert not first.done(), first.result().status
+                    await asyncio.sleep(0.005)
                 second = await stream_session(
                     "127.0.0.1", srv.port, "two_gop"
                 )
@@ -258,6 +283,11 @@ class TestAdmission:
 
         a, b = run(scenario())
         assert a.complete and b.complete
+
+    @pytest.mark.parametrize("link_bps", [0, -1.0])
+    def test_non_positive_link_budget_refused_at_construction(self, link_bps):
+        with pytest.raises(ValueError, match="link_bps"):
+            NetServer(STREAMS, workers=0, link_bps=link_bps)
 
 
 def _pictures_decoded() -> float:
@@ -506,6 +536,60 @@ class TestTelemetry:
         # so only the disconnect event itself is guaranteed.
         kinds = [e["kind"] for e in doc["events"]]
         assert "net.disconnected" in kinds
+
+    def test_one_burnout_dump_per_session(self, tmp_path):
+        # The edge's tracker, fed by client receipts, is the only SLO
+        # judge: a session far behind a 2000 fps schedule burns its
+        # budget once and leaves one dump.
+        result, report = run(
+            _serve_one(
+                {
+                    "fps": 2000.0,
+                    "slo": SLOPolicy(min_pictures=1, deadline_miss_budget=0.01),
+                    "flight_dir": str(tmp_path),
+                },
+                {"stream": "ipb"},
+            )
+        )
+        assert result.complete
+        burnouts = [p for p in report["flight_dumps"] if "slo-burnout" in p]
+        assert len(burnouts) == 1, report["flight_dumps"]
+        assert report["connections"][0]["slo"]["burned_out"]
+
+    def test_wire_pictures_leave_at_the_session_deadlines(self):
+        # The edge sends the first picture on arrival and picture k at
+        # the session's own deadline for it, read on the service clock
+        # (time.monotonic here, the clock the spans' stamps come from).
+        from repro.obs import disable_tracing, enable_tracing, get_tracer
+        from repro.obs.propagate import SPAN_WIRE
+
+        async def scenario():
+            srv = NetServer(STREAMS, workers=0, fps=120.0)
+            await srv.start()
+            try:
+                result = await stream_session("127.0.0.1", srv.port, "ipb")
+                return result, srv.service.sessions[result.session]
+            finally:
+                await srv.aclose()
+
+        enable_tracing(process_name="net-test")
+        try:
+            result, sess = run(scenario())
+            events = list(get_tracer().events)
+        finally:
+            disable_tracing()
+        assert result.complete
+        sent = {
+            e["args"]["pic"]: e["ts"]
+            for e in events
+            if e["name"] == SPAN_WIRE and e["args"]["session"] == result.session
+        }
+        assert len(sent) == result.pictures - result.shed_pictures
+        assert min(sent) == 0
+        for pic, ts_ns in sent.items():
+            if pic:
+                # 1 us: float seconds against integer nanoseconds.
+                assert ts_ns / 1e9 >= sess.pacer.deadline(pic) - 1e-6, pic
 
     def test_report_carries_slo_policy_and_metrics_port(self):
         async def scenario():

@@ -13,12 +13,15 @@ guarantee that a poisoned stream fails alone.
 from __future__ import annotations
 
 import multiprocessing
+import threading
+import time
 
 import pytest
 
 from repro.exec.backend import LocalTeam
 from repro.exec.graph import DISPATCHED
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
+from repro.obs.metrics import metrics, reset_metrics
 from repro.serve import DecodeService, DegradePolicy, SessionStatus
 from repro.video.synthetic import SyntheticVideo
 from tests.mpeg2.test_batched_parity import assert_frames_identical
@@ -104,24 +107,6 @@ class TestParityInProcess:
         # WFQ: the heavy session's virtual time never exceeds a light
         # session's by more than one task's work at the end.
         assert svc.scheduler.vtime("s2") <= svc.scheduler.vtime("s0") + 8
-
-
-    def test_auto_grain_is_one_coarse_task_per_gop(self, golden):
-        # ``auto`` is GOP grain: one ("ref", gop) task carrying every
-        # picture of its GOP, no B tasks, oracle-identical frames.
-        names = ["ipb_64x48_gop13", "two_gop_48x32", "rc_64x48_gop4"]
-        svc = DecodeService(workers=0, capacity=len(names), grain="auto")
-        got, sinks = collect_frames(svc, names)
-        for name in names:
-            sess = svc.submit(name, golden.data(name), on_frame=sinks[name])
-            graph = svc.scheduler.graphs()[-1]
-            assert list(graph.nodes) == [
-                ("ref", g) for g in range(len(sess.index.gops))
-            ]
-        report = svc.run()
-        assert report["status_counts"] == {"done": len(names)}
-        for name in names:
-            assert_session_parity(golden, name, svc.sessions[name], got[name])
 
 
 class TestParityWorkers:
@@ -397,6 +382,32 @@ class TestServiceApi:
         with pytest.raises(ValueError, match="duplicate"):
             svc.submit("a", golden.data("intra_16x16_gop1"))
 
+    @pytest.mark.parametrize("weight", [0, -1.0, float("nan")])
+    def test_bad_weight_is_the_callers_error(self, golden, tmp_path, weight):
+        # A weight that is not > 0 raises before the scan: no FAILED
+        # session, no scan-failure count, no flight dump.
+        reset_metrics()
+        svc = DecodeService(workers=0, capacity=1, flight_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="weight"):
+            svc.submit("a", golden.data("intra_16x16_gop1"), weight=weight)
+        assert svc.sessions == {}
+        assert "serve.sessions.failed_scan" not in metrics().snapshot()["counters"]
+        assert svc.flight_dumps == [] and list(tmp_path.iterdir()) == []
+
+    def test_bad_weight_raises_from_submit_dynamic(self, golden):
+        svc = DecodeService(workers=0, capacity=1)
+        runner = threading.Thread(target=svc.run_forever, daemon=True)
+        runner.start()
+        try:
+            while not svc._dynamic:
+                time.sleep(0.001)
+            with pytest.raises(ValueError, match="weight"):
+                svc.submit_dynamic("a", golden.data("intra_16x16_gop1"), weight=0)
+            assert svc.sessions == {}
+        finally:
+            svc.shutdown()
+            runner.join(30)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DecodeService(workers=-1)
@@ -419,14 +430,6 @@ class TestServiceApi:
         assert report["deadline"]["emitted"] == sess.emitted_pictures
         assert sess.emitted_pictures + sess.dropped_pictures == 8
         assert 0.0 <= report["deadline"]["miss_fraction"] <= 1.0
-
-    def test_serve_streams_convenience(self, golden):
-        from repro.serve.service import serve_streams
-
-        report = serve_streams(
-            [("a", golden.data("intra_16x16_gop1"))], workers=0, capacity=1
-        )
-        assert report["status_counts"] == {"done": 1}
 
     def test_no_multiprocessing_children_after_inprocess(self, golden):
         # Healthy persistent GOP-pool workers (possibly forked by other

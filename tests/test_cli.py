@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -181,6 +182,36 @@ class TestDecode:
                 a = fh.read()
             with open(os.path.join(ff_dir, name), "rb") as fh:
                 assert fh.read() == a, name
+
+
+class TestServe:
+    def test_weighted_streams_with_repeated_names(self, encoded_file, tmp_path, capsys):
+        report = str(tmp_path / "r.json")
+        rc = main(["serve", "--streams", encoded_file, f"{encoded_file}=2.5",
+                   "--workers", "0", "--capacity", "2", "--report", report])
+        assert rc == 0
+        with open(report) as fh:
+            sessions = json.load(fh)["sessions"]
+        assert [(s["session"], s["weight"], s["status"]) for s in sessions] == [
+            ("clip", 1.0, "done"), ("clip#2", 2.5, "done"),
+        ]
+
+    @pytest.mark.parametrize("weight", ["abc", "0", "-1", "nan", ""])
+    def test_bad_weight_is_a_usage_error(self, encoded_file, capsys, weight):
+        rc = main(["serve", "--streams", f"{encoded_file}={weight}",
+                   "--workers", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("serve: ") and "weight" in captured.err
+        assert captured.out == ""
+
+    def test_trace_written_once(self, encoded_file, tmp_path, capsys):
+        trace = str(tmp_path / "t.json")
+        assert main(["serve", "--streams", encoded_file, "--workers", "0",
+                     "--trace", trace]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f"trace events to {trace}") == 1
+        assert os.path.getsize(trace) > 0
 
 
 class TestSimulate:
