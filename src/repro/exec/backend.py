@@ -12,11 +12,12 @@ here (protocol tables and the design argument: DESIGN §2.10):
       ("attach", sid, body, arena, pool, layout, state, trace_dir)
       ("task",   sid, key, args, fault)       # runs body(ctx, key, args)
       ("detach", sid)
+      ("untrace",)                            # the traced run has ended
       None                                    # sentinel
 
       -> ("part", wid, sid, key, payload, None, None)      # ctx.post(payload)
       -> ("ok" | "err", wid, sid, key, payload, metrics, stalls)
-      -> ("obs", wid, None, None, None, metrics, stalls)   # at sentinel
+      -> ("obs", wid, None, None, None, metrics, stalls)   # at untrace, sentinel
 
   Tasks arrive on a private queue; every message back is written
   synchronously to the worker's own pipe (no feeder thread: a posted
@@ -142,9 +143,10 @@ def collect_trace_shards(trace_dir: str) -> None:
     """Merge worker trace shards into the parent tracer, clean up.
 
     Each worker appends raw events to ``shard-<pid>.jsonl`` under
-    ``trace_dir`` *before* it reports the task's result; the parent
-    folds every shard into its own tracer so ``--trace`` produces one
-    merged timeline, then removes the directory.
+    ``trace_dir`` *before* it reports a task's result, and the rest
+    before its ``obs`` reply to the run's ``untrace`` (or sentinel);
+    the parent folds every shard into its own tracer so ``--trace``
+    produces one merged timeline, then removes the directory.
     """
     tracer = get_tracer()
     try:
@@ -330,6 +332,13 @@ def worker_main(
                 ctx = contexts.pop(msg[1], None)
                 if ctx is not None:
                     ctx.close()
+                continue
+            if msg[0] == "untrace":
+                # The parent merges the run's shards on this reply:
+                # flush what is left into ours, then trace no more.
+                ship(("obs", wid, None, None, None), StallTable())
+                trace_dir = None
+                disable_tracing()
                 continue
             _, sid, key, args, fault = msg
             ctx = contexts.get(sid)
@@ -657,11 +666,17 @@ class WorkerTeam:
     def release(self) -> None:
         """End of a run: a whole, idle, registered team stays warm for
         the next run; any other is retired.  The lease's worker trace
-        shards (each flushed before the result it belongs to) are
-        merged into the parent's tracer."""
+        shards are merged into the parent's tracer once every worker
+        has flushed its last events into them: a retired worker on the
+        sentinel, a warm one on ``untrace`` (a team that does not answer
+        it in time is retired too)."""
         with _TEAMS_LOCK:
             self.leased = False
             keep = _TEAMS.get(self.key) is self and self.whole
+        if keep and self.trace_dir is not None:
+            live = list(self.workers.values())
+            self._broadcast(("untrace",))
+            keep = self._await_obs(live)
         if not keep:
             self.retire()
         if self.trace_dir is not None:
@@ -674,6 +689,24 @@ class WorkerTeam:
                 del _TEAMS[self.key]
         self.shutdown()
 
+    def _await_obs(self, live: list) -> bool:
+        """Merge the ``obs`` reply of each of ``live`` (sent after its
+        trace shard is flushed), waiting up to :data:`SHUTDOWN_GRACE_S`;
+        whether every one came.  Anything else read meanwhile belongs to
+        no held task and is dropped, as :meth:`fetch` would."""
+        deadline = time.monotonic() + SHUTDOWN_GRACE_S
+        pending = len(live)
+        while pending and time.monotonic() < deadline:
+            if all(w.conn.closed for w in live):
+                break  # every pipe at EOF: nobody left to report
+            self._poll()
+            while self._inbox:
+                msg = self._inbox.popleft()
+                if msg[0] == "obs":
+                    metrics().merge_snapshot(msg[5])
+                    pending -= 1
+        return not pending
+
     def shutdown(self) -> None:
         """Stop every worker and release everything (idempotent).
 
@@ -684,17 +717,7 @@ class WorkerTeam:
         if live and all(w.proc.exitcode is None and not w.held for w in live):
             for w in live:
                 w.task_q.put(None)
-            deadline = time.monotonic() + SHUTDOWN_GRACE_S
-            pending = len(live)
-            while pending and time.monotonic() < deadline:
-                if all(w.conn.closed for w in live):
-                    break  # every pipe at EOF: nobody left to report
-                self._poll()
-                while self._inbox:
-                    msg = self._inbox.popleft()
-                    if msg[0] == "obs":
-                        metrics().merge_snapshot(msg[5])
-                        pending -= 1
+            self._await_obs(live)
             for w in live:
                 w.proc.join(timeout=SHUTDOWN_GRACE_S)
         reap_processes([w.proc for w in live])

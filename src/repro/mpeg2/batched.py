@@ -11,23 +11,24 @@ Phase 1 (:func:`parse_slice`) performs **only bit work**: VLC decode,
 run/level expansion, DC and motion-vector prediction.  The whole
 slice — header, macroblock addressing, macroblock type, quantiser
 updates, motion vectors, coded block patterns and every coefficient —
-is decoded by one function holding a single small bit accumulator in
-locals, refilled eight bytes at a time, against flattened versions of
-every VLC table (plain ``int`` length/symbol arrays; the run/level
-table additionally folds the sign bit into one extra window bit and
-fuses every complete symbol of a 14-bit window into one row, so a
-probe yields ~2.3 coefficients).  There are no per-symbol method
-calls and no per-macroblock array allocations; the output is a
-:class:`SliceParse` of flat Python lists plus the coefficients as one
-``bytearray`` of little-endian int32 *entries* in bitstream order —
-``(run << 24) | (level + bias)`` per coefficient, one EOB entry
-closing every coded block.  A fused row carries its entries
-pre-packed as ``bytes``, so the hot loop appends them without
-creating an int per coefficient, and because runs stay **relative**
-the parser adds up no positions either: phase 2 turns runs into scan
-positions with one segmented cumsum per picture and applies the scan
-permutation to the whole stream, so no block is ever un-scanned
-individually.
+is decoded by one function whose only cursor is the bit position
+``p``: every read is a lookup in the slice's table of 16-bit windows
+(:func:`_bit_windows`, one NumPy pass per slice), and every VLC one
+lookup in a flattened table (plain ``int`` length/symbol lists)
+bounded by one ``0 < length <= n - p`` test.  The run/level table
+additionally folds the sign bit into one extra window bit and fuses
+every complete symbol of a 14-bit window into one row, so a probe
+yields ~2.3 coefficients.  There are no per-symbol method calls and no
+per-macroblock array allocations; the output is a :class:`SliceParse`
+of flat Python lists plus the coefficients as one ``bytearray`` of
+little-endian int32 *entries* in bitstream order — ``(run << 24) |
+(level + bias)`` per coefficient, one EOB entry closing every coded
+block.  A fused row carries its entries pre-packed as ``bytes``, so
+the hot loop appends them without creating an int per coefficient,
+and because runs stay **relative** the parser adds up no positions
+either: phase 2 turns runs into scan positions with one segmented
+cumsum per picture and applies the scan permutation to the whole
+stream, so no block is ever un-scanned individually.
 
 Phase 2 (:func:`reconstruct_slices`) reconstructs one picture with a
 handful of vectorized operations: its slices are concatenated into
@@ -67,9 +68,10 @@ The fast path is bit-identical to the scalar path by construction:
   as :func:`repro.mpeg2.motion.predict_block`, applied per phase
   group;
 * motion vectors are bounds-checked **at parse time** against the
-  reference-plane geometry (the same predicate ``predict_block``
-  applies), so a corrupt slice raises the same exception class at the
-  same slice, and resilient concealment proceeds identically.
+  reference-plane geometry (``predict_block``'s predicate, as an
+  interval per slice), so a corrupt slice raises the same exception
+  class at the same slice, and resilient concealment proceeds
+  identically.
 
 Work counters are derived during parse (each macroblock's
 reconstruction cost is a deterministic function of its mode), so the
@@ -89,7 +91,6 @@ from repro.mpeg2.constants import (
     COEFF_MAX,
     COEFF_MIN,
     PictureType,
-    quantiser_scale,
 )
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.dct import idct_rounded
@@ -126,16 +127,26 @@ _MB_PIXELS = 256 + 64 + 64
 # becomes parallel flat arrays over every max_len-bit window: a
 # ``bytes`` length table (0 = invalid prefix) and a plain-int symbol
 # list — two indexed loads per symbol against local variables, no
-# attribute walks, no tuple unpacking, no ``np.int64`` boxing.
+# attribute walks, no tuple unpacking, no ``np.int64`` boxing — and one
+# ``0 < length <= n - p`` test rejects an invalid prefix and a codeword
+# cut off by the end of the slice alike.
 # ----------------------------------------------------------------------
+def _raise_vlc(name: str, length: int, p: int, window: int, width: int):
+    """Raise the scalar decoder's error for a codeword at bit ``p``
+    that failed the ``0 < length <= n - p`` test."""
+    if length == 0:
+        raise VLCError(
+            f"{name}: invalid codeword at bit {p} (window {window:0{width}b})"
+        )
+    raise VLCError(f"{name}: truncated codeword at end of stream")
 
-#: ``_MASKS[b] == (1 << b) - 1``.  The accumulator is only trimmed at
-#: refill time (every window peek masks what it extracts), and a
-#: refill only fires when the valid-bit count is below the symbol's
-#: max length (< 32), so the index into this table stays < 32 even
-#: though the accumulator itself can hold up to ~90 stale+valid bits
-#: after an eight-byte refill.
-_MASKS: tuple[int, ...] = tuple((1 << i) - 1 for i in range(64))
+
+def _raise_short(want: int, p: int, n: int):
+    """``BitReader.read_bits``'s error for ``want`` bits at bit ``p``."""
+    raise BitstreamError(
+        f"read past end of stream (want {want} bits at {p}, have {n - p})"
+    )
+
 
 #: MBA windows: increment 1..33, with the escape mapped to 0 (valid
 #: increments are never 0, so the sentinel is free).
@@ -183,17 +194,26 @@ _CBP_SYMS: list[int] = [
     0 if s is None else s for s in CODED_BLOCK_PATTERN._dec_syms
 ]
 
-_DCL_LENS = DC_SIZE_LUMA._dec_lens
-_DCL_SYMS = DC_SIZE_LUMA._dec_syms
-_DCL_MAXLEN = DC_SIZE_LUMA.max_len
-_DCC_LENS = DC_SIZE_CHROMA._dec_lens
-_DCC_SYMS = DC_SIZE_CHROMA._dec_syms
-_DCC_MAXLEN = DC_SIZE_CHROMA.max_len
+#: ``(lens, sizes, max_len, name)`` of the DC size table of block 0..5.
+_DC_LUMA = (
+    DC_SIZE_LUMA._dec_lens, DC_SIZE_LUMA._dec_syms,
+    DC_SIZE_LUMA.max_len, DC_SIZE_LUMA.name,
+)
+_DC_CHROMA = (
+    DC_SIZE_CHROMA._dec_lens, DC_SIZE_CHROMA._dec_syms,
+    DC_SIZE_CHROMA.max_len, DC_SIZE_CHROMA.name,
+)
 
 _ESC_BITS = ESCAPE_RUN_BITS + ESCAPE_LEVEL_BITS
-_ESC_MASK = (1 << _ESC_BITS) - 1
 _ESC_LEVEL_SIGN = 1 << (ESCAPE_LEVEL_BITS - 1)
 _ESC_LEVEL_SPAN = 1 << ESCAPE_LEVEL_BITS
+
+# Every VLC fits one 16-bit window, and the two wider reads (the
+# sign-folded run/level window, the escape) fit two joined.
+assert max(
+    _MBA_MAXLEN, _MC_MAXLEN, _CBP_MAXLEN, DC_SIZE_LUMA.max_len,
+    DC_SIZE_CHROMA.max_len, *(t.max_len for t in MB_TYPE_TABLES.values()),
+) <= 16 and AC_RUN_LEVEL.max_len + 1 <= 24 and _ESC_BITS <= 24
 
 
 #: The coefficient stream is a ``bytearray`` of little-endian int32
@@ -226,9 +246,9 @@ def _build_signed_ac() -> tuple[bytes, list[int], list[int]]:
     by that bit lets a single lookup yield length (codeword + sign),
     run and the symbol's stream *entry* (run and signed level already
     packed) — the per-coefficient sign-bit read, with its own bounds
-    check and refill, disappears from the hot loop.  EOB and the
-    escape prefix carry no sign bit and keep their true length (their
-    runs are the sentinels above); invalid prefixes stay length 0.
+    check, disappears from the hot loop.  EOB and the escape prefix
+    carry no sign bit and keep their true length (their runs are the
+    sentinels above); invalid prefixes stay length 0.
     """
     maxlen = AC_RUN_LEVEL.max_len
     lens = bytearray(1 << (maxlen + 1))
@@ -260,35 +280,55 @@ def _build_signed_ac() -> tuple[bytes, list[int], list[int]]:
 _AC2_LENS, _AC2_RUNS, _AC2_ENTRIES = _build_signed_ac()
 _AC2_MAXLEN = AC_RUN_LEVEL.max_len + 1
 
+
+def _raise_ac(length: int, p: int, n: int, window: int):
+    """:func:`_raise_vlc` for the sign-folded run/level table."""
+    if length and _AC2_RUNS[window] >= 0 and length - 1 <= n - p:
+        # The run/level codeword itself fits; only its folded sign bit
+        # is past the end — the scalar path consumes the codeword, then
+        # fails the one-bit sign read.
+        _raise_short(1, n, n)
+    _raise_vlc(AC_RUN_LEVEL.name, length, p, window, _AC2_MAXLEN)
+
+
 #: Fused multi-symbol AC decode: one ``_FUSE_BITS``-bit window maps to
 #: every *complete* run/level symbol it contains (average AC symbols
 #: run ~5 bits including the folded sign, so a window usually carries
-#: two).  ``_AC_FUSED[w] == (consumed_bits, advance, entry_bytes,
-#: eob)``: the symbols travel **pre-packed** — ``entry_bytes`` is
-#: appended to the stream verbatim, a trailing EOB's entry included —
-#: and ``advance`` is their total ``run + 1``, so the hot loop checks a
-#: whole window's bounds with one add and one compare and creates no
-#: int per coefficient.  The walk stops — leaving ``consumed_bits`` at
-#: the last clean symbol boundary — before escape codes, invalid
-#: prefixes and codewords that straddle the window, all of which the
-#: single-symbol path then handles at the exact same bit position the
-#: scalar decoder would report.  A window's entry depends only on the
-#: bits it consumes, so the 16K windows share ≈ 4.1K distinct entries
-#: (≈ 0.5 MB, not ≈ 1.8 MB).  Built at import (≈ 30 ms): built later,
-#: amid a caller's freed temporaries (an encode's, say), the entries
-#: scatter over the heap and every parse runs a few per cent slower.
+#: two).  ``_AC_FUSED[w] == (consumed_bits, advance, entry_bytes)``:
+#: the symbols travel **pre-packed** — ``entry_bytes`` is appended to
+#: the stream verbatim, a trailing EOB's entry included — and
+#: ``advance`` is their total ``run + 1``, plus ``_FUSE_EOB`` when an
+#: EOB ends the window, or ``_FUSE_NONE`` for a window with no complete
+#: symbol.  So the hot loop adds ``advance`` to the scan index and one
+#: ``k <= 64`` test passes exactly the windows that stay inside the
+#: block and leave it open; the rest — an EOB, an overflow, nothing to
+#: decode — take the rare branch.  The walk stops — leaving
+#: ``consumed_bits`` at the last clean symbol boundary — before escape
+#: codes, invalid prefixes and codewords that straddle the window, all
+#: of which the single-symbol path then handles at the exact same bit
+#: position the scalar decoder would report.  Entry ``_FUSE_TAIL`` is
+#: the window of every position with fewer than ``_FUSE_BITS`` bits
+#: left in the slice: nothing, so the stream tail is the single-symbol
+#: path's too.  A window's entry depends only on the bits it consumes,
+#: so the 16K windows share ≈ 4.1K distinct entries (≈ 0.5 MB, not
+#: ≈ 1.8 MB).  Built at import (≈ 30 ms): built later, amid a caller's
+#: freed temporaries (an encode's, say), the entries scatter over the
+#: heap and every parse runs a few per cent slower.
 _FUSE_BITS = 14
 _FUSE_MASK = (1 << _FUSE_BITS) - 1
+_FUSE_TAIL = 1 << _FUSE_BITS
+_FUSE_EOB = 256
+_FUSE_NONE = 4096
 
 
-def _build_fused_ac() -> list[tuple[int, int, bytes, int]]:
+def _build_fused_ac() -> list[tuple[int, int, bytes]]:
     lens = _AC2_LENS
     runs = _AC2_RUNS
     entries = _AC2_ENTRIES
     maxlen = _AC2_MAXLEN
     fb = _FUSE_BITS
-    table: list[tuple[int, int, bytes, int]] = []
-    distinct: dict[tuple[int, int, bytes, int], tuple[int, int, bytes, int]] = {}
+    table: list[tuple[int, int, bytes]] = []
+    distinct: dict[tuple[int, int, bytes], tuple[int, int, bytes]] = {}
     for w in range(1 << fb):
         pos = 0
         adv = 0
@@ -317,11 +357,14 @@ def _build_fused_ac() -> list[tuple[int, int, bytes, int]]:
                 continue
             if run == _AC_EOB_RUN:
                 pos += length
-                eob = 1
+                eob = _FUSE_EOB
                 packed += _EOB_BYTES
             break
-        entry = (pos, adv, packed, eob)
+        assert adv < _FUSE_EOB  # so ``advance & 255`` is the symbols' own
+        entry = (pos, adv + eob if pos else _FUSE_NONE, packed)
         table.append(distinct.setdefault(entry, entry))
+    nothing = (0, _FUSE_NONE, b"")
+    table.append(distinct.setdefault(nothing, nothing))  # _FUSE_TAIL
     return table
 
 
@@ -346,11 +389,36 @@ def _raise_past_block(k: int, entry_bytes: bytes) -> None:
         k += 1
 
 
-#: ``_POPCNT6[cbp]`` = coded blocks in a 6-bit coded block pattern.
-_POPCNT6: list[int] = [bin(c).count("1") for c in range(64)]
+#: ``_CODED_BLOCKS[cbp]`` = the blocks (0..5) a coded block pattern codes.
+_CODED_BLOCKS: list[tuple[int, ...]] = [
+    tuple(i for i in range(6) if cbp & (32 >> i)) for cbp in range(64)
+]
 
 #: Initial/reset value of the intra DC predictors (level space).
 _DC_RESET = 128
+
+#: The shifts that cut the 16-bit windows at bits ``8 j .. 8 j + 7`` out
+#: of the 32 bits from byte ``j``.
+_WINDOW_SHIFTS = np.arange(16, 8, -1, dtype=np.uint32)
+
+
+def _bit_windows(payload: bytes) -> tuple[memoryview, memoryview]:
+    """``(win, fused)``: ``win[p]`` is the 16 bits of ``payload`` from
+    bit ``p``, big-endian and zero-padded past the end, for every ``p``
+    up to ``8 * len(payload) + 16`` (so a 24-bit read is ``win[p] << 8
+    | win[p + 16] >> 8``); ``fused[p]`` is its ``_AC_FUSED`` index —
+    the top ``_FUSE_BITS`` bits, or ``_FUSE_TAIL`` where fewer than
+    that many bits are left."""
+    m = len(payload) + 3
+    by32 = np.ndarray(
+        (m,), dtype=">u4", buffer=payload + bytes(6), strides=(1,)
+    ).astype(np.uint32)
+    # Flat, not a broadcast ``(m, 8)`` shift: NumPy's inner loop would
+    # be 8 long, and cost ≈ 2x the whole table.
+    win = (by32.repeat(8) >> np.tile(_WINDOW_SHIFTS, m)).astype(np.uint16)
+    fused = win >> (16 - _FUSE_BITS)
+    fused[max(len(payload) * 8 - _FUSE_BITS + 1, 0) :] = _FUSE_TAIL
+    return memoryview(win), memoryview(fused)
 
 
 # ======================================================================
@@ -416,11 +484,14 @@ def _validate_mv(
 ) -> None:
     """Parse-time replica of ``predict_block``'s bounds predicate.
 
-    Checks the luma 16x16 fetch and the (truncated-halved) chroma 8x8
-    fetches, including the +1 sample required by half-pel phases.
-    Raising :class:`ValueError` here is what keeps corrupt-stream
-    behaviour identical to the scalar path, which raises the same
-    class from ``predict_block`` during reconstruction.
+    Checks the luma 16x16 fetch, including the +1 sample required by
+    half-pel phases.  Planes are whole macroblocks, so the chroma fetch
+    (the vector halved toward zero) never leaves a plane the luma fetch
+    stayed in.  Raising :class:`ValueError` here is what keeps
+    corrupt-stream behaviour identical to the scalar path, which raises
+    the same class from ``predict_block`` during reconstruction.
+    :func:`parse_slice` tests the same predicate as an interval and
+    calls this only to raise.
     """
     top = mb_row * 16 + (dy >> 1)
     left = mb_col * 16 + (dx >> 1)
@@ -433,21 +504,6 @@ def _validate_mv(
         raise ValueError(
             f"motion vector (dy={dy}, dx={dx}) displaces macroblock "
             f"({mb_row},{mb_col}) outside reference plane ({luma_h}, {luma_w})"
-        )
-    # Chroma vector truncates toward zero (``MotionVector.chroma``).
-    cdy = dy // 2 if dy >= 0 else -((-dy) // 2)
-    cdx = dx // 2 if dx >= 0 else -((-dx) // 2)
-    ctop = mb_row * 8 + (cdy >> 1)
-    cleft = mb_col * 8 + (cdx >> 1)
-    if (
-        ctop < 0
-        or cleft < 0
-        or ctop + 8 + (cdy & 1) > luma_h // 2
-        or cleft + 8 + (cdx & 1) > luma_w // 2
-    ):
-        raise ValueError(
-            f"motion vector (dy={dy}, dx={dx}) displaces chroma of macroblock "
-            f"({mb_row},{mb_col}) outside reference plane"
         )
 
 
@@ -465,16 +521,13 @@ def parse_slice(
     :func:`repro.mpeg2.macroblock.decode_slice` — same syntax walk,
     same predictor-state transitions, same exception classes on
     corrupt input — but touches no pixels and makes no per-symbol
-    method calls: the entire slice is decoded against one local bit
-    accumulator (MSB-aligned, refilled eight bytes at a time) and the
-    flattened module-level VLC tables.  The accumulator's bits above
-    the valid count are *stale*, not zero — every peek masks exactly
-    the window it extracts, and refills trim before shifting in new
-    bytes — which removes a mask-and-store from every symbol.  The
-    absolute bit position is implicit (``bytepos * 8 - abits``) and
-    only materialized in error messages.  ``has_fwd`` tells the
-    P-picture skipped-macroblock check whether a forward reference
-    exists (mirrors the scalar error).
+    method calls.  The cursor is one int, the bit position ``p``: every
+    read is a lookup in the slice's table of 16-bit windows
+    (:func:`_bit_windows`) shifted down to the symbol's width, and every
+    VLC is bounds-checked by one ``0 < length <= n - p`` test against the
+    flattened module-level tables.  ``has_fwd`` tells the P-picture
+    skipped-macroblock check whether a forward reference exists
+    (mirrors the scalar error).
     """
     local = WorkCounters()
     n = len(payload) * 8
@@ -491,12 +544,18 @@ def parse_slice(
     prev_addr = row_start - 1
     luma_h = mb_height * 16
     luma_w = mb_width * 16
+    # ``_validate_mv`` as an interval on half-pel vectors: macroblock
+    # ``col`` of this row may fetch with (dy, dx) iff
+    # ``mv_top <= dy <= mv_bottom`` and ``-32 col <= dx <= mv_right - 32 col``.
+    mv_top = -32 * row
+    mv_bottom = 2 * (luma_h - 16 - 16 * row)
+    mv_right = 2 * (luma_w - 16)
 
     ptype = pic.picture_type
     is_p = ptype is PictureType.P
     is_b = ptype is PictureType.B
     mt_lens, mt_flags, mt_maxlen, mt_name = _MT_TABLES[ptype]
-    mt_mask = _MASKS[mt_maxlen]
+    mt_shift = 16 - mt_maxlen
 
     # Per-direction motion parameters (constant over the slice).
     ff = 1 << (pic.forward_f_code - 1)
@@ -510,32 +569,19 @@ def parse_slice(
     b_high = 16 * bf - 1
     b_span = 32 * bf
 
-    # ---- bit cursor: low ``abits`` bits of ``acc`` are valid (higher
-    # bits stale); next refill byte ``bytepos``; absolute position is
-    # ``bytepos * 8 - abits``.
-    data = payload
-    masks = _MASKS
-    ifb = int.from_bytes
-
     # ---- slice header: 5-bit quantiser_scale_code + extra bit ------
     if n < 6:
         # Payloads are whole bytes, so this is the empty slice; same
         # class/message family as BitReader.read_bits.
-        raise BitstreamError(
-            f"read past end of stream (want 5 bits at 0, have {n})"
-        )
-    chunk = data[:8]
-    bytepos = len(chunk)
-    abits = bytepos << 3
-    acc = ifb(chunk, "big")
-    qscale_code = (acc >> (abits - 5)) & 31
-    abits -= 5
+        _raise_short(5, 0, n)
+    win, fused = _bit_windows(payload)
+    qscale_code = win[0] >> 11
     if qscale_code == 0:
         raise ValueError("quantiser_scale_code must be nonzero")
-    if (acc >> (abits - 1)) & 1:
+    if (win[0] >> 10) & 1:
         raise ValueError("unexpected extra_information_slice")
-    abits -= 1
-    qscale = quantiser_scale(qscale_code)
+    p = 6
+    qscale = qscale_code << 1
 
     # ---- predictor state, all locals -------------------------------
     dc0 = dc1 = dc2 = _DC_RESET
@@ -572,48 +618,28 @@ def parse_slice(
 
     mba_lens = _MBA_LENS
     mba_inc = _MBA_INC
-    mba_maxlen = _MBA_MAXLEN
-    mba_mask = _MASKS[mba_maxlen]
+    mba_shift = 16 - _MBA_MAXLEN
     mc_lens = _MC_LENS
     mc_syms = _MC_SYMS
-    mc_maxlen = _MC_MAXLEN
-    mc_mask = _MASKS[mc_maxlen]
-    cbp_mask = _MASKS[_CBP_MAXLEN]
+    mc_shift = 16 - _MC_MAXLEN
     ac_lens = _AC2_LENS
+    ac_shift = 24 - _AC2_MAXLEN
     ac_runs = _AC2_RUNS
     ac_entries = _AC2_ENTRIES
-    ac_maxlen = _AC2_MAXLEN
     ac_fused = _AC_FUSED
-    ac_mask = _MASKS[ac_maxlen]
+    coded_blocks = _CODED_BLOCKS
 
     while prev_addr < row_last:
         # ---- macroblock address increment (with escape) ------------
         increment = 0
         while True:
-            if abits < mba_maxlen:
-                chunk = data[bytepos : bytepos + 8]
-                nb = len(chunk)
-                acc = ((acc & masks[abits]) << (nb << 3)) | ifb(chunk, "big")
-                abits += nb << 3
-                bytepos += nb
-            if abits >= mba_maxlen:
-                w = (acc >> (abits - mba_maxlen)) & mba_mask
-                length = mba_lens[w]
-            else:
-                # Stream tail: remaining real bits == abits.
-                w = (acc << (mba_maxlen - abits)) & mba_mask
-                length = mba_lens[w]
-                if length > abits:
-                    raise VLCError(
-                        f"{MB_ADDRESS_INCREMENT.name}: truncated codeword at "
-                        "end of stream"
-                    )
-            if length == 0:
-                raise VLCError(
-                    f"{MB_ADDRESS_INCREMENT.name}: invalid codeword at "
-                    f"bit {bytepos * 8 - abits} (window {w:0{mba_maxlen}b})"
+            w = win[p] >> mba_shift
+            length = mba_lens[w]
+            if not 0 < length <= n - p:
+                _raise_vlc(
+                    MB_ADDRESS_INCREMENT.name, length, p, w, _MBA_MAXLEN
                 )
-            abits -= length
+            p += length
             vlc_symbols += 1
             inc = mba_inc[w]
             if inc:
@@ -658,16 +684,17 @@ def parse_slice(
                     raise ValueError(
                         "prediction requested with no motion vectors"
                     )
-                mb_row = skipped // mb_width
-                mb_col = skipped - mb_row * mb_width
-                if prev_f_on:
-                    _validate_mv(
-                        pv_f_dy, pv_f_dx, mb_row, mb_col, luma_h, luma_w
-                    )
-                if prev_b_on:
-                    _validate_mv(
-                        pv_b_dy, pv_b_dx, mb_row, mb_col, luma_h, luma_w
-                    )
+                c32 = (skipped - row_start) << 5
+                for on, dy, dx in (
+                    (prev_f_on, pv_f_dy, pv_f_dx),
+                    (prev_b_on, pv_b_dy, pv_b_dx),
+                ):
+                    if on and not (
+                        mv_top <= dy <= mv_bottom and -c32 <= dx <= mv_right - c32
+                    ):
+                        _validate_mv(
+                            dy, dx, row, skipped - row_start, luma_h, luma_w
+                        )
                 nrefs = (1 if prev_f_on else 0) + (1 if prev_b_on else 0)
                 mc_pixels += nrefs * _MB_PIXELS
                 mc_macroblocks += 1
@@ -691,100 +718,42 @@ def parse_slice(
             dc0 = dc1 = dc2 = _DC_RESET  # reset_dc
 
         # ---- coded macroblock: macroblock_type ---------------------
-        if abits < mt_maxlen:
-            chunk = data[bytepos : bytepos + 8]
-            nb = len(chunk)
-            acc = ((acc & masks[abits]) << (nb << 3)) | ifb(chunk, "big")
-            abits += nb << 3
-            bytepos += nb
-        if abits >= mt_maxlen:
-            w = (acc >> (abits - mt_maxlen)) & mt_mask
-            length = mt_lens[w]
-        else:
-            w = (acc << (mt_maxlen - abits)) & mt_mask
-            length = mt_lens[w]
-            if length > abits:
-                raise VLCError(
-                    f"{mt_name}: truncated codeword at end of stream"
-                )
-        if length == 0:
-            raise VLCError(
-                f"{mt_name}: invalid codeword at bit "
-                f"{bytepos * 8 - abits} (window {w:0{mt_maxlen}b})"
-            )
-        abits -= length
+        w = win[p] >> mt_shift
+        length = mt_lens[w]
+        if not 0 < length <= n - p:
+            _raise_vlc(mt_name, length, p, w, mt_maxlen)
+        p += length
         flags = mt_flags[w]
         vlc_symbols += 1
         macroblocks += 1
 
         if flags & _MT_QUANT:
-            if abits < 5:
-                chunk = data[bytepos : bytepos + 8]
-                nb = len(chunk)
-                acc = ((acc & masks[abits]) << (nb << 3)) | ifb(chunk, "big")
-                abits += nb << 3
-                bytepos += nb
-                if abits < 5:
-                    raise BitstreamError(
-                        f"read past end of stream (want 5 bits at "
-                        f"{n - abits}, have {abits})"
-                    )
-            code = (acc >> (abits - 5)) & 31
-            abits -= 5
+            if n - p < 5:
+                _raise_short(5, p, n)
+            code = win[p] >> 11
+            p += 5
             if code == 0:
                 raise SliceDecodeError("macroblock quantiser_scale_code of 0")
-            qscale = quantiser_scale(code)
+            qscale = code << 1
 
         # ---- motion vectors (dx then dy per direction) -------------
         f_on = False
         fdy = fdx = 0
         if flags & _MT_FWD:
-            # dx component
             for comp in (0, 1):
-                if abits < mc_maxlen:
-                    chunk = data[bytepos : bytepos + 8]
-                    nb = len(chunk)
-                    acc = (
-                        (acc & masks[abits]) << (nb << 3)
-                    ) | ifb(chunk, "big")
-                    abits += nb << 3
-                    bytepos += nb
-                if abits >= mc_maxlen:
-                    w = (acc >> (abits - mc_maxlen)) & mc_mask
-                    length = mc_lens[w]
-                else:
-                    w = (acc << (mc_maxlen - abits)) & mc_mask
-                    length = mc_lens[w]
-                    if length > abits:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: truncated codeword at end "
-                            "of stream"
-                        )
-                if length == 0:
-                    raise VLCError(
-                        f"{MOTION_CODE.name}: invalid codeword at bit "
-                        f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                    )
-                abits -= length
+                w = win[p] >> mc_shift
+                length = mc_lens[w]
+                if not 0 < length <= n - p:
+                    _raise_vlc(MOTION_CODE.name, length, p, w, _MC_MAXLEN)
+                p += length
                 code = mc_syms[w]
                 if ff == 1 or code == 0:
                     delta = code
                 else:
-                    if abits < f_rbits:
-                        chunk = data[bytepos : bytepos + 8]
-                        nb = len(chunk)
-                        acc = (
-                            (acc & masks[abits]) << (nb << 3)
-                        ) | ifb(chunk, "big")
-                        abits += nb << 3
-                        bytepos += nb
-                        if abits < f_rbits:
-                            raise BitstreamError(
-                                f"read past end of stream (want {f_rbits} "
-                                f"bits at {n - abits}, have {abits})"
-                            )
-                    residual = (acc >> (abits - f_rbits)) & (ff - 1)
-                    abits -= f_rbits
+                    if n - p < f_rbits:
+                        _raise_short(f_rbits, p, n)
+                    residual = win[p] >> (16 - f_rbits)
+                    p += f_rbits
                     delta = (
                         1 + ff * ((code if code >= 0 else -code) - 1)
                         + residual
@@ -811,50 +780,19 @@ def parse_slice(
         bdy = bdx = 0
         if flags & _MT_BWD:
             for comp in (0, 1):
-                if abits < mc_maxlen:
-                    chunk = data[bytepos : bytepos + 8]
-                    nb = len(chunk)
-                    acc = (
-                        (acc & masks[abits]) << (nb << 3)
-                    ) | ifb(chunk, "big")
-                    abits += nb << 3
-                    bytepos += nb
-                if abits >= mc_maxlen:
-                    w = (acc >> (abits - mc_maxlen)) & mc_mask
-                    length = mc_lens[w]
-                else:
-                    w = (acc << (mc_maxlen - abits)) & mc_mask
-                    length = mc_lens[w]
-                    if length > abits:
-                        raise VLCError(
-                            f"{MOTION_CODE.name}: truncated codeword at end "
-                            "of stream"
-                        )
-                if length == 0:
-                    raise VLCError(
-                        f"{MOTION_CODE.name}: invalid codeword at bit "
-                        f"{bytepos * 8 - abits} (window {w:0{mc_maxlen}b})"
-                    )
-                abits -= length
+                w = win[p] >> mc_shift
+                length = mc_lens[w]
+                if not 0 < length <= n - p:
+                    _raise_vlc(MOTION_CODE.name, length, p, w, _MC_MAXLEN)
+                p += length
                 code = mc_syms[w]
                 if bf == 1 or code == 0:
                     delta = code
                 else:
-                    if abits < b_rbits:
-                        chunk = data[bytepos : bytepos + 8]
-                        nb = len(chunk)
-                        acc = (
-                            (acc & masks[abits]) << (nb << 3)
-                        ) | ifb(chunk, "big")
-                        abits += nb << 3
-                        bytepos += nb
-                        if abits < b_rbits:
-                            raise BitstreamError(
-                                f"read past end of stream (want {b_rbits} "
-                                f"bits at {n - abits}, have {abits})"
-                            )
-                    residual = (acc >> (abits - b_rbits)) & (bf - 1)
-                    abits -= b_rbits
+                    if n - p < b_rbits:
+                        _raise_short(b_rbits, p, n)
+                    residual = win[p] >> (16 - b_rbits)
+                    p += b_rbits
                     delta = (
                         1 + bf * ((code if code >= 0 else -code) - 1)
                         + residual
@@ -885,30 +823,13 @@ def parse_slice(
 
         # ---- coded block pattern -----------------------------------
         if flags & _MT_CODED:
-            if abits < _CBP_MAXLEN:
-                chunk = data[bytepos : bytepos + 8]
-                nb = len(chunk)
-                acc = ((acc & masks[abits]) << (nb << 3)) | ifb(chunk, "big")
-                abits += nb << 3
-                bytepos += nb
-            if abits >= _CBP_MAXLEN:
-                w = (acc >> (abits - _CBP_MAXLEN)) & cbp_mask
-                length = _CBP_LENS[w]
-            else:
-                w = (acc << (_CBP_MAXLEN - abits)) & cbp_mask
-                length = _CBP_LENS[w]
-                if length > abits:
-                    raise VLCError(
-                        f"{CODED_BLOCK_PATTERN.name}: truncated codeword at "
-                        "end of stream"
-                    )
-            if length == 0:
-                raise VLCError(
-                    f"{CODED_BLOCK_PATTERN.name}: invalid codeword at "
-                    f"bit {bytepos * 8 - abits} "
-                    f"(window {w:0{_CBP_MAXLEN}b})"
+            w = win[p] >> (16 - _CBP_MAXLEN)
+            length = _CBP_LENS[w]
+            if not 0 < length <= n - p:
+                _raise_vlc(
+                    CODED_BLOCK_PATTERN.name, length, p, w, _CBP_MAXLEN
                 )
-            abits -= length
+            p += length
             cbp = _CBP_SYMS[w]
             vlc_symbols += 1
         elif flags & _MT_INTRA:
@@ -918,203 +839,106 @@ def parse_slice(
 
         # ---- coefficient blocks ------------------------------------
         intra_mb = flags & _MT_INTRA
-        if cbp:
-            for i in range(6):
-                if not cbp & (32 >> i):
-                    continue
-                k = 0  # scan index of the next coefficient
-                if intra_mb:
-                    if i < 4:
-                        dc_lens = _DCL_LENS
-                        dc_syms = _DCL_SYMS
-                        dc_maxlen = _DCL_MAXLEN
-                        dc_name = DC_SIZE_LUMA.name
-                        pred = dc0
+        blocks = coded_blocks[cbp]
+        for i in blocks:
+            k = 0  # scan index of the next coefficient
+            if intra_mb:
+                dc_lens, dc_sizes, dc_maxlen, dc_name = (
+                    _DC_LUMA if i < 4 else _DC_CHROMA
+                )
+                pred = dc0 if i < 4 else dc1 if i == 4 else dc2
+                w = win[p] >> (16 - dc_maxlen)
+                length = dc_lens[w]
+                if not 0 < length <= n - p:
+                    _raise_vlc(dc_name, length, p, w, dc_maxlen)
+                p += length
+                size = dc_sizes[w]
+                vlc_symbols += 1
+                if size:
+                    if n - p < size:
+                        _raise_short(size, p, n)
+                    raw = win[p] >> (16 - size)
+                    p += size
+                    if raw & (1 << (size - 1)):
+                        pred += raw
                     else:
-                        dc_lens = _DCC_LENS
-                        dc_syms = _DCC_SYMS
-                        dc_maxlen = _DCC_MAXLEN
-                        dc_name = DC_SIZE_CHROMA.name
-                        pred = dc1 if i == 4 else dc2
-                    if abits < dc_maxlen:
-                        chunk = data[bytepos : bytepos + 8]
-                        nb = len(chunk)
-                        acc = (
-                            (acc & masks[abits]) << (nb << 3)
-                        ) | ifb(chunk, "big")
-                        abits += nb << 3
-                        bytepos += nb
-                    if abits >= dc_maxlen:
-                        w = (acc >> (abits - dc_maxlen)) & masks[dc_maxlen]
-                        length = dc_lens[w]
-                    else:
-                        w = (acc << (dc_maxlen - abits)) & masks[dc_maxlen]
-                        length = dc_lens[w]
-                        if length > abits:
-                            raise VLCError(
-                                f"{dc_name}: truncated codeword at end of "
-                                "stream"
-                            )
-                    if length == 0:
-                        raise VLCError(
-                            f"{dc_name}: invalid codeword at bit "
-                            f"{bytepos * 8 - abits} "
-                            f"(window {w:0{dc_maxlen}b})"
-                        )
-                    size = dc_syms[w]
-                    abits -= length
-                    vlc_symbols += 1
-                    if size:
-                        if abits < size:
-                            chunk = data[bytepos : bytepos + 8]
-                            nb = len(chunk)
-                            acc = (
-                                (acc & masks[abits]) << (nb << 3)
-                            ) | ifb(chunk, "big")
-                            abits += nb << 3
-                            bytepos += nb
-                            if abits < size:
-                                raise BitstreamError(
-                                    f"read past end of stream (want {size} "
-                                    f"bits at {n - abits}, have {abits})"
-                                )
-                        raw = (acc >> (abits - size)) & masks[size]
-                        abits -= size
-                        if raw & (1 << (size - 1)):
-                            pred += raw
-                        else:
-                            pred -= raw ^ ((1 << size) - 1)
-                    if i < 4:
-                        dc0 = pred
-                    elif i == 4:
-                        dc1 = pred
-                    else:
-                        dc2 = pred
-                    buf += pack(pred + 0x800000)  # DC: a run-0 entry
-                    dc_emits += 1
-                    k = 1
+                        pred -= raw ^ ((1 << size) - 1)
+                if i < 4:
+                    dc0 = pred
+                elif i == 4:
+                    dc1 = pred
+                else:
+                    dc2 = pred
+                buf += pack(pred + 0x800000)  # DC: a run-0 entry
+                dc_emits += 1
+                k = 1
 
-                while True:
-                    # Fused fast path: one peek appends the pre-packed
-                    # entries of every complete run/level symbol in the
-                    # window, a trailing EOB's included.  ``k`` only
-                    # grows, so one bound check per window fails on
-                    # exactly the windows the per-symbol check would.
-                    # Escapes, invalid prefixes, window-straddling
-                    # codewords and the stream tail fall through to the
-                    # single-symbol path below, which owns their error
-                    # positions.
-                    if abits < _FUSE_BITS:
-                        chunk = data[bytepos : bytepos + 8]
-                        nb = len(chunk)
-                        acc = (
-                            (acc & masks[abits]) << (nb << 3)
-                        ) | ifb(chunk, "big")
-                        abits += nb << 3
-                        bytepos += nb
-                    if abits >= _FUSE_BITS:
-                        consumed, adv, entry_bytes, eob = ac_fused[
-                            (acc >> (abits - _FUSE_BITS)) & _FUSE_MASK
-                        ]
-                        if consumed:
-                            k += adv
-                            if k > 64:
-                                _raise_past_block(k - adv, entry_bytes)
-                            abits -= consumed
-                            buf += entry_bytes
-                            if eob:
-                                break
-                            continue
-                    # Single-symbol path: exact error positions for
-                    # corrupt input, plus the rare legal cases the
-                    # fused table cannot finish.
-                    if abits < ac_maxlen:
-                        chunk = data[bytepos : bytepos + 8]
-                        nb = len(chunk)
-                        acc = (
-                            (acc & masks[abits]) << (nb << 3)
-                        ) | ifb(chunk, "big")
-                        abits += nb << 3
-                        bytepos += nb
-                    if abits >= ac_maxlen:
-                        w = (acc >> (abits - ac_maxlen)) & ac_mask
-                        length = ac_lens[w]
-                    else:
-                        # Stream tail: remaining real bits == abits.
-                        w = (acc << (ac_maxlen - abits)) & ac_mask
-                        length = ac_lens[w]
-                        if length > abits:
-                            if ac_runs[w] >= 0 and length - 1 <= abits:
-                                # The run/level codeword itself fits;
-                                # only its folded sign bit is past the
-                                # end — the scalar path consumes the
-                                # codeword, then fails the one-bit
-                                # sign read.
-                                raise BitstreamError(
-                                    "read past end of stream (want 1 "
-                                    f"bits at {n}, have 0)"
-                                )
-                            raise VLCError(
-                                f"{AC_RUN_LEVEL.name}: truncated "
-                                "codeword at end of stream"
-                            )
-                    if length == 0:
-                        raise VLCError(
-                            f"{AC_RUN_LEVEL.name}: invalid codeword at "
-                            f"bit {bytepos * 8 - abits} "
-                            f"(window {w:0{ac_maxlen}b})"
-                        )
-                    abits -= length
-                    run = ac_runs[w]
-                    if run >= 0:
-                        k += run
-                        if k >= 64:
-                            raise BlockSyntaxError(
-                                f"coefficient index {k} past end of block "
-                                f"(run {run})"
-                            )
-                        buf += pack(ac_entries[w])
-                        k += 1
-                        continue
-                    if run == _AC_EOB_RUN:
-                        buf += eob_bytes
-                        break
-                    else:
-                        # Escape: 6-bit run + 12-bit signed level.
-                        if abits < _ESC_BITS:
-                            chunk = data[bytepos : bytepos + 8]
-                            nb = len(chunk)
-                            acc = (
-                                (acc & masks[abits]) << (nb << 3)
-                            ) | ifb(chunk, "big")
-                            abits += nb << 3
-                            bytepos += nb
-                            if abits < _ESC_BITS:
-                                raise BitstreamError(
-                                    "read past end of stream (want "
-                                    f"{_ESC_BITS} bits at {n - abits}, "
-                                    f"have {abits})"
-                                )
-                        v = (acc >> (abits - _ESC_BITS)) & _ESC_MASK
-                        abits -= _ESC_BITS
-                        run = v >> ESCAPE_LEVEL_BITS
-                        raw = v & (_ESC_LEVEL_SPAN - 1)
-                        level = (
-                            raw - _ESC_LEVEL_SPAN
-                            if raw & _ESC_LEVEL_SIGN
-                            else raw
-                        )
-                        if level == 0:
-                            raise BlockSyntaxError("escape-coded level of 0")
+            while True:
+                # Fused fast path: one lookup appends the pre-packed
+                # entries of every complete run/level symbol in the
+                # window.  ``k`` only grows, so one bound check per
+                # window fails on exactly the windows the per-symbol
+                # check would — and on every window an EOB ends or
+                # that decodes nothing, by their advance's offsets.
+                consumed, adv, entry_bytes = ac_fused[fused[p]]
+                k += adv
+                if k <= 64:
+                    p += consumed
+                    buf += entry_bytes
+                    continue
+                k -= adv
+                if adv < _FUSE_NONE:
+                    # The window leaves the block or an EOB closes it.
+                    if k + (adv & 255) > 64:
+                        _raise_past_block(k, entry_bytes)
+                    p += consumed
+                    buf += entry_bytes
+                    break
+                # Single-symbol path: exact error positions for
+                # corrupt input, plus the rare legal cases the fused
+                # table cannot finish (escapes, window-straddling
+                # codewords, the stream tail).
+                w = ((win[p] << 8) | (win[p + 16] >> 8)) >> ac_shift
+                length = ac_lens[w]
+                if not 0 < length <= n - p:
+                    _raise_ac(length, p, n, w)
+                p += length
+                run = ac_runs[w]
+                if run >= 0:
                     k += run
                     if k >= 64:
                         raise BlockSyntaxError(
                             f"coefficient index {k} past end of block "
                             f"(run {run})"
                         )
-                    buf += pack((run << 24) | (level + 0x800000))
+                    buf += pack(ac_entries[w])
                     k += 1
-        idct_blocks += _POPCNT6[cbp]
+                    continue
+                if run == _AC_EOB_RUN:
+                    buf += eob_bytes
+                    break
+                # Escape: 6-bit run + 12-bit signed level, read (and
+                # bounds-checked) as the scalar decoder's two fields.
+                if n - p < _ESC_BITS:
+                    if n - p < ESCAPE_RUN_BITS:
+                        _raise_short(ESCAPE_RUN_BITS, p, n)
+                    _raise_short(ESCAPE_LEVEL_BITS, p + ESCAPE_RUN_BITS, n)
+                v = ((win[p] << 8) | (win[p + 16] >> 8)) >> (24 - _ESC_BITS)
+                p += _ESC_BITS
+                run = v >> ESCAPE_LEVEL_BITS
+                raw = v & (_ESC_LEVEL_SPAN - 1)
+                level = raw - _ESC_LEVEL_SPAN if raw & _ESC_LEVEL_SIGN else raw
+                if level == 0:
+                    raise BlockSyntaxError("escape-coded level of 0")
+                k += run
+                if k >= 64:
+                    raise BlockSyntaxError(
+                        f"coefficient index {k} past end of block "
+                        f"(run {run})"
+                    )
+                buf += pack((run << 24) | (level + 0x800000))
+                k += 1
+        idct_blocks += len(blocks)
 
         # ---- record + post-macroblock predictor updates ------------
         if intra_mb:
@@ -1134,12 +958,15 @@ def parse_slice(
         else:
             if not f_on and not b_on:
                 raise ValueError("prediction requested with no motion vectors")
-            mb_row = address // mb_width
-            mb_col = address - mb_row * mb_width
-            if f_on:
-                _validate_mv(fdy, fdx, mb_row, mb_col, luma_h, luma_w)
-            if b_on:
-                _validate_mv(bdy, bdx, mb_row, mb_col, luma_h, luma_w)
+            c32 = (address - row_start) << 5
+            if f_on and not (
+                mv_top <= fdy <= mv_bottom and -c32 <= fdx <= mv_right - c32
+            ):
+                _validate_mv(fdy, fdx, row, address - row_start, luma_h, luma_w)
+            if b_on and not (
+                mv_top <= bdy <= mv_bottom and -c32 <= bdx <= mv_right - c32
+            ):
+                _validate_mv(bdy, bdx, row, address - row_start, luma_h, luma_w)
             nrefs = (1 if f_on else 0) + (1 if b_on else 0)
             mc_pixels += nrefs * _MB_PIXELS
             mc_macroblocks += 1

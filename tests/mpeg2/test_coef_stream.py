@@ -3,7 +3,7 @@
 ``SliceParse.coef_packed`` is a ``bytearray`` of little-endian int32
 entries — ``(run << 24) | (level + 2**23)`` per coefficient, one
 ``1 << 30`` EOB entry closing every coded block — that only
-:mod:`repro.mpeg2.batched` reads and writes.  Two things are pinned
+:mod:`repro.mpeg2.batched` reads and writes.  Three things are pinned
 here, below the whole-stream parity suites:
 
 * the round trip ``encode_slice`` -> ``parse_slice`` ->
@@ -13,12 +13,16 @@ here, below the whole-stream parity suites:
   63, escape-coded runs and levels, uncoded blocks, both scans);
 * the bound check the parser defers to once per fused VLC window raises
   the scalar decoder's ``BlockSyntaxError``, for the same symbol,
-  wherever in the window that symbol sits.
+  wherever in the window that symbol sits;
+* the parser's cursor table reads the payload's bits, and every slice
+  of three golden vectors, cut at each byte or with a byte inverted,
+  parses to the scalar decoder's counters or fails with its error.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.bitstream import BitWriter
 from repro.bitstream.emulation import escape_payload
+from repro.bitstream.reader import BitstreamError
 from repro.mpeg2 import batched
 from repro.mpeg2.batched import (
     PictureAssembly,
@@ -47,9 +52,11 @@ from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader, SequenceHeader, SliceHeader
 from repro.mpeg2.index import build_index
+from repro.mpeg2.kernel import read_slices
 from repro.mpeg2.macroblock import (
     MacroblockPlan,
     PictureCodingContext,
+    SliceDecodeError,
     decode_slice,
     encode_slice,
 )
@@ -263,22 +270,45 @@ def _overflow_payload(nth: int, *, overflow: bool = True) -> tuple[bytes, int]:
     return w.getvalue() + bytes(4), window_bit
 
 
-def _scalar_error(payload: bytes):
+_I_PICTURE = PictureHeader(temporal_reference=0, picture_type=PictureType.I)
+
+
+def _scalar_run(payload, vpos=1, pic=_I_PICTURE, width=48, height=32):
+    """The scalar decode of one slice against blank references: its
+    counters, or the exception it raised."""
+    blank = Frame.blank(width, height)
     ctx = PictureCodingContext(
-        seq=SequenceHeader(width=48, height=32),
-        pic=PictureHeader(temporal_reference=0, picture_type=PictureType.I),
-        out=Frame.blank(48, 32),
+        seq=SequenceHeader(width=width, height=height),
+        pic=pic,
+        out=Frame.blank(width, height),
+        fwd=blank,
+        bwd=blank,
     )
-    with pytest.raises(Exception) as info:
-        decode_slice(payload, 1, ctx, WorkCounters())
-    return info.value
+    try:
+        return decode_slice(payload, vpos, ctx)
+    except Exception as exc:
+        return exc
+
+
+def _batched_run(payload, vpos=1, pic=_I_PICTURE, width=48, height=32):
+    """Phase 1 of the same slice: its :class:`SliceParse`, or the
+    exception it raised."""
+    try:
+        return parse_slice(payload, vpos, pic, width // 16, height // 16, True)
+    except Exception as exc:
+        return exc
+
+
+def _scalar_error(payload: bytes):
+    error = _scalar_run(payload)
+    assert isinstance(error, Exception), "the scalar decode succeeded"
+    return error
 
 
 def _batched_error(payload: bytes):
-    pic = PictureHeader(temporal_reference=0, picture_type=PictureType.I)
-    with pytest.raises(Exception) as info:
-        parse_slice(payload, 1, pic, 3, 2, False)
-    return info.value
+    error = _batched_run(payload)
+    assert isinstance(error, Exception), "the batched parse succeeded"
+    return error
 
 
 @pytest.mark.parametrize("nth", sorted(_PRECEDING))
@@ -290,7 +320,7 @@ def test_overflow_on_nth_symbol_of_a_fused_window(nth):
     bits = int.from_bytes(payload, "big")
     shift = len(payload) * 8 - window_bit - batched._FUSE_BITS
     window = (bits >> shift) & batched._FUSE_MASK
-    _consumed, _advance, entry_bytes, _eob = batched._AC_FUSED[window]
+    _consumed, _advance, entry_bytes = batched._AC_FUSED[window]
     assert len(entry_bytes) // 4 >= nth
 
     scalar = _scalar_error(payload)
@@ -344,3 +374,79 @@ def test_overflow_slice_in_a_stream_strict_and_resilient(nth):
     assert decoded["scalar"][1].concealed_slices == 1
     assert decoded["scalar"][1] == decoded["batched"][1]
     assert_frames_identical(decoded["scalar"][0], decoded["batched"][0])
+
+
+# ----------------------------------------------------------------------
+# (c) the bit cursor, and every cut and every flipped byte of real
+#     slices failing alike
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 1400])
+def test_bit_windows_read_the_payload_zero_padded(size):
+    """Phase 1's cursor table against a big-int read of the payload:
+    ``win[p]`` is the 16 bits from ``p`` (zeros past the end) up to
+    ``p = n + 16``; ``fused[p]`` its top 14 bits while 14 real bits are
+    left, and the no-symbol entry after."""
+    payload = bytes(np.random.default_rng(size).integers(0, 256, size, np.uint8))
+    n = 8 * size
+    bits = int.from_bytes(payload + bytes(4), "big")
+    win, fused = batched._bit_windows(payload)
+    for p in range(n + 17):
+        assert win[p] == (bits >> (n + 16 - p)) & 0xFFFF, p
+    for p in range(n + 1):
+        expected = win[p] >> 2 if p + 14 <= n else batched._FUSE_TAIL
+        assert fused[p] == expected, p
+    assert batched._AC_FUSED[batched._FUSE_TAIL] == (0, batched._FUSE_NONE, b"")
+
+
+VECTOR_DIR = Path(__file__).resolve().parent.parent / "vectors"
+
+#: Errors whose message — a bit position, a window, an index — both
+#: engines must word identically.  A motion vector out of the reference
+#: plane is a ``ValueError`` from different checks on each (a parse-time
+#: bound here, the fetch itself in the scalar decoder), so only its
+#: class is pinned.
+_SAME_MESSAGE = (BitstreamError, BlockSyntaxError, SliceDecodeError, VLCError)
+
+
+def _mutants(payload: bytes):
+    """``(what, mutant)``: every proper prefix (a stream cut at each
+    byte length), then the payload with each single byte inverted."""
+    for cut in range(len(payload)):
+        yield f"cut at {cut}", payload[:cut]
+    for i, byte in enumerate(payload):
+        yield f"byte {i} ^ 0xff", payload[:i] + bytes([byte ^ 0xFF]) + payload[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "name", ["ipb_64x48_gop13", "altscan_48x32_gop7", "rc_64x48_gop4"]
+)
+def test_cut_and_corrupted_slices_fail_alike(name):
+    """Pins phase 1's stream-tail and corrupt-input handling to the
+    scalar decoder's: both succeed with equal counters, or both raise
+    the same class (and, for bit-level errors, the same message)."""
+    data = (VECTOR_DIR / f"{name}.m2v").read_bytes()
+    index = build_index(data)
+    width, height = index.mb_width * 16, index.mb_height * 16
+    mismatches = []
+    raised = 0
+    for gop in index.gops:
+        for pic in gop.pictures:
+            header = pic.header()
+            for vpos, payload, _final in read_slices(data, pic.slices):
+                for what, mutant in _mutants(payload):
+                    scalar = _scalar_run(mutant, vpos, header, width, height)
+                    fast = _batched_run(mutant, vpos, header, width, height)
+                    where = f"{header.picture_type.letter} slice {vpos}, {what}"
+                    if isinstance(scalar, WorkCounters):
+                        if not isinstance(fast, SliceParse):
+                            mismatches.append(f"{where}: batched raised {fast!r}")
+                        elif fast.counters != scalar:
+                            mismatches.append(f"{where}: counters differ")
+                        continue
+                    raised += 1
+                    if type(fast) is not type(scalar) or (
+                        isinstance(scalar, _SAME_MESSAGE) and str(fast) != str(scalar)
+                    ):
+                        mismatches.append(f"{where}: {scalar!r} vs {fast!r}")
+    assert not mismatches, mismatches[:10]
+    assert raised  # the mutants do reach the error paths

@@ -132,6 +132,45 @@ class TestDecode:
         # never leaks into subsequent in-process runs.
         assert not tracing_enabled()
 
+    def test_traced_worker_run_exits_clean(self, tmp_path):
+        """In its own interpreter, so the warm workers meet the sentinel
+        at exit, long after the run's trace shards were merged: no
+        worker may trace into the run's removed shard directory then,
+        and none of the run's worker events may be lost."""
+        import subprocess
+        import sys
+
+        import repro
+
+        vector = os.path.join(
+            os.path.dirname(__file__), "vectors", "ipb_64x48_gop13.m2v"
+        )
+        trace_path = str(tmp_path / "t.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)),
+             env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "decode", vector,
+             "--workers", "2", "--trace", trace_path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        with open(trace_path) as fh:
+            events = json.load(fh)["traceEvents"]
+        workers = {
+            e["pid"]: e["args"]["name"] for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+            and e["args"]["name"].startswith("worker-")
+        }
+        # The stream is one GOP: worker-1 runs no task, so its only
+        # event is the start instant it flushes when the run ends.
+        assert sorted(workers.values()) == ["worker-0", "worker-1"]
+        for pid in workers:
+            assert any(e["pid"] == pid and e["ph"] != "M" for e in events)
+
     def test_stats_without_trace(self, encoded_file, capsys):
         assert main(["decode", encoded_file, "--stats"]) == 0
         out = capsys.readouterr().out
