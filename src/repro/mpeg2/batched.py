@@ -12,36 +12,38 @@ run/level expansion, DC and motion-vector prediction.  The whole
 slice — header, macroblock addressing, macroblock type, quantiser
 updates, motion vectors, coded block patterns and every coefficient —
 is decoded by one function whose only cursor is the bit position
-``p``: every read is a lookup in the slice's table of 16-bit windows
-(:func:`_bit_windows`, one NumPy pass per slice), and every VLC one
-lookup in a flattened table (plain ``int`` length/symbol lists)
-bounded by one ``0 < length <= n - p`` test.  The run/level table
+``p``: every read is a lookup in a table of 16-bit windows
+(:func:`bit_windows`, one NumPy pass over up to 16 KB of a picture's
+or slice batch's payloads, each slice read from its own base), and
+every VLC one lookup in a flattened table (plain ``int`` length/symbol
+lists) bounded by one ``0 < length <= end - p`` test.  The run/level table
 additionally folds the sign bit into one extra window bit and fuses
 every complete symbol of a 14-bit window into one row, so a probe
 yields ~2.3 coefficients.  There are no per-symbol method calls and no
-per-macroblock array allocations; the output is a :class:`SliceParse`
-of flat Python lists plus the coefficients as one ``bytearray`` of
-little-endian int32 *entries* in bitstream order — ``(run << 24) |
-(level + bias)`` per coefficient, one EOB entry closing every coded
-block.  A fused row carries its entries pre-packed as ``bytes``, so
-the hot loop appends them without creating an int per coefficient,
-and because runs stay **relative** the parser adds up no positions
-either: phase 2 turns runs into scan positions with one segmented
-cumsum per picture and applies the scan permutation to the whole
-stream, so no block is ever un-scanned individually.
+per-macroblock allocations; the output is a :class:`SliceParse` of two
+flat buffers: one fixed-width packed record per macroblock, and the
+coefficients as a self-delimiting stream of int32 entries in bitstream
+order — ``(run + 1) << 24 | (level + bias)`` each, and an EOB entry
+carrying its block's padding ``64 - k``.  A fused row carries its
+entries pre-packed as ``bytes``, so the hot loop creates no int per
+coefficient, and because steps stay **relative** the parser adds up no
+positions either: one cumsum per picture gives ``64 * block + scan
+position + 1`` at every coefficient, and phase 2 permutes the whole
+stream into raster order, so no block is ever un-scanned by itself.
 
 Phase 2 (:func:`reconstruct_slices`) reconstructs one picture with a
-handful of vectorized operations: its slices are concatenated into
-one :class:`PictureAssembly` (:func:`assemble_picture`), and
+handful of vectorized operations: its slices' buffers are read as one
+:class:`PictureAssembly` of views (:func:`assemble_picture`), and
 :func:`gop_dequant_idct` dequantises the **sparse** coefficient stream
-as it stands — only the coded coefficients are scaled, clipped and
-summed for mismatch control — then makes one dense scatter and
-**one** :func:`~repro.mpeg2.dct.idct_rounded` call over the coded
-blocks alone.  :func:`mc_scatter` finishes it in plane layout: each
-macroblock is one int16 ``(24, 16)`` tile (luma over Cb | Cr), motion
-compensation (:func:`repro.mpeg2.motion.predict_macroblocks`, shared
-with the encoder) grouped by (reference, half-pel phase) fetches straight
-into it and averages bidirectional macroblocks in place, the residual
+as it stands — only the coded coefficients are scaled (one gather from
+a per-sequence multiplier table), clipped and summed for mismatch
+control — then makes one dense scatter and **one**
+:func:`~repro.mpeg2.dct.idct_rounded` call over the coded blocks alone.
+:func:`mc_scatter` finishes it in plane layout: each macroblock is
+one int16 ``(24, 16)`` tile (luma over Cb | Cr), motion compensation
+(:func:`repro.mpeg2.motion.predict_macroblocks`, shared with the
+encoder) grouped by (reference, half-pel phase) fetches straight into
+it and averages bidirectional macroblocks in place, the residual
 blocks land through a block view of a second tile stack, and one add,
 one clip and one fancy-indexed scatter per plane write the frame.
 int16 is wide enough: the orthonormal IDCT keeps the L2 norm, so a
@@ -81,7 +83,10 @@ those of the scalar decoder — all paper experiments are unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from struct import Struct
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,7 +104,7 @@ from repro.mpeg2.headers import PictureHeader, SequenceHeader
 from repro.mpeg2.macroblock import SliceDecodeError
 from repro.mpeg2.motion import predict_macroblocks
 from repro.mpeg2.quant import INTRA_DC_STEP
-from repro.mpeg2.scan import scan_to_raster_flat
+from repro.mpeg2.scan import step_sums_to_raster
 from repro.mpeg2.tables import (
     AC_RUN_LEVEL,
     CODED_BLOCK_PATTERN,
@@ -217,21 +222,24 @@ assert max(
 
 
 #: The coefficient stream is a ``bytearray`` of little-endian int32
-#: *entries*, ``(run << _COEF_SHIFT) | (level + _COEF_BIAS)``: the run
-#: is the codeword's own zero run (**relative** — the parser never
-#: adds up a scan position), an intra DC term is a run-0 entry, and one
-#: ``_COEF_EOB`` entry closes every coded block.  The 24-bit biased
-#: value field is ample: levels are bounded by the 12-bit escape range
-#: and DC predictor drift (at most ``128 + 2047 * 4 * mb_width`` on a
-#: corrupt-but-parseable slice — under 2**22 for the 12-bit picture
-#: widths the sequence header admits); runs are < 64, so only an EOB
-#: reaches bit 30.
+#: *entries*, ``(step << _COEF_SHIFT) | value``, and it delimits itself:
+#: a coefficient's step is its codeword's ``run + 1`` (**relative** —
+#: the parser never adds up a scan position) and its value ``level +
+#: _COEF_BIAS``, an intra DC term being a run-0 entry; one EOB entry,
+#: value 0, closes every coded block with its padding ``64 - k`` as the
+#: step (``_EOB_PAD[k]``).  So a block's steps sum to 64, and their
+#: running sum is ``64 * block ordinal + scan position + 1`` at every
+#: coefficient.  The 24-bit value field is never 0 on a coefficient:
+#: levels are bounded by the 12-bit escape range and DC predictor drift
+#: (at most ``128 + 2047 * 4 * mb_width`` on a corrupt-but-parseable
+#: slice — under 2**22 for the 12-bit widths a sequence header admits).
 _COEF_SHIFT = 24
 _COEF_BIAS = 1 << 23
 _COEF_VMASK = (1 << 24) - 1
-_COEF_EOB = 1 << 30
 _ENTRY = Struct("<i")
-_EOB_BYTES = _ENTRY.pack(_COEF_EOB)
+_EOB_PAD: list[bytes] = [
+    _ENTRY.pack((64 - k) << _COEF_SHIFT) for k in range(65)
+]
 
 #: Negative run sentinels of the two control symbols.
 _AC_EOB_RUN = -1
@@ -244,7 +252,7 @@ def _build_signed_ac() -> tuple[bytes, list[int], list[int]]:
     The decoder's hottest symbol is the AC run/level pair, whose
     codeword is followed by one sign bit.  Widening the decode window
     by that bit lets a single lookup yield length (codeword + sign),
-    run and the symbol's stream *entry* (run and signed level already
+    run and the symbol's stream *entry* (step and signed level already
     packed) — the per-coefficient sign-bit read, with its own bounds
     check, disappears from the hot loop.  EOB and the escape prefix
     carry no sign bit and keep their true length (their runs are the
@@ -271,7 +279,7 @@ def _build_signed_ac() -> tuple[bytes, list[int], list[int]]:
             sign = (w1 >> (maxlen - length)) & 1
             lens[w1] = length + 1
             runs[w1] = run
-            entries[w1] = (run << _COEF_SHIFT) | (
+            entries[w1] = ((run + 1) << _COEF_SHIFT) | (
                 (-mag if sign else mag) + _COEF_BIAS
             )
     return bytes(lens), runs, entries
@@ -295,14 +303,15 @@ def _raise_ac(length: int, p: int, n: int, window: int):
 #: every *complete* run/level symbol it contains (average AC symbols
 #: run ~5 bits including the folded sign, so a window usually carries
 #: two).  ``_AC_FUSED[w] == (consumed_bits, advance, entry_bytes)``:
-#: the symbols travel **pre-packed** — ``entry_bytes`` is appended to
-#: the stream verbatim, a trailing EOB's entry included — and
-#: ``advance`` is their total ``run + 1``, plus ``_FUSE_EOB`` when an
-#: EOB ends the window, or ``_FUSE_NONE`` for a window with no complete
-#: symbol.  So the hot loop adds ``advance`` to the scan index and one
-#: ``k <= 64`` test passes exactly the windows that stay inside the
-#: block and leave it open; the rest — an EOB, an overflow, nothing to
-#: decode — take the rare branch.  The walk stops — leaving
+#: the run/level symbols travel **pre-packed** — ``entry_bytes`` is
+#: appended to the stream verbatim — and ``advance`` is their total
+#: ``run + 1``, plus ``_FUSE_EOB`` when an EOB ends the window (its
+#: entry depends on the block's scan index, so the parser appends
+#: ``_EOB_PAD[k]`` itself), or ``_FUSE_NONE`` for a window with no
+#: complete symbol.  So the hot loop adds ``advance`` to the scan
+#: index, and one ``k <= 64`` test passes exactly the windows that stay
+#: in the block and leave it open; the rest — an EOB, an overflow,
+#: nothing to decode — take the rare branch.  The walk stops — leaving
 #: ``consumed_bits`` at the last clean symbol boundary — before escape
 #: codes, invalid prefixes and codewords that straddle the window, all
 #: of which the single-symbol path then handles at the exact same bit
@@ -358,7 +367,6 @@ def _build_fused_ac() -> list[tuple[int, int, bytes]]:
             if run == _AC_EOB_RUN:
                 pos += length
                 eob = _FUSE_EOB
-                packed += _EOB_BYTES
             break
         assert adv < _FUSE_EOB  # so ``advance & 255`` is the symbols' own
         entry = (pos, adv + eob if pos else _FUSE_NONE, packed)
@@ -380,7 +388,7 @@ def _raise_past_block(k: int, entry_bytes: bytes) -> None:
     check reports.
     """
     for (entry,) in _ENTRY.iter_unpack(entry_bytes):
-        run = entry >> _COEF_SHIFT
+        run = (entry >> _COEF_SHIFT) - 1
         k += run
         if k >= 64:
             raise BlockSyntaxError(
@@ -397,65 +405,102 @@ _CODED_BLOCKS: list[tuple[int, ...]] = [
 #: Initial/reset value of the intra DC predictors (level space).
 _DC_RESET = 128
 
-#: The shifts that cut the 16-bit windows at bits ``8 j .. 8 j + 7`` out
-#: of the 32 bits from byte ``j``.
-_WINDOW_SHIFTS = np.arange(16, 8, -1, dtype=np.uint32)
+#: Zero bytes after every payload of a window table: a slice reads at
+#: most 32 bits past its end (a 24-bit read at its last bit), and its
+#: windows up to bit ``8 * len(payload) + 32`` read none of the next.
+_GAP = bytes(6)
+
+#: ``_WINDOW_SHIFTS[s]`` cuts the window at bit ``8 j + s`` out of the
+#: 32 bits from byte ``j``.
+_WINDOW_SHIFTS = (16 - np.arange(8, dtype=np.uint32))[:, None]
+
+#: Payload bytes one window table covers: at 32 table bytes per payload
+#: byte, ≈ 0.5 MB, which stays in L2 while its slices are parsed (the
+#: ≈ 14 MB of a whole 1408x960 I picture's tables did not).
+_TABLE_BYTES = 16 << 10
 
 
-def _bit_windows(payload: bytes) -> tuple[memoryview, memoryview]:
-    """``(win, fused)``: ``win[p]`` is the 16 bits of ``payload`` from
-    bit ``p``, big-endian and zero-padded past the end, for every ``p``
-    up to ``8 * len(payload) + 16`` (so a 24-bit read is ``win[p] << 8
-    | win[p + 16] >> 8``); ``fused[p]`` is its ``_AC_FUSED`` index —
-    the top ``_FUSE_BITS`` bits, or ``_FUSE_TAIL`` where fewer than
-    that many bits are left."""
-    m = len(payload) + 3
-    by32 = np.ndarray(
-        (m,), dtype=">u4", buffer=payload + bytes(6), strides=(1,)
-    ).astype(np.uint32)
-    # Flat, not a broadcast ``(m, 8)`` shift: NumPy's inner loop would
-    # be 8 long, and cost ≈ 2x the whole table.
-    win = (by32.repeat(8) >> np.tile(_WINDOW_SHIFTS, m)).astype(np.uint16)
-    fused = win >> (16 - _FUSE_BITS)
-    fused[max(len(payload) * 8 - _FUSE_BITS + 1, 0) :] = _FUSE_TAIL
-    return memoryview(win), memoryview(fused)
+def bit_windows(
+    payloads: Sequence[bytes],
+) -> Iterator[tuple[memoryview, memoryview, int]]:
+    """``(win, fused, base)`` per payload, ``base`` its first bit in a
+    window table over a run of consecutive payloads, each followed by
+    ``_GAP``.
+
+    ``win[base + p]`` is the 16 bits of the payload from its bit ``p``,
+    big-endian and zero past its end, for every ``p`` up to
+    ``8 * len(payload) + 32`` (so a 24-bit read is ``win[q] << 8 |
+    win[q + 16] >> 8``); ``fused[base + p]`` is its ``_AC_FUSED`` index
+    — the top ``_FUSE_BITS`` bits, or ``_FUSE_TAIL`` where fewer than
+    that many bits of the payload are left.  Read from its own base, a
+    slice sees exactly its own windows: no read crosses into the next
+    payload.  A table covers at most ``_TABLE_BYTES`` of payload (or one
+    longer payload) and is built when its first payload's entry is
+    taken, so it is still in cache while its slices are parsed.
+    """
+    first = 0
+    while first < len(payloads):
+        stop, size = first + 1, len(payloads[first])
+        while stop < len(payloads) and size + len(payloads[stop]) <= _TABLE_BYTES:
+            size += len(payloads[stop])
+            stop += 1
+        run, first = payloads[first:stop], stop
+        starts = list(accumulate((len(p) + len(_GAP) for p in run), initial=0))
+        m = starts.pop()
+        by32 = np.ndarray(
+            (m,), ">u4", _GAP.join(run) + _GAP + bytes(3), strides=(1,)
+        ).astype(np.uint32)
+        # One shift into the transposed view, iterated along the bytes: a
+        # flat ``repeat(8) >> tile(shifts)`` costs ≈ 5x as much on a
+        # picture (four temporaries of 32 bytes per payload byte).
+        win = np.empty((m, 8), dtype=np.uint16)
+        np.right_shift(
+            by32, _WINDOW_SHIFTS, out=win.T, casting="unsafe", order="C"
+        )
+        win = win.reshape(-1)
+        fused = win >> (16 - _FUSE_BITS)
+        for start, payload in zip(starts, run):
+            tail = max(8 * len(payload) - _FUSE_BITS + 1, 0)
+            end = 8 * (start + len(payload) + len(_GAP))
+            fused[8 * start + tail : end] = _FUSE_TAIL
+        win, fused = memoryview(win), memoryview(fused)
+        for start in starts:
+            yield win, fused, 8 * start
 
 
-# ======================================================================
-# phase 1: parse
-# ======================================================================
+#: One macroblock record: ``(name, struct code)`` per field.  The
+#: address of a 4095x4095 picture's last macroblock is 65535; qscale is
+#: at most 62 and cbp 63; a luma half-pel vector component lies in
+#: ``[-1024, 1023]`` (``f_code`` is 3 bits, so ``16 << 6`` at most).
+_REC_FIELDS = (
+    ("addr", "i"), ("intra", "?"), ("f_on", "?"), ("b_on", "?"),
+    ("qscale", "B"), ("cbp", "B"),
+    ("f_dy", "h"), ("f_dx", "h"), ("b_dy", "h"), ("b_dx", "h"),
+)
+_REC = Struct("<" + "".join(code for _name, code in _REC_FIELDS))
+_REC_DTYPE = np.dtype([(name, "<" + code) for name, code in _REC_FIELDS])
+assert _REC_DTYPE.itemsize == _REC.size
+
+
 class SliceParse:
-    """Phase-1 output for one slice: flat records + exact work counters.
+    """Phase-1 output for one slice: two flat buffers + exact work counters.
 
-    Records are parallel Python lists over the slice's reconstructed
-    macroblocks (coded *and* skipped, in address order).  Motion
-    vectors are stored struct-of-arrays: a presence flag plus absolute
-    luma half-pel ``dy``/``dx`` components per direction.  Coefficients
-    are ``coef_packed``, a ``bytearray`` of little-endian int32
-    entries in bitstream order: ``(run << 24) | (level + 2**23)`` per
-    coefficient (``run`` is the codeword's zero run, *not* a scan
-    position; an intra DC term is a run-0 entry) and one ``1 << 30``
-    EOB entry closing every coded block — so the n-th EOB-delimited
-    group belongs to the n-th set ``cbp`` bit of the slice, and
-    ``len(coef_packed) == 4 * (coefficients + intra DC terms +
-    idct_blocks)``.  ``alternate_scan`` records which permutation
-    phase 2 applies once it has summed the runs into positions.
+    ``records`` holds one fixed-width ``_REC`` record per reconstructed
+    macroblock (coded *and* skipped, in address order): address, the
+    intra / forward / backward flags, qscale, cbp, and the absolute
+    luma half-pel vectors ``(f_dy, f_dx, b_dy, b_dx)``.  ``coef_packed``
+    is the self-delimiting coefficient stream (``_COEF_SHIFT``): the
+    n-th EOB-delimited group belongs to the n-th set ``cbp`` bit of the
+    slice, and ``len(coef_packed) == 4 * (coefficients + intra DC terms
+    + idct_blocks)``.  ``alternate_scan`` records which permutation
+    phase 2 applies once it has summed the steps into positions.
     """
 
     __slots__ = (
         "vertical_position",
         "alternate_scan",
         "counters",
-        "addresses",
-        "intra",
-        "qscale",
-        "cbp",
-        "f_on",
-        "f_dy",
-        "f_dx",
-        "b_on",
-        "b_dy",
-        "b_dx",
+        "records",
         "coef_packed",
     )
 
@@ -463,20 +508,8 @@ class SliceParse:
         self.vertical_position = vertical_position
         self.alternate_scan = False
         self.counters = counters
-        self.addresses: list[int] = []
-        self.intra: list[bool] = []
-        self.qscale: list[int] = []
-        self.cbp: list[int] = []
-        self.f_on: list[bool] = []
-        self.f_dy: list[int] = []
-        self.f_dx: list[int] = []
-        self.b_on: list[bool] = []
-        self.b_dy: list[int] = []
-        self.b_dx: list[int] = []
+        self.records = bytearray()
         self.coef_packed = bytearray()
-
-    def __len__(self) -> int:
-        return len(self.addresses)
 
 
 def _validate_mv(
@@ -514,6 +547,7 @@ def parse_slice(
     mb_width: int,
     mb_height: int,
     has_fwd: bool,
+    at: tuple[memoryview, memoryview, int] | None = None,
 ) -> SliceParse:
     """Phase 1: parse one slice payload into a :class:`SliceParse`.
 
@@ -522,12 +556,15 @@ def parse_slice(
     same predictor-state transitions, same exception classes on
     corrupt input — but touches no pixels and makes no per-symbol
     method calls.  The cursor is one int, the bit position ``p``: every
-    read is a lookup in the slice's table of 16-bit windows
-    (:func:`_bit_windows`) shifted down to the symbol's width, and every
-    VLC is bounds-checked by one ``0 < length <= n - p`` test against the
-    flattened module-level tables.  ``has_fwd`` tells the P-picture
-    skipped-macroblock check whether a forward reference exists
-    (mirrors the scalar error).
+    read is a lookup in a table of 16-bit windows (:func:`bit_windows`)
+    shifted down to the symbol's width, and every VLC is bounds-checked
+    by one ``0 < length <= end - p`` test against the flattened
+    module-level tables.  ``at`` is ``(win, fused, base)``, the payload's
+    entry in a table shared by a batch of slices; by default the payload
+    gets a table of its own.  The cursor starts at ``base``, and every
+    error message and ``counters.bits`` count bits of the slice alone.
+    ``has_fwd`` tells the P-picture skipped-macroblock check whether a
+    forward reference exists (mirrors the scalar error).
     """
     local = WorkCounters()
     n = len(payload) * 8
@@ -574,13 +611,14 @@ def parse_slice(
         # Payloads are whole bytes, so this is the empty slice; same
         # class/message family as BitReader.read_bits.
         _raise_short(5, 0, n)
-    win, fused = _bit_windows(payload)
-    qscale_code = win[0] >> 11
+    win, fused, base = next(bit_windows((payload,))) if at is None else at
+    end = base + n
+    qscale_code = win[base] >> 11
     if qscale_code == 0:
         raise ValueError("quantiser_scale_code must be nonzero")
-    if (win[0] >> 10) & 1:
+    if (win[base] >> 10) & 1:
         raise ValueError("unexpected extra_information_slice")
-    p = 6
+    p = base + 6
     qscale = qscale_code << 1
 
     # ---- predictor state, all locals -------------------------------
@@ -602,19 +640,11 @@ def parse_slice(
 
     sp = SliceParse(vertical_position=vertical_position, counters=local)
     sp.alternate_scan = pic.alternate_scan
-    a_addr = sp.addresses.append
-    a_intra = sp.intra.append
-    a_qs = sp.qscale.append
-    a_cbp = sp.cbp.append
-    a_fon = sp.f_on.append
-    a_fdy = sp.f_dy.append
-    a_fdx = sp.f_dx.append
-    a_bon = sp.b_on.append
-    a_bdy = sp.b_dy.append
-    a_bdx = sp.b_dx.append
+    rec = sp.records
+    pack_rec = _REC.pack
     buf = sp.coef_packed
     pack = _ENTRY.pack
-    eob_bytes = _EOB_BYTES
+    eob_pad = _EOB_PAD
 
     mba_lens = _MBA_LENS
     mba_inc = _MBA_INC
@@ -635,9 +665,9 @@ def parse_slice(
         while True:
             w = win[p] >> mba_shift
             length = mba_lens[w]
-            if not 0 < length <= n - p:
+            if not 0 < length <= end - p:
                 _raise_vlc(
-                    MB_ADDRESS_INCREMENT.name, length, p, w, _MBA_MAXLEN
+                    MB_ADDRESS_INCREMENT.name, length, p - base, w, _MBA_MAXLEN
                 )
             p += length
             vlc_symbols += 1
@@ -664,16 +694,9 @@ def parse_slice(
                 # zero residual; the record shares the MC path.
                 pixels += _MB_PIXELS
                 mc_pixels += _MB_PIXELS
-                a_addr(skipped)
-                a_intra(False)
-                a_qs(qscale)
-                a_cbp(0)
-                a_fon(True)
-                a_fdy(0)
-                a_fdx(0)
-                a_bon(False)
-                a_bdy(0)
-                a_bdx(0)
+                rec += pack_rec(
+                    skipped, False, True, False, qscale, 0, 0, 0, 0, 0
+                )
                 pf_dy = pf_dx = pb_dy = pb_dx = 0  # reset_pmv
             elif is_b:
                 if not prev_valid:
@@ -701,16 +724,10 @@ def parse_slice(
                 if prev_f_on and prev_b_on:
                     bidir_macroblocks += 1
                 pixels += _MB_PIXELS
-                a_addr(skipped)
-                a_intra(False)
-                a_qs(qscale)
-                a_cbp(0)
-                a_fon(prev_f_on)
-                a_fdy(pv_f_dy)
-                a_fdx(pv_f_dx)
-                a_bon(prev_b_on)
-                a_bdy(pv_b_dy)
-                a_bdx(pv_b_dx)
+                rec += pack_rec(
+                    skipped, False, prev_f_on, prev_b_on, qscale, 0,
+                    pv_f_dy, pv_f_dx, pv_b_dy, pv_b_dx,
+                )
             else:
                 raise SliceDecodeError(
                     "skipped macroblocks are illegal in I-pictures"
@@ -720,16 +737,16 @@ def parse_slice(
         # ---- coded macroblock: macroblock_type ---------------------
         w = win[p] >> mt_shift
         length = mt_lens[w]
-        if not 0 < length <= n - p:
-            _raise_vlc(mt_name, length, p, w, mt_maxlen)
+        if not 0 < length <= end - p:
+            _raise_vlc(mt_name, length, p - base, w, mt_maxlen)
         p += length
         flags = mt_flags[w]
         vlc_symbols += 1
         macroblocks += 1
 
         if flags & _MT_QUANT:
-            if n - p < 5:
-                _raise_short(5, p, n)
+            if end - p < 5:
+                _raise_short(5, p - base, n)
             code = win[p] >> 11
             p += 5
             if code == 0:
@@ -743,15 +760,17 @@ def parse_slice(
             for comp in (0, 1):
                 w = win[p] >> mc_shift
                 length = mc_lens[w]
-                if not 0 < length <= n - p:
-                    _raise_vlc(MOTION_CODE.name, length, p, w, _MC_MAXLEN)
+                if not 0 < length <= end - p:
+                    _raise_vlc(
+                        MOTION_CODE.name, length, p - base, w, _MC_MAXLEN
+                    )
                 p += length
                 code = mc_syms[w]
                 if ff == 1 or code == 0:
                     delta = code
                 else:
-                    if n - p < f_rbits:
-                        _raise_short(f_rbits, p, n)
+                    if end - p < f_rbits:
+                        _raise_short(f_rbits, p - base, n)
                     residual = win[p] >> (16 - f_rbits)
                     p += f_rbits
                     delta = (
@@ -782,15 +801,17 @@ def parse_slice(
             for comp in (0, 1):
                 w = win[p] >> mc_shift
                 length = mc_lens[w]
-                if not 0 < length <= n - p:
-                    _raise_vlc(MOTION_CODE.name, length, p, w, _MC_MAXLEN)
+                if not 0 < length <= end - p:
+                    _raise_vlc(
+                        MOTION_CODE.name, length, p - base, w, _MC_MAXLEN
+                    )
                 p += length
                 code = mc_syms[w]
                 if bf == 1 or code == 0:
                     delta = code
                 else:
-                    if n - p < b_rbits:
-                        _raise_short(b_rbits, p, n)
+                    if end - p < b_rbits:
+                        _raise_short(b_rbits, p - base, n)
                     residual = win[p] >> (16 - b_rbits)
                     p += b_rbits
                     delta = (
@@ -825,9 +846,9 @@ def parse_slice(
         if flags & _MT_CODED:
             w = win[p] >> (16 - _CBP_MAXLEN)
             length = _CBP_LENS[w]
-            if not 0 < length <= n - p:
+            if not 0 < length <= end - p:
                 _raise_vlc(
-                    CODED_BLOCK_PATTERN.name, length, p, w, _CBP_MAXLEN
+                    CODED_BLOCK_PATTERN.name, length, p - base, w, _CBP_MAXLEN
                 )
             p += length
             cbp = _CBP_SYMS[w]
@@ -849,14 +870,14 @@ def parse_slice(
                 pred = dc0 if i < 4 else dc1 if i == 4 else dc2
                 w = win[p] >> (16 - dc_maxlen)
                 length = dc_lens[w]
-                if not 0 < length <= n - p:
-                    _raise_vlc(dc_name, length, p, w, dc_maxlen)
+                if not 0 < length <= end - p:
+                    _raise_vlc(dc_name, length, p - base, w, dc_maxlen)
                 p += length
                 size = dc_sizes[w]
                 vlc_symbols += 1
                 if size:
-                    if n - p < size:
-                        _raise_short(size, p, n)
+                    if end - p < size:
+                        _raise_short(size, p - base, n)
                     raw = win[p] >> (16 - size)
                     p += size
                     if raw & (1 << (size - 1)):
@@ -869,7 +890,7 @@ def parse_slice(
                     dc1 = pred
                 else:
                     dc2 = pred
-                buf += pack(pred + 0x800000)  # DC: a run-0 entry
+                buf += pack(pred + 0x1800000)  # DC: step 1, level + 2**23
                 dc_emits += 1
                 k = 1
 
@@ -888,11 +909,14 @@ def parse_slice(
                     continue
                 k -= adv
                 if adv < _FUSE_NONE:
-                    # The window leaves the block or an EOB closes it.
-                    if k + (adv & 255) > 64:
+                    # The window leaves the block or an EOB closes it,
+                    # padding the block from the index its symbols reach.
+                    reached = k + (adv & 255)
+                    if reached > 64:
                         _raise_past_block(k, entry_bytes)
                     p += consumed
                     buf += entry_bytes
+                    buf += eob_pad[reached]
                     break
                 # Single-symbol path: exact error positions for
                 # corrupt input, plus the rare legal cases the fused
@@ -900,8 +924,8 @@ def parse_slice(
                 # codewords, the stream tail).
                 w = ((win[p] << 8) | (win[p + 16] >> 8)) >> ac_shift
                 length = ac_lens[w]
-                if not 0 < length <= n - p:
-                    _raise_ac(length, p, n, w)
+                if not 0 < length <= end - p:
+                    _raise_ac(length, p - base, n, w)
                 p += length
                 run = ac_runs[w]
                 if run >= 0:
@@ -915,14 +939,16 @@ def parse_slice(
                     k += 1
                     continue
                 if run == _AC_EOB_RUN:
-                    buf += eob_bytes
+                    buf += eob_pad[k]
                     break
                 # Escape: 6-bit run + 12-bit signed level, read (and
                 # bounds-checked) as the scalar decoder's two fields.
-                if n - p < _ESC_BITS:
-                    if n - p < ESCAPE_RUN_BITS:
-                        _raise_short(ESCAPE_RUN_BITS, p, n)
-                    _raise_short(ESCAPE_LEVEL_BITS, p + ESCAPE_RUN_BITS, n)
+                if end - p < _ESC_BITS:
+                    if end - p < ESCAPE_RUN_BITS:
+                        _raise_short(ESCAPE_RUN_BITS, p - base, n)
+                    _raise_short(
+                        ESCAPE_LEVEL_BITS, p - base + ESCAPE_RUN_BITS, n
+                    )
                 v = ((win[p] << 8) | (win[p + 16] >> 8)) >> (24 - _ESC_BITS)
                 p += _ESC_BITS
                 run = v >> ESCAPE_LEVEL_BITS
@@ -936,23 +962,16 @@ def parse_slice(
                         f"coefficient index {k} past end of block "
                         f"(run {run})"
                     )
-                buf += pack((run << 24) | (level + 0x800000))
+                buf += pack(((run + 1) << 24) | (level + 0x800000))
                 k += 1
         idct_blocks += len(blocks)
 
         # ---- record + post-macroblock predictor updates ------------
         if intra_mb:
             pixels += _MB_PIXELS
-            a_addr(address)
-            a_intra(True)
-            a_qs(qscale)
-            a_cbp(cbp)
-            a_fon(False)
-            a_fdy(0)
-            a_fdx(0)
-            a_bon(False)
-            a_bdy(0)
-            a_bdx(0)
+            rec += pack_rec(
+                address, True, False, False, qscale, cbp, 0, 0, 0, 0
+            )
             pf_dy = pf_dx = pb_dy = pb_dx = 0  # reset_pmv
             prev_valid = False
         else:
@@ -973,16 +992,9 @@ def parse_slice(
             if nrefs == 2:
                 bidir_macroblocks += 1
             pixels += _MB_PIXELS
-            a_addr(address)
-            a_intra(False)
-            a_qs(qscale)
-            a_cbp(cbp)
-            a_fon(f_on)
-            a_fdy(fdy)
-            a_fdx(fdx)
-            a_bon(b_on)
-            a_bdy(bdy)
-            a_bdx(bdx)
+            rec += pack_rec(
+                address, False, f_on, b_on, qscale, cbp, fdy, fdx, bdy, bdx
+            )
             dc0 = dc1 = dc2 = _DC_RESET  # reset_dc
             if is_p and not (flags & _MT_FWD):
                 pf_dy = pf_dx = 0  # no-MC P macroblock: PMV reset
@@ -1055,81 +1067,63 @@ _BLOCK_BITS = np.int64(32) >> np.arange(6)
 
 
 def assemble_picture(slices: list[SliceParse]) -> PictureAssembly:
-    """Concatenate a picture's slice parses into one flat assembly.
+    """Read a picture's slice parses as one flat assembly.
 
     Slices must cover distinct macroblock rows (the decoder drops
     superseded duplicates before calling) — record order therefore
     never affects pixels, because every record scatters to a distinct
     macroblock address.
 
-    The joined coefficient stream is read with one ``np.frombuffer``
-    and resolved by a cumsum chain: the EOB mask numbers the blocks
-    (``cumsum(eob) - eob``), and a coefficient's scan position is the
-    running sum of ``run + 1`` minus that sum at its block's start,
-    minus 1.  Which ``(record, block)`` an ordinal means is never
+    The joined records are one structured ``np.frombuffer``, whose
+    fields the assembly holds as views; the joined coefficient stream
+    is another, and one cumsum of its steps gives ``64 * block ordinal
+    + scan position + 1`` at every coefficient (an EOB is an entry of
+    value 0).  Which ``(record, block)`` an ordinal means is never
     stored — it is the ordinal-th set ``cbp`` bit — so a stream whose
     EOB count disagrees with ``cbp`` raises instead of scattering
     coefficients into the wrong blocks.
     """
     asm = PictureAssembly()
-    n = sum(len(s) for s in slices)
-    asm.n = n
-    asm.addr = addr = np.empty(n, dtype=np.intp)
-    asm.intra = intra = np.empty(n, dtype=bool)
-    asm.qscale = qscale = np.empty(n, dtype=np.int64)
-    asm.cbp = cbp = np.empty(n, dtype=np.int64)
-    asm.f_on = f_on = np.empty(n, dtype=bool)
-    asm.f_dy = f_dy = np.empty(n, dtype=np.int64)
-    asm.f_dx = f_dx = np.empty(n, dtype=np.int64)
-    asm.b_on = b_on = np.empty(n, dtype=bool)
-    asm.b_dy = b_dy = np.empty(n, dtype=np.int64)
-    asm.b_dx = b_dx = np.empty(n, dtype=np.int64)
-    off = 0
-    for s in slices:
-        m = len(s)
-        if not m:
-            continue
-        end = off + m
-        addr[off:end] = s.addresses
-        intra[off:end] = s.intra
-        qscale[off:end] = s.qscale
-        cbp[off:end] = s.cbp
-        f_on[off:end] = s.f_on
-        f_dy[off:end] = s.f_dy
-        f_dx[off:end] = s.f_dx
-        b_on[off:end] = s.b_on
-        b_dy[off:end] = s.b_dy
-        b_dx[off:end] = s.b_dx
-        off = end
-    coded = (cbp[:, None] & _BLOCK_BITS) != 0  # (n, 6)
+    rec = np.frombuffer(b"".join([s.records for s in slices]), _REC_DTYPE)
+    asm.n = rec.size
+    asm.addr = rec["addr"].astype(np.intp)
+    for name in ("intra", "qscale", "cbp", "f_on", "f_dy", "f_dx",
+                 "b_on", "b_dy", "b_dx"):
+        setattr(asm, name, rec[name])
+    coded = (asm.cbp[:, None] & _BLOCK_BITS) != 0  # (n, 6)
     asm.rec_idx, asm.blk_idx = np.nonzero(coded)
 
     arr = np.frombuffer(b"".join([s.coef_packed for s in slices]), "<i4")
-    eob = arr >= _COEF_EOB
-    # EOBs before an entry: a coefficient's block ordinal, and at the
-    # last entry (an EOB, counted in) the number of blocks closed.
-    ordinal = np.cumsum(eob, dtype=np.int32)
-    n_eob = int(ordinal[-1]) if arr.size else 0
+    value = arr & _COEF_VMASK
+    coef = value != 0
+    sums = np.cumsum(arr >> _COEF_SHIFT, dtype=np.intp)[coef]
+    n_eob = arr.size - sums.size
     if n_eob != asm.rec_idx.size:
         raise RuntimeError(
             f"coefficient stream closes {n_eob} blocks but the coded "
             f"block patterns announce {asm.rec_idx.size}"
         )
-    # Scan position = running sum of ``run + 1`` (EOBs add nothing),
-    # rebased to the sum at the block's start — the previous EOB's.
-    pos = np.cumsum(
-        np.where(eob, 0, (arr >> _COEF_SHIFT) + 1), dtype=np.int32
+    asm.coef_idx = step_sums_to_raster(
+        sums, bool(slices) and slices[0].alternate_scan
     )
-    start = np.zeros(n_eob + 1, dtype=np.int32)
-    start[1:] = pos[eob]
-    coef = ~eob
-    ordinal = ordinal[coef]
-    sidx = (ordinal << 6) + (pos[coef] - start[ordinal] - 1)
-    asm.coef_idx = scan_to_raster_flat(
-        sidx, bool(slices) and slices[0].alternate_scan
-    )
-    asm.coef_val = (arr[coef] & _COEF_VMASK) - _COEF_BIAS
+    asm.coef_val = value[coef] - _COEF_BIAS
     return asm
+
+
+@lru_cache(maxsize=8)
+def _multipliers(intra_w: bytes, non_intra_w: bytes) -> np.ndarray:
+    """Read-only flat ``(intra, quantiser_scale_code, raster)`` table of
+    float64 multipliers for a pair of quant matrices (int64 bytes):
+    ``W / 32 * q`` non-intra, ``W / 16 * q`` intra, 8 at intra DC."""
+    q = np.arange(0, 64, 2)[:, None]  # quantiser_scale of each code
+    table = np.stack((
+        np.frombuffer(non_intra_w, np.int64) * 0.03125 * q,
+        np.frombuffer(intra_w, np.int64) * 0.0625 * q,
+    ))
+    table[1, :, 0] = INTRA_DC_STEP  # intra DC: fixed step, no qscale
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
 def _dequantise(asm: PictureAssembly, seq: SequenceHeader) -> np.ndarray:
@@ -1137,36 +1131,38 @@ def _dequantise(asm: PictureAssembly, seq: SequenceHeader) -> np.ndarray:
 
     Dequantises the sparse stream as it stands — a zero level stays
     zero, so only coded coefficients are scaled, clipped and summed.
-    Each is multiplied by its raster position's weight and its block's
-    scale: ``W * q / 16`` on an intra level, 8 on the intra DC level,
-    ``W * q / 32`` on a non-intra ``2 * level + sign(level)``.  Every
-    intermediate is an integer below ``2**27`` plus power-of-two
+    Each is multiplied by one gather from :func:`_multipliers` at its
+    block's intra flag and quantiser_scale_code and its raster
+    position: ``W * q / 16`` on an intra level, 8 on the intra DC
+    level, ``W * q / 32`` on a non-intra ``2 * level + sign(level)``.
+    Every intermediate is an integer below ``2**27`` plus power-of-two
     fraction bits, exact in float64, so this equals the int64
-    :func:`~repro.mpeg2.quant.dequantize_intra` /
-    :func:`~repro.mpeg2.quant.dequantize_non_intra` bit for bit.
-    Mismatch control takes each block's sum from one ``np.bincount``
-    and toggles (7,7) of the even ones after the dense scatter.
+    :func:`~repro.mpeg2.quant.dequantize_non_intra` bit for bit — and
+    so do the dense rows' sums, from which mismatch control toggles
+    (7,7) of the even blocks.
     """
     m = asm.rec_idx.size
-    blk = asm.coef_idx >> 6
-    # Weight-table row 0 is non-intra, row 1 intra.
-    key = (asm.intra[asm.rec_idx].astype(np.intp) << 6)[blk] | (
-        asm.coef_idx & 63
-    )
-    weights = np.concatenate((
-        seq.non_intra_quant_matrix.ravel() * 0.03125,
-        seq.intra_quant_matrix.ravel() * 0.0625,
-    ))
-    mult = weights[key] * asm.qscale[asm.rec_idx][blk]
-    mult[key == 64] = INTRA_DC_STEP  # intra DC: fixed step, no qscale
+    idx = asm.coef_idx
+    # Table row of each block (intra * 32 + quantiser_scale_code) as an
+    # offset from the block's own base in ``coef_idx``.
+    row = ((asm.intra.astype(np.intp) << 5) | (asm.qscale >> 1))[asm.rec_idx]
+    key = idx + ((row - np.arange(m)) << 6)[idx >> 6]
+    mult = _multipliers(
+        np.asarray(seq.intra_quant_matrix, np.int64).tobytes(),
+        np.asarray(seq.non_intra_quant_matrix, np.int64).tobytes(),
+    )[key]
     lv = asm.coef_val
-    f = np.trunc(np.where(key < 64, 2 * lv + np.sign(lv), lv) * mult)
+    # ``2 * level + sign(level)`` where non-intra, ``level`` where intra.
+    f = (lv + (key < 2048) * (lv + np.sign(lv))) * mult
+    np.trunc(f, out=f)
     np.clip(f, COEFF_MIN, COEFF_MAX, out=f)
-    even = np.flatnonzero(np.bincount(blk, weights=f, minlength=m) % 2 == 0)
     dense = np.zeros((m, 64), dtype=np.float64)
-    dense.reshape(-1)[asm.coef_idx] = f
-    last = dense[even, 63]
-    dense[even, 63] = last + 1.0 - 2.0 * (last % 2)
+    dense.reshape(-1)[idx] = f
+    # Exact row sums (integers far below 2**53, in any order); einsum's
+    # plain loop is ≈ 2.5x ``sum(axis=1)``'s, and needs no BLAS threads.
+    even = np.einsum("ij->i", dense) % 2 == 0
+    last = dense[:, 63]
+    last += even * (1.0 - 2.0 * (last % 2))
     return dense.reshape(m, 8, 8)
 
 

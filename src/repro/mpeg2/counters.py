@@ -44,15 +44,24 @@ class WorkCounters:
 
     def add(self, other: "WorkCounters") -> "WorkCounters":
         """Accumulate ``other`` into self (returns self for chaining)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = vars(self), vars(other)
+        for name in _NAMES:
+            mine[name] += theirs[name]
         return self
 
     def copy(self) -> "WorkCounters":
-        return WorkCounters(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return WorkCounters(**self.as_dict())
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        mine = vars(self)
+        return {name: mine[name] for name in _NAMES}
 
     def __bool__(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
+        mine = vars(self)
+        return any(mine[name] for name in _NAMES)
+
+
+#: The counter names, in declaration order: taken once, because the
+#: kernel adds a slice's counters per slice and ``fields()`` walks the
+#: dataclass machinery on every call.
+_NAMES: tuple[str, ...] = tuple(f.name for f in fields(WorkCounters))

@@ -17,7 +17,12 @@ from typing import Iterable, Sequence
 
 from repro.bitstream.emulation import unescape_payload
 from repro.bitstream.reader import BitstreamError
-from repro.mpeg2.batched import SliceParse, parse_slice, reconstruct_slices
+from repro.mpeg2.batched import (
+    SliceParse,
+    bit_windows,
+    parse_slice,
+    reconstruct_slices,
+)
 from repro.mpeg2.blockcoding import BlockSyntaxError
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.counters import WorkCounters
@@ -127,8 +132,9 @@ def parse_slices(
 ) -> tuple[list[SliceParse], list[int]]:
     """Phase 1: parse every ``coded`` slice, duplicates included, so
     ``counters`` match the scalar oracle (``per_slice`` collects
-    ``(vertical_position, counters)`` per good slice).  A corrupt slice
-    counts one ``concealed_slices`` when ``resilient`` and raises
+    ``(vertical_position, counters)`` per good slice).  Runs of
+    slices share a window table, each parsed from its own base.  A corrupt
+    slice counts one ``concealed_slices`` when ``resilient`` and raises
     otherwise.  Returns the row-last good parses and the rows whose
     last slice was corrupt."""
     parses: list[SliceParse] = []
@@ -137,9 +143,12 @@ def parse_slices(
         "decode.parse", slices=len(coded), type=header.picture_type.letter,
         temporal_reference=header.temporal_reference,
     ):
-        for vpos, payload, final in coded:
+        tables = bit_windows([payload for _vpos, payload, _final in coded])
+        for (vpos, payload, final), at in zip(coded, tables):
             try:
-                sp = parse_slice(payload, vpos, header, mb_width, mb_height, has_fwd)
+                sp = parse_slice(
+                    payload, vpos, header, mb_width, mb_height, has_fwd, at
+                )
             except SLICE_CORRUPTION_ERRORS:
                 if not resilient:
                     raise

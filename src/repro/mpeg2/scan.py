@@ -68,21 +68,33 @@ ALTERNATE = _alternate_order()
 ZIGZAG_INV = np.argsort(ZIGZAG)
 ALTERNATE_INV = np.argsort(ALTERNATE)
 
-def scan_to_raster_flat(
-    indices: np.ndarray, alternate: bool = False
-) -> np.ndarray:
-    """Vectorized scan->raster conversion of flat coefficient indices.
 
-    ``indices`` packs ``block_base + scan_position`` with
-    ``block_base`` a multiple of 64; the low six bits (the position in
-    scan order) are replaced by the raster position of that
-    coefficient.  The batched parser emits its sparse coefficient
-    stream in scan space — a plain integer add per coefficient, no
-    per-symbol table lookup — and phase 2 permutes the whole stream in
-    this one pass, so no block is ever un-scanned individually.
+def _step_offsets(order: np.ndarray) -> np.ndarray:
+    """``offsets[c]``, for ``c`` the low six bits of a step sum, takes
+    ``64 * block + scan + 1`` to ``64 * block + raster`` by one add."""
+    scan = (np.arange(64) - 1) & 63  # c == (scan + 1) & 63
+    return order[scan] - scan - 1
+
+
+_STEP_OFFSETS = {False: _step_offsets(ZIGZAG), True: _step_offsets(ALTERNATE)}
+
+
+def step_sums_to_raster(
+    sums: np.ndarray, alternate: bool = False
+) -> np.ndarray:
+    """Vectorized scan->raster conversion of a coefficient stream's
+    running step sums.
+
+    ``sums`` holds ``64 * block + scan_position + 1`` per coefficient —
+    the running sum of the batched parser's self-delimiting stream,
+    whose steps are ``run + 1`` per coefficient and pad every block to
+    64.  Returns ``64 * block + raster_position``, one gather and one
+    add per coefficient: the parser emits its stream in scan space — no
+    per-symbol position or table lookup — and phase 2 permutes the
+    whole stream in this one pass, so no block is ever un-scanned
+    individually.
     """
-    order = ALTERNATE if alternate else ZIGZAG
-    return (indices & -64) | order[indices & 63]
+    return sums + _STEP_OFFSETS[alternate][sums & 63]
 
 
 def scan_block(block: np.ndarray, order: np.ndarray = ZIGZAG) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mpeg2.batched import parse_slice
+from repro.mpeg2.batched import SliceParse, parse_slice
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
@@ -114,6 +114,12 @@ class TestResolutionMatrix:
             dec.index.mb_width, dec.index.mb_height, False,
         )
         assert type(sp.coef_packed) is bytearray
+        # ... and phase 1 hands over flat buffers alone: no Python list.
+        assert type(sp.records) is bytearray
+        assert not [
+            name for name in SliceParse.__slots__
+            if isinstance(getattr(sp, name), list)
+        ]
 
 
 class TestAlternateScan:
