@@ -582,6 +582,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_flags(
+    cmd: argparse.ArgumentParser,
+    workers: tuple[int | None, str],
+    trace: str,
+    stats: str | None = None,
+    report: str | None = None,
+) -> None:
+    """The flags every decoding command shares: ``--workers N`` (its
+    default and help), ``--trace OUT.json`` and, where the command has
+    them, ``--stats`` and ``--report OUT.json``."""
+    default, workers_help = workers
+    cmd.add_argument("--workers", type=int, default=default, metavar="N",
+                     help=workers_help)
+    cmd.add_argument("--trace", metavar="OUT.json", help=trace)
+    if stats is not None:
+        cmd.add_argument("--stats", action="store_true", help=stats)
+    if report is not None:
+        cmd.add_argument("--report", metavar="OUT.json", help=report)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -611,9 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--dump-dir", help="write luma planes as PGM files")
     dec.add_argument("--resilient", action="store_true",
                      help="conceal corrupt slices instead of failing")
-    dec.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="decode on N real worker processes "
-                          "(repro.exec; 0 = in-process fallback)")
     dec.add_argument("--barrier", default="improved",
                      choices=["simple", "improved"],
                      help="slice-level synchronisation: barrier after "
@@ -642,12 +659,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "order (GOPs last-to-first)")
     dec.add_argument("--iframes", action="store_true",
                      help="trick-play: emit only each GOP's I picture")
-    dec.add_argument("--trace", metavar="OUT.json",
-                     help="record a Chrome trace-event timeline (spans "
-                          "from every process; open in Perfetto)")
-    dec.add_argument("--stats", action="store_true",
-                     help="print the metrics registry summary table "
-                          "(histograms, gauges, stall breakdown)")
+    _add_run_flags(
+        dec,
+        workers=(None, "decode on N real worker processes "
+                       "(repro.exec; 0 = in-process fallback)"),
+        trace="record a Chrome trace-event timeline (spans "
+              "from every process; open in Perfetto)",
+        stats="print the metrics registry summary table "
+              "(histograms, gauges, stall breakdown)",
+    )
     dec.set_defaults(func=_cmd_decode)
 
     srv = sub.add_parser(
@@ -658,9 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="PATH[=WEIGHT]",
                      help="input .m2v files (repeat a path for identical "
                           "sessions; append =W for a priority weight)")
-    srv.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="shared decode worker processes (default: CPU "
-                          "count; 0 = in-process, deterministic)")
     srv.add_argument("--fps", type=float, default=None,
                      help="per-session display deadline rate; enables "
                           "deadline tracking and overload degradation")
@@ -679,13 +696,15 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--resilient", action="store_true",
                      help="conceal corrupt slices instead of failing the "
                           "session")
-    srv.add_argument("--trace", metavar="OUT.json",
-                     help="record a Chrome trace-event timeline across "
-                          "the scheduler and every worker")
-    srv.add_argument("--stats", action="store_true",
-                     help="print the metrics registry + stall breakdown")
-    srv.add_argument("--report", metavar="OUT.json",
-                     help="write the full JSON service report")
+    _add_run_flags(
+        srv,
+        workers=(None, "shared decode worker processes (default: CPU "
+                       "count; 0 = in-process, deterministic)"),
+        trace="record a Chrome trace-event timeline across "
+              "the scheduler and every worker",
+        stats="print the metrics registry + stall breakdown",
+        report="write the full JSON service report",
+    )
     srv.set_defaults(func=_cmd_serve)
 
     nsrv = sub.add_parser(
@@ -698,8 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     nsrv.add_argument("--host", default="127.0.0.1")
     nsrv.add_argument("--port", type=int, default=0,
                       help="TCP port (default: pick a free one)")
-    nsrv.add_argument("--workers", type=int, default=0, metavar="N",
-                      help="decode worker processes (0 = in-process)")
     nsrv.add_argument("--fps", type=float, default=30.0,
                       help="display rate pictures are paced onto the wire")
     nsrv.add_argument("--capacity", type=int, default=None,
@@ -722,11 +739,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="impairment shim: wire bandwidth cap in bits/s")
     nsrv.add_argument("--seed", type=int, default=0,
                       help="impairment schedule seed (deterministic)")
-    nsrv.add_argument("--report", metavar="OUT.json",
-                      help="write the JSON server report on exit")
-    nsrv.add_argument("--trace", metavar="OUT.json",
-                      help="record a Chrome trace-event timeline of the "
-                           "service while serving")
+    _add_run_flags(
+        nsrv,
+        workers=(0, "decode worker processes (0 = in-process)"),
+        trace="record a Chrome trace-event timeline of the "
+              "service while serving",
+        report="write the JSON server report on exit",
+    )
     nsrv.add_argument("--metrics-port", type=int, default=None, metavar="N",
                       help="expose Prometheus metrics on this HTTP port "
                            "(0 = pick a free one)")

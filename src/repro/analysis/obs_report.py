@@ -25,7 +25,7 @@ validated against its matching server send
 latency waterfall — ``decode → pace → wire → reassemble → conceal →
 deadline lateness`` — is printed per stage.  A join failure (a client
 picture with no matching server span) exits nonzero, which is what the
-CI telemetry job gates on.
+CI ``live`` job's net-serve run gates on.
 
 Usage::
 

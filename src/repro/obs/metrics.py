@@ -27,10 +27,23 @@ objects themselves.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Histogram sample reservoir size; aggregates stay exact beyond it.
 HISTOGRAM_SAMPLE_CAP = 1024
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of ascending ``ordered`` by linear
+    interpolation between order statistics; 0.0 when empty.  (A
+    :class:`Histogram` reads its reservoir by nearest rank instead.)"""
+    if not ordered:
+        return 0.0
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class Counter:

@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .metrics import percentile
 from .trace import to_chrome
 
 # Category shared by every cross-boundary span so obs_report can pick
@@ -226,24 +227,14 @@ def validate_joins(doc: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _percentile(sorted_vals: Sequence[float], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    pos = q * (len(sorted_vals) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = pos - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
-
-
 def _stage_stats(durs_ms: list[float]) -> dict[str, float]:
     durs_ms.sort()
     count = len(durs_ms)
     return {
         "count": count,
         "mean_ms": sum(durs_ms) / count if count else 0.0,
-        "p50_ms": _percentile(durs_ms, 0.50),
-        "p99_ms": _percentile(durs_ms, 0.99),
+        "p50_ms": percentile(durs_ms, 0.50),
+        "p99_ms": percentile(durs_ms, 0.99),
         "max_ms": durs_ms[-1] if count else 0.0,
     }
 

@@ -27,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.metrics import percentile
+
 # Keep at most this many lateness samples per tracker; beyond it only
 # the running max is exact.  4096 pictures is ~2 min at 30 fps — far
 # more than any test or bench session — while bounding memory.
@@ -133,14 +135,7 @@ class SLOTracker:
 
     @property
     def p99_lateness_ms(self) -> float:
-        if not self._lateness_ms:
-            return 0.0
-        ordered = sorted(self._lateness_ms)
-        pos = 0.99 * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile(sorted(self._lateness_ms), 0.99)
 
     @property
     def budget_spent(self) -> float:

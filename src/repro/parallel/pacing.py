@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import percentile
+
 
 @dataclass
 class Pacer:
@@ -89,21 +91,11 @@ class Pacer:
         order statistics, max exact).
         """
         ordered = sorted(self.lateness)
-        if not ordered:
-            return {"p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-
-        def pct(q: float) -> float:
-            pos = q * (len(ordered) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = pos - lo
-            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
         return {
-            "p50": pct(0.50),
-            "p90": pct(0.90),
-            "p99": pct(0.99),
-            "max": ordered[-1],
+            "p50": percentile(ordered, 0.50),
+            "p90": percentile(ordered, 0.90),
+            "p99": percentile(ordered, 0.99),
+            "max": ordered[-1] if ordered else 0.0,
         }
 
     def summary(self) -> dict[str, float]:

@@ -1,8 +1,10 @@
 """The executor end to end through the CLI: traced, on real workers.
 
-A ``decode --grain auto`` run conserves its task accounting; at either
-grain the worker-run nodes of the graph it dispatched from are the
-messages it sent; and at GOP grain the parent hands GOP 0 over picture
+A traced ``decode --grain auto`` or ``--grain slice`` run conserves its
+task accounting, and a slice-grain run records one fused
+``decode.reconstruct`` span per dispatched batch; at either grain the
+worker-run nodes of the graph it dispatched from are the messages it
+sent; and at GOP grain the parent hands GOP 0 over picture
 by picture while GOP 0 is still decoding, reading each picture out of
 the slot its task decoded it into (no worker-side copy: no
 ``mp.shm.write`` span).
@@ -29,17 +31,28 @@ def _read(path: str) -> bytes:
 
 
 def test_auto_grain_decode_accounts_every_task(tmp_path, no_shm_leak):
-    reset_metrics()
-    assert main([
-        "decode", VECTOR, "--grain", "auto", "--engine", "auto",
-        "--workers", "2", "--trace", str(tmp_path / "exec-trace.json"),
-        "--stats",
-    ]) == 0
-    counters = metrics().snapshot()["counters"]
-    assert counters["exec.tasks.planned"] == (
-        counters["exec.tasks.dispatched"]
-        + counters.get("exec.tasks.cancelled", 0)
-    ), counters
+    for flags in (
+        ["--grain", "auto", "--engine", "auto"],
+        ["--grain", "slice", "--barrier", "improved"],
+    ):
+        trace = tmp_path / f"{flags[1]}-trace.json"
+        reset_metrics()
+        assert main([
+            "decode", VECTOR, *flags, "--workers", "2",
+            "--trace", str(trace), "--stats",
+        ]) == 0
+        counters = metrics().snapshot()["counters"]
+        assert counters["exec.tasks.planned"] == (
+            counters["exec.tasks.dispatched"]
+            + counters.get("exec.tasks.cancelled", 0)
+        ), (flags, counters)
+    # The slice run reconstructs each dispatched batch of slices in
+    # one fused call: a span per batch, none per macroblock row.
+    events = json.loads(trace.read_text())["traceEvents"]
+    fused = [e["args"] for e in events if e.get("name") == "decode.reconstruct"]
+    assert fused, "no decode.reconstruct spans recorded"
+    for args in fused:
+        assert args["slices"] >= 1 and "row" not in args, args
     # The graph is the dispatcher: at either grain the worker-run nodes
     # it dispatched are the messages that were sent.
     data = _read(VECTOR)

@@ -179,41 +179,49 @@ class TestRungLadder:
 
 class TestRungSwitchEndToEnd:
     def test_switch_fires_before_drop_b_and_accounts_pictures(
-        self, abr_stream, no_shm_leak
+        self, abr_stream, no_shm_leak, watchdog
     ):
         rungs = [r.data for r in build_rung_ladder(abr_stream, levels=1)]
         policy = DegradePolicy(
             drop_b_after=3, skip_gop_after=6, recover_after=8,
             switch_rung_after=2,
         )
-        svc = DecodeService(
-            workers=0, capacity=2, fps=30.0, policy=policy,
-            clock=_slow_clock(),
-        )
-        sess = svc.submit("abr", abr_stream, rungs=rungs)
-        svc.run()
-        cont = svc.sessions.get(sess.continuation)
-        assert sess.status is SessionStatus.DONE
-        assert cont is not None and cont.status is SessionStatus.DONE
-        # Ordering: the rung switch is the *first* degrade action —
-        # cheaper than shedding pictures, so it must precede drop-B.
-        actions = sess.degrade.snapshot()["actions"]
-        assert actions[0] == ACTION_SWITCH_RUNG
-        # Conservation: every source picture is emitted here, shed
-        # here, or handed to the continuation — and the continuation
-        # decodes exactly the handed-over tail.
-        assert (
-            sess.emitted_pictures
-            + sess.dropped_pictures
-            + sess.switched_pictures
-            == sess.picture_count
-        )
-        assert cont.picture_count == sess.switched_pictures
-        assert cont.rung_level == 1
-        assert cont.join_gop >= 1
-        doc = sess.report()
-        assert doc["continuation"] == cont.name
-        assert doc["switched_pictures"] == sess.switched_pictures
+        # In process, then on real workers with a mid-stream join
+        # sharing the pool and the overload.
+        for workers, join_gop in ((0, None), (2, 1)):
+            svc = DecodeService(
+                workers=workers, capacity=4, fps=30.0, policy=policy,
+                clock=_slow_clock(),
+            )
+            sess = svc.submit("abr", abr_stream, rungs=rungs)
+            if join_gop is not None:
+                join = svc.submit("join", abr_stream, start_gop=join_gop)
+            svc.run()
+            cont = svc.sessions.get(sess.continuation)
+            assert sess.status is SessionStatus.DONE
+            assert cont is not None and cont.status is SessionStatus.DONE
+            if join_gop is not None:
+                assert join.status is SessionStatus.DONE
+                assert join.join_gop == join_gop
+            # Ordering: the rung switch is the *first* degrade action —
+            # cheaper than shedding pictures, so it must precede drop-B.
+            actions = sess.degrade.snapshot()["actions"]
+            assert actions[0] == ACTION_SWITCH_RUNG
+            # Conservation: every source picture is emitted here, shed
+            # here, or handed to the continuation — and the continuation
+            # decodes exactly the handed-over tail.
+            assert (
+                sess.emitted_pictures
+                + sess.dropped_pictures
+                + sess.switched_pictures
+                == sess.picture_count
+            )
+            assert cont.picture_count == sess.switched_pictures
+            assert cont.rung_level == 1
+            assert cont.join_gop >= 1
+            doc = sess.report()
+            assert doc["continuation"] == cont.name
+            assert doc["switched_pictures"] == sess.switched_pictures
 
     def test_no_switch_without_rungs(self, abr_stream):
         # Same overload, no ladder: the policy level is configured but

@@ -4,16 +4,23 @@ An undeclared marker is silently ignored by marker expressions — a
 ``perf`` test whose marker was never registered would *run inside
 tier-1* (wall-clock assertions in CI) or, worse, a typo in the marker
 name ("pref") would quietly drop a test from the perf gate.
-CI runs this as its ``markers`` sanity job; it greps every test and
-benchmark file for ``pytest.mark.<name>`` and checks the name against
-``[tool.pytest.ini_options].markers`` in ``pyproject.toml``.
+It greps every test and benchmark file for ``pytest.mark.<name>`` and
+checks the name against the markers pytest read from ``pyproject.toml``
+(``[tool.pytest.ini_options].markers``).
+
+The same marker expressions are what keep perf gates, fuzz sweeps and
+socket suites out of tier-1: pyproject's ``addopts`` carries
+``-m 'not perf and not fuzz and not net'``, and a ``-m`` on the command
+line *replaces* it.  So no CI ``pytest`` step may pass a ``-m``
+expression containing ``not`` — it would pull every other opt-in
+marker back in.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tomllib
+import shlex
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,11 +37,14 @@ BUILTIN_MARKERS = {
 _MARK_RE = re.compile(r"pytest\.mark\.([A-Za-z_][A-Za-z0-9_]*)")
 
 
-def declared_markers() -> set[str]:
-    with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as fh:
-        config = tomllib.load(fh)
-    lines = config["tool"]["pytest"]["ini_options"].get("markers", [])
-    return {line.split(":", 1)[0].strip() for line in lines}
+CI_WORKFLOW = os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")
+
+
+def declared_markers(pytestconfig) -> set[str]:
+    return {
+        line.split(":", 1)[0].strip()
+        for line in pytestconfig.getini("markers")
+    }
 
 
 def markers_in_use() -> dict[str, set[str]]:
@@ -55,8 +65,8 @@ def markers_in_use() -> dict[str, set[str]]:
     return uses
 
 
-def test_every_used_marker_is_declared():
-    declared = declared_markers()
+def test_every_used_marker_is_declared(pytestconfig):
+    declared = declared_markers(pytestconfig)
     undeclared = {
         name: sorted(files)
         for name, files in markers_in_use().items()
@@ -68,16 +78,40 @@ def test_every_used_marker_is_declared():
     )
 
 
-def test_perf_marker_is_declared_and_used():
+def test_perf_marker_is_declared_and_used(pytestconfig):
     # The perf gate's whole mechanism rests on this marker existing.
-    assert "perf" in declared_markers()
+    assert "perf" in declared_markers(pytestconfig)
     assert "perf" in markers_in_use()
 
 
-def test_declared_markers_have_descriptions():
-    with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as fh:
-        config = tomllib.load(fh)
-    for line in config["tool"]["pytest"]["ini_options"].get("markers", []):
+def test_declared_markers_have_descriptions(pytestconfig):
+    for line in pytestconfig.getini("markers"):
         assert ":" in line and line.split(":", 1)[1].strip(), (
             f"marker {line!r} lacks a description"
         )
+
+
+def marker_expressions(workflow: str) -> list[str]:
+    """Every ``-m`` expression a ``pytest`` command in ``workflow``
+    passes (shell continuation lines joined, YAML comments skipped;
+    ``python -m pytest``'s own ``-m`` is the interpreter's)."""
+    exprs = []
+    for line in workflow.replace("\\\n", " ").splitlines():
+        _, found, args = line.partition("pytest ")
+        if not found or line.lstrip().startswith("#"):
+            continue
+        words = shlex.split(args, comments=True)
+        exprs += [b for a, b in zip(words, words[1:]) if a == "-m"]
+    return exprs
+
+
+def test_ci_marker_expressions_keep_the_addopts_filter():
+    with open(CI_WORKFLOW, encoding="utf-8") as fh:
+        exprs = marker_expressions(fh.read())
+    assert exprs, "no pytest -m step found in ci.yml"
+    negated = [e for e in exprs if re.search(r"\bnot\b", e)]
+    assert not negated, (
+        f"ci.yml passes -m {negated}: a -m on the command line replaces "
+        "pyproject's addopts filter, so 'not X' pulls every other opt-in "
+        "marker (perf, fuzz, net) back into that step"
+    )
