@@ -13,10 +13,10 @@ Reported per stream:
 * decode throughput for ``engine="scalar"`` and ``engine="batched"``
   (best of N timed passes each, interleaved to spread machine noise);
 * the batched/scalar speedup in pictures/s;
-* for the headline stream, the measured phase split of the two-phase
-  fast path (:func:`repro.parallel.macroblock_level.measured_phase_split`)
-  — the empirical parse/reconstruct fractions behind the paper's
-  Section 4 argument.
+* for the headline stream, the per-stage span totals of one traced
+  decode, and from them the phase split of the two-phase fast path
+  (:func:`phase_split`) — the empirical parse/reconstruct fractions
+  behind the paper's Section 4 argument.
 
 Run directly (``PYTHONPATH=src python benchmarks/perf_decode.py``) or
 through pytest (``pytest benchmarks/perf_decode.py -m perf``); the
@@ -39,7 +39,6 @@ import numpy as np
 import pytest
 
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
-from repro.parallel.macroblock_level import measured_phase_split
 from repro.video.streams import (
     TestStreamSpec,
     build_stream,
@@ -106,6 +105,27 @@ def _traced_stage_breakdown(data: bytes, engine: str = "batched") -> dict:
     return span_totals(doc)
 
 
+def phase_split(stages: dict) -> dict[str, float]:
+    """Parse/reconstruct split of a traced decode, from its span totals.
+
+    Phase 1 (serial bit work) is the ``decode.parse`` spans, phase 2
+    (reconstruction) the ``decode.reconstruct`` spans.  The
+    ``amdahl_bound`` is the speedup ceiling of the parser-process
+    architecture :mod:`repro.parallel.macroblock_level` simulates — the
+    number the paper argues against at its Section 4 operating point.
+    """
+    parse = stages["decode.parse"]
+    parse_s = parse["total_ms"] / 1e3
+    recon_s = stages["decode.reconstruct"]["total_ms"] / 1e3
+    return {
+        "parse_seconds": parse_s,
+        "reconstruct_seconds": recon_s,
+        "parse_fraction": parse_s / (parse_s + recon_s),
+        "amdahl_bound": (parse_s + recon_s) / parse_s,
+        "pictures": float(parse["count"]),
+    }
+
+
 def _decode_seconds(data: bytes, engine: str, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -166,10 +186,10 @@ def run(path: str = OUTPUT_PATH) -> dict[str, object]:
         streams[spec.name] = bench_stream(spec, repeats=3)
     headline = bench_stream(HEADLINE_SPEC, repeats=DECODE_REPEATS)
     streams[HEADLINE_SPEC.name] = headline
-    headline["phase_split"] = measured_phase_split(build_stream(HEADLINE_SPEC))
     headline["stage_breakdown"] = _traced_stage_breakdown(
         build_stream(HEADLINE_SPEC)
     )
+    headline["phase_split"] = phase_split(headline["stage_breakdown"])
 
     report = {
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),

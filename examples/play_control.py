@@ -27,7 +27,7 @@ from repro.video.synthetic import SyntheticVideo
 def build_profile(width: int, height: int):
     video = SyntheticVideo(width=width, height=height, seed=7)
     stream = encode_sequence(video.frames(13), EncoderConfig(gop_size=13, qscale_code=3))
-    profile, _ = profile_stream(stream)
+    profile = profile_stream(stream)
     return tile_profile(profile, 8)  # an 8-GOP clip to seek around in
 
 

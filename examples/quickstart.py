@@ -6,10 +6,11 @@ Demonstrates the full public API in one run:
 1. generate a synthetic panning clip (the paper's flower-garden stand-in);
 2. encode it to an MPEG-2 bitstream with the from-scratch encoder;
 3. decode sequentially (the uniprocessor baseline);
-4. decode with the GOP-level and improved slice-level parallel
-   decoders on a simulated 16-processor SGI Challenge, verifying the
-   parallel outputs are bit-identical to the sequential decode;
-5. report quality (PSNR) and simulated decode rates.
+4. decode with the GOP-level and the simple and improved slice-level
+   parallel decoders on real worker processes, verifying the parallel
+   outputs are bit-identical to the sequential decode;
+5. report quality (PSNR) and the decode rates the same three
+   decompositions reach on a simulated 16-processor SGI Challenge.
 
 Run:  python examples/quickstart.py
 """
@@ -21,6 +22,8 @@ from repro.mpeg2.decoder import decode_sequence
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.parallel import (
     GopLevelDecoder,
+    MPGopDecoder,
+    MPSliceDecoder,
     ParallelConfig,
     SliceLevelDecoder,
     SliceMode,
@@ -48,31 +51,35 @@ def main() -> None:
     decoded = decode_sequence(stream)
     print(f"sequential decode: PSNR {sequence_psnr(frames, decoded):.1f} dB")
 
-    # 4. Parallel decodes on the simulated Challenge.  ``execute=True``
-    #    makes the workers really decode so we can verify the output.
-    profile, _ = profile_stream(stream)
-    machine = challenge(16)
-    runs = {
-        "GOP level": GopLevelDecoder(profile, stream).run(
-            ParallelConfig(workers=4, machine=machine, execute=True)
-        ),
-        "slice level (simple)": SliceLevelDecoder(profile, stream).run(
-            ParallelConfig(workers=4, machine=machine, execute=True),
-            SliceMode.SIMPLE,
-        ),
-        "slice level (improved)": SliceLevelDecoder(profile, stream).run(
-            ParallelConfig(workers=4, machine=machine, execute=True),
-            SliceMode.IMPROVED,
-        ),
+    # 4. Parallel decodes on two real worker processes.
+    parallel = {
+        "GOP level": MPGopDecoder(stream, workers=2),
+        "slice level (simple)": MPSliceDecoder(stream, workers=2, mode="simple"),
+        "slice level (improved)": MPSliceDecoder(stream, workers=2, mode="improved"),
     }
-    for name, result in runs.items():
-        identical = all(
-            a.same_pixels(b) for a, b in zip(decoded, result.frames)
+    for name, decoder in parallel.items():
+        frames = decoder.decode_all()
+        identical = len(frames) == len(decoded) and all(
+            a.same_pixels(b) for a, b in zip(decoded, frames)
         )
         assert identical, f"{name} output differs from sequential decode!"
     print("parallel decoders verified bit-identical to the sequential decoder")
 
-    # 5. Simulated decode rates (virtual time on 150 MHz R4400s).
+    # 5. Simulated decode rates (virtual time on 150 MHz R4400s): the
+    #    simulated decoders replay the stream's per-slice work counters.
+    profile = profile_stream(stream)
+    machine = challenge(16)
+    runs = {
+        "GOP level": GopLevelDecoder(profile).run(
+            ParallelConfig(workers=4, machine=machine)
+        ),
+        "slice level (simple)": SliceLevelDecoder(profile).run(
+            ParallelConfig(workers=4, machine=machine), SliceMode.SIMPLE
+        ),
+        "slice level (improved)": SliceLevelDecoder(profile).run(
+            ParallelConfig(workers=4, machine=machine), SliceMode.IMPROVED
+        ),
+    }
     table = TextTable(
         ["decoder", "pics/s (4 workers)", "peak memory KB", "sync/exec"],
         title="Simulated decode on a 16-processor Challenge",

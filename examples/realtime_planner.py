@@ -34,7 +34,7 @@ def build_profile(width: int, height: int, pictures: int = 156):
     stream = encode_sequence(
         video.frames(13), EncoderConfig(gop_size=13, qscale_code=3)
     )
-    base, _ = profile_stream(stream)
+    base = profile_stream(stream)
     return tile_profile(base, max(pictures // 13, 1))
 
 

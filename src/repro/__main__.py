@@ -533,7 +533,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     with open(args.input, "rb") as fh:
         data = fh.read()
-    profile, _ = profile_stream(data)
+    profile = profile_stream(data)
     if args.repeat > 1:
         profile = tile_profile(profile, args.repeat)
 
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "deadline tracking and overload degradation")
     srv.add_argument("--capacity", type=int, default=None,
                      help="max concurrently active sessions (default: "
-                          "estimated from BENCH_parallel.json throughput)")
+                          "one per worker slot)")
     srv.add_argument("--max-queue", type=int, default=0,
                      help="admission queue depth beyond the capacity")
     srv.add_argument("--max-inflight", type=int, default=2,

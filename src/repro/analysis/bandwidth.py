@@ -143,8 +143,8 @@ def admissible_sessions(
     arrival order, so the answer is "the longest prefix whose summed
     *peak* rates stay within the link".  The first session is always
     admitted even if it alone exceeds the budget (it degrades on the
-    wire rather than being unservable), matching the worker-slot
-    floor of :func:`repro.serve.scheduler.estimate_capacity`.
+    wire rather than being unservable), as a decode service always
+    has at least one session slot.
     """
     if link_bps <= 0:
         raise ValueError(f"link_bps must be > 0, got {link_bps}")

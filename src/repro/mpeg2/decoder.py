@@ -230,9 +230,8 @@ class SequenceDecoder:
     ) -> PictureCodingContext:
         """Build a scalar decode context with a fresh output frame.
 
-        Used by the simulated slice-level decoder and the cache trace,
-        which decode slices one :func:`decode_slice` call at a time
-        into one shared frame.
+        Used by the cache trace, which decodes slices one
+        :func:`decode_slice` call at a time into one shared frame.
         """
         return PictureCodingContext(
             seq=self.seq, pic=pic.header(), out=self._blank(pic), fwd=fwd, bwd=bwd

@@ -37,7 +37,8 @@ PR-8 telemetry at the net edge:
 * ``metrics_port=`` starts a Prometheus-exposition
   :class:`~repro.obs.export.MetricsExporter` side port for live
   scraping, and ``stats_push_pictures=N`` pushes a ``STATS`` frame to
-  each client every N pictures with the live SLO snapshot;
+  each client every N pictures with the live SLO snapshot (none after
+  the last picture: ``BYE`` follows it);
 * every connection owns an :class:`~repro.obs.slo.SLOTracker` fed
   from client receipts — the one SLO judge; its snapshot lands in the
   report and in ``BENCH_net.json``, and a burnout triggers one
@@ -431,9 +432,14 @@ class NetServer:
                 record, sess, frames, sender, seq, pictures, mb_height,
                 tracker,
             )
-            # The client may close as soon as it has every picture; the
-            # stats reader finishing (EOF) is not an error here.
-            await asyncio.wait_for(stats_task, timeout=5.0)
+            # BYE is out.  The client may close as soon as it has every
+            # picture, and a close with BYE unread resets the socket:
+            # the stats reader ending here, by EOF or by a reset, ends
+            # a delivered session, not a broken one.
+            try:
+                await asyncio.wait_for(stats_task, timeout=5.0)
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass
         finally:
             if not stats_task.done():
                 stats_task.cancel()
@@ -527,9 +533,11 @@ class NetServer:
                     session=sid, pic=display_index, bands=bands,
                 )
                 metrics().counter("net.pictures.sent").inc()
+            # No push after the last picture: BYE follows it.
             if (
                 self.stats_push_pictures
                 and sent_pics % self.stats_push_pictures == 0
+                and sent_pics < pictures
             ):
                 seq = await self._push_stats(
                     sender, seq, sid, display_index, tracker

@@ -15,9 +15,10 @@ decompositions are provided:
   reference (I/P) pictures, exploiting that consecutive B-pictures are
   mutually independent.
 
-Both run on real bitstreams.  Workers either replay pre-profiled
-per-task costs (fast, used for processor sweeps) or actually decode
-(used by the tests that prove parallel output == sequential output).
+Both run on real bitstreams' profiles: workers replay each task's
+exact work counters, recorded once by
+:func:`~repro.parallel.profile.profile_stream`, through the cost model
+— the simulated decoders are performance models and decode nothing.
 Each simulated decoder is a scan body and a worker body on the one
 shared run of :mod:`~repro.parallel.simrun`, whose display process
 reorders and paces with the real runtime's :mod:`~repro.parallel.merge`
@@ -31,7 +32,8 @@ display-order merger — the empirical counterpart of Fig. 5 measured by
 ``benchmarks/perf_parallel.py``.  :mod:`~repro.parallel.mp_slice` does
 the same for the fine-grained decomposition: persistent slice workers
 fed from the real 2-D picture/slice queue, with both the ``simple``
-and ``improved`` barrier policies.
+and ``improved`` barrier policies.  These two are what prove each
+decomposition bit-exact against the sequential decoder.
 """
 
 from repro.parallel.profile import (
@@ -59,14 +61,12 @@ from repro.parallel.mp import (
     MPGopDecoder,
     SharedFramePool,
     FrameLayout,
-    decode_parallel,
     scan_gop_tasks,
 )
 from repro.parallel.merge import DisplayMerger
 from repro.parallel.mp_slice import (
     MPSliceDecoder,
     PictureSliceQueue,
-    decode_slice_parallel,
     scan_slice_tasks,
 )
 
@@ -75,11 +75,9 @@ __all__ = [
     "MPSliceDecoder",
     "PictureSliceQueue",
     "DisplayMerger",
-    "decode_slice_parallel",
     "scan_slice_tasks",
     "SharedFramePool",
     "FrameLayout",
-    "decode_parallel",
     "scan_gop_tasks",
     "StreamProfile",
     "GopProfile",

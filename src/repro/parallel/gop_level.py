@@ -19,8 +19,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 
-from repro.mpeg2.decoder import SequenceDecoder
-from repro.mpeg2.frame import Frame
 from repro.obs.stalls import REASON_POOL_SLOT
 from repro.parallel.profile import StreamProfile
 from repro.parallel.queues import SimQueue
@@ -32,25 +30,15 @@ from repro.smp.sync import Condition
 class GopLevelDecoder:
     """Simulate the GOP-level parallel decoder over a stream profile."""
 
-    def __init__(self, profile: StreamProfile, data: bytes | None = None) -> None:
+    def __init__(self, profile: StreamProfile) -> None:
         self.profile = profile
-        self._data = data
 
     # ------------------------------------------------------------------
     def run(self, config: ParallelConfig) -> DecodeRunResult:
         profile = self.profile
-        if config.execute and self._data is None:
-            raise ValueError("execute=True needs the stream bytes")
-
         run = SimRun(profile, config)
         sim, cost, memory = run.sim, run.cost, run.memory
         task_queue = SimQueue("gop-tasks", cost.queue_op_cycles)
-        decoder = (
-            SequenceDecoder(self._data, engine=config.engine)
-            if config.execute
-            else None
-        )
-        decoded: dict[int, Frame] = {}
         fbytes = profile.frame_bytes
 
         # Bounded frame pool (max_frames_in_flight): a worker at the cap
@@ -81,10 +69,6 @@ class GopLevelDecoder:
                 if gop_index is None:
                     break
                 gop = profile.gops[gop_index]
-                if config.execute:
-                    frames = decoder.decode_gop(decoder.index.gops[gop_index])
-                    for k, f in enumerate(frames):
-                        decoded[gop_first_display[gop_index] + k] = f
                 for pic in gop.pictures:
                     while (
                         cap is not None
@@ -106,10 +90,7 @@ class GopLevelDecoder:
             memory.free(sim.now, fbytes, "frames")
             frames_in_flight -= 1
 
-        result = run.run(
+        return run.run(
             scan_body, worker_body, shown,
             wake=pool_cond if cap is not None else None,
         )
-        if config.execute:
-            result.frames = [decoded[i] for i in range(profile.picture_count)]
-        return result

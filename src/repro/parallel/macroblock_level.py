@@ -32,65 +32,6 @@ from repro.smp.costs import CostModel
 from repro.smp.engine import Compute, Process
 
 
-def measured_phase_split(data: bytes) -> dict[str, float]:
-    """Wall-clock parse/reconstruct split of the batched decoder.
-
-    The empirical counterpart of :func:`parse_cycles` /
-    :func:`reconstruction_cycles`: decode ``data`` once through the
-    picture kernel (:mod:`repro.mpeg2.kernel`), timing phase 1 (serial
-    bit work) and phase 2 (vectorized reconstruction) separately.  The
-    returned ``amdahl_bound`` is the measured speedup ceiling of the
-    parser-process architecture this module simulates — the number the
-    paper argues against at its Section 4 operating point.
-
-    Returns ``{"parse_seconds", "reconstruct_seconds",
-    "parse_fraction", "amdahl_bound", "pictures"}``.
-    """
-    from time import perf_counter
-
-    from repro.mpeg2.decoder import SequenceDecoder
-    from repro.mpeg2.frame import Frame
-    from repro.mpeg2.kernel import (
-        parse_slices,
-        read_slices,
-        reconstruct,
-        reference_frames,
-    )
-
-    dec = SequenceDecoder(data)
-    seq, index = dec.seq, dec.index
-    parse_t = 0.0
-    recon_t = 0.0
-    pictures = 0
-    for gop in index.gops:
-        decoded: list[Frame] = []
-        for pic, refs in zip(gop.pictures, gop.references()):
-            fwd, bwd = reference_frames(refs, decoded)
-            header = pic.header()
-            out = Frame.blank(seq.width, seq.height)
-            out.temporal_reference = pic.temporal_reference
-            coded = read_slices(dec.data, pic.slices)
-            t0 = perf_counter()
-            parses, _ = parse_slices(
-                coded, header, index.mb_width, index.mb_height,
-                fwd is not None, False, WorkCounters(),
-            )
-            t1 = perf_counter()
-            reconstruct(out, parses, seq, header, fwd, bwd)
-            recon_t += perf_counter() - t1
-            parse_t += t1 - t0
-            pictures += 1
-            decoded.append(out)
-    total = parse_t + recon_t
-    return {
-        "parse_seconds": parse_t,
-        "reconstruct_seconds": recon_t,
-        "parse_fraction": parse_t / total if total else 0.0,
-        "amdahl_bound": total / parse_t if parse_t else float("inf"),
-        "pictures": float(pictures),
-    }
-
-
 def parse_cycles(cost: CostModel, counters: WorkCounters) -> int:
     """The bitstream-decoding share of a task's work.
 

@@ -265,19 +265,3 @@ class MPGopDecoder(StreamDecoder):
                 self._gauge_window()
             yield gop, frames
 
-
-def decode_parallel(
-    data: bytes,
-    workers: int | None = None,
-    engine: str = "batched",
-    resilient: bool = False,
-    start_method: str | None = None,
-) -> list[Frame]:
-    """Convenience: parallel-decode a stream to display-ordered frames."""
-    return MPGopDecoder(
-        data,
-        workers=workers,
-        engine=engine,
-        resilient=resilient,
-        start_method=start_method,
-    ).decode_all()

@@ -611,19 +611,3 @@ class MPSliceDecoder(StreamDecoder):
             self.q.mark_emitted(done)
             yield frame
 
-
-def decode_slice_parallel(
-    data: bytes,
-    workers: int | None = None,
-    mode: str | SliceMode = SliceMode.IMPROVED,
-    resilient: bool = False,
-    start_method: str | None = None,
-) -> list[Frame]:
-    """Convenience: slice-parallel decode to display-ordered frames."""
-    return MPSliceDecoder(
-        data,
-        workers=workers,
-        mode=mode,
-        resilient=resilient,
-        start_method=start_method,
-    ).decode_all()

@@ -138,19 +138,14 @@ class StreamProfile:
         return total
 
 
-def profile_stream(
-    data: bytes, keep_frames: bool = False, engine: str = "batched"
-) -> tuple[StreamProfile, list[Frame] | None]:
+def profile_stream(data: bytes) -> StreamProfile:
     """Decode ``data`` sequentially, recording per-slice work counters.
 
-    Returns ``(profile, frames)`` where ``frames`` is the
-    display-ordered decode output when ``keep_frames`` is true (used by
-    correctness tests), else ``None``.  ``engine`` selects the decode
-    path (see :class:`~repro.mpeg2.decoder.SequenceDecoder`); both
-    engines produce identical profiles — the batched default just gets
-    there several times faster.
+    The decode runs the batched engine; its counters equal the scalar
+    oracle's slice for slice (``tests/mpeg2/test_batched_parity.py``),
+    so the profile does not depend on the engine.
     """
-    dec = SequenceDecoder(data, engine=engine)
+    dec = SequenceDecoder(data)
     idx = dec.index
     seq = idx.sequence_header
     profile = StreamProfile(
@@ -160,7 +155,6 @@ def profile_stream(
         bit_rate=seq.bit_rate,
         total_bytes=idx.total_bytes,
     )
-    frames: list[Frame] = []
     display_base = 0
     for gi, gop in enumerate(idx.gops):
         gp = GopProfile(
@@ -188,11 +182,8 @@ def profile_stream(
             gp.pictures.append(pp)
             gop_frames.append(frame)
         profile.gops.append(gp)
-        if keep_frames:
-            gop_frames.sort(key=lambda f: f.temporal_reference)
-            frames.extend(gop_frames)
         display_base += len(gop.pictures)
-    return profile, (frames if keep_frames else None)
+    return profile
 
 
 def tile_profile(profile: StreamProfile, repeats: int) -> StreamProfile:
@@ -322,7 +313,7 @@ def cached_profile(
     if os.path.exists(path):
         with open(path, "rb") as fh:
             return pickle.load(fh)
-    profile, _ = profile_stream(data)
+    profile = profile_stream(data)
     os.makedirs(cache_dir, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
-from repro.mpeg2.frame import Frame
 from repro.obs.stalls import REASON_MERGE, StallTable
 from repro.parallel.merge import DisplayMerger
 from repro.parallel.pacing import Pacer
@@ -44,6 +43,11 @@ from repro.smp.sync import Condition
 class ParallelConfig:
     """Shared knobs of the simulated parallel decoders.
 
+    A simulated run replays a profile's work counters through the cost
+    model and decodes nothing: pixels come from the real decoders
+    (:class:`~repro.parallel.mp.MPGopDecoder`,
+    :class:`~repro.parallel.mp_slice.MPSliceDecoder`).
+
     ``workers`` is the paper's ``P``: decode processes, excluding the
     scan and display processes (total processors = P + 2).
     ``remote_fraction`` only matters on NUMA machines: ``None`` models
@@ -54,8 +58,6 @@ class ParallelConfig:
     workers: int
     machine: MachineConfig = CHALLENGE
     cost: CostModel = DEFAULT_COST_MODEL
-    #: Actually decode in workers (slow; enables output verification).
-    execute: bool = False
     remote_fraction: float | None = None
     #: When set, the display process paces output at this rate and
     #: deadline misses are counted (real-time playback simulation).
@@ -68,12 +70,6 @@ class ParallelConfig:
     #: on the display-front GOP is exempt, which keeps the pipeline
     #: deadlock-free at any cap.
     max_frames_in_flight: int | None = None
-    #: Decode engine used by ``execute=True`` runs (see
-    #: :class:`~repro.mpeg2.decoder.SequenceDecoder`): the batched
-    #: two-phase fast path by default, ``"scalar"`` for the oracle.
-    #: Simulated cycle counts are engine-independent (identical
-    #: counters); only the wall-clock cost of executing runs changes.
-    engine: str = "batched"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -102,8 +98,6 @@ class DecodeRunResult:
     #: Virtual display time of each picture, in display order.
     display_times: list[int] = field(default_factory=list)
     memory: MemoryTracker = field(default_factory=MemoryTracker)
-    #: Decoded frames in display order (``execute=True`` runs only).
-    frames: list[Frame] | None = None
     #: Real-time pacing stats (``display_rate_hz`` runs only).
     late_pictures: int = 0
     max_lateness_cycles: int = 0

@@ -25,9 +25,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.mpeg2.decoder import SequenceDecoder
-from repro.mpeg2.frame import Frame
-from repro.mpeg2.macroblock import PictureCodingContext, decode_slice
 from repro.parallel.profile import StreamProfile
 from repro.parallel.queues import PictureEntry, SliceTaskQueue
 from repro.parallel.simrun import DecodeRunResult, ParallelConfig, SimRun
@@ -46,9 +43,8 @@ class SliceMode(enum.Enum):
 class SliceLevelDecoder:
     """Simulate the slice-level parallel decoder over a stream profile."""
 
-    def __init__(self, profile: StreamProfile, data: bytes | None = None) -> None:
+    def __init__(self, profile: StreamProfile) -> None:
         self.profile = profile
-        self._data = data
 
     # ------------------------------------------------------------------
     def _build_entries(self) -> list[PictureEntry]:
@@ -70,9 +66,6 @@ class SliceLevelDecoder:
         self, config: ParallelConfig, mode: SliceMode = SliceMode.IMPROVED
     ) -> DecodeRunResult:
         profile = self.profile
-        if config.execute and self._data is None:
-            raise ValueError("execute=True needs the stream bytes")
-
         run = SimRun(profile, config)
         sim, cost, memory = run.sim, run.cost, run.memory
         entries = self._build_entries()
@@ -90,35 +83,6 @@ class SliceLevelDecoder:
             refcount[order] -= 1
             if refcount[order] == 0:
                 memory.free(sim.now, fbytes, "frames")
-
-        # Execute mode: shared decode contexts, one per picture.  Slice
-        # tasks decode through the scalar per-slice entry point — the
-        # batched fast path is picture-granular, and a slice worker by
-        # definition owns only its own row — so ``config.engine`` here
-        # only affects the decoder used for payload/context plumbing.
-        decoder = (
-            SequenceDecoder(self._data, engine=config.engine)
-            if config.execute
-            else None
-        )
-        contexts: dict[int, PictureCodingContext] = {}
-        frames: dict[int, Frame] = {}
-        index_pictures = (
-            [pic for gop in decoder.index.gops for pic in gop.pictures]
-            if config.execute
-            else []
-        )
-
-        def _context_for(entry: PictureEntry) -> PictureCodingContext:
-            ctx = contexts.get(entry.order)
-            if ctx is None:
-                deps = entry.dependencies
-                fwd = frames.get(deps[0]) if deps else None
-                bwd = frames.get(deps[1]) if len(deps) > 1 else None
-                ctx = decoder.make_context(index_pictures[entry.order], fwd, bwd)
-                contexts[entry.order] = ctx
-                frames[entry.order] = ctx.out
-            return ctx
 
         # -- scan process -------------------------------------------------
         def scan_body(proc: Process):
@@ -159,12 +123,6 @@ class SliceLevelDecoder:
                     allocated.add(entry.order)
                     memory.allocate(sim.now, fbytes, "frames")
                 sp = entry.picture.slices[task.slice_index]
-                if config.execute:
-                    ctx = _context_for(entry)
-                    sl = index_pictures[entry.order].slices[task.slice_index]
-                    decode_slice(
-                        decoder.slice_payload(sl), sl.vertical_position, ctx
-                    )
                 yield from run.work(
                     cost.decode_cycles(sp.counters), config.remote_fraction
                 )
@@ -177,13 +135,6 @@ class SliceLevelDecoder:
                         (entry.picture.display_index, entry)
                     )
 
-        result = run.run(
+        return run.run(
             scan_body, worker_body, shown=lambda entry: _release(entry.order)
         )
-        if config.execute:
-            by_display = sorted(
-                ((entries[o].picture.display_index, f) for o, f in frames.items()),
-                key=lambda t: t[0],
-            )
-            result.frames = [f for _, f in by_display]
-        return result

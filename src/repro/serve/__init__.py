@@ -11,9 +11,8 @@ shared pool of decode worker processes, with
   buffer, wall-clock display deadlines the net edge also sends by,
   priority weight);
 * a weighted-fair :class:`~repro.serve.scheduler.Scheduler` with
-  admission control (capacity estimated from the committed
-  ``BENCH_parallel.json`` throughput) and bounded per-session in-flight
-  work (backpressure);
+  admission control (capacity defaults to one session per worker
+  slot) and bounded per-session in-flight work (backpressure);
 * overload degradation (:mod:`repro.serve.degrade`): sessions that
   miss display deadlines first shed B-picture tasks (legal — B
   pictures are non-reference, the same property the improved slice
@@ -29,12 +28,7 @@ its clients report, not here.
 """
 
 from repro.serve.degrade import DegradePolicy, DegradeState
-from repro.serve.scheduler import (
-    Admission,
-    Scheduler,
-    ServeTask,
-    estimate_capacity,
-)
+from repro.serve.scheduler import Admission, Scheduler, ServeTask
 from repro.serve.service import DecodeService
 from repro.serve.session import SessionStatus, StreamSession
 
@@ -47,5 +41,4 @@ __all__ = [
     "ServeTask",
     "SessionStatus",
     "StreamSession",
-    "estimate_capacity",
 ]

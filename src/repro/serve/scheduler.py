@@ -29,16 +29,12 @@ drive it through millions of orderings:
   be in flight at once, so one fast stream cannot flood the worker
   pool's queues while others starve.
 
-Capacity itself comes from measured throughput:
-:func:`estimate_capacity` derives "how many real-time sessions can
-this box sustain" from the committed ``BENCH_parallel.json`` headline
-numbers.
+The capacity is the caller's; :class:`~repro.serve.service.DecodeService`
+defaults it to one session per worker slot.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,46 +45,6 @@ from repro.exec.graph import (
     TaskGraph,
     TaskNode,
 )
-
-#: Safety factor applied to measured throughput when estimating
-#: capacity: scheduling overhead, pool contention and pacing jitter
-#: eat into the benchmarked single-stream number.
-CAPACITY_SAFETY = 0.7
-
-_REPO_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-)
-DEFAULT_BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_parallel.json")
-
-
-def estimate_capacity(
-    workers: int,
-    fps: float | None,
-    bench_path: str | None = None,
-) -> int:
-    """Sessions this box should sustain at ``fps``, from the benchmark.
-
-    Reads the committed ``BENCH_parallel.json`` headline stream's
-    sequential pictures/second, scales by worker count and
-    :data:`CAPACITY_SAFETY`, and divides by the per-session deadline
-    rate.  Falls back to ``max(1, workers)`` when the benchmark file
-    is missing/unreadable or pacing is off — an unpaced service is
-    bounded by worker slots, not deadlines.
-    """
-    slots = max(1, workers)
-    if not fps or fps <= 0:
-        return slots
-    path = bench_path or DEFAULT_BENCH_PATH
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        headline = doc["streams"][doc["headline"]]
-        pps = float(headline["sequential_pictures_per_sec"])
-    except (OSError, KeyError, ValueError, TypeError):
-        return slots
-    if pps <= 0:
-        return slots
-    return max(1, int(slots * pps * CAPACITY_SAFETY / fps))
 
 
 @dataclass(frozen=True)
@@ -191,8 +147,7 @@ class Scheduler:
     Parameters
     ----------
     capacity:
-        Maximum concurrently *active* sessions (see
-        :func:`estimate_capacity`).
+        Maximum concurrently *active* sessions.
     max_queue:
         Sessions allowed to wait for a slot beyond the capacity; the
         rest are rejected at :meth:`submit`.

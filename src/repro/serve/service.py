@@ -79,7 +79,7 @@ from repro.serve.degrade import (
     ACTION_SWITCH_RUNG,
     DegradePolicy,
 )
-from repro.serve.scheduler import Admission, Scheduler, estimate_capacity
+from repro.serve.scheduler import Admission, Scheduler
 from repro.serve.session import SessionStatus, StreamSession
 
 #: How long an idle dynamic service sleeps between control-plane polls.
@@ -156,9 +156,8 @@ class DecodeService(ParentLoop):
         Per-session display deadline rate (``None`` disables pacing
         and, with it, overload degradation).
     capacity:
-        Max concurrently active sessions; default derives from the
-        committed ``BENCH_parallel.json`` via
-        :func:`~repro.serve.scheduler.estimate_capacity`.
+        Max concurrently active sessions; default one per worker slot,
+        ``max(1, workers)``.
     max_queue:
         Admission queue depth beyond the capacity (0 = reject
         immediately).
@@ -195,7 +194,6 @@ class DecodeService(ParentLoop):
         policy: DegradePolicy | None = None,
         preroll_pictures: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        bench_path: str | None = None,
         flight_dir: str | None = None,
         _crash_task: tuple | None = None,  # (wid, sid, key) test hook
         _hang_task: tuple | None = None,   # (wid, sid, key) test hook
@@ -210,11 +208,7 @@ class DecodeService(ParentLoop):
             raise ValueError("max_task_retries must be >= 0")
         self.workers = workers
         self.fps = fps
-        self.capacity = (
-            capacity
-            if capacity is not None
-            else estimate_capacity(workers, fps, bench_path)
-        )
+        self.capacity = capacity if capacity is not None else max(1, workers)
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.resilient = resilient

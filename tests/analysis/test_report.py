@@ -65,7 +65,7 @@ class TestSliceGopsAndSynthesize:
     def test_slice_gops_drops_warmup(self, medium_stream):
         from repro.parallel.profile import slice_gops
 
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         trimmed = slice_gops(profile, 1)
         assert len(trimmed.gops) == len(profile.gops) - 1
         assert trimmed.gops[0].index == 0
@@ -78,7 +78,7 @@ class TestSliceGopsAndSynthesize:
     def test_slice_gops_empty_range_rejected(self, medium_stream):
         from repro.parallel.profile import slice_gops
 
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         with pytest.raises(ValueError):
             slice_gops(profile, 5)
 
@@ -86,7 +86,7 @@ class TestSliceGopsAndSynthesize:
         from repro.mpeg2.constants import PictureType
         from repro.parallel.profile import synthesize_profile
 
-        base, _ = profile_stream(medium_stream)
+        base = profile_stream(medium_stream)
         out = synthesize_profile(base, gop_size=31, gops=3)
         assert len(out.gops) == 3
         assert out.picture_count == 93
@@ -103,7 +103,7 @@ class TestSliceGopsAndSynthesize:
     def test_synthesize_profile_reuses_measured_work(self, medium_stream):
         from repro.parallel.profile import synthesize_profile
 
-        base, _ = profile_stream(medium_stream)
+        base = profile_stream(medium_stream)
         out = synthesize_profile(base, gop_size=13, gops=2)
         measured_bits = {
             p.total_counters().bits for g in base.gops for p in g.pictures
@@ -117,7 +117,7 @@ class TestSliceGopsAndSynthesize:
         from repro.parallel.profile import synthesize_profile
         from repro.smp import challenge
 
-        base, _ = profile_stream(medium_stream)
+        base = profile_stream(medium_stream)
         out = synthesize_profile(base, gop_size=4, gops=12)
         result = GopLevelDecoder(out).run(
             ParallelConfig(workers=4, machine=challenge(6))
@@ -127,7 +127,7 @@ class TestSliceGopsAndSynthesize:
 
 class TestTileProfile:
     def test_tiling_scales_counts(self, medium_stream):
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         tiled = tile_profile(profile, 3)
         assert tiled.picture_count == 3 * profile.picture_count
         assert len(tiled.gops) == 3 * len(tiled.gops) // 3
@@ -135,7 +135,7 @@ class TestTileProfile:
         assert tiled.total_counters().bits == 3 * profile.total_counters().bits
 
     def test_display_indices_unique_and_dense(self, medium_stream):
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         tiled = tile_profile(profile, 4)
         indices = sorted(
             p.display_index for g in tiled.gops for p in g.pictures
@@ -143,7 +143,7 @@ class TestTileProfile:
         assert indices == list(range(tiled.picture_count))
 
     def test_gop_indices_renumbered(self, medium_stream):
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         tiled = tile_profile(profile, 2)
         assert [g.index for g in tiled.gops] == list(range(len(tiled.gops)))
 
@@ -151,7 +151,7 @@ class TestTileProfile:
         from repro.parallel import GopLevelDecoder, ParallelConfig
         from repro.smp import challenge
 
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         tiled = tile_profile(profile, 5)  # 10 GOPs
         r4 = GopLevelDecoder(tiled).run(
             ParallelConfig(workers=4, machine=challenge(6))
@@ -164,6 +164,6 @@ class TestTileProfile:
         assert 3.2 < r4.pictures_per_second / r1.pictures_per_second <= 4.05
 
     def test_invalid_repeats(self, medium_stream):
-        profile, _ = profile_stream(medium_stream)
+        profile = profile_stream(medium_stream)
         with pytest.raises(ValueError):
             tile_profile(profile, 0)

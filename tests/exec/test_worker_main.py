@@ -560,6 +560,27 @@ def test_src_simulator_keeps_one_of_each():
     assert pacers == ["Pacer"]
 
 
+def test_src_simulator_decodes_nothing():
+    # The simulated decoders are performance models: they replay a
+    # profile's work counters and import none of the decode path, not
+    # even inside a function.  Pixels come from the real decoders.
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    decode = {f"repro.mpeg2.{m}" for m in ("decoder", "macroblock", "kernel", "frame")}
+    for name in ("gop_level", "slice_level", "macroblock_level", "numa", "simrun"):
+        with open(os.path.join(root, "parallel", f"{name}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module} | {
+                    f"{node.module}.{alias.name}" for alias in node.names
+                }
+            else:
+                continue
+            assert not modules & decode, (name, node.lineno, sorted(modules))
+
+
 def test_src_executor_imports_parallel_lazily():
     # ``repro.parallel.queues`` imports ``repro.exec.plan``; that stays
     # acyclic only while ``repro.exec`` reaches back into
@@ -656,8 +677,8 @@ def test_src_gop_decode_streams_through_the_picture_path():
 
 def test_src_has_one_picture_kernel_and_one_reference_table():
     # Every batched decode of a picture — sequential, slice batch, serve
-    # task, GOP task, the encoder's decode-back and the phase-split
-    # probe — runs the picture kernel: outside ``batched.py`` a slice is
+    # task, GOP task and the encoder's decode-back — runs the picture
+    # kernel: outside ``batched.py`` a slice is
     # parsed at one call site and a picture reconstructed at one, both
     # in ``kernel.py``.  The two-slot reference rotation is written once,
     # in the kernel's reference table; and a GOP task decodes into its

@@ -19,6 +19,7 @@ from repro.mpeg2.batched import SliceParse, parse_slice
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
+from repro.mpeg2.kernel import reference_frames
 from repro.parallel.profile import profile_stream
 from repro.video.streams import build_stream, paper_stream_matrix
 from repro.video.synthetic import SyntheticVideo
@@ -77,21 +78,26 @@ class TestBasicParity:
         assert_stream_parity(medium_stream)
 
     def test_per_slice_counters_identical(self, small_stream):
-        """Slice-granular counters feed the paper's simulations; the
-        batched engine must report the exact same per-slice work."""
-        prof_s, frames_s = profile_stream(
-            small_stream, keep_frames=True, engine="scalar"
-        )
-        prof_b, frames_b = profile_stream(
-            small_stream, keep_frames=True, engine="batched"
-        )
-        assert_frames_identical(frames_s, frames_b)
-        for gs, gb in zip(prof_s.gops, prof_b.gops):
-            for ps, pb in zip(gs.pictures, gb.pictures):
-                assert len(ps.slices) == len(pb.slices)
-                for ss, sb in zip(ps.slices, pb.slices):
-                    assert ss.vertical_position == sb.vertical_position
-                    assert ss.counters == sb.counters
+        """Slice-granular counters feed the paper's simulations: the
+        profiler must report the scalar oracle's exact per-slice work."""
+        dec = SequenceDecoder(small_stream, engine="scalar")
+        oracle = []
+        for gop in dec.index.gops:
+            decoded = []
+            for pic, refs in zip(gop.pictures, gop.references()):
+                fwd, bwd = reference_frames(refs, decoded)
+                per_slice = []
+                decoded.append(
+                    dec.decode_picture(pic, fwd, bwd, per_slice=per_slice)
+                )
+                oracle.append(per_slice)
+        profile = profile_stream(small_stream)
+        pictures = [p for g in profile.gops for p in g.pictures]
+        assert len(pictures) == len(oracle)
+        for pp, per_slice in zip(pictures, oracle):
+            assert [(s.vertical_position, s.counters) for s in pp.slices] == (
+                per_slice
+            )
 
 
 class TestResolutionMatrix:

@@ -138,7 +138,7 @@ class TestAllIntraStream:
 
         frames = SyntheticVideo(48, 32, seed=9).frames(12)
         data = encode_sequence(frames, EncoderConfig(gop_size=1, qscale_code=3))
-        profile, _ = profile_stream(data)
+        profile = profile_stream(data)
         r1 = GopLevelDecoder(profile).run(
             ParallelConfig(workers=1, machine=challenge(4))
         )

@@ -19,6 +19,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
+import struct
 
 import pytest
 
@@ -27,10 +29,13 @@ from repro.mpeg2.index import build_index
 from repro.net.client import stream_session
 from repro.net.impair import ImpairmentProfile
 from repro.net.protocol import (
+    MSG_ACCEPT,
     MSG_HELLO,
+    MSG_PIC_DONE,
     MSG_RATE,
     MSG_REJECT,
     MSG_SEEK,
+    decode_body,
     encode_message,
     read_message,
 )
@@ -427,6 +432,57 @@ class TestDisconnectContainment:
         ]
         counts = scenario.report["service"]["status_counts"]
         assert counts == {"done": 4}
+
+    @pytest.mark.parametrize("stats_push", [0, 4])
+    def test_close_with_bye_unread_is_done(self, tmp_path, stats_push):
+        # A client may close as soon as it has every PIC_DONE.  This one
+        # reads the socket frame by frame, so what the server sends
+        # after the last PIC_DONE (BYE; a STATS push before it, if
+        # ``stats_push`` divides the picture count) stays unread in the
+        # kernel, and the close resets the connection.
+        async def recv_exactly(loop, sock, n):
+            buf = b""
+            while len(buf) < n:
+                chunk = await loop.sock_recv(sock, n - len(buf))
+                assert chunk, "server closed early"
+                buf += chunk
+            return buf
+
+        async def recv_message(loop, sock):
+            (length,) = struct.unpack("!I", await recv_exactly(loop, sock, 4))
+            return decode_body(await recv_exactly(loop, sock, length))
+
+        async def scenario():
+            srv = NetServer(
+                STREAMS, workers=0, fps=240.0, flight_dir=str(tmp_path),
+                stats_push_pictures=stats_push,
+            )
+            await srv.start()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setblocking(False)
+            try:
+                await loop.sock_connect(sock, ("127.0.0.1", srv.port))
+                await loop.sock_sendall(
+                    sock, encode_message(MSG_HELLO, 0, {"stream": "two_gop"})
+                )
+                accept = await recv_message(loop, sock)
+                assert accept.type == MSG_ACCEPT
+                pictures = accept.header["pictures"]
+                done = 0
+                while done < pictures:
+                    done += (await recv_message(loop, sock)).type == MSG_PIC_DONE
+                await asyncio.sleep(0.05)
+            finally:
+                sock.close()
+                scenario.report = await srv.aclose()
+
+        run(scenario())
+        report = scenario.report
+        (conn,) = report["connections"]
+        assert conn["status"] == "done", conn.get("error")
+        assert not [p for p in report["flight_dumps"] if "net-disconnected" in p]
+        assert report["service"]["status_counts"] == {"done": 1}
 
 
 class TestTelemetry:

@@ -101,8 +101,7 @@ class TestDecoderBreakdowns:
     def _profile(self, stream):
         from repro.parallel.profile import profile_stream
 
-        profile, _ = profile_stream(stream)
-        return profile
+        return profile_stream(stream)
 
     def test_gop_decoder_stalls_use_canonical_reasons(self, medium_stream):
         from repro.parallel.gop_level import GopLevelDecoder, ParallelConfig

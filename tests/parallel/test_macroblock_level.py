@@ -16,7 +16,7 @@ from repro.smp import DEFAULT_COST_MODEL, challenge
 
 @pytest.fixture(scope="module")
 def profile(medium_stream):
-    p, _ = profile_stream(medium_stream)
+    p = profile_stream(medium_stream)
     return tile_profile(p, 4)
 
 

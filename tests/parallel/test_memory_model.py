@@ -11,7 +11,7 @@ from repro.smp.machine import MachineConfig
 
 @pytest.fixture(scope="module")
 def profile(medium_stream):
-    p, _ = profile_stream(medium_stream)
+    p = profile_stream(medium_stream)
     return p
 
 

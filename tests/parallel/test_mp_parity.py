@@ -29,7 +29,6 @@ from repro.parallel.mp import (
     GopResult,
     MPGopDecoder,
     SharedFramePool,
-    decode_parallel,
     scan_gop_tasks,
 )
 from repro.parallel.mp_slice import DisplayMerger
@@ -175,7 +174,7 @@ class TestBasicParity:
 
     def test_scalar_engine_workers(self, two_gop_stream):
         ref, _ = _sequential(two_gop_stream)
-        got = decode_parallel(two_gop_stream, workers=2, engine="scalar")
+        got = MPGopDecoder(two_gop_stream, workers=2, engine="scalar").decode_all()
         assert_frames_identical(ref, got)
 
     def test_invalid_arguments(self, small_stream):
@@ -216,7 +215,7 @@ class TestResilientParity:
     def test_strict_mode_raises_across_processes(self, small_stream):
         data = corrupt_slice(small_stream, gop=0, pic=4, sl=1)
         with pytest.raises(Exception):
-            decode_parallel(data, workers=2)
+            MPGopDecoder(data, workers=2).decode_all()
 
 
 class TestPropertyParity:

@@ -22,11 +22,7 @@ import pytest
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
 from repro.mpeg2.index import build_index
-from repro.parallel.mp_slice import (
-    MPSliceDecoder,
-    decode_slice_parallel,
-    scan_slice_tasks,
-)
+from repro.parallel.mp_slice import MPSliceDecoder, scan_slice_tasks
 
 from tests.mpeg2.test_batched_parity import assert_frames_identical
 from tests.mpeg2.test_golden_vectors import CORPUS, VECTOR_NAMES, load_vector
@@ -146,7 +142,7 @@ class TestGoldenVectorParity:
         # Belt and braces: frames also match the committed digests, so
         # this suite fails even if the scalar oracle itself drifts.
         data, _, _ = scalar_reference[name]
-        frames = decode_slice_parallel(data, workers=0)
+        frames = MPSliceDecoder(data, workers=0).decode_all()
         assert [f.digest() for f in frames] == CORPUS[name]["frame_digests"]
 
 
@@ -215,7 +211,7 @@ class TestResilientParity:
             scalar_exc = type(exc)
         assert scalar_exc is not None
         with pytest.raises(Exception) as info:
-            decode_slice_parallel(data, workers=workers)
+            MPSliceDecoder(data, workers=workers).decode_all()
         assert not isinstance(info.value, AssertionError)
 
 

@@ -12,7 +12,7 @@ from repro.smp import challenge, dash
 
 @pytest.fixture(scope="module")
 def profile(medium_stream):
-    p, _ = profile_stream(medium_stream)
+    p = profile_stream(medium_stream)
     return tile_profile(p, 24)  # 48 GOPs: >= 4 tasks per worker
 
 

@@ -6,18 +6,17 @@ import pytest
 
 from repro.mpeg2.constants import PictureType
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import SequenceDecoder, decode_sequence
+from repro.mpeg2.decoder import SequenceDecoder
 from repro.parallel.profile import cached_profile, profile_stream
 
 
 @pytest.fixture(scope="module")
-def profile_and_frames(medium_stream):
-    return profile_stream(medium_stream, keep_frames=True)
+def profile(medium_stream):
+    return profile_stream(medium_stream)
 
 
 class TestProfileStructure:
-    def test_counts(self, profile_and_frames, medium_stream):
-        profile, _ = profile_and_frames
+    def test_counts(self, profile, medium_stream):
         assert profile.picture_count == 26
         assert len(profile.gops) == 2
         assert profile.gop_size == 13
@@ -26,30 +25,18 @@ class TestProfileStructure:
         assert profile.total_bytes == len(medium_stream)
         assert profile.width == 96 and profile.height == 64
 
-    def test_display_indices_are_global_and_unique(self, profile_and_frames):
-        profile, _ = profile_and_frames
+    def test_display_indices_are_global_and_unique(self, profile):
         indices = sorted(
             p.display_index for g in profile.gops for p in g.pictures
         )
         assert indices == list(range(26))
 
-    def test_frame_bytes(self, profile_and_frames):
-        profile, _ = profile_and_frames
+    def test_frame_bytes(self, profile):
         assert profile.frame_bytes == 96 * 64 * 3 // 2
 
-    def test_kept_frames_match_sequential_decoder(
-        self, profile_and_frames, medium_stream
-    ):
-        _, frames = profile_and_frames
-        reference = decode_sequence(medium_stream)
-        assert len(frames) == len(reference)
-        for a, b in zip(frames, reference):
-            assert a.same_pixels(b)
-
     def test_total_counters_match_sequential_decode(
-        self, profile_and_frames, medium_stream
+        self, profile, medium_stream
     ):
-        profile, _ = profile_and_frames
         seq_counters = WorkCounters()
         SequenceDecoder(medium_stream).decode_all(seq_counters)
         total = profile.total_counters()
@@ -59,9 +46,8 @@ class TestProfileStructure:
         assert total.coefficients == seq_counters.coefficients
 
     def test_per_picture_wire_bytes_sum_to_stream(
-        self, profile_and_frames, medium_stream
+        self, profile, medium_stream
     ):
-        profile, _ = profile_and_frames
         total = sum(
             p.wire_bytes for g in profile.gops for p in g.pictures
         )
@@ -71,8 +57,7 @@ class TestProfileStructure:
 
 
 class TestReferences:
-    def test_reference_positions_coding_order(self, profile_and_frames):
-        profile, _ = profile_and_frames
+    def test_reference_positions_coding_order(self, profile):
         gop = profile.gops[0]
         # Coding order is I P B B P B B ...
         types = [p.picture_type for p in gop.pictures]
@@ -84,8 +69,7 @@ class TestReferences:
         assert gop.reference_positions(3) == [0, 1]   # B2 <- I0, P3
         assert gop.reference_positions(4) == [1]      # P6 <- P3
 
-    def test_dependents_inverse_of_references(self, profile_and_frames):
-        profile, _ = profile_and_frames
+    def test_dependents_inverse_of_references(self, profile):
         gop = profile.gops[0]
         n = len(gop.pictures)
         for pos in range(n):

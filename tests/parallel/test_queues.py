@@ -92,7 +92,7 @@ def make_entries(medium_stream):
     mutated by the queue, so each run needs its own)."""
     from repro.parallel.slice_level import SliceLevelDecoder
 
-    profile, _ = profile_stream(medium_stream)
+    profile = profile_stream(medium_stream)
     decoder = SliceLevelDecoder(profile)
     return decoder._build_entries
 

@@ -3,11 +3,11 @@
 The simulated SMP is deterministic, so a refactor of the simulator that
 claims to change no behaviour can be held to exact equality: every row
 of ``sim_golden.json`` is one simulated run — decoder x worker count x
-pacing, plus the bounded pool, the NUMA decoder and ``execute=True`` —
-and pins its finish time, display times, per-worker busy / stall /
-sync-wait cycles, memory curve, lateness and (executed runs) decoded
-pixels.  The stall table is deliberately not pinned: ``merge.reorder``
-attribution is bookkeeping beside the cycle counts, not part of them.
+pacing, plus the bounded pool, the NUMA decoder and the untiled
+stream — and pins its finish time, display times, per-worker busy /
+stall / sync-wait cycles, memory curve and lateness.  The stall table
+is deliberately not pinned: ``merge.reorder`` attribution is
+bookkeeping beside the cycle counts, not part of them.
 
 Regenerate (only when a change *means* to move cycle counts, and says
 why) with ``PYTHONPATH=src python -m tests.parallel.test_sim_golden``.
@@ -72,33 +72,29 @@ def matrix() -> dict[str, tuple[str, dict]]:
         ))
     for kind in KINDS[:3]:
         for workers in (1, 3):
-            runs[f"{kind}-p{workers}-execute"] = (
-                kind, dict(workers=workers, execute=True)
-            )
+            runs[f"{kind}-p{workers}-untiled"] = (kind, dict(workers=workers))
     return runs
 
 
 @functools.lru_cache(maxsize=1)
 def _profiles(data: bytes):
-    base, _ = profile_stream(data)
+    base = profile_stream(data)
     return base, tile_profile(base, 4)
 
 
-def simulate(kind: str, kwargs: dict, data: bytes):
-    execute = kwargs.get("execute", False)
-    # Executed runs decode the real two-GOP stream; the rest replay its
-    # profile tiled x4 (8 GOPs, 104 pictures).
-    profile = _profiles(data)[0 if execute else 1]
+def simulate(run_id: str, kind: str, kwargs: dict, data: bytes):
+    # The untiled runs replay the two-GOP stream's own profile; the
+    # rest replay it tiled x4 (8 GOPs, 104 pictures).
+    profile = _profiles(data)[0 if run_id.endswith("-untiled") else 1]
     config = ParallelConfig(**{"machine": challenge(16), **kwargs})
-    stream = data if execute else None
     if kind == "gop":
-        return GopLevelDecoder(profile, stream).run(config)
+        return GopLevelDecoder(profile).run(config)
     if kind == "numa":
         return PlacedGopDecoder(profile).run(config)
     if kind == "macroblock":
         return MacroblockLevelDecoder(profile).run(config)
     mode = SliceMode(kind.removeprefix("slice-"))
-    return SliceLevelDecoder(profile, stream).run(config, mode)
+    return SliceLevelDecoder(profile).run(config, mode)
 
 
 def _sha(obj) -> str:
@@ -119,8 +115,6 @@ def measure(kind: str, result) -> dict:
     }
     if kind != "macroblock":
         row["startup_cycles"] = result.startup_cycles
-    if result.frames is not None:
-        row["frames"] = _sha([f.digest() for f in result.frames])
     return row
 
 
@@ -147,7 +141,7 @@ def test_run_matches_golden(run_id, pins, medium_stream):
         "the medium_stream fixture changed; regenerate sim_golden.json"
     )
     kind, kwargs = matrix()[run_id]
-    assert measure(kind, simulate(kind, kwargs, medium_stream)) == (
+    assert measure(kind, simulate(run_id, kind, kwargs, medium_stream)) == (
         pins["runs"][run_id]
     )
 
@@ -164,7 +158,7 @@ if __name__ == "__main__":
     doc = {
         "stream_sha256": stream_sha(stream),
         "runs": {
-            run_id: measure(kind, simulate(kind, kwargs, stream))
+            run_id: measure(kind, simulate(run_id, kind, kwargs, stream))
             for run_id, (kind, kwargs) in sorted(matrix().items())
         },
     }

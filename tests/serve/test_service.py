@@ -168,25 +168,13 @@ class TestAdmission:
         by_reason = svc.last_stalls.by_reason()
         assert REASON_ADMISSION in by_reason
 
-    def test_estimate_capacity_fallbacks(self, tmp_path):
-        from repro.serve import estimate_capacity
-
-        # No pacing: bounded by worker slots.
-        assert estimate_capacity(4, None) == 4
-        assert estimate_capacity(0, None) == 1
-        # Unreadable benchmark: same fallback.
-        assert estimate_capacity(4, 30.0, str(tmp_path / "nope.json")) == 4
-        # A readable benchmark drives the estimate.
-        import json
-
-        bench = {
-            "headline": "h",
-            "streams": {"h": {"sequential_pictures_per_sec": 300.0}},
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(bench))
-        # 2 workers * 300 p/s * 0.7 safety / 30 fps = 14 sessions.
-        assert estimate_capacity(2, 30.0, str(path)) == 14
+    def test_estimate_capacity_fallbacks(self):
+        # Unset, the capacity is one session per worker slot, paced or
+        # not.
+        assert DecodeService(workers=4, fps=None).capacity == 4
+        assert DecodeService(workers=0, fps=None).capacity == 1
+        assert DecodeService(workers=4, fps=30.0).capacity == 4
+        assert DecodeService(workers=0, fps=30.0).capacity == 1
 
 
 class TestDegradation:
