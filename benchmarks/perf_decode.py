@@ -126,15 +126,6 @@ def phase_split(stages: dict) -> dict[str, float]:
     }
 
 
-def _decode_seconds(data: bytes, engine: str, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        SequenceDecoder(data, engine=engine).decode_all()
-        times.append(perf_counter() - t0)
-    return min(times)
-
-
 def _throughput(spec: TestStreamSpec, seconds: float) -> dict[str, float]:
     mb_per_picture = ((spec.width + 15) // 16) * ((spec.height + 15) // 16)
     return {

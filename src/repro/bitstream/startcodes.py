@@ -10,7 +10,10 @@ scanning, not by decoding (Section 4 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 #: The 24-bit byte-aligned prefix of every MPEG start code.
 START_CODE_PREFIX = 0x000001
@@ -37,8 +40,7 @@ def is_slice_start_code(code: int) -> bool:
     return SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX
 
 
-@dataclass(frozen=True)
-class StartCodeHit:
+class StartCodeHit(NamedTuple):
     """One start code located in a byte buffer.
 
     Attributes
@@ -65,20 +67,35 @@ class StartCodeHit:
 def find_start_codes(
     data: bytes, start: int = 0, end: int | None = None
 ) -> list[StartCodeHit]:
-    """Locate every start code in ``data[start:end]``.
+    """Locate every start code in ``data[start:end]`` (non-negative
+    bounds).
 
-    Runs at scan-process speed: a byte-level substring search with no
-    bit-level decoding.  Overlapping zero runs (e.g. ``00 00 00 01``)
-    are handled per the spec — any number of zero bytes may precede
-    the ``00 00 01`` prefix and the *last* possible alignment wins.
+    Runs at scan-process speed: one NumPy pass over the bytes (the
+    zero bytes, then two gathers for the rest of the prefix) and no
+    bit-level decoding.  The semantics are those of a ``bytes.find``
+    loop that resumes 4 bytes past each hit: any number of zero bytes
+    may precede the ``00 00 01`` prefix and the *last* possible
+    alignment wins (``00 00 00 01`` is one hit, at offset 1); a prefix
+    that starts inside the previous hit's 4 bytes (``00 00 01 00 00 01``)
+    is skipped; a prefix with no code byte before ``end`` is dropped.
     """
-    if end is None:
-        end = len(data)
-    hits: list[StartCodeHit] = []
-    i = start
-    while True:
-        j = data.find(b"\x00\x00\x01", i, end)
-        if j < 0 or j + 3 >= end:
-            return hits
-        hits.append(StartCodeHit(offset=j, code=data[j + 3]))
-        i = j + 4
+    v = np.frombuffer(data, np.uint8)[start:end]
+    if v.size < 4:
+        return []
+    # A prefix at p needs its code byte at p + 3 inside the window.
+    p = np.flatnonzero(v[:-3] == 0)
+    p = p[v[p + 1] == 0]
+    p = p[v[p + 2] == 1]
+    if np.any(np.diff(p) == 3):
+        # Two prefixes 3 apart share a byte: the loop resumes past the
+        # first one's code byte, so the second is not seen.
+        keep, last = [], -4
+        for q in p.tolist():
+            if q >= last + 4:
+                keep.append(q)
+                last = q
+        p = np.array(keep, dtype=np.intp)
+    # ``tuple.__new__`` builds each hit in C, without a Python-level
+    # ``StartCodeHit.__new__`` call per hit.
+    pairs = zip((p + start).tolist(), v[p + 3].tolist())
+    return list(map(tuple.__new__, repeat(StartCodeHit), pairs))

@@ -523,19 +523,21 @@ class WorkerTeam:
         slots: int, state: dict,
     ) -> SharedFramePool:
         """Publish a session — frame pool, bitstream arena (once, parsed
-        in place by every worker) and decode context — to the team."""
-        pool = SharedFramePool(layout, slots=slots)
-        try:
-            arena = StreamArena(data)
-        except BaseException:
-            release_segments(pool)
-            raise
-        msg = (
-            "attach", sid, body, arena.name, arena.size, pool.name,
-            layout, state, self.trace_dir,
-        )
-        self.attached[sid] = (msg, pool, arena)
-        self._broadcast(msg)
+        in place by every worker) and decode context — to the team
+        (traced as one ``exec.attach`` span)."""
+        with trace_span("exec.attach", cat="exec", session=sid, slots=slots):
+            pool = SharedFramePool(layout, slots=slots)
+            try:
+                arena = StreamArena(data)
+            except BaseException:
+                release_segments(pool)
+                raise
+            msg = (
+                "attach", sid, body, arena.name, arena.size, pool.name,
+                layout, state, self.trace_dir,
+            )
+            self.attached[sid] = (msg, pool, arena)
+            self._broadcast(msg)
         return pool
 
     def detach(self, sid: str) -> None:

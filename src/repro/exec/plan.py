@@ -14,7 +14,8 @@ edges between them, and the one parent loop
   cross-GOP edges**; a ``decode`` node carries one :class:`GopTask`
   (the GOP's scan entry), its ``publish`` node is the parent's display
   merge of that GOP.
-* **Slice grain** (:func:`scan_slice_tasks`, :func:`add_slice_picture`,
+* **Slice grain** (:func:`scan_gop_pictures`, :func:`add_slice_picture`;
+  over the whole stream :func:`scan_slice_tasks`,
   :func:`plan_slice_batches`, :func:`plan_slice_graph`) — the 2-D
   picture/slice queue.  Each picture is at most ``workers`` batch
   nodes of consecutive slices (parse and reconstruct fused: one node
@@ -24,7 +25,8 @@ edges between them, and the one parent loop
   **barrier edge** from the previous picture's ``publish``, the
   *improved* policy adds none — which is all the two variants differ
   in.  The adder plans one picture onto a live graph, so a scan may
-  plan as it goes (the simulated 2-D queue does).
+  plan as it goes: the simulated 2-D queue adds a picture at a time,
+  the real one a GOP at a time as its frame window reaches the GOP.
 * **Serve** (:func:`plan_serve_tasks`) — per GOP, one task for the
   reference pictures and one per B picture depending on it; nothing
   depends on a B task, which is what makes shedding one under
@@ -34,7 +36,7 @@ edges between them, and the one parent loop
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.exec.graph import TaskGraph, TaskNode
 from repro.mpeg2.headers import PictureHeader
@@ -91,10 +93,12 @@ def plan_gop_graph(index: StreamIndex) -> TaskGraph:
 # ======================================================================
 # slice grain
 # ======================================================================
-@dataclass(frozen=True)
-class SlicePlan:
+class SlicePlan(NamedTuple):
     """One slice task: wire byte range + static reconstruction flag.
 
+    A named tuple ``(vertical_position, payload_start, payload_end,
+    reconstruct)``: a slice task ships bare tuples, a few bytes each,
+    and the worker names them again with ``SlicePlan._make``.
     ``reconstruct`` is the kernel's :func:`~repro.mpeg2.kernel.last_in_row`
     tag: ``True`` for exactly one slice per macroblock row, the
     bitstream-*last* one, so duplicated slices resolve without any
@@ -135,40 +139,49 @@ class PicturePlan:
         return self.header.picture_type.is_reference
 
 
-def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
-    """Flatten the scan index into coding-order picture plans.
+def scan_gop_pictures(gop: GopIndex, gi: int, base: int) -> list[PicturePlan]:
+    """The picture plans of GOP ``gi`` (its first picture is coding
+    order ``base``), in coding order.
 
     Validates upfront what the sequential decoder validates lazily —
-    closed GOPs only, references present — raising the kernel's
+    a closed GOP, references present — raising the kernel's
     :class:`~repro.mpeg2.kernel.DecodeError` with the sequential
     decoder's messages, so malformed streams are rejected identically.
+    Closed GOPs keep every reference inside the GOP, so a decoder may
+    build these a GOP at a time, as it reaches each GOP.
     """
+    check_closed(gop)
+    ranks = gop.display_ranks()
     plans: list[PicturePlan] = []
-    base = 0
-    for gi, gop in enumerate(index.gops):
-        check_closed(gop)
-        ranks = gop.display_ranks()
-        for pos, (pic, (fwd, bwd)) in enumerate(zip(gop.pictures, gop.references())):
-            check_references(pic.picture_type, fwd is not None, bwd is not None)
-            finals = last_in_row([sl.vertical_position for sl in pic.slices])
-            plans.append(
-                PicturePlan(
-                    order=base + pos,
-                    gop=gi,
-                    display_index=base + ranks[pos],
-                    header=pic.header(),
-                    fwd=base + fwd if fwd is not None else None,
-                    bwd=base + bwd if bwd is not None else None,
-                    slices=tuple(
-                        SlicePlan(
-                            sl.vertical_position, sl.payload_start,
-                            sl.payload_end, final,
-                        )
-                        for sl, final in zip(pic.slices, finals)
-                    ),
-                )
+    for pos, (pic, (fwd, bwd)) in enumerate(zip(gop.pictures, gop.references())):
+        check_references(pic.picture_type, fwd is not None, bwd is not None)
+        finals = last_in_row([sl.vertical_position for sl in pic.slices])
+        plans.append(
+            PicturePlan(
+                order=base + pos,
+                gop=gi,
+                display_index=base + ranks[pos],
+                header=pic.header(),
+                fwd=base + fwd if fwd is not None else None,
+                bwd=base + bwd if bwd is not None else None,
+                slices=tuple(
+                    SlicePlan(
+                        sl.vertical_position, sl.payload_start,
+                        sl.payload_end, final,
+                    )
+                    for sl, final in zip(pic.slices, finals)
+                ),
             )
-        base += len(gop.pictures)
+        )
+    return plans
+
+
+def scan_slice_tasks(index: StreamIndex) -> list[PicturePlan]:
+    """Flatten the whole scan index into coding-order picture plans:
+    :func:`scan_gop_pictures` for every GOP, in stream order."""
+    plans: list[PicturePlan] = []
+    for gi, gop in enumerate(index.gops):
+        plans += scan_gop_pictures(gop, gi, len(plans))
     return plans
 
 
@@ -179,7 +192,7 @@ def add_slice_picture(
     deps: Sequence[int],
     mode: str = "improved",
     workers: int = 1,
-) -> None:
+) -> tuple:
     """Plan picture ``order`` (``count`` slices, predicting from
     pictures ``deps``) onto a graph — live or not — that holds every
     earlier picture.
@@ -190,6 +203,7 @@ def add_slice_picture(
     take a share of the same picture, and a ``p<o>.publish`` node that
     waits for them.  A zero-slice picture is its ``publish`` node
     alone, which then carries the picture's gating edges itself.
+    Returns the batch nodes' tids, in slice order.
     """
     for d in deps:
         if not 0 <= d < order:
@@ -222,6 +236,7 @@ def add_slice_picture(
             deps=batches or gate, barriers=() if batches else barriers,
         )
     )
+    return batches
 
 
 def plan_slice_batches(

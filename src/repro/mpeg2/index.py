@@ -22,6 +22,8 @@ from repro.bitstream import (
     PICTURE_START_CODE,
     SEQUENCE_END_CODE,
     SEQUENCE_HEADER_CODE,
+    SLICE_START_CODE_MAX,
+    SLICE_START_CODE_MIN,
     find_start_codes,
 )
 from repro.bitstream.emulation import unescape_payload
@@ -287,14 +289,20 @@ def build_index(data: bytes) -> StreamIndex:
     current_gop: GopIndex | None = None
     current_pic: PictureIndex | None = None
 
-    for i, hit in enumerate(hits):
-        start = hit.payload_offset
-        end = hits[i + 1].offset if i + 1 < len(hits) else len(data)
-        if hit.code == SEQUENCE_HEADER_CODE:
+    ends = [hit.offset for hit in hits[1:]]
+    ends.append(len(data))
+    for (offset, code), end in zip(hits, ends):
+        start = offset + 4
+        # Slices are nearly every hit: test for them first.
+        if SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX:
+            if current_pic is None:
+                raise StreamIndexError("slice outside any picture")
+            current_pic.slices.append(SliceIndex(code, start, end))
+        elif code == SEQUENCE_HEADER_CODE:
             if seq is not None:
                 raise StreamIndexError("repeated sequence header unsupported")
             seq = SequenceHeader.read(BitReader(unescape_payload(data[start:end])))
-        elif hit.code == GROUP_START_CODE:
+        elif code == GROUP_START_CODE:
             if seq is None:
                 raise StreamIndexError("GOP before sequence header")
             gh = GopHeader.read(
@@ -308,7 +316,7 @@ def build_index(data: bytes) -> StreamIndex:
             )
             gops.append(current_gop)
             current_pic = None
-        elif hit.code == PICTURE_START_CODE:
+        elif code == PICTURE_START_CODE:
             if current_gop is None:
                 raise StreamIndexError("picture outside any GOP")
             ph = PictureHeader.read(BitReader(unescape_payload(data[start:end])))
@@ -322,20 +330,10 @@ def build_index(data: bytes) -> StreamIndex:
                 header_payload_end=end,
             )
             current_gop.pictures.append(current_pic)
-        elif hit.is_slice:
-            if current_pic is None:
-                raise StreamIndexError("slice outside any picture")
-            current_pic.slices.append(
-                SliceIndex(
-                    vertical_position=hit.code,
-                    payload_start=start,
-                    payload_end=end,
-                )
-            )
-        elif hit.code == SEQUENCE_END_CODE:
+        elif code == SEQUENCE_END_CODE:
             break
         else:
-            raise StreamIndexError(f"unexpected start code 0x{hit.code:02X}")
+            raise StreamIndexError(f"unexpected start code 0x{code:02X}")
 
     if seq is None or not gops:
         raise StreamIndexError("stream contains no GOPs")

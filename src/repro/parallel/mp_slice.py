@@ -20,23 +20,29 @@ topologies of it:
 
 The paper's three roles map onto real primitives:
 
-* **scan** — the parent flattens the :class:`repro.mpeg2.index.
-  StreamIndex` into coding-order :class:`PicturePlan` records (byte
-  ranges, reference links, display indices) without decoding
-  (:func:`~repro.exec.plan.scan_slice_tasks`) and plans the graph from
-  them.  The pure-logic :class:`PictureSliceQueue` dispatches from it:
-  earliest ready batch first (the paper's in-order 2-D queue —
-  work-conserving, but GOP 0 always has priority, so display order
-  completes front to back), on a credit of ``2 x workers`` batches, and
-  only inside the frame window (:func:`frame_window`: pool size depends
-  on GOP structure and worker count, never on stream length — the
-  paper's Fig. 8 — and cannot deadlock; argument in DESIGN §2.4).
+* **scan** — one start-code pass builds the :class:`repro.mpeg2.index.
+  StreamIndex`; everything after it is done a GOP at a time.  When the
+  frame window (:func:`gop_frame_window`: pool size depends on GOP
+  structure and worker count, never on stream length — the paper's
+  Fig. 8 — and cannot deadlock; argument in DESIGN §2.4) first reaches
+  a GOP, the parent turns the GOP into coding-order
+  :class:`PicturePlan` records (byte ranges, reference links, display
+  indices) without decoding (:func:`~repro.exec.plan.scan_gop_pictures`)
+  and the pure-logic :class:`PictureSliceQueue` plans them onto its
+  live graph, so the work before picture 0 does not grow with the
+  stream.  The queue dispatches from that graph: earliest ready batch
+  first (the paper's in-order 2-D queue — work-conserving, but GOP 0
+  always has priority, so display order completes front to back), on
+  a credit of ``2 x workers`` batches, and only inside the frame
+  window.
 * **workers** — the warm :class:`repro.exec.backend.WorkerTeam`
   shared with the GOP decoder and the serve layer, fed by the one
   parent loop (:mod:`repro.exec.dispatch`); this module only supplies
   the partition and the policy (:class:`MPSliceDecoder`'s hooks): a
-  session context (:func:`picture_state`) and a task body
-  (:func:`decode_batch`) run per :class:`SliceBatch`.
+  session context (:func:`picture_state`, the same size whatever the
+  stream's length) and a task body (:func:`decode_batch`) run per
+  :class:`SliceBatch`, which carries its picture's header and its own
+  slices' byte ranges.
   The coded stream is published once into shared memory; workers
   attach by name and slice payload byte ranges straight out of the
   segment.  The decode is the picture kernel (:mod:`repro.mpeg2.kernel`)
@@ -92,10 +98,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
+from repro.mpeg2.headers import PictureHeader
 from repro.mpeg2.index import StreamIndex
 from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.metrics import metrics
@@ -107,11 +114,12 @@ from repro.obs.stalls import (
 from repro.obs.trace import trace_complete, trace_span
 from repro.exec.backend import TaskContext
 from repro.exec.dispatch import StreamDecoder
-from repro.exec.graph import COMPLETED, DISPATCHED, PENDING
+from repro.exec.graph import COMPLETED, DISPATCHED, PENDING, TaskGraph
 from repro.exec.plan import (  # noqa: F401  (names callers import from here)
     PicturePlan,
     SlicePlan,
-    plan_slice_batches,
+    add_slice_picture,
+    scan_gop_pictures,
     scan_slice_tasks,
 )
 from repro.parallel.merge import DisplayMerger, record_merge_hold
@@ -122,7 +130,14 @@ from repro.parallel.slice_level import SliceMode
 # the frame window (the slot resource of the slice plan)
 # ======================================================================
 def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
-    """Pool slots for a slice-grain decode of ``plans``.
+    """Pool slots for a slice-grain decode of ``plans``:
+    :func:`gop_frame_window` over their GOP sizes."""
+    return gop_frame_window(Counter(p.gop for p in plans).values(), workers)
+
+
+def gop_frame_window(gop_sizes: Iterable[int], workers: int) -> int:
+    """Pool slots for a slice-grain decode of GOPs of ``gop_sizes``
+    pictures.
 
     ``lookahead + 1``, where lookahead is the longest GOP (so all of
     the GOP the oldest slot holder belongs to can be decoded, which is
@@ -130,8 +145,7 @@ def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
     dispatch credit is never starved by the window).  Independent of
     how many GOPs the stream has.
     """
-    longest = max(Counter(p.gop for p in plans).values(), default=1)
-    return max(longest, 2 * workers) + 1
+    return max(max(gop_sizes, default=1), 2 * workers) + 1
 
 
 # ======================================================================
@@ -140,7 +154,14 @@ def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
 # ======================================================================
 class SliceBatch(NamedTuple):
     """One dispatched task: consecutive slices of one picture, plus the
-    pool slots the picture and its references live in."""
+    pool slots the picture and its references live in.
+
+    The queue hands out the first four fields; :meth:`of` adds what a
+    worker needs of the picture's plan, as plain values so the task
+    pickles in about 250 bytes — the header
+    (:meth:`~repro.mpeg2.headers.PictureHeader.values`) and each of
+    these slices' ``(vertical_position, payload_start, payload_end,
+    reconstruct)`` — so no worker holds the stream's plans."""
 
     order: int
     sidxs: Sequence[int]
@@ -148,6 +169,16 @@ class SliceBatch(NamedTuple):
     #: Slots of ``PicturePlan.dependencies``, in that order (forward
     #: first, then backward).
     ref_slots: tuple[int, ...]
+    header: tuple = ()
+    slices: tuple[tuple, ...] = ()
+
+    def of(self, plan: PicturePlan) -> "SliceBatch":
+        """This batch as a task: ``plan``'s header and the slice plans
+        of ``sidxs`` filled in."""
+        return self._replace(
+            header=plan.header.values(),
+            slices=tuple(tuple(plan.slices[i]) for i in self.sidxs),
+        )
 
 
 class PictureSliceQueue:
@@ -156,13 +187,19 @@ class PictureSliceQueue:
     The real-silicon twin of the simulated
     :class:`repro.parallel.queues.SliceTaskQueue`.  *When* a picture's
     slices may start is not decided here: the queue holds the
-    :func:`~repro.exec.plan.plan_slice_batches` graph of the stream and
-    serves its ready set earliest-planned first — the paper's in-order
-    2-D queue — so ``simple`` and ``improved`` differ only in the edges
-    of that graph.  What the queue adds is the resources a ready batch
-    still needs: a dispatch credit and a pool slot inside the frame
-    window.  It runs no process, so credit, window and
-    never-before-references can be property-tested without one.
+    slice-grain graph of the stream (:func:`~repro.exec.plan.
+    add_slice_picture` per picture, the nodes of
+    :func:`~repro.exec.plan.plan_slice_batches`) and serves its ready
+    set earliest-planned first — the paper's in-order 2-D queue — so
+    ``simple`` and ``improved`` differ only in the edges of that graph.
+    What the queue adds is the resources a ready batch still needs: a
+    dispatch credit and a pool slot inside the frame window.  It runs
+    no process, so credit, window and never-before-references can be
+    property-tested without one.
+
+    The graph is planned a GOP at a time, when the frame window first
+    reaches the GOP, so what the queue holds before the first dispatch
+    does not grow with the stream.
 
     Parameters
     ----------
@@ -171,7 +208,8 @@ class PictureSliceQueue:
     dependencies:
         Per picture, the coding-order numbers it references.  Every
         dependency must be *earlier* (MPEG-2 coding order guarantees
-        this; the plan enforces it).
+        this; the plan enforces it) and, given ``gop_sizes``, in the
+        picture's own GOP (closed GOPs guarantee that).
     mode:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
@@ -191,6 +229,14 @@ class PictureSliceQueue:
     on_slot:
         ``on_slot(slot)`` fires when a picture is given ``slot``, before
         any of its slices is handed out (the owner blanks the slot).
+    gop_sizes:
+        Pictures per GOP, coding order (``None``: one GOP of every
+        picture, planned at construction).
+    on_gop:
+        ``on_gop(gop)`` fires when the frame window first reaches GOP
+        ``gop``, before the queue reads that GOP's entries of
+        ``slice_counts`` and ``dependencies``: an owner may append them
+        there, so it builds a GOP's plans only when the GOP is needed.
     """
 
     def __init__(
@@ -203,21 +249,34 @@ class PictureSliceQueue:
         on_gated: Callable[[int], None] | None = None,
         on_released: Callable[[int], None] | None = None,
         on_slot: Callable[[int], None] | None = None,
+        gop_sizes: Sequence[int] | None = None,
+        on_gop: Callable[[int], None] | None = None,
     ) -> None:
         self.mode = SliceMode(mode).value
         if len(slice_counts) != len(dependencies):
             raise ValueError("slice_counts and dependencies length mismatch")
-        self.graph = graph = plan_slice_batches(
-            slice_counts, dependencies, self.mode, workers
-        )
+        self.graph = TaskGraph()
+        self._workers = workers
         self.credit = max(1, 2 * workers)
-        self._deps = [tuple(dict.fromkeys(d)) for d in dependencies]
-        #: Per picture, its batch nodes; ``_head`` is the first picture
-        #: that may still have one pending (where a gate clock goes).
-        self._batches: list[list] = [[] for _ in slice_counts]
-        for node in graph.nodes.values():
-            if node.kind != "publish":
-                self._batches[node.order].append(node)
+        self._counts = slice_counts
+        self._dependencies = dependencies
+        self._gop_sizes = (
+            [len(slice_counts)] if gop_sizes is None else list(gop_sizes)
+        )
+        self._on_gop = on_gop
+        #: Pictures in the stream; those planned so far are the length
+        #: of the per-picture lists below.
+        self.pictures = sum(self._gop_sizes)
+        self._gops_planned = 0
+        #: Per planned picture: its deduplicated dependencies, its batch
+        #: nodes, its slot, and the emissions its slot still waits for
+        #: (its own and one per picture that references it).
+        self._deps: list[tuple[int, ...]] = []
+        self._batches: list[list] = []
+        self._slot: list[int | None] = []
+        self._holds: list[int] = []
+        #: ``_head`` is the first picture that may still have a batch
+        #: pending (where a gate clock goes).
         self._head = 0
         self._newly_complete: list[int] = []
         self._gate: int | None = None
@@ -225,17 +284,43 @@ class PictureSliceQueue:
         self._on_released = on_released
         self._on_slot = on_slot
         # -- frame window ------------------------------------------------
-        self.window = max(len(slice_counts), 1) if window is None else window
+        self.window = max(self.pictures, 1) if window is None else window
         self._free = list(range(self.window - 1, -1, -1))
-        self._slot: list[int | None] = [None] * len(slice_counts)
-        #: Emissions a picture's slot still waits for: its own and one
-        #: per picture that references it.
-        self._holds = [1] * len(slice_counts)
-        for deps in self._deps:
-            for d in deps:
-                self._holds[d] += 1
         #: First picture whose slot is not yet back on the free list.
         self._base = 0
+        self._reach()
+
+    def _reach(self) -> None:
+        """Plan every GOP the frame window has reached."""
+        while len(self._slot) < self._limit():
+            gop, first = self._gops_planned, len(self._slot)
+            t0, nodes = time.monotonic_ns(), self.graph.planned
+            if self._on_gop is not None:
+                self._on_gop(gop)
+            for order in range(first, first + self._gop_sizes[gop]):
+                deps = tuple(dict.fromkeys(self._dependencies[order]))
+                outside = [d for d in deps if 0 <= d < first]
+                if outside:
+                    raise ValueError(
+                        f"picture {order} depends on {outside}, outside "
+                        f"its GOP (pictures {first} onwards)"
+                    )
+                batches = add_slice_picture(
+                    self.graph, order, self._counts[order], deps,
+                    self.mode, self._workers,
+                )
+                self._batches.append([self.graph.nodes[t] for t in batches])
+                self._deps.append(deps)
+                self._slot.append(None)
+                self._holds.append(1)
+                for d in deps:
+                    self._holds[d] += 1
+            self._gops_planned += 1
+            trace_complete(
+                "mp.plan", "mp", t0, time.monotonic_ns() - t0, gop=gop,
+                pictures=self._gop_sizes[gop],
+                nodes=self.graph.planned - nodes,
+            )
 
     @property
     def in_flight(self) -> int:
@@ -244,7 +329,7 @@ class PictureSliceQueue:
 
     def _limit(self) -> int:
         """One past the last picture the frame window lets start."""
-        return min(len(self._slot), self._base + self.window)
+        return min(self.pictures, self._base + self.window)
 
     def _acquire(self, order: int) -> int:
         slot = self._slot[order]
@@ -343,22 +428,27 @@ class PictureSliceQueue:
                 self._slot[d] = None
         while self._base < len(self._holds) and not self._holds[self._base]:
             self._base += 1
+        self._reach()
 
     # -- diagnostics -----------------------------------------------------
     @property
     def done(self) -> bool:
-        return self.graph.completed == self.graph.planned
+        return (
+            len(self._slot) == self.pictures
+            and self.graph.completed == self.graph.planned
+        )
 
     @property
     def pictures_complete(self) -> int:
         return sum(map(self.is_complete, range(len(self._slot))))
 
     def is_complete(self, order: int) -> bool:
-        return self.graph.state[f"p{order}.publish"] == COMPLETED
+        return self.graph.state.get(f"p{order}.publish") == COMPLETED
 
     def slot_of(self, order: int) -> int | None:
-        """Pool slot ``order`` occupies (``None`` when it has none)."""
-        return self._slot[order]
+        """Pool slot ``order`` occupies (``None`` when it has none, or
+        is not planned yet)."""
+        return self._slot[order] if order < len(self._slot) else None
 
 
 # ======================================================================
@@ -379,14 +469,12 @@ def base_counters(index: StreamIndex) -> WorkCounters:
     return c
 
 
-def picture_state(
-    plans: list[PicturePlan], index: StreamIndex, resilient: bool
-) -> dict:
-    """The immutable picture-grain decode context of one stream —
-    shipped to every worker once, at attach (slice decoder and serve
-    sessions alike)."""
+def picture_state(index: StreamIndex, resilient: bool) -> dict:
+    """The immutable decode context of one stream — shipped to every
+    worker once, at attach (slice decoder and serve sessions alike).
+    Its size does not depend on the stream's length: a picture's plan
+    travels with the tasks that decode it."""
     return {
-        "plans": plans,
         "seq": index.sequence_header,
         "mb_width": index.mb_width,
         "mb_height": index.mb_height,
@@ -395,26 +483,27 @@ def picture_state(
 
 
 def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
-    """Task body: the picture kernel's two phases on one batch, in
-    place on slot ``batch.slot``, references read through views of
-    ``batch.ref_slots``.  Returns ``(order, slices, counters,
-    corrupt_rows)``; the rows wait for the picture's conceal sweep in
-    :meth:`MPSliceDecoder._publish`.  What it raises comes back as an
-    ``err`` result for the parent to re-raise, never a dead worker."""
+    """Task body: the picture kernel's two phases on the slices
+    ``batch`` carries, in place on slot ``batch.slot``, references read
+    through views of ``batch.ref_slots``.  Returns ``(order, slices,
+    counters, corrupt_rows)``; the rows wait for the picture's conceal
+    sweep in :meth:`MPSliceDecoder._publish`.  What it raises comes
+    back as an ``err`` result for the parent to re-raise, never a dead
+    worker."""
     state = ctx.state
-    plan = state["plans"][batch.order]
-    slices = [plan.slices[i] for i in batch.sidxs]
+    header = PictureHeader.from_values(batch.header)
+    slices = list(map(SlicePlan._make, batch.slices))
     counters = WorkCounters()
     parses, corrupt = parse_slices(
         read_slices(ctx.data, slices, [sl.reconstruct for sl in slices]),
-        plan.header, state["mb_width"], state["mb_height"],
-        plan.fwd is not None, state["resilient"], counters,
+        header, state["mb_width"], state["mb_height"],
+        bool(batch.ref_slots), state["resilient"], counters,
     )
     if parses:
-        out = ctx.pool.view_frame(batch.slot, plan.header.temporal_reference)
+        out = ctx.pool.view_frame(batch.slot, header.temporal_reference)
         fwd, bwd = (*map(ctx.pool.view_frame, batch.ref_slots), None, None)[:2]
         try:
-            reconstruct(out, parses, state["seq"], plan.header, fwd, bwd)
+            reconstruct(out, parses, state["seq"], header, fwd, bwd)
         finally:
             del out, fwd, bwd
     return batch.order, len(slices), counters, corrupt
@@ -469,7 +558,10 @@ class MPSliceDecoder(StreamDecoder):
         #: Test-only fault injection: the worker that picks up this
         #: ``(picture_order, slice_index)`` dies with ``os._exit``.
         self._crash_task = _crash_task
-        self.plans = scan_slice_tasks(self.index)
+        #: The run's picture plans in coding order, built a GOP at a
+        #: time as the frame window reaches each GOP (every picture's
+        #: once a run has finished).
+        self.plans: list[PicturePlan] = []
 
     # ------------------------------------------------------------------
     def decode_all(self, counters: WorkCounters | None = None) -> list[Frame]:
@@ -490,29 +582,41 @@ class MPSliceDecoder(StreamDecoder):
         self.gated_since: dict[int, int] = {}
         self.publish_ns: dict[int, int] = {}
         self.corrupt_rows: dict[int, list[int]] = {}
-        plans = self.plans
-        slots = frame_window(plans, self.workers)
+        self.plans = []
+        gop_sizes = [len(gop.pictures) for gop in self.index.gops]
+        slots = gop_frame_window(gop_sizes, self.workers)
+        self._slice_counts: list[int] = []
+        self._dependencies: list[tuple[int, ...]] = []
         self.q = q = PictureSliceQueue(
-            [len(p.slices) for p in plans],
-            [p.dependencies for p in plans],
+            self._slice_counts,
+            self._dependencies,
             self.mode,
             workers=self.workers,
             window=slots,
             on_gated=self._on_gated,
             on_released=self._on_released,
             on_slot=lambda slot: self.pool.clear_frame(slot),
+            gop_sizes=gop_sizes,
+            on_gop=self._plan_gop,
         )
         self.merger = DisplayMerger(
-            len(plans), on_hold=self._held if self.workers else None
+            q.pictures, on_hold=self._held if self.workers else None
         )
         yield from self._run(
             q.graph, decode_batch, slots,
-            picture_state(plans, self.index, self.resilient),
+            picture_state(self.index, self.resilient),
         )
         if not q.done:  # pragma: no cover - defensive
             raise RuntimeError(
                 "picture/slice queue stuck with incomplete pictures"
             )
+
+    def _plan_gop(self, gop: int) -> None:
+        """The queue's frame window reached ``gop``: build its plans."""
+        plans = scan_gop_pictures(self.index.gops[gop], gop, len(self.plans))
+        self.plans += plans
+        self._slice_counts += [len(p.slices) for p in plans]
+        self._dependencies += [p.dependencies for p in plans]
 
     # -- stall attribution -----------------------------------------------
     def _held(self, order: int, since_ns: int, held_ns: int) -> None:
@@ -559,7 +663,7 @@ class MPSliceDecoder(StreamDecoder):
         # (2 x workers) always leaves one with room.
         return (
             self.team.free(2)[0], self.sid, (batch.order, batch.sidxs[0]),
-            batch, "crash" if crash else None,
+            batch.of(self.plans[batch.order]), "crash" if crash else None,
         )
 
     def _done(self, sid, key, payload) -> None:

@@ -10,9 +10,11 @@ Execution model
 * The service is one more *partition* on the process runtime of
   :mod:`repro.exec.backend` and one more *policy* over the one parent
   loop (:class:`~repro.exec.dispatch.ParentLoop`): each session is
-  attached to the team (frame pool + bitstream arena + picture plans),
-  its tasks — a GOP's reference pictures or a single B picture
-  (:class:`~repro.serve.scheduler.ServeTask`), picked by the
+  attached to the team (frame pool + bitstream arena + a decode
+  context whose size does not grow with the stream), its tasks — a
+  GOP's reference pictures or a single B picture
+  (:class:`~repro.serve.scheduler.ServeTask`), sent with those
+  pictures' plans and picked by the
   weighted-fair :class:`~repro.serve.scheduler.Scheduler` from the
   sessions' task graphs — run the :func:`decode_pictures` body (each
   picture one whole-picture batch of the slice decoder's
@@ -93,7 +95,7 @@ def _decode_picture(ctx: TaskContext, plan, counters: WorkCounters) -> None:
     pool = ctx.pool
     batch = SliceBatch(
         plan.order, range(len(plan.slices)), plan.order, plan.dependencies
-    )
+    ).of(plan)
     _order, _slices, done, corrupt = decode_batch(ctx, None, batch)
     counters.add(done)
     out = pool.view_frame(plan.order, plan.header.temporal_reference)
@@ -104,8 +106,10 @@ def _decode_picture(ctx: TaskContext, plan, counters: WorkCounters) -> None:
         del out, fwd
 
 
-def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters:
-    """Task body: decode whole pictures into the session's frame pool.
+def decode_pictures(ctx: TaskContext, key: tuple, plans: tuple) -> WorkCounters:
+    """Task body: decode whole pictures — the task carries their
+    :class:`~repro.exec.plan.PicturePlan` records, in coding order —
+    into the session's frame pool.
 
     Runs in a worker (or in the parent at ``workers=0``) and records
     the ``serve.worker.*`` metrics there, so report consumers see one
@@ -115,19 +119,18 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
     summed work counters; whatever it raises fails the session, not
     the worker.
     """
-    state = ctx.state
     counters = WorkCounters()
     reg = metrics()
     t0 = time.perf_counter()
     try:
         with trace_span(
             "serve.task", cat="serve",
-            session=ctx.sid, key=str(key), pictures=len(orders),
+            session=ctx.sid, key=str(key), pictures=len(plans),
         ):
-            for i, order in enumerate(orders):
-                _decode_picture(ctx, state["plans"][order], counters)
-                if i + 1 < len(orders):
-                    ctx.post(order)
+            for i, plan in enumerate(plans):
+                _decode_picture(ctx, plan, counters)
+                if i + 1 < len(plans):
+                    ctx.post(plan.order)
     except Exception:
         reg.counter("serve.worker.task_errors").inc()
         raise
@@ -136,7 +139,7 @@ def decode_pictures(ctx: TaskContext, key: tuple, orders: tuple) -> WorkCounters
         reg.histogram("serve.worker.task_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
-    reg.counter("serve.worker.pictures").inc(len(orders))
+    reg.counter("serve.worker.pictures").inc(len(plans))
     return counters
 
 
@@ -770,7 +773,7 @@ class DecodeService(ParentLoop):
         sess = self.sessions[sid]
         self._pools[sid] = self.team.attach(
             sid, decode_pictures, sess.data, sess.layout, sess.picture_count,
-            picture_state(sess.plans, sess.index, sess.resilient),
+            picture_state(sess.index, sess.resilient),
         )
         if self.workers:
             live = sum(pool.nbytes for pool in self._pools.values())
@@ -802,7 +805,9 @@ class DecodeService(ParentLoop):
             else None
         )
         metrics().gauge("serve.inflight").inc()
-        return free[0], task.session, task.key, task.orders, fault
+        plans = self.sessions[task.session].plans
+        args = tuple(plans[order] for order in task.orders)
+        return free[0], task.session, task.key, args, fault
 
     def _on_timeout(self) -> bool:
         """Liveness check between result polls: the serve *policy* for

@@ -119,7 +119,7 @@ def test_protocol_end_to_end(golden, stream):
     data, index, pool, attach = stream
     frames, _ = golden.scalar(VECTOR)
     plans = scan_slice_tasks(index)
-    pictures = picture_state(plans, index, False)
+    pictures = picture_state(index, False)
     gop_state = {
         "seq": index.sequence_header,
         "engine": "batched",
@@ -130,7 +130,9 @@ def test_protocol_end_to_end(golden, stream):
     gop1 = replace(scan_gop_tasks(index)[1], slot_base=1)
     first = len(index.gops[0].pictures)
     intra = plans[0]  # first coded picture of a closed GOP: no refs
-    batch = SliceBatch(0, range(len(intra.slices)), 0, ())
+    batch = SliceBatch(0, range(len(intra.slices)), 0, ()).of(intra)
+    # A picture past the session's pool: its serve task raises.
+    stray = replace(intra, order=len(plans))
     pictures_g1 = gop1.picture_count
     assert pictures_g1 > 1
 
@@ -149,12 +151,12 @@ def test_protocol_end_to_end(golden, stream):
         attach("v", decode_pictures, pictures),
         ("task", "g", 0, gop1, None),
         ("task", "s", (0, 0), batch, None),
-        ("task", "v", ("ref", 0), (0,), None),
-        ("task", "v", ("ref", 9), (len(plans),), None),   # raises
-        ("task", "v", ("ref", 0), (0,), None),            # still served
+        ("task", "v", ("ref", 0), (intra,), None),
+        ("task", "v", ("ref", 9), (stray,), None),        # raises
+        ("task", "v", ("ref", 0), (intra,), None),        # still served
         ("task", "nobody", 1, (), None),                  # never attached
         ("detach", "v"),
-        ("task", "v", ("ref", 0), (0,), None),            # late, after detach
+        ("task", "v", ("ref", 0), (intra,), None),        # late, after detach
         ("detach", "v"),                                   # unknown: ignored
     ], watch)
 
@@ -200,7 +202,7 @@ def test_protocol_end_to_end(golden, stream):
     shown = pool.read_frame(0, intra.header.temporal_reference)
     assert shown.digest() == frames[intra.display_index].digest()
     # Errors are the exception itself, and never end the loop.
-    assert isinstance(payloads[3], IndexError)
+    assert isinstance(payloads[3], TypeError)
     assert isinstance(payloads[5], DecodeError)
     assert "not attached" in str(payloads[5])
     assert "not attached" in str(payloads[6])
@@ -238,8 +240,9 @@ def test_protocol_end_to_end(golden, stream):
             got = pool.read_frame(msg[4], plan.header.temporal_reference)
             pooled.append((plan.display_index, got.digest()))
 
+    ref_plans = tuple(plans[o] for o in refs)
     served = drive([attach("v", decode_pictures, pictures),
-                    ("task", "v", key, refs, None)], watch_serve)
+                    ("task", "v", key, ref_plans, None)], watch_serve)
     assert [(r[0], r[2], r[3]) for r in served] == [
         *[("part", "v", key)] * (len(refs) - 1),
         ("ok", "v", key),
@@ -280,9 +283,9 @@ def test_local_team_counts_tasks_not_parts(golden):
     team.attach(
         "v", decode_pictures, data,
         FrameLayout.for_display(seq.width, seq.height), len(plans),
-        picture_state(plans, index, False),
+        picture_state(index, False),
     )
-    team.submit(0, "v", key, refs)
+    team.submit(0, "v", key, tuple(plans[o] for o in refs))
     assert [r[0] for r in team.results] == ["part"] * 4 + ["ok"]
     assert (team.in_flight(), team.in_flight("v"), team.in_flight("x")) == (1, 1, 0)
     parts = [team.fetch() for _ in range(4)]

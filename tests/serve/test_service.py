@@ -474,7 +474,8 @@ class TestHandOver:
         svc._attach(name)
         parts = 0
         while (task := svc.scheduler.next_task()) is not None:
-            team.submit(0, name, task.key, task.orders)
+            plans = tuple(sess.plans[o] for o in task.orders)
+            team.submit(0, name, task.key, plans)
             while team.results:
                 kind, _wid, sid, key, payload, _snap = team.fetch()
                 if kind == "ok":

@@ -12,6 +12,10 @@ never probed directly:
   from a per-byte state machine to a ``find``-and-splice over
   ``00 00 03``; stuffing bytes at buffer edges, back-to-back stuffing,
   and all-stuffing payloads exercise the splice arithmetic.
+* :func:`~repro.bitstream.startcodes.find_start_codes` was rewritten
+  from a ``bytes.find`` loop to one NumPy pass; zero runs, prefixes
+  that share a byte, and prefixes at the window's edges exercise what
+  the loop did implicitly.
 
 Every test here compares against a brute-force reference model, so the
 fast paths are pinned to the obviously-correct formulation.
@@ -28,6 +32,7 @@ from repro.bitstream.emulation import (
     escape_payload,
     unescape_payload,
 )
+from repro.bitstream.startcodes import find_start_codes
 from repro.bitstream.reader import (
     _CACHE_BITS,
     _CACHE_BYTES,
@@ -249,3 +254,77 @@ def test_escape_roundtrip_and_safety(raw):
     for i in range(len(escaped) - 2):
         if escaped[i] == 0 and escaped[i + 1] == 0:
             assert escaped[i + 2] >= 0x03
+
+
+# ----------------------------------------------------------------------
+# the start-code scanner
+# ----------------------------------------------------------------------
+def naive_start_codes(
+    data: bytes, start: int = 0, end: int | None = None
+) -> list[tuple[int, int]]:
+    """The original scanner: a ``bytes.find`` loop resuming 4 bytes past
+    each hit, stopping at the first prefix with no code byte."""
+    if end is None:
+        end = len(data)
+    hits = []
+    i = start
+    while True:
+        j = data.find(b"\x00\x00\x01", i, end)
+        if j < 0 or j + 3 >= end:
+            return hits
+        hits.append((j, data[j + 3]))
+        i = j + 4
+
+
+def scanned(data: bytes, start: int = 0, end: int | None = None):
+    return [(h.offset, h.code) for h in find_start_codes(data, start, end)]
+
+
+#: Mostly zeros and ones, so zero runs, prefixes and prefixes sharing a
+#: byte are common rather than astronomically rare.
+scan_bytes = st.lists(
+    st.one_of(st.sampled_from([0x00, 0x00, 0x00, 0x01]), st.integers(0, 255)),
+    max_size=96,
+).map(bytes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=scan_bytes, cut=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_scanner_matches_find_loop(data, cut):
+    assert scanned(data) == naive_start_codes(data)
+    start, end = sorted(round(c * len(data)) for c in cut)
+    assert scanned(data, start, end) == naive_start_codes(data, start, end)
+    assert scanned(data, start) == naive_start_codes(data, start)
+
+
+@pytest.mark.parametrize(
+    "data,start,end,hits",
+    [
+        # A zero run before the prefix: the last alignment wins.
+        (b"\x00\x00\x00\x01\xb3", 0, None, [(1, 0xB3)]),
+        # Prefixes 3 apart share a byte: the loop resumes past the
+        # first one's code byte, so the second is never seen.
+        (b"\x00\x00\x01\x00\x00\x01\xb8", 0, None, [(0, 0x00)]),
+        (b"\x00\x00\x01\x00\x00\x01\x00\x00\x01\x05", 0, None,
+         [(0, 0x00), (6, 0x05)]),
+        # A prefix at the buffer's end has no code byte: dropped.
+        (b"\xff\x00\x00\x01\x01\x00\x00\x01", 0, None, [(1, 0x01)]),
+        # A hit whose code byte is the window's last byte is kept; one
+        # whose code byte is just past it is dropped.
+        (b"\x00\x00\x01\xb5\x00\x00\x01\xb7", 0, 8, [(0, 0xB5), (4, 0xB7)]),
+        (b"\x00\x00\x01\xb5\x00\x00\x01\xb7", 0, 7, [(0, 0xB5)]),
+        # A window that starts inside a zero run.
+        (b"\x00\x00\x00\x01\x07", 2, None, []),
+        (b"\x00\x00\x00\x00\x01\x07", 2, None, [(2, 0x07)]),
+        (b"", 0, None, []),
+    ],
+)
+def test_scanner_edge_cases(data, start, end, hits):
+    assert naive_start_codes(data, start, end) == hits
+    assert scanned(data, start, end) == hits
+
+
+def test_scanner_matches_find_loop_on_every_golden_vector(golden):
+    for name in [*golden.names, *sorted(golden.negative)]:
+        data = golden.data(name)
+        assert scanned(data) == naive_start_codes(data), name
