@@ -443,15 +443,14 @@ class WorkerTeam:
     :meth:`release`-s the team.
     """
 
-    def __init__(self, workers: int, start_method: str | None = None) -> None:
+    def __init__(self, workers: int) -> None:
         # A child forked before any shared memory exists has no
         # inherited resource tracker; it would start its *own* on its
         # first attach, and that tracker "cleans up" the still-live
         # segment when the worker exits — unlinking it under the
         # parent.  Starting ours first makes every child inherit it.
         resource_tracker.ensure_running()
-        self.key = (workers, start_method)
-        self.ctx = multiprocessing.get_context(start_method)
+        self.key = workers
         self.workers: dict[int, _Worker] = {}
         #: Messages read off the pipes but not yet handed out: one per
         #: ready pipe per wait, so no worker's results starve another's.
@@ -476,14 +475,14 @@ class WorkerTeam:
         it learns every live session before any task."""
         wid = self._next_wid
         self._next_wid += 1
-        task_q = self.ctx.Queue()
-        conn, writer = self.ctx.Pipe(duplex=False)
+        task_q = multiprocessing.Queue()
+        conn, writer = multiprocessing.Pipe(duplex=False)
         # Everything open right now except the two ends the worker uses
         # (the pipes ``start()`` itself creates come later).
         foreign = _open_channels()
         for fd in (task_q._reader.fileno(), writer.fileno()):
             foreign.pop(fd, None)
-        proc = self.ctx.Process(
+        proc = multiprocessing.Process(
             target=worker_main,
             args=(wid, task_q, writer, foreign),
             daemon=True,
@@ -741,12 +740,12 @@ class WorkerTeam:
 # ----------------------------------------------------------------------
 # the registry: teams stay warm between runs
 # ----------------------------------------------------------------------
-_TEAMS: dict[tuple[int, str | None], WorkerTeam] = {}
+_TEAMS: dict[int, WorkerTeam] = {}
 _TEAMS_LOCK = threading.Lock()
 
 
-def get_team(workers: int, start_method: str | None = None):
-    """Lease the team for ``(workers, start_method)``.
+def get_team(workers: int):
+    """Lease the team of ``workers`` processes.
 
     ``workers == 0`` is a fresh :class:`LocalTeam`.  Otherwise the warm
     registered team if it is whole and not in use (created on first
@@ -756,18 +755,17 @@ def get_team(workers: int, start_method: str | None = None):
     """
     if workers == 0:
         return LocalTeam()
-    key = (workers, start_method)
     with _TEAMS_LOCK:
-        team = _TEAMS.get(key)
+        team = _TEAMS.get(workers)
         if team is not None and team.leased:
-            team = WorkerTeam(workers, start_method)
+            team = WorkerTeam(workers)
         else:
             if team is not None and not team.whole:
-                del _TEAMS[key]
+                del _TEAMS[workers]
                 team.shutdown()
                 team = None
             if team is None:
-                team = _TEAMS[key] = WorkerTeam(workers, start_method)
+                team = _TEAMS[workers] = WorkerTeam(workers)
         team.leased = True
         if tracing_enabled():
             team.trace_dir = tempfile.mkdtemp(prefix="repro-trace-")

@@ -11,7 +11,7 @@ which worker and how many may be in flight (:meth:`ParentLoop._claim`),
 what the parent does for a released ``publish`` node and where the
 display-ready run goes (:meth:`~ParentLoop._publish`,
 :meth:`~ParentLoop._emit`), what a part posted by a running task
-means (:meth:`~ParentLoop._part`; GOP and serve tasks post), and what a
+means (:meth:`~ParentLoop._part`; only GOP tasks post), and what a
 failed task or a dead worker means (:meth:`~ParentLoop._failed`,
 :meth:`~ParentLoop._on_timeout`).
 The defaults are the mp decoders': a task error is re-raised and every
@@ -182,7 +182,6 @@ class StreamDecoder(ParentLoop):
         index: StreamIndex | None,
         workers: int | None,
         resilient: bool,
-        start_method: str | None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -192,7 +191,6 @@ class StreamDecoder(ParentLoop):
         self.index = scan_index(data, index)
         self.workers = workers
         self.resilient = resilient
-        self.start_method = start_method
         self.seq = self.index.sequence_header
         self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
         #: Shared-pool bytes the last parallel run allocated (Fig. 8
@@ -218,7 +216,7 @@ class StreamDecoder(ParentLoop):
         """
         self.last_stalls = StallTable()
         self.last_graph = graph
-        team = self.team = get_team(self.workers, self.start_method)
+        team = self.team = get_team(self.workers)
         self.sid = f"run-{next(_RUN_IDS)}"
         t_run = time.perf_counter()
         try:

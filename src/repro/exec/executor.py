@@ -37,7 +37,6 @@ class TaskGraphExecutor:
         workers: int | None = None,
         mode: str = "improved",
         resilient: bool = False,
-        start_method: str | None = None,
         _crash_gop: int | None = None,
         _crash_task: tuple[int, int] | None = None,
     ) -> None:
@@ -46,10 +45,7 @@ class TaskGraphExecutor:
 
         #: The grain and engine this executor runs (the rule applied).
         self.decision = d = resolve(grain, engine)
-        common = dict(
-            index=index, workers=workers,
-            resilient=resilient, start_method=start_method,
-        )
+        common = dict(index=index, workers=workers, resilient=resilient)
         if d.grain == "gop":
             self.planner = MPGopDecoder(
                 data, engine=d.engine, _crash_gop=_crash_gop, **common

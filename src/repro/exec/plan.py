@@ -1,9 +1,8 @@
-"""Planners: the three partitions of a scanned stream, as data.
+"""Planners: the two partitions of a scanned stream, as data.
 
-The paper's GOP-level and slice-level decoders, and the multi-stream
-service on top of them, are one scan -> workers -> display structure
-that differs only in the task queue.  This module is where that
-difference lives: each planner lowers a
+The paper's GOP-level and slice-level decoders are one scan -> workers
+-> display structure that differs only in the task queue.  This module
+is where that difference lives: each planner lowers a
 :class:`~repro.mpeg2.index.StreamIndex` into the units of work and the
 edges between them, and the one parent loop
 (:mod:`repro.exec.dispatch`) dispatches whichever it is handed.
@@ -16,21 +15,24 @@ edges between them, and the one parent loop
   merge of that GOP.
 * **Slice grain** (:func:`scan_gop_pictures`, :func:`add_slice_picture`;
   over the whole stream :func:`scan_slice_tasks`,
-  :func:`plan_slice_batches`, :func:`plan_slice_graph`) — the 2-D
-  picture/slice queue.  Each picture is at most ``workers`` batch
-  nodes of consecutive slices (parse and reconstruct fused: one node
-  is one message) plus one parent-run ``publish`` node that waits for
-  them.  A picture's batches carry a **ref edge** from the ``publish``
-  of every picture it predicts from; the *simple* policy adds one
-  **barrier edge** from the previous picture's ``publish``, the
-  *improved* policy adds none — which is all the two variants differ
-  in.  The adder plans one picture onto a live graph, so a scan may
-  plan as it goes: the simulated 2-D queue adds a picture at a time,
-  the real one a GOP at a time as its frame window reaches the GOP.
-* **Serve** (:func:`plan_serve_tasks`) — per GOP, one task for the
-  reference pictures and one per B picture depending on it; nothing
-  depends on a B task, which is what makes shedding one under
-  overload safe.
+  :func:`plan_slice_graph`) — the 2-D picture/slice queue.  Each
+  picture is at most ``workers`` batch nodes of consecutive slices
+  (parse and reconstruct fused: one node is one message) plus one
+  parent-run ``publish`` node that waits for them.  A picture's
+  batches carry a **ref edge** from the ``publish`` of every picture
+  it predicts from (:attr:`PicturePlan.dependencies`); the *simple*
+  policy adds one **barrier edge** from the previous picture's
+  ``publish``, the *improved* policy adds none — which is all the two
+  variants differ in.  The adder plans one picture onto a live graph,
+  so a scan may plan as it goes: the simulated 2-D queue adds a
+  picture at a time, the real one a GOP at a time as its frame window
+  reaches the GOP.
+
+The multi-stream service plans nothing of its own: a serve task is one
+whole picture whose edges are that picture's
+:attr:`PicturePlan.dependencies` — the improved slice plan's ref edges
+— picked by the weighted-fair scheduler
+(:mod:`repro.serve.scheduler`).
 """
 
 from __future__ import annotations
@@ -239,66 +241,17 @@ def add_slice_picture(
     return batches
 
 
-def plan_slice_batches(
-    slice_counts: Sequence[int],
-    dependencies: Sequence[Sequence[int]],
-    mode: str = "improved",
-    workers: int = 1,
-) -> TaskGraph:
-    """Slice-grain plan over bare picture structure (pure logic):
-    :func:`add_slice_picture` for every picture, in coding order."""
-    graph = TaskGraph()
-    for order, (count, deps) in enumerate(zip(slice_counts, dependencies)):
-        add_slice_picture(graph, order, count, deps, mode, workers)
-    return graph
-
-
 def plan_slice_graph(
     index: StreamIndex, mode: str = "improved", workers: int = 1
 ) -> TaskGraph:
-    """Slice-grain plan of a scanned stream: :func:`plan_slice_batches`
-    over the reference links :func:`scan_slice_tasks` derived — P waits
-    on its forward reference's publish, B on both references', I on
-    nothing (plus, under ``simple``, the per-picture barrier)."""
-    plans = scan_slice_tasks(index)
-    return plan_slice_batches(
-        [len(p.slices) for p in plans],
-        [p.dependencies for p in plans],
-        mode,
-        workers,
-    )
-
-
-def plan_graph(index: StreamIndex, grain: str) -> TaskGraph:
-    """Dispatch on grain name (``gop`` | ``slice``)."""
-    if grain == "gop":
-        return plan_gop_graph(index)
-    if grain == "slice":
-        return plan_slice_graph(index)
-    raise ValueError(f"unknown grain {grain!r}; expected 'gop' or 'slice'")
-
-
-# ======================================================================
-# serve
-# ======================================================================
-def plan_serve_tasks(plans: Sequence[PicturePlan]) -> list[tuple]:
-    """One session's decomposition: ``(key, kind, gop, orders, deps)``
-    rows in plan order, every picture in exactly one row — per GOP a
-    ``("ref", gop)`` task with its reference pictures, then one
-    ``("b", gop, order)`` task per B picture that depends on it
-    (closed GOPs guarantee both references live there)."""
-    by_gop: dict[int, list[PicturePlan]] = {}
-    for plan in plans:
-        by_gop.setdefault(plan.gop, []).append(plan)
-    rows: list[tuple] = []
-    for gop in sorted(by_gop):
-        ref_key = ("ref", gop)
-        refs = tuple(p.order for p in by_gop[gop] if p.is_reference)
-        if refs:
-            rows.append((ref_key, "ref", gop, refs, ()))
-        rows.extend(
-            (("b", gop, p.order), "b", gop, (p.order,), (ref_key,) if refs else ())
-            for p in by_gop[gop]
-            if not p.is_reference
+    """Slice-grain plan of a scanned stream: :func:`add_slice_picture`
+    for every picture of :func:`scan_slice_tasks`, in coding order — P
+    waits on its forward reference's publish, B on both references', I
+    on nothing (plus, under ``simple``, the per-picture barrier)."""
+    graph = TaskGraph()
+    for plan in scan_slice_tasks(index):
+        add_slice_picture(
+            graph, plan.order, len(plan.slices), plan.dependencies,
+            mode, workers,
         )
-    return rows
+    return graph

@@ -21,8 +21,8 @@ The paper's three roles map onto real primitives:
 * **scan** — the parent builds a :class:`repro.mpeg2.index.StreamIndex`
   (start-code scan, no decoding) once; each GOP's entry in it is a task
   (:func:`~repro.exec.plan.scan_gop_tasks`).
-* **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` for
-  ``(workers, start_method)``, forked once per process and shared with
+* **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` of
+  ``workers`` processes, forked once per process and shared with
   the slice decoder and the serve layer.  The coded stream is published
   **once** into POSIX shared memory; workers attach by name and decode
   their GOP in place, by the parent's offsets, with the batched
@@ -109,9 +109,6 @@ class MPGopDecoder(StreamDecoder):
     resilient:
         Conceal corrupt slices instead of failing (worker-local,
         identical to the sequential decoder's behaviour).
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default;
-        ``"fork"`` on Linux keeps the coded bytes copy-on-write).
     """
 
     def __init__(
@@ -121,12 +118,11 @@ class MPGopDecoder(StreamDecoder):
         workers: int | None = None,
         engine: str = "batched",
         resilient: bool = False,
-        start_method: str | None = None,
         _crash_gop: int | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        super().__init__(data, index, workers, resilient, start_method)
+        super().__init__(data, index, workers, resilient)
         self.engine = engine
         #: Test-only fault injection: the worker that picks up this GOP
         #: dies with ``os._exit`` mid-stream (no result, no cleanup).

@@ -5,7 +5,7 @@
 **slice-level** decomposition (Section 5.2), the one the paper finds
 superior on latency and memory.  Tasks are batches of a picture's
 slices, and *when* a picture's slices may start is the edges of the
-slice-grain task graph (:func:`~repro.exec.plan.plan_slice_batches`);
+slice-grain task graph (:func:`~repro.exec.plan.add_slice_picture`);
 the two synchronisation policies of the simulated
 :class:`repro.parallel.slice_level.SliceLevelDecoder` are two
 topologies of it:
@@ -97,7 +97,6 @@ and the SMP simulator, so all three report through one
 from __future__ import annotations
 
 import time
-from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.mpeg2.counters import WorkCounters
@@ -129,12 +128,6 @@ from repro.parallel.slice_level import SliceMode
 # ======================================================================
 # the frame window (the slot resource of the slice plan)
 # ======================================================================
-def frame_window(plans: Sequence[PicturePlan], workers: int) -> int:
-    """Pool slots for a slice-grain decode of ``plans``:
-    :func:`gop_frame_window` over their GOP sizes."""
-    return gop_frame_window(Counter(p.gop for p in plans).values(), workers)
-
-
 def gop_frame_window(gop_sizes: Iterable[int], workers: int) -> int:
     """Pool slots for a slice-grain decode of GOPs of ``gop_sizes``
     pictures.
@@ -189,7 +182,7 @@ class PictureSliceQueue:
     slices may start is not decided here: the queue holds the
     slice-grain graph of the stream (:func:`~repro.exec.plan.
     add_slice_picture` per picture, the nodes of
-    :func:`~repro.exec.plan.plan_slice_batches`) and serves its ready
+    :func:`~repro.exec.plan.plan_slice_graph`) and serves its ready
     set earliest-planned first — the paper's in-order 2-D queue — so
     ``simple`` and ``improved`` differ only in the edges of that graph.
     What the queue adds is the resources a ready batch still needs: a
@@ -208,19 +201,21 @@ class PictureSliceQueue:
     dependencies:
         Per picture, the coding-order numbers it references.  Every
         dependency must be *earlier* (MPEG-2 coding order guarantees
-        this; the plan enforces it) and, given ``gop_sizes``, in the
-        picture's own GOP (closed GOPs guarantee that).
+        this; the plan enforces it) and in the picture's own GOP
+        (closed GOPs guarantee that).
     mode:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
+    gop_sizes:
+        Pictures per GOP, coding order.
+    window:
+        Pool slots (:func:`gop_frame_window`).  A picture may start
+        only within ``window`` pictures of the first one that still
+        holds or needs a slot.
     workers:
         Sets both bounds on dispatch: a picture is split into at most
         ``workers`` batches, and at most ``2 x workers`` batches (one
         when ``workers`` is 0) are in flight.
-    window:
-        Pool slots (:func:`frame_window`; ``None``: one per picture).
-        A picture may start only within ``window`` pictures of the
-        first one that still holds or needs a slot.
     on_gated / on_released:
         Stall attribution: ``on_gated(order)`` fires when a free credit
         finds nothing to dispatch and ``order`` is the earliest picture
@@ -229,9 +224,6 @@ class PictureSliceQueue:
     on_slot:
         ``on_slot(slot)`` fires when a picture is given ``slot``, before
         any of its slices is handed out (the owner blanks the slot).
-    gop_sizes:
-        Pictures per GOP, coding order (``None``: one GOP of every
-        picture, planned at construction).
     on_gop:
         ``on_gop(gop)`` fires when the frame window first reaches GOP
         ``gop``, before the queue reads that GOP's entries of
@@ -244,12 +236,12 @@ class PictureSliceQueue:
         slice_counts: Sequence[int],
         dependencies: Sequence[Sequence[int]],
         mode: str | SliceMode,
+        gop_sizes: Sequence[int],
+        window: int,
         workers: int = 1,
-        window: int | None = None,
         on_gated: Callable[[int], None] | None = None,
         on_released: Callable[[int], None] | None = None,
         on_slot: Callable[[int], None] | None = None,
-        gop_sizes: Sequence[int] | None = None,
         on_gop: Callable[[int], None] | None = None,
     ) -> None:
         self.mode = SliceMode(mode).value
@@ -260,9 +252,7 @@ class PictureSliceQueue:
         self.credit = max(1, 2 * workers)
         self._counts = slice_counts
         self._dependencies = dependencies
-        self._gop_sizes = (
-            [len(slice_counts)] if gop_sizes is None else list(gop_sizes)
-        )
+        self._gop_sizes = list(gop_sizes)
         self._on_gop = on_gop
         #: Pictures in the stream; those planned so far are the length
         #: of the per-picture lists below.
@@ -284,7 +274,7 @@ class PictureSliceQueue:
         self._on_released = on_released
         self._on_slot = on_slot
         # -- frame window ------------------------------------------------
-        self.window = max(self.pictures, 1) if window is None else window
+        self.window = window
         self._free = list(range(self.window - 1, -1, -1))
         #: First picture whose slot is not yet back on the free list.
         self._base = 0
@@ -536,9 +526,6 @@ class MPSliceDecoder(StreamDecoder):
     resilient:
         Conceal corrupt slices instead of failing (identical
         last-action-wins semantics to the sequential decoder).
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default;
-        ``"fork"`` on Linux keeps the coded bytes copy-on-write).
     """
 
     role, unit, loss = "slice", "picture", "slice"
@@ -550,10 +537,9 @@ class MPSliceDecoder(StreamDecoder):
         workers: int | None = None,
         mode: str | SliceMode = SliceMode.IMPROVED,
         resilient: bool = False,
-        start_method: str | None = None,
         _crash_task: tuple[int, int] | None = None,
     ) -> None:
-        super().__init__(data, index, workers, resilient, start_method)
+        super().__init__(data, index, workers, resilient)
         self.mode = SliceMode(mode)
         #: Test-only fault injection: the worker that picks up this
         #: ``(picture_order, slice_index)`` dies with ``os._exit``.
@@ -591,12 +577,12 @@ class MPSliceDecoder(StreamDecoder):
             self._slice_counts,
             self._dependencies,
             self.mode,
+            gop_sizes,
+            slots,
             workers=self.workers,
-            window=slots,
             on_gated=self._on_gated,
             on_released=self._on_released,
             on_slot=lambda slot: self.pool.clear_frame(slot),
-            gop_sizes=gop_sizes,
             on_gop=self._plan_gop,
         )
         self.merger = DisplayMerger(

@@ -6,10 +6,10 @@ package is that next layer up: N MPEG-2 sessions multiplexed onto one
 shared pool of decode worker processes, with
 
 * per-stream state in :class:`~repro.serve.session.StreamSession`
-  (scan index, picture plans and their one task decomposition — per
-  GOP a reference-picture task plus one task per B picture —, reorder
-  buffer, wall-clock display deadlines the net edge also sends by,
-  priority weight);
+  (scan index, picture plans and their task decomposition — one task
+  per picture, waiting only for that picture's reference pictures, the
+  improved slice plan's edges —, reorder buffer, wall-clock display
+  deadlines the net edge also sends by, priority weight);
 * a weighted-fair :class:`~repro.serve.scheduler.Scheduler` with
   admission control (capacity defaults to one session per worker
   slot) and bounded per-session in-flight work (backpressure);

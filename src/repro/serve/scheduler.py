@@ -4,22 +4,25 @@ The serve layer's brain, kept free of processes and clocks so the
 hypothesis suite (``tests/serve/test_scheduler_properties.py``) can
 drive it through millions of orderings:
 
-* **Tasks** are :class:`ServeTask` records — a GOP's reference
-  pictures (``kind="ref"``) or one B picture (``kind="b"``), with
-  explicit dependency keys.  Each session lane holds them as a
-  :class:`~repro.exec.graph.TaskGraph`; a task is *dispatchable* only
-  from that graph's ready set, i.e. when every dependency has been
-  published, which is what makes "drop B first" legal: nothing ever
-  depends on a ``"b"`` task.  Completion, retry (``requeue``), shedding
-  (cancel) and its inverse (``restore``) are the graph's transitions,
-  so a lane's conservation law can be audited after the run.
+* **Tasks** are :class:`ServeTask` records — one whole picture each,
+  a reference picture (``kind="ref"``, I or P) or a B picture
+  (``kind="b"``), whose dependencies are that picture's own reference
+  pictures: the ref edges of the improved slice plan
+  (:mod:`repro.exec.plan`), picture-wide.  Each session lane holds them
+  as a :class:`~repro.exec.graph.TaskGraph`; a task is *dispatchable*
+  only from that graph's ready set, i.e. when every reference it
+  predicts from has been published, which is what makes "drop B first"
+  legal: nothing ever depends on a ``"b"`` task.  Completion, retry
+  (``requeue``), shedding (cancel) and its inverse (``restore``) are
+  the graph's transitions, so a lane's conservation law can be audited
+  after the run.
 * **Weighted fairness** is start-time fair queueing: each session
   carries a virtual time ``served / weight``; :meth:`Scheduler.
   next_task` serves the dispatchable session with the smallest virtual
-  time.  A session's virtual time only advances when it *was* the
-  minimum, which bounds the spread between any two backlogged sessions
-  by ``max(task.work / weight)`` — the share bound the property suite
-  pins.
+  time.  Every task is one picture, so a dispatch charges one unit; a
+  session's virtual time only advances when it *was* the minimum, which
+  bounds the spread between any two backlogged sessions by
+  ``max(1 / weight)`` — the share bound the property suite pins.
 * **Admission control**: at most ``capacity`` sessions are active at
   once; beyond that, up to ``max_queue`` sessions wait in FIFO order
   and the rest are rejected outright.  Admission is monotone in
@@ -49,28 +52,22 @@ from repro.exec.graph import (
 
 @dataclass(frozen=True)
 class ServeTask:
-    """One schedulable unit: a GOP's reference pictures or one B picture.
+    """One schedulable unit: one picture of a session.
 
-    ``orders`` are the coding-order picture numbers the task decodes
-    (equal to the session frame pool's slots); ``deps`` are the task
-    keys that must be *published* before this task may be dispatched.
-    Reference tasks have no dependencies (closed GOPs are
-    self-contained); a B task depends on its GOP's reference task.
-    Nothing ever depends on a B task — which is exactly why dropping
-    one under overload is safe.
+    ``order`` is the picture's coding order — its frame-pool slot, its
+    node in the session's lane graph and the key it is sent under;
+    ``deps`` are the coding orders of its reference pictures
+    (:attr:`~repro.exec.plan.PicturePlan.dependencies`), which must be
+    *published* before it may be dispatched.  Closed GOPs keep every
+    reference inside the task's GOP.  Nothing ever depends on a B
+    picture — which is exactly why dropping one under overload is safe.
     """
 
     session: str
-    key: tuple
+    order: int
     kind: str  # "ref" | "b"
     gop: int
-    orders: tuple[int, ...]
-    deps: tuple[tuple, ...] = ()
-
-    @property
-    def work(self) -> int:
-        """WFQ work units: pictures decoded by this task."""
-        return max(1, len(self.orders))
+    deps: tuple[int, ...] = ()
 
     @property
     def is_droppable(self) -> bool:
@@ -85,10 +82,10 @@ class Admission(str, Enum):
 
 class _SessionLane:
     """Scheduler-internal per-session lane: the session's live task
-    graph (one node per :class:`ServeTask`, keyed by ``task.key``, the
-    task itself as payload) plus its fair-queueing account."""
+    graph (one node per :class:`ServeTask`, keyed by ``task.order``,
+    the task itself as payload) plus its fair-queueing account."""
 
-    __slots__ = ("sid", "weight", "graph", "served", "finished", "retried")
+    __slots__ = ("sid", "weight", "graph", "served", "finished")
 
     def __init__(self, sid: str, tasks: list[ServeTask], weight: float):
         self.sid = sid
@@ -96,16 +93,13 @@ class _SessionLane:
         self.graph = TaskGraph()
         for t in tasks:
             if t.session != sid:
-                raise ValueError(f"task {t.key} belongs to {t.session!r}")
+                raise ValueError(f"task {t.order} belongs to {t.session!r}")
             # add() rejects a dependency that is not an earlier task.
             self.graph.add(
-                TaskNode(t.key, "reconstruct", gop=t.gop, deps=t.deps, payload=t)
+                TaskNode(t.order, "reconstruct", gop=t.gop, deps=t.deps, payload=t)
             )
         self.served = 0.0
         self.finished = False
-        #: GOPs of requeued tasks: a task may post pictures before its
-        #: worker is lost, so its GOP stays started while it waits.
-        self.retried: set[int] = set()
 
     @property
     def vtime(self) -> float:
@@ -120,15 +114,15 @@ class _SessionLane:
         graph = self.graph
         cancelled: set[tuple] = set()
         for t in tasks:
-            if graph.state[t.key] == PENDING:
-                cancelled.update(graph.cancel(t.key))
+            if graph.state[t.order] == PENDING:
+                cancelled.update(graph.cancel(t.order))
         return [n.payload for key, n in graph.nodes.items() if key in cancelled]
 
     def started_gops(self) -> set[int]:
-        """GOPs with any dispatched, published or requeued work
-        (un-skippable)."""
+        """GOPs with any dispatched or published picture (un-skippable;
+        a requeued picture has shown nothing)."""
         state = self.graph.state
-        return self.retried | {
+        return {
             node.gop
             for key, node in self.graph.nodes.items()
             if state[key] in (DISPATCHED, COMPLETED)
@@ -195,9 +189,9 @@ class Scheduler:
     def is_active(self, sid: str) -> bool:
         return sid in self._active
 
-    def task(self, sid: str, key: tuple) -> ServeTask:
-        """The submitted task ``key`` of session ``sid``."""
-        return self._lanes[sid].graph.nodes[key].payload
+    def task(self, sid: str, order: int) -> ServeTask:
+        """The submitted task of session ``sid``'s picture ``order``."""
+        return self._lanes[sid].graph.nodes[order].payload
 
     def graphs(self) -> list[TaskGraph]:
         """Every admitted or queued session's task graph."""
@@ -225,8 +219,8 @@ class Scheduler:
         if best is None:
             return None
         lane, task = best[2], best[3].payload
-        lane.graph.dispatch(task.key)
-        lane.served += task.work
+        lane.graph.dispatch(task.order)
+        lane.served += 1
         return task
 
     def requeue(self, task: ServeTask) -> None:
@@ -239,13 +233,12 @@ class Scheduler:
         share twice.
         """
         lane = self._lanes[task.session]
-        lane.graph.requeue(task.key)
-        lane.retried.add(task.gop)
-        lane.served = max(0.0, lane.served - task.work)
+        lane.graph.requeue(task.order)
+        lane.served = max(0.0, lane.served - 1)
 
     def complete(self, task: ServeTask) -> None:
-        """Mark a dispatched task finished and publish its key."""
-        self._lanes[task.session].graph.complete(task.key)
+        """Mark a dispatched task finished and publish its picture."""
+        self._lanes[task.session].graph.complete(task.order)
 
     def session_idle(self, sid: str) -> bool:
         """True when the session has no pending and no in-flight tasks."""
@@ -333,7 +326,7 @@ class Scheduler:
         """Put cancelled ``tasks`` back (the inverse of
         :meth:`truncate_from_gop`): they are pending again, each at its
         place in plan order, as if never cancelled."""
-        self._lanes[sid].graph.restore(t.key for t in tasks)
+        self._lanes[sid].graph.restore(t.order for t in tasks)
 
     # -- diagnostics ---------------------------------------------------
     def served_work(self, sid: str) -> float:

@@ -11,24 +11,21 @@ Execution model
   :mod:`repro.exec.backend` and one more *policy* over the one parent
   loop (:class:`~repro.exec.dispatch.ParentLoop`): each session is
   attached to the team (frame pool + bitstream arena + a decode
-  context whose size does not grow with the stream), its tasks — a
-  GOP's reference pictures or a single B picture
-  (:class:`~repro.serve.scheduler.ServeTask`), sent with those
-  pictures' plans and picked by the
-  weighted-fair :class:`~repro.serve.scheduler.Scheduler` from the
-  sessions' task graphs — run the :func:`decode_pictures` body (each
-  picture one whole-picture batch of the slice decoder's
+  context whose size does not grow with the stream), and its tasks —
+  one picture each (:class:`~repro.serve.scheduler.ServeTask`), sent
+  with that picture's plan and picked by the weighted-fair
+  :class:`~repro.serve.scheduler.Scheduler` from the sessions' task
+  graphs — run the :func:`decode_picture` body (one whole-picture
+  batch of the slice decoder's
   :func:`~repro.parallel.mp_slice.decode_batch`, then its conceal
-  sweep), and the loop drives either transport: the warm
+  sweep).  The loop drives either transport: the warm
   :class:`~repro.exec.backend.WorkerTeam` or, at ``workers=0``, the
   in-process :class:`~repro.exec.backend.LocalTeam` (the deterministic
   CI path the fuzz suite leans on).
-* A task hands over each picture as it lands: the body posts every
-  picture but its last the moment it is in the pool, and the session
-  banks it and emits what it makes display-ready while the rest of the
-  task decodes.  So a session's first picture waits for one picture,
-  not for its GOP's reference pictures; the task, its B dependants and
-  ``serve.inflight`` still wait for the task's ``ok``.
+* A picture waits only for its own reference pictures — the edges of
+  the improved slice plan — so a B picture starts as soon as its two
+  references are published, and each picture is emitted the moment its
+  task's ``ok`` makes it display-ready.
 * The parent assigns exactly one task at a time per worker, so it
   always knows which worker holds which task.  Robustness is a
   *policy* over the team's liveness poll: a worker that dies (or
@@ -88,49 +85,38 @@ from repro.serve.session import SessionStatus, StreamSession
 _IDLE_POLL_S = 0.002
 
 
-def _decode_picture(ctx: TaskContext, plan, counters: WorkCounters) -> None:
-    """One whole picture into pool slot ``plan.order`` (a serve pool
-    has a slot per picture): the slice decoder's batch body over all of
-    its slices, then the picture's conceal sweep."""
-    pool = ctx.pool
-    batch = SliceBatch(
-        plan.order, range(len(plan.slices)), plan.order, plan.dependencies
-    ).of(plan)
-    _order, _slices, done, corrupt = decode_batch(ctx, None, batch)
-    counters.add(done)
-    out = pool.view_frame(plan.order, plan.header.temporal_reference)
-    fwd = pool.view_frame(plan.fwd) if plan.fwd is not None else None
-    try:
-        conceal(out, fwd, corrupt, plan.slices, ctx.state["resilient"], counters)
-    finally:
-        del out, fwd
-
-
-def decode_pictures(ctx: TaskContext, key: tuple, plans: tuple) -> WorkCounters:
-    """Task body: decode whole pictures — the task carries their
-    :class:`~repro.exec.plan.PicturePlan` records, in coding order —
-    into the session's frame pool.
+def decode_picture(ctx: TaskContext, key: int, plan) -> WorkCounters:
+    """Task body: one whole picture — the task carries its
+    :class:`~repro.exec.plan.PicturePlan` — into pool slot
+    ``plan.order`` (a serve pool has a slot per picture): the slice
+    decoder's batch body over all of its slices, then the picture's
+    conceal sweep.
 
     Runs in a worker (or in the parent at ``workers=0``) and records
     the ``serve.worker.*`` metrics there, so report consumers see one
-    vocabulary regardless of ``workers``.  Every picture but the last
-    is posted (its coding order) the moment it is in the pool, so the
-    parent can show it while the rest decode.  Returns the pictures'
-    summed work counters; whatever it raises fails the session, not
-    the worker.
+    vocabulary regardless of ``workers``.  Returns the picture's work
+    counters; whatever it raises fails the session, not the worker.
     """
-    counters = WorkCounters()
     reg = metrics()
     t0 = time.perf_counter()
     try:
         with trace_span(
-            "serve.task", cat="serve",
-            session=ctx.sid, key=str(key), pictures=len(plans),
+            "serve.task", cat="serve", session=ctx.sid, key=str(key)
         ):
-            for i, plan in enumerate(plans):
-                _decode_picture(ctx, plan, counters)
-                if i + 1 < len(plans):
-                    ctx.post(plan.order)
+            batch = SliceBatch(
+                plan.order, range(len(plan.slices)), plan.order,
+                plan.dependencies,
+            ).of(plan)
+            _order, _slices, counters, corrupt = decode_batch(ctx, None, batch)
+            out = ctx.pool.view_frame(plan.order, plan.header.temporal_reference)
+            fwd = ctx.pool.view_frame(plan.fwd) if plan.fwd is not None else None
+            try:
+                conceal(
+                    out, fwd, corrupt, plan.slices, ctx.state["resilient"],
+                    counters,
+                )
+            finally:
+                del out, fwd
     except Exception:
         reg.counter("serve.worker.task_errors").inc()
         raise
@@ -139,7 +125,7 @@ def decode_pictures(ctx: TaskContext, key: tuple, plans: tuple) -> WorkCounters:
         reg.histogram("serve.worker.task_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
-    reg.counter("serve.worker.pictures").inc(len(plans))
+    reg.counter("serve.worker.pictures").inc()
     return counters
 
 
@@ -191,15 +177,14 @@ class DecodeService(ParentLoop):
         max_queue: int = 0,
         max_inflight: int = 2,
         resilient: bool = False,
-        start_method: str | None = None,
         task_timeout_s: float = 60.0,
         max_task_retries: int = 1,
         policy: DegradePolicy | None = None,
         preroll_pictures: int = 0,
         clock: Callable[[], float] = time.monotonic,
         flight_dir: str | None = None,
-        _crash_task: tuple | None = None,  # (wid, sid, key) test hook
-        _hang_task: tuple | None = None,   # (wid, sid, key) test hook
+        _crash_task: tuple | None = None,  # (wid, sid, order) test hook
+        _hang_task: tuple | None = None,   # (wid, sid, order) test hook
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -215,7 +200,6 @@ class DecodeService(ParentLoop):
         self.max_queue = max_queue
         self.max_inflight = max_inflight
         self.resilient = resilient
-        self.start_method = start_method
         self.task_timeout_s = task_timeout_s
         self.max_task_retries = max_task_retries
         self.policy = policy or DegradePolicy()
@@ -242,10 +226,10 @@ class DecodeService(ParentLoop):
         )
         self.sessions: dict[str, StreamSession] = {}
         self._sinks: dict[str, Callable[[int, Frame | None], None]] = {}
-        #: (session, task key) -> ids of the workers lost on it (died or
-        #: timed out); its size is the loss count ``max_task_retries``
-        #: bounds.
-        self.excluded: dict[tuple[str, tuple], set[int]] = {}
+        #: (session, picture) -> ids of the workers lost on its task
+        #: (died or timed out); its size is the loss count
+        #: ``max_task_retries`` bounds.
+        self.excluded: dict[tuple[str, int], set[int]] = {}
         self.last_stalls = self.stalls = StallTable()
         self.last_wall_seconds = 0.0
         #: High-water mark of live shared frame-pool bytes.
@@ -605,7 +589,7 @@ class DecodeService(ParentLoop):
             "serve.degrade", "stall", time.monotonic_ns(), int(debt_s * 1e9),
             session=sess.name, reason=reason, tasks=len(dropped),
         )
-        orders = tuple(o for t in dropped for o in t.orders)
+        orders = tuple(t.order for t in dropped)
         self._emit_run(sess, sess.push_dropped(orders), self._pools[sess.name])
 
     def _switch_rung(self, sess: StreamSession, debt_s: float) -> None:
@@ -648,12 +632,11 @@ class DecodeService(ParentLoop):
             return
         self._attach(cont_name)
         sess.continuation = cont_name
-        orders = tuple(o for t in dropped for o in t.orders)
-        sess.switched_orders.update(orders)
+        sess.switched_orders.update(t.order for t in dropped)
         metrics().counter("serve.degrade.switch_rung").inc()
         self._shed(
             sess, REASON_DEGRADE_SWITCH_RUNG, dropped, debt_s,
-            cut_gop=cut, pictures=len(orders), continuation=cont_name,
+            cut_gop=cut, pictures=len(dropped), continuation=cont_name,
         )
 
     def _session_maybe_done(self, sid: str) -> None:
@@ -698,26 +681,16 @@ class DecodeService(ParentLoop):
             ).merge_snapshot(snap)
         super()._result(kind, wid, sid, key, payload, snap)
 
-    def _part(self, sid: str, key: tuple, order: int) -> None:
-        """A running task posted one decoded picture: emit what it makes
-        display-ready now.  The task stays in flight until its ``ok``,
-        which banks the rest (B tasks still wait for the whole task)."""
-        sess = self.sessions[sid]
-        if not sess.terminal:
-            self._emit_run(sess, sess.push_decoded((order,)), self._pools[sid])
-
-    def _done(self, sid: str, key: tuple, counters: WorkCounters) -> None:
+    def _done(self, sid: str, key: int, counters: WorkCounters) -> None:
         sess = self.sessions[sid]
         if sess.terminal:
             return  # late result for an already-failed session
-        task = self.scheduler.task(sid, key)
-        self.scheduler.complete(task)
+        self.scheduler.complete(self.scheduler.task(sid, key))
         sess.counters.add(counters)
-        ready = sess.push_decoded(task.orders)
-        self._emit_run(sess, ready, self._pools[sid])
+        self._emit_run(sess, sess.push_decoded(key), self._pools[sid])
         self._session_maybe_done(sid)
 
-    def _failed(self, sid: str, key: tuple, exc: Exception) -> None:
+    def _failed(self, sid: str, key: int, exc: Exception) -> None:
         # No scheduler.complete(): _fail_session retires the whole
         # lane, in-flight task included.
         self._fail_session(sid, exc)
@@ -772,7 +745,7 @@ class DecodeService(ParentLoop):
         (once per session) and the immutable decode context."""
         sess = self.sessions[sid]
         self._pools[sid] = self.team.attach(
-            sid, decode_pictures, sess.data, sess.layout, sess.picture_count,
+            sid, decode_picture, sess.data, sess.layout, sess.picture_count,
             picture_state(sess.index, sess.resilient),
         )
         if self.workers:
@@ -796,18 +769,17 @@ class DecodeService(ParentLoop):
         task = self.scheduler.next_task() if free else None
         if task is None:
             return None
-        # Test hooks, keyed on (wid, sid, key) so the replacement
+        # Test hooks, keyed on (wid, sid, order) so the replacement
         # worker that retries the task does NOT fail again.
-        ident = (free[0], task.session, task.key)
+        ident = (free[0], task.session, task.order)
         fault = (
             "crash" if ident == self._crash_task
             else "hang" if ident == self._hang_task
             else None
         )
         metrics().gauge("serve.inflight").inc()
-        plans = self.sessions[task.session].plans
-        args = tuple(plans[order] for order in task.orders)
-        return free[0], task.session, task.key, args, fault
+        plan = self.sessions[task.session].plans[task.order]
+        return free[0], task.session, task.order, plan, fault
 
     def _on_timeout(self) -> bool:
         """Liveness check between result polls: the serve *policy* for
@@ -836,7 +808,7 @@ class DecodeService(ParentLoop):
                     {
                         "type": "DecodeError",
                         "message": (
-                            f"task {key} lost {len(excl)} workers "
+                            f"picture {key}'s task lost {len(excl)} workers "
                             f"({why}); retry budget exhausted"
                         ),
                     },
@@ -877,7 +849,7 @@ class DecodeService(ParentLoop):
 
     def _serve(self) -> None:
         """One run of the parent loop — worker processes or ``workers=0``."""
-        team = self.team = get_team(self.workers, self.start_method)
+        team = self.team = get_team(self.workers)
         try:
             # Every admitted (active or queued) session is attached.
             for sid in self._nonterminal():

@@ -4,8 +4,8 @@ A :class:`StreamSession` owns everything one client's stream needs
 inside the service: the scan products (the caller's index or its own
 scan, narrowed to the GOPs from the join point on, + coding-order
 :class:`~repro.exec.plan.PicturePlan` records), the task
-decomposition handed to the scheduler (reference-pictures-per-GOP +
-one task per B picture), the display-order reorder buffer
+decomposition handed to the scheduler (one task per picture, gated by
+its reference pictures), the display-order reorder buffer
 (:class:`~repro.parallel.merge.DisplayMerger`), the deadline pacer
 (:class:`~repro.parallel.pacing.Pacer` on wall seconds — the one
 schedule the net edge also sends by), the degradation state machine,
@@ -26,7 +26,7 @@ from enum import Enum
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.index import StreamIndex, build_index
-from repro.exec.plan import PicturePlan, plan_serve_tasks, scan_slice_tasks
+from repro.exec.plan import PicturePlan, scan_slice_tasks
 from repro.exec.shm import FrameLayout
 from repro.parallel.merge import DisplayMerger
 from repro.parallel.mp_slice import base_counters
@@ -118,8 +118,6 @@ class StreamSession:
             self.plans = scan_slice_tasks(index)
             self.counters = base_counters(index)
         self.merger = DisplayMerger(len(self.plans))
-        #: Coding orders decoded and pushed to the merger so far.
-        self.banked: set[int] = set()
         self.pacer = Pacer(1.0 / fps if fps else None, preroll_pictures)
         self.degrade = DegradeState(policy or DegradePolicy())
         # -- ABR rung ladder -------------------------------------------
@@ -180,11 +178,15 @@ class StreamSession:
 
     # ------------------------------------------------------------------
     def tasks(self) -> list[ServeTask]:
-        """The scheduler decomposition
-        (:func:`~repro.exec.plan.plan_serve_tasks`): a per-GOP
-        reference task plus one task per B picture depending on it.
-        Every picture appears in exactly one task."""
-        return [ServeTask(self.name, *row) for row in plan_serve_tasks(self.plans)]
+        """The scheduler decomposition: one task per picture, in coding
+        order, waiting for exactly its own reference pictures."""
+        return [
+            ServeTask(
+                self.name, p.order, "ref" if p.is_reference else "b", p.gop,
+                p.dependencies,
+            )
+            for p in self.plans
+        ]
 
     # ------------------------------------------------------------------
     # display-side bookkeeping
@@ -196,14 +198,10 @@ class StreamSession:
             ready.extend(self.merger.push(plan.display_index, (order, dropped)))
         return ready
 
-    def push_decoded(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
-        """Bank decoded pictures; return the display-ready run, as
-        ``(order, dropped)`` pairs in display order.  Each picture is
-        banked once: a task's ``ok`` after its parts, or a retried task
-        posting again, skips the orders already banked."""
-        fresh = tuple(o for o in orders if o not in self.banked)
-        self.banked.update(fresh)
-        return self._push(fresh, False)
+    def push_decoded(self, order: int) -> list[tuple[int, bool]]:
+        """Bank a decoded picture; return the display-ready run, as
+        ``(order, dropped)`` pairs in display order."""
+        return self._push((order,), False)
 
     def push_dropped(self, orders: tuple[int, ...]) -> list[tuple[int, bool]]:
         """Bank deliberately-shed pictures as drop markers."""

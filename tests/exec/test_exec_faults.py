@@ -156,15 +156,15 @@ class TestHungWorker:
         # The serve scheduler's result wait and worker reaping now run
         # through repro.exec.backend (timed_queue_get / reap_processes);
         # a wedged worker must still be detected by the task timeout,
-        # replaced, and leave no strays.  ``("ref", 0)`` is the first
-        # GOP's reference task.
+        # replaced, and leave no strays.  Task ``0`` is the first
+        # picture, GOP 0's I picture.
         from repro.serve import DecodeService
         from repro.serve.session import SessionStatus
 
         data = golden.data("two_gop_48x32")
         svc = DecodeService(
             workers=2, capacity=2, task_timeout_s=2.0, max_task_retries=2,
-            _hang_task=(0, "a", ("ref", 0)),
+            _hang_task=(0, "a", 0),
         )
         a = svc.submit("a", data)
         b = svc.submit("b", data)

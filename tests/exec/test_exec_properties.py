@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis.bandwidth import BandwidthProfile, GopBandwidth
 from repro.exec.auto import AutoGranularity, Decision
 from repro.exec.graph import TaskGraph, TaskNode
-from repro.exec.plan import plan_gop_graph, plan_graph, plan_slice_graph
+from repro.exec.plan import plan_gop_graph, plan_slice_graph
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +194,7 @@ class TestConservation:
 
     def test_planner_graphs_conserve_on_real_index(self, golden):
         index = golden.index("ipb_64x48_gop13")
-        for grain in ("gop", "slice"):
-            graph = plan_graph(index, grain)
+        for graph in (plan_gop_graph(index), plan_slice_graph(index)):
             graph.run_all()
             graph.verify_conservation()
 

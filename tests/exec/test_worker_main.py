@@ -2,12 +2,13 @@
 
 No fork: :func:`repro.exec.backend.worker_main` is fed the wire
 protocol by hand — attach, one task of each of the three kinds (GOP,
-slice batch, serve picture list), a task that raises, detach,
-sentinel — and the test reads what it sent down its result pipe (a
-watched stand-in that pickles each message, as a pipe does).  Pins the
-``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP or serve
-task posts every picture but its last as a part, after the picture is
-in the pool), that an error never ends the loop, and that the metrics
+slice batch, serve picture), a task that raises, detach, sentinel —
+and the test reads what it sent down its result pipe (a watched
+stand-in that pickles each message, as a pipe does).  Pins the
+``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP task posts
+every picture but its last as a part, after the picture is in the
+pool; a serve task is one picture and posts none), that an error never
+ends the loop, and that the metrics
 shipped with the results add up to exactly what the task bodies
 recorded (nothing lost, nothing counted twice).  Real processes check
 the two ends of the pipe: a result that does not pickle comes back as
@@ -39,7 +40,7 @@ from repro.exec.backend import (
     decode_gop_task,
     worker_main,
 )
-from repro.exec.plan import plan_serve_tasks, scan_gop_tasks
+from repro.exec.plan import scan_gop_tasks
 from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError
@@ -52,7 +53,7 @@ from repro.parallel.mp_slice import (
     picture_state,
     scan_slice_tasks,
 )
-from repro.serve.service import decode_pictures
+from repro.serve.service import decode_picture
 
 VECTOR = "two_gop_48x32"
 WID = 7
@@ -148,15 +149,15 @@ def test_protocol_end_to_end(golden, stream):
     results = drive([
         attach("g", decode_gop_task, gop_state),
         attach("s", decode_batch, pictures),
-        attach("v", decode_pictures, pictures),
+        attach("v", decode_picture, pictures),
         ("task", "g", 0, gop1, None),
         ("task", "s", (0, 0), batch, None),
-        ("task", "v", ("ref", 0), (intra,), None),
-        ("task", "v", ("ref", 9), (stray,), None),        # raises
-        ("task", "v", ("ref", 0), (intra,), None),        # still served
+        ("task", "v", 0, intra, None),
+        ("task", "v", stray.order, stray, None),          # raises
+        ("task", "v", 0, intra, None),                    # still served
         ("task", "nobody", 1, (), None),                  # never attached
         ("detach", "v"),
-        ("task", "v", ("ref", 0), (intra,), None),        # late, after detach
+        ("task", "v", 0, intra, None),                    # late, after detach
         ("detach", "v"),                                   # unknown: ignored
     ], watch)
 
@@ -166,11 +167,11 @@ def test_protocol_end_to_end(golden, stream):
         *[("part", "g", 0)] * (pictures_g1 - 1),
         ("ok", "g", 0),
         ("ok", "s", (0, 0)),
-        ("ok", "v", ("ref", 0)),
-        ("err", "v", ("ref", 9)),
-        ("ok", "v", ("ref", 0)),
+        ("ok", "v", 0),
+        ("err", "v", stray.order),
+        ("ok", "v", 0),
         ("err", "nobody", 1),
-        ("err", "v", ("ref", 0)),
+        ("err", "v", 0),
         ("obs", None, None),
     ]
     parts, results = results[: pictures_g1 - 1], results[pictures_g1 - 1 :]
@@ -196,7 +197,7 @@ def test_protocol_end_to_end(golden, stream):
     order, slices, counters, rows = payloads[1]
     assert (order, slices, rows) == (0, len(intra.slices), [])
     assert isinstance(counters, WorkCounters) and counters.macroblocks > 0
-    # Serve pictures: the summed counters; same picture, same pixels.
+    # Serve picture: its counters; same picture, same pixels.
     assert isinstance(payloads[2], WorkCounters)
     assert payloads[2] == counters
     shown = pool.read_frame(0, intra.header.temporal_reference)
@@ -227,42 +228,13 @@ def test_protocol_end_to_end(golden, stream):
         assert set(r[6]) <= {f"worker-{WID}"}
         assert all(set(cell) == {"queue.get"} for cell in r[6].values())
 
-    # A serve reference task posts every picture but its last, by
-    # coding order, each already in the pool when the part is read.
-    (ref_row, *_) = plan_serve_tasks(plans)
-    key, _kind, _gop, refs, _deps = ref_row
-    assert len(refs) >= 2
-    pooled.clear()
-
-    def watch_serve(msg):
-        if msg[0] == "part":
-            plan = plans[msg[4]]
-            got = pool.read_frame(msg[4], plan.header.temporal_reference)
-            pooled.append((plan.display_index, got.digest()))
-
-    ref_plans = tuple(plans[o] for o in refs)
-    served = drive([attach("v", decode_pictures, pictures),
-                    ("task", "v", key, ref_plans, None)], watch_serve)
-    assert [(r[0], r[2], r[3]) for r in served] == [
-        *[("part", "v", key)] * (len(refs) - 1),
-        ("ok", "v", key),
-        ("obs", None, None),
-    ]
-    assert [r[4] for r in served[:-2]] == list(refs[:-1])
-    assert all(r[5] is None and r[6] is None for r in served[:-2])
-    assert pooled == [
-        (plans[o].display_index, frames[plans[o].display_index].digest())
-        for o in refs[:-1]
-    ]
-    assert served[-2][5]["counters"]["serve.worker.pictures"] == len(refs)
-
 
 def test_late_attach_is_contained(stream):
     # The parent released the session before the worker got to its
     # attach: the segments are gone, the worker survives, and the
     # session's tasks come back as errors.
     _data, _index, _pool, attach = stream
-    gone = list(attach("late", decode_pictures, {}))
+    gone = list(attach("late", decode_picture, {}))
     gone[3] = gone[5] = "psm_released_long_ago"
     results = drive([tuple(gone), ("task", "late", 1, (0,), None)])
     assert [(r[0], r[2]) for r in results] == [("err", "late"), ("obs", None)]
@@ -274,22 +246,20 @@ def test_local_team_counts_tasks_not_parts(golden):
     # its ok: in flight is still one task, as on WorkerTeam.
     name = "ipb_64x48_gop13"
     data, index = golden.data(name), golden.index(name)
-    plans = scan_slice_tasks(index)
     seq = index.sequence_header
-    (ref_row, *_) = plan_serve_tasks(plans)
-    key, _kind, _gop, refs, _deps = ref_row
-    assert len(refs) == 5
+    (task,) = scan_gop_tasks(index)
     team = LocalTeam()
     team.attach(
-        "v", decode_pictures, data,
-        FrameLayout.for_display(seq.width, seq.height), len(plans),
-        picture_state(index, False),
+        "g", decode_gop_task, data,
+        FrameLayout.for_display(seq.width, seq.height), task.picture_count,
+        {"seq": seq, "engine": "batched", "resilient": False},
     )
-    team.submit(0, "v", key, tuple(plans[o] for o in refs))
-    assert [r[0] for r in team.results] == ["part"] * 4 + ["ok"]
-    assert (team.in_flight(), team.in_flight("v"), team.in_flight("x")) == (1, 1, 0)
-    parts = [team.fetch() for _ in range(4)]
-    assert [p[4] for p in parts] == list(refs[:-1])
+    team.submit(0, "g", 0, task)
+    parts = task.picture_count - 1
+    assert [r[0] for r in team.results] == ["part"] * parts + ["ok"]
+    assert (team.in_flight(), team.in_flight("g"), team.in_flight("x")) == (1, 1, 0)
+    got = [team.fetch() for _ in range(parts)]
+    assert [p[4].slot_base for p in got] == list(range(parts))
     assert team.in_flight() == 1 and team.free() == []
     assert team.fetch()[0] == "ok"
     assert team.in_flight() == 0 and team.free() == [0]
@@ -417,8 +387,8 @@ def test_src_worker_results_travel_on_pipes():
             if rel == backend and call in code:
                 sites.append(code)
     assert made == {
-        "Queue(": ["task_q = self.ctx.Queue()"],
-        "Pipe(": ["conn, writer = self.ctx.Pipe(duplex=False)"],
+        "Queue(": ["task_q = multiprocessing.Queue()"],
+        "Pipe(": ["conn, writer = multiprocessing.Pipe(duplex=False)"],
     }
 
     def calls(name):

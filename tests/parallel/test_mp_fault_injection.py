@@ -30,6 +30,7 @@ import time
 
 import pytest
 
+from repro.exec.backend import shutdown_persistent_pools
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
 from repro.mpeg2.index import build_index
 from repro.obs.metrics import metrics
@@ -123,9 +124,11 @@ class TestSliceReconstructError:
 
     @pytest.fixture
     def failing_reconstruct(self, monkeypatch):
-        # Forked workers inherit the patched module: every P-picture
+        # Workers forked after the patch inherit it: every P-picture
         # batch fails after its slices have parsed cleanly, inside the
-        # picture kernel's phase 2.
+        # picture kernel's phase 2.  A warm team forked before it would
+        # not, so the test gets a fresh one, and no later test gets a
+        # team forked with the patch in place.
         from repro.mpeg2 import kernel
 
         real = kernel.reconstruct_slices
@@ -136,6 +139,9 @@ class TestSliceReconstructError:
             real(parses, seq, header, out, fwd, bwd)
 
         monkeypatch.setattr(kernel, "reconstruct_slices", reconstruct)
+        shutdown_persistent_pools()
+        yield
+        shutdown_persistent_pools()
 
     @pytest.mark.parametrize("resilient", [False, True])
     @pytest.mark.parametrize("workers", [0, 2])
@@ -146,10 +152,7 @@ class TestSliceReconstructError:
         # Not a slice-corruption error, so ``resilient`` does not hide
         # it either; and not "worker process died": the worker reported
         # it and kept serving until the parent tore the team down.
-        dec = MPSliceDecoder(
-            medium_stream, workers=workers, resilient=resilient,
-            start_method="fork" if workers else None,
-        )
+        dec = MPSliceDecoder(medium_stream, workers=workers, resilient=resilient)
         with pytest.raises(RuntimeError, match="injected reconstruct"):
             dec.decode_all()
         assert_no_stray_children()

@@ -8,8 +8,8 @@ publish / claim / emit round the decoder's parent runs — and check the
 safety properties the real pipeline relies on:
 
 * no deadlock — every generated schedule drains the queue, zero-slice
-  pictures and 1-picture GOPs included, with a pool of only
-  ``frame_window`` slots;
+  pictures and 1-picture GOPs included, planned a GOP at a time as the
+  decoder plans them, with a pool of only ``gop_frame_window`` slots;
 * a picture never completes before its dependencies (never emitted
   early by the merger either);
 * **improved mode never schedules a B-slice before both its reference
@@ -26,8 +26,6 @@ safety properties the real pipeline relies on:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +33,7 @@ from hypothesis import strategies as st
 from repro.parallel.mp_slice import (
     DisplayMerger,
     PictureSliceQueue,
-    frame_window,
+    gop_frame_window,
 )
 
 MODES = ("simple", "improved")
@@ -93,11 +91,11 @@ class Schedule:
 
     def __init__(self, structure, mode, workers, on_claim=None):
         self.counts, self.deps, self.types, gops, self.display = structure
-        self.window = frame_window(
-            [SimpleNamespace(gop=g) for g in gops], workers
-        )
+        self.gop_sizes = [gops.count(g) for g in range(gops[-1] + 1)]
+        self.window = gop_frame_window(self.gop_sizes, workers)
         self.queue = PictureSliceQueue(
-            self.counts, self.deps, mode, workers=workers, window=self.window
+            self.counts, self.deps, mode, self.gop_sizes, self.window,
+            workers=workers,
         )
         self.merger = DisplayMerger(len(self.counts))
         self.on_claim = on_claim
@@ -276,16 +274,16 @@ class TestQueueProperties:
 
     def test_rejects_forward_dependencies(self):
         with pytest.raises(ValueError, match="earlier in coding order"):
-            PictureSliceQueue([1, 1], [[1], []], "improved")
+            PictureSliceQueue([1, 1], [[1], []], "improved", [2], 2)
         with pytest.raises(ValueError, match="earlier in coding order"):
-            PictureSliceQueue([1], [[0]], "improved")
+            PictureSliceQueue([1], [[0]], "improved", [1], 1)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            PictureSliceQueue([1], [[]], "bogus")
+            PictureSliceQueue([1], [[]], "bogus", [1], 1)
 
     def test_overcompletion_raises(self):
-        queue = PictureSliceQueue([1], [[]], "simple")
+        queue = PictureSliceQueue([1], [[]], "simple", [1], 1)
         assert queue.claim_batch()[:2] == (0, range(0, 1))
         assert queue.complete_batch(0, 1) is True
         with pytest.raises(ValueError, match="no outstanding"):
@@ -298,6 +296,8 @@ class TestQueueProperties:
             [1, 1, 1],
             [[], [0], [0, 1]],
             "simple",
+            [3],
+            3,
             on_gated=gated.append,
             on_released=released.append,
         )
@@ -322,7 +322,8 @@ class TestQueueProperties:
         # time in which the scheduler had nothing to place).
         gated: list[int] = []
         queue = PictureSliceQueue(
-            [2, 2], [[], [0]], "improved", workers=0, on_gated=gated.append
+            [2, 2], [[], [0]], "improved", [2], 2, workers=0,
+            on_gated=gated.append,
         )
         assert list(queue.claim_batch().sidxs) == [0, 1]
         assert queue.claim_batch() is None
@@ -333,7 +334,7 @@ class TestQueueProperties:
         # I, the spare credits go to GOP 1's I — and GOP 0's P takes
         # precedence again the moment it becomes available.
         queue = PictureSliceQueue(
-            [2, 2, 2, 2], [[], [0], [], [2]], "improved", workers=2, window=5
+            [2, 2, 2, 2], [[], [0], [], [2]], "improved", [2, 2], 5, workers=2
         )
         first = [queue.claim_batch() for _ in range(4)]
         assert [b.order for b in first] == [0, 0, 2, 2]

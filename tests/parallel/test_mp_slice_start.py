@@ -111,7 +111,7 @@ def test_planning_a_gop_at_a_time_dispatches_as_the_whole_stream(
     counts, deps, _types, gops, _display = structure
     sizes = [gops.count(g) for g in range(gops[-1] + 1)]
     logs = []
-    for gop_sizes in (None, sizes):
+    for gop_sizes in ([len(counts)], sizes):
         reached: list[int] = []
         sched = Schedule(
             structure, mode, workers,
@@ -119,15 +119,15 @@ def test_planning_a_gop_at_a_time_dispatches_as_the_whole_stream(
         )
         sched.log = []
         sched.queue = PictureSliceQueue(
-            counts, deps, mode, workers=workers, window=sched.window,
-            gop_sizes=gop_sizes, on_gop=reached.append,
+            counts, deps, mode, gop_sizes, sched.window, workers=workers,
+            on_gop=reached.append,
         )
         drain(sched, picks)
         logs.append((sched.log, sched.completion_order, sched.emitted))
-        assert reached == ([0] if gop_sizes is None else list(range(len(sizes))))
+        assert reached == list(range(len(gop_sizes)))
     assert logs[0] == logs[1]
 
 
 def test_dependency_outside_its_gop_is_rejected():
     with pytest.raises(ValueError, match="outside its GOP"):
-        PictureSliceQueue([1, 1], [[], [0]], "improved", gop_sizes=[1, 1])
+        PictureSliceQueue([1, 1], [[], [0]], "improved", [1, 1], 2)

@@ -6,12 +6,13 @@ invariants the service stakes its correctness on:
 
 * **fair-share bound** — among continuously-backlogged sessions,
   start-time fair queueing keeps the spread of virtual times
-  (``served / weight``) within ``max(task.work / weight)``: one
-  session can never starve another by more than one task's worth;
+  (``served / weight``) within ``max(1 / weight)``: every task is one
+  picture, and one session can never starve another by more than one
+  picture's worth;
 * **dependency safety** — ``next_task`` never dispatches a task whose
   dependency keys are unpublished, under *any* interleaving of
   dispatch and completion (this is what makes B pictures decodable:
-  their GOP's references are always in the pool first);
+  their two references are always in the pool first);
 * **admission monotonicity** — raising the capacity never turns an
   admitted/queued session into a rejected one;
 * **droppability** — ``drop_b_tasks`` only ever sheds ``kind="b"``
@@ -24,6 +25,8 @@ invariants the service stakes its correctness on:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,27 +38,16 @@ from repro.serve.scheduler import Admission, Scheduler, ServeTask
 
 
 def session_tasks(sid: str, gops: int, bs_per_gop: list[int]) -> list[ServeTask]:
-    """A realistic session task list: per-GOP ref task + B tasks."""
+    """A realistic session task list, one task per picture: per GOP an
+    I and a P reference picture, then B pictures that predict from
+    both (coding order I P B...)."""
     out: list[ServeTask] = []
-    order = 0
     for gop in range(gops):
-        ref_key = ("ref", gop)
-        ref_orders = (order, order + 1)
-        order += 2
-        out.append(
-            ServeTask(
-                session=sid, key=ref_key, kind="ref", gop=gop,
-                orders=ref_orders,
-            )
-        )
+        i, p = len(out), len(out) + 1
+        out.append(ServeTask(sid, i, "ref", gop))
+        out.append(ServeTask(sid, p, "ref", gop, deps=(i,)))
         for _ in range(bs_per_gop[gop]):
-            out.append(
-                ServeTask(
-                    session=sid, key=("b", gop, order), kind="b", gop=gop,
-                    orders=(order,), deps=(ref_key,),
-                )
-            )
-            order += 1
+            out.append(ServeTask(sid, len(out), "b", gop, deps=(i, p)))
     return out
 
 
@@ -85,16 +77,12 @@ class TestFairShare:
     @given(scheduler_workload(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_vtime_spread_bounded_while_backlogged(self, workload, rng):
-        """Spread of served/weight <= max(work/weight) among backlogged."""
+        """Spread of served/weight <= max(1/weight) among backlogged."""
         sessions, weights = workload
         sched = Scheduler(capacity=len(sessions), max_inflight=1)
         for sid, tasks in sessions.items():
             sched.submit(sid, tasks, weight=weights[sid])
-        bound = max(
-            t.work / weights[t.session]
-            for tasks in sessions.values()
-            for t in tasks
-        )
+        bound = max(1 / w for w in weights.values())
         while True:
             task = sched.next_task()
             if task is None:
@@ -122,13 +110,7 @@ class TestFairShare:
         canonical = max(sessions.values(), key=len)
         sched = Scheduler(capacity=len(sessions), max_inflight=1)
         for sid in sessions:
-            tasks = [
-                ServeTask(
-                    session=sid, key=t.key, kind=t.kind, gop=t.gop,
-                    orders=t.orders, deps=t.deps,
-                )
-                for t in canonical
-            ]
+            tasks = [replace(t, session=sid) for t in canonical]
             sched.submit(sid, tasks, weight=weights[sid])
         total = len(canonical) * len(sessions)
         # Serve only half the work: backlog still exists everywhere.
@@ -137,15 +119,14 @@ class TestFairShare:
             if task is None:
                 break
             sched.complete(task)
-        bound = max(t.work for t in canonical)
         sids = sorted(sessions, key=lambda s: weights[s])
         for lo, hi in zip(sids, sids[1:]):
             if sched.pending_count(lo) and sched.pending_count(hi):
-                # vtime spread <= max(work/weight) implies the heavier
+                # vtime spread <= max(1/weight) implies the heavier
                 # backlogged session's absolute served work trails the
-                # lighter's by at most one task's worth scaled by its
+                # lighter's by at most one picture scaled by its
                 # weight.
-                slack = bound * max(1.0, weights[hi] / weights[lo])
+                slack = max(1.0, weights[hi] / weights[lo])
                 assert (
                     sched.served_work(hi) >= sched.served_work(lo) - slack - 1e-9
                 )
@@ -178,7 +159,7 @@ class TestDependencySafety:
                     # THE property: deps published at dispatch time.
                     for dep in task.deps:
                         assert dep in published[task.session], (
-                            f"{task.key} dispatched before {dep} published"
+                            f"{task.order} dispatched before {dep} published"
                         )
                     inflight.append(task)
                     continue
@@ -186,7 +167,7 @@ class TestDependencySafety:
                 idx = data.draw(st.integers(0, len(inflight) - 1))
                 task = inflight.pop(idx)
                 sched.complete(task)
-                published[task.session].add(task.key)
+                published[task.session].add(task.order)
         # Drain: everything remaining must still obey the rule.
         while True:
             task = sched.next_task()
@@ -195,12 +176,12 @@ class TestDependencySafety:
             if task is None:
                 task = inflight.pop()
                 sched.complete(task)
-                published[task.session].add(task.key)
+                published[task.session].add(task.order)
                 continue
             for dep in task.deps:
                 assert dep in published[task.session]
             sched.complete(task)
-            published[task.session].add(task.key)
+            published[task.session].add(task.order)
 
     @given(scheduler_workload())
     @settings(max_examples=100, deadline=None)
@@ -298,7 +279,7 @@ class TestDroppability:
                 break
             sched.complete(task)
             if task.session == sid and task.kind == "ref":
-                refs_seen.add(task.key)
+                refs_seen.add(task.order)
         # Refs dispatched during the warm-up phase completed there too;
         # count them from the published diagnostics instead: pending
         # must now be empty and no ref was ever in the dropped list.
@@ -347,7 +328,7 @@ class TestDroppability:
             if op == 0:
                 task = sched.next_task()
                 if task is not None:
-                    key = (task.session, task.key)
+                    key = (task.session, task.order)
                     assert key not in seen, "task dispatched twice"
                     seen.add(key)
                     inflight.append(task)
@@ -401,7 +382,7 @@ class TestDroppability:
                 sched.complete(task)
             order = []
             while (task := sched.next_task()) is not None:
-                order.append((task.session, task.key))
+                order.append((task.session, task.order))
                 sched.complete(task)
             return order
 

@@ -18,8 +18,7 @@ import time
 
 import pytest
 
-from repro.exec.backend import LocalTeam
-from repro.exec.graph import DISPATCHED
+from repro.exec.graph import COMPLETED, PENDING
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.obs.metrics import metrics, reset_metrics
 from repro.serve import DecodeService, DegradePolicy, SessionStatus
@@ -270,21 +269,21 @@ class TestRobustness:
         data = golden.data("two_gop_48x32")
         svc = DecodeService(
             workers=2, capacity=2, max_task_retries=2,
-            _crash_task=(0, "a", ("ref", 0)),
+            _crash_task=(0, "a", 0),
         )
         a = svc.submit("a", data)
         b = svc.submit("b", data)
         svc.run()
         assert a.status is SessionStatus.DONE
         assert b.status is SessionStatus.DONE
-        assert svc.excluded[("a", ("ref", 0))] == {0}
+        assert svc.excluded[("a", 0)] == {0}
         assert_no_stray_children()
 
     def test_hang_reaped_by_task_timeout(self, golden, no_shm_leak, watchdog):
         data = golden.data("two_gop_48x32")
         svc = DecodeService(
             workers=2, capacity=2, task_timeout_s=2.0, max_task_retries=2,
-            _hang_task=(0, "a", ("ref", 0)),
+            _hang_task=(0, "a", 0),
         )
         a = svc.submit("a", data)
         b = svc.submit("b", data)
@@ -299,7 +298,7 @@ class TestRobustness:
         data = golden.data("two_gop_48x32")
         svc = DecodeService(
             workers=1, capacity=2, max_task_retries=0,
-            _crash_task=(0, "a", ("ref", 0)),
+            _crash_task=(0, "a", 0),
         )
         a = svc.submit("a", data)
         b = svc.submit("b", data)
@@ -437,68 +436,93 @@ class TestServiceApi:
 
 
 class TestHandOver:
-    """A serve task posts each picture as it lands in the pool: the
-    parent shows it while the task still runs, and banks each picture
-    exactly once whatever the order of parts, results and retries."""
+    """A serve task is one picture: the parent shows each picture the
+    moment its task's ``ok`` makes it display-ready, and a picture
+    waits only for its own reference pictures, never for the rest of
+    its GOP."""
 
-    NAME = "ipb_64x48_gop13"  # one GOP: ref task I0 P3 P6 P9 P12
+    NAME = "ipb_64x48_gop13"  # one GOP: I0 P3 B1 B2 P6 ... P12 B10 B11
+
+    @staticmethod
+    def states_at_sink(svc, sinks, name):
+        """A sink that records every picture's task state at the moment
+        each display index reaches it."""
+        states = {}
+
+        def sink(display_index, frame):
+            (graph,) = svc.scheduler.graphs()
+            states.setdefault(display_index, dict(graph.state))
+            sinks[name](display_index, frame)
+
+        return states, sink
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_first_picture_shown_while_its_ref_task_runs(
         self, golden, workers, no_shm_leak, watchdog
     ):
+        # Display 0 is I0, shown when its own task ends: none of the
+        # GOP's other reference pictures (P3 ... P12) is decoded yet.
         name = self.NAME
         svc = DecodeService(workers=workers, capacity=1)
         got, sinks = collect_frames(svc, [name])
-        ref_state = {}
-
-        def sink(display_index, frame):
-            (graph,) = svc.scheduler.graphs()
-            ref_state.setdefault(display_index, graph.state[("ref", 0)])
-            sinks[name](display_index, frame)
-
+        states, sink = self.states_at_sink(svc, sinks, name)
         sess = svc.submit(name, golden.data(name), on_frame=sink)
+        refs = [t.order for t in sess.tasks() if t.kind == "ref"]
         svc.run()
-        assert ref_state[0] == DISPATCHED
+        assert refs == [0, 1, 4, 7, 10]
+        assert states[0][0] == COMPLETED
+        assert all(states[0][o] == PENDING for o in refs[1:])
         assert_session_parity(golden, name, sess, got[name])
         assert_no_stray_children()
 
-    def test_each_picture_banked_once(self, golden):
-        # Process-less: every part is delivered twice (as a retried
-        # task would post it again), then the task's ok.
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_b_picture_shown_before_its_gops_last_reference_starts(
+        self, golden, workers, no_shm_leak, watchdog
+    ):
+        # Display 1 is B1, which predicts from I0 and P3 only: it is
+        # shown before P12, the GOP's last reference picture (coding
+        # position 10), has even been dispatched.
         name = self.NAME
-        svc = DecodeService(workers=0, capacity=1)
+        svc = DecodeService(workers=workers, capacity=1)
         got, sinks = collect_frames(svc, [name])
-        sess = svc.submit(name, golden.data(name), on_frame=sinks[name])
-        team = svc.team = LocalTeam()
-        svc._attach(name)
-        parts = 0
-        while (task := svc.scheduler.next_task()) is not None:
-            plans = tuple(sess.plans[o] for o in task.orders)
-            team.submit(0, name, task.key, plans)
-            while team.results:
-                kind, _wid, sid, key, payload, _snap = team.fetch()
-                if kind == "ok":
-                    svc._done(sid, key, payload)
-                else:
-                    parts += 1
-                    svc._part(sid, key, payload)
-                    svc._part(sid, key, payload)
-        assert parts == 4
+        states, sink = self.states_at_sink(svc, sinks, name)
+        sess = svc.submit(name, golden.data(name), on_frame=sink)
+        (b1,) = [p for p in sess.plans if p.display_index == 1]
+        assert b1.dependencies == (0, 1)
+        svc.run()
+        assert states[1][b1.order] == COMPLETED
+        assert states[1][10] == PENDING
         assert_session_parity(golden, name, sess, got[name])
-        assert sess.emitted_pictures + sess.dropped_pictures + (
-            sess.switched_pictures
-        ) == sess.picture_count
+        assert_no_stray_children()
+
+    def test_each_task_is_one_picture_gated_by_its_references(self, golden):
+        sess = DecodeService(workers=0).submit(
+            self.NAME, golden.data(self.NAME)
+        )
+        tasks = sess.tasks()
+        assert [t.order for t in tasks] == [p.order for p in sess.plans]
+        for task, plan in zip(tasks, sess.plans):
+            assert task.deps == plan.dependencies
+            assert task.gop == plan.gop
+            assert task.kind == ("ref" if plan.is_reference else "b")
 
     def test_requeued_gop_is_never_shed(self, many_gop_stream):
-        # A ref task that posted pictures and then lost its worker is
-        # pending again, but its GOP may already be on screen: neither
-        # a rung switch nor skip_gop may cut it away.
+        # A requeued picture has shown nothing, so a GOP whose only
+        # started task was requeued may still be cut; but once one of
+        # its pictures is published it may be on screen, and neither a
+        # rung switch nor skip_gop may cut that GOP away.
         svc = DecodeService(workers=0, capacity=1)
         svc.submit("s", many_gop_stream)
         sched = svc.scheduler
+        first = sched.next_task()
+        assert (first.order, first.kind, first.gop) == (0, "ref", 0)
+        sched.requeue(first)
+        cut, dropped = sched.truncate_from_gop("s")
+        assert cut == 0
+        sched.restore("s", dropped)
+        sched.complete(sched.next_task())  # I0 published
         task = sched.next_task()
-        assert task.key == ("ref", 0)
+        assert task.gop == 0 and task.deps == (0,)
         sched.requeue(task)
         cut, dropped = sched.truncate_from_gop("s")
         assert cut == 1 and min(t.gop for t in dropped) == 1
@@ -508,9 +532,10 @@ class TestHandOver:
     def test_strict_corrupt_reference_fails_after_ready_pictures(
         self, golden, no_shm_leak, watchdog
     ):
-        # P6 (coding position 4) is corrupt: the ref task posts I0 and
-        # P3, then raises.  Only display 0 was display-ready (P3 waits
-        # for B1 and B2, which wait for the whole ref task).
+        # P6 (coding position 4) is corrupt and raises.  What was shown
+        # before is a bit-exact display-order prefix: I0 and, depending
+        # on which tasks ended before P6 did, B1, B2 and P3 — never
+        # anything that predicts from P6.
         name = self.NAME
         good = golden.data(name)
         svc = DecodeService(workers=2, capacity=2)
@@ -521,17 +546,19 @@ class TestHandOver:
         assert bad.status is SessionStatus.FAILED
         assert bad.error["type"] == "BlockSyntaxError"
         ref_frames, _ = golden.scalar(name)
-        assert sorted(got["bad"]) == [0]
-        assert_frames_identical(ref_frames[:1], [got["bad"][0]])
+        shown = sorted(got["bad"])
+        assert shown == list(range(len(shown))) and 1 <= len(shown) <= 4
+        assert_frames_identical(
+            ref_frames[: len(shown)], [got["bad"][i] for i in shown]
+        )
         assert_session_parity(golden, name, ok, got["good"])
         for graph in svc.scheduler.graphs():
             graph.verify_conservation()
         assert_no_stray_children()
 
-    def test_cancel_between_part_and_ok_drops_the_rest(self, golden):
-        # workers=0: the ref task ran whole at submit, its parts and ok
-        # wait in the team; the sink cancels on the first picture, and
-        # the loop applies it before it reads the next part.
+    def test_cancel_on_first_picture_drops_the_rest(self, golden):
+        # workers=0: I0's task ends, the sink cancels on display 0, and
+        # the loop applies it before it claims the next picture.
         name = self.NAME
         svc = DecodeService(workers=0, capacity=1)
         got, sinks = collect_frames(svc, [name])
@@ -548,5 +575,6 @@ class TestHandOver:
         assert_frames_identical(ref_frames[:1], [got[name][0]])
         (graph,) = svc.scheduler.graphs()
         graph.verify_conservation()
-        assert graph.counts()["lost"] == 1  # the ref task, mid-flight
-        assert graph.counts()["completed"] == 0
+        counts = graph.counts()
+        assert (counts["completed"], counts["lost"]) == (1, 0)
+        assert counts["cancelled"] == sess.picture_count - 1
