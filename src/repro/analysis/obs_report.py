@@ -7,6 +7,9 @@ written by ``python -m repro decode ... --trace out.json``:
 
 * **span totals** — total wall milliseconds per span name (Table 2's
   "where does decode time go", but measured, not modelled);
+* **scan stage** — the per-GOP ``mp.scan`` spans summed: total ms,
+  MB/s (Table 2's scan rate) and the GOPs scanned before the first
+  picture was read for display;
 * **per-process utilization** — for each pid, the union of its
   non-stall span intervals divided by the trace's wall span (the
   paper's processor-utilization plots);
@@ -176,6 +179,30 @@ def stall_breakdown(doc: dict) -> dict[str, float]:
     return {r: v / denominator for r, v in sorted(by_reason.items())}
 
 
+def scan_summary(doc: dict) -> dict | None:
+    """The scan stage (paper Table 2) from its per-GOP ``mp.scan``
+    spans: GOPs scanned, total ms, MB/s, and how many GOPs were
+    scanned before the first picture was read for display (the end of
+    the first ``mp.shm.read``) — the scan's lead over the decode.
+    ``None`` when the trace has no scan spans."""
+    events = complete_events(doc)
+    scans = [e for e in events if e["name"] == "mp.scan"]
+    if not scans:
+        return None
+    first = min(
+        (e["ts"] + e.get("dur", 0) for e in events if e["name"] == "mp.shm.read"),
+        default=float("inf"),
+    )
+    total_us = sum(e.get("dur", 0) for e in scans)
+    nbytes = sum(e.get("args", {}).get("bytes", 0) for e in scans)
+    return {
+        "gops": len(scans),
+        "total_ms": total_us / 1e3,
+        "mb_per_s": nbytes / total_us if total_us else 0.0,
+        "before_first_picture": sum(1 for e in scans if e["ts"] < first),
+    }
+
+
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
@@ -199,6 +226,18 @@ def render_report(doc: dict) -> str:
             round(rec["total_ms"], 3), round(rec["mean_ms"], 3),
         )
     sections.append(table.render())
+
+    scan = scan_summary(doc)
+    if scan is not None:
+        table = TextTable(
+            ["GOPs", "total ms", "MB/s", "GOPs before first picture"],
+            title="scan stage (mp.scan, one span per GOP)",
+        )
+        table.add_row(
+            scan["gops"], round(scan["total_ms"], 3),
+            round(scan["mb_per_s"], 1), scan["before_first_picture"],
+        )
+        sections.append(table.render())
 
     names = process_names(doc)
     util = utilization(doc)

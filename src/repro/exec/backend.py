@@ -76,7 +76,7 @@ from repro.exec.shm import (
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex, build_index
+from repro.mpeg2.index import StreamIndex
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.stalls import REASON_QUEUE_GET, StallTable
 from repro.obs.trace import (
@@ -101,21 +101,6 @@ SHUTDOWN_GRACE_S = 5.0
 
 #: Exit code of the ``fault="crash"`` test hook.
 CRASH_EXIT = 23
-
-
-def scan_index(data: bytes, index: StreamIndex | None = None) -> StreamIndex:
-    """The scan step (paper Fig. 4): a start-code walk, no decoding.
-
-    Traced and timed so the timeline starts where the paper's does;
-    a pre-built ``index`` is passed through.
-    """
-    if index is not None:
-        return index
-    t0 = time.perf_counter()
-    with trace_span("mp.scan", cat="mp", bytes=len(data)):
-        index = build_index(data)
-    metrics().counter("mp.scan_ms").inc((time.perf_counter() - t0) * 1e3)
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +380,9 @@ class LocalTeam:
         self.contexts[sid] = TaskContext(sid, body, data, pool, state)
         return pool
 
+    def publish(self, sid: str, start: int, end: int) -> None:
+        """Nothing to copy: tasks read the caller's own bytes."""
+
     def detach(self, sid: str) -> None:
         self.contexts.pop(sid, None)
 
@@ -455,7 +443,8 @@ class WorkerTeam:
         #: Messages read off the pipes but not yet handed out: one per
         #: ready pipe per wait, so no worker's results starve another's.
         self._inbox: deque = deque()
-        #: sid -> (attach message, pool, arena) of every live session.
+        #: sid -> (attach message, pool, arena, stream) of every live
+        #: session.
         self.attached: dict[str, tuple] = {}
         self.leased = False
         #: Where workers write this lease's trace shards (set by
@@ -491,7 +480,7 @@ class WorkerTeam:
         # The worker holds the only write end: its death is EOF here.
         writer.close()
         self.workers[wid] = _Worker(proc, task_q, conn, {})
-        for msg, _pool, _arena in self.attached.values():
+        for msg, *_segments in self.attached.values():
             task_q.put(msg)
         return wid
 
@@ -521,13 +510,14 @@ class WorkerTeam:
         self, sid: str, body: Callable, data: bytes, layout: FrameLayout,
         slots: int, state: dict,
     ) -> SharedFramePool:
-        """Publish a session — frame pool, bitstream arena (once, parsed
-        in place by every worker) and decode context — to the team
-        (traced as one ``exec.attach`` span)."""
+        """Attach a session — frame pool, a bitstream arena the size of
+        ``data`` with nothing in it yet (:meth:`publish` copies byte
+        ranges in) and decode context — to the team (traced as one
+        ``exec.attach`` span)."""
         with trace_span("exec.attach", cat="exec", session=sid, slots=slots):
             pool = SharedFramePool(layout, slots=slots)
             try:
-                arena = StreamArena(data)
+                arena = StreamArena(size=len(data))
             except BaseException:
                 release_segments(pool)
                 raise
@@ -535,9 +525,16 @@ class WorkerTeam:
                 "attach", sid, body, arena.name, arena.size, pool.name,
                 layout, state, self.trace_dir,
             )
-            self.attached[sid] = (msg, pool, arena)
+            self.attached[sid] = (msg, pool, arena, data)
             self._broadcast(msg)
         return pool
+
+    def publish(self, sid: str, start: int, end: int) -> None:
+        """Copy bytes ``[start, end)`` of a session's stream into its
+        arena, where every worker parses them in place; a task may read
+        only what was published before it was submitted."""
+        _msg, _pool, arena, data = self.attached[sid]
+        arena.publish(data, start, end)
 
     def detach(self, sid: str) -> None:
         """Release a session: workers unmap it, its segments are
@@ -729,7 +726,7 @@ class WorkerTeam:
             for q in (*[w.task_q for w in live], *self._dead_queues):
                 q.close()
                 q.cancel_join_thread()
-        for _msg, pool, arena in self.attached.values():
+        for _msg, pool, arena, _data in self.attached.values():
             release_segments(pool, arena)
         self.workers.clear()
         self._dead_queues.clear()

@@ -23,15 +23,17 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
-from repro.exec.backend import get_team, scan_index
+from repro.exec.backend import get_team
 from repro.exec.graph import TaskGraph
 from repro.exec.shm import FrameLayout
 from repro.mpeg2.decoder import DecodeError
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.index import GopIndex, IndexCursor, StreamIndex, build_index
 from repro.obs.metrics import metrics
 from repro.obs.stalls import StallTable
+from repro.obs.trace import trace_complete
 
 _RUN_IDS = itertools.count()
 
@@ -169,11 +171,19 @@ class ParentLoop:
 
 class StreamDecoder(ParentLoop):
     """One stream decoded on a leased team — what the GOP-grain and the
-    slice-grain decoder share: the scan, the lease and the run record.
+    slice-grain decoder share: the scan stage, the lease and the run
+    record.
 
     ``workers=0`` decodes in-process through the identical plan and
     loop (deterministic CI path, no processes); ``>= 1`` uses that many
     OS worker processes; ``None`` the available CPU count.
+
+    The scan is a stage, not a prelude (paper §5.1): construction reads
+    only the sequence header, and a decode pulls the stream's GOPs off
+    an :class:`~repro.mpeg2.index.IndexCursor` one at a time
+    (:meth:`_pull`) as its frame window reaches them, so the work before
+    picture 0 is GOP 0's, whatever the stream's length.  A pre-built
+    ``index`` is pulled from the same way.
     """
 
     def __init__(
@@ -188,48 +198,146 @@ class StreamDecoder(ParentLoop):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.data = data
-        self.index = scan_index(data, index)
+        self._index = index
+        if index is None:
+            cursor = IndexCursor(data)
+            self._scan: Iterable[GopIndex] = cursor
+            self.seq = cursor.sequence_header
+        else:
+            self._scan = index.gops
+            self.seq = index.sequence_header
         self.workers = workers
         self.resilient = resilient
-        self.seq = self.index.sequence_header
         self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
-        #: Shared-pool bytes the last parallel run allocated (Fig. 8
-        #: counterpart on real silicon); 0 for the in-process path.
+        #: Shared-pool bytes of the last decode's largest frame window
+        #: (Fig. 8 counterpart on real silicon); 0 for the in-process
+        #: path.
         self.last_pool_bytes = 0
         self.last_stalls = StallTable()
-        #: Wall seconds of the last run.
+        #: Wall seconds of the last decode's runs.
         self.last_wall_seconds = 0.0
-        #: The task graph the last run dispatched from (``None`` before
-        #: the first): settled and conserving, aborted runs included.
-        self.last_graph: TaskGraph | None = None
+        #: The task graphs the last decode dispatched from, one per run
+        #: (empty before the first): settled and conserving, aborted
+        #: runs included.
+        self.last_graphs: list[TaskGraph] = []
+        #: GOPs the last decode has pulled off the scan so far.
+        self.gops_scanned = 0
+        self.sid: str | None = None
 
+    @property
+    def index(self) -> StreamIndex:
+        """The whole stream's scan, materialised on first access for the
+        tests and tools that read it; no decode reads it."""
+        if self._index is None:
+            self._index = build_index(self.data)
+        return self._index
+
+    @property
+    def last_graph(self) -> TaskGraph | None:
+        """The graph of the last decode's last run."""
+        return self.last_graphs[-1] if self.last_graphs else None
+
+    # -- the scan stage ------------------------------------------------------
+    def _begin(self) -> None:
+        """Start a decode: the scan from the stream's first GOP, and an
+        empty run record."""
+        self._gops: Iterator[GopIndex] = iter(self._scan)
+        self._held_gop: tuple[int, GopIndex] | None = None
+        self._unpublished: list[GopIndex] = []
+        self.gops_scanned = 0
+        self.last_stalls = StallTable()
+        self.last_wall_seconds = 0.0
+        self.last_pool_bytes = 0
+        self.last_graphs = []
+
+    def _pull(self) -> tuple[int, GopIndex] | None:
+        """The next GOP of the stream and its number (``None`` at the
+        end), each scanned once, as one ``mp.scan`` span."""
+        pulled, self._held_gop = self._held_gop, None
+        if pulled is None:
+            t0 = time.monotonic_ns()
+            gop = next(self._gops, None)
+            if gop is None:
+                return None
+            ns = time.monotonic_ns() - t0
+            pulled = self.gops_scanned, gop
+            trace_complete(
+                "mp.scan", "mp", t0, ns, gop=pulled[0], bytes=gop.wire_bytes
+            )
+            metrics().counter("mp.scan_ms").inc(ns / 1e6)
+            self.gops_scanned += 1
+        return pulled
+
+    @contextmanager
+    def _scan_faults_first(self) -> Iterator[None]:
+        """Report a decode's failure as a whole-stream scan would.
+
+        A decode fails at the first fault it reaches, but a sequential
+        decoder scans the whole stream before it decodes anything, so a
+        malformed GOP anywhere is its verdict.  On a failure the rest of
+        the stream is scanned, and a fault found there is raised in the
+        decode's place."""
+        try:
+            yield
+        except Exception as exc:
+            try:
+                for _gop in self._gops:
+                    pass
+            except Exception as fault:
+                raise fault from exc
+            raise
+
+    def _hold(self, pulled: tuple[int, GopIndex]) -> None:
+        """Give back the GOP :meth:`_pull` returned: the next pull
+        returns it again (a run's first GOP sizes its frame window, and
+        one that does not fit the window starts the next run)."""
+        self._held_gop = pulled
+
+    def _publish_gop(self, gop: GopIndex) -> None:
+        """Copy a GOP's bytes into the run's arena before any task is
+        planned on it — at once while a run is attached, else when the
+        next run attaches."""
+        if self.sid is None:
+            self._unpublished.append(gop)
+        else:
+            self.team.publish(self.sid, gop.start_offset, gop.end_offset)
+
+    # -- a run -----------------------------------------------------------
     def _run(
         self, graph: TaskGraph, body: Callable, slots: int, state: dict
     ) -> Iterator:
         """Lease the team, attach the stream under a fresh run id with a
-        ``slots``-frame pool, and drive ``graph`` to the end.
+        ``slots``-frame pool, publish the GOPs pulled so far, and drive
+        ``graph`` to the end.
 
         A run that aborts — a task error, a dead worker, a consumer
         that stops iterating — retires its team instead of releasing
         it (tasks may still be running there) and leaves the graph
         aborted: in flight is ``lost``, never started ``cancelled``.
         """
-        self.last_stalls = StallTable()
-        self.last_graph = graph
+        self.last_graphs.append(graph)
         team = self.team = get_team(self.workers)
-        self.sid = f"run-{next(_RUN_IDS)}"
+        sid = f"run-{next(_RUN_IDS)}"
         t_run = time.perf_counter()
         try:
             self.pool = team.attach(
-                self.sid, body, self.data, self.layout, slots, state
+                sid, body, self.data, self.layout, slots, state
             )
-            self.last_pool_bytes = self.pool.nbytes if self.workers else 0
+            if self.workers:
+                self.last_pool_bytes = max(
+                    self.last_pool_bytes, self.pool.nbytes
+                )
+            self.sid = sid
+            for gop in self._unpublished:
+                team.publish(sid, gop.start_offset, gop.end_offset)
+            self._unpublished = []
             yield from self.drive()
         except BaseException:
             team.retire()
             raise
         finally:
-            team.detach(self.sid)
+            self.sid = None
+            team.detach(sid)
             team.release()
             graph.abort()
-            self.last_wall_seconds = time.perf_counter() - t_run
+            self.last_wall_seconds += time.perf_counter() - t_run

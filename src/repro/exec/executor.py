@@ -54,10 +54,14 @@ class TaskGraphExecutor:
             self.planner = MPSliceDecoder(
                 data, mode=mode, _crash_task=_crash_task, **common
             )
-        self.index = self.planner.index
         self.workers = self.planner.workers
-        #: The graph the last run dispatched from (one entry).
+        #: The graphs the last decode dispatched from (one per run).
         self.last_graphs: list[TaskGraph] = []
+
+    @property
+    def index(self) -> StreamIndex:
+        """The decoder's whole-stream scan, built on first access."""
+        return self.planner.index
 
     @property
     def last_stalls(self):
@@ -80,6 +84,5 @@ class TaskGraphExecutor:
         try:
             return self.planner.decode_all(counters)
         finally:
-            graph = self.planner.last_graph
-            self.last_graphs = [graph] if graph is not None else []
+            self.last_graphs = list(self.planner.last_graphs)
             account(self.last_graphs)

@@ -7,8 +7,9 @@ is where that difference lives: each planner lowers a
 edges between them, and the one parent loop
 (:mod:`repro.exec.dispatch`) dispatches whichever it is handed.
 
-* **GOP grain** (:func:`scan_gop_tasks`, :func:`plan_gop_graph`) — the
-  paper's 1-D queue.  Closed GOPs share no coded state, so the graph
+* **GOP grain** (:func:`add_gop_task`; over the whole stream
+  :func:`scan_gop_tasks`, :func:`plan_gop_graph`) — the paper's 1-D
+  queue.  Closed GOPs share no coded state, so the graph
   is independent ``decode -> publish`` pairs, one per GOP, with **no
   cross-GOP edges**; a ``decode`` node carries one :class:`GopTask`
   (the GOP's scan entry), its ``publish`` node is the parent's display
@@ -81,15 +82,23 @@ def plan_gop_graph(index: StreamIndex) -> TaskGraph:
     paper's one GOP (§5.1).
     """
     graph = TaskGraph()
-    for task in scan_gop_tasks(index):
-        gop = task.gop
-        decode = graph.add(
-            TaskNode(f"g{gop}.decode", "reconstruct", gop=gop, payload=task)
-        )
-        graph.add(
-            TaskNode(f"g{gop}.publish", "publish", gop=gop, deps=(decode.tid,))
-        )
+    for gi, gop in enumerate(index.gops):
+        add_gop_task(graph, gi, gop)
     return graph
+
+
+def add_gop_task(graph: TaskGraph, gi: int, gop: GopIndex) -> TaskNode:
+    """Plan GOP ``gi`` onto a graph — live or not — as its
+    ``g<gi>.decode -> g<gi>.publish`` pair; returns the ``decode``
+    node.  Closed GOPs share no edge, so a decoder may plan a GOP at a
+    time, as its frame window reaches the GOP."""
+    decode = graph.add(
+        TaskNode(
+            f"g{gi}.decode", "reconstruct", gop=gi, payload=GopTask(gi, gop)
+        )
+    )
+    graph.add(TaskNode(f"g{gi}.publish", "publish", gop=gi, deps=(decode.tid,)))
+    return decode
 
 
 # ======================================================================

@@ -13,8 +13,8 @@ imports keep working.
   silicon path; workers write planes in place).
 * :class:`LocalFramePool` — the same slot discipline on a plain
   ``numpy`` buffer (``workers=0`` paths; nothing to unlink).
-* :class:`StreamArena` — the coded bitstream, published once into
-  shared memory and parsed in place by every worker.
+* :class:`StreamArena` — the coded bitstream in shared memory, published
+  a byte range at a time and parsed in place by every worker.
 """
 
 from __future__ import annotations
@@ -228,18 +228,24 @@ class LocalFramePool(FramePoolBase):
 
 
 class StreamArena:
-    """The coded bitstream, published once into POSIX shared memory.
+    """The coded bitstream in POSIX shared memory, parsed in place.
 
-    The low-overhead dispatch contract: the parent copies the stream
-    into a segment exactly once per decode; every worker attaches by
-    name and parses **in place** through :attr:`view`, materialising
-    only the few-KB byte range of its own task.  Nothing about the
-    bitstream ever rides the task pipe — with a spawn start method the
-    per-worker cost drops from pickling the whole stream to pickling a
-    segment name, and with fork it removes the initargs copy entirely.
+    The low-overhead dispatch contract: every worker attaches by name
+    and parses **in place** through :attr:`view`, materialising only
+    the few-KB byte range of its own task.  Nothing about the bitstream
+    ever rides the task pipe — with a spawn start method the per-worker
+    cost drops from pickling the whole stream to pickling a segment
+    name, and with fork it removes the initargs copy entirely.
+
+    The segment is the size of the stream and keeps its offsets, so a
+    task addresses it by the scan's offsets whatever has been copied
+    in.  :meth:`publish` is the one copy: ``StreamArena(data)`` creates
+    the segment and publishes all of ``data``; ``StreamArena(size=n)``
+    creates it empty, for an owner that publishes a GOP's byte range as
+    the scan reaches it, before any of the GOP's tasks is submitted.
 
     The parent (owner) creates and eventually unlinks the segment;
-    workers attach and only ever :meth:`close`.
+    workers attach (``name`` and ``size``) and only ever :meth:`close`.
     """
 
     def __init__(
@@ -249,20 +255,21 @@ class StreamArena:
         name: str | None = None,
         size: int = 0,
     ) -> None:
-        if name is None:
-            if data is None:
-                raise ValueError("StreamArena needs data (create) or name (attach)")
+        self.size = len(data) if data is not None else size
+        self._owner = name is None
+        if self._owner:
             self._shm = shared_memory.SharedMemory(
-                create=True, size=max(len(data), 1)
+                create=True, size=max(self.size, 1)
             )
-            self._shm.buf[: len(data)] = data
-            self.size = len(data)
-            self._owner = True
         else:
             self._shm = shared_memory.SharedMemory(name=name)
-            self.size = size
-            self._owner = False
         self._view: memoryview | None = None
+        if data is not None:
+            self.publish(data, 0, self.size)
+
+    def publish(self, data: bytes, start: int, end: int) -> None:
+        """Copy ``data[start:end]`` into the segment at the same offsets."""
+        self._shm.buf[start:end] = memoryview(data)[start:end]
 
     @property
     def name(self) -> str:
@@ -270,7 +277,7 @@ class StreamArena:
 
     @property
     def view(self) -> memoryview:
-        """Zero-copy view of the published bytes (cached; released by
+        """Zero-copy view of the stream's bytes (cached; released by
         :meth:`close`)."""
         if self._view is None:
             self._view = self._shm.buf[: self.size]

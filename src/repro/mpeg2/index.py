@@ -2,10 +2,15 @@
 
 The paper's scan process reads the stream, finds start codes, and
 builds the task queues — GOP tasks for the coarse-grained decoder,
-picture/slice tasks for the fine-grained one — *without decoding*
-(Section 5.1, Table 2).  :func:`build_index` is that operation: a
-single pass over the bytes locating every sequence / GOP / picture /
-slice boundary.  Picture headers (a few bytes each) are additionally
+picture/slice tasks for the fine-grained one — *without decoding*,
+beside the workers, while they decode (Section 5.1, Table 2).
+:class:`IndexCursor` is that operation as a stage: it locates every
+sequence / GOP / picture / slice boundary one GOP at a time, from a
+bounded window that starts at the GOP's start code, so a decoder pulls
+GOP ``k`` when its frame window reaches GOP ``k`` and picture 0 waits
+for GOP 0's scan only.  :func:`build_index` is the drained cursor: the
+whole stream's :class:`StreamIndex`, for the tools and tests that want
+it at once.  Picture headers (a few bytes each) are additionally
 parsed for the temporal reference and picture type; the paper notes
 the scan process can read the type field to construct closed tasks.
 
@@ -16,6 +21,8 @@ memory model (Figs. 8-9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterator
 
 from repro.bitstream import (
     GROUP_START_CODE,
@@ -24,6 +31,7 @@ from repro.bitstream import (
     SEQUENCE_HEADER_CODE,
     SLICE_START_CODE_MAX,
     SLICE_START_CODE_MIN,
+    StartCodeHit,
     find_start_codes,
 )
 from repro.bitstream.emulation import unescape_payload
@@ -274,67 +282,159 @@ def sequence_prefix(data: bytes, index: StreamIndex) -> bytes:
     return data[: index.gops[0].start_offset]
 
 
-def build_index(data: bytes) -> StreamIndex:
-    """Single-pass scan of ``data`` into a :class:`StreamIndex`.
+#: Bytes of the scan's first window.  Later windows are as long as the
+#: last GOP, and double while a GOP has not ended inside them.
+SCAN_WINDOW = 1 << 16
 
-    This is the computational content of the paper's scan process; its
-    cost model charges cycles per byte scanned (Table 2).
+#: A start code with its payload's end: ``((offset, code), end)``.
+_Hit = tuple[StartCodeHit, int]
+
+
+class IndexCursor:
+    """The scan process as a cursor: the stream's GOPs, one at a time.
+
+    Construction reads the *sequence prefix* — every start code before
+    the first GOP — and keeps its :class:`SequenceHeader`.  Iterating
+    yields one :class:`GopIndex` per GOP, in stream order, scanning
+    :func:`find_start_codes` windows only as far as the GOP needs (a
+    window about one GOP long, restarting at the last start code found),
+    so indexing GOP ``k`` reads the bytes up to GOP ``k``'s end and at
+    most about one GOP past it, never the rest of the stream.  Every
+    iteration scans afresh from the first GOP.
+
+    A window that starts at a start code finds exactly the whole-stream
+    scan's hits in it, so the GOPs equal the whole-stream index's and a
+    malformed stream raises the same :class:`StreamIndexError`, with the
+    same message — when the cursor reaches the GOP that holds the fault
+    (a fault in the prefix raises at construction).
     """
-    hits = find_start_codes(data)
-    if not hits or hits[0].code != SEQUENCE_HEADER_CODE:
-        raise StreamIndexError("stream does not begin with a sequence header")
 
-    seq: SequenceHeader | None = None
-    gops: list[GopIndex] = []
-    current_gop: GopIndex | None = None
-    current_pic: PictureIndex | None = None
-
-    ends = [hit.offset for hit in hits[1:]]
-    ends.append(len(data))
-    for (offset, code), end in zip(hits, ends):
-        start = offset + 4
-        # Slices are nearly every hit: test for them first.
-        if SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX:
-            if current_pic is None:
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self._window = SCAN_WINDOW
+        seq: SequenceHeader | None = None
+        for (offset, code), end in self._hits(0):
+            if seq is None and code != SEQUENCE_HEADER_CODE:
+                break
+            if SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX:
                 raise StreamIndexError("slice outside any picture")
-            current_pic.slices.append(SliceIndex(code, start, end))
-        elif code == SEQUENCE_HEADER_CODE:
+            if code == PICTURE_START_CODE:
+                raise StreamIndexError("picture outside any GOP")
+            if code == GROUP_START_CODE:
+                self.sequence_header: SequenceHeader = seq
+                self._first_gop = offset
+                return
+            if code == SEQUENCE_END_CODE:
+                break
+            if code != SEQUENCE_HEADER_CODE:
+                raise StreamIndexError(f"unexpected start code 0x{code:02X}")
             if seq is not None:
                 raise StreamIndexError("repeated sequence header unsupported")
-            seq = SequenceHeader.read(BitReader(unescape_payload(data[start:end])))
-        elif code == GROUP_START_CODE:
-            if seq is None:
-                raise StreamIndexError("GOP before sequence header")
-            gh = GopHeader.read(
-                BitReader(unescape_payload(data[start:end])), seq.frame_rate
+            seq = SequenceHeader.read(
+                BitReader(unescape_payload(data[offset + 4 : end]))
             )
-            current_gop = GopIndex(
-                closed_gop=gh.closed_gop,
-                broken_link=gh.broken_link,
-                header_payload_start=start,
-                header_payload_end=end,
-            )
-            gops.append(current_gop)
-            current_pic = None
-        elif code == PICTURE_START_CODE:
-            if current_gop is None:
-                raise StreamIndexError("picture outside any GOP")
-            ph = PictureHeader.read(BitReader(unescape_payload(data[start:end])))
-            current_pic = PictureIndex(
-                picture_type=ph.picture_type,
-                temporal_reference=ph.temporal_reference,
-                forward_f_code=ph.forward_f_code,
-                backward_f_code=ph.backward_f_code,
-                alternate_scan=ph.alternate_scan,
-                header_payload_start=start,
-                header_payload_end=end,
-            )
-            current_gop.pictures.append(current_pic)
-        elif code == SEQUENCE_END_CODE:
-            break
-        else:
-            raise StreamIndexError(f"unexpected start code 0x{code:02X}")
-
-    if seq is None or not gops:
+        if seq is None:
+            raise StreamIndexError("stream does not begin with a sequence header")
         raise StreamIndexError("stream contains no GOPs")
-    return StreamIndex(sequence_header=seq, gops=gops, total_bytes=len(data))
+
+    def __iter__(self) -> Iterator[GopIndex]:
+        hits = self._hits(self._first_gop)
+        head: _Hit | None = next(hits)
+        while head is not None:
+            gop, head = self._gop(head, hits)
+            self._window = max(SCAN_WINDOW, gop.wire_bytes)
+            yield gop
+
+    def _hits(self, start: int) -> Iterator[_Hit]:
+        """Every start code from ``start`` (a start code, or 0) on, with
+        its payload's end (the next start code, or the end of the data),
+        scanned a window at a time as they are asked for."""
+        return chain.from_iterable(self._windows(start))
+
+    def _windows(self, start: int) -> Iterator[Iterator[_Hit]]:
+        data, n = self.data, len(self.data)
+        last: StartCodeHit | None = None
+        end = start
+        while end < n:
+            # A window that starts at a start code sees exactly the
+            # whole-stream scan's hits, so each one restarts at the last
+            # start code found, and nothing but it is scanned twice.  The
+            # last hit of a window waits for the next one's first: its
+            # payload ends there.
+            end = min(n, end + self._window)
+            self._window *= 2
+            found = find_start_codes(data, last.offset if last else start, end)
+            if found:
+                last = found[-1]
+                yield zip(found, [hit.offset for hit in found[1:]])
+        if last is not None:
+            yield iter([(last, n)])
+
+    def _gop(
+        self, head: _Hit, hits: Iterator[_Hit]
+    ) -> tuple[GopIndex, _Hit | None]:
+        """Index the GOP whose start code is ``head``, reading its start
+        codes off ``hits``; returns it and the next GOP's start code
+        (``None`` at the stream's end)."""
+        data = self.data
+        (start, _), end = head
+        gh = GopHeader.read(
+            BitReader(unescape_payload(data[start + 4 : end])),
+            self.sequence_header.frame_rate,
+        )
+        gop = GopIndex(
+            closed_gop=gh.closed_gop,
+            broken_link=gh.broken_link,
+            header_payload_start=start + 4,
+            header_payload_end=end,
+        )
+        pic: PictureIndex | None = None
+        for hit in hits:
+            (offset, code), end = hit
+            payload = offset + 4
+            # Slices are nearly every hit: test for them first.
+            if SLICE_START_CODE_MIN <= code <= SLICE_START_CODE_MAX:
+                if pic is None:
+                    raise StreamIndexError("slice outside any picture")
+                pic.slices.append(SliceIndex(code, payload, end))
+            elif code == PICTURE_START_CODE:
+                ph = PictureHeader.read(
+                    BitReader(unescape_payload(data[payload:end]))
+                )
+                pic = PictureIndex(
+                    picture_type=ph.picture_type,
+                    temporal_reference=ph.temporal_reference,
+                    forward_f_code=ph.forward_f_code,
+                    backward_f_code=ph.backward_f_code,
+                    alternate_scan=ph.alternate_scan,
+                    header_payload_start=payload,
+                    header_payload_end=end,
+                )
+                gop.pictures.append(pic)
+            elif code == GROUP_START_CODE:
+                return gop, hit
+            elif code == SEQUENCE_END_CODE:
+                break
+            elif code == SEQUENCE_HEADER_CODE:
+                raise StreamIndexError("repeated sequence header unsupported")
+            else:
+                raise StreamIndexError(f"unexpected start code 0x{code:02X}")
+        return gop, None
+
+
+def build_index(data: bytes) -> StreamIndex:
+    """The whole stream's :class:`StreamIndex`: the drained
+    :class:`IndexCursor`.
+
+    This is the computational content of the paper's scan process; its
+    cost model charges cycles per byte scanned (Table 2).  The parallel
+    decoders pull the cursor a GOP at a time instead.
+    """
+    cursor = IndexCursor(data)
+    # Drained at once, the stream is one window: one NumPy pass.
+    cursor._window = len(data)
+    return StreamIndex(
+        sequence_header=cursor.sequence_header,
+        gops=list(cursor),
+        total_bytes=len(data),
+    )

@@ -13,7 +13,7 @@ and the SMP simulator so reports line up):
 ``decode.picture_ms``    histogram — wall ms per decoded picture
 ``decode.gop_ms``        histogram — wall ms per decoded GOP
 ``mp.worker.idle_ms``    histogram — worker gap between tasks
-``mp.scan_ms``           counter   — parent scan (index build) ms
+``mp.scan_ms``           counter   — parent scan ms, summed over GOPs
 ``mp.frame_pool.occupancy`` gauge  — frame-window slots held, dispatch to emit
 ``queue.depth``          gauge     — display reorder-buffer depth
 ======================== ==========================================

@@ -18,13 +18,18 @@ display merge.
 
 The paper's three roles map onto real primitives:
 
-* **scan** — the parent builds a :class:`repro.mpeg2.index.StreamIndex`
-  (start-code scan, no decoding) once; each GOP's entry in it is a task
-  (:func:`~repro.exec.plan.scan_gop_tasks`).
+* **scan** — a stage, not a prelude: the parent pulls the stream's GOPs
+  off a :class:`repro.mpeg2.index.IndexCursor` (start-code scan, no
+  decoding) one at a time, when a worker and a run of the frame window
+  are free for the next GOP, copies the GOP's bytes into the shared
+  arena and plans it as a task
+  (:func:`~repro.exec.plan.add_gop_task`) — so the first GOP is
+  dispatched after its own scan, not the stream's.
 * **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` of
   ``workers`` processes, forked once per process and shared with
   the slice decoder and the serve layer.  The coded stream is published
-  **once** into POSIX shared memory; workers attach by name and decode
+  into POSIX shared memory a GOP at a time, each byte once; workers
+  attach by name and decode
   their GOP in place, by the parent's offsets, with the batched
   :class:`~repro.mpeg2.decoder.SequenceDecoder` — the bitstream never
   crosses the task pipe and is never re-scanned — each picture landing
@@ -44,12 +49,15 @@ The paper's three roles map onto real primitives:
   picture of decode away, not one GOP.
 
 The frame pool is a **window**, not the stream: ``2 x workers`` *runs*
-of ``longest GOP`` slots each (fewer if the stream has fewer GOPs) —
-the paper's ``workers x GOP`` decoded-frame memory (Fig. 8) plus one
-finished GOP per worker waiting for display.  A GOP takes a run at
-dispatch and returns it once the consumer has all its frames, so a slow
-consumer back-pressures the workers; claiming earliest first, the
-oldest un-emitted GOP always owns a run and the window cannot deadlock.
+of as many slots as the first GOP has pictures — the paper's ``workers
+x GOP`` decoded-frame memory (Fig. 8) plus one finished GOP per worker
+waiting for display.  A GOP takes a run at dispatch and returns it once
+the consumer has all its frames, so a slow consumer back-pressures the
+workers; claiming earliest first, the oldest un-emitted GOP always owns
+a run and the window cannot deadlock.  A later GOP longer than a run
+ends the run at that GOP boundary — every GOP before it is handed over
+first, and closed GOPs carry no state across — and the next run, on
+the same loop and attach, is sized for it.
 
 ``workers=0`` runs the identical plan on the in-process transport
 (:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory,
@@ -77,7 +85,8 @@ from repro.exec.backend import (  # noqa: F401  (names tests import from here)
     persistent_worker_pids,
 )
 from repro.exec.dispatch import StreamDecoder
-from repro.exec.plan import plan_gop_graph, scan_gop_tasks  # noqa: F401
+from repro.exec.graph import TaskGraph, TaskNode
+from repro.exec.plan import add_gop_task, scan_gop_tasks  # noqa: F401
 from repro.exec.shm import FrameLayout, SharedFramePool  # noqa: F401
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES
@@ -131,7 +140,7 @@ class MPGopDecoder(StreamDecoder):
     def stall_breakdown(self) -> dict[str, float]:
         """As the base class's, but a team larger than the stream has
         GOPs only ever keeps that many workers busy."""
-        procs = min(self.workers, len(self.index.gops)) + 1 if self.workers else 1
+        procs = min(self.workers, self.gops_scanned) + 1 if self.workers else 1
         return self.last_stalls.breakdown(self.last_wall_seconds * procs)
 
     # ------------------------------------------------------------------
@@ -155,26 +164,23 @@ class MPGopDecoder(StreamDecoder):
         A GOP may come in several runs — the head GOP as its task posts
         each picture — and its runs, concatenated, are its frames; no
         run of a GOP comes before the last run of the GOP before it.
-        The plan is :func:`~repro.exec.plan.plan_gop_graph`; the policy
-        below is one GOP per worker at a time, earliest first, each
-        into a free run of the frame window, which it gives back when
-        its last run is handed over.  ``workers=0`` runs each GOP where
-        it is submitted.
+        The policy below is one GOP per worker at a time, earliest
+        first, each into a free run of the frame window, which it gives
+        back when its last run is handed over; a GOP is pulled off the
+        scan and planned (:func:`~repro.exec.plan.add_gop_task`) when a
+        worker and a run are free for it.  ``workers=0`` runs each GOP
+        where it is submitted.
         """
         self.counters = counters
-        self.graph = plan_gop_graph(self.index)
+        self._begin()
         #: decode tid -> the GopResult its publish node will merge.
         self.results: dict[str, GopResult] = {}
         #: gop -> the parts its task posted that are not emitted yet.
         self.parts: dict[int, list[GopResult]] = {}
-        gops = self.index.gops
-        #: The frame window: run ``r`` is slots ``[r * L, (r + 1) * L)``,
-        #: ``L`` the longest GOP; a GOP holds one from dispatch to emit.
-        self.run_slots = max((len(g.pictures) for g in gops), default=0)
-        self.free_runs = list(range(min(max(2 * self.workers, 1), len(gops))))
-        self.held_runs: dict[int, int] = {}
+        #: The display merge over GOPs; its total grows as GOPs are
+        #: planned.
         self.merger = DisplayMerger(
-            len(gops),
+            0,
             # An out-of-order completion sat in the reorder buffer: the
             # display-order merge stall (paper's display process).
             on_hold=self._held if self.workers else None,
@@ -185,10 +191,22 @@ class MPGopDecoder(StreamDecoder):
             "resilient": self.resilient,
         }
         try:
-            yield from self._run(
-                self.graph, decode_gop_task,
-                len(self.free_runs) * self.run_slots, state,
-            )
+            with self._scan_faults_first():
+                while (head := self._pull()) is not None:
+                    self._hold(head)
+                    #: The frame window: run ``r`` is slots ``[r * L,
+                    #: (r + 1) * L)``, ``L`` the run's first GOP; a GOP
+                    #: holds one from dispatch to emit.  A longer GOP
+                    #: ends the run and starts the next, sized for it.
+                    self.run_slots = len(head[1].pictures)
+                    self.free_runs = list(range(max(2 * self.workers, 1)))
+                    self.held_runs: dict[int, int] = {}
+                    self.graph = TaskGraph()
+                    self._ended = False
+                    yield from self._run(
+                        self.graph, decode_gop_task,
+                        len(self.free_runs) * self.run_slots, state,
+                    )
         finally:
             # Aborted or abandoned mid-stream, no run is held any more.
             metrics().gauge("mp.frame_pool.occupancy").set(0)
@@ -203,10 +221,26 @@ class MPGopDecoder(StreamDecoder):
             len(self.held_runs) * self.run_slots
         )
 
+    def _plan(self) -> TaskNode | None:
+        """Pull the next GOP and plan it onto the run's graph; ``None``
+        at the end of the stream, or when the GOP is longer than the
+        window's runs (it is held back to start the next run)."""
+        pulled = None if self._ended else self._pull()
+        if pulled is not None and len(pulled[1].pictures) <= self.run_slots:
+            self._publish_gop(pulled[1])
+            self.merger.total += 1
+            return add_gop_task(self.graph, *pulled)
+        if pulled is not None:
+            self._hold(pulled)
+        self._ended = True
+        return None
+
     def _claim(self) -> tuple | None:
         free = self.team.free()
-        node = self.graph.first_ready()
-        if not free or node is None or not self.free_runs:
+        if not free or not self.free_runs:
+            return None
+        node = self.graph.first_ready() or self._plan()
+        if node is None:
             return None
         self.graph.dispatch(node.tid)
         metrics().counter("mp.dispatch.messages").inc()

@@ -20,21 +20,24 @@ topologies of it:
 
 The paper's three roles map onto real primitives:
 
-* **scan** — one start-code pass builds the :class:`repro.mpeg2.index.
-  StreamIndex`; everything after it is done a GOP at a time.  When the
-  frame window (:func:`gop_frame_window`: pool size depends on GOP
-  structure and worker count, never on stream length — the paper's
-  Fig. 8 — and cannot deadlock; argument in DESIGN §2.4) first reaches
-  a GOP, the parent turns the GOP into coding-order
-  :class:`PicturePlan` records (byte ranges, reference links, display
-  indices) without decoding (:func:`~repro.exec.plan.scan_gop_pictures`)
-  and the pure-logic :class:`PictureSliceQueue` plans them onto its
-  live graph, so the work before picture 0 does not grow with the
-  stream.  The queue dispatches from that graph: earliest ready batch
-  first (the paper's in-order 2-D queue — work-conserving, but GOP 0
-  always has priority, so display order completes front to back), on
-  a credit of ``2 x workers`` batches, and only inside the frame
-  window.
+* **scan** — a stage, done a GOP at a time.  When the frame window
+  (:func:`gop_frame_window`, sized from the first GOP: pool size
+  depends on GOP structure and worker count, never on stream length —
+  the paper's Fig. 8 — and cannot deadlock; argument in DESIGN §2.4)
+  first reaches a GOP, the parent pulls the GOP off the
+  :class:`repro.mpeg2.index.IndexCursor` (one start-code window, no
+  decoding), copies its bytes into the shared arena, turns it into
+  coding-order :class:`PicturePlan` records (byte ranges, reference
+  links, display indices;
+  :func:`~repro.exec.plan.scan_gop_pictures`) and the pure-logic
+  :class:`PictureSliceQueue` plans them onto its live graph, so the
+  work before picture 0 does not grow with the stream.  A later GOP
+  the window cannot hold ends the run at that GOP boundary, and the
+  next run is sized for it.  The queue dispatches from that graph:
+  earliest ready batch first (the paper's in-order 2-D queue —
+  work-conserving, but GOP 0 always has priority, so display order
+  completes front to back), on a credit of ``2 x workers`` batches,
+  and only inside the frame window.
 * **workers** — the warm :class:`repro.exec.backend.WorkerTeam`
   shared with the GOP decoder and the serve layer, fed by the one
   parent loop (:mod:`repro.exec.dispatch`); this module only supplies
@@ -43,11 +46,12 @@ The paper's three roles map onto real primitives:
   stream's length) and a task body (:func:`decode_batch`) run per
   :class:`SliceBatch`, which carries its picture's header and its own
   slices' byte ranges.
-  The coded stream is published once into shared memory; workers
-  attach by name and slice payload byte ranges straight out of the
-  segment.  The decode is the picture kernel (:mod:`repro.mpeg2.kernel`)
-  that every batched path runs, split at its seam: the task body runs
-  phase 1 on every slice of the batch and then **one** phase-2
+  The coded stream is published into shared memory a GOP at a time, as
+  the scan reaches it; workers attach by name and slice payload byte
+  ranges straight out of the segment.  The decode is the picture
+  kernel (:mod:`repro.mpeg2.kernel`) that every batched path runs,
+  split at its seam: the task body runs phase 1 on every slice of the
+  batch and then **one** phase-2
   reconstruct of the batch's statically-final rows, in place on the
   shared-memory frame pool, reading reference pictures through
   zero-copy views; the picture's conceal sweep waits for its
@@ -68,9 +72,10 @@ the picture's slices start.  Within a picture, slices cover disjoint
 macroblock rows, so concurrent in-place writes never overlap — whether
 the rows of one batch are reconstructed one call each or all in one.
 Duplicate slices resolve statically, by the kernel's
-:func:`~repro.mpeg2.kernel.last_in_row` tag: no write race.  Every
-slot is zeroed when it is handed out, so rows no slice covers
-read as the sequential decoder's blank frame.  The result is
+:func:`~repro.mpeg2.kernel.last_in_row` tag: no write race.  The pool
+is created zero-filled and a slot is zeroed again when it is handed out
+a second time, so rows no slice covers read as the sequential decoder's
+blank frame.  The result is
 bit-identical to ``SequenceDecoder.decode_all()``, frames and
 counters, pinned by ``tests/parallel/test_mp_slice_parity``.
 
@@ -101,8 +106,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.headers import PictureHeader
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.constants import mb_ceil
+from repro.mpeg2.headers import PictureHeader, SequenceHeader
+from repro.mpeg2.index import GopIndex
 from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.metrics import metrics
 from repro.obs.stalls import (
@@ -192,7 +198,8 @@ class PictureSliceQueue:
 
     The graph is planned a GOP at a time, when the frame window first
     reaches the GOP, so what the queue holds before the first dispatch
-    does not grow with the stream.
+    does not grow with the stream — nor does the stream need to be
+    known past that GOP: ``gop_sizes`` is read one GOP at a time.
 
     Parameters
     ----------
@@ -207,7 +214,12 @@ class PictureSliceQueue:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
     gop_sizes:
-        Pictures per GOP, coding order.
+        Pictures per GOP, coding order: any iterable, read one GOP at a
+        time, when the frame window first reaches the GOP and before the
+        queue reads that GOP's entries of ``slice_counts`` and
+        ``dependencies`` — an owner may append them there as it yields
+        the GOP's size, so it builds a GOP's plans only when the GOP is
+        needed.  The stream ends where the iterable does.
     window:
         Pool slots (:func:`gop_frame_window`).  A picture may start
         only within ``window`` pictures of the first one that still
@@ -223,12 +235,7 @@ class PictureSliceQueue:
         that picture available.  At most one picture is gated at a time.
     on_slot:
         ``on_slot(slot)`` fires when a picture is given ``slot``, before
-        any of its slices is handed out (the owner blanks the slot).
-    on_gop:
-        ``on_gop(gop)`` fires when the frame window first reaches GOP
-        ``gop``, before the queue reads that GOP's entries of
-        ``slice_counts`` and ``dependencies``: an owner may append them
-        there, so it builds a GOP's plans only when the GOP is needed.
+        any of its slices is handed out.
     """
 
     def __init__(
@@ -242,7 +249,6 @@ class PictureSliceQueue:
         on_gated: Callable[[int], None] | None = None,
         on_released: Callable[[int], None] | None = None,
         on_slot: Callable[[int], None] | None = None,
-        on_gop: Callable[[int], None] | None = None,
     ) -> None:
         self.mode = SliceMode(mode).value
         if len(slice_counts) != len(dependencies):
@@ -252,12 +258,10 @@ class PictureSliceQueue:
         self.credit = max(1, 2 * workers)
         self._counts = slice_counts
         self._dependencies = dependencies
-        self._gop_sizes = list(gop_sizes)
-        self._on_gop = on_gop
-        #: Pictures in the stream; those planned so far are the length
-        #: of the per-picture lists below.
-        self.pictures = sum(self._gop_sizes)
+        self._gop_sizes = iter(gop_sizes)
+        #: GOPs planned so far, and whether ``gop_sizes`` has ended.
         self._gops_planned = 0
+        self._ended = False
         #: Per planned picture: its deduplicated dependencies, its batch
         #: nodes, its slot, and the emissions its slot still waits for
         #: (its own and one per picture that references it).
@@ -285,9 +289,11 @@ class PictureSliceQueue:
         while len(self._slot) < self._limit():
             gop, first = self._gops_planned, len(self._slot)
             t0, nodes = time.monotonic_ns(), self.graph.planned
-            if self._on_gop is not None:
-                self._on_gop(gop)
-            for order in range(first, first + self._gop_sizes[gop]):
+            size = next(self._gop_sizes, None)
+            if size is None:
+                self._ended = True
+                return
+            for order in range(first, first + size):
                 deps = tuple(dict.fromkeys(self._dependencies[order]))
                 outside = [d for d in deps if 0 <= d < first]
                 if outside:
@@ -308,8 +314,7 @@ class PictureSliceQueue:
             self._gops_planned += 1
             trace_complete(
                 "mp.plan", "mp", t0, time.monotonic_ns() - t0, gop=gop,
-                pictures=self._gop_sizes[gop],
-                nodes=self.graph.planned - nodes,
+                pictures=size, nodes=self.graph.planned - nodes,
             )
 
     @property
@@ -317,9 +322,15 @@ class PictureSliceQueue:
         """Batches out (``publish`` steps never stay dispatched)."""
         return self.graph.in_flight
 
+    @property
+    def pictures(self) -> int:
+        """Pictures planned so far (the stream's, once :attr:`done`)."""
+        return len(self._slot)
+
     def _limit(self) -> int:
         """One past the last picture the frame window lets start."""
-        return min(self.pictures, self._base + self.window)
+        limit = self._base + self.window
+        return min(self.pictures, limit) if self._ended else limit
 
     def _acquire(self, order: int) -> int:
         slot = self._slot[order]
@@ -423,10 +434,7 @@ class PictureSliceQueue:
     # -- diagnostics -----------------------------------------------------
     @property
     def done(self) -> bool:
-        return (
-            len(self._slot) == self.pictures
-            and self.graph.completed == self.graph.planned
-        )
+        return self._ended and self.graph.completed == self.graph.planned
 
     @property
     def pictures_complete(self) -> int:
@@ -444,30 +452,31 @@ class PictureSliceQueue:
 # ======================================================================
 # what a worker is given: the session state and the batch task body
 # ======================================================================
-def base_counters(index: StreamIndex) -> WorkCounters:
-    """GOP + picture header contributions (the parent's share).
+def base_counters(gops: Iterable[GopIndex]) -> WorkCounters:
+    """GOP + picture header contributions of ``gops`` (the parent's
+    share).
 
     The sequential decoder charges one header + its wire bits per GOP
     and per picture; slice headers/bits are charged by the picture
     kernel's phase 1 in whichever process parses the slice.
     """
     c = WorkCounters()
-    for gop in index.gops:
+    for gop in gops:
         for header in (gop, *gop.pictures):
             c.headers += 1
             c.bits += header.header_bits
     return c
 
 
-def picture_state(index: StreamIndex, resilient: bool) -> dict:
+def picture_state(seq: SequenceHeader, resilient: bool) -> dict:
     """The immutable decode context of one stream — shipped to every
     worker once, at attach (slice decoder and serve sessions alike).
     Its size does not depend on the stream's length: a picture's plan
     travels with the tasks that decode it."""
     return {
-        "seq": index.sequence_header,
-        "mb_width": index.mb_width,
-        "mb_height": index.mb_height,
+        "seq": seq,
+        "mb_width": mb_ceil(seq.width),
+        "mb_height": mb_ceil(seq.height),
         "resilient": resilient,
     }
 
@@ -546,7 +555,8 @@ class MPSliceDecoder(StreamDecoder):
         self._crash_task = _crash_task
         #: The run's picture plans in coding order, built a GOP at a
         #: time as the frame window reaches each GOP (every picture's
-        #: once a run has finished).
+        #: once a run has finished; a decode is one run unless a GOP
+        #: outgrows the window, DESIGN §2.4).
         self.plans: list[PicturePlan] = []
 
     # ------------------------------------------------------------------
@@ -561,48 +571,81 @@ class MPSliceDecoder(StreamDecoder):
     def iter_frames(
         self, counters: WorkCounters | None = None
     ) -> Iterator[Frame]:
-        """Yield decoded frames in display order."""
-        if counters is not None:
-            counters.add(base_counters(self.index))
+        """Yield decoded frames in display order.
+
+        One run per frame window: the window is sized from the run's
+        first GOP, and a later GOP that it cannot hold ends the run at
+        that GOP boundary and starts the next, sized for it (closed GOPs
+        carry no state across it)."""
         self.counters = counters
+        self._begin()
+        with self._scan_faults_first():
+            while (head := self._pull()) is not None:
+                self._hold(head)
+                yield from self._window_run(
+                    gop_frame_window([len(head[1].pictures)], self.workers)
+                )
+
+    def _window_run(self, slots: int) -> Iterator[Frame]:
+        """One run on a ``slots``-frame window, from the held GOP on."""
         self.gated_since: dict[int, int] = {}
         self.publish_ns: dict[int, int] = {}
         self.corrupt_rows: dict[int, list[int]] = {}
         self.plans = []
-        gop_sizes = [len(gop.pictures) for gop in self.index.gops]
-        slots = gop_frame_window(gop_sizes, self.workers)
         self._slice_counts: list[int] = []
         self._dependencies: list[tuple[int, ...]] = []
+        #: Slots a picture has taken this run: the pool is created
+        #: zero-filled, so only a reused slot must be blanked.
+        self._used_slots: set[int] = set()
+        #: The run's display merge; its total grows as GOPs are planned.
+        self.merger = DisplayMerger(
+            0, on_hold=self._held if self.workers else None
+        )
         self.q = q = PictureSliceQueue(
             self._slice_counts,
             self._dependencies,
             self.mode,
-            gop_sizes,
+            self._plan_gops(slots),
             slots,
             workers=self.workers,
             on_gated=self._on_gated,
             on_released=self._on_released,
-            on_slot=lambda slot: self.pool.clear_frame(slot),
-            on_gop=self._plan_gop,
-        )
-        self.merger = DisplayMerger(
-            q.pictures, on_hold=self._held if self.workers else None
+            on_slot=self._blank_reused,
         )
         yield from self._run(
             q.graph, decode_batch, slots,
-            picture_state(self.index, self.resilient),
+            picture_state(self.seq, self.resilient),
         )
         if not q.done:  # pragma: no cover - defensive
             raise RuntimeError(
                 "picture/slice queue stuck with incomplete pictures"
             )
 
-    def _plan_gop(self, gop: int) -> None:
-        """The queue's frame window reached ``gop``: build its plans."""
-        plans = scan_gop_pictures(self.index.gops[gop], gop, len(self.plans))
-        self.plans += plans
-        self._slice_counts += [len(p.slices) for p in plans]
-        self._dependencies += [p.dependencies for p in plans]
+    def _plan_gops(self, slots: int) -> Iterator[int]:
+        """The run's GOP sizes for its queue: each GOP pulled off the
+        scan as the frame window reaches it, published, and planned —
+        its picture plans, its header counters and its share of the
+        display merge.  Ends at the end of the stream, or at a GOP the
+        window cannot hold (held back for the next run)."""
+        while (pulled := self._pull()) is not None:
+            gi, gop = pulled
+            if gop_frame_window([len(gop.pictures)], self.workers) > slots:
+                self._hold(pulled)
+                return
+            self._publish_gop(gop)
+            plans = scan_gop_pictures(gop, gi, len(self.plans))
+            self.plans += plans
+            self._slice_counts += [len(p.slices) for p in plans]
+            self._dependencies += [p.dependencies for p in plans]
+            self.merger.total += len(plans)
+            if self.counters is not None:
+                self.counters.add(base_counters([gop]))
+            yield len(plans)
+
+    def _blank_reused(self, slot: int) -> None:
+        if slot in self._used_slots:
+            self.pool.clear_frame(slot)
+        self._used_slots.add(slot)
 
     # -- stall attribution -----------------------------------------------
     def _held(self, order: int, since_ns: int, held_ns: int) -> None:

@@ -742,12 +742,13 @@ class DecodeService(ParentLoop):
 
     def _attach(self, sid: str) -> None:
         """Publish a session to the team: frame pool, bitstream arena
-        (once per session) and the immutable decode context."""
+        (the whole stream, at attach) and the immutable decode context."""
         sess = self.sessions[sid]
         self._pools[sid] = self.team.attach(
             sid, decode_picture, sess.data, sess.layout, sess.picture_count,
-            picture_state(sess.index, sess.resilient),
+            picture_state(sess.index.sequence_header, sess.resilient),
         )
+        self.team.publish(sid, 0, len(sess.data))
         if self.workers:
             live = sum(pool.nbytes for pool in self._pools.values())
             self.last_pool_bytes = max(self.last_pool_bytes, live)

@@ -116,7 +116,7 @@ class StreamSession:
             self.seq = index.sequence_header
             self.layout = FrameLayout.for_display(self.seq.width, self.seq.height)
             self.plans = scan_slice_tasks(index)
-            self.counters = base_counters(index)
+            self.counters = base_counters(index.gops)
         self.merger = DisplayMerger(len(self.plans))
         self.pacer = Pacer(1.0 / fps if fps else None, preroll_pictures)
         self.degrade = DegradeState(policy or DegradePolicy())

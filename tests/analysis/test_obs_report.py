@@ -17,10 +17,17 @@ from repro.analysis.obs_report import (
     main,
     render_merged_report,
     render_report,
+    scan_summary,
     span_totals,
     stall_breakdown,
     utilization,
 )
+from repro.obs.trace import disable_tracing, enable_tracing, get_tracer, to_chrome
+from repro.parallel.mp import MPGopDecoder
+from repro.parallel.mp_slice import MPSliceDecoder
+
+from tests.mpeg2.test_golden_vectors import load_vector
+from tests.parallel.test_mp_slice_parity import tile_gops
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SOLO = os.path.join(FIXTURES, "solo_trace.json")
@@ -154,3 +161,37 @@ class TestMergedRender:
         text = render_merged_report(doc)
         assert "end-to-end latency waterfall" in text
         assert "fix#0" in text
+
+
+class TestScanStage:
+    """The scan row, from a real traced decode of a 4-GOP stream of
+    13-picture GOPs: one ``mp.scan`` span per GOP, and only the GOPs
+    the first picture waits for scanned before it."""
+
+    @pytest.mark.parametrize(
+        "decoder,before",
+        [
+            # One GOP per (in-process) worker.
+            (lambda data: MPGopDecoder(data, workers=0), 1),
+            # The window: one 13-picture GOP + 1 slot reaches GOP 1.
+            (lambda data: MPSliceDecoder(data, workers=0), 2),
+        ],
+    )
+    def test_scan_row_from_a_traced_decode(self, decoder, before):
+        data = tile_gops(load_vector("ipb_64x48_gop13"), 4)
+        enable_tracing(process_name="main")
+        try:
+            decoder(data).decode_all()
+            doc = to_chrome(get_tracer().events)
+        finally:
+            disable_tracing()
+        scan = scan_summary(doc)
+        assert scan["gops"] == 4
+        assert scan["before_first_picture"] == before
+        assert scan["total_ms"] > 0 and scan["mb_per_s"] > 0
+        text = render_report(doc)
+        assert "scan stage" in text and "GOPs before first picture" in text
+
+    def test_no_scan_spans_no_scan_row(self):
+        assert scan_summary(load_trace(SOLO)) is None
+        assert "scan stage" not in render_report(load_trace(SOLO))

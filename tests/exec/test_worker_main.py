@@ -120,7 +120,7 @@ def test_protocol_end_to_end(golden, stream):
     data, index, pool, attach = stream
     frames, _ = golden.scalar(VECTOR)
     plans = scan_slice_tasks(index)
-    pictures = picture_state(index, False)
+    pictures = picture_state(index.sequence_header, False)
     gop_state = {
         "seq": index.sequence_header,
         "engine": "batched",
@@ -567,7 +567,9 @@ def test_src_executor_imports_parallel_lazily():
 
 def test_src_gop_path_has_one_scan_and_no_substreams():
     # Every GOP-grain and executor decode reads the one attached
-    # stream by the offsets of the parent's single scan.  A second
+    # stream by the offsets of the parent's single scan (a cursor the
+    # decode pulls a GOP at a time; ``build_index`` only materialises
+    # ``index`` for readers outside the decode).  A second
     # ``build_index`` or a ``sequence_prefix`` under ``exec/`` or in the
     # GOP decoder would be the substream route (prefix + copied bytes,
     # scanned again in the worker) coming back beside it.
@@ -578,7 +580,10 @@ def test_src_gop_path_has_one_scan_and_no_substreams():
         if rel.startswith(watched)
         and re.search(r"\b(build_index|sequence_prefix)\(", line.split("#")[0])
     ]
-    scan_index = (os.path.join("exec", "backend.py"), "index = build_index(data)")
+    scan_index = (
+        os.path.join("exec", "dispatch.py"),
+        "self._index = build_index(self.data)",
+    )
     assert scans == [scan_index]
 
 

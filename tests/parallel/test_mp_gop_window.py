@@ -7,8 +7,9 @@ frame pool whose size does not depend on the stream's length:
 * on real streams (a committed vector tiled to 8 and 16 GOPs) at
   ``workers`` 0 and 2 — one message dispatches each GOP, the first run
   handed over is GOP 0's first picture alone while GOP 0's task is
-  still running, most of the plan still pending then, same pool for
-  both lengths;
+  still running, most of the stream not even scanned then, the same
+  GOPs indexed and bytes published before it at 2 GOPs as at 16, same
+  pool for both lengths;
 * the window policy as pure logic — the real ``_claim`` / ``_part`` /
   ``_done`` / ``_publish`` / ``_emit`` hooks and the real parent loop
   on a team with no processes, hypothesis choosing GOP sizes, worker
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.backend import GopResult
+from repro.exec.backend import GopResult, LocalTeam, WorkerTeam
 from repro.exec.graph import DISPATCHED
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder
@@ -39,7 +40,9 @@ from repro.mpeg2.index import (
 from repro.obs.metrics import metrics, reset_metrics
 from repro.parallel.mp import MPGopDecoder
 
+from tests.mpeg2.test_golden_vectors import CORPUS, load_vector
 from tests.mpeg2.test_resilience import corrupt_slice
+from tests.parallel.test_mp_slice_start import spy_start
 
 VECTOR = "two_gop_48x32"
 
@@ -71,10 +74,10 @@ def test_first_gop_arrives_while_the_plan_is_still_pending(golden, workers):
             if workers == 0:
                 assert dec.graph.state["g0.decode"] == DISPATCHED
         if gop == 0:
-            # Only what fits the window has been started; the rest of
-            # the stream is still on the plan, not buffered in the pool.
-            waiting = [n for n in dec.graph.pending() if n.kind != "publish"]
-            assert len(waiting) >= gops - max(2 * workers, 1)
+            # Only what fits the window has been scanned and planned;
+            # the rest of the stream is not even indexed yet.
+            assert dec.gops_scanned <= max(2 * workers, 1) < gops
+            assert dec.graph.planned == 2 * dec.gops_scanned
         shown.extend(gop_frames)
     assert [f.digest() for f in shown] == [f.digest() for f in frames] * 4
     snap = metrics().snapshot()
@@ -90,6 +93,45 @@ def test_pool_does_not_grow_with_the_stream(golden):
         sizes.append(dec.last_pool_bytes)
     longest = max(len(g.pictures) for g in dec.index.gops)
     assert sizes[0] == sizes[1] == 2 * 2 * longest * dec.layout.slot_bytes
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_work_before_first_picture_is_flat_in_stream_length(
+    workers, monkeypatch, no_shm_leak
+):
+    # Counted when the parent first waits for a result, with every
+    # worker started: which task reports first is up to the workers,
+    # and a worker that finished GOP 1 before GOP 0's first picture
+    # landed would start GOP 2.
+    clip = load_vector("ipb_64x48_gop13")
+    seen = spy_start(monkeypatch)
+    waited: list[tuple] = []
+    for team in (LocalTeam, WorkerTeam):
+
+        def fetch(self, *args, _f=team.fetch, **kwargs):
+            if not waited:
+                waited.append((len(seen["indexed"]), sum(seen["published"])))
+            return _f(self, *args, **kwargs)
+
+        monkeypatch.setattr(team, "fetch", fetch)
+    costs = []
+    for times in (2, 16):
+        data = tile(clip, times)
+        for record in (*seen.values(), waited):
+            record.clear()
+        dec = MPGopDecoder(data, workers=workers)
+        runs = dec.iter_gops()
+        gop, first = next(runs)
+        assert (gop, len(first)) == (0, 1)
+        assert len(seen["indexed"]) <= max(2 * workers, 1)
+        costs.append(waited[0])
+        frames = [*first, *(f for _, run in runs for f in run)]
+        want = CORPUS["ipb_64x48_gop13"]["frame_digests"] * times
+        assert [f.digest() for f in frames] == want
+    # One GOP per worker dispatched, each indexed and published once.
+    (gop,) = build_index(clip).gops
+    started = max(workers, 1)
+    assert costs[0] == costs[1] == (started, started * gop.wire_bytes)
 
 
 def _drop_slice(data: bytes, gop: int, pic: int, sl: int) -> bytes:
@@ -174,10 +216,18 @@ class FakeTeam:
         self.submitted: list[int] = []
         #: GOPs whose result has been fetched.
         self.finished: set[int] = set()
+        #: Pool slots of each run's attach.
+        self.attaches: list[int] = []
 
     def attach(self, sid, body, data, layout, slots, state):
+        # A new run starts once every GOP of the last one is handed over.
+        assert not self.busy and not self.live
         self.slots = slots
+        self.attaches.append(slots)
         return FakePool()
+
+    def publish(self, sid, start, end) -> None:
+        pass
 
     def detach(self, sid) -> None:
         pass
@@ -239,9 +289,15 @@ def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
                 assert gop in team.finished
                 assert got[gop] == sorted(team.live.pop(gop))
     assert list(got) == team.submitted == list(range(len(gop_sizes)))
-    assert team.slots == min(team.window, len(gop_sizes)) * max(
-        gop_sizes, default=0
-    )
-    assert not dec.held_runs and not team.live
+    # Each run's window is sized from its first GOP; a longer GOP ends
+    # the run and starts the next.
+    firsts: list[int] = []
+    for size in gop_sizes:
+        if not firsts or size > firsts[-1]:
+            firsts.append(size)
+    assert team.attaches == [team.window * size for size in firsts]
+    assert len(dec.last_graphs) == len(firsts)
+    assert not team.live and not getattr(dec, "held_runs", None)
     assert metrics().gauge("mp.frame_pool.occupancy").value == 0
-    dec.last_graph.verify_conservation()
+    for graph in dec.last_graphs:
+        graph.verify_conservation()

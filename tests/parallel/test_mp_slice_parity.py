@@ -25,6 +25,7 @@ from repro.mpeg2.index import build_index
 from repro.parallel.mp_slice import MPSliceDecoder, scan_slice_tasks
 
 from tests.mpeg2.test_batched_parity import assert_frames_identical
+from tests.mpeg2.test_conceal_parity import load_vector as load_conceal
 from tests.mpeg2.test_golden_vectors import CORPUS, VECTOR_NAMES, load_vector
 from tests.mpeg2.test_resilience import corrupt_slice
 
@@ -200,6 +201,17 @@ class TestResilientParity:
         SequenceDecoder(data, resilient=True).decode_all(counters)
         assert counters.concealed_slices == 1
         assert_slice_parity(data, workers, "improved", resilient=True)
+
+    @pytest.mark.parametrize("resilient", (False, True))
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_rows_no_slice_covers_in_reused_slots(self, workers, resilient):
+        # P1 of conceal_lost_picture has no slice at all.  Tiled three
+        # times, its later copies land in slots that earlier pictures
+        # filled (the pool starts zero-filled, and only a reused slot
+        # is blanked): strict, its rows read blank; resilient, they are
+        # concealed — both exactly as in the sequential decode.
+        data = tile_gops(load_conceal("conceal_lost_picture"), 3)
+        assert_slice_parity(data, workers, "improved", resilient)
 
     @pytest.mark.parametrize("workers", (0, 2))
     def test_strict_mode_raises_same_family(self, small_stream, workers):

@@ -313,6 +313,11 @@ class TestQueueProperties:
         assert queue.claim_batch().order == 2
         queue.complete_batch(2, 1)
         assert queue.take_completed() == [0, 1, 2]
+        # The stream's end is read when the window moves past its last
+        # GOP, which emission does.
+        assert not queue.done
+        for order in range(3):
+            queue.mark_emitted(order)
         assert queue.done
         assert gated == released == [1, 2]
 

@@ -1,12 +1,14 @@
 """The slice decoder's start-up does not grow with the stream.
 
 Before its first picture, :class:`~repro.parallel.mp_slice.MPSliceDecoder`
-plans only the GOPs its frame window reaches, builds only their picture
-plans, and attaches a decode context that carries no plan at all (each
-batch carries its own picture's header and slice ranges).  So two
-tilings of one clip, 2 GOPs and 16, must look the same up to the first
-yielded frame — the paper's argument for slice grain (§5.2): latency
-and memory set by the GOP structure, not by the stream's length.
+indexes only the GOPs its frame window reaches (the scan is a cursor,
+not a prelude), copies only their bytes into the shared arena, plans
+only their pictures, and attaches a decode context that carries no
+plan at all (each batch carries its own picture's header and slice
+ranges).  So two tilings of one clip, 2 GOPs and 16, must look the
+same up to the first yielded frame — the paper's argument for slice
+grain (§5.2): latency and memory set by the GOP structure, not by the
+stream's length.
 
 The queue underneath plans a GOP at a time; the property test pins that
 this is only *when* the graph is built, never *what* is dispatched: the
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.backend import LocalTeam, WorkerTeam
+from repro.mpeg2.index import IndexCursor, build_index
 from repro.parallel.mp_slice import MPSliceDecoder, PictureSliceQueue
 
 from tests.mpeg2.test_golden_vectors import CORPUS, load_vector
@@ -36,26 +39,54 @@ from tests.parallel.test_mp_slice_properties import (
 VECTOR = "ipb_64x48_gop13"
 
 
-def start_cost(data: bytes, workers: int, mode: str, monkeypatch) -> tuple:
-    """``(picture plans built, graph nodes planned, pickled bytes of
-    each attach state)`` when the first frame is yielded; the run is
-    then finished and checked against the golden digests."""
-    states: list[int] = []
+def spy_start(monkeypatch) -> dict[str, list]:
+    """Record, on both teams, the pickled bytes of every attach state
+    and the byte range of every arena publish, and every GOP the scan
+    cursor indexes."""
+    seen: dict[str, list] = {"states": [], "published": [], "indexed": []}
     for team in (LocalTeam, WorkerTeam):
 
-        def spy(self, sid, body, data, layout, slots, state, _attach=team.attach):
-            states.append(len(pickle.dumps(state)))
-            return _attach(self, sid, body, data, layout, slots, state)
+        def attach(self, sid, body, data, layout, slots, state, _f=team.attach):
+            seen["states"].append(len(pickle.dumps(state)))
+            return _f(self, sid, body, data, layout, slots, state)
 
-        monkeypatch.setattr(team, "attach", spy)
+        def publish(self, sid, start, end, _f=team.publish):
+            seen["published"].append(end - start)
+            return _f(self, sid, start, end)
+
+        monkeypatch.setattr(team, "attach", attach)
+        monkeypatch.setattr(team, "publish", publish)
+
+    def gop(self, head, hits, _f=IndexCursor._gop):
+        seen["indexed"].append(head[0])
+        return _f(self, head, hits)
+
+    monkeypatch.setattr(IndexCursor, "_gop", gop)
+    return seen
+
+
+def start_cost(data: bytes, workers: int, mode: str, monkeypatch) -> tuple:
+    """``(picture plans built, graph nodes planned, pickled bytes of
+    each attach state, GOPs indexed, arena bytes published)`` when the
+    first frame is yielded; the run is then finished and checked
+    against the golden digests."""
+    seen = spy_start(monkeypatch)
     dec = MPSliceDecoder(data, workers=workers, mode=mode)
     frames = dec.iter_frames()
     first = next(frames)
-    cost = (len(dec.plans), dec.q.graph.planned, list(states))
+    cost = (
+        len(dec.plans), dec.q.graph.planned, list(seen["states"]),
+        len(seen["indexed"]), sum(seen["published"]),
+    )
+    assert dec.gops_scanned == len(seen["indexed"])
     digests = [f.digest() for f in (first, *frames)]
     gops = len(dec.index.gops)
     assert digests == CORPUS[VECTOR]["frame_digests"] * gops
     assert len(dec.plans) == dec.index.picture_count
+    # Every GOP was indexed once by the decode (and once more by the
+    # ``index`` read above), and published once.
+    assert len(seen["indexed"]) == 2 * gops
+    assert sum(seen["published"]) == sum(g.wire_bytes for g in dec.index.gops)
     return cost
 
 
@@ -70,10 +101,14 @@ def test_work_before_first_picture_is_flat_in_stream_length(
         for n in (2, 16)
     )
     assert short == long
-    plans, _nodes, states = long
-    # The window (one 13-picture GOP + 1 slot) reaches GOPs 0 and 1.
+    plans, _nodes, states, indexed, published = long
+    # The window (one 13-picture GOP + 1 slot) reaches GOPs 0 and 1:
+    # both are indexed and published, nothing past them.
     assert plans == 26
     assert len(states) == 1
+    assert indexed == 2
+    (gop,) = build_index(load_vector(VECTOR)).gops
+    assert published == 2 * gop.wire_bytes
 
 
 @st.composite
@@ -118,9 +153,10 @@ def test_planning_a_gop_at_a_time_dispatches_as_the_whole_stream(
             on_claim=lambda s, b: s.log.append((b.order, tuple(b.sidxs), b.slot)),
         )
         sched.log = []
+        # The queue reads a GOP's size when its window reaches the GOP.
+        read = (reached.append(g) or n for g, n in enumerate(gop_sizes))
         sched.queue = PictureSliceQueue(
-            counts, deps, mode, gop_sizes, sched.window, workers=workers,
-            on_gop=reached.append,
+            counts, deps, mode, read, sched.window, workers=workers,
         )
         drain(sched, picks)
         logs.append((sched.log, sched.completion_order, sched.emitted))

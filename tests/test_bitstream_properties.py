@@ -297,6 +297,23 @@ def test_scanner_matches_find_loop(data, cut):
     assert scanned(data, start) == naive_start_codes(data, start)
 
 
+@settings(max_examples=500, deadline=None)
+@given(data=scan_bytes, pick=st.floats(0, 1), cut=st.floats(0, 1))
+def test_a_window_that_starts_at_a_hit_sees_the_whole_streams_hits(
+    data, pick, cut
+):
+    # The scan cursor restarts its windows at start codes it found; from
+    # there on a window must see exactly the whole-stream scan's hits.
+    whole = scanned(data)
+    if not whole:
+        return
+    start = whole[round(pick * (len(whole) - 1))][0]
+    end = start + round(cut * (len(data) - start))
+    assert scanned(data, start, end) == [
+        hit for hit in whole if start <= hit[0] and hit[0] + 4 <= end
+    ]
+
+
 @pytest.mark.parametrize(
     "data,start,end,hits",
     [
