@@ -10,7 +10,7 @@ and the policy they hand them:
   (:class:`FrameLayout`, :class:`SharedFramePool`,
   :class:`LocalFramePool`, :class:`StreamArena`).
 * :mod:`repro.exec.backend` — the runtime: one worker main speaking
-  one attach/task/detach protocol, :class:`WorkerTeam` (the only
+  one attach/task/detach protocol with one reply shape, :class:`WorkerTeam` (the only
   spawner, poller and reaper; owns each session's segments) and its
   in-process twin, the warm-team registry (:func:`get_team`), the
   liveness-polled result wait (:data:`LIVENESS_POLL_S`), canonical
@@ -18,9 +18,9 @@ and the policy they hand them:
 * :mod:`repro.exec.graph` — typed task nodes with explicit dependency
   edges: the live ready set every parent dispatches from, and the
   conservation law that audits the run afterwards.
-* :mod:`repro.exec.plan` — the three partitions as data: GOPs,
-  slice batches (``simple`` / ``improved`` as edges) and the serve
-  ref/B decomposition.
+* :mod:`repro.exec.plan` — the partitions of one picture graph as
+  data: a GOP's pictures as one chain, or slice batches (``simple`` /
+  ``improved`` as edges); a serve task is one picture node.
 * :mod:`repro.exec.dispatch` — :class:`ParentLoop`, the one loop that
   moves work from a graph to a team and back (the callers override its
   policy hooks), and :class:`StreamDecoder`, one stream's lease.

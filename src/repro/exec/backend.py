@@ -10,27 +10,31 @@ here (protocol tables and the design argument: DESIGN §2.10):
 * :func:`worker_main` — the only process target in ``src/``::
 
       ("attach", sid, body, arena, pool, layout, state, trace_dir)
-      ("task",   sid, key, args, fault)       # runs body(ctx, key, args)
+      ("task",   sid, keys, args, fault)      # runs body(ctx, keys, args)
       ("detach", sid)
       ("untrace",)                            # the traced run has ended
       None                                    # sentinel
 
-      -> ("part", wid, sid, key, payload, None, None)      # ctx.post(payload)
       -> ("ok" | "err", wid, sid, key, payload, metrics, stalls)
       -> ("obs", wid, None, None, None, metrics, stalls)   # at untrace, sentinel
 
-  Tasks arrive on a private queue; every message back is written
-  synchronously to the worker's own pipe (no feeder thread: a posted
-  part is readable by the parent when ``post`` returns).  It alone owns
+  A task is a *chain*: the keys of graph nodes sent together to one
+  worker, run in order (a GOP's pictures; a slice batch or a serve
+  picture is a chain of one).  Its body answers each key with one
+  ``ok`` as that key's work lands; an exception is one ``err``, keyed
+  by the first key not answered, and it settles the rest of the chain.
+  Tasks arrive on a private queue; every answer is written
+  synchronously to the worker's own pipe (no feeder thread: the parent
+  can read an answer as soon as it is sent).  It alone owns
   ``reset_metrics``, trace-shard flushing, ``queue.get`` idle
   attribution, the crash/hang test hooks, exception containment and
-  segment close.  Metrics and stalls ride every result message, so
-  whatever a worker recorded survives its being killed later.  A body
-  may ``post`` parts of its result while it runs; a part carries
-  neither, and the task is still running until its ``ok`` or ``err``.
+  segment close.  Metrics and stalls ride every answer, so whatever a
+  worker recorded survives its being killed later.
 * :class:`WorkerTeam` — the only spawner, poller and reaper, and the
   owner of each session's shared segments.  It waits on every live
-  worker's pipe at once; a pipe at EOF is a dead worker.  The parent
+  worker's pipe at once; a pipe at EOF is a dead worker.  It holds
+  each key of a task until that key's ``ok`` or its chain's ``err``;
+  a lost worker's held keys are what it lost.  The parent
   assigns every task to a named worker; what a dead or timed-out
   worker *means* is the caller's policy over the one parent loop
   (:mod:`repro.exec.dispatch`: fatal for the mp decoders, requeue +
@@ -41,10 +45,9 @@ here (protocol tables and the design argument: DESIGN §2.10):
   :func:`shutdown_persistent_pools` and :func:`persistent_worker_pids`
   front it; one mp decode's lease is
   :meth:`repro.exec.dispatch.StreamDecoder._run`.
-* :func:`decode_gop_task` — the GOP-grain task body (the slice and
-  serve bodies live with their decoders): one GOP decoded in place from
-  the attached stream, by the offsets of the parent's one scan, each
-  frame posted as it lands in the pool.
+
+The task bodies live with their decoders (``decode_gop_task``,
+``decode_batch``, ``decode_picture``); nothing here knows a grain.
 """
 
 from __future__ import annotations
@@ -59,13 +62,12 @@ import tempfile
 import threading
 import time
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from glob import glob
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait
-from typing import Callable
+from typing import Callable, Hashable, Iterator, Sequence
 
-from repro.exec.plan import GopTask
 from repro.exec.shm import (
     FrameLayout,
     FramePoolBase,
@@ -73,10 +75,7 @@ from repro.exec.shm import (
     SharedFramePool,
     StreamArena,
 )
-from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import DecodeError, SequenceDecoder
-from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.decoder import DecodeError
 from repro.obs.metrics import metrics, reset_metrics
 from repro.obs.stalls import REASON_QUEUE_GET, StallTable
 from repro.obs.trace import (
@@ -152,8 +151,6 @@ class TaskContext:
     ``data`` is the coded stream (``bytes`` in process, a zero-copy
     view of the shared arena in a worker), ``pool`` the session's frame
     pool and ``state`` the immutable decode context shipped at attach.
-    ``post(payload)`` sends the parent a ``part`` of the running task's
-    result; the transport sets it for each task.
     """
 
     sid: str
@@ -161,7 +158,6 @@ class TaskContext:
     data: "bytes | memoryview"
     pool: FramePoolBase
     state: dict
-    post: Callable[[object], None] | None = None
     #: Worker side only: the attached arena, and the attach time that
     #: idle attribution is clamped to (time a warm worker sat between
     #: two runs is not a stall of the later one).
@@ -177,19 +173,37 @@ class TaskContext:
                 pass
 
 
-def run_task(ctx: TaskContext | None, wid: int, sid: str, key, args) -> tuple:
-    """Run one task body; whatever it raises comes back as ``err``.
+def run_task(
+    ctx: TaskContext | None, wid: int, sid: str, keys: Sequence, args
+) -> Iterator[tuple]:
+    """Run one task's body, which yields ``(key, payload)`` for each of
+    ``keys``: an ``ok`` per answer as it comes, and if the body raises,
+    one ``err`` for the first key it had not answered.
 
     Shared by :func:`worker_main` and :class:`LocalTeam`, so a failing
     task looks the same to the parent loop on both transports — and is
     never a dead worker.
     """
+    left = list(keys)
     try:
         if ctx is None:
             raise DecodeError(f"session {sid!r} is not attached to this worker")
-        return ("ok", wid, sid, key, ctx.body(ctx, key, args))
+        for key, payload in ctx.body(ctx, keys, args):
+            left.remove(key)
+            yield "ok", wid, sid, key, payload
     except Exception as exc:
-        return ("err", wid, sid, key, exc)
+        yield "err", wid, sid, left[0] if left else keys[0], exc
+
+
+def _settle(held: dict, kind: str, sid: str, key: Hashable) -> bool:
+    """Let an answer go: an ``ok`` releases its own key, an ``err`` its
+    whole task's.  False for an answer nobody holds any more (a task
+    that already failed, a lost worker's)."""
+    entry = held.pop((sid, key), None)
+    if entry is not None and kind == "err":
+        for other in entry[1]:
+            held.pop((sid, other), None)
+    return entry is not None
 
 
 def _attach(msg: tuple, contexts: dict) -> None:
@@ -325,7 +339,7 @@ def worker_main(
                 trace_dir = None
                 disable_tracing()
                 continue
-            _, sid, key, args, fault = msg
+            _, sid, keys, args, fault = msg
             ctx = contexts.get(sid)
             stalls = StallTable()
             now = time.monotonic_ns()
@@ -347,11 +361,9 @@ def worker_main(
                 # per-task timeout must reap us.
                 while True:  # pragma: no cover - killed by the parent
                     time.sleep(60.0)
-            if ctx is not None:
-                ctx.post = lambda payload: results.send(
-                    ("part", wid, sid, key, payload, None, None)
-                )
-            ship(run_task(ctx, wid, sid, key, args), stalls)
+            for answer in run_task(ctx, wid, sid, keys, args):
+                ship(answer, stalls)
+                stalls = StallTable()
             last_end = time.monotonic_ns()
         ship(("obs", wid, None, None, None), StallTable())
     finally:
@@ -366,14 +378,17 @@ class LocalTeam:
     """The ``workers=0`` transport: one pretend worker, no processes.
 
     Same interface as :class:`WorkerTeam`; a task runs where it is
-    submitted and its parts and result wait in a deque for :meth:`fetch`.
-    Deterministic on constrained CI, never touches ``/dev/shm``, and
-    metrics land directly in the caller's registry.
+    submitted and its answers wait in a deque for :meth:`fetch`, each
+    key held until its own.  Deterministic on constrained CI, never
+    touches ``/dev/shm``, and metrics land directly in the caller's
+    registry.
     """
 
     def __init__(self) -> None:
         self.contexts: dict[str, TaskContext] = {}
         self.results: deque = deque()
+        #: Shaped as a worker's held keys (``_Worker``).
+        self.held: dict[tuple, tuple] = {}
 
     def attach(self, sid, body, data, layout, slots, state):
         pool = LocalFramePool(layout, slots)
@@ -387,27 +402,24 @@ class LocalTeam:
         self.contexts.pop(sid, None)
 
     def free(self, depth: int = 1) -> list[int]:
-        return [] if self.results else [0]
+        return [] if self.held else [0]
 
     def in_flight(self, sid: str | None = None) -> int:
-        """Tasks whose ``ok`` or ``err`` is not fetched yet (a queued
-        part is not a task)."""
+        """Keys whose answer is not fetched yet."""
         return sum(
-            1 for r in self.results
-            if r[0] in ("ok", "err") and (sid is None or r[2] == sid)
+            1 for held_sid, _key in self.held if sid is None or held_sid == sid
         )
 
-    def submit(self, wid, sid, key, args, fault=None) -> None:
-        ctx = self.contexts.get(sid)
-        if ctx is not None:
-            ctx.post = lambda payload: self.results.append(
-                ("part", wid, sid, key, payload, None)
-            )
-        result = run_task(ctx, wid, sid, key, args)
-        self.results.append((*result, None))
+    def submit(self, wid, sid, keys, args, fault=None) -> None:
+        self.held.update(((sid, key), (0.0, keys)) for key in keys)
+        for answer in run_task(self.contexts.get(sid), wid, sid, keys, args):
+            self.results.append((*answer, None))
 
     def fetch(self, stalls=None, on_timeout=None, **_names) -> tuple:
-        return self.results.popleft()
+        while True:
+            result = self.results.popleft()
+            if _settle(self.held, result[0], *result[2:4]):
+                return result
 
     def retire(self) -> None:
         self.contexts.clear()
@@ -416,8 +428,8 @@ class LocalTeam:
 
 
 #: One worker: its process, its private task queue, the parent's read
-#: end of its result pipe and the tasks it holds, ``(sid, key) ->
-#: monotonic seconds at assignment``, oldest first.
+#: end of its result pipe and the keys it holds, ``(sid, key) ->
+#: (monotonic seconds at assignment, its task's keys)``, oldest first.
 _Worker = namedtuple("_Worker", "proc task_q conn held")
 
 
@@ -555,6 +567,7 @@ class WorkerTeam:
         )
 
     def in_flight(self, sid: str | None = None) -> int:
+        """Keys whose answer has not come back yet."""
         return sum(
             1
             for w in self.workers.values()
@@ -562,10 +575,12 @@ class WorkerTeam:
             if sid is None or held_sid == sid
         )
 
-    def submit(self, wid: int, sid: str, key, args, fault: str | None = None) -> None:
+    def submit(
+        self, wid: int, sid: str, keys: Sequence, args, fault: str | None = None
+    ) -> None:
         w = self.workers[wid]
-        w.held[(sid, key)] = time.monotonic()
-        w.task_q.put(("task", sid, key, args, fault))
+        w.held.update(((sid, key), (time.monotonic(), keys)) for key in keys)
+        w.task_q.put(("task", sid, keys, args, fault))
 
     def fetch(
         self,
@@ -584,9 +599,9 @@ class WorkerTeam:
         polling.  Returns the next ``(kind, wid, sid, key, payload,
         metrics)``: its metrics and stalls are already folded into the
         parent registry and ``stalls``, and the wait is booked as
-        ``who``'s ``queue.get`` stall under ``span``.  A ``part`` leaves
-        its task held by the worker; an ``ok`` or ``err`` releases it.
-        Messages of lost workers and of released sessions are dropped.
+        ``who``'s ``queue.get`` stall under ``span``.  Answers for keys
+        no longer held (lost workers', failed tasks') and for released
+        sessions are dropped.
         """
         t0 = time.monotonic_ns()
         while True:
@@ -598,10 +613,8 @@ class WorkerTeam:
                     continue
             kind, wid, sid, key, payload, snap, stall_snap = self._inbox.popleft()
             worker = self.workers.get(wid)
-            if worker is None or (sid, key) not in worker.held:
+            if worker is None or not _settle(worker.held, kind, sid, key):
                 continue
-            if kind in ("ok", "err"):
-                del worker.held[(sid, key)]
             if sid in self.attached:
                 break
         waited = time.monotonic_ns() - t0
@@ -620,7 +633,7 @@ class WorkerTeam:
         out of every later wait (the liveness poll decides what the
         death means).  A message that pickled in the worker but does
         not load here becomes an ``err`` for the worker's oldest held
-        task — the only task a worker reports on."""
+        key — a key of the only task a worker reports on."""
         open_ = {
             w.conn: wid for wid, w in self.workers.items() if not w.conn.closed
         }
@@ -647,12 +660,12 @@ class WorkerTeam:
             if w.proc.exitcode is not None:
                 return wid, "died"
             if task_timeout_s is not None and w.held:
-                if now - next(iter(w.held.values())) > task_timeout_s:
+                if now - next(iter(w.held.values()))[0] > task_timeout_s:
                     return wid, "timeout"
         return None
 
     def lose(self, wid: int) -> list[tuple]:
-        """Reap worker ``wid``; returns the ``(sid, key)`` tasks it held."""
+        """Reap worker ``wid``; returns the ``(sid, key)`` keys it held."""
         w = self.workers.pop(wid)
         self.lost += 1
         reap_processes([w.proc])
@@ -791,65 +804,3 @@ def persistent_worker_pids() -> set[int]:
 
 
 atexit.register(shutdown_persistent_pools)
-
-
-# ----------------------------------------------------------------------
-# the GOP-grain task body
-# ----------------------------------------------------------------------
-@dataclass
-class GopResult:
-    """What a worker sends back: metadata only, never pixels.
-
-    A run of one GOP's display-ordered frames, decoded straight into
-    the pool slots from ``slot_base``.  A posted part is one frame with
-    empty counters; the task's result is the GOP's last run and
-    carries the whole GOP's counters.
-    """
-
-    gop: int
-    slot_base: int
-    temporal_references: list[int] = field(default_factory=list)
-    counters: WorkCounters = field(default_factory=WorkCounters)
-
-
-def decode_gop_task(ctx: TaskContext, key, task: GopTask) -> GopResult:
-    """Task body: decode one GOP straight into its run of pool slots.
-
-    The GOP is read from the attached stream by the offsets of the
-    parent's scan (``task.index``) — no substream, no second scan — and
-    decoded by :class:`SequenceDecoder`, each picture into slot
-    ``task.slot_base + display rank`` (cleared first: runs are reused
-    across GOPs, and a row no slice covers must read blank).  Every
-    frame but the last is posted as a part the moment it is final; the
-    last one is the result, so a GOP of one picture or none is still
-    one message.
-    """
-    state = ctx.state
-    gop = task.index
-    ranks = gop.display_ranks()
-
-    def into(pos: int) -> Frame:
-        slot = task.slot_base + ranks[pos]
-        ctx.pool.clear_frame(slot)
-        return ctx.pool.view_frame(slot, gop.pictures[pos].temporal_reference)
-
-    counters = WorkCounters()
-    result = GopResult(task.gop, task.slot_base, counters=counters)
-    with trace_span(
-        "mp.worker.decode_gop", cat="mp",
-        gop=task.gop, pictures=task.picture_count,
-    ):
-        frames = SequenceDecoder(
-            ctx.data,
-            index=StreamIndex(state["seq"], [gop], len(ctx.data)),
-            engine=state["engine"],
-            resilient=state["resilient"],
-        ).decode_gop(gop, counters, into)
-        for j, frame in enumerate(frames):
-            slot = task.slot_base + j
-            run = [frame.temporal_reference]
-            if j + 1 < task.picture_count:
-                ctx.post(GopResult(task.gop, slot, run))
-            else:
-                result = GopResult(task.gop, slot, run, counters)
-    return result

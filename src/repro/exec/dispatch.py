@@ -5,13 +5,14 @@ the worker team (:mod:`repro.exec.backend`) work from a live
 :class:`~repro.exec.graph.TaskGraph` — the *plan*
 (:mod:`repro.exec.plan`).  :meth:`ParentLoop.drive` is the only loop
 that moves that work, and the only caller of ``team.submit`` and
-``team.fetch`` in ``src``.  What the three callers differ in is
-*policy*, supplied by overriding the hooks: which ready node goes to
-which worker and how many may be in flight (:meth:`ParentLoop._claim`),
-what the parent does for a released ``publish`` node and where the
-display-ready run goes (:meth:`~ParentLoop._publish`,
-:meth:`~ParentLoop._emit`), what a part posted by a running task
-means (:meth:`~ParentLoop._part`; only GOP tasks post), and what a
+``team.fetch`` in ``src``.  A task is a chain of nodes (a GOP's
+pictures; one slice batch; one serve picture) and every answer is one
+node's ``ok`` or its chain's ``err``.  What the three callers differ
+in is *policy*, supplied by overriding the hooks: which ready nodes go
+to which worker and how many may be in flight
+(:meth:`ParentLoop._claim`), what the parent does for a completed
+picture and where the display-ready run goes
+(:meth:`~ParentLoop._publish`, :meth:`~ParentLoop._emit`), and what a
 failed task or a dead worker means (:meth:`~ParentLoop._failed`,
 :meth:`~ParentLoop._on_timeout`).
 The defaults are the mp decoders': a task error is re-raised and every
@@ -88,11 +89,7 @@ class ParentLoop:
                     self.last_stalls, self._on_timeout,
                     who=self.who, span=self.span,
                 )
-                if result is None:
-                    continue  # a handled loss: go round
-                if result[0] == "part":
-                    self._part(*result[2:5])
-                else:
+                if result is not None:  # None: a handled loss
                     self._result(*result)
             elif not self._idle():
                 return
@@ -114,27 +111,22 @@ class ParentLoop:
         return False
 
     def _publish(self) -> list:
-        """Run the ``publish`` nodes that are ready; returns the
-        display-ready run they released."""
+        """Publish the pictures completed since the last round; returns
+        the display-ready run they released."""
         return []
 
     def _claim(self) -> tuple | None:
-        """The next node to start now, already dispatched on its graph,
-        as ``team.submit`` arguments ``(wid, sid, key, args, fault)`` —
-        ``None`` when nothing may start (no free worker, in-flight
-        depth reached, nothing ready)."""
+        """The next task to start now, its nodes already dispatched on
+        their graph, as ``team.submit`` arguments ``(wid, sid, keys,
+        args, fault)`` — ``None`` when nothing may start (no free
+        worker, in-flight depth reached, nothing ready)."""
         raise NotImplementedError
 
     def _emit(self, ready: list) -> Iterator:
         return iter(())
 
-    def _part(self, sid: str, key, payload) -> None:
-        """A running task posted part of its result; the task is still
-        in flight (its ``ok`` or ``err`` comes to :meth:`_result`)."""
-        raise NotImplementedError
-
     def _result(self, kind, wid, sid, key, payload, snap) -> None:
-        """A task ended: ``kind`` is ``"ok"`` or ``"err"``."""
+        """A key was answered: ``kind`` is ``"ok"`` or ``"err"``."""
         if kind == "ok":
             self._done(sid, key, payload)
         else:
@@ -142,7 +134,7 @@ class ParentLoop:
 
     def _done(self, sid: str, key, payload) -> None:
         """A worker finished ``key``: complete it on its graph and bank
-        what its ``publish`` step needs."""
+        what publishing it needs."""
         raise NotImplementedError
 
     def _failed(self, sid: str, key, exc: Exception) -> None:

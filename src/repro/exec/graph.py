@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 #: The three task kinds of the paper's pipeline: ``parse`` (entropy
 #: decode / headers), ``reconstruct`` (dequant + IDCT + motion comp —
@@ -86,7 +86,10 @@ class TaskGraph:
       point at already-added nodes, which also makes cycles
       unrepresentable), and self-edges;
     * :meth:`dispatch` rejects a node whose deps have not completed —
-      the "never schedule before the refs publish" invariant;
+      the "never schedule before the refs publish" invariant — and
+      :meth:`dispatch_chain` extends it to nodes sent together to one
+      worker: edges from outside the chain complete, edges inside it
+      pointing back;
     * :meth:`verify_conservation` checks ``planned == dispatched +
       cancelled`` and ``dispatched == completed + lost`` once a run
       finishes or aborts.
@@ -171,20 +174,33 @@ class TaskGraph:
 
     # ------------------------------------------------------------------
     def dispatch(self, tid: Hashable) -> TaskNode:
-        node = self.nodes[tid]
-        if self.state[tid] != PENDING:
-            raise ValueError(
-                f"task {tid!r} dispatched twice (state {self.state[tid]!r})"
-            )
-        if self._unmet[tid]:
-            unpublished = [d for d in node.deps if self.state[d] != COMPLETED]
-            raise ValueError(
-                f"task {tid!r} scheduled before its ref edges published: "
-                f"{unpublished}"
-            )
-        self._leave_pending(tid, DISPATCHED)
-        self.dispatched += 1
-        return node
+        """Dispatch one node: a chain of one."""
+        return self.dispatch_chain((tid,))[0]
+
+    def dispatch_chain(self, tids: Sequence[Hashable]) -> list[TaskNode]:
+        """Dispatch ``tids`` together, to run in that order on one
+        worker.  Every edge into the chain from outside it must be
+        complete, and every edge inside it must point at an earlier
+        member; checked before any node changes state."""
+        for i, tid in enumerate(tids):
+            if self.state[tid] != PENDING or tid in tids[:i]:
+                raise ValueError(
+                    f"task {tid!r} dispatched twice (state {self.state[tid]!r})"
+                )
+            unmet = [
+                d for d in self.nodes[tid].deps
+                if d not in tids[:i] and self.state[d] != COMPLETED
+            ]
+            if ahead := [d for d in unmet if d in tids]:
+                raise ValueError(f"task {tid!r} depends on {ahead}, later in its chain")
+            if unmet:
+                raise ValueError(
+                    f"task {tid!r} scheduled before its ref edges published: {unmet}"
+                )
+        for tid in tids:
+            self._leave_pending(tid, DISPATCHED)
+        self.dispatched += len(tids)
+        return [self.nodes[tid] for tid in tids]
 
     def complete(self, tid: Hashable) -> list[TaskNode]:
         """Finish a dispatched node; returns the nodes that released."""

@@ -7,13 +7,12 @@ is where that difference lives: each planner lowers a
 edges between them, and the one parent loop
 (:mod:`repro.exec.dispatch`) dispatches whichever it is handed.
 
-* **GOP grain** (:func:`add_gop_task`; over the whole stream
-  :func:`scan_gop_tasks`, :func:`plan_gop_graph`) — the paper's 1-D
-  queue.  Closed GOPs share no coded state, so the graph
-  is independent ``decode -> publish`` pairs, one per GOP, with **no
-  cross-GOP edges**; a ``decode`` node carries one :class:`GopTask`
-  (the GOP's scan entry), its ``publish`` node is the parent's display
-  merge of that GOP.
+* **GOP grain** (:func:`add_gop_chain`; over the whole stream
+  :func:`plan_gop_graph`) — the paper's 1-D queue.  A node per
+  picture, with its reference edges, and a GOP's nodes one *chain*
+  sent to one worker as one :class:`GopTask` (the GOP's scan entry).
+  Closed GOPs share no coded state, so there are **no cross-GOP
+  edges**.
 * **Slice grain** (:func:`scan_gop_pictures`, :func:`add_slice_picture`;
   over the whole stream :func:`scan_slice_tasks`,
   :func:`plan_slice_graph`) — the 2-D picture/slice queue.  Each
@@ -52,53 +51,52 @@ from repro.mpeg2.kernel import check_closed, check_references, last_in_row
 # ======================================================================
 @dataclass(frozen=True)
 class GopTask:
-    """One GOP of worker work: its entry in the parent's scan — offsets
-    into the one shared arena, so a worker neither copies nor re-scans
-    the bytes — and the frame-pool slot its first display-order picture
-    lands in, assigned when the GOP is dispatched."""
+    """The one message of a GOP's chain: its entry in the parent's scan
+    — offsets into the one shared arena, so a worker neither copies nor
+    re-scans the bytes — the coding order of its first picture, and the
+    frame-pool slot of each picture by coding position, assigned when
+    the chain is dispatched."""
 
     gop: int
     index: GopIndex
-    slot_base: int = 0
-
-    @property
-    def picture_count(self) -> int:
-        return len(self.index.pictures)
-
-
-def scan_gop_tasks(index: StreamIndex) -> list[GopTask]:
-    """Split the index into per-GOP tasks, in stream order."""
-    return [GopTask(gi, gop) for gi, gop in enumerate(index.gops)]
+    base: int = 0
+    slots: tuple[int, ...] = ()
 
 
 def plan_gop_graph(index: StreamIndex) -> TaskGraph:
-    """GOP-grain plan: one ``g<k>.decode -> g<k>.publish`` pair per GOP.
-
-    One GOP per message whatever the team size: a queue round trip is
-    ~0.2 ms against a GOP's ~270 ms of decode, so grouping GOPs saves
-    nothing.  The ``publish`` node merges the GOP's last frames; the
-    task posts every earlier one as it is decoded, so the first picture
-    is displayable one picture of decode after the run starts, not the
-    paper's one GOP (§5.1).
-    """
+    """GOP-grain plan of a scanned stream: :func:`add_gop_chain` for
+    every GOP, in stream order.  One chain — one message — per GOP
+    whatever the team size: a round trip costs well under a millisecond
+    against a GOP's tens to hundreds of milliseconds of decode, so
+    grouping GOPs saves nothing."""
     graph = TaskGraph()
     for gi, gop in enumerate(index.gops):
-        add_gop_task(graph, gi, gop)
+        add_gop_chain(graph, gi, gop, graph.planned)
     return graph
 
 
-def add_gop_task(graph: TaskGraph, gi: int, gop: GopIndex) -> TaskNode:
-    """Plan GOP ``gi`` onto a graph — live or not — as its
-    ``g<gi>.decode -> g<gi>.publish`` pair; returns the ``decode``
-    node.  Closed GOPs share no edge, so a decoder may plan a GOP at a
-    time, as its frame window reaches the GOP."""
-    decode = graph.add(
-        TaskNode(
-            f"g{gi}.decode", "reconstruct", gop=gi, payload=GopTask(gi, gop)
+def add_gop_chain(
+    graph: TaskGraph, gi: int, gop: GopIndex, base: int
+) -> list[TaskNode]:
+    """Plan GOP ``gi`` (its first picture is coding order ``base``) onto
+    a graph — live or not — as one node per picture, in coding order;
+    returns them.  A node's tid is its coding order and its edges are
+    its references (:attr:`PicturePlan.dependencies`, from the picture
+    types); each carries the GOP's :class:`GopTask`, sent once for the
+    whole chain.  Closed GOPs share no edge, so a decoder may plan a GOP
+    at a time, as its frame window reaches the GOP.
+    """
+    task = GopTask(gi, gop, base)
+    return [
+        graph.add(
+            TaskNode(
+                base + pos, "reconstruct", gop=gi, order=base + pos,
+                deps=tuple(base + r for r in refs if r is not None),
+                payload=task,
+            )
         )
-    )
-    graph.add(TaskNode(f"g{gi}.publish", "publish", gop=gi, deps=(decode.tid,)))
-    return decode
+        for pos, refs in enumerate(gop.references())
+    ]
 
 
 # ======================================================================

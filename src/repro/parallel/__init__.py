@@ -57,28 +57,15 @@ from repro.parallel.stats import (
     pictures_per_second,
 )
 from repro.parallel.memory_model import MemoryModel
-from repro.parallel.mp import (
-    MPGopDecoder,
-    SharedFramePool,
-    FrameLayout,
-    scan_gop_tasks,
-)
+from repro.parallel.mp import MPGopDecoder
 from repro.parallel.merge import DisplayMerger
-from repro.parallel.mp_slice import (
-    MPSliceDecoder,
-    PictureSliceQueue,
-    scan_slice_tasks,
-)
+from repro.parallel.mp_slice import MPSliceDecoder, PictureSliceQueue
 
 __all__ = [
     "MPGopDecoder",
     "MPSliceDecoder",
     "PictureSliceQueue",
     "DisplayMerger",
-    "scan_slice_tasks",
-    "SharedFramePool",
-    "FrameLayout",
-    "scan_gop_tasks",
     "StreamProfile",
     "GopProfile",
     "PictureProfile",

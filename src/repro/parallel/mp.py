@@ -9,7 +9,7 @@ the same way the paper escaped a single R4400: separate OS processes
 Neither the process machinery nor the dispatch loop is here: GOP-grain
 decode is one *partition* — the plan
 :func:`~repro.exec.plan.plan_gop_graph`, the task body
-:func:`~repro.exec.backend.decode_gop_task` and a small session
+:func:`decode_gop_task` and a small session
 context — handed to the single worker runtime in
 :mod:`repro.exec.backend` and driven by the one parent loop in
 :mod:`repro.exec.dispatch`.  This module supplies the policy (one GOP
@@ -20,10 +20,10 @@ The paper's three roles map onto real primitives:
 
 * **scan** — a stage, not a prelude: the parent pulls the stream's GOPs
   off a :class:`repro.mpeg2.index.IndexCursor` (start-code scan, no
-  decoding) one at a time, when a worker and a run of the frame window
-  are free for the next GOP, copies the GOP's bytes into the shared
-  arena and plans it as a task
-  (:func:`~repro.exec.plan.add_gop_task`) — so the first GOP is
+  decoding) one at a time, when a worker and a GOP's worth of the
+  frame window are free for the next GOP, copies the GOP's bytes into
+  the shared arena and plans its pictures
+  (:func:`~repro.exec.plan.add_gop_chain`) — so the first GOP is
   dispatched after its own scan, not the stream's.
 * **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` of
   ``workers`` processes, forked once per process and shared with
@@ -35,35 +35,35 @@ The paper's three roles map onto real primitives:
   crosses the task pipe and is never re-scanned — each picture landing
   straight in its slot of a shared-memory frame pool, where later
   pictures of the GOP read it as a reference and the parent reads it
-  for display: no private frame, no copy.  One message dispatches a
-  GOP; the worker posts one ``part`` per picture as it lands, the last
-  picture being the task's result.  Only tiny metadata (scan offsets
-  out, temporal references + work counters back) is pickled, and pixel
-  arrays never are.
-* **display** — the parent merges completed GOPs back into display
+  for display: no private frame, no copy.  A GOP is planned as its
+  pictures, one node each with its reference edges, and dispatched as
+  one *chain* in one message; the worker answers each picture with an
+  ``ok`` as it lands.  Only tiny metadata (scan offsets and slots out,
+  work counters back) is pickled, and pixel arrays never are.
+* **display** — the parent merges completed pictures into display
   order through the shared reorder buffer
-  (:class:`~repro.parallel.merge.DisplayMerger`), reading frames
-  out of the pool.  The head GOP — the earliest not yet handed over —
-  is handed over picture by picture as its parts arrive; a later GOP's
-  parts wait until it is the head, so the first picture is one
-  picture of decode away, not one GOP.
+  (:class:`~repro.parallel.merge.DisplayMerger`), as the slice decoder
+  and the serve sessions do, and reads each frame out of the pool when
+  the merge releases it: the first picture is one picture of decode
+  away, not one GOP.
 
-The frame pool is a **window**, not the stream: ``2 x workers`` *runs*
+The frame pool is a **window**, not the stream: ``2 x workers`` GOPs
 of as many slots as the first GOP has pictures — the paper's ``workers
 x GOP`` decoded-frame memory (Fig. 8) plus one finished GOP per worker
-waiting for display.  A GOP takes a run at dispatch and returns it once
-the consumer has all its frames, so a slow consumer back-pressures the
-workers; claiming earliest first, the oldest un-emitted GOP always owns
-a run and the window cannot deadlock.  A later GOP longer than a run
-ends the run at that GOP boundary — every GOP before it is handed over
-first, and closed GOPs carry no state across — and the next run, on
-the same loop and attach, is sized for it.
+waiting for display.  A GOP takes its slots at dispatch and gives them
+back once the consumer has its last picture, so a slow consumer
+back-pressures the workers; claiming earliest first, the oldest
+un-emitted GOP always holds its slots and the window cannot deadlock.
+A later GOP longer than the first ends the run at that GOP boundary —
+every GOP before it is handed over first, and closed GOPs carry no
+state across — and the next run, on the same loop and attach, is sized
+for it.
 
 ``workers=0`` runs the identical plan on the in-process transport
 (:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory,
-a one-run window) so functional tests are deterministic on constrained
-CI; ``workers>=1`` is the real-silicon path measured by
-``benchmarks/perf_parallel.py``.
+a one-GOP window) so functional tests are deterministic on constrained
+CI; ``workers>=1`` is the real-silicon path, measured by the
+``gop_parallel`` workload of ``bench/run.py``.
 
 Bit-exactness: closed GOPs carry no coded state across their
 boundaries, so a GOP decoded alone is identical to the same GOP
@@ -77,24 +77,64 @@ by ``tests/parallel/test_mp_parity.py`` and the golden-vector suite.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator
+from itertools import groupby
+from typing import Iterator, Sequence
 
-from repro.exec.backend import (  # noqa: F401  (names tests import from here)
-    GopResult,
-    decode_gop_task,
-    persistent_worker_pids,
-)
+from repro.exec.backend import TaskContext
 from repro.exec.dispatch import StreamDecoder
 from repro.exec.graph import TaskGraph, TaskNode
-from repro.exec.plan import add_gop_task, scan_gop_tasks  # noqa: F401
-from repro.exec.shm import FrameLayout, SharedFramePool  # noqa: F401
+from repro.exec.plan import GopTask, add_gop_chain
 from repro.mpeg2.counters import WorkCounters
-from repro.mpeg2.decoder import ENGINES
+from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.kernel import check_closed
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
 from repro.parallel.merge import DisplayMerger, record_merge_hold
+
+
+# ----------------------------------------------------------------------
+# the task body
+# ----------------------------------------------------------------------
+def decode_gop_task(
+    ctx: TaskContext, keys: Sequence, task: GopTask
+) -> Iterator[tuple]:
+    """Task body: decode one GOP's chain straight into its pool slots.
+
+    The GOP is read from the attached stream by the offsets of the
+    parent's scan (``task.index``) — no substream, no second scan — and
+    decoded by :class:`SequenceDecoder`, the picture at coding position
+    ``pos`` into slot ``task.slots[pos]`` (cleared first: slots are
+    reused across GOPs, and a row no slice covers must read blank) and
+    answered as ``keys[pos]``.  Each picture is answered with empty
+    counters the moment it is final, except the last, which waits for
+    the end of the decode and carries the whole GOP's counters.
+    """
+    gop = task.index
+
+    def into(pos: int) -> Frame:
+        ctx.pool.clear_frame(task.slots[pos])
+        return ctx.pool.view_frame(
+            task.slots[pos], gop.pictures[pos].temporal_reference
+        )
+
+    counters = WorkCounters()
+    *shown, last = gop.display_order()
+    with trace_span(
+        "mp.worker.decode_gop", cat="mp", gop=task.gop, pictures=len(keys)
+    ):
+        frames = SequenceDecoder(
+            ctx.data,
+            index=StreamIndex(ctx.state["seq"], [gop], len(ctx.data)),
+            engine=ctx.state["engine"],
+            resilient=ctx.state["resilient"],
+        ).decode_gop(gop, counters, into)
+        for pos, _frame in zip(shown, frames):
+            yield keys[pos], WorkCounters()
+        for _frame in frames:  # the last picture, then the counters
+            pass
+        yield keys[last], counters
 
 
 # ----------------------------------------------------------------------
@@ -161,30 +201,18 @@ class MPGopDecoder(StreamDecoder):
         """Yield ``(gop_number, display_ordered_frames)`` runs in display
         order.
 
-        A GOP may come in several runs — the head GOP as its task posts
-        each picture — and its runs, concatenated, are its frames; no
-        run of a GOP comes before the last run of the GOP before it.
-        The policy below is one GOP per worker at a time, earliest
-        first, each into a free run of the frame window, which it gives
-        back when its last run is handed over; a GOP is pulled off the
-        scan and planned (:func:`~repro.exec.plan.add_gop_task`) when a
-        worker and a run are free for it.  ``workers=0`` runs each GOP
-        where it is submitted.
+        A GOP comes in runs of the pictures the display merge released
+        together, and its runs, concatenated, are its frames; no run of
+        a GOP comes before the last run of the GOP before it.  The
+        policy below is one GOP per worker at a time, earliest first,
+        each into free slots of the frame window, which it gives back
+        when its last picture is handed over; a GOP is pulled off the
+        scan and planned (:func:`~repro.exec.plan.add_gop_chain`) when
+        a worker and a GOP's worth of slots are free for it.
+        ``workers=0`` runs each GOP where it is submitted.
         """
         self.counters = counters
         self._begin()
-        #: decode tid -> the GopResult its publish node will merge.
-        self.results: dict[str, GopResult] = {}
-        #: gop -> the parts its task posted that are not emitted yet.
-        self.parts: dict[int, list[GopResult]] = {}
-        #: The display merge over GOPs; its total grows as GOPs are
-        #: planned.
-        self.merger = DisplayMerger(
-            0,
-            # An out-of-order completion sat in the reorder buffer: the
-            # display-order merge stall (paper's display process).
-            on_hold=self._held if self.workers else None,
-        )
         state = {
             "seq": self.seq,
             "engine": self.engine,
@@ -194,104 +222,120 @@ class MPGopDecoder(StreamDecoder):
             with self._scan_faults_first():
                 while (head := self._pull()) is not None:
                     self._hold(head)
-                    #: The frame window: run ``r`` is slots ``[r * L,
-                    #: (r + 1) * L)``, ``L`` the run's first GOP; a GOP
-                    #: holds one from dispatch to emit.  A longer GOP
-                    #: ends the run and starts the next, sized for it.
-                    self.run_slots = len(head[1].pictures)
-                    self.free_runs = list(range(max(2 * self.workers, 1)))
-                    self.held_runs: dict[int, int] = {}
-                    self.graph = TaskGraph()
-                    self._ended = False
-                    yield from self._run(
-                        self.graph, decode_gop_task,
-                        len(self.free_runs) * self.run_slots, state,
-                    )
+                    yield from self._window_run(len(head[1].pictures), state)
         finally:
-            # Aborted or abandoned mid-stream, no run is held any more.
+            # Aborted or abandoned mid-stream, no slot is held any more.
             metrics().gauge("mp.frame_pool.occupancy").set(0)
-        self.merger.finish("GOP results")
 
-    def _held(self, result: GopResult, since_ns: int, held_ns: int) -> None:
-        record_merge_hold(self.last_stalls, since_ns, held_ns, gop=result.gop)
+    def _window_run(self, size: int, state: dict) -> Iterator:
+        """One run on a window of ``2 x workers`` GOPs of ``size``
+        pictures (the run's first GOP), from the held GOP on."""
+        self.run_slots = size
+        self.free_slots = list(range(max(2 * self.workers, 1) * size))
+        #: GOP -> the slots its pictures occupy, by coding position,
+        #: from dispatch until its last picture is handed over.
+        self.held_slots: dict[int, tuple[int, ...]] = {}
+        #: Display index of each planned picture (by its node's tid,
+        #: the run's coding order), and the tids the merge has released
+        #: since the last round.
+        self.display: list[int] = []
+        self.released: list[int] = []
+        self.graph = TaskGraph()
+        self.merger = DisplayMerger(
+            0,
+            # An out-of-order completion sat in the reorder buffer: the
+            # display-order merge stall (paper's display process).
+            on_hold=self._held if self.workers else None,
+        )
+        self._ended = False
+        yield from self._run(
+            self.graph, decode_gop_task, len(self.free_slots), state
+        )
+        self.merger.finish("pictures")
+
+    def _held(self, key: int, since_ns: int, held_ns: int) -> None:
+        record_merge_hold(
+            self.last_stalls, since_ns, held_ns, gop=self.graph.nodes[key].gop
+        )
 
     # -- the policy ------------------------------------------------------
     def _gauge_window(self) -> None:
         metrics().gauge("mp.frame_pool.occupancy").set(
-            len(self.held_runs) * self.run_slots
+            sum(map(len, self.held_slots.values()))
         )
 
     def _plan(self) -> TaskNode | None:
-        """Pull the next GOP and plan it onto the run's graph; ``None``
-        at the end of the stream, or when the GOP is longer than the
-        window's runs (it is held back to start the next run)."""
-        pulled = None if self._ended else self._pull()
-        if pulled is not None and len(pulled[1].pictures) <= self.run_slots:
-            self._publish_gop(pulled[1])
-            self.merger.total += 1
-            return add_gop_task(self.graph, *pulled)
-        if pulled is not None:
-            self._hold(pulled)
+        """Pull the next GOP and plan it onto the run's graph; returns
+        its first picture's node — ``None`` at the end of the stream, or
+        at a GOP longer than the window's GOPs (held back to start the
+        next run)."""
+        while not self._ended and (pulled := self._pull()) is not None:
+            gi, gop = pulled
+            if len(gop.pictures) > self.run_slots:
+                self._hold(pulled)
+                break
+            self._publish_gop(gop)
+            if gop.pictures:
+                base = len(self.display)
+                self.display += [base + r for r in gop.display_ranks()]
+                self.merger.total += len(gop.pictures)
+                return add_gop_chain(self.graph, gi, gop, base)[0]
+            # No picture, no task: the GOP is its header, charged here
+            # as a worker's decode of it would.
+            check_closed(gop)
+            if self.counters is not None:
+                self.counters.add(WorkCounters(headers=1, bits=gop.header_bits))
         self._ended = True
         return None
 
     def _claim(self) -> tuple | None:
         free = self.team.free()
-        if not free or not self.free_runs:
+        if not free or len(self.free_slots) < self.run_slots:
             return None
         node = self.graph.first_ready() or self._plan()
         if node is None:
             return None
-        self.graph.dispatch(node.tid)
+        task = node.payload
+        keys = tuple(range(task.base, task.base + len(task.index.pictures)))
+        self.graph.dispatch_chain(keys)
         metrics().counter("mp.dispatch.messages").inc()
-        run = self.held_runs[node.gop] = self.free_runs.pop()
+        slots = self.held_slots[task.gop] = tuple(
+            self.free_slots.pop() for _ in keys
+        )
         self._gauge_window()
-        task = replace(node.payload, slot_base=run * self.run_slots)
-        crash = task.gop == self._crash_gop
-        return free[0], self.sid, node.tid, task, "crash" if crash else None
+        crash = "crash" if task.gop == self._crash_gop else None
+        return free[0], self.sid, keys, replace(task, slots=slots), crash
 
-    def _part(self, sid, key, part: GopResult) -> None:
-        self.parts.setdefault(part.gop, []).append(part)
-
-    def _done(self, sid, key, result: GopResult) -> None:
+    def _done(self, sid, key: int, counters: WorkCounters) -> None:
         self.graph.complete(key)
-        self.results[key] = result
+        if self.counters is not None:
+            self.counters.add(counters)
+        self.released += self.merger.push(self.display[key], key)
+        metrics().gauge("queue.depth").set(self.merger.held)
 
-    def _publish(self) -> list[tuple[int, list[GopResult], GopResult | None]]:
-        """Merge the finished GOPs; return the display-ready runs as
-        ``(gop, parts, final result or None)``: every GOP the merger
-        released, then what the head GOP — the first not released —
-        has posted so far."""
-        ready = []
-        while (node := self.graph.first_ready(publish=True)) is not None:
-            self.graph.dispatch(node.tid)
-            result = self.results.pop(node.deps[0])
-            for done in self.merger.push(result.gop, result):
-                ready.append(
-                    (done.gop, [*self.parts.pop(done.gop, []), done], done)
-                )
-            metrics().gauge("queue.depth").set(self.merger.held)
-            self.graph.complete(node.tid)
-        head = self.merger.emitted
-        if head in self.parts:
-            ready.append((head, self.parts.pop(head), None))
+    def _publish(self) -> list[int]:
+        """The display-ready run the merge released since the last
+        round, as node tids."""
+        ready, self.released = self.released, []
         return ready
 
-    def _emit(self, ready) -> Iterator[tuple[int, list[Frame]]]:
-        for gop, parts, done in ready:
-            slots = [
-                (part.slot_base + j, ref)
-                for part in parts
-                for j, ref in enumerate(part.temporal_references)
-            ]
+    def _emit(self, ready: list[int]) -> Iterator[tuple[int, list[Frame]]]:
+        nodes = self.graph.nodes
+        for gop, keys in groupby(ready, lambda key: nodes[key].gop):
+            keys = list(keys)
+            task = nodes[keys[0]].payload
+            slots, pictures = self.held_slots[gop], task.index.pictures
             with trace_span(
-                "mp.shm.read", cat="mp", gop=gop, frames=len(slots)
+                "mp.shm.read", cat="mp", gop=gop, frames=len(keys)
             ):
-                frames = [self.pool.read_frame(*slot) for slot in slots]
-            if done is not None:
-                if self.counters is not None:
-                    self.counters.add(done.counters)
-                self.free_runs.append(self.held_runs.pop(gop))
+                frames = [
+                    self.pool.read_frame(
+                        slots[key - task.base],
+                        pictures[key - task.base].temporal_reference,
+                    )
+                    for key in keys
+                ]
+            if self.display[keys[-1]] == task.base + len(pictures) - 1:
+                self.free_slots += self.held_slots.pop(gop)
                 self._gauge_window()
             yield gop, frames
-

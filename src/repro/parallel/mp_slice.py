@@ -120,12 +120,11 @@ from repro.obs.trace import trace_complete, trace_span
 from repro.exec.backend import TaskContext
 from repro.exec.dispatch import StreamDecoder
 from repro.exec.graph import COMPLETED, DISPATCHED, PENDING, TaskGraph
-from repro.exec.plan import (  # noqa: F401  (names callers import from here)
+from repro.exec.plan import (
     PicturePlan,
     SlicePlan,
     add_slice_picture,
     scan_gop_pictures,
-    scan_slice_tasks,
 )
 from repro.parallel.merge import DisplayMerger, record_merge_hold
 from repro.parallel.slice_level import SliceMode
@@ -481,14 +480,15 @@ def picture_state(seq: SequenceHeader, resilient: bool) -> dict:
     }
 
 
-def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
+def decode_batch(ctx: TaskContext, keys, batch: SliceBatch) -> list[tuple]:
     """Task body: the picture kernel's two phases on the slices
     ``batch`` carries, in place on slot ``batch.slot``, references read
-    through views of ``batch.ref_slots``.  Returns ``(order, slices,
-    counters, corrupt_rows)``; the rows wait for the picture's conceal
-    sweep in :meth:`MPSliceDecoder._publish`.  What it raises comes
-    back as an ``err`` result for the parent to re-raise, never a dead
-    worker."""
+    through views of ``batch.ref_slots``.  Answers its one key with
+    ``(order, slices, counters, corrupt_rows)``; the rows wait for the
+    picture's conceal sweep in :meth:`MPSliceDecoder._publish`.  What
+    it raises comes back as an ``err`` for the parent to re-raise,
+    never a dead worker."""
+    (key,) = keys
     state = ctx.state
     header = PictureHeader.from_values(batch.header)
     slices = list(map(SlicePlan._make, batch.slices))
@@ -505,7 +505,7 @@ def decode_batch(ctx: TaskContext, key, batch: SliceBatch) -> tuple:
             reconstruct(out, parses, state["seq"], header, fwd, bwd)
         finally:
             del out, fwd, bwd
-    return batch.order, len(slices), counters, corrupt
+    return [(key, (batch.order, len(slices), counters, corrupt))]
 
 
 # ======================================================================
@@ -691,7 +691,7 @@ class MPSliceDecoder(StreamDecoder):
         # One running and one queued batch per worker: the credit
         # (2 x workers) always leaves one with room.
         return (
-            self.team.free(2)[0], self.sid, (batch.order, batch.sidxs[0]),
+            self.team.free(2)[0], self.sid, ((batch.order, batch.sidxs[0]),),
             batch.of(self.plans[batch.order]), "crash" if crash else None,
         )
 

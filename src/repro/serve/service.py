@@ -85,7 +85,7 @@ from repro.serve.session import SessionStatus, StreamSession
 _IDLE_POLL_S = 0.002
 
 
-def decode_picture(ctx: TaskContext, key: int, plan) -> WorkCounters:
+def decode_picture(ctx: TaskContext, keys, plan) -> list[tuple]:
     """Task body: one whole picture — the task carries its
     :class:`~repro.exec.plan.PicturePlan` — into pool slot
     ``plan.order`` (a serve pool has a slot per picture): the slice
@@ -94,9 +94,11 @@ def decode_picture(ctx: TaskContext, key: int, plan) -> WorkCounters:
 
     Runs in a worker (or in the parent at ``workers=0``) and records
     the ``serve.worker.*`` metrics there, so report consumers see one
-    vocabulary regardless of ``workers``.  Returns the picture's work
-    counters; whatever it raises fails the session, not the worker.
+    vocabulary regardless of ``workers``.  Answers its one key with
+    the picture's work counters; whatever it raises fails the session,
+    not the worker.
     """
+    (key,) = keys
     reg = metrics()
     t0 = time.perf_counter()
     try:
@@ -107,7 +109,8 @@ def decode_picture(ctx: TaskContext, key: int, plan) -> WorkCounters:
                 plan.order, range(len(plan.slices)), plan.order,
                 plan.dependencies,
             ).of(plan)
-            _order, _slices, counters, corrupt = decode_batch(ctx, None, batch)
+            [(_key, answer)] = decode_batch(ctx, keys, batch)
+            _order, _slices, counters, corrupt = answer
             out = ctx.pool.view_frame(plan.order, plan.header.temporal_reference)
             fwd = ctx.pool.view_frame(plan.fwd) if plan.fwd is not None else None
             try:
@@ -126,7 +129,7 @@ def decode_picture(ctx: TaskContext, key: int, plan) -> WorkCounters:
             (time.perf_counter() - t0) * 1e3
         )
     reg.counter("serve.worker.pictures").inc()
-    return counters
+    return [(key, counters)]
 
 
 # ======================================================================
@@ -780,7 +783,7 @@ class DecodeService(ParentLoop):
         )
         metrics().gauge("serve.inflight").inc()
         plan = self.sessions[task.session].plans[task.order]
-        return free[0], task.session, task.order, plan, fault
+        return free[0], task.session, (task.order,), plan, fault
 
     def _on_timeout(self) -> bool:
         """Liveness check between result polls: the serve *policy* for

@@ -54,7 +54,8 @@ def test_auto_grain_decode_accounts_every_task(tmp_path, no_shm_leak):
     for args in fused:
         assert args["slices"] >= 1 and "row" not in args, args
     # The graph is the dispatcher: at either grain the worker-run nodes
-    # it dispatched are the messages that were sent.
+    # it dispatched are what the messages carried — a GOP's pictures
+    # as one chain per message, a slice batch one node per message.
     data = _read(VECTOR)
     for grain in ("gop", "slice"):
         reset_metrics()
@@ -66,9 +67,16 @@ def test_auto_grain_decode_accounts_every_task(tmp_path, no_shm_leak):
             g.dispatched for g in graphs
         ), (grain, counters)
         sent = sum(
-            n.kind != "publish" for g in graphs for n in g.nodes.values()
+            len({
+                n.gop if grain == "gop" else n.tid
+                for n in g.nodes.values() if n.kind != "publish"
+            })
+            for g in graphs
         )
         assert counters["mp.dispatch.messages"] == sent, (grain, counters)
+        if grain == "gop":
+            assert sent == len(ex.index.gops)
+            assert counters["exec.tasks.dispatched"] == ex.index.picture_count
 
 
 def test_gop_grain_hands_over_picture_by_picture(tmp_path, no_shm_leak):

@@ -6,12 +6,16 @@ claim:
 1. **Dependency safety** — over *generated* task graphs (random DAGs,
    random dispatch interleavings): no node is ever scheduled before
    its ref edges published.  :meth:`TaskGraph.dispatch` must refuse
-   structurally, and :meth:`TaskGraph.run_all`'s visit order must
-   respect every edge.
+   structurally, :meth:`TaskGraph.dispatch_chain` must refuse a chain
+   with an unmet edge from outside it or an edge inside it pointing
+   forward, and :meth:`TaskGraph.run_all`'s visit order must respect
+   every edge.
 2. **Task conservation** — ``planned == dispatched == completed +
    cancelled`` after any mix of full runs and error-path
-   cancellations; the monotone counters cannot drift from the state
-   map.
+   cancellations, and ``lost`` the unanswered rest of a chain whose
+   run aborted (on the graph, and through the GOP decoder when a
+   worker dies mid-GOP); the monotone counters cannot drift from the
+   state map.
 3. **Decision determinism** — :class:`AutoGranularity` is the fixed
    rule: whatever the stream's profile and the worker count, ``auto``
    is GOP grain and the batched engine, and a hint pins its axis.
@@ -19,14 +23,20 @@ claim:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bandwidth import BandwidthProfile, GopBandwidth
 from repro.exec.auto import AutoGranularity, Decision
-from repro.exec.graph import TaskGraph, TaskNode
-from repro.exec.plan import plan_gop_graph, plan_slice_graph
+from repro.exec.graph import COMPLETED, TaskGraph, TaskNode
+from repro.exec.plan import add_gop_chain, plan_gop_graph, plan_slice_graph
+from repro.mpeg2.decoder import DecodeError
+from repro.parallel.mp import MPGopDecoder
+
+from tests.parallel.test_mp_gop_window import FakeTeam, synthetic_index
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +151,46 @@ class TestDependencySafety:
             graph.complete(node.tid)
         graph.verify_conservation()
 
+    @settings(max_examples=80, deadline=None)
+    @given(graph=task_graphs(), data=st.data())
+    def test_chain_rule(self, graph, data):
+        # Run a random prefix, then offer a random chain — any pending
+        # nodes, in any order.  It is taken exactly when every edge from
+        # outside it is complete and every edge inside it points at an
+        # earlier member; a refused chain changes nothing.
+        for _ in range(data.draw(st.integers(0, len(graph.nodes)))):
+            ready = graph.ready()
+            if not ready:
+                break
+            graph.dispatch(ready[0].tid)
+            graph.complete(ready[0].tid)
+        pending = [n.tid for n in graph.pending()]
+        if not pending:
+            return
+        chain = data.draw(st.permutations(pending)).copy()
+        del chain[data.draw(st.integers(1, len(chain))):]
+        # The first member that breaks a rule names it.
+        broken = None
+        for i, tid in enumerate(chain):
+            unmet = [
+                d for d in graph.nodes[tid].deps
+                if d not in chain[:i] and graph.state[d] != COMPLETED
+            ]
+            if unmet:
+                later = any(d in chain for d in unmet)
+                broken = "later in its chain" if later else "before its ref edges"
+                break
+        before = graph.counts(), dict(graph.state), graph.ready()
+        if broken:
+            with pytest.raises(ValueError, match=broken):
+                graph.dispatch_chain(chain)
+            assert (graph.counts(), graph.state, graph.ready()) == before
+        else:
+            nodes = graph.dispatch_chain(chain)
+            assert [n.tid for n in nodes] == chain
+            assert graph.dispatched == before[0]["dispatched"] + len(chain)
+            assert not set(chain) & {n.tid for n in graph.ready()}
+
     def test_graph_construction_rejects_bad_edges(self):
         g = TaskGraph()
         g.add(TaskNode(tid="a", kind="parse"))
@@ -152,6 +202,9 @@ class TestDependencySafety:
             g.add(TaskNode(tid="c", kind="parse", deps=("c",)))
         with pytest.raises(ValueError, match="unknown task kind"):
             TaskNode(tid="d", kind="bogus")
+        with pytest.raises(ValueError, match="dispatched twice"):
+            g.dispatch_chain(["a", "a"])
+        assert g.dispatched == 0
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +239,57 @@ class TestConservation:
         c = graph.counts()
         assert c["planned"] == c["completed"] + c["cancelled"]
 
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 13), data=st.data())
+    def test_aborted_chain_loses_what_it_did_not_answer(self, size, data):
+        # A GOP's pictures are one chain; its worker answers some of
+        # them, in any order, and the run dies: those are completed, the
+        # rest of the chain is lost, and the graph conserves.
+        graph = TaskGraph()
+        keys = [n.tid for n in add_gop_chain(
+            graph, 0, synthetic_index([size]).gops[0], 0
+        )]
+        graph.dispatch_chain(keys)
+        order = data.draw(st.permutations(keys))
+        answered = data.draw(st.integers(0, size))
+        for key in order[:answered]:
+            graph.complete(key)
+        graph.abort()
+        graph.verify_conservation()
+        c = graph.counts()
+        assert (c["completed"], c["lost"], c["cancelled"]) == (
+            answered, size - answered, 0
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(1, 13),
+        workers=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_worker_lost_mid_gop(self, size, workers, data):
+        # The GOP decoder on a team with no processes: the worker dies
+        # after answering k of the GOP's pictures.  The decode raises
+        # the canonical loss, and the run's graph holds k completed and
+        # the other pictures lost.
+        k = data.draw(st.integers(0, size - 1))
+        dec = MPGopDecoder(b"", index=synthetic_index([size]), workers=workers)
+        team = FakeTeam(dec, data.draw, lose_after=k)
+        shown = []
+        with mock.patch("repro.exec.dispatch.get_team", return_value=team):
+            with pytest.raises(DecodeError) as lost:
+                for _gop, frames in dec.iter_gops():
+                    shown += frames
+        assert str(lost.value) == (
+            "GOP worker process died mid-stream (exit codes [23]); its "
+            "task is lost — aborting the parallel decode"
+        )
+        c = dec.last_graph.counts()
+        assert (c["planned"], c["completed"], c["lost"]) == (size, k, size - k)
+        dec.last_graph.verify_conservation()
+        # What was answered before the loss was shown, in display order.
+        assert len(shown) <= k
+
     def test_conservation_violation_is_loud(self):
         g = TaskGraph()
         g.add(TaskNode(tid="a", kind="parse"))
@@ -199,27 +303,34 @@ class TestConservation:
             graph.verify_conservation()
 
     def test_gop_plan_shape(self, golden):
-        # The executed shape: per GOP one worker-run decode node whose
-        # payload is that GOP's task (what is actually sent: its entry
-        # in the parent's scan) and one parent-run publish node waiting
-        # on it; no cross-GOP edge, whatever the team size.
-        for vector in ("two_gop_48x32", "rc_64x48_gop4"):
+        # The executed shape: one worker-run node per picture, its tid
+        # the coding order and its edges the picture's references (the
+        # slice plan's ref edges, PicturePlan.dependencies); every node
+        # of a GOP carries that GOP's task (what is actually sent, once
+        # for the chain: its entry in the parent's scan).  No publish
+        # node and no cross-GOP edge, whatever the team size.
+        from repro.exec.plan import scan_slice_tasks
+
+        for vector in ("two_gop_48x32", "rc_64x48_gop4", "ipb_64x48_gop13"):
             index = golden.index(vector)
             graph = plan_gop_graph(index)
-            assert list(graph.nodes) == [
-                f"g{gi}.{step}"
-                for gi in range(len(index.gops))
-                for step in ("decode", "publish")
-            ]
+            plans = scan_slice_tasks(index)
+            assert list(graph.nodes) == [p.order for p in plans]
+            for plan in plans:
+                node = graph.nodes[plan.order]
+                assert node.kind == "reconstruct"
+                assert node.deps == plan.dependencies
+                assert node.gop == plan.gop
+                assert node.payload.index is index.gops[plan.gop]
             for gi, gop in enumerate(index.gops):
-                decode = graph.nodes[f"g{gi}.decode"]
-                assert decode.kind == "reconstruct" and decode.deps == ()
-                assert decode.payload.gop == gi
-                assert decode.payload.index is gop
-                assert decode.payload.picture_count == len(gop.pictures)
-                publish = graph.nodes[f"g{gi}.publish"]
-                assert publish.kind == "publish" and publish.payload is None
-                assert publish.deps == (f"g{gi}.decode",)
+                chain = [t for t, n in graph.nodes.items() if n.gop == gi]
+                assert len(chain) == len(gop.pictures)
+                assert all(graph.nodes[t].payload.base == chain[0] for t in chain)
+                assert all(
+                    d in chain for t in chain for d in graph.nodes[t].deps
+                )
+                # The whole GOP is a chain the graph takes in one go.
+                graph.dispatch_chain(chain)
 
     def test_slice_plan_b_pictures_wait_on_both_refs(self, golden):
         from repro.exec.plan import scan_slice_tasks

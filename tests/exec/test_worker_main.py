@@ -1,23 +1,24 @@
 """The one worker main, driven in this process on a plain ``queue.Queue``.
 
 No fork: :func:`repro.exec.backend.worker_main` is fed the wire
-protocol by hand — attach, one task of each of the three kinds (GOP,
-slice batch, serve picture), a task that raises, detach, sentinel —
-and the test reads what it sent down its result pipe (a watched
-stand-in that pickles each message, as a pipe does).  Pins the
-``part`` / ``ok`` / ``err`` / ``obs`` message shapes (a GOP task posts
-every picture but its last as a part, after the picture is in the
-pool; a serve task is one picture and posts none), that an error never
-ends the loop, and that the metrics
-shipped with the results add up to exactly what the task bodies
-recorded (nothing lost, nothing counted twice).  Real processes check
-the two ends of the pipe: a result that does not pickle comes back as
-an ``err``, and the worker lives on.
+protocol by hand — attach, one task of each of the three kinds (a GOP
+chain, a slice batch, a serve picture), a task that raises, detach,
+sentinel — and the test reads what it sent down its result pipe (a
+watched stand-in that pickles each message, as a pipe does).  Pins the
+``ok`` / ``err`` / ``obs`` message shapes (a GOP chain answers each of
+its pictures with an ``ok`` of its own, after the picture is in the
+pool; a slice batch or a serve picture is a chain of one), that an
+error never ends the loop, and that the metrics shipped with the
+answers add up to exactly what the task bodies recorded (nothing lost,
+nothing counted twice).  Real processes check the two ends of the
+pipe: an answer that does not pickle comes back as an ``err``, and the
+worker lives on.
 
 The structural tests at the bottom pin the point of the runtime:
 ``src/repro`` creates processes in one place, with one target; hands a
-team work and takes results and parts back in one place, the parent
-loop; and decides when a task may start in one place, the task graph.
+team work and takes answers back in one place, the parent loop, with
+one reply shape; and decides when a task may start in one place, the
+task graph.
 """
 
 from __future__ import annotations
@@ -33,26 +34,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.exec.backend import (
-    GopResult,
-    LocalTeam,
-    WorkerTeam,
-    decode_gop_task,
-    worker_main,
-)
-from repro.exec.plan import scan_gop_tasks
+from repro.exec.backend import LocalTeam, WorkerTeam, worker_main
+from repro.exec.plan import plan_gop_graph, scan_slice_tasks
 from repro.exec.shm import FrameLayout, SharedFramePool, StreamArena
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError
 from repro.obs.metrics import MetricsRegistry, metrics, reset_metrics
 from repro.obs.stalls import StallTable
 from repro.obs.trace import disable_tracing
-from repro.parallel.mp_slice import (
-    SliceBatch,
-    decode_batch,
-    picture_state,
-    scan_slice_tasks,
-)
+from repro.parallel.mp import decode_gop_task
+from repro.parallel.mp_slice import SliceBatch, decode_batch, picture_state
 from repro.serve.service import decode_picture
 
 VECTOR = "two_gop_48x32"
@@ -116,6 +107,17 @@ def drive(messages: list, watch=lambda msg: None) -> list[tuple]:
     return results.sent
 
 
+def gop_chain(index, gi: int, first_slot: int = 0) -> tuple:
+    """GOP ``gi``'s task message parts: its keys (the tids of its
+    picture nodes, coding order) and its task, its pictures given the
+    slots from ``first_slot`` on."""
+    graph = plan_gop_graph(index)
+    keys = tuple(t for t, node in graph.nodes.items() if node.gop == gi)
+    task = graph.nodes[keys[0]].payload
+    slots = tuple(range(first_slot, first_slot + len(keys)))
+    return keys, replace(task, slots=slots)
+
+
 def test_protocol_end_to_end(golden, stream):
     data, index, pool, attach = stream
     frames, _ = golden.scalar(VECTOR)
@@ -128,44 +130,44 @@ def test_protocol_end_to_end(golden, stream):
     }
     # The second GOP, read by its offsets into the whole-stream arena,
     # parked one slot into the pool.
-    gop1 = replace(scan_gop_tasks(index)[1], slot_base=1)
+    keys, gop1 = gop_chain(index, 1, first_slot=1)
     first = len(index.gops[0].pictures)
     intra = plans[0]  # first coded picture of a closed GOP: no refs
     batch = SliceBatch(0, range(len(intra.slices)), 0, ()).of(intra)
     # A picture past the session's pool: its serve task raises.
     stray = replace(intra, order=len(plans))
-    pictures_g1 = gop1.picture_count
-    assert pictures_g1 > 1
+    assert len(keys) > 1
+    # The GOP's pictures are answered as they land: in display order.
+    shown_keys = [keys[pos] for pos in gop1.index.display_order()]
 
-    # What the pool holds at the moment each GOP part is posted.
+    # What the pool holds at the moment each GOP picture is answered.
     pooled = []
 
     def watch(msg):
-        if msg[0] == "part":
-            part = msg[4]
-            (ref,) = part.temporal_references
-            pooled.append(pool.read_frame(part.slot_base, ref).digest())
+        if msg[:3] == ("ok", WID, "g"):
+            pos = keys.index(msg[3])
+            ref = gop1.index.pictures[pos].temporal_reference
+            pooled.append(pool.read_frame(gop1.slots[pos], ref).digest())
 
     results = drive([
         attach("g", decode_gop_task, gop_state),
         attach("s", decode_batch, pictures),
         attach("v", decode_picture, pictures),
-        ("task", "g", 0, gop1, None),
-        ("task", "s", (0, 0), batch, None),
-        ("task", "v", 0, intra, None),
-        ("task", "v", stray.order, stray, None),          # raises
-        ("task", "v", 0, intra, None),                    # still served
-        ("task", "nobody", 1, (), None),                  # never attached
+        ("task", "g", keys, gop1, None),
+        ("task", "s", ((0, 0),), batch, None),
+        ("task", "v", (0,), intra, None),
+        ("task", "v", (stray.order,), stray, None),       # raises
+        ("task", "v", (0,), intra, None),                 # still served
+        ("task", "nobody", (1,), (), None),               # never attached
         ("detach", "v"),
-        ("task", "v", 0, intra, None),                    # late, after detach
+        ("task", "v", (0,), intra, None),                 # late, after detach
         ("detach", "v"),                                   # unknown: ignored
     ], watch)
 
     # Every message is (kind, wid, sid, key, payload, metrics, stalls).
     assert all(len(r) == 7 and r[1] == WID for r in results)
     assert [(r[0], r[2], r[3]) for r in results] == [
-        *[("part", "g", 0)] * (pictures_g1 - 1),
-        ("ok", "g", 0),
+        *[("ok", "g", key) for key in shown_keys],
         ("ok", "s", (0, 0)),
         ("ok", "v", 0),
         ("err", "v", stray.order),
@@ -174,45 +176,39 @@ def test_protocol_end_to_end(golden, stream):
         ("err", "v", 0),
         ("obs", None, None),
     ]
-    parts, results = results[: pictures_g1 - 1], results[pictures_g1 - 1 :]
+    answers, results = results[: len(keys)], results[len(keys) :]
     payloads = [r[4] for r in results]
 
-    # GOP task: metadata only comes back, one frame per message, and
-    # each part's pixels were in the pool before the part was posted.
-    runs = [r[4] for r in parts] + [payloads[0]]
-    assert all(isinstance(run, GopResult) and run.gop == 1 for run in runs)
-    assert [run.slot_base for run in runs] == list(range(1, 1 + pictures_g1))
-    assert all(len(run.temporal_references) == 1 for run in runs)
-    shown = frames[first : first + pictures_g1]
-    assert pooled == [f.digest() for f in shown[:-1]]
-    for run, want in zip(runs, shown):
-        got = pool.read_frame(run.slot_base, run.temporal_references[0])
-        assert got.digest() == want.digest()
-    # Parts carry no metrics, stalls or counters; the ok carries all.
-    for part in parts:
-        assert part[5] is None and part[6] is None
-        assert part[4].counters == WorkCounters()
-    assert runs[-1].counters.macroblocks > 0
+    # GOP chain: one ordinary ok per picture — counters back, never
+    # pixels — each sent once its picture was in its slot.
+    shown = frames[first : first + len(keys)]
+    assert pooled == [f.digest() for f in shown]
+    assert all(isinstance(r[4], WorkCounters) for r in answers)
+    # Every answer carries what the worker recorded since the last; the
+    # GOP's counters ride its last picture, charged when the decode ends.
+    assert all(r[5] is not None and r[6] is not None for r in answers)
+    assert all(r[4] == WorkCounters() for r in answers[:-1])
+    assert answers[-1][4].macroblocks > 0
     # Slice batch: (order, slices, counters, corrupt rows).
-    order, slices, counters, rows = payloads[1]
+    order, slices, counters, rows = payloads[0]
     assert (order, slices, rows) == (0, len(intra.slices), [])
     assert isinstance(counters, WorkCounters) and counters.macroblocks > 0
     # Serve picture: its counters; same picture, same pixels.
-    assert isinstance(payloads[2], WorkCounters)
-    assert payloads[2] == counters
+    assert isinstance(payloads[1], WorkCounters)
+    assert payloads[1] == counters
     shown = pool.read_frame(0, intra.header.temporal_reference)
     assert shown.digest() == frames[intra.display_index].digest()
     # Errors are the exception itself, and never end the loop.
-    assert isinstance(payloads[3], TypeError)
-    assert isinstance(payloads[5], DecodeError)
+    assert isinstance(payloads[2], TypeError)
+    assert isinstance(payloads[4], DecodeError)
+    assert "not attached" in str(payloads[4])
     assert "not attached" in str(payloads[5])
-    assert "not attached" in str(payloads[6])
-    assert payloads[7] is None
+    assert payloads[6] is None
 
-    # Metrics ride every result and are reset after each: merged, they
+    # Metrics ride every answer and are reset after each: merged, they
     # are exactly what the bodies recorded, and nothing stays behind.
     total = MetricsRegistry()
-    for r in results:
+    for r in (*answers, *results):
         total.merge_snapshot(r[5])
     snap = total.snapshot()
     assert snap["counters"]["serve.worker.tasks"] == 3
@@ -224,7 +220,7 @@ def test_protocol_end_to_end(golden, stream):
     assert metrics().snapshot() == MetricsRegistry().snapshot()
     # The idle stall that preceded a task is shipped under the worker's
     # name with the canonical reason.
-    for r in results[:-1]:
+    for r in (*answers, *results[:-1]):
         assert set(r[6]) <= {f"worker-{WID}"}
         assert all(set(cell) == {"queue.get"} for cell in r[6].values())
 
@@ -236,32 +232,49 @@ def test_late_attach_is_contained(stream):
     _data, _index, _pool, attach = stream
     gone = list(attach("late", decode_picture, {}))
     gone[3] = gone[5] = "psm_released_long_ago"
-    results = drive([tuple(gone), ("task", "late", 1, (0,), None)])
+    results = drive([tuple(gone), ("task", "late", (1,), (0,), None)])
     assert [(r[0], r[2]) for r in results] == [("err", "late"), ("obs", None)]
     assert isinstance(results[0][4], DecodeError)
 
 
-def test_local_team_counts_tasks_not_parts(golden):
-    # At workers=0 a task runs at submit and its parts queue ahead of
-    # its ok: in flight is still one task, as on WorkerTeam.
+def answer_then_raise(ctx, keys, args):
+    """A chain body that answers its first key and then fails."""
+    yield keys[0], "landed"
+    raise ValueError("mid-chain")
+
+
+def test_local_team_holds_each_key_until_its_answer(golden):
+    # At workers=0 a chain runs at submit and its answers queue, one
+    # per picture: each key is in flight until its own ok is fetched,
+    # and the team is busy until the chain's last.
     name = "ipb_64x48_gop13"
     data, index = golden.data(name), golden.index(name)
     seq = index.sequence_header
-    (task,) = scan_gop_tasks(index)
+    keys, task = gop_chain(index, 0)
     team = LocalTeam()
     team.attach(
         "g", decode_gop_task, data,
-        FrameLayout.for_display(seq.width, seq.height), task.picture_count,
+        FrameLayout.for_display(seq.width, seq.height), len(keys),
         {"seq": seq, "engine": "batched", "resilient": False},
     )
-    team.submit(0, "g", 0, task)
-    parts = task.picture_count - 1
-    assert [r[0] for r in team.results] == ["part"] * parts + ["ok"]
-    assert (team.in_flight(), team.in_flight("g"), team.in_flight("x")) == (1, 1, 0)
-    got = [team.fetch() for _ in range(parts)]
-    assert [p[4].slot_base for p in got] == list(range(parts))
-    assert team.in_flight() == 1 and team.free() == []
-    assert team.fetch()[0] == "ok"
+    team.submit(0, "g", keys, task)
+    assert [r[0] for r in team.results] == ["ok"] * len(keys)
+    assert team.in_flight() == team.in_flight("g") == len(keys)
+    assert team.in_flight("x") == 0
+    got = []
+    for left in range(len(keys), 0, -1):
+        assert team.free() == [] and team.in_flight() == left
+        got.append(team.fetch()[3])
+    assert got == [keys[pos] for pos in index.gops[0].display_order()]
+    assert team.in_flight() == 0 and team.free() == [0]
+    # An err settles every key of its chain still held: the first was
+    # answered, the other two go with the error.
+    team.attach("h", answer_then_raise, data, FrameLayout.for_display(16, 16), 1, {})
+    team.submit(0, "h", ("a", "b", "c"), None)
+    assert team.fetch()[:5] == ("ok", 0, "h", "a", "landed")
+    assert team.in_flight("h") == 2
+    kind, _wid, _sid, key, error, _snap = team.fetch()
+    assert (kind, key, str(error)) == ("err", "b", "mid-chain")
     assert team.in_flight() == 0 and team.free() == [0]
 
 
@@ -280,12 +293,12 @@ class NeedsTwo(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def raising_body(ctx, key, args):
+def raising_body(ctx, keys, args):
     if args == "lock":
         raise HoldsLock()
     if args == "two":
         raise NeedsTwo(1, 2)
-    return os.getpid()
+    return [(key, os.getpid()) for key in keys]
 
 
 @pytest.mark.parametrize(
@@ -308,7 +321,7 @@ def test_unpicklable_error_comes_back_as_decode_error(
         pid = team.pid(0)
         got = []
         for key, task in ((1, args), (2, None)):
-            team.submit(0, "u", key, task)
+            team.submit(0, "u", (key,), task)
             got.append(team.fetch(StallTable(), lambda: bool(team.find_lost())))
         (kind, wid, sid, key, error, _snap), ok = got
         assert (kind, wid, sid, key) == ("err", 0, "u", 1)
@@ -376,9 +389,8 @@ def test_src_has_one_parent_loop_and_one_readiness_rule():
 def test_src_worker_results_travel_on_pipes():
     # Worker -> parent is one pipe per worker, written synchronously by
     # ``Connection.send``: no ``multiprocessing.Queue`` (whose feeder
-    # thread holds a posted part until it gets the GIL) is on that
-    # path; the one queue left is each worker's task queue.  And a part
-    # is still told from a result in the parent loop alone.
+    # thread holds an answer until it gets the GIL) is on that path;
+    # the one queue left is each worker's task queue.
     backend = os.path.join("exec", "backend.py")
     made = {"Queue(": [], "Pipe(": []}
     for rel, _n, line in src_lines():
@@ -403,25 +415,6 @@ def test_src_worker_results_travel_on_pipes():
 
     assert in_worker(src_sites(calls("put"))) == []
     assert in_worker(src_sites(calls("send")))
-    loop = os.path.join("exec", "dispatch.py")
-    assert src_sites(_tests_part) == [(loop, "ParentLoop.drive")]
-
-
-def _is_part(node) -> bool:
-    return isinstance(node, ast.Constant) and node.value == "part"
-
-
-def _tests_part(node) -> bool:
-    """A comparison (or match case) against the ``"part"`` kind."""
-    if isinstance(node, ast.Compare):
-        operands = [node.left, *node.comparators]
-        return any(
-            _is_part(n)
-            or isinstance(n, (ast.Tuple, ast.List, ast.Set))
-            and any(map(_is_part, n.elts))
-            for n in operands
-        )
-    return isinstance(node, ast.MatchValue) and _is_part(node.value)
 
 
 class _Scopes(ast.NodeVisitor):
@@ -458,14 +451,21 @@ def src_sites(pick) -> list[tuple[str, str]]:
     return found
 
 
-def test_src_has_one_route_for_posted_parts():
-    # A running task's parts reach the policy through the one parent
-    # loop: only ``drive`` tells a part from a result (so ``_result``
-    # sees ``ok`` and ``err`` alone), only the two transports give a
-    # task its ``post``, and no policy runs a loop of its own.
-    def sends_part(node) -> bool:
-        return isinstance(node, ast.Tuple) and bool(node.elts) and _is_part(
-            node.elts[0]
+def test_src_workers_answer_ok_err_or_obs():
+    # One reply shape: a worker answers each key of a task with an
+    # ``ok`` (a GOP's pictures are keys of their own, not parts of one
+    # result), a failed task with an ``err``, and the end of a traced
+    # run with ``obs`` — no other kind goes worker -> parent, and no
+    # task body is handed a way to post one.  The parent loop is still
+    # the one place that hands a team work and takes its answers.
+    def reply(node) -> bool:
+        """A ``(kind, wid, ...)`` tuple: what a worker ships."""
+        return (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) >= 5
+            and isinstance(node.elts[0], ast.Constant)
+            and isinstance(node.elts[1], ast.Name)
+            and node.elts[1].id == "wid"
         )
 
     def sets_post(node) -> bool:
@@ -474,16 +474,34 @@ def test_src_has_one_route_for_posted_parts():
             for t in node.targets
         )
 
-    def defines_drive(node) -> bool:
-        return isinstance(node, ast.FunctionDef) and node.name == "drive"
+    def team_call(name):
+        def pick(node) -> bool:
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name
+            ):
+                return False
+            owner = node.func.value
+            return (
+                isinstance(owner, ast.Name) and owner.id == "team"
+                or isinstance(owner, ast.Attribute) and owner.attr == "team"
+            )
+        return pick
 
-    loop = os.path.join("exec", "dispatch.py")
-    backend = os.path.join("exec", "backend.py")
-    transports = [(backend, "worker_main"), (backend, "LocalTeam.submit")]
-    assert src_sites(_tests_part) == [(loop, "ParentLoop.drive")]
-    assert src_sites(sends_part) == transports
-    assert src_sites(sets_post) == transports
-    assert src_sites(defines_drive) == [(loop, "ParentLoop")]
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    kinds = set()
+    for folder, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    tree = ast.parse(fh.read())
+                kinds |= {n.elts[0].value for n in ast.walk(tree) if reply(n)}
+    assert kinds == {"ok", "err", "obs"}
+    assert src_sites(sets_post) == []
+    loop = [(os.path.join("exec", "dispatch.py"), "ParentLoop.drive")]
+    assert src_sites(team_call("submit")) == loop
+    assert src_sites(team_call("fetch")) == loop
 
 
 def test_src_simulator_keeps_one_of_each():

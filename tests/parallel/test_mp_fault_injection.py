@@ -47,7 +47,7 @@ def assert_no_stray_children():
     individual decodes by design (``repro.exec.backend.get_team``), so only
     processes outside that registry count as strays.
     """
-    from repro.parallel.mp import persistent_worker_pids
+    from repro.exec.backend import persistent_worker_pids
 
     for _ in range(50):
         strays = [

@@ -10,22 +10,22 @@ frame pool whose size does not depend on the stream's length:
   still running, most of the stream not even scanned then, the same
   GOPs indexed and bytes published before it at 2 GOPs as at 16, same
   pool for both lengths;
-* the window policy as pure logic — the real ``_claim`` / ``_part`` /
-  ``_done`` / ``_publish`` / ``_emit`` hooks and the real parent loop
-  on a team with no processes, hypothesis choosing GOP sizes, worker
-  count, which in-flight GOP reports next and how much of it it posts
-  as parts before its result.
+* the window policy as pure logic — the real ``_claim`` / ``_done`` /
+  ``_publish`` / ``_emit`` hooks and the real parent loop on a team
+  with no processes, hypothesis choosing GOP sizes, worker count and
+  which in-flight GOP answers its next picture.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.backend import GopResult, LocalTeam, WorkerTeam
+from repro.exec.backend import LocalTeam, WorkerTeam
 from repro.exec.graph import DISPATCHED
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import SequenceDecoder
@@ -66,23 +66,26 @@ def test_first_gop_arrives_while_the_plan_is_still_pending(golden, workers):
     gops = len(dec.index.gops)
     assert gops == 8
     shown = []
+    per = len(dec.index.gops[0].pictures)
     for gop, gop_frames in dec.iter_gops():
         if not shown:
             # GOP 0's first picture, handed over on its own while the
-            # task that decodes GOP 0 is still running.
+            # task that decodes GOP 0 is still running: the rest of its
+            # pictures are still in flight.
             assert (gop, len(gop_frames)) == (0, 1)
-            if workers == 0:
-                assert dec.graph.state["g0.decode"] == DISPATCHED
+            gop0 = [t for t, n in dec.graph.nodes.items() if n.gop == 0]
+            assert DISPATCHED in {dec.graph.state[t] for t in gop0}
         if gop == 0:
             # Only what fits the window has been scanned and planned;
             # the rest of the stream is not even indexed yet.
             assert dec.gops_scanned <= max(2 * workers, 1) < gops
-            assert dec.graph.planned == 2 * dec.gops_scanned
+            assert dec.graph.planned == per * dec.gops_scanned
         shown.extend(gop_frames)
     assert [f.digest() for f in shown] == [f.digest() for f in frames] * 4
     snap = metrics().snapshot()
+    # One message per GOP; one graph node per picture.
     assert snap["counters"]["mp.dispatch.messages"] == gops
-    assert dec.last_graph.counts()["completed"] == 2 * gops
+    assert dec.last_graph.counts()["completed"] == per * gops
 
 
 def test_pool_does_not_grow_with_the_stream(golden):
@@ -183,11 +186,23 @@ def test_gop_tasks_decode_into_reused_slots(
 # ----------------------------------------------------------------------
 # the window policy as pure logic
 # ----------------------------------------------------------------------
+def synthetic_gop(size: int) -> list[PictureIndex]:
+    """``size`` pictures in coding order — ``I0 P3 B1 B2 P6 B4 B5 ...``,
+    the last P closing the GOP early if need be — with no bytes."""
+    coding = [(PictureType.I, 0)] if size else []
+    shown = 1
+    while shown < size:
+        p = min(shown + 2, size - 1)
+        coding += [(PictureType.P, p)]
+        coding += [(PictureType.B, b) for b in range(shown, p)]
+        shown = p + 1
+    return [PictureIndex(t, tr, 0, 0, False, 0, 0) for t, tr in coding]
+
+
 def synthetic_index(gop_sizes: list[int]) -> StreamIndex:
-    picture = PictureIndex(PictureType.I, 0, 0, 0, False, 0, 0)
     return StreamIndex(
         SequenceHeader(16, 16),
-        [GopIndex(True, False, 0, 0, [picture] * n) for n in gop_sizes],
+        [GopIndex(True, False, 0, 0, synthetic_gop(n)) for n in gop_sizes],
         0,
     )
 
@@ -200,24 +215,30 @@ class FakePool:
 
 
 class FakeTeam:
-    """A team without processes: ``fetch`` reports for whichever
-    in-flight GOP the test draws next — a one-frame part while it has
-    frames left to post, or its result with every frame not yet
-    posted — and ``submit`` audits the window."""
+    """A team without processes: ``fetch`` answers the next picture of
+    whichever in-flight GOP the test draws — in display order, as a
+    worker's decode lands them — and ``submit`` audits the window.
+    With ``lose_after`` the drawn worker dies instead of sending that
+    answer (counted over the whole run), and the decoder's liveness
+    poll is told, as a real team's ``fetch`` would."""
 
-    def __init__(self, dec: MPGopDecoder, draw) -> None:
-        self.dec, self.draw = dec, draw
+    def __init__(self, dec: MPGopDecoder, draw, lose_after=None) -> None:
+        self.dec, self.draw, self.lose_after = dec, draw, lose_after
         self.size = max(dec.workers, 1)
-        self.window = max(2 * dec.workers, 1)
-        #: wid -> [sid, key, task, frames posted so far].
+        self.workers = {
+            wid: SimpleNamespace(proc=SimpleNamespace(exitcode=None))
+            for wid in range(self.size)
+        }
+        #: wid -> [sid, the chain's keys still to answer, its task].
         self.busy: dict[int, list] = {}
-        #: gop -> the pool slots it owns until the consumer has it.
-        self.live: dict[int, set[int]] = {}
+        #: gop -> the task it was sent, until the consumer has it all.
+        self.live: dict[int, object] = {}
         self.submitted: list[int] = []
-        #: GOPs whose result has been fetched.
+        #: GOPs whose every picture has been answered.
         self.finished: set[int] = set()
         #: Pool slots of each run's attach.
         self.attaches: list[int] = []
+        self.answered = 0
 
     def attach(self, sid, body, data, layout, slots, state):
         # A new run starts once every GOP of the last one is handed over.
@@ -238,34 +259,40 @@ class FakeTeam:
         return [w for w in range(self.size) if w not in self.busy]
 
     def in_flight(self, sid=None) -> int:
-        return len(self.busy)
+        return sum(len(left) for _sid, left, _task in self.busy.values())
 
-    def submit(self, wid, sid, key, task, fault=None) -> None:
+    def submit(self, wid, sid, keys, task, fault=None) -> None:
         assert wid not in self.busy
-        slots = set(range(task.slot_base, task.slot_base + task.picture_count))
+        assert len(task.slots) == len(keys) == len(task.index.pictures)
+        slots = set(task.slots)
+        assert len(slots) == len(keys)
         assert all(0 <= s < self.slots for s in slots)
-        assert not any(slots & held for held in self.live.values())
-        self.live[task.gop] = slots
-        assert len(self.dec.held_runs) == len(self.live) <= self.window
+        assert not any(
+            slots & set(other.slots) for other in self.live.values()
+        )
+        self.live[task.gop] = task
         self.submitted.append(task.gop)
-        self.busy[wid] = [sid, key, task, 0]
+        order = task.index.display_order()
+        self.busy[wid] = [sid, [keys[pos] for pos in order], task]
 
     def fetch(self, stalls, on_timeout, **_names) -> tuple:
         wid = self.draw(st.sampled_from(sorted(self.busy)))
-        sid, key, task, posted = self.busy[wid]
-        slot = task.slot_base + posted
-        if posted < task.picture_count and self.draw(st.booleans()):
-            self.busy[wid][3] += 1
-            return "part", wid, sid, key, GopResult(task.gop, slot, [0]), None
-        del self.busy[wid]
-        self.finished.add(task.gop)
-        rest = [0] * (task.picture_count - posted)
-        return "ok", wid, sid, key, GopResult(task.gop, slot, rest), None
+        sid, left, task = self.busy[wid]
+        if self.answered == self.lose_after:
+            self.workers[wid].proc.exitcode = 23
+            on_timeout()
+            raise AssertionError("a dead worker went unreported")
+        self.answered += 1
+        key = left.pop(0)
+        if not left:
+            del self.busy[wid]
+            self.finished.add(task.gop)
+        return "ok", wid, sid, key, WorkCounters(), None
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    gop_sizes=st.lists(st.integers(min_value=0, max_value=6), max_size=12),
+    gop_sizes=st.lists(st.integers(min_value=0, max_value=7), max_size=12),
     workers=st.integers(min_value=0, max_value=4),
     data=st.data(),
 )
@@ -273,31 +300,45 @@ def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
     dec = MPGopDecoder(b"", index=synthetic_index(gop_sizes), workers=workers)
     team = FakeTeam(dec, data.draw)
     got: dict[int, list[int]] = {}
+    counters = WorkCounters()
     with mock.patch("repro.exec.dispatch.get_team", return_value=team):
         # A stalled policy — nothing in flight, nothing claimable, GOPs
         # left — ends the loop early and ``merger.finish`` raises.
-        for gop, slots in dec.iter_gops():
+        for gop, slots in dec.iter_gops(counters):
             # Every earlier GOP was handed over whole before this run.
-            assert all(g in got and g not in team.live for g in range(gop))
-            assert set(slots) <= team.live[gop]
+            assert all(
+                g in got and g not in team.live
+                for g in range(gop) if gop_sizes[g]
+            )
+            task = team.live[gop]
             got.setdefault(gop, []).extend(slots)
-            assert len(dec.held_runs) <= team.window
-            if gop not in dec.held_runs:
-                # Its run went back to the window with this run: the
-                # GOP's result is in, and all of its frames are out, in
-                # slot order.
+            held = sum(map(len, dec.held_slots.values()))
+            assert held <= team.slots
+            if gop not in dec.held_slots:
+                # Its slots went back to the window with this run: every
+                # picture is answered, and all of its frames are out, in
+                # display order.
                 assert gop in team.finished
-                assert got[gop] == sorted(team.live.pop(gop))
-    assert list(got) == team.submitted == list(range(len(gop_sizes)))
+                order = task.index.display_order()
+                assert got[gop] == [task.slots[pos] for pos in order]
+                del team.live[gop]
+    pictured = [g for g, size in enumerate(gop_sizes) if size]
+    assert list(got) == team.submitted == pictured
     # Each run's window is sized from its first GOP; a longer GOP ends
     # the run and starts the next.
     firsts: list[int] = []
     for size in gop_sizes:
         if not firsts or size > firsts[-1]:
             firsts.append(size)
-    assert team.attaches == [team.window * size for size in firsts]
+    window = max(2 * workers, 1)
+    assert team.attaches == [window * size for size in firsts]
     assert len(dec.last_graphs) == len(firsts)
-    assert not team.live and not getattr(dec, "held_runs", None)
+    assert not team.live and not getattr(dec, "held_slots", None)
     assert metrics().gauge("mp.frame_pool.occupancy").value == 0
+    # One node per picture, each completed once; a GOP with no picture
+    # is its header, charged by the parent.
     for graph in dec.last_graphs:
         graph.verify_conservation()
+    assert sum(g.completed for g in dec.last_graphs) == sum(gop_sizes)
+    empty = gop_sizes.count(0)
+    assert (counters.headers, counters.bits) == (empty, 32 * empty)

@@ -24,14 +24,10 @@ from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.index import build_index
-from repro.parallel.mp import (
-    FrameLayout,
-    GopResult,
-    MPGopDecoder,
-    SharedFramePool,
-    scan_gop_tasks,
-)
-from repro.parallel.mp_slice import DisplayMerger
+from repro.exec.plan import plan_gop_graph
+from repro.exec.shm import FrameLayout, SharedFramePool
+from repro.parallel.merge import DisplayMerger
+from repro.parallel.mp import MPGopDecoder
 from repro.video.streams import build_stream, paper_stream_matrix
 from repro.video.synthetic import SyntheticVideo
 
@@ -93,11 +89,17 @@ class TestScanStep:
             assert_frames_identical(whole[offset : offset + len(frames)], frames)
 
     def test_tasks_cover_every_picture_once(self, medium_stream):
+        # One node per picture, in coding order, each carrying its
+        # GOP's task: one per GOP, in stream order.
         index = build_index(medium_stream)
-        tasks = scan_gop_tasks(index)
+        nodes = list(plan_gop_graph(index).nodes.values())
+        assert [n.tid for n in nodes] == list(range(index.picture_count))
+        tasks = list({id(n.payload): n.payload for n in nodes}.values())
         assert [t.gop for t in tasks] == list(range(len(index.gops)))
         assert [t.index for t in tasks] == index.gops
-        assert sum(t.picture_count for t in tasks) == index.picture_count
+        assert [n.gop for n in nodes] == [
+            t.gop for t in tasks for _ in t.index.pictures
+        ]
 
 
 class TestSharedFramePool:
@@ -137,22 +139,25 @@ class TestSharedFramePool:
 
 class TestDisplayMerge:
     def test_out_of_order_completions_are_reordered(self):
-        # The GOP merge runs on the shared reorder buffer.
-        merger = DisplayMerger(4)
+        # The GOP decoder merges pictures by display index on the shared
+        # reorder buffer: a later GOP's pictures (display 4, 5) wait for
+        # the earlier GOP's, which land in coding order (I0 P3 B1 B2).
+        merger = DisplayMerger(6)
         merged = [
-            r
-            for g in (2, 0, 3, 1)
-            for r in merger.push(g, GopResult(gop=g, slot_base=0))
+            key
+            for display, key in ((4, "g1.I"), (0, "I0"), (5, "g1.B"),
+                                 (3, "P3"), (1, "B1"), (2, "B2"))
+            for key in merger.push(display, key)
         ]
-        assert [r.gop for r in merged] == [0, 1, 2, 3]
-        merger.finish("GOP results")
+        assert merged == ["I0", "B1", "B2", "P3", "g1.I", "g1.B"]
+        merger.finish("pictures")
 
     def test_lost_gop_raises(self):
         merger = DisplayMerger(3)
-        for g in (0, 2):
-            merger.push(g, GopResult(gop=g, slot_base=0))
-        with pytest.raises(RuntimeError, match=r"lost GOP results: \[1\]"):
-            merger.finish("GOP results")
+        for display in (0, 2):
+            merger.push(display, display)
+        with pytest.raises(RuntimeError, match=r"lost pictures: \[1\]"):
+            merger.finish("pictures")
 
 
 class TestBasicParity:

@@ -22,7 +22,8 @@ import pytest
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import DecodeError, SequenceDecoder
 from repro.mpeg2.index import build_index
-from repro.parallel.mp_slice import MPSliceDecoder, scan_slice_tasks
+from repro.exec.plan import scan_slice_tasks
+from repro.parallel.mp_slice import MPSliceDecoder
 
 from tests.mpeg2.test_batched_parity import assert_frames_identical
 from tests.mpeg2.test_conceal_parity import load_vector as load_conceal

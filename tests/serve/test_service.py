@@ -422,7 +422,7 @@ class TestServiceApi:
         # Healthy persistent GOP-pool workers (possibly forked by other
         # suites in the same process) are exempt: they outlive runs by
         # design.  An in-process serve must add nothing beyond them.
-        from repro.parallel.mp import persistent_worker_pids
+        from repro.exec.backend import persistent_worker_pids
 
         svc = DecodeService(workers=0, capacity=1)
         svc.submit("a", golden.data("intra_16x16_gop1"))
