@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from repro.exec.backend import get_team
@@ -259,25 +258,6 @@ class StreamDecoder(ParentLoop):
             metrics().counter("mp.scan_ms").inc(ns / 1e6)
             self.gops_scanned += 1
         return pulled
-
-    @contextmanager
-    def _scan_faults_first(self) -> Iterator[None]:
-        """Report a decode's failure as a whole-stream scan would.
-
-        A decode fails at the first fault it reaches, but a sequential
-        decoder scans the whole stream before it decodes anything, so a
-        malformed GOP anywhere is its verdict.  On a failure the rest of
-        the stream is scanned, and a fault found there is raised in the
-        decode's place."""
-        try:
-            yield
-        except Exception as exc:
-            try:
-                for _gop in self._gops:
-                    pass
-            except Exception as fault:
-                raise fault from exc
-            raise
 
     def _hold(self, pulled: tuple[int, GopIndex]) -> None:
         """Give back the GOP :meth:`_pull` returned: the next pull

@@ -29,7 +29,13 @@ from time import perf_counter
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.headers import PictureHeader
-from repro.mpeg2.index import GopIndex, PictureIndex, StreamIndex, build_index
+from repro.mpeg2.index import (
+    GopIndex,
+    PictureIndex,
+    StreamIndex,
+    cursor_index,
+    scan_faults_first,
+)
 from repro.mpeg2.kernel import (  # noqa: F401  (names callers import from here)
     SLICE_CORRUPTION_ERRORS,
     DecodeError,
@@ -79,8 +85,16 @@ class SequenceDecoder:
         The complete coded stream: ``bytes``, or — with a pre-built
         ``index`` — any buffer view of it (a worker's shared arena).
     index:
-        Optional pre-built scan index (the parallel decoders share one
-        index between the scan process and the workers).
+        Optional pre-built scan index (a GOP task's worker decodes from
+        its one GOP's).  Without one the decoder pulls the scan
+        (:func:`~repro.mpeg2.index.cursor_index`): construction reads
+        the sequence prefix only, and each GOP is scanned when
+        ``index.gops`` is first read that far, so the work before the
+        first frame is GOP 0's scan and decode, whatever the stream's
+        length.  When :meth:`decode_gop` fails, the rest of the stream
+        is scanned and a scan fault found there is raised instead
+        (:func:`~repro.mpeg2.index.scan_faults_first`): the verdict a
+        whole-stream scan would give.
     resilient:
         When true, a slice whose payload fails to parse is concealed
         (see :func:`repro.mpeg2.reconstruct.conceal_rows`) instead of
@@ -102,7 +116,7 @@ class SequenceDecoder:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.data = data
-        self.index = index if index is not None else build_index(data)
+        self.index = index if index is not None else cursor_index(data)
         self.seq = self.index.sequence_header
         self.resilient = resilient
         self.engine = engine
@@ -256,12 +270,19 @@ class SequenceDecoder:
         charged when the iterator is exhausted, never if closed early.
         ``into`` says where each picture lands (by coding position): a
         fresh frame by default; a GOP task passes its frame-pool slots,
-        so the yielded frames are views of them.
+        so the yielded frames are views of them.  Any failure, the open
+        GOP's included, gives way to a scan fault later in the stream
+        (:func:`~repro.mpeg2.index.scan_faults_first`).
         """
-        check_closed(gop)
-        return release_in_display_order(
+        with scan_faults_first(self.index.gops):
+            check_closed(gop)
+        return self._with_scan_verdict(release_in_display_order(
             gop.display_order(), self._decode_intervals(gop, counters, into)
-        )
+        ))
+
+    def _with_scan_verdict(self, frames: Iterator[Frame]) -> Iterator[Frame]:
+        with scan_faults_first(self.index.gops):
+            yield from frames
 
     def _decode_intervals(
         self, gop: GopIndex, counters: WorkCounters | None, into
@@ -329,7 +350,8 @@ class SequenceDecoder:
     # whole stream
     # ------------------------------------------------------------------
     def decode_all(self, counters: WorkCounters | None = None) -> list[Frame]:
-        """Decode the entire sequence in display order."""
+        """Decode the entire sequence in display order, each GOP as soon
+        as it is scanned."""
         frames: list[Frame] = []
         for gop in self.index.gops:
             frames.extend(self.decode_gop(gop, counters))

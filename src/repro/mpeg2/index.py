@@ -8,9 +8,11 @@ beside the workers, while they decode (Section 5.1, Table 2).
 sequence / GOP / picture / slice boundary one GOP at a time, from a
 bounded window that starts at the GOP's start code, so a decoder pulls
 GOP ``k`` when its frame window reaches GOP ``k`` and picture 0 waits
-for GOP 0's scan only.  :func:`build_index` is the drained cursor: the
-whole stream's :class:`StreamIndex`, for the tools and tests that want
-it at once.  Picture headers (a few bytes each) are additionally
+for GOP 0's scan only.  :func:`cursor_index` is a :class:`StreamIndex`
+whose GOPs are pulled off a cursor as they are read (the sequential
+decoder's), and :func:`build_index` the drained cursor: the whole
+stream's :class:`StreamIndex`, for the tools and tests that want it at
+once.  Picture headers (a few bytes each) are additionally
 parsed for the temporal reference and picture type; the paper notes
 the scan process can read the type field to construct closed tasks.
 
@@ -20,9 +22,10 @@ memory model (Figs. 8-9).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
 
 from repro.bitstream import (
     GROUP_START_CODE,
@@ -165,10 +168,14 @@ class GopIndex:
 
 @dataclass
 class StreamIndex:
-    """The complete scan product for one coded video sequence."""
+    """The complete scan product for one coded video sequence.
+
+    ``gops`` is a list, or — from :func:`cursor_index` — a
+    :class:`PulledGops` that scans each GOP when it is first read.
+    """
 
     sequence_header: SequenceHeader
-    gops: list[GopIndex]
+    gops: Sequence[GopIndex]
     total_bytes: int
 
     @property
@@ -307,9 +314,13 @@ class IndexCursor:
     malformed stream raises the same :class:`StreamIndexError`, with the
     same message — when the cursor reaches the GOP that holds the fault
     (a fault in the prefix raises at construction).
+
+    ``window`` sets the first GOP window, in bytes (by default the
+    windows go on doubling from the prefix's); :func:`build_index`
+    passes the stream's length, so the drained cursor is one NumPy pass.
     """
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, window: int | None = None) -> None:
         self.data = data
         self._window = SCAN_WINDOW
         seq: SequenceHeader | None = None
@@ -323,6 +334,8 @@ class IndexCursor:
             if code == GROUP_START_CODE:
                 self.sequence_header: SequenceHeader = seq
                 self._first_gop = offset
+                if window is not None:
+                    self._window = window
                 return
             if code == SEQUENCE_END_CODE:
                 break
@@ -422,19 +435,107 @@ class IndexCursor:
         return gop, None
 
 
+class PulledGops(Sequence[GopIndex]):
+    """A stream's GOPs, scanned off an :class:`IndexCursor` as they are
+    first read and kept: reading GOP ``k`` scans up to GOP ``k`` only,
+    and iterating yields each GOP as soon as it is scanned.  ``len()``,
+    a negative index and a slice scan the rest of the stream.
+
+    A scan fault is kept and raised again by every later read that
+    needs a GOP past it: the cursor's generator is finished once it has
+    raised, and would otherwise read as the stream's end.
+    """
+
+    def __init__(self, cursor: IndexCursor) -> None:
+        self._scan: Iterator[GopIndex] | None = iter(cursor)
+        self._gops: list[GopIndex] = []
+        self._fault: Exception | None = None
+
+    @property
+    def scanned(self) -> int:
+        """GOPs scanned so far."""
+        return len(self._gops)
+
+    def _more(self) -> bool:
+        """Scan one more GOP; false at the stream's end."""
+        if self._fault is not None:
+            raise self._fault
+        if self._scan is None:
+            return False
+        try:
+            gop = next(self._scan, None)
+        except Exception as fault:
+            self._fault = fault
+            raise
+        if gop is None:
+            self._scan = None
+            return False
+        self._gops.append(gop)
+        return True
+
+    def _drained(self) -> list[GopIndex]:
+        while self._more():
+            pass
+        return self._gops
+
+    def __iter__(self) -> Iterator[GopIndex]:
+        i = 0
+        while i < len(self._gops) or self._more():
+            yield self._gops[i]
+            i += 1
+
+    def __len__(self) -> int:
+        return len(self._drained())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or i < 0:
+            return self._drained()[i]
+        while i >= len(self._gops) and self._more():
+            pass
+        return self._gops[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def cursor_index(data: bytes) -> StreamIndex:
+    """The stream's :class:`StreamIndex`, scanned as it is read: the
+    sequence prefix now (a fault in it raises here), each GOP when
+    :class:`PulledGops` is first asked for it."""
+    cursor = IndexCursor(data)
+    return StreamIndex(cursor.sequence_header, PulledGops(cursor), len(data))
+
+
 def build_index(data: bytes) -> StreamIndex:
     """The whole stream's :class:`StreamIndex`: the drained
     :class:`IndexCursor`.
 
     This is the computational content of the paper's scan process; its
-    cost model charges cycles per byte scanned (Table 2).  The parallel
-    decoders pull the cursor a GOP at a time instead.
+    cost model charges cycles per byte scanned (Table 2).  The decoders
+    pull the cursor a GOP at a time instead.
     """
-    cursor = IndexCursor(data)
-    # Drained at once, the stream is one window: one NumPy pass.
-    cursor._window = len(data)
-    return StreamIndex(
-        sequence_header=cursor.sequence_header,
-        gops=list(cursor),
-        total_bytes=len(data),
-    )
+    cursor = IndexCursor(data, window=len(data))
+    return StreamIndex(cursor.sequence_header, list(cursor), len(data))
+
+
+@contextmanager
+def scan_faults_first(gops: Iterable[GopIndex]) -> Iterator[None]:
+    """Report a decode's failure as a whole-stream scan would.
+
+    A decode fails at the first fault it reaches, but the verdict on a
+    stream is the one a decoder that scanned it all before decoding
+    would give: a malformed GOP anywhere.  On a failure inside the
+    block the rest of ``gops`` (the decode's scan) is read, and a scan
+    fault found there is raised in the decode's place."""
+    try:
+        yield
+    except Exception as exc:
+        try:
+            for _gop in gops:
+                pass
+        except Exception as fault:
+            if fault is not exc:
+                raise fault from exc
+        raise

@@ -24,10 +24,13 @@ class DisplayMerger:
     that are now emittable in display order.  The paper's display
     process plays exactly this role with its picture reorder queue.
 
-    ``on_hold(item, since, held)`` (optional) fires when an item that
-    had to wait for an earlier one is released — the ``merge.reorder``
-    stall — with both times read from ``clock`` (wall nanoseconds by
-    default; the simulator passes its virtual time).
+    ``on_hold(item, since, held)`` (optional) books the ``merge.reorder``
+    stall once per *hold episode*: the stretch from the buffer first
+    holding an item that must wait for an earlier one until it drains.
+    It fires at the drain, with the item that opened the episode and
+    both times read from ``clock`` (wall nanoseconds by default; the
+    simulator passes its virtual time).  Holds that overlap are one
+    episode, so the stall never exceeds the display side's own time.
     """
 
     def __init__(
@@ -43,7 +46,8 @@ class DisplayMerger:
         self._next = 0
         self._on_hold = on_hold
         self._clock = clock
-        self._held_since: dict[int, int] = {}
+        #: ``(item, since)`` of the open hold episode.
+        self._episode: tuple[object, int] | None = None
         #: High-water mark of the reorder buffer (memory diagnostics).
         self.max_depth = 0
 
@@ -56,16 +60,20 @@ class DisplayMerger:
             raise ValueError(f"display index {display_index} pushed twice")
         self._pending[display_index] = item
         self.max_depth = max(self.max_depth, len(self._pending))
-        if self._on_hold is not None and display_index != self._next:
-            self._held_since[display_index] = self._clock()
+        if (
+            self._on_hold is not None
+            and self._episode is None
+            and display_index != self._next
+        ):
+            self._episode = item, self._clock()
         out = []
         while self._next in self._pending:
-            item = self._pending.pop(self._next)
-            since = self._held_since.pop(self._next, None)
-            if since is not None:
-                self._on_hold(item, since, self._clock() - since)
-            out.append(item)
+            out.append(self._pending.pop(self._next))
             self._next += 1
+        if self._episode is not None and not self._pending:
+            first, since = self._episode
+            self._episode = None
+            self._on_hold(first, since, self._clock() - since)
         return out
 
     def finish(self, what: str) -> None:
@@ -92,8 +100,8 @@ class DisplayMerger:
 def record_merge_hold(
     stalls: StallTable, since_ns: int, held_ns: int, **ident
 ) -> None:
-    """Book one wall-clock reorder-buffer hold as the ``merge.reorder``
-    stall."""
+    """Book one wall-clock reorder-buffer hold episode as the
+    ``merge.reorder`` stall."""
     stalls.record("merge", REASON_MERGE, held_ns / 1e9)
     trace_complete(
         "mp.merge.hold", "stall", since_ns, held_ns,

@@ -87,7 +87,7 @@ from repro.exec.plan import GopTask, add_gop_chain
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex
+from repro.mpeg2.index import StreamIndex, scan_faults_first
 from repro.mpeg2.kernel import check_closed
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
@@ -219,7 +219,7 @@ class MPGopDecoder(StreamDecoder):
             "resilient": self.resilient,
         }
         try:
-            with self._scan_faults_first():
+            with scan_faults_first(self._gops):
                 while (head := self._pull()) is not None:
                     self._hold(head)
                     yield from self._window_run(len(head[1].pictures), state)

@@ -108,7 +108,7 @@ from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.constants import mb_ceil
 from repro.mpeg2.headers import PictureHeader, SequenceHeader
-from repro.mpeg2.index import GopIndex
+from repro.mpeg2.index import GopIndex, scan_faults_first
 from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.metrics import metrics
 from repro.obs.stalls import (
@@ -579,7 +579,7 @@ class MPSliceDecoder(StreamDecoder):
         carry no state across it)."""
         self.counters = counters
         self._begin()
-        with self._scan_faults_first():
+        with scan_faults_first(self._gops):
             while (head := self._pull()) is not None:
                 self._hold(head)
                 yield from self._window_run(

@@ -590,8 +590,13 @@ def test_src_gop_path_has_one_scan_and_no_substreams():
     # ``index`` for readers outside the decode).  A second
     # ``build_index`` or a ``sequence_prefix`` under ``exec/`` or in the
     # GOP decoder would be the substream route (prefix + copied bytes,
-    # scanned again in the worker) coming back beside it.
-    watched = (os.path.join("exec", ""), os.path.join("parallel", "mp.py"))
+    # scanned again in the worker) coming back beside it.  The
+    # sequential decoder pulls the cursor too: none in ``decoder.py``.
+    watched = (
+        os.path.join("exec", ""),
+        os.path.join("parallel", "mp.py"),
+        os.path.join("mpeg2", "decoder.py"),
+    )
     scans = [
         (rel, line.strip())
         for rel, _n, line in src_lines()
@@ -603,6 +608,33 @@ def test_src_gop_path_has_one_scan_and_no_substreams():
         "self._index = build_index(self.data)",
     )
     assert scans == [scan_index]
+
+
+def test_src_has_one_scan_fault_verdict():
+    # A decode's failure gives way to a scan fault further on by one
+    # rule, defined once, that every decoder pulling the scan wraps
+    # its decode in.
+    root = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
+    defs = []
+    for folder, _dirs, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                defs += [
+                    (os.path.relpath(path, root), fn.name)
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and "scan_faults" in fn.name
+                ]
+    assert defs == [(os.path.join("mpeg2", "index.py"), "scan_faults_first")]
+    assert sorted(src_calls("scan_faults_first")["scan_faults_first"]) == [
+        (os.path.join("mpeg2", "decoder.py"), "_with_scan_verdict"),
+        (os.path.join("mpeg2", "decoder.py"), "decode_gop"),
+        (os.path.join("parallel", "mp.py"), "iter_gops"),
+        (os.path.join("parallel", "mp_slice.py"), "iter_frames"),
+    ]
 
 
 def test_src_has_one_coefficient_parser_and_one_payload_read():

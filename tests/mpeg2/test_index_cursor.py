@@ -209,10 +209,10 @@ def test_cursor_equals_the_whole_stream_scan_on_cut_streams(
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("grain", ["gop", "slice"])
 def test_a_scan_fault_further_on_is_the_verdict(grain, workers, no_shm_leak):
-    # GOP 0 cannot be decoded and GOP 3 cannot be indexed.  The
-    # sequential decoder scans everything before it decodes, so the
-    # scan fault is its verdict; the parallel decoders, which scan a
-    # GOP at a time and reach GOP 0's decode first, must agree.
+    # GOP 0 cannot be decoded and GOP 3 cannot be indexed.  Every
+    # decoder scans a GOP at a time and reaches GOP 0's decode first;
+    # the verdict is still the scan fault, as a whole-stream scan
+    # before the decode would give.
     from repro.mpeg2.decoder import SequenceDecoder
     from repro.parallel.mp import MPGopDecoder
     from repro.parallel.mp_slice import MPSliceDecoder
@@ -228,7 +228,7 @@ def test_a_scan_fault_further_on_is_the_verdict(grain, workers, no_shm_leak):
         + data[pic.header_payload_end :]
     )
     with pytest.raises(StreamIndexError, match="unexpected start code 0xB2"):
-        SequenceDecoder(data)
+        SequenceDecoder(data).decode_all()
     decoder = MPGopDecoder if grain == "gop" else MPSliceDecoder
     with pytest.raises(StreamIndexError, match="unexpected start code 0xB2"):
         decoder(data, workers=workers).decode_all()
