@@ -23,7 +23,10 @@ and the policy they hand them:
   ``improved`` as edges); a serve task is one picture node.
 * :mod:`repro.exec.dispatch` — :class:`ParentLoop`, the one loop that
   moves work from a graph to a team and back (the callers override its
-  policy hooks), and :class:`StreamDecoder`, one stream's lease.
+  policy hooks), and :class:`StreamDecoder`, one stream's lease and
+  the run loop both real-process grains share.
+* :mod:`repro.exec.window` — :class:`FrameWindow`, the one allocator
+  of their frame-pool slots.
 * :mod:`repro.exec.auto` — the fixed rule ``auto`` resolves to:
   GOP grain, batched engine; a pinned axis stays pinned.
 * :mod:`repro.exec.executor` — :class:`TaskGraphExecutor`, the

@@ -29,8 +29,15 @@ from typing import Callable, Iterable, Iterator
 from repro.exec.backend import get_team
 from repro.exec.graph import TaskGraph
 from repro.exec.shm import FrameLayout
+from repro.exec.window import FrameWindow
 from repro.mpeg2.decoder import DecodeError
-from repro.mpeg2.index import GopIndex, IndexCursor, StreamIndex, build_index
+from repro.mpeg2.index import (
+    GopIndex,
+    IndexCursor,
+    StreamIndex,
+    build_index,
+    scan_faults_first,
+)
 from repro.obs.metrics import metrics
 from repro.obs.stalls import StallTable
 from repro.obs.trace import trace_complete
@@ -162,8 +169,8 @@ class ParentLoop:
 
 class StreamDecoder(ParentLoop):
     """One stream decoded on a leased team — what the GOP-grain and the
-    slice-grain decoder share: the scan stage, the lease and the run
-    record.
+    slice-grain decoder share: the scan stage, the frame window, the run
+    loop and the run record.
 
     ``workers=0`` decodes in-process through the identical plan and
     loop (deterministic CI path, no processes); ``>= 1`` uses that many
@@ -175,7 +182,15 @@ class StreamDecoder(ParentLoop):
     (:meth:`_pull`) as its frame window reaches them, so the work before
     picture 0 is GOP 0's, whatever the stream's length.  A pre-built
     ``index`` is pulled from the same way.
+
+    A partition supplies the task :attr:`body`, a graph for one GOP
+    (:meth:`_plan_gop`, onto the graph :meth:`_open_run` made), the
+    claim rule (:meth:`~ParentLoop._claim`, calling :meth:`_reach` when
+    it has capacity and nothing may start) and the window-size rule
+    (:meth:`_window_size`): DESIGN §2.2, "The frame window".
     """
+
+    body: Callable
 
     def __init__(
         self,
@@ -228,18 +243,36 @@ class StreamDecoder(ParentLoop):
         """The graph of the last decode's last run."""
         return self.last_graphs[-1] if self.last_graphs else None
 
-    # -- the scan stage ------------------------------------------------------
-    def _begin(self) -> None:
-        """Start a decode: the scan from the stream's first GOP, and an
-        empty run record."""
+    # -- partition hooks -------------------------------------------------
+    def _window_size(self, pictures: int) -> int:
+        """Slots for a run whose first GOP has ``pictures`` pictures."""
+        raise NotImplementedError
+
+    def _open_run(self) -> TaskGraph:
+        """Fresh policy state for a run; returns its empty graph."""
+        raise NotImplementedError
+
+    def _plan_gop(self, gi: int, gop: GopIndex, base: int) -> None:
+        """Plan GOP ``gi``, whose first picture is ``base``."""
+        raise NotImplementedError
+
+    # -- the decode ------------------------------------------------------
+    def _decode(self, counters, state: dict) -> Iterator:
+        """Decode the stream, yielding what :meth:`_emit` does: a run per
+        frame window, which a GOP the window cannot hold ends."""
+        self.counters = counters
         self._gops: Iterator[GopIndex] = iter(self._scan)
         self._held_gop: tuple[int, GopIndex] | None = None
-        self._unpublished: list[GopIndex] = []
         self.gops_scanned = 0
         self.last_stalls = StallTable()
         self.last_wall_seconds = 0.0
         self.last_pool_bytes = 0
         self.last_graphs = []
+        with scan_faults_first(self._gops):
+            while (head := self._pull()) is not None:
+                self._held_gop = head
+                size = self._window_size(len(head[1].pictures))
+                yield from self._run(size, state)
 
     def _pull(self) -> tuple[int, GopIndex] | None:
         """The next GOP of the stream and its number (``None`` at the
@@ -259,50 +292,83 @@ class StreamDecoder(ParentLoop):
             self.gops_scanned += 1
         return pulled
 
-    def _hold(self, pulled: tuple[int, GopIndex]) -> None:
-        """Give back the GOP :meth:`_pull` returned: the next pull
-        returns it again (a run's first GOP sizes its frame window, and
-        one that does not fit the window starts the next run)."""
-        self._held_gop = pulled
+    def _reach(self) -> bool:
+        """The planning trigger, for a claim with capacity that finds
+        nothing to start: publish and plan the next GOP if the window
+        reaches its first picture (a window of no slot, sized by an
+        empty GOP, reaches only empty GOPs).  ``False`` if it does not,
+        or the run is over: the stream's end, or a GOP too long for the
+        window, held back to start the next run."""
+        base = len(self.display)
+        if self._ended or self.window.size and base >= self.window.limit:
+            return False
+        pulled = self._pull()
+        if pulled is None or (
+            self._window_size(len(pulled[1].pictures)) > self.window.size
+        ):
+            self._held_gop, self._ended = pulled, True
+            return False
+        gi, gop = pulled
+        self.team.publish(self.sid, gop.start_offset, gop.end_offset)
+        self._plan_gop(gi, gop, base)
+        self.temporal += [pic.temporal_reference for pic in gop.pictures]
+        self.display += [base + r for r in gop.display_ranks()]
+        self.merger.total += len(gop.pictures)
+        for pos, refs in enumerate(gop.references()):
+            self.window.add(base + pos, (base + r for r in refs if r is not None))
+        return True
 
-    def _publish_gop(self, gop: GopIndex) -> None:
-        """Copy a GOP's bytes into the run's arena before any task is
-        planned on it — at once while a run is attached, else when the
-        next run attaches."""
-        if self.sid is None:
-            self._unpublished.append(gop)
-        else:
-            self.team.publish(self.sid, gop.start_offset, gop.end_offset)
+    def _read(self, orders: list[int]) -> list:
+        """The frames of pictures ``orders``, read out of their slots as
+        they leave the merge."""
+        frames = [
+            self.pool.read_frame(self.window.slot(order), self.temporal[order])
+            for order in orders
+        ]
+        for order in orders:
+            self.window.emitted(order)
+        return frames
 
     # -- a run -----------------------------------------------------------
-    def _run(
-        self, graph: TaskGraph, body: Callable, slots: int, state: dict
-    ) -> Iterator:
-        """Lease the team, attach the stream under a fresh run id with a
-        ``slots``-frame pool, publish the GOPs pulled so far, and drive
-        ``graph`` to the end.
+    def _run(self, size: int, state: dict) -> Iterator:
+        """One run on a ``size``-slot frame window, from the held GOP on:
+        lease the team, attach the stream under a fresh run id and
+        drive the run's graph to its end.
 
         A run that aborts — a task error, a dead worker, a consumer
         that stops iterating — retires its team instead of releasing
         it (tasks may still be running there) and leaves the graph
         aborted: in flight is ``lost``, never started ``cancelled``.
         """
+        # Imported here: repro.parallel imports this module.
+        from repro.parallel.merge import DisplayMerger, record_merge_hold
+
+        def held(order: int, since_ns: int, held_ns: int) -> None:
+            # An out-of-order completion sat in the reorder buffer: the
+            # display-order merge stall (paper's display process).
+            record_merge_hold(self.last_stalls, since_ns, held_ns, order=order)
+
+        self.window = FrameWindow(size)
+        #: Temporal reference and display index of each picture, in
+        #: coding order.
+        self.temporal: list[int] = []
+        self.display: list[int] = []
+        self.merger = DisplayMerger(0, on_hold=held if self.workers else None)
+        self._ended = False
+        graph = self._open_run()
         self.last_graphs.append(graph)
         team = self.team = get_team(self.workers)
         sid = f"run-{next(_RUN_IDS)}"
         t_run = time.perf_counter()
         try:
             self.pool = team.attach(
-                sid, body, self.data, self.layout, slots, state
+                sid, self.body, self.data, self.layout, size, state
             )
             if self.workers:
                 self.last_pool_bytes = max(
                     self.last_pool_bytes, self.pool.nbytes
                 )
             self.sid = sid
-            for gop in self._unpublished:
-                team.publish(sid, gop.start_offset, gop.end_offset)
-            self._unpublished = []
             yield from self.drive()
         except BaseException:
             team.retire()
@@ -312,4 +378,6 @@ class StreamDecoder(ParentLoop):
             team.detach(sid)
             team.release()
             graph.abort()
+            self.window.close()
             self.last_wall_seconds += time.perf_counter() - t_run
+        self.merger.finish("pictures")

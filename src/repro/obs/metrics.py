@@ -14,7 +14,7 @@ and the SMP simulator so reports line up):
 ``decode.gop_ms``        histogram — wall ms per decoded GOP
 ``mp.worker.idle_ms``    histogram — worker gap between tasks
 ``mp.scan_ms``           counter   — parent scan ms, summed over GOPs
-``mp.frame_pool.occupancy`` gauge  — frame-window slots held, dispatch to emit
+``mp.frame_pool.occupancy`` gauge  — frame-window slots held, either mp grain; 0 after a run
 ``queue.depth``          gauge     — display reorder-buffer depth
 ======================== ==========================================
 

@@ -6,25 +6,22 @@ cannot show real speedup under the GIL.  This module escapes the GIL
 the same way the paper escaped a single R4400: separate OS processes
 (`multiprocessing`), one per worker, each decoding whole closed GOPs.
 
-Neither the process machinery nor the dispatch loop is here: GOP-grain
-decode is one *partition* — the plan
-:func:`~repro.exec.plan.plan_gop_graph`, the task body
-:func:`decode_gop_task` and a small session
-context — handed to the single worker runtime in
-:mod:`repro.exec.backend` and driven by the one parent loop in
-:mod:`repro.exec.dispatch`.  This module supplies the policy (one GOP
-per worker at a time, stream order, a bounded frame window) and the
-display merge.
+Neither the process machinery nor the run loop is here: GOP-grain
+decode is one *partition* — a graph for one GOP
+(:func:`~repro.exec.plan.add_gop_chain`), the task body
+:func:`decode_gop_task`, the claim rule (one GOP per worker at a time,
+stream order) and the window-size rule — handed to the one run loop of
+:class:`~repro.exec.dispatch.StreamDecoder`, which drives the single
+worker runtime of :mod:`repro.exec.backend`.
 
 The paper's three roles map onto real primitives:
 
 * **scan** — a stage, not a prelude: the parent pulls the stream's GOPs
   off a :class:`repro.mpeg2.index.IndexCursor` (start-code scan, no
-  decoding) one at a time, when a worker and a GOP's worth of the
-  frame window are free for the next GOP, copies the GOP's bytes into
-  the shared arena and plans its pictures
-  (:func:`~repro.exec.plan.add_gop_chain`) — so the first GOP is
-  dispatched after its own scan, not the stream's.
+  decoding) one at a time, when a free worker finds no GOP it may
+  start and the frame window reaches the next one, copies the GOP's
+  bytes into the shared arena and plans its pictures — so the first
+  GOP is dispatched after its own scan, not the stream's.
 * **workers** — the warm :class:`~repro.exec.backend.WorkerTeam` of
   ``workers`` processes, forked once per process and shared with
   the slice decoder and the serve layer.  The coded stream is published
@@ -47,17 +44,10 @@ The paper's three roles map onto real primitives:
   the merge releases it: the first picture is one picture of decode
   away, not one GOP.
 
-The frame pool is a **window**, not the stream: ``2 x workers`` GOPs
-of as many slots as the first GOP has pictures — the paper's ``workers
-x GOP`` decoded-frame memory (Fig. 8) plus one finished GOP per worker
-waiting for display.  A GOP takes its slots at dispatch and gives them
-back once the consumer has its last picture, so a slow consumer
-back-pressures the workers; claiming earliest first, the oldest
-un-emitted GOP always holds its slots and the window cannot deadlock.
-A later GOP longer than the first ends the run at that GOP boundary —
-every GOP before it is handed over first, and closed GOPs carry no
-state across — and the next run, on the same loop and attach, is sized
-for it.
+The frame pool is the frame window of DESIGN §2.2
+(:class:`~repro.exec.window.FrameWindow`): ``2 x workers`` GOPs of the
+run's first GOP's length, whatever the stream's; a GOP's chain starts
+only inside it.
 
 ``workers=0`` runs the identical plan on the in-process transport
 (:class:`~repro.exec.backend.LocalTeam`: no ``fork``, no shared memory,
@@ -87,11 +77,10 @@ from repro.exec.plan import GopTask, add_gop_chain
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.decoder import ENGINES, SequenceDecoder
 from repro.mpeg2.frame import Frame
-from repro.mpeg2.index import StreamIndex, scan_faults_first
+from repro.mpeg2.index import GopIndex, StreamIndex
 from repro.mpeg2.kernel import check_closed
 from repro.obs.metrics import metrics
 from repro.obs.trace import trace_span
-from repro.parallel.merge import DisplayMerger, record_merge_hold
 
 
 # ----------------------------------------------------------------------
@@ -203,106 +192,65 @@ class MPGopDecoder(StreamDecoder):
 
         A GOP comes in runs of the pictures the display merge released
         together, and its runs, concatenated, are its frames; no run of
-        a GOP comes before the last run of the GOP before it.  The
-        policy below is one GOP per worker at a time, earliest first,
-        each into free slots of the frame window, which it gives back
-        when its last picture is handed over; a GOP is pulled off the
-        scan and planned (:func:`~repro.exec.plan.add_gop_chain`) when
-        a worker and a GOP's worth of slots are free for it.
+        a GOP comes before the last run of the GOP before it.
         ``workers=0`` runs each GOP where it is submitted.
         """
-        self.counters = counters
-        self._begin()
         state = {
             "seq": self.seq,
             "engine": self.engine,
             "resilient": self.resilient,
         }
-        try:
-            with scan_faults_first(self._gops):
-                while (head := self._pull()) is not None:
-                    self._hold(head)
-                    yield from self._window_run(len(head[1].pictures), state)
-        finally:
-            # Aborted or abandoned mid-stream, no slot is held any more.
-            metrics().gauge("mp.frame_pool.occupancy").set(0)
+        return self._decode(counters, state)
 
-    def _window_run(self, size: int, state: dict) -> Iterator:
-        """One run on a window of ``2 x workers`` GOPs of ``size``
-        pictures (the run's first GOP), from the held GOP on."""
-        self.run_slots = size
-        self.free_slots = list(range(max(2 * self.workers, 1) * size))
-        #: GOP -> the slots its pictures occupy, by coding position,
-        #: from dispatch until its last picture is handed over.
-        self.held_slots: dict[int, tuple[int, ...]] = {}
-        #: Display index of each planned picture (by its node's tid,
-        #: the run's coding order), and the tids the merge has released
-        #: since the last round.
-        self.display: list[int] = []
+    # -- the partition ---------------------------------------------------
+    body = staticmethod(decode_gop_task)
+
+    def _window_size(self, pictures: int) -> int:
+        """``2 x workers`` GOPs of the run's first GOP's length."""
+        return max(2 * self.workers, 1) * pictures
+
+    def _open_run(self) -> TaskGraph:
+        #: The tids the merge has released since the last round.
         self.released: list[int] = []
         self.graph = TaskGraph()
-        self.merger = DisplayMerger(
-            0,
-            # An out-of-order completion sat in the reorder buffer: the
-            # display-order merge stall (paper's display process).
-            on_hold=self._held if self.workers else None,
-        )
-        self._ended = False
-        yield from self._run(
-            self.graph, decode_gop_task, len(self.free_slots), state
-        )
-        self.merger.finish("pictures")
+        return self.graph
 
-    def _held(self, key: int, since_ns: int, held_ns: int) -> None:
-        record_merge_hold(
-            self.last_stalls, since_ns, held_ns, gop=self.graph.nodes[key].gop
-        )
+    def _plan_gop(self, gi: int, gop: GopIndex, base: int) -> None:
+        if gop.pictures:
+            add_gop_chain(self.graph, gi, gop, base)
+            return
+        # No picture, no task: the GOP is its header, charged here as a
+        # worker's decode of it would.
+        check_closed(gop)
+        if self.counters is not None:
+            self.counters.add(WorkCounters(headers=1, bits=gop.header_bits))
 
-    # -- the policy ------------------------------------------------------
-    def _gauge_window(self) -> None:
-        metrics().gauge("mp.frame_pool.occupancy").set(
-            sum(map(len, self.held_slots.values()))
-        )
-
-    def _plan(self) -> TaskNode | None:
-        """Pull the next GOP and plan it onto the run's graph; returns
-        its first picture's node — ``None`` at the end of the stream, or
-        at a GOP longer than the window's GOPs (held back to start the
-        next run)."""
-        while not self._ended and (pulled := self._pull()) is not None:
-            gi, gop = pulled
-            if len(gop.pictures) > self.run_slots:
-                self._hold(pulled)
-                break
-            self._publish_gop(gop)
-            if gop.pictures:
-                base = len(self.display)
-                self.display += [base + r for r in gop.display_ranks()]
-                self.merger.total += len(gop.pictures)
-                return add_gop_chain(self.graph, gi, gop, base)[0]
-            # No picture, no task: the GOP is its header, charged here
-            # as a worker's decode of it would.
-            check_closed(gop)
-            if self.counters is not None:
-                self.counters.add(WorkCounters(headers=1, bits=gop.header_bits))
-        self._ended = True
+    def _startable(self) -> TaskNode | None:
+        """The earliest unsent GOP's first picture, if a worker may take
+        the GOP: every picture of it inside the frame window."""
+        node = self.graph.first_ready()
+        if node is not None and (
+            node.payload.base + len(node.payload.index.pictures)
+            <= self.window.limit
+        ):
+            return node
         return None
 
     def _claim(self) -> tuple | None:
+        """One GOP per free worker, earliest first; its chain takes its
+        pictures' slots at dispatch."""
         free = self.team.free()
-        if not free or len(self.free_slots) < self.run_slots:
+        if not free:
             return None
-        node = self.graph.first_ready() or self._plan()
-        if node is None:
-            return None
+        while (node := self._startable()) is None:
+            if not self._reach():
+                return None
         task = node.payload
         keys = tuple(range(task.base, task.base + len(task.index.pictures)))
         self.graph.dispatch_chain(keys)
         metrics().counter("mp.dispatch.messages").inc()
-        slots = self.held_slots[task.gop] = tuple(
-            self.free_slots.pop() for _ in keys
-        )
-        self._gauge_window()
+        # The worker clears each slot before decoding into it.
+        slots = tuple(self.window.acquire(key)[0] for key in keys)
         crash = "crash" if task.gop == self._crash_gop else None
         return free[0], self.sid, keys, replace(task, slots=slots), crash
 
@@ -323,19 +271,8 @@ class MPGopDecoder(StreamDecoder):
         nodes = self.graph.nodes
         for gop, keys in groupby(ready, lambda key: nodes[key].gop):
             keys = list(keys)
-            task = nodes[keys[0]].payload
-            slots, pictures = self.held_slots[gop], task.index.pictures
             with trace_span(
                 "mp.shm.read", cat="mp", gop=gop, frames=len(keys)
             ):
-                frames = [
-                    self.pool.read_frame(
-                        slots[key - task.base],
-                        pictures[key - task.base].temporal_reference,
-                    )
-                    for key in keys
-                ]
-            if self.display[keys[-1]] == task.base + len(pictures) - 1:
-                self.free_slots += self.held_slots.pop(gop)
-                self._gauge_window()
+                frames = self._read(keys)
             yield gop, frames

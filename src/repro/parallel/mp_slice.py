@@ -20,20 +20,16 @@ topologies of it:
 
 The paper's three roles map onto real primitives:
 
-* **scan** — a stage, done a GOP at a time.  When the frame window
-  (:func:`gop_frame_window`, sized from the first GOP: pool size
-  depends on GOP structure and worker count, never on stream length —
-  the paper's Fig. 8 — and cannot deadlock; argument in DESIGN §2.4)
-  first reaches a GOP, the parent pulls the GOP off the
-  :class:`repro.mpeg2.index.IndexCursor` (one start-code window, no
-  decoding), copies its bytes into the shared arena, turns it into
-  coding-order :class:`PicturePlan` records (byte ranges, reference
-  links, display indices;
-  :func:`~repro.exec.plan.scan_gop_pictures`) and the pure-logic
-  :class:`PictureSliceQueue` plans them onto its live graph, so the
-  work before picture 0 does not grow with the stream.  A later GOP
-  the window cannot hold ends the run at that GOP boundary, and the
-  next run is sized for it.  The queue dispatches from that graph:
+* **scan** — a stage, done a GOP at a time, by the run loop of
+  :class:`~repro.exec.dispatch.StreamDecoder` and its frame window
+  (DESIGN §2.2): when a claim finds nothing to start and the window
+  reaches the next GOP, the parent pulls it off the
+  :class:`repro.mpeg2.index.IndexCursor`, copies its bytes into the
+  shared arena, turns it into coding-order :class:`PicturePlan`
+  records (:func:`~repro.exec.plan.scan_gop_pictures`) and the
+  pure-logic :class:`PictureSliceQueue` plans them onto its live
+  graph, so the work before picture 0 does not grow with the stream.
+  The queue dispatches from that graph:
   earliest ready batch first (the paper's in-order 2-D queue —
   work-conserving, but GOP 0 always has priority, so display order
   completes front to back), on a credit of ``2 x workers`` batches,
@@ -102,13 +98,14 @@ and the SMP simulator, so all three report through one
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.mpeg2.counters import WorkCounters
 from repro.mpeg2.frame import Frame
 from repro.mpeg2.constants import mb_ceil
 from repro.mpeg2.headers import PictureHeader, SequenceHeader
-from repro.mpeg2.index import GopIndex, scan_faults_first
+from repro.mpeg2.index import GopIndex
 from repro.mpeg2.kernel import conceal, parse_slices, read_slices, reconstruct
 from repro.obs.metrics import metrics
 from repro.obs.stalls import (
@@ -119,31 +116,15 @@ from repro.obs.stalls import (
 from repro.obs.trace import trace_complete, trace_span
 from repro.exec.backend import TaskContext
 from repro.exec.dispatch import StreamDecoder
-from repro.exec.graph import COMPLETED, DISPATCHED, PENDING, TaskGraph
+from repro.exec.graph import COMPLETED, PENDING, TaskGraph, TaskNode
 from repro.exec.plan import (
     PicturePlan,
     SlicePlan,
     add_slice_picture,
     scan_gop_pictures,
 )
-from repro.parallel.merge import DisplayMerger, record_merge_hold
+from repro.exec.window import FrameWindow
 from repro.parallel.slice_level import SliceMode
-
-
-# ======================================================================
-# the frame window (the slot resource of the slice plan)
-# ======================================================================
-def gop_frame_window(gop_sizes: Iterable[int], workers: int) -> int:
-    """Pool slots for a slice-grain decode of GOPs of ``gop_sizes``
-    pictures.
-
-    ``lookahead + 1``, where lookahead is the longest GOP (so all of
-    the GOP the oldest slot holder belongs to can be decoded, which is
-    what frees it) or ``2 x workers`` pictures if that is more (so the
-    dispatch credit is never starved by the window).  Independent of
-    how many GOPs the stream has.
-    """
-    return max(max(gop_sizes, default=1), 2 * workers) + 1
 
 
 # ======================================================================
@@ -154,9 +135,9 @@ class SliceBatch(NamedTuple):
     """One dispatched task: consecutive slices of one picture, plus the
     pool slots the picture and its references live in.
 
-    The queue hands out the first four fields; :meth:`of` adds what a
-    worker needs of the picture's plan, as plain values so the task
-    pickles in about 250 bytes — the header
+    The queue hands out the first four fields and the last two;
+    :meth:`of` adds what a worker needs of the picture's plan, as plain
+    values so the task pickles in about 250 bytes — the header
     (:meth:`~repro.mpeg2.headers.PictureHeader.values`) and each of
     these slices' ``(vertical_position, payload_start, payload_end,
     reconstruct)`` — so no worker holds the stream's plans."""
@@ -169,6 +150,11 @@ class SliceBatch(NamedTuple):
     ref_slots: tuple[int, ...]
     header: tuple = ()
     slices: tuple[tuple, ...] = ()
+    #: The batch's graph node: the key its answer comes back under.
+    tid: Hashable | None = None
+    #: The picture's first batch took a slot an earlier picture used:
+    #: the parent blanks it before the batch goes out.
+    blank: bool = False
 
     def of(self, plan: PicturePlan) -> "SliceBatch":
         """This batch as a task: ``plan``'s header and the slice plans
@@ -180,164 +166,121 @@ class SliceBatch(NamedTuple):
 
 
 class PictureSliceQueue:
-    """The slice-grain dispatch policy: credit, frame window, gate clock.
+    """The slice-grain dispatch policy: credit and gate clock, on the
+    slice-grain graph, inside a frame window.
 
     The real-silicon twin of the simulated
     :class:`repro.parallel.queues.SliceTaskQueue`.  *When* a picture's
     slices may start is not decided here: the queue holds the
-    slice-grain graph of the stream (:func:`~repro.exec.plan.
-    add_slice_picture` per picture, the nodes of
-    :func:`~repro.exec.plan.plan_slice_graph`) and serves its ready
-    set earliest-planned first — the paper's in-order 2-D queue — so
-    ``simple`` and ``improved`` differ only in the edges of that graph.
-    What the queue adds is the resources a ready batch still needs: a
-    dispatch credit and a pool slot inside the frame window.  It runs
-    no process, so credit, window and never-before-references can be
-    property-tested without one.
-
-    The graph is planned a GOP at a time, when the frame window first
-    reaches the GOP, so what the queue holds before the first dispatch
-    does not grow with the stream — nor does the stream need to be
-    known past that GOP: ``gop_sizes`` is read one GOP at a time.
+    slice-grain graph (:func:`~repro.exec.plan.add_slice_picture` per
+    picture, the nodes of :func:`~repro.exec.plan.plan_slice_graph`)
+    and serves its ready set earliest-planned first — the paper's
+    in-order 2-D queue — so ``simple`` and ``improved`` differ only in
+    the edges of that graph.  What the queue adds is the resources a
+    ready batch still needs: a dispatch credit and a slot of the frame
+    window.  It runs no process, so credit, window and
+    never-before-references can be property-tested without one.
 
     Parameters
     ----------
-    slice_counts:
-        Slices per picture, coding order.
-    dependencies:
-        Per picture, the coding-order numbers it references.  Every
-        dependency must be *earlier* (MPEG-2 coding order guarantees
-        this; the plan enforces it) and in the picture's own GOP
-        (closed GOPs guarantee that).
     mode:
         ``"simple"`` (every earlier picture must be complete) or
         ``"improved"`` (only the dependencies must be complete).
-    gop_sizes:
-        Pictures per GOP, coding order: any iterable, read one GOP at a
-        time, when the frame window first reaches the GOP and before the
-        queue reads that GOP's entries of ``slice_counts`` and
-        ``dependencies`` — an owner may append them there as it yields
-        the GOP's size, so it builds a GOP's plans only when the GOP is
-        needed.  The stream ends where the iterable does.
     window:
-        Pool slots (:func:`gop_frame_window`).  A picture may start
-        only within ``window`` pictures of the first one that still
-        holds or needs a slot.
+        The decode's :class:`~repro.exec.window.FrameWindow`, which the
+        owner adds each picture to when it adds the picture's GOP here.
     workers:
         Sets both bounds on dispatch: a picture is split into at most
         ``workers`` batches, and at most ``2 x workers`` batches (one
         when ``workers`` is 0) are in flight.
+    reach:
+        Called when a claim with a free credit finds nothing it may
+        start: it adds the next GOP (:meth:`add_gop`) if the window
+        reaches it, and returns whether it did.
     on_gated / on_released:
         Stall attribution: ``on_gated(order)`` fires when a free credit
         finds nothing to dispatch and ``order`` is the earliest picture
         in the way; ``on_released(order)`` when a later claim finds
         that picture available.  At most one picture is gated at a time.
-    on_slot:
-        ``on_slot(slot)`` fires when a picture is given ``slot``, before
-        any of its slices is handed out.
     """
 
     def __init__(
         self,
-        slice_counts: Sequence[int],
-        dependencies: Sequence[Sequence[int]],
         mode: str | SliceMode,
-        gop_sizes: Sequence[int],
-        window: int,
+        window: FrameWindow,
         workers: int = 1,
+        reach: Callable[[], bool] = lambda: False,
         on_gated: Callable[[int], None] | None = None,
         on_released: Callable[[int], None] | None = None,
-        on_slot: Callable[[int], None] | None = None,
     ) -> None:
         self.mode = SliceMode(mode).value
-        if len(slice_counts) != len(dependencies):
-            raise ValueError("slice_counts and dependencies length mismatch")
         self.graph = TaskGraph()
+        self.window = window
         self._workers = workers
         self.credit = max(1, 2 * workers)
-        self._counts = slice_counts
-        self._dependencies = dependencies
-        self._gop_sizes = iter(gop_sizes)
-        #: GOPs planned so far, and whether ``gop_sizes`` has ended.
-        self._gops_planned = 0
-        self._ended = False
-        #: Per planned picture: its deduplicated dependencies, its batch
-        #: nodes, its slot, and the emissions its slot still waits for
-        #: (its own and one per picture that references it).
+        self._reach = reach
+        #: Per planned picture: its deduplicated dependencies and its
+        #: batch nodes.
         self._deps: list[tuple[int, ...]] = []
-        self._batches: list[list] = []
-        self._slot: list[int | None] = []
-        self._holds: list[int] = []
+        self._batches: list[list[TaskNode]] = []
+        #: Publish steps taken and not yet run (:meth:`take_completed`).
+        self._steps: list[TaskNode] = []
         #: ``_head`` is the first picture that may still have a batch
         #: pending (where a gate clock goes).
         self._head = 0
-        self._newly_complete: list[int] = []
         self._gate: int | None = None
         self._on_gated = on_gated
         self._on_released = on_released
-        self._on_slot = on_slot
-        # -- frame window ------------------------------------------------
-        self.window = window
-        self._free = list(range(self.window - 1, -1, -1))
-        #: First picture whose slot is not yet back on the free list.
-        self._base = 0
-        self._reach()
 
-    def _reach(self) -> None:
-        """Plan every GOP the frame window has reached."""
-        while len(self._slot) < self._limit():
-            gop, first = self._gops_planned, len(self._slot)
-            t0, nodes = time.monotonic_ns(), self.graph.planned
-            size = next(self._gop_sizes, None)
-            if size is None:
-                self._ended = True
-                return
-            for order in range(first, first + size):
-                deps = tuple(dict.fromkeys(self._dependencies[order]))
-                outside = [d for d in deps if 0 <= d < first]
-                if outside:
-                    raise ValueError(
-                        f"picture {order} depends on {outside}, outside "
-                        f"its GOP (pictures {first} onwards)"
-                    )
-                batches = add_slice_picture(
-                    self.graph, order, self._counts[order], deps,
-                    self.mode, self._workers,
+    def add_gop(self, plans: Sequence[PicturePlan]) -> None:
+        """Plan one GOP's pictures — the next in coding order, each with
+        its ``slices`` and ``dependencies`` — onto the graph.  Every
+        dependency must be earlier (MPEG-2 coding order guarantees this;
+        the plan enforces it) and in the picture's own GOP (closed GOPs
+        guarantee that)."""
+        first = self.pictures
+        for order, plan in enumerate(plans, first):
+            deps = tuple(dict.fromkeys(plan.dependencies))
+            outside = [d for d in deps if 0 <= d < first]
+            if outside:
+                raise ValueError(
+                    f"picture {order} depends on {outside}, outside "
+                    f"its GOP (pictures {first} onwards)"
                 )
-                self._batches.append([self.graph.nodes[t] for t in batches])
-                self._deps.append(deps)
-                self._slot.append(None)
-                self._holds.append(1)
-                for d in deps:
-                    self._holds[d] += 1
-            self._gops_planned += 1
-            trace_complete(
-                "mp.plan", "mp", t0, time.monotonic_ns() - t0, gop=gop,
-                pictures=size, nodes=self.graph.planned - nodes,
+            batches = add_slice_picture(
+                self.graph, order, len(plan.slices), deps, self.mode,
+                self._workers,
             )
+            self._batches.append([self.graph.nodes[t] for t in batches])
+            self._deps.append(deps)
 
     @property
     def in_flight(self) -> int:
-        """Batches out (``publish`` steps never stay dispatched)."""
-        return self.graph.in_flight
+        """Batches out."""
+        return self.graph.in_flight - len(self._steps)
 
     @property
     def pictures(self) -> int:
-        """Pictures planned so far (the stream's, once :attr:`done`)."""
-        return len(self._slot)
+        """Pictures planned so far."""
+        return len(self._deps)
 
-    def _limit(self) -> int:
-        """One past the last picture the frame window lets start."""
-        limit = self._base + self.window
-        return min(self.pictures, limit) if self._ended else limit
+    @property
+    def due(self) -> bool:
+        """Whether publish steps wait for :meth:`take_completed`."""
+        return bool(self._steps)
 
-    def _acquire(self, order: int) -> int:
-        slot = self._slot[order]
-        if slot is None:
-            slot = self._slot[order] = self._free.pop()
-            if self._on_slot is not None:
-                self._on_slot(slot)
-        return slot
+    def _take(self, publish: TaskNode) -> None:
+        self.graph.dispatch(publish.tid)
+        self._steps.append(publish)
+
+    def _next(self) -> TaskNode | None:
+        """The earliest-planned ready node inside the frame window: a
+        batch, or the publish step of a zero-slice picture."""
+        node = min(
+            filter(None, (self.graph.first_ready(), self.graph.first_ready(True))),
+            key=attrgetter("order"), default=None,
+        )
+        return node if node is not None and node.order < self.window.limit else None
 
     # -- scheduler side --------------------------------------------------
     def claim_batch(self) -> SliceBatch | None:
@@ -346,106 +289,72 @@ class PictureSliceQueue:
 
         Serves the earliest-planned ready batch if its picture lies
         inside the frame window: a later picture is served only while
-        every earlier one is fully handed out or waiting on an edge.
+        every earlier one is fully handed out or waiting on an edge.  A
+        zero-slice picture on the way takes its slot and its publish
+        step (there is nothing to hand out; dependents and the display
+        read it blank).
         """
         if self.in_flight >= self.credit:
             return None
-        node = self.graph.first_ready()
-        if node is not None and node.order < self._limit():
+        while (node := self._next()) is not None or self._reach():
+            if node is None:
+                continue
+            slot, blank = self.window.acquire(node.order)
+            if node.kind == "publish":
+                self._take(node)
+                continue
             if node.order == self._gate:
                 self._gate = None
                 if self._on_released is not None:
                     self._on_released(node.order)
             self.graph.dispatch(node.tid)
             return SliceBatch(
-                node.order,
-                node.payload,
-                self._acquire(node.order),
-                tuple(self._slot[d] for d in self._deps[node.order]),
+                node.order, node.payload, slot,
+                tuple(map(self.window.slot, self._deps[node.order])),
+                tid=node.tid, blank=blank,
             )
         if self._gate is None:
             # A free credit found nothing to place: the clock goes on
             # the earliest picture with slices still waiting on an edge
             # (not on one that is ready but outside the window).
             state = self.graph.state
-            while self._head < len(self._batches) and not any(
+            while self._head < self.pictures and not any(
                 state[b.tid] == PENDING for b in self._batches[self._head]
             ):
                 self._head += 1
             head = self._head
-            if head < self._limit() and (node is None or node.order != head):
+            if head < min(self.pictures, self.window.limit):
                 self._gate = head
                 if self._on_gated is not None:
                     self._on_gated(head)
         return None
 
-    def _settle(self, publish) -> None:
-        """Complete a ready ``publish`` node on the caller's behalf."""
-        self.graph.dispatch(publish.tid)
-        self._acquire(publish.order)
-        self.graph.complete(publish.tid)
-        self._newly_complete.append(publish.order)
-
-    def complete_batch(self, order: int, slices: int) -> bool:
-        """Report one finished batch of ``slices`` slices of ``order``
-        (returns its credit); ``True`` if that completed the picture."""
-        for node in self._batches[order]:
-            if (
-                self.graph.state[node.tid] == DISPATCHED
-                and len(node.payload) == slices
-            ):
-                # Only the picture's publish step waits on a batch, and
-                # the last one releases it.
-                released = self.graph.complete(node.tid)
-                for publish in released:
-                    self._settle(publish)
-                return bool(released)
-        raise ValueError(f"picture {order} has no outstanding slices")
+    def complete(self, tid: Hashable) -> bool:
+        """Report batch ``tid`` finished (returns its credit); ``True``
+        if that completed its picture, whose publish step it releases."""
+        released = self.graph.complete(tid)
+        for publish in released:
+            self._take(publish)
+        return bool(released)
 
     def take_completed(self) -> list[int]:
-        """Pictures completed since the last call, for the caller to
-        publish **before** it claims again (their ``publish`` nodes are
-        completed here on its behalf): finished by a batch, or
-        zero-slice pictures that settle here because their edges are
-        met and they are inside the window (they take a slot —
-        dependents and the display read it blank — but there is nothing
-        to hand out)."""
-        while (
-            node := self.graph.first_ready(publish=True)
-        ) is not None and node.order < self._limit():
-            self._settle(node)
-        out, self._newly_complete = self._newly_complete, []
-        return out
-
-    def mark_emitted(self, order: int) -> None:
-        """``order`` has left the display merger: drop its hold on its
-        own slot and on its references' slots, freeing those no later
-        emission waits for."""
-        for d in (order, *self._deps[order]):
-            self._holds[d] -= 1
-            if self._holds[d] == 0:
-                self._free.append(self._slot[d])
-                self._slot[d] = None
-        while self._base < len(self._holds) and not self._holds[self._base]:
-            self._base += 1
-        self._reach()
+        """Run the publish steps taken since the last call — pictures
+        whose last batch finished, and zero-slice pictures a claim took
+        — and return their pictures, for the caller to publish
+        **before** it claims again: completing a publish step is what
+        releases the picture's dependents."""
+        steps, self._steps = self._steps, []
+        for publish in steps:
+            self.graph.complete(publish.tid)
+        return [publish.order for publish in steps]
 
     # -- diagnostics -----------------------------------------------------
     @property
-    def done(self) -> bool:
-        return self._ended and self.graph.completed == self.graph.planned
-
-    @property
     def pictures_complete(self) -> int:
-        return sum(map(self.is_complete, range(len(self._slot))))
+        return sum(map(self.is_complete, range(self.pictures)))
 
     def is_complete(self, order: int) -> bool:
         return self.graph.state.get(f"p{order}.publish") == COMPLETED
-
-    def slot_of(self, order: int) -> int | None:
-        """Pool slot ``order`` occupies (``None`` when it has none, or
-        is not planned yet)."""
-        return self._slot[order] if order < len(self._slot) else None
 
 
 # ======================================================================
@@ -483,9 +392,9 @@ def picture_state(seq: SequenceHeader, resilient: bool) -> dict:
 def decode_batch(ctx: TaskContext, keys, batch: SliceBatch) -> list[tuple]:
     """Task body: the picture kernel's two phases on the slices
     ``batch`` carries, in place on slot ``batch.slot``, references read
-    through views of ``batch.ref_slots``.  Answers its one key with
-    ``(order, slices, counters, corrupt_rows)``; the rows wait for the
-    picture's conceal sweep in :meth:`MPSliceDecoder._publish`.  What
+    through views of ``batch.ref_slots``.  Answers its one key, the
+    batch's graph node, with ``(counters, corrupt_rows)``; the rows wait
+    for the picture's conceal sweep in :meth:`MPSliceDecoder._publish`.  What
     it raises comes back as an ``err`` for the parent to re-raise,
     never a dead worker."""
     (key,) = keys
@@ -505,7 +414,7 @@ def decode_batch(ctx: TaskContext, keys, batch: SliceBatch) -> list[tuple]:
             reconstruct(out, parses, state["seq"], header, fwd, bwd)
         finally:
             del out, fwd, bwd
-    return [(key, (batch.order, len(slices), counters, corrupt))]
+    return [(key, (counters, corrupt))]
 
 
 # ======================================================================
@@ -556,7 +465,7 @@ class MPSliceDecoder(StreamDecoder):
         #: The run's picture plans in coding order, built a GOP at a
         #: time as the frame window reaches each GOP (every picture's
         #: once a run has finished; a decode is one run unless a GOP
-        #: outgrows the window, DESIGN §2.4).
+        #: outgrows the window, DESIGN §2.2).
         self.plans: list[PicturePlan] = []
 
     # ------------------------------------------------------------------
@@ -571,86 +480,44 @@ class MPSliceDecoder(StreamDecoder):
     def iter_frames(
         self, counters: WorkCounters | None = None
     ) -> Iterator[Frame]:
-        """Yield decoded frames in display order.
+        """Yield decoded frames in display order."""
+        return self._decode(counters, picture_state(self.seq, self.resilient))
 
-        One run per frame window: the window is sized from the run's
-        first GOP, and a later GOP that it cannot hold ends the run at
-        that GOP boundary and starts the next, sized for it (closed GOPs
-        carry no state across it)."""
-        self.counters = counters
-        self._begin()
-        with scan_faults_first(self._gops):
-            while (head := self._pull()) is not None:
-                self._hold(head)
-                yield from self._window_run(
-                    gop_frame_window([len(head[1].pictures)], self.workers)
-                )
+    # -- the partition ---------------------------------------------------
+    body = staticmethod(decode_batch)
 
-    def _window_run(self, slots: int) -> Iterator[Frame]:
-        """One run on a ``slots``-frame window, from the held GOP on."""
+    def _window_size(self, pictures: int) -> int:
+        """The run's first GOP — all of the GOP the oldest slot holder
+        belongs to can be decoded, which is what frees it — or ``2 x
+        workers`` pictures if that is more (so the window never starves
+        the dispatch credit), plus one."""
+        return max(pictures, 2 * self.workers) + 1
+
+    def _open_run(self) -> TaskGraph:
         self.gated_since: dict[int, int] = {}
         self.publish_ns: dict[int, int] = {}
         self.corrupt_rows: dict[int, list[int]] = {}
         self.plans = []
-        self._slice_counts: list[int] = []
-        self._dependencies: list[tuple[int, ...]] = []
-        #: Slots a picture has taken this run: the pool is created
-        #: zero-filled, so only a reused slot must be blanked.
-        self._used_slots: set[int] = set()
-        #: The run's display merge; its total grows as GOPs are planned.
-        self.merger = DisplayMerger(
-            0, on_hold=self._held if self.workers else None
+        self.q = PictureSliceQueue(
+            self.mode, self.window, self.workers, self._reach,
+            self._on_gated, self._on_released,
         )
-        self.q = q = PictureSliceQueue(
-            self._slice_counts,
-            self._dependencies,
-            self.mode,
-            self._plan_gops(slots),
-            slots,
-            workers=self.workers,
-            on_gated=self._on_gated,
-            on_released=self._on_released,
-            on_slot=self._blank_reused,
-        )
-        yield from self._run(
-            q.graph, decode_batch, slots,
-            picture_state(self.seq, self.resilient),
-        )
-        if not q.done:  # pragma: no cover - defensive
-            raise RuntimeError(
-                "picture/slice queue stuck with incomplete pictures"
-            )
+        return self.q.graph
 
-    def _plan_gops(self, slots: int) -> Iterator[int]:
-        """The run's GOP sizes for its queue: each GOP pulled off the
-        scan as the frame window reaches it, published, and planned —
-        its picture plans, its header counters and its share of the
-        display merge.  Ends at the end of the stream, or at a GOP the
-        window cannot hold (held back for the next run)."""
-        while (pulled := self._pull()) is not None:
-            gi, gop = pulled
-            if gop_frame_window([len(gop.pictures)], self.workers) > slots:
-                self._hold(pulled)
-                return
-            self._publish_gop(gop)
-            plans = scan_gop_pictures(gop, gi, len(self.plans))
-            self.plans += plans
-            self._slice_counts += [len(p.slices) for p in plans]
-            self._dependencies += [p.dependencies for p in plans]
-            self.merger.total += len(plans)
-            if self.counters is not None:
-                self.counters.add(base_counters([gop]))
-            yield len(plans)
-
-    def _blank_reused(self, slot: int) -> None:
-        if slot in self._used_slots:
-            self.pool.clear_frame(slot)
-        self._used_slots.add(slot)
+    def _plan_gop(self, gi: int, gop: GopIndex, base: int) -> None:
+        """The GOP's picture plans, its header counters and its nodes."""
+        t0, nodes = time.monotonic_ns(), self.q.graph.planned
+        plans = scan_gop_pictures(gop, gi, base)
+        self.plans += plans
+        self.q.add_gop(plans)
+        if self.counters is not None:
+            self.counters.add(base_counters([gop]))
+        trace_complete(
+            "mp.plan", "mp", t0, time.monotonic_ns() - t0, gop=gi,
+            pictures=len(plans), nodes=self.q.graph.planned - nodes,
+        )
 
     # -- stall attribution -----------------------------------------------
-    def _held(self, order: int, since_ns: int, held_ns: int) -> None:
-        record_merge_hold(self.last_stalls, since_ns, held_ns, order=order)
-
     def _on_gated(self, order: int) -> None:
         self.gated_since[order] = time.monotonic_ns()
 
@@ -683,6 +550,8 @@ class MPSliceDecoder(StreamDecoder):
         batch = self.q.claim_batch()
         if batch is None:
             return None
+        if batch.blank:
+            self.pool.clear_frame(batch.slot)
         crash_order, crash_sidx = self._crash_task or (None, None)
         crash = batch.order == crash_order and crash_sidx in batch.sidxs
         reg = metrics()
@@ -691,31 +560,40 @@ class MPSliceDecoder(StreamDecoder):
         # One running and one queued batch per worker: the credit
         # (2 x workers) always leaves one with room.
         return (
-            self.team.free(2)[0], self.sid, ((batch.order, batch.sidxs[0]),),
+            self.team.free(2)[0], self.sid, (batch.tid,),
             batch.of(self.plans[batch.order]), "crash" if crash else None,
         )
 
     def _done(self, sid, key, payload) -> None:
-        order, slices, done, rows = payload
+        done, rows = payload
         metrics().gauge("queue.depth").dec()
         if self.counters is not None:
             self.counters.add(done)
         if rows:
+            order = self.q.graph.nodes[key].order
             self.corrupt_rows.setdefault(order, []).extend(rows)
-        self.q.complete_batch(order, slices)
+        self.q.complete(key)
+
+    def _idle(self) -> bool:
+        """Publish steps a claim took go round once more."""
+        return self.q.due
 
     def _publish(self) -> list[int]:
         """Publish newly complete pictures (conceal + record publish
         time + bank in the display merger); return the display-ready
         run.  The loop runs this *before* the next claim so the stall
         split sees fresh publish times."""
-        q = self.q
+        window = self.window
         ready: list[int] = []
-        for order in q.take_completed():
+        for order in self.q.take_completed():
             plan = self.plans[order]
-            fwd_slot = q.slot_of(plan.fwd) if plan.fwd is not None else None
+            if not plan.slices:
+                # Nothing decoded into it: whatever its slot held, a
+                # zero-slice picture reads blank before its sweep.
+                self.pool.clear_frame(window.slot(order))
+            fwd_slot = window.slot(plan.fwd) if plan.fwd is not None else None
             t0 = time.perf_counter()
-            out = self.pool.view_frame(q.slot_of(order))
+            out = self.pool.view_frame(window.slot(order))
             fwd = self.pool.view_frame(fwd_slot) if fwd_slot is not None else None
             try:
                 n_t, n_s = conceal(
@@ -733,14 +611,9 @@ class MPSliceDecoder(StreamDecoder):
         return ready
 
     def _emit(self, ready: list[int]) -> Iterator[Frame]:
-        # Emitting frees slots, which may let more pictures start or
-        # settle: the loop goes round again after it.
+        # Emitting frees slots, which may let more pictures start: the
+        # loop goes round again after it.
         for done in ready:
             with trace_span("mp.shm.read", cat="mp", order=done):
-                frame = self.pool.read_frame(
-                    self.q.slot_of(done),
-                    self.plans[done].header.temporal_reference,
-                )
-            self.q.mark_emitted(done)
+                (frame,) = self._read([done])
             yield frame
-

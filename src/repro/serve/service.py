@@ -110,7 +110,7 @@ def decode_picture(ctx: TaskContext, keys, plan) -> list[tuple]:
                 plan.dependencies,
             ).of(plan)
             [(_key, answer)] = decode_batch(ctx, keys, batch)
-            _order, _slices, counters, corrupt = answer
+            counters, corrupt = answer
             out = ctx.pool.view_frame(plan.order, plan.header.temporal_reference)
             fwd = ctx.pool.view_frame(plan.fwd) if plan.fwd is not None else None
             try:

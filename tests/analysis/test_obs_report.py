@@ -173,8 +173,11 @@ class TestScanStage:
         [
             # One GOP per (in-process) worker.
             (lambda data: MPGopDecoder(data, workers=0), 1),
-            # The window: one 13-picture GOP + 1 slot reaches GOP 1.
-            (lambda data: MPSliceDecoder(data, workers=0), 2),
+            # The window (one 13-picture GOP + 1 slot) reaches GOP 1, and
+            # the spare credits of 2 workers plan it while GOP 0's P
+            # waits for its I.  (The one credit of workers=0 finds a
+            # GOP 0 picture at every claim before picture 0.)
+            (lambda data: MPSliceDecoder(data, workers=2), 2),
         ],
     )
     def test_scan_row_from_a_traced_decode(self, decoder, before):

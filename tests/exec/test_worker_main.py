@@ -189,9 +189,9 @@ def test_protocol_end_to_end(golden, stream):
     assert all(r[5] is not None and r[6] is not None for r in answers)
     assert all(r[4] == WorkCounters() for r in answers[:-1])
     assert answers[-1][4].macroblocks > 0
-    # Slice batch: (order, slices, counters, corrupt rows).
-    order, slices, counters, rows = payloads[0]
-    assert (order, slices, rows) == (0, len(intra.slices), [])
+    # Slice batch: (counters, corrupt rows), under the key it was sent.
+    counters, rows = payloads[0]
+    assert rows == []
     assert isinstance(counters, WorkCounters) and counters.macroblocks > 0
     # Serve picture: its counters; same picture, same pixels.
     assert isinstance(payloads[1], WorkCounters)
@@ -630,11 +630,33 @@ def test_src_has_one_scan_fault_verdict():
                 ]
     assert defs == [(os.path.join("mpeg2", "index.py"), "scan_faults_first")]
     assert sorted(src_calls("scan_faults_first")["scan_faults_first"]) == [
+        (os.path.join("exec", "dispatch.py"), "_decode"),
         (os.path.join("mpeg2", "decoder.py"), "_with_scan_verdict"),
         (os.path.join("mpeg2", "decoder.py"), "decode_gop"),
-        (os.path.join("parallel", "mp.py"), "iter_gops"),
-        (os.path.join("parallel", "mp_slice.py"), "iter_frames"),
     ]
+
+
+def test_src_mp_decoders_have_one_frame_window():
+    # Both real-process grains lend frame-pool slots from one allocator,
+    # ``exec.window.FrameWindow``, made once per run by the run loop
+    # they share: the per-grain free lists, hold counts and window
+    # formulas that sat beside it must not come back.
+    gone = {
+        "free_slots", "held_slots", "run_slots", "_free", "_holds",
+        "_used_slots", "gop_frame_window",
+    }
+
+    def named(node) -> bool:
+        for field in ("id", "attr", "arg", "name"):
+            if isinstance(getattr(node, field, None), str):
+                return getattr(node, field) in gone
+        return False
+
+    parallel = os.path.join("parallel", "")
+    assert [s for s in src_sites(named) if s[0].startswith(parallel)] == []
+    assert src_calls("FrameWindow") == {
+        "FrameWindow": [(os.path.join("exec", "dispatch.py"), "_run")]
+    }
 
 
 def test_src_has_one_coefficient_parser_and_one_payload_read():

@@ -73,6 +73,7 @@ class TestSliceWorkerCrash:
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_crash_in_simple_mode(self, medium_stream, no_shm_leak, deadline):
         dec = MPSliceDecoder(
@@ -81,6 +82,7 @@ class TestSliceWorkerCrash:
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_crash_on_first_slice(self, small_stream, no_shm_leak, deadline):
         # Death before any result at all: the parent has nothing but
@@ -91,6 +93,7 @@ class TestSliceWorkerCrash:
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_single_worker_crash_with_survivors_idle(
         self, two_gop_stream, no_shm_leak, deadline
@@ -103,6 +106,22 @@ class TestSliceWorkerCrash:
         with pytest.raises(DecodeError, match="worker process died"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
+
+    def test_consumer_closes_after_first_picture(
+        self, two_gop_stream, no_shm_leak, deadline
+    ):
+        # As on the GOP grain: when picture 0 is handed over, later
+        # pictures hold slots of the window; walking away then must
+        # leave the occupancy gauge at zero.
+        dec = MPSliceDecoder(tile(two_gop_stream, 4), workers=2)
+        gauge = metrics().gauge("mp.frame_pool.occupancy")
+        it = dec.iter_frames()
+        next(it)
+        assert 0 < gauge.value <= dec.window.size
+        it.close()
+        assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
     def test_clean_decode_after_crash(self, small_stream, no_shm_leak):
         # The failure must not poison the process: a fresh decoder on
@@ -156,11 +175,13 @@ class TestSliceReconstructError:
         with pytest.raises(RuntimeError, match="injected reconstruct"):
             dec.decode_all()
         assert_no_stray_children()
+        assert_aborted_run_accounted(dec)
 
 
-def assert_aborted_run_accounted(dec: MPGopDecoder) -> None:
+def assert_aborted_run_accounted(dec: MPGopDecoder | MPSliceDecoder) -> None:
     """The graph an aborted run dispatched from conserves, with the
-    unfinished GOPs on it, and no frame-window run is still booked."""
+    unfinished pictures on it, and no frame-window slot is still
+    booked."""
     counts = dec.last_graph.counts()
     dec.last_graph.verify_conservation()
     assert counts["completed"] < counts["planned"]

@@ -11,9 +11,10 @@ frame pool whose size does not depend on the stream's length:
   GOPs indexed and bytes published before it at 2 GOPs as at 16, same
   pool for both lengths;
 * the window policy as pure logic — the real ``_claim`` / ``_done`` /
-  ``_publish`` / ``_emit`` hooks and the real parent loop on a team
-  with no processes, hypothesis choosing GOP sizes, worker count and
-  which in-flight GOP answers its next picture.
+  ``_publish`` / ``_emit`` hooks, the real parent loop and the one
+  :class:`~repro.exec.window.FrameWindow` on a team with no processes,
+  hypothesis choosing GOP sizes, worker count and which in-flight GOP
+  answers its next picture.
 """
 
 from __future__ import annotations
@@ -264,12 +265,15 @@ class FakeTeam:
     def submit(self, wid, sid, keys, task, fault=None) -> None:
         assert wid not in self.busy
         assert len(task.slots) == len(keys) == len(task.index.pictures)
-        slots = set(task.slots)
-        assert len(slots) == len(keys)
-        assert all(0 <= s < self.slots for s in slots)
-        assert not any(
-            slots & set(other.slots) for other in self.live.values()
-        )
+        assert all(0 <= s < self.slots for s in task.slots)
+        window = self.dec.window
+        # No chain starts before the window's base allows: all of it
+        # lies below the limit, so no slot holder is past it.
+        assert window.base <= keys[0] and keys[-1] < window.limit
+        assert [window.slot(key) for key in keys] == list(task.slots)
+        held = [window.slot(o) for o in range(window.pictures)]
+        held = [slot for slot in held if slot is not None]
+        assert len(held) == len(set(held)) == window.held <= window.size
         self.live[task.gop] = task
         self.submitted.append(task.gop)
         order = task.index.display_order()
@@ -300,6 +304,8 @@ def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
     dec = MPGopDecoder(b"", index=synthetic_index(gop_sizes), workers=workers)
     team = FakeTeam(dec, data.draw)
     got: dict[int, list[int]] = {}
+    #: GOPs seen giving an I/P slot back before their last picture.
+    early: set[int] = set()
     counters = WorkCounters()
     with mock.patch("repro.exec.dispatch.get_team", return_value=team):
         # A stalled policy — nothing in flight, nothing claimable, GOPs
@@ -310,14 +316,27 @@ def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
                 g in got and g not in team.live
                 for g in range(gop) if gop_sizes[g]
             )
-            task = team.live[gop]
             got.setdefault(gop, []).extend(slots)
-            held = sum(map(len, dec.held_slots.values()))
-            assert held <= team.slots
-            if gop not in dec.held_slots:
-                # Its slots went back to the window with this run: every
-                # picture is answered, and all of its frames are out, in
-                # display order.
+            assert dec.window.held <= team.slots
+            for g, task in team.live.items():
+                # The reference rule: a picture holds its slot until it
+                # and every picture that references it are out.
+                order = task.index.display_order()
+                out = set(order[: len(got.get(g, ()))])
+                users = {pos: {pos} for pos in order}
+                for pos, refs in enumerate(task.index.references()):
+                    for ref in filter(lambda r: r is not None, refs):
+                        users[ref].add(pos)
+                for pos, pic in enumerate(task.index.pictures):
+                    holds = dec.window.slot(task.base + pos) is not None
+                    assert holds == (not users[pos] <= out), (g, pos)
+                    ref = pic.picture_type.is_reference
+                    if ref and not holds and len(out) < len(order):
+                        early.add(g)
+            task = team.live[gop]
+            if len(got[gop]) == len(task.index.pictures):
+                # Every picture is answered, and all of its frames are
+                # out, in display order.
                 assert gop in team.finished
                 order = task.index.display_order()
                 assert got[gop] == [task.slots[pos] for pos in order]
@@ -333,8 +352,16 @@ def test_window_policy_streams_every_gop_in_order(gop_sizes, workers, data):
     window = max(2 * workers, 1)
     assert team.attaches == [window * size for size in firsts]
     assert len(dec.last_graphs) == len(firsts)
-    assert not team.live and not getattr(dec, "held_slots", None)
+    assert not team.live
+    if gop_sizes:
+        assert not dec.window.held
     assert metrics().gauge("mp.frame_pool.occupancy").value == 0
+    # The stream's first GOP hands its pictures over one at a time: one
+    # of five or more (two reference intervals) gives its I slot back
+    # while its last picture is still to come.
+    pictured = [g for g, size in enumerate(gop_sizes) if size]
+    if pictured and gop_sizes[pictured[0]] >= 5:
+        assert pictured[0] in early
     # One node per picture, each completed once; a GOP with no picture
     # is its header, charged by the parent.
     for graph in dec.last_graphs:

@@ -214,6 +214,18 @@ class TestResilientParity:
         data = tile_gops(load_conceal("conceal_lost_picture"), 3)
         assert_slice_parity(data, workers, "improved", resilient)
 
+    @pytest.mark.parametrize("resilient", (False, True))
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_a_lost_slice_in_a_reused_slot(self, workers, resilient):
+        # Six 4-picture GOPs through a 5-slot window: GOP 5's B1 loses
+        # its second row and decodes the rest into a slot an earlier
+        # picture filled, which the parent must blank before the
+        # picture's first batch goes out.
+        data = tile_gops(load_vector("two_gop_48x32"), 3)
+        s = build_index(data).gops[5].pictures[2].slices[1]
+        data = data[: s.payload_start - 4] + data[s.payload_end :]
+        assert_slice_parity(data, workers, "improved", resilient)
+
     @pytest.mark.parametrize("workers", (0, 2))
     def test_strict_mode_raises_same_family(self, small_stream, workers):
         data = corrupt_slice(small_stream, gop=0, pic=4, sl=1)
@@ -252,16 +264,19 @@ class TestDispatchOrder:
                 super().__init__(*args, **kwargs)
                 self.log = []
                 made.append(self)
+                emitted = self.window.emitted
+
+                def mark_emitted(order):
+                    self.log.append(("emit", order, None))
+                    emitted(order)
+
+                self.window.emitted = mark_emitted
 
             def claim_batch(self):
                 batch = super().claim_batch()
                 if batch is not None:
                     self.log.append(("dispatch", batch.order, batch.slot))
                 return batch
-
-            def mark_emitted(self, order):
-                self.log.append(("emit", order, None))
-                super().mark_emitted(order)
 
         monkeypatch.setattr(mp_slice, "PictureSliceQueue", RecordingQueue)
         return made
@@ -295,12 +310,12 @@ class TestDispatchOrder:
                     f"picture {order} (GOP {gop_of[order]}) dispatched with "
                     f"pictures of GOP <= {gop_of[order] - 2} not yet emitted"
                 )
-                assert 0 <= slot < queue.window
+                assert 0 <= slot < queue.window.size
             assert not any(left)
             longest = max(gop_of.count(g) for g in set(gop_of))
-            assert queue.window <= max(longest, 2 * workers) + 2
+            assert queue.window.size <= max(longest, 2 * workers) + 2
             assert dec.last_pool_bytes == (
-                dec.layout.slot_bytes * queue.window if workers else 0
+                dec.layout.slot_bytes * queue.window.size if workers else 0
             )
         # Memory is a function of GOP structure and worker count only
         # (paper Fig. 8), not of how long the stream is.

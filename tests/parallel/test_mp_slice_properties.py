@@ -9,7 +9,9 @@ safety properties the real pipeline relies on:
 
 * no deadlock — every generated schedule drains the queue, zero-slice
   pictures and 1-picture GOPs included, planned a GOP at a time as the
-  decoder plans them, with a pool of only ``gop_frame_window`` slots;
+  decoder plans them, on the decoder's frame window
+  (:class:`~repro.exec.window.FrameWindow` of ``max(longest GOP, 2 x
+  workers) + 1`` slots);
 * a picture never completes before its dependencies (never emitted
   early by the merger either);
 * **improved mode never schedules a B-slice before both its reference
@@ -26,15 +28,15 @@ safety properties the real pipeline relies on:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.mp_slice import (
-    DisplayMerger,
-    PictureSliceQueue,
-    gop_frame_window,
-)
+from repro.exec.window import FrameWindow
+from repro.parallel.merge import DisplayMerger
+from repro.parallel.mp_slice import PictureSliceQueue
 
 MODES = ("simple", "improved")
 
@@ -85,18 +87,41 @@ def gop_structures(draw):
     return counts, deps, types, gops, display
 
 
+def plans(counts, deps, orders) -> list[SimpleNamespace]:
+    """What the queue reads of the picture plans of ``orders``: their
+    slices and their dependencies."""
+    return [
+        SimpleNamespace(slices=range(counts[o]), dependencies=deps[o])
+        for o in orders
+    ]
+
+
+def one_gop_queue(counts, deps, mode, size, workers=1, **hooks):
+    """A queue on a ``size``-slot window, every picture planned as one
+    GOP."""
+    window = FrameWindow(size)
+    queue = PictureSliceQueue(mode, window, workers, **hooks)
+    queue.add_gop(plans(counts, deps, range(len(counts))))
+    for order, refs in enumerate(deps):
+        window.add(order, refs)
+    return queue
+
+
 class Schedule:
     """The decoder parent's publish / claim / emit round, on the pure
-    queue, with hypothesis choosing which batch finishes next."""
+    queue and the decoder's frame window, with hypothesis choosing which
+    batch finishes next.  GOPs are planned as the decoder plans them:
+    one when a claim with a free credit finds nothing to start and the
+    window reaches the GOP (``plan_sizes`` regroups them)."""
 
-    def __init__(self, structure, mode, workers, on_claim=None):
+    def __init__(self, structure, mode, workers, on_claim=None, plan_sizes=None):
         self.counts, self.deps, self.types, gops, self.display = structure
         self.gop_sizes = [gops.count(g) for g in range(gops[-1] + 1)]
-        self.window = gop_frame_window(self.gop_sizes, workers)
-        self.queue = PictureSliceQueue(
-            self.counts, self.deps, mode, self.gop_sizes, self.window,
-            workers=workers,
-        )
+        self.window = FrameWindow(max(max(self.gop_sizes), 2 * workers) + 1)
+        self.queue = PictureSliceQueue(mode, self.window, workers, self.reach)
+        self.planning = iter(plan_sizes or self.gop_sizes)
+        #: Sizes of the GOPs planned so far.
+        self.reached: list[int] = []
         self.merger = DisplayMerger(len(self.counts))
         self.on_claim = on_claim
         self.in_flight: list = []
@@ -105,10 +130,25 @@ class Schedule:
         self.completion_order: list[int] = []
         self.emitted: list[int] = []
 
+    def reach(self) -> bool:
+        """The decoder's planning step (``StreamDecoder._reach``)."""
+        first = self.queue.pictures
+        if first >= self.window.limit:
+            return False
+        size = next(self.planning, None)
+        if size is None:
+            return False
+        orders = range(first, first + size)
+        self.queue.add_gop(plans(self.counts, self.deps, orders))
+        for order in orders:
+            self.window.add(order, self.deps[order])
+        self.reached.append(size)
+        return True
+
     def pump(self):
         q = self.queue
-        completed = True
-        while completed:
+        more = True
+        while more:
             completed = q.take_completed()
             ready: list[int] = []
             for order in completed:
@@ -122,19 +162,24 @@ class Schedule:
                 self.in_flight.append(batch)
                 self.check_bounds()
             for done in ready:
-                q.mark_emitted(done)
+                self.window.emitted(done)
                 self.emitted.append(done)
             self.check_bounds()
+            # A claim may have taken a zero-slice picture's publish step.
+            more = completed or q.due
 
     def live_slots(self):
-        slots = map(self.queue.slot_of, range(len(self.counts)))
-        return [s for s in slots if s is not None]
+        """Picture -> the slot it holds."""
+        slots = map(self.window.slot, range(len(self.counts)))
+        return {o: s for o, s in enumerate(slots) if s is not None}
 
     def check_bounds(self):
-        q = self.queue
+        q, window = self.queue, self.window
         assert q.in_flight == len(self.in_flight) <= q.credit
         live = self.live_slots()
-        assert len(live) == len(set(live)) <= self.window
+        assert len(live) == len(set(live.values())) == window.held <= window.size
+        # The no-overflow rule: every holder lies in [base, base + size).
+        assert all(window.base <= o < window.limit for o in live)
 
     def run(self, data, max_steps=10_000):
         """Drain the queue; raises if the schedule wedges (nothing in
@@ -143,10 +188,11 @@ class Schedule:
         self.pump()
         for _ in range(max_steps):
             if not self.in_flight:
-                assert q.done and self.merger.done, (
-                    f"deadlock: counts={self.counts} window={self.window}"
+                assert self.merger.done, (
+                    f"deadlock: counts={self.counts} window={self.window.size}"
                 )
-                assert not self.live_slots()
+                assert q.pictures_complete == q.pictures == len(self.counts)
+                assert not self.live_slots() and not self.window.held
                 return self
             if q.in_flight < q.credit:
                 # A free credit went unused.  The first incomplete
@@ -161,7 +207,7 @@ class Schedule:
                 label="completion pick",
             )
             batch = self.in_flight.pop(idx)
-            q.complete_batch(batch.order, len(batch.sidxs))
+            q.complete(batch.tid)
             self.pump()
         raise AssertionError("schedule did not terminate")
 
@@ -208,8 +254,8 @@ class TestQueueProperties:
                     f"scheduled before reference {dep} was published"
                 )
                 assert slot is not None
-                assert slot == sched.queue.slot_of(dep)
-            assert batch.slot == sched.queue.slot_of(batch.order)
+                assert slot == sched.window.slot(dep)
+            assert batch.slot == sched.window.slot(batch.order)
 
         Schedule(structure, "improved", workers, on_claim).run(data)
 
@@ -273,61 +319,62 @@ class TestQueueProperties:
             seen.add(order)
 
     def test_rejects_forward_dependencies(self):
+        queue = PictureSliceQueue("improved", FrameWindow(2))
         with pytest.raises(ValueError, match="earlier in coding order"):
-            PictureSliceQueue([1, 1], [[1], []], "improved", [2], 2)
+            queue.add_gop(plans([1, 1], [[1], []], range(2)))
+        queue = PictureSliceQueue("improved", FrameWindow(1))
         with pytest.raises(ValueError, match="earlier in coding order"):
-            PictureSliceQueue([1], [[0]], "improved", [1], 1)
+            queue.add_gop(plans([1], [[0]], range(1)))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            PictureSliceQueue([1], [[]], "bogus", [1], 1)
+            PictureSliceQueue("bogus", FrameWindow(1))
 
     def test_overcompletion_raises(self):
-        queue = PictureSliceQueue([1], [[]], "simple", [1], 1)
-        assert queue.claim_batch()[:2] == (0, range(0, 1))
-        assert queue.complete_batch(0, 1) is True
-        with pytest.raises(ValueError, match="no outstanding"):
-            queue.complete_batch(0, 1)
+        queue = one_gop_queue([1], [[]], "simple", 1)
+        batch = queue.claim_batch()
+        assert (batch.order, batch.sidxs, batch.tid) == (0, range(0, 1), "p0.s0")
+        assert queue.complete(batch.tid) is True
+        with pytest.raises(ValueError, match="completed without dispatch"):
+            queue.complete(batch.tid)
 
     def test_gating_callbacks_fire_in_pairs(self):
         gated: list[int] = []
         released: list[int] = []
-        queue = PictureSliceQueue(
-            [1, 1, 1],
-            [[], [0], [0, 1]],
-            "simple",
-            [3],
-            3,
-            on_gated=gated.append,
-            on_released=released.append,
+        queue = one_gop_queue(
+            [1, 1, 1], [[], [0], [0, 1]], "simple", 3,
+            on_gated=gated.append, on_released=released.append,
         )
-        assert queue.claim_batch().order == 0
+        first = queue.claim_batch()
+        assert first.order == 0
         # A second credit is free and finds picture 1 in the way.
         assert queue.claim_batch() is None
         assert gated == [1]
-        queue.complete_batch(0, 1)
-        assert queue.claim_batch().order == 1
+        # The last batch of a picture releases its publish step, which
+        # the caller runs before it claims again.
+        queue.complete(first.tid)
+        assert queue.take_completed() == [0]
+        second = queue.claim_batch()
+        assert second.order == 1
         assert released == [1]
         assert queue.claim_batch() is None
-        queue.complete_batch(1, 1)
-        assert queue.claim_batch().order == 2
-        queue.complete_batch(2, 1)
-        assert queue.take_completed() == [0, 1, 2]
-        # The stream's end is read when the window moves past its last
-        # GOP, which emission does.
-        assert not queue.done
-        for order in range(3):
-            queue.mark_emitted(order)
-        assert queue.done
+        queue.complete(second.tid)
+        assert queue.take_completed() == [1]
+        queue.complete(queue.claim_batch().tid)
+        assert queue.take_completed() == [2]
+        assert queue.pictures_complete == 3
         assert gated == released == [1, 2]
+        for order in range(3):
+            queue.window.emitted(order)
+        assert (queue.window.held, queue.window.base) == (0, 3)
 
     def test_spent_credit_starts_no_gate_clock(self):
         # workers=0 -> one credit: while it is out, a claim finds no
         # free credit, so nothing is "gated" (no stall is booked for
         # time in which the scheduler had nothing to place).
         gated: list[int] = []
-        queue = PictureSliceQueue(
-            [2, 2], [[], [0]], "improved", [2], 2, workers=0,
+        queue = one_gop_queue(
+            [2, 2], [[], [0]], "improved", 2, workers=0,
             on_gated=gated.append,
         )
         assert list(queue.claim_batch().sidxs) == [0, 1]
@@ -338,19 +385,29 @@ class TestQueueProperties:
         # Two GOPs of I,P; two workers.  While GOP 0's P waits for its
         # I, the spare credits go to GOP 1's I — and GOP 0's P takes
         # precedence again the moment it becomes available.
-        queue = PictureSliceQueue(
-            [2, 2, 2, 2], [[], [0], [], [2]], "improved", [2, 2], 5, workers=2
+        queue = one_gop_queue(
+            [2, 2, 2, 2], [[], [0], [], [2]], "improved", 5, workers=2
         )
         first = [queue.claim_batch() for _ in range(4)]
         assert [b.order for b in first] == [0, 0, 2, 2]
         assert queue.claim_batch() is None  # credit (2 x workers) spent
-        queue.complete_batch(0, 1)
+        queue.complete(first[0].tid)
         assert queue.claim_batch() is None  # P0 gated, GOP 1's P gated
-        queue.complete_batch(0, 1)
-        queue.complete_batch(2, 1)
-        queue.complete_batch(2, 1)
+        for batch in first[1:]:
+            queue.complete(batch.tid)
         assert queue.take_completed() == [0, 2]
         assert [queue.claim_batch().order for _ in range(4)] == [1, 1, 3, 3]
+
+    def test_zero_slice_picture_is_claimed_as_its_publish_step(self):
+        # An I with no slice and the P that predicts from it: a claim
+        # takes the I's slot and its publish step, and the P may start
+        # only once the caller has run that step.
+        queue = one_gop_queue([0, 1], [[], [0]], "improved", 2)
+        assert queue.claim_batch() is None
+        assert (queue.due, queue.in_flight, queue.window.slot(0)) == (True, 0, 0)
+        assert queue.take_completed() == [0]
+        batch = queue.claim_batch()
+        assert (batch.order, batch.ref_slots) == (1, (0,))
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.exec.backend import LocalTeam, WorkerTeam
 from repro.mpeg2.index import IndexCursor, build_index
+from repro.exec.window import FrameWindow
 from repro.parallel.mp_slice import MPSliceDecoder, PictureSliceQueue
 
 from tests.mpeg2.test_golden_vectors import CORPUS, load_vector
@@ -34,6 +35,7 @@ from tests.parallel.test_mp_slice_properties import (
     MODES,
     Schedule,
     gop_structures,
+    plans,
 )
 
 VECTOR = "ipb_64x48_gop13"
@@ -102,13 +104,17 @@ def test_work_before_first_picture_is_flat_in_stream_length(
     )
     assert short == long
     plans, _nodes, states, indexed, published = long
-    # The window (one 13-picture GOP + 1 slot) reaches GOPs 0 and 1:
-    # both are indexed and published, nothing past them.
-    assert plans == 26
+    # A GOP is planned when a claim with a free credit finds nothing to
+    # start and the window (one 13-picture GOP + 1 slot) reaches it: at
+    # 2 workers the spare credits reach GOP 1 while GOP 0's P waits for
+    # its I; the one credit of workers=0 never does before picture 0.
+    # Those GOPs are indexed and published, nothing past them.
+    reached = 2 if workers else 1
+    assert plans == 13 * reached
     assert len(states) == 1
-    assert indexed == 2
+    assert indexed == reached
     (gop,) = build_index(load_vector(VECTOR)).gops
-    assert published == 2 * gop.wire_bytes
+    assert published == reached * gop.wire_bytes
 
 
 @st.composite
@@ -126,10 +132,11 @@ def drain(sched: Schedule, picks: list[int]) -> Schedule:
     while sched.in_flight:
         pick = picks[step % len(picks)] % len(sched.in_flight)
         batch = sched.in_flight.pop(pick)
-        sched.queue.complete_batch(batch.order, len(batch.sidxs))
+        sched.queue.complete(batch.tid)
         sched.pump()
         step += 1
-    assert sched.queue.done and sched.merger.done
+    assert sched.queue.pictures_complete == len(sched.counts)
+    assert sched.merger.done
     return sched
 
 
@@ -147,23 +154,22 @@ def test_planning_a_gop_at_a_time_dispatches_as_the_whole_stream(
     sizes = [gops.count(g) for g in range(gops[-1] + 1)]
     logs = []
     for gop_sizes in ([len(counts)], sizes):
-        reached: list[int] = []
+        # The decoder's planning step adds a GOP when a claim finds
+        # nothing to start and the window reaches the GOP.
         sched = Schedule(
             structure, mode, workers,
             on_claim=lambda s, b: s.log.append((b.order, tuple(b.sidxs), b.slot)),
+            plan_sizes=gop_sizes,
         )
         sched.log = []
-        # The queue reads a GOP's size when its window reaches the GOP.
-        read = (reached.append(g) or n for g, n in enumerate(gop_sizes))
-        sched.queue = PictureSliceQueue(
-            counts, deps, mode, read, sched.window, workers=workers,
-        )
         drain(sched, picks)
         logs.append((sched.log, sched.completion_order, sched.emitted))
-        assert reached == list(range(len(gop_sizes)))
+        assert sched.reached == gop_sizes
     assert logs[0] == logs[1]
 
 
 def test_dependency_outside_its_gop_is_rejected():
+    queue = PictureSliceQueue("improved", FrameWindow(2))
+    queue.add_gop(plans([1, 1], [[], [0]], range(1)))
     with pytest.raises(ValueError, match="outside its GOP"):
-        PictureSliceQueue([1, 1], [[], [0]], "improved", [1, 1], 2)
+        queue.add_gop(plans([1, 1], [[], [0]], range(1, 2)))

@@ -20,7 +20,7 @@ from repro.mpeg2.decoder import SequenceDecoder
 from repro.mpeg2.encoder import EncoderConfig, encode_sequence
 from repro.mpeg2.index import build_index, sequence_prefix
 from repro.parallel.mp import MPGopDecoder
-from repro.parallel.mp_slice import MPSliceDecoder, gop_frame_window
+from repro.parallel.mp_slice import MPSliceDecoder
 from repro.video.synthetic import SyntheticVideo
 
 SIZES = (4, 13, 4)
@@ -68,5 +68,5 @@ def test_a_longer_gop_starts_a_run_sized_for_it(
     if grain == "gop":
         slots = max(2 * workers, 1) * max(SIZES)
     else:
-        slots = gop_frame_window([max(SIZES)], workers)
+        slots = max(max(SIZES), 2 * workers) + 1
     assert dec.last_pool_bytes == (slots * dec.layout.slot_bytes if workers else 0)
